@@ -2,7 +2,8 @@
 initial/final costs with reduction percentages, sorted by gate reduction.
 
 Each row carries a `verified` flag from the simulator equivalence check
-(skipped above the dense-simulation width, where rows stay unverified).
+(skipped on devices wider than the dense-simulation cap, where rows stay
+unverified).
 """
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ from .placement import optimize
 from .qasm import parse
 from .realization import RealizationTable
 from .simulator import MAX_STATE_QUBITS, equivalent
-
-VERIFY_WIDTH = 5
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ def bench_file(path: Path, table: RealizationTable, strict: bool = False) -> Ben
         circuit = parse(path.read_text(encoding="utf-8"), strict=strict)
         result = optimize(circuit, table)
         verified = False
-        if circuit.num_qubits <= VERIFY_WIDTH and table.graph.num_physical <= MAX_STATE_QUBITS:
+        if table.graph.num_physical <= MAX_STATE_QUBITS:
             verified = equivalent(circuit, result.mapped, list(result.placement), tol=1e-8)
         return BenchRow(
             name=path.stem,

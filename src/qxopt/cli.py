@@ -115,6 +115,13 @@ def _cmd_optimize(args) -> int:
     table = build_table(_resolve_arch(args.arch))
     circuit = _read_circuit(args.infile, args.strict)
     result = optimize(circuit, table)
+    if not equivalent(circuit, result.mapped, list(result.placement), tol=1e-8):
+        print(
+            f"error: {args.infile}: mapped circuit is not equivalent to the input "
+            f"under placement {list(result.placement)}; nothing written",
+            file=sys.stderr,
+        )
+        return 2
     if args.outfile:
         Path(args.outfile).write_text(emit(result.mapped), encoding="utf-8")
     if args.report == "json":
@@ -127,18 +134,22 @@ def _cmd_optimize(args) -> int:
                     "initial": {"gates": result.initial_cost.gates, "levels": result.initial_cost.levels},
                     "final": {"gates": result.final_cost.gates, "levels": result.final_cost.levels},
                     "reduction_pct": {"gates": result.reduction_pct[0], "levels": result.reduction_pct[1]},
+                    "verified": True,
                 },
                 indent=2,
             )
         )
     else:
-        print("input,arch,placement,gates_in,levels_in,gates_out,levels_out,gates_pct,levels_pct")
+        print(
+            "input,arch,placement,gates_in,levels_in,gates_out,levels_out,"
+            "gates_pct,levels_pct,verified"
+        )
         placement = "|".join(str(p) for p in result.placement)
         print(
             f"{args.infile},{table.graph.name},{placement},"
             f"{result.initial_cost.gates},{result.initial_cost.levels},"
             f"{result.final_cost.gates},{result.final_cost.levels},"
-            f"{result.reduction_pct[0]},{result.reduction_pct[1]}"
+            f"{result.reduction_pct[0]},{result.reduction_pct[1]},true"
         )
     return 0
 
@@ -173,7 +184,11 @@ def _cmd_verify(args) -> int:
             ok = equivalent(circuit, result.mapped, list(result.placement), tol=args.tol)
             if not ok:
                 failures += 1
-                print(f"case {i}: FAIL")
+                print(
+                    f"case {i}: FAIL (seed {args.seed}, placement "
+                    f"{','.join(str(p) for p in result.placement)}); input circuit:"
+                )
+                print(emit(circuit), end="")
         print(f"{args.random - failures}/{args.random} random circuits verified")
         return 0 if failures == 0 else 2
     if len(args.circuits) != 2:

@@ -1,9 +1,10 @@
-"""Template-based local rewriting to a fixpoint.
+"""Template-based local rewriting in a single left-to-right pass.
 
 Two gates match a rule when they act on identical qubit tuples and every
 gate between them touches disjoint qubits, i.e. the pair can be commuted
 together. Rules only cancel inverse pairs or merge phase gates, so each
-firing strictly shrinks the circuit and the loop terminates.
+firing strictly shrinks the circuit. The single pass already leaves no
+rule that could fire (see simplify_gates).
 
 Deliberately NOT exploited: algebraic commutations (e.g. Z-diagonal gates
 through CNOT controls). This is the smallest engine that removes repeated
@@ -84,35 +85,36 @@ def _overlaps(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> list[Gate]:
-    """Rewrite a raw gate list to its fixpoint. Core of simplify()."""
+    """Rewrite a raw gate list to its fixpoint in one pass. Core of simplify().
+
+    Invariant: no two gates in `pending` match. A firing deletes pending[i],
+    and every gate after index i is disjoint from its qubits. A pair that
+    pending[i] used to separate would need a member after i that overlaps
+    those qubits, so the deletion creates no new match and a second pass
+    could never fire.
+    """
     verify_rules()
-    current = list(gates)
-    while True:
-        pending: list[Gate] = []
-        fired = False
-        for gate in current:
-            while True:
-                i = len(pending) - 1
-                while i >= 0 and not _overlaps(pending[i].qubits, gate.qubits):
-                    i -= 1
-                if i < 0 or pending[i].qubits != gate.qubits:
-                    pending.append(gate)
-                    break
-                rule = _RULE_BY_PAIR.get((pending[i].kind, gate.kind))
-                if rule is None:
-                    pending.append(gate)
-                    break
-                fired = True
-                if trace is not None:
-                    trace.append(RuleFiring(rule.name, i, gate.qubits))
-                del pending[i]
-                if not rule.replacement:
-                    break
-                # Merged gate keeps walking: it may combine again.
-                gate = Gate(rule.replacement[0], gate.qubits)
-        current = pending
-        if not fired:
-            return current
+    pending: list[Gate] = []
+    for gate in gates:
+        while True:
+            i = len(pending) - 1
+            while i >= 0 and not _overlaps(pending[i].qubits, gate.qubits):
+                i -= 1
+            if i < 0 or pending[i].qubits != gate.qubits:
+                pending.append(gate)
+                break
+            rule = _RULE_BY_PAIR.get((pending[i].kind, gate.kind))
+            if rule is None:
+                pending.append(gate)
+                break
+            if trace is not None:
+                trace.append(RuleFiring(rule.name, i, gate.qubits))
+            del pending[i]
+            if not rule.replacement:
+                break
+            # Merged gate keeps walking: it may combine again.
+            gate = Gate(rule.replacement[0], gate.qubits)
+    return pending
 
 
 def simplify(circuit: Circuit) -> Circuit:

@@ -1,8 +1,9 @@
 """Dense statevector / unitary / density-matrix engine.
 
 Caps: 10 qubits for unitaries and state vectors, 6 for density matrices.
-Dense linear algebra throughout; at this scale sparsity buys nothing and
-plain matrices keep every check auditable.
+States, unitaries and density matrices are dense arrays, but a gate is never
+a 2^n x 2^n matrix: one kernel applies its 2x2 matrix (or, for CNOT, a row
+permutation) to the 2^n rows of whatever array it acts on.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, relabel
 from .states import (
     DensityMatrix,
     NoiseSpec,
@@ -37,21 +38,16 @@ GATE_MATRICES: dict[GateKind, np.ndarray] = {
 }
 
 
-def embedded_gate(gate: Gate, num_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n matrix of one gate, qubit 0 = least-significant bit."""
-    dim = 2**num_qubits
+def _apply(gate: Gate, rows: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Left-multiply `rows` (a 2^n vector or a 2^n x k block) by one gate,
+    qubit 0 = least-significant bit. The only place a gate acts on an array."""
     if gate.kind is GateKind.CNOT:
         control, target = gate.qubits
-        idx = np.arange(dim)
-        flipped = idx ^ (((idx >> control) & 1) << target)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[flipped, idx] = 1.0
-        return mat
+        idx = np.arange(rows.shape[0])
+        return rows[idx ^ (((idx >> control) & 1) << target)]
     (q,) = gate.qubits
-    return np.kron(
-        np.kron(np.eye(2 ** (num_qubits - 1 - q)), GATE_MATRICES[gate.kind]),
-        np.eye(2**q),
-    )
+    shaped = rows.reshape(2 ** (num_qubits - 1 - q), 2, -1)
+    return (GATE_MATRICES[gate.kind] @ shaped).reshape(rows.shape)
 
 
 def _check_width(num_qubits: int, cap: int) -> None:
@@ -60,23 +56,12 @@ def _check_width(num_qubits: int, cap: int) -> None:
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Product of the circuit's embedded gate matrices, in circuit order."""
+    """Product of the circuit's gate unitaries, in circuit order."""
     _check_width(circuit.num_qubits, MAX_STATE_QUBITS)
     u = np.eye(2**circuit.num_qubits, dtype=complex)
     for g in circuit.gates:
-        u = embedded_gate(g, circuit.num_qubits) @ u
+        u = _apply(g, u, circuit.num_qubits)
     return u
-
-
-def _apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    if gate.kind is GateKind.CNOT:
-        control, target = gate.qubits
-        idx = np.arange(state.shape[0])
-        return state[idx ^ (((idx >> control) & 1) << target)]
-    (q,) = gate.qubits
-    mat = GATE_MATRICES[gate.kind]
-    shaped = state.reshape(2 ** (num_qubits - 1 - q), 2, 2**q)
-    return np.einsum("ab,xbz->xaz", mat, shaped).reshape(-1)
 
 
 def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -90,7 +75,7 @@ def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVect
         )
     amp = initial.amplitudes.copy()
     for g in circuit.gates:
-        amp = _apply_gate(amp, g, circuit.num_qubits)
+        amp = _apply(g, amp, circuit.num_qubits)
     return StateVector(amp)
 
 
@@ -102,24 +87,24 @@ def _depolarize(rho: np.ndarray, qubit: int, p: float, num_qubits: int) -> np.nd
         return rho
     mix = np.zeros_like(rho)
     for kind in _PAULIS:
-        pauli = embedded_gate(Gate(kind, (qubit,)), num_qubits)
-        mix += pauli @ rho @ pauli
+        pauli = Gate(kind, (qubit,))
+        mix += _apply(pauli, _apply(pauli, rho, num_qubits).conj().T, num_qubits).conj().T
     return (1.0 - p) * rho + (p / 3.0) * mix
 
 
 def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
     """Evolve |0...0><0...0| through the circuit, applying a symmetric
     depolarizing channel to every qubit a gate touches, after the gate."""
-    _check_width(circuit.num_qubits, MAX_DENSITY_QUBITS)
-    dim = 2**circuit.num_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
+    n = circuit.num_qubits
+    _check_width(n, MAX_DENSITY_QUBITS)
+    rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     for g in circuit.gates:
-        u = embedded_gate(g, circuit.num_qubits)
-        rho = u @ rho @ u.conj().T
+        # U rho U^dagger as two left-multiplications: (U (U rho)^dagger)^dagger.
+        rho = _apply(g, _apply(g, rho, n).conj().T, n).conj().T
         p = noise.p2 if g.kind.arity == 2 else noise.p1
         for q in g.qubits:
-            rho = _depolarize(rho, q, p, circuit.num_qubits)
+            rho = _depolarize(rho, q, p, n)
     out = DensityMatrix(rho)
     out.validate()
     return out
@@ -134,26 +119,6 @@ def measure_probs(state: StateVector | DensityMatrix) -> ProbabilityDistribution
     dist = distribution_from_vector(values, tolerance=1e-10)
     dist.validate()
     return dist
-
-
-def _extend_placement(perm: list[int], num_physical: int) -> list[int]:
-    """Extend an injection to a full permutation: leftover logical slots take
-    the unused physical indices in increasing order."""
-    used = set(perm)
-    spare = [p for p in range(num_physical) if p not in used]
-    return perm + spare
-
-
-def _permutation_matrix(perm_full: list[int]) -> np.ndarray:
-    n = len(perm_full)
-    dim = 2**n
-    src = np.arange(dim)
-    dst = np.zeros(dim, dtype=np.int64)
-    for j, pj in enumerate(perm_full):
-        dst |= ((src >> j) & 1) << pj
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[dst, src] = 1.0
-    return mat
 
 
 def equivalent(
@@ -179,11 +144,9 @@ def equivalent(
         raise ValueError(f"invalid placement {perm} for {n1} -> {n2} qubits")
     _check_width(n2, MAX_STATE_QUBITS)
 
-    u1 = unitary_of(c1)
-    if n2 > n1:
-        u1 = np.kron(np.eye(2 ** (n2 - n1)), u1)
-    pmat = _permutation_matrix(_extend_placement(perm, n2))
-    reference = pmat @ u1 @ pmat.conj().T
+    # Relabeling the circuit conjugates its unitary by the placement's
+    # permutation and pads the unused wires with identity.
+    reference = unitary_of(relabel(c1, perm, n2))
     u2 = unitary_of(c2)
 
     flat_ref = reference.ravel()

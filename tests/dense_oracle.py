@@ -1,0 +1,140 @@
+"""Reference simulator: the dense gate paths that `qxopt.simulator` used
+before it applied every gate through one kernel.
+
+Each gate here is a full 2^n x 2^n matrix built from Kronecker products (or
+a dense CNOT permutation), and placements are dense permutation matrices.
+Slow, but every step is plain linear algebra, so the differential tests in
+`test_simulator.py` compare the shipped kernel against it.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from qxopt.circuit import Circuit, Gate, GateKind
+from qxopt.simulator import GATE_MATRICES, MAX_DENSITY_QUBITS, MAX_STATE_QUBITS
+from qxopt.states import DensityMatrix, NoiseSpec
+
+
+def embedded_gate(gate: Gate, num_qubits: int) -> np.ndarray:
+    """Full 2^n x 2^n matrix of one gate, qubit 0 = least-significant bit."""
+    dim = 2**num_qubits
+    if gate.kind is GateKind.CNOT:
+        control, target = gate.qubits
+        idx = np.arange(dim)
+        flipped = idx ^ (((idx >> control) & 1) << target)
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[flipped, idx] = 1.0
+        return mat
+    (q,) = gate.qubits
+    return np.kron(
+        np.kron(np.eye(2 ** (num_qubits - 1 - q)), GATE_MATRICES[gate.kind]),
+        np.eye(2**q),
+    )
+
+
+def _check_width(num_qubits: int, cap: int) -> None:
+    if num_qubits > cap:
+        raise ValueError(f"{num_qubits} qubits exceeds the dense-simulation cap of {cap}")
+
+
+def unitary_of(circuit: Circuit) -> np.ndarray:
+    """Product of the circuit's embedded gate matrices, in circuit order."""
+    _check_width(circuit.num_qubits, MAX_STATE_QUBITS)
+    u = np.eye(2**circuit.num_qubits, dtype=complex)
+    for g in circuit.gates:
+        u = embedded_gate(g, circuit.num_qubits) @ u
+    return u
+
+
+_PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
+
+
+def _depolarize(rho: np.ndarray, qubit: int, p: float, num_qubits: int) -> np.ndarray:
+    if p == 0.0:
+        return rho
+    mix = np.zeros_like(rho)
+    for kind in _PAULIS:
+        pauli = embedded_gate(Gate(kind, (qubit,)), num_qubits)
+        mix += pauli @ rho @ pauli
+    return (1.0 - p) * rho + (p / 3.0) * mix
+
+
+def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
+    """Evolve |0...0><0...0| through the circuit, applying a symmetric
+    depolarizing channel to every qubit a gate touches, after the gate."""
+    _check_width(circuit.num_qubits, MAX_DENSITY_QUBITS)
+    dim = 2**circuit.num_qubits
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    for g in circuit.gates:
+        u = embedded_gate(g, circuit.num_qubits)
+        rho = u @ rho @ u.conj().T
+        p = noise.p2 if g.kind.arity == 2 else noise.p1
+        for q in g.qubits:
+            rho = _depolarize(rho, q, p, circuit.num_qubits)
+    out = DensityMatrix(rho)
+    out.validate()
+    return out
+
+
+def _extend_placement(perm: list[int], num_physical: int) -> list[int]:
+    """Extend an injection to a full permutation: leftover logical slots take
+    the unused physical indices in increasing order."""
+    used = set(perm)
+    spare = [p for p in range(num_physical) if p not in used]
+    return perm + spare
+
+
+def _permutation_matrix(perm_full: list[int]) -> np.ndarray:
+    n = len(perm_full)
+    dim = 2**n
+    src = np.arange(dim)
+    dst = np.zeros(dim, dtype=np.int64)
+    for j, pj in enumerate(perm_full):
+        dst |= ((src >> j) & 1) << pj
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[dst, src] = 1.0
+    return mat
+
+
+def equivalent(
+    c1: Circuit,
+    c2: Circuit,
+    perm: list[int] | tuple[int, ...] | None = None,
+    tol: float = 1e-9,
+) -> bool:
+    """True when c2's unitary equals c1's up to qubit relabeling by `perm`
+    and a global phase.
+
+    c1 may be narrower than c2; its extra wires are padded with identity.
+    The phase is read off the first entry where the relabeled reference is
+    nonzero, then the whole matrices must agree entrywise within `tol`.
+    """
+    n1, n2 = c1.num_qubits, c2.num_qubits
+    if n1 > n2:
+        raise ValueError(f"first circuit is wider ({n1}) than second ({n2})")
+    if perm is None:
+        perm = list(range(n1))
+    perm = list(perm)
+    if len(perm) != n1 or len(set(perm)) != n1 or any(not 0 <= p < n2 for p in perm):
+        raise ValueError(f"invalid placement {perm} for {n1} -> {n2} qubits")
+    _check_width(n2, MAX_STATE_QUBITS)
+
+    u1 = unitary_of(c1)
+    if n2 > n1:
+        u1 = np.kron(np.eye(2 ** (n2 - n1)), u1)
+    pmat = _permutation_matrix(_extend_placement(perm, n2))
+    reference = pmat @ u1 @ pmat.conj().T
+    u2 = unitary_of(c2)
+
+    flat_ref = reference.ravel()
+    anchors = np.flatnonzero(np.abs(flat_ref) > 1e-9)
+    if anchors.size == 0:
+        return False
+    anchor = anchors[0]
+    phase = u2.ravel()[anchor] / flat_ref[anchor]
+    mag = abs(phase)
+    if mag < 1e-12:
+        return False
+    phase /= mag
+    return float(np.max(np.abs(u2 - phase * reference))) <= tol

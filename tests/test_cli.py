@@ -1,12 +1,18 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
-from qxopt.bench import bench_directory, render_csv, render_markdown
-from qxopt.circuit import Circuit, cnot
+import qxopt.cli
+from qxopt.bench import bench_directory, bench_file, render_csv, render_markdown
+from qxopt.circuit import Circuit, GateKind, cnot, gate1
 from qxopt.cli import main
-from qxopt.fixtures import data_text
+from qxopt.fixtures import data_text, random_circuit
+from qxopt.placement import optimize
 from qxopt.qasm import emit, parse
+from qxopt.realization import build_table
+from qxopt.topology import load
 
 ROUTING = data_text("routing_example.qasm")
 
@@ -45,6 +51,7 @@ def test_optimize_json_report(routing_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["placement"] == [0, 1, 2]
     assert report["final"] == {"gates": 2, "levels": 2}
+    assert report["verified"] is True
     mapped = parse(out.read_text())
     assert mapped.num_qubits == 5
 
@@ -53,7 +60,25 @@ def test_optimize_csv_report(routing_file, capsys):
     assert main(["optimize", "--arch", "qx4", "--in", str(routing_file), "--report", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("input,arch,placement")
+    assert lines[0].endswith(",verified")
+    assert lines[1].endswith(",true")
     assert len(lines) == 2
+
+
+def test_optimize_refuses_to_emit_unverified_result(routing_file, tmp_path, monkeypatch, capsys):
+    def corrupted(circuit, table):
+        result = optimize(circuit, table)
+        extra = gate1(GateKind.X, result.placement[0])
+        mapped = Circuit(result.mapped.num_qubits, result.mapped.gates + (extra,))
+        return dataclasses.replace(result, mapped=mapped)
+
+    monkeypatch.setattr(qxopt.cli, "optimize", corrupted)
+    out = tmp_path / "mapped.qasm"
+    assert main(["optimize", "--arch", "qx2", "--in", str(routing_file), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "not equivalent" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_optimize_with_coupling_file(routing_file, tmp_path, capsys):
@@ -108,6 +133,22 @@ def test_verify_random_self_check(capsys):
     )
     assert code == 0
     assert "5/5" in capsys.readouterr().out
+
+
+def test_verify_random_failure_prints_reproducer(qx4_table, monkeypatch, capsys):
+    monkeypatch.setattr(qxopt.cli, "equivalent", lambda *args, **kwargs: False)
+    code = main(
+        ["verify", "--random", "2", "--arch", "qx4", "--qubits", "3", "--gates", "6", "--seed", "7"]
+    )
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "0/2 random circuits verified" in out
+    first = out.split("case 1:")[0]
+    assert first.startswith("case 0: FAIL (seed 7, placement ")
+    expected = random_circuit(3, 6, random.Random(7))
+    assert parse(first.split("input circuit:\n", 1)[1]) == expected
+    placement = [int(p) for p in first.split("placement ")[1].split(")")[0].split(",")]
+    assert placement == list(optimize(expected, qx4_table).placement)
 
 
 def test_verify_needs_two_files(capsys):
@@ -199,3 +240,14 @@ def test_bench_rows_reparse_and_reverify(tmp_path, qx2_table):
     md = render_markdown(rows)
     assert csv.count("\n") == len(rows) + 1
     assert md.count("\n") == len(rows) + 2
+
+
+def test_bench_verifies_six_qubit_row(tmp_path):
+    graph = load("qubits 6\n0 1\n1 2\n2 3\n3 4\n4 5\n", name="line6")
+    path = tmp_path / "ghz6.qasm"
+    gates = (gate1(GateKind.H, 0),) + tuple(cnot(q, q + 1) for q in range(5))
+    path.write_text(emit(Circuit(6, gates)))
+    row = bench_file(path, build_table(graph))
+    assert row.error is None
+    assert row.qubits == 6
+    assert row.verified is True

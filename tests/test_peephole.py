@@ -6,7 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, gate_count
 from qxopt.fixtures import random_circuit
-from qxopt.peephole import RULES, simplify, simplify_with_trace, verify_rules
+from qxopt.peephole import (
+    _RULE_BY_PAIR,
+    RULES,
+    RuleFiring,
+    _overlaps,
+    simplify,
+    simplify_gates,
+    simplify_with_trace,
+    verify_rules,
+)
+from qxopt.placement import _mapped_gates
 from qxopt.simulator import unitary_of
 
 
@@ -88,3 +98,56 @@ def test_simplify_preserves_unitary_and_is_monotone_idempotent(seed):
             assert np.allclose(u_in, u_out)
         else:
             assert _phase_equal(u_in, u_out, tol=1e-9)
+
+
+def _simplify_to_fixpoint(gates, trace):
+    """Reference: the rewrite pass repeated until a whole pass fires nothing."""
+    current = list(gates)
+    while True:
+        pending = []
+        fired = False
+        for gate in current:
+            while True:
+                i = len(pending) - 1
+                while i >= 0 and not _overlaps(pending[i].qubits, gate.qubits):
+                    i -= 1
+                if i < 0 or pending[i].qubits != gate.qubits:
+                    pending.append(gate)
+                    break
+                rule = _RULE_BY_PAIR.get((pending[i].kind, gate.kind))
+                if rule is None:
+                    pending.append(gate)
+                    break
+                fired = True
+                trace.append(RuleFiring(rule.name, i, gate.qubits))
+                del pending[i]
+                if not rule.replacement:
+                    break
+                gate = Gate(rule.replacement[0], gate.qubits)
+        current = pending
+        if not fired:
+            return current
+
+
+def _assert_single_pass_matches_fixpoint(gates):
+    got_trace, want_trace = [], []
+    assert simplify_gates(gates, got_trace) == _simplify_to_fixpoint(gates, want_trace)
+    assert got_trace == want_trace
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10_000))
+def test_single_pass_equals_fixpoint_on_random_circuits(seed):
+    rng = random.Random(seed)
+    c = random_circuit(rng.randint(1, 5), rng.randint(0, 60), rng)
+    _assert_single_pass_matches_fixpoint(list(c.gates))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 10_000), st.sampled_from(["qx2", "qx4"]))
+def test_single_pass_equals_fixpoint_on_mapped_gates(qx2_table, qx4_table, seed, arch):
+    rng = random.Random(seed)
+    table = qx2_table if arch == "qx2" else qx4_table
+    c = random_circuit(rng.randint(1, 5), rng.randint(0, 40), rng)
+    placement = rng.sample(range(5), c.num_qubits)
+    _assert_single_pass_matches_fixpoint(_mapped_gates(c, placement, table, {}))

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qxopt.circuit import Circuit, GateKind, cnot, gate1
+import dense_oracle
+from qxopt.circuit import Circuit, GateKind, cnot, gate1, relabel
 from qxopt.fixtures import random_circuit
+from qxopt.peephole import simplify
 from qxopt.simulator import (
-    embedded_gate,
     equivalent,
     measure_probs,
     run_ideal,
@@ -41,11 +42,11 @@ def test_cnot_matrix_from_truth_table():
         control, target = a & 1, (a >> 1) & 1
         b = (target ^ control) << 1 | control
         expected[b, a] = 1.0
-    assert np.allclose(embedded_gate(cnot(0, 1), 2), expected)
+    assert np.allclose(unitary_of(Circuit(2, (cnot(0, 1),))), expected)
 
 
 def test_single_qubit_embedding_positions():
-    z_on_1 = embedded_gate(gate1(GateKind.Z, 1), 2)
+    z_on_1 = unitary_of(Circuit(2, (gate1(GateKind.Z, 1),)))
     # |10> (index 2) picks up the sign, |01> (index 1) does not.
     assert z_on_1[2, 2] == -1
     assert z_on_1[1, 1] == 1
@@ -194,3 +195,54 @@ def test_measure_probs_density_matrix_diagonal():
     probs = measure_probs(rho)
     assert probs.prob("0") == 0.25
     assert probs.prob("1") == 0.75
+
+
+# Differential tests: the gate kernel against the dense Kronecker-product
+# reference in dense_oracle.py.
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10_000))
+def test_unitary_and_run_ideal_match_dense_oracle(seed):
+    rng = random.Random(seed)
+    c = random_circuit(rng.randint(1, 5), rng.randint(0, 30), rng)
+    reference = dense_oracle.unitary_of(c)
+    assert np.max(np.abs(unitary_of(c) - reference)) < 1e-12
+    assert np.max(np.abs(run_ideal(c).amplitudes - reference[:, 0])) < 1e-12
+    psi = StateVector(reference[:, -1].copy())
+    assert np.max(np.abs(run_ideal(c, psi).amplitudes - reference @ psi.amplitudes)) < 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000))
+def test_run_noisy_matches_dense_oracle(seed):
+    rng = random.Random(seed)
+    c = random_circuit(rng.randint(1, 4), rng.randint(0, 20), rng)
+    noise = NoiseSpec(p1=rng.random() * 0.2, p2=rng.random() * 0.2)
+    got = run_noisy(c, noise).matrix
+    want = dense_oracle.run_noisy(c, noise).matrix
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10_000))
+def test_equivalent_verdicts_match_dense_oracle(seed):
+    rng = random.Random(seed)
+    n1 = rng.randint(1, 4)
+    n2 = rng.randint(n1, 5)
+    c = random_circuit(n1, rng.randint(0, 20), rng)
+    perm = rng.sample(range(n2), n1)
+    mapped = simplify(relabel(c, perm, n2))
+    extra = random_circuit(n2, 1, rng).gates
+    broken = Circuit(n2, mapped.gates + extra)
+    other_perm = rng.sample(range(n2), n1)
+    cases = [
+        (mapped, perm, True),  # padded and permuted
+        (broken, perm, False),  # one gate too many
+        (mapped, other_perm, None),  # another placement: either verdict
+    ]
+    for second, placement, expected in cases:
+        verdict = equivalent(c, second, placement)
+        assert verdict == dense_oracle.equivalent(c, second, placement)
+        if expected is not None:
+            assert verdict is expected

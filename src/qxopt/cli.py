@@ -22,7 +22,7 @@ from .nonclassicality import (
     uhlmann_fidelity,
 )
 from .peephole import simplify, simplify_with_trace
-from .placement import optimize
+from .placement import check_search_limit, optimize
 from .qasm import emit, parse_report
 from .realization import RealizationTable, build_table, dump_text
 from .simulator import equivalent
@@ -53,8 +53,34 @@ def _read_circuit(path: str, strict: bool) -> Circuit:
     return report.circuit
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer of at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _searchable_table(arch: str) -> RealizationTable:
+    """Realization table for an architecture within the search limit, which is
+    checked before the table is built."""
+    graph = _resolve_arch(arch)
+    check_search_limit(graph)
+    return build_table(graph)
+
+
 def _placement_arg(text: str, width: int) -> list[int]:
-    values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise UsageError(f"--placement expects comma-separated integers, got {text!r}") from None
     if len(values) != width:
         raise UsageError(f"--placement lists {len(values)} targets, circuit has {width} qubits")
     return values
@@ -82,9 +108,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--placement", help="comma-separated physical target per logical qubit")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--arch", help="needed for --random")
-    p.add_argument("--random", type=int, metavar="N", help="self-check N random circuits")
-    p.add_argument("--qubits", type=int, default=4)
-    p.add_argument("--gates", type=int, default=20)
+    p.add_argument(
+        "--random", type=_int_at_least(0), metavar="N", help="self-check N random circuits"
+    )
+    p.add_argument("--qubits", type=_int_at_least(1), default=4)
+    p.add_argument("--gates", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true")
 
@@ -112,7 +140,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_optimize(args) -> int:
-    table = build_table(_resolve_arch(args.arch))
+    table = _searchable_table(args.arch)
     circuit = _read_circuit(args.infile, args.strict)
     result = optimize(circuit, table)
     if not equivalent(circuit, result.mapped, list(result.placement), tol=1e-8):
@@ -175,7 +203,7 @@ def _cmd_verify(args) -> int:
     if args.random is not None:
         if not args.arch:
             raise UsageError("--random requires --arch")
-        table = build_table(_resolve_arch(args.arch))
+        table = _searchable_table(args.arch)
         rng = random.Random(args.seed)
         failures = 0
         for i in range(args.random):
@@ -204,7 +232,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    table = build_table(_resolve_arch(args.arch))
+    table = _searchable_table(args.arch)
     rows = bench_mod.bench_directory(Path(args.directory), table, strict=args.strict)
     if args.format == "csv":
         print(bench_mod.render_csv(rows), end="")

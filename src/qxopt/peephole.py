@@ -2,7 +2,9 @@
 
 Two gates match a rule when they act on identical qubit tuples and every
 gate between them touches disjoint qubits, i.e. the pair can be commuted
-together. Rules only cancel inverse pairs or merge phase gates, so each
+together. Each qubit keeps an index of the pending gates on it, so a
+gate's candidate partner is found in constant time instead of by scanning
+back. Rules only cancel inverse pairs or merge phase gates, so each
 firing strictly shrinks the circuit. The single pass already leaves no
 rule that could fire (see simplify_gates).
 
@@ -12,6 +14,7 @@ Hadamards and collapses swap-sequence overlap.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind
@@ -77,15 +80,15 @@ class RuleFiring:
     qubits: tuple[int, ...]
 
 
-def _overlaps(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for q in a:
-        if q in b:
-            return True
-    return False
-
-
 def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> list[Gate]:
     """Rewrite a raw gate list to its fixpoint in one pass. Core of simplify().
+
+    A gate's only possible partner is the last pending gate that touches
+    any of its qubits. Each qubit keeps a stack of indices into `pending`
+    for the gates on it, so that partner is found in constant time: the top
+    of the qubit's stack for a 1-qubit gate, and for a CNOT the top shared
+    by both stacks (different tops mean no match). A deleted gate becomes a
+    `None` tombstone and leaves the stacks of its qubits, whose top it was.
 
     Invariant: no two gates in `pending` match. A firing deletes pending[i],
     and every gate after index i is disjoint from its qubits. A pair that
@@ -94,27 +97,36 @@ def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> 
     could never fire.
     """
     verify_rules()
-    pending: list[Gate] = []
+    pending: list[Gate | None] = []
+    stacks: defaultdict[int, list[int]] = defaultdict(list)
     for gate in gates:
+        qubits = gate.qubits
         while True:
-            i = len(pending) - 1
-            while i >= 0 and not _overlaps(pending[i].qubits, gate.qubits):
-                i -= 1
-            if i < 0 or pending[i].qubits != gate.qubits:
-                pending.append(gate)
-                break
-            rule = _RULE_BY_PAIR.get((pending[i].kind, gate.kind))
+            stack = stacks[qubits[0]]
+            i = stack[-1] if stack else -1
+            if i >= 0 and len(qubits) == 2:
+                other = stacks[qubits[1]]
+                if not other or other[-1] != i:
+                    i = -1
+            rule = None
+            if i >= 0 and pending[i].qubits == qubits:
+                rule = _RULE_BY_PAIR.get((pending[i].kind, gate.kind))
             if rule is None:
+                for q in qubits:
+                    stacks[q].append(len(pending))
                 pending.append(gate)
                 break
             if trace is not None:
-                trace.append(RuleFiring(rule.name, i, gate.qubits))
-            del pending[i]
+                position = sum(g is not None for g in pending[:i])
+                trace.append(RuleFiring(rule.name, position, qubits))
+            pending[i] = None
+            for q in qubits:
+                stacks[q].pop()
             if not rule.replacement:
                 break
             # Merged gate keeps walking: it may combine again.
-            gate = Gate(rule.replacement[0], gate.qubits)
-    return pending
+            gate = Gate(rule.replacement[0], qubits)
+    return [g for g in pending if g is not None]
 
 
 def simplify(circuit: Circuit) -> Circuit:

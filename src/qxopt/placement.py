@@ -3,8 +3,10 @@
 Every injection of the circuit's qubits into the device qubits is scored by
 relabeling, substituting each CNOT with its table realization, and peephole
 simplifying; the cheapest mapping wins under a deterministic total order
-(gates, then levels, then lexicographically smallest placement). Beyond the
-exhaustive limit the search refuses instead of degrading to a heuristic.
+(gates, then levels, then lexicographically smallest placement). Levels
+only break gate-count ties, so they are counted only for placements whose
+gate count is at most the best so far. Beyond the exhaustive limit the
+search refuses instead of degrading to a heuristic.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from typing import Sequence
 from .circuit import Circuit, CostReport, Gate, GateKind, cost_report, levels_of
 from .peephole import simplify_gates
 from .realization import RealizationTable
+from .topology import CouplingGraph
 
 DEFAULT_SEARCH_LIMIT = 8
 
@@ -61,17 +64,22 @@ def _mapped_gates(
     return out
 
 
+def check_search_limit(graph: CouplingGraph, limit: int = DEFAULT_SEARCH_LIMIT) -> None:
+    """Refuse a device too wide for exhaustive search, before any table is built."""
+    if graph.num_physical > limit:
+        raise ValueError(
+            f"device has {graph.num_physical} qubits; exhaustive search is limited to "
+            f"{limit} (the tool refuses rather than silently approximating)"
+        )
+
+
 def _check_widths(circuit: Circuit, table: RealizationTable, limit: int) -> int:
     num_physical = table.graph.num_physical
     if circuit.num_qubits > num_physical:
         raise ValueError(
             f"circuit has {circuit.num_qubits} qubits, device only {num_physical}"
         )
-    if num_physical > limit:
-        raise ValueError(
-            f"device has {num_physical} qubits; exhaustive search is limited to "
-            f"{limit} (the tool refuses rather than silently approximating)"
-        )
+    check_search_limit(table.graph, limit)
     return num_physical
 
 
@@ -92,6 +100,8 @@ def optimize(
     best_placement: tuple[int, ...] | None = None
     for placement in permutations(range(num_physical), circuit.num_qubits):
         gates = simplify_gates(_mapped_gates(circuit, placement, table, cache))
+        if best_key is not None and len(gates) > best_key[0]:
+            continue
         key = (len(gates), levels_of(gates), placement)
         if best_key is None or key < best_key:
             best_key = key

@@ -75,6 +75,13 @@ def allows(graph: CouplingGraph, control: int, target: int) -> bool:
     return (control, target) in graph.edges
 
 
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def load(text: str, name: str = "custom") -> CouplingGraph:
     """Parse the coupling-graph text format and validate it."""
     num = None
@@ -87,11 +94,11 @@ def load(text: str, name: str = "custom") -> CouplingGraph:
         if num is None:
             if len(parts) != 2 or parts[0] != "qubits":
                 raise ValueError(f"line {lineno}: expected 'qubits N' header")
-            num = int(parts[1])
+            num = _int(parts[1], lineno)
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'control target', got {raw!r}")
-        c, t = int(parts[0]), int(parts[1])
+        c, t = _int(parts[0], lineno), _int(parts[1], lineno)
         if (c, t) in edges:
             raise ValueError(f"line {lineno}: duplicate edge ({c}, {t})")
         edges.add((c, t))

@@ -251,3 +251,62 @@ def test_bench_verifies_six_qubit_row(tmp_path):
     assert row.error is None
     assert row.qubits == 6
     assert row.verified is True
+
+
+@pytest.fixture()
+def grid6x6_file(tmp_path):
+    edges = [(q, q + 1) for q in range(36) if q % 6 != 5] + [(q, q + 6) for q in range(30)]
+    path = tmp_path / "grid6x6.txt"
+    path.write_text("qubits 36\n" + "".join(f"{c} {t}\n" for c, t in edges))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--in", "{qasm}"],
+        ["bench", "{dir}"],
+        ["verify", "--random", "1"],
+    ],
+    ids=["optimize", "bench", "verify-random"],
+)
+def test_search_limit_refused_before_table_is_built(
+    argv, grid6x6_file, routing_file, monkeypatch, capsys
+):
+    def no_table(graph):
+        raise AssertionError("realization table built for a device over the search limit")
+
+    monkeypatch.setattr(qxopt.cli, "build_table", no_table)
+    argv = [a.format(qasm=routing_file, dir=routing_file.parent) for a in argv]
+    assert main(argv + ["--arch", f"@{grid6x6_file}"]) == 1
+    assert "exhaustive search is limited to 8" in capsys.readouterr().err
+
+
+def test_table_dump_still_builds_beyond_search_limit(tmp_path, monkeypatch, capsys):
+    # Dense verification of 72 entries at 9 qubits is slow and beside the point.
+    monkeypatch.setattr(qxopt.cli, "build_table", lambda graph: build_table(graph, verify=False))
+    path = tmp_path / "line9.txt"
+    path.write_text("qubits 9\n" + "".join(f"{q} {q + 1}\n" for q in range(8)))
+    assert main(["table", "dump", "--arch", f"@{path}"]) == 0
+    assert "9 qubits" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--random", "-1"), ("--qubits", "-1"), ("--qubits", "0"), ("--gates", "-1")],
+)
+def test_verify_random_rejects_out_of_range_counts(flag, value, capsys):
+    argv = ["verify", "--random", "2", "--arch", "qx4", "--qubits", "3", "--gates", "4"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "must be at least" in err
+
+
+def test_verify_non_integer_placement_is_usage_error(routing_file, capsys):
+    code = main(["verify", str(routing_file), str(routing_file), "--placement", "a,b"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--placement" in err
+    assert "invalid literal" not in err

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import search_oracle
 from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, gate_count
 from qxopt.fixtures import random_circuit
 from qxopt.peephole import (
-    _RULE_BY_PAIR,
     RULES,
-    RuleFiring,
-    _overlaps,
     simplify,
     simplify_gates,
     simplify_with_trace,
@@ -100,39 +98,15 @@ def test_simplify_preserves_unitary_and_is_monotone_idempotent(seed):
             assert _phase_equal(u_in, u_out, tol=1e-9)
 
 
-def _simplify_to_fixpoint(gates, trace):
-    """Reference: the rewrite pass repeated until a whole pass fires nothing."""
-    current = list(gates)
-    while True:
-        pending = []
-        fired = False
-        for gate in current:
-            while True:
-                i = len(pending) - 1
-                while i >= 0 and not _overlaps(pending[i].qubits, gate.qubits):
-                    i -= 1
-                if i < 0 or pending[i].qubits != gate.qubits:
-                    pending.append(gate)
-                    break
-                rule = _RULE_BY_PAIR.get((pending[i].kind, gate.kind))
-                if rule is None:
-                    pending.append(gate)
-                    break
-                fired = True
-                trace.append(RuleFiring(rule.name, i, gate.qubits))
-                del pending[i]
-                if not rule.replacement:
-                    break
-                gate = Gate(rule.replacement[0], gate.qubits)
-        current = pending
-        if not fired:
-            return current
-
-
-def _assert_single_pass_matches_fixpoint(gates):
-    got_trace, want_trace = [], []
-    assert simplify_gates(gates, got_trace) == _simplify_to_fixpoint(gates, want_trace)
-    assert got_trace == want_trace
+def _assert_single_pass_matches_oracles(gates):
+    """Same gates and the same RuleFiring traces as the backward-scan pass
+    and the fixpoint loop; the untraced run gives the same gates."""
+    got_trace, scan_trace, fix_trace = [], [], []
+    got = simplify_gates(gates, got_trace)
+    assert got == search_oracle.simplify_gates(gates, scan_trace)
+    assert got == search_oracle.simplify_to_fixpoint(gates, fix_trace)
+    assert got_trace == scan_trace == fix_trace
+    assert simplify_gates(gates) == got
 
 
 @settings(deadline=None, max_examples=200)
@@ -140,7 +114,7 @@ def _assert_single_pass_matches_fixpoint(gates):
 def test_single_pass_equals_fixpoint_on_random_circuits(seed):
     rng = random.Random(seed)
     c = random_circuit(rng.randint(1, 5), rng.randint(0, 60), rng)
-    _assert_single_pass_matches_fixpoint(list(c.gates))
+    _assert_single_pass_matches_oracles(list(c.gates))
 
 
 @settings(deadline=None, max_examples=100)
@@ -150,4 +124,27 @@ def test_single_pass_equals_fixpoint_on_mapped_gates(qx2_table, qx4_table, seed,
     table = qx2_table if arch == "qx2" else qx4_table
     c = random_circuit(rng.randint(1, 5), rng.randint(0, 40), rng)
     placement = rng.sample(range(5), c.num_qubits)
-    _assert_single_pass_matches_fixpoint(_mapped_gates(c, placement, table, {}))
+    _assert_single_pass_matches_oracles(_mapped_gates(c, placement, table, {}))
+
+
+# Three qubits only, so most gates find a partner: cancellations, merge
+# chains (T T T T -> Z), CNOTs in both orientations, and matches across
+# gates on disjoint qubits.
+_GATE = st.one_of(
+    st.builds(
+        gate1,
+        st.sampled_from([k for k in GateKind if k is not GateKind.CNOT]),
+        st.integers(0, 2),
+    ),
+    st.builds(
+        lambda pair: cnot(*pair),
+        st.permutations([0, 1, 2]).map(lambda p: (p[0], p[1])),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_GATE, max_size=40))
+def test_stack_lookup_matches_backward_scan_on_dense_firings(gates):
+    _assert_single_pass_matches_oracles(gates)
+

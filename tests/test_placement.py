@@ -2,12 +2,16 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qxopt.circuit import Circuit, CostReport, GateKind, cnot, gate1
+import qxopt.placement
+import search_oracle
+from qxopt.circuit import Circuit, CostReport, GateKind, cnot, gate1, levels_of
 from qxopt.fixtures import random_circuit
-from qxopt.placement import cost_of, optimize, percent_reduction
+from qxopt.placement import check_search_limit, cost_of, optimize, percent_reduction
+from qxopt.realization import build_table
 from qxopt.simulator import equivalent
-from qxopt.topology import allows, builtin
+from qxopt.topology import allows, builtin, load
 
 TWO_CNOTS = Circuit(3, (cnot(0, 1), cnot(1, 2)))  # CNOT(a,b); CNOT(b,c)
 
@@ -80,6 +84,13 @@ def test_search_limit_enforced_and_named(qx2_table):
         optimize(Circuit(2), qx2_table, limit=4)
 
 
+def test_search_limit_checked_on_the_graph_alone():
+    check_search_limit(builtin("qx2"))
+    grid = load("qubits 9\n" + "\n".join(f"{q} {q + 1}" for q in range(8)))
+    with pytest.raises(ValueError, match="exhaustive search is limited to 8"):
+        check_search_limit(grid)
+
+
 def test_cost_of_validates_placement(qx2_table):
     with pytest.raises(ValueError):
         cost_of(TWO_CNOTS, (0, 0, 1), qx2_table)
@@ -101,3 +112,121 @@ def test_reduction_percentages_in_result(qx2_table):
     # The pair cancels entirely under some placement.
     assert result.final_cost.gates == 0
     assert result.reduction_pct == (100, 100)
+
+
+# A 6-qubit ring with one chord: one pair coupled in both directions, the
+# rest in one direction, and pairs up to three apart.
+HEX_TEXT = """qubits 6
+0 1
+1 0
+1 2
+3 2
+3 4
+4 5
+5 0
+1 4
+"""
+
+
+@pytest.fixture(scope="module")
+def hex_table():
+    return build_table(load(HEX_TEXT, name="hex"))
+
+
+@pytest.fixture(scope="module")
+def tables(qx2_table, qx4_table, hex_table):
+    return {"qx2": qx2_table, "qx4": qx4_table, "hex": hex_table}
+
+
+def _circuit(num_qubits, ops):
+    """ops: (kind, qubit, qubit) triples, qubits taken modulo the width;
+    a CNOT whose two qubits coincide is skipped."""
+    gates = []
+    for kind, a, b in ops:
+        a, b = a % num_qubits, b % num_qubits
+        if kind is GateKind.CNOT:
+            if a != b:
+                gates.append(cnot(a, b))
+        else:
+            gates.append(gate1(kind, a))
+    return Circuit(num_qubits, tuple(gates))
+
+
+_ONE_QUBIT_KINDS = [k for k in GateKind if k is not GateKind.CNOT]
+_OP = st.tuples(st.sampled_from(list(GateKind)), st.integers(0, 3), st.integers(0, 3))
+_ONE_QUBIT_OP = st.tuples(st.sampled_from(_ONE_QUBIT_KINDS), st.integers(0, 3), st.just(0))
+
+
+def _assert_matches_eager_oracle(circuit, table):
+    assert optimize(circuit, table) == search_oracle.optimize(circuit, table)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["qx2", "qx4", "hex"]), st.integers(1, 4), st.lists(_OP, max_size=14))
+def test_optimize_matches_eager_oracle(tables, arch, width, ops):
+    _assert_matches_eager_oracle(_circuit(width, ops), tables[arch])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["qx2", "qx4", "hex"]),
+    st.integers(1, 4),
+    st.lists(_ONE_QUBIT_OP, max_size=10),
+)
+def test_optimize_matches_eager_oracle_on_one_qubit_circuits(tables, arch, width, ops):
+    # Every placement ties on gates and levels; the placement order decides.
+    circuit = _circuit(width, ops)
+    result = optimize(circuit, tables[arch])
+    assert result == search_oracle.optimize(circuit, tables[arch])
+    assert result.placement == tuple(range(width))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["qx2", "qx4", "hex"]),
+    st.integers(2, 4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3),
+    st.lists(_ONE_QUBIT_OP, max_size=6),
+)
+def test_optimize_matches_eager_oracle_on_gate_count_ties(tables, arch, width, pairs, ops):
+    # Each CNOT appears twice in a row and cancels under every placement
+    # that puts its qubits on neighbours, so many placements tie at the
+    # fewest gates; levels and the placement order decide.
+    doubled = [(GateKind.CNOT, a, b) for a, b in pairs for _ in range(2)]
+    _assert_matches_eager_oracle(_circuit(width, ops + doubled + ops), tables[arch])
+
+
+# Several placements reach the fewest gates (7); the first of them in
+# placement order needs 6 levels, a later one only 5.
+LEVELS_DECIDE = Circuit(
+    3,
+    (
+        gate1(GateKind.H, 1),
+        cnot(1, 2),
+        gate1(GateKind.H, 2),
+        gate1(GateKind.S, 2),
+        cnot(0, 2),
+        gate1(GateKind.SDG, 2),
+        gate1(GateKind.SDG, 1),
+    ),
+)
+
+
+@pytest.mark.parametrize("arch,placement", [("qx2", (0, 2, 1)), ("qx4", (2, 0, 1))])
+def test_levels_break_gate_count_tie_found_late(tables, arch, placement):
+    result = optimize(LEVELS_DECIDE, tables[arch])
+    assert (result.final_cost, result.placement) == (CostReport(7, 5), placement)
+    assert result == search_oracle.optimize(LEVELS_DECIDE, tables[arch])
+
+
+def test_levels_counted_only_for_gate_count_ties(qx2_table, monkeypatch):
+    counted = []
+
+    def counting_levels_of(gates):
+        counted.append(len(gates))
+        return levels_of(gates)
+
+    monkeypatch.setattr(qxopt.placement, "levels_of", counting_levels_of)
+    result = optimize(TWO_CNOTS, qx2_table)
+    assert 0 < len(counted) < len(list(permutations(range(5), 3)))
+    assert min(counted) == result.final_cost.gates

@@ -54,6 +54,20 @@ def test_load_rejects_duplicate_edge():
         load("qubits 2\n0 1\n0 1\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("qubits x\n0 1\n", "line 1: expected an integer, got 'x'"),
+        ("# device\nqubits 2\n0 1.5\n", "line 3: expected an integer, got '1.5'"),
+    ],
+    ids=["header", "edge"],
+)
+def test_load_reports_line_of_non_integer(text, message):
+    with pytest.raises(ValueError) as info:
+        load(text)
+    assert str(info.value) == message
+
+
 def test_load_qx4_text_equals_builtin():
     text = "qubits 5\n" + "\n".join(f"{c} {t}" for c, t in sorted(builtin("qx4").edges))
     assert load(text) == builtin("qx4")

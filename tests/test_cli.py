@@ -65,6 +65,42 @@ def test_optimize_csv_report(routing_file, capsys):
     assert len(lines) == 2
 
 
+OPTIMIZE_JSON_QX2 = """{
+  "input": "%s",
+  "arch": "qx2",
+  "placement": [
+    0,
+    1,
+    2
+  ],
+  "initial": {
+    "gates": 2,
+    "levels": 2
+  },
+  "final": {
+    "gates": 2,
+    "levels": 2
+  },
+  "reduction_pct": {
+    "gates": 0,
+    "levels": 0
+  },
+  "verified": true
+}
+"""
+
+OPTIMIZE_CSV_QX2 = (
+    "input,arch,placement,gates_in,levels_in,gates_out,levels_out,gates_pct,levels_pct,verified\n"
+    "%s,qx2,0|1|2,2,2,2,2,0,0,true\n"
+)
+
+
+@pytest.mark.parametrize("fmt,expected", [("json", OPTIMIZE_JSON_QX2), ("csv", OPTIMIZE_CSV_QX2)])
+def test_optimize_report_stdout_pinned(fmt, expected, routing_file, capsys):
+    assert main(["optimize", "--arch", "qx2", "--in", str(routing_file), "--report", fmt]) == 0
+    assert capsys.readouterr().out == expected % routing_file
+
+
 def test_optimize_refuses_to_emit_unverified_result(routing_file, tmp_path, monkeypatch, capsys):
     def corrupted(circuit, table):
         result = optimize(circuit, table)
@@ -214,6 +250,30 @@ def test_bench_markdown_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("| Name |")
     assert "| yes |" in out
+
+
+BENCH_CSV_QX2 = (
+    "name,qubits,gates_in,levels_in,gates_out,levels_out,gates_pct,levels_pct,verified\n"
+    "pair,2,2,2,0,0,100,100,true\n"
+    "routing_example,3,2,2,2,2,0,0,true\n"
+)
+
+BENCH_MARKDOWN_QX4 = (
+    "| Name | Qubits | Initial gates | Initial levels | Final gates | Final levels "
+    "| % gates | % levels | Verified |\n"
+    "|---|---|---|---|---|---|---|---|---|\n"
+    "| pair | 2 | 2 | 2 | 0 | 0 | 100 | 100 | yes |\n"
+    "| routing_example | 3 | 2 | 2 | 2 | 2 | 0 | 0 | yes |\n"
+)
+
+
+@pytest.mark.parametrize(
+    "arch,fmt,expected", [("qx2", "csv", BENCH_CSV_QX2), ("qx4", "markdown", BENCH_MARKDOWN_QX4)]
+)
+def test_bench_stdout_pinned(arch, fmt, expected, tmp_path, capsys):
+    d = _write_bench_dir(tmp_path)
+    assert main(["bench", str(d), "--arch", arch, "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_bench_empty_directory_errors(tmp_path, capsys):

@@ -1,58 +1,49 @@
-"""Benchmark harness: optimize every circuit file in a directory and report
-initial/final costs with reduction percentages, sorted by gate reduction.
+"""Mapping with its check, and the reports built from it.
 
-Each row carries a `verified` flag from the simulator equivalence check
-(skipped on devices wider than the dense-simulation cap, where rows stay
-unverified).
+`map_verified` is the only place where a placement search is followed by
+the equivalence check. The directory benchmark maps every circuit file
+through it, one `BenchRow` per file, sorted by gate reduction. Every CSV
+report goes through one `csv.writer`, which quotes fields per RFC 4180.
 """
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
-from .circuit import CostReport
-from .placement import optimize
+from .circuit import Circuit
+from .placement import MappingResult, optimize
 from .qasm import parse
 from .realization import RealizationTable
-from .simulator import MAX_STATE_QUBITS, equivalent
+from .simulator import equivalent
+
+
+def map_verified(
+    circuit: Circuit, table: RealizationTable, tol: float
+) -> tuple[MappingResult, bool]:
+    """Best mapping of `circuit`, and whether it is equivalent to the input."""
+    result = optimize(circuit, table)
+    return result, equivalent(circuit, result.mapped, list(result.placement), tol=tol)
 
 
 @dataclass(frozen=True)
 class BenchRow:
+    """One benchmarked file: its mapping, or the error that stopped it."""
+
     name: str
-    qubits: int
-    initial: CostReport
-    final: CostReport
-    reduction: tuple[int, int]
-    verified: bool
+    result: MappingResult | None
+    verified: bool = False
     error: str | None = None
 
 
 def bench_file(path: Path, table: RealizationTable, strict: bool = False) -> BenchRow:
     try:
         circuit = parse(path.read_text(encoding="utf-8"), strict=strict)
-        result = optimize(circuit, table)
-        verified = False
-        if table.graph.num_physical <= MAX_STATE_QUBITS:
-            verified = equivalent(circuit, result.mapped, list(result.placement), tol=1e-8)
-        return BenchRow(
-            name=path.stem,
-            qubits=circuit.num_qubits,
-            initial=result.initial_cost,
-            final=result.final_cost,
-            reduction=result.reduction_pct,
-            verified=verified,
-        )
-    except (ValueError, KeyError) as exc:
-        return BenchRow(
-            name=path.stem,
-            qubits=0,
-            initial=CostReport(0, 0),
-            final=CostReport(0, 0),
-            reduction=(0, 0),
-            verified=False,
-            error=str(exc),
-        )
+        result, verified = map_verified(circuit, table, 1e-8)
+    except (OSError, ValueError, KeyError) as exc:
+        return BenchRow(path.stem, None, error=str(exc))
+    return BenchRow(path.stem, result, verified)
 
 
 def bench_directory(
@@ -63,39 +54,53 @@ def bench_directory(
         raise ValueError(f"no .qasm files in {directory}")
     rows = [bench_file(path, table, strict=strict) for path in files]
     # Most-improved first, then stable by name.
-    rows.sort(key=lambda r: (r.error is not None, -r.reduction[0], r.name))
+    rows.sort(
+        key=lambda r: (r.result is None, -r.result.reduction_pct[0] if r.result else 0, r.name)
+    )
     return rows
 
 
-CSV_HEADER = "name,qubits,gates_in,levels_in,gates_out,levels_out,gates_pct,levels_pct,verified"
+COST_COLUMNS = ["gates_in", "levels_in", "gates_out", "levels_out", "gates_pct", "levels_pct"]
+
+
+def cost_cells(result: MappingResult) -> list[int]:
+    """The values of `COST_COLUMNS` for one mapping."""
+    initial, final = result.initial_cost, result.final_cost
+    return [initial.gates, initial.levels, final.gates, final.levels, *result.reduction_pct]
+
+
+def csv_text(lines: list[list]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(lines)
+    return out.getvalue()
 
 
 def render_csv(rows: list[BenchRow]) -> str:
-    lines = [CSV_HEADER]
+    lines: list[list] = [["name", "qubits", *COST_COLUMNS, "verified"]]
     for r in rows:
-        if r.error is not None:
-            lines.append(f"{r.name},error,,,,,,,{r.error!r}")
-            continue
-        lines.append(
-            f"{r.name},{r.qubits},{r.initial.gates},{r.initial.levels},"
-            f"{r.final.gates},{r.final.levels},{r.reduction[0]},{r.reduction[1]},"
-            f"{'true' if r.verified else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
+        if r.result is None:
+            lines.append([r.name, "error", *[""] * 6, r.error])
+        else:
+            verified = "true" if r.verified else "false"
+            lines.append([r.name, len(r.result.placement), *cost_cells(r.result), verified])
+    return csv_text(lines)
+
+
+def _markdown_line(cells: list) -> str:
+    return "|" + "|".join(f" {c} " if c != "" else " " for c in cells) + "|"
 
 
 def render_markdown(rows: list[BenchRow]) -> str:
     lines = [
-        "| Name | Qubits | Initial gates | Initial levels | Final gates | Final levels | % gates | % levels | Verified |",
+        "| Name | Qubits | Initial gates | Initial levels | Final gates | Final levels "
+        "| % gates | % levels | Verified |",
         "|---|---|---|---|---|---|---|---|---|",
     ]
     for r in rows:
-        if r.error is not None:
-            lines.append(f"| {r.name} | error: {r.error} | | | | | | | |")
-            continue
-        lines.append(
-            f"| {r.name} | {r.qubits} | {r.initial.gates} | {r.initial.levels} "
-            f"| {r.final.gates} | {r.final.levels} | {r.reduction[0]} | {r.reduction[1]} "
-            f"| {'yes' if r.verified else 'NO'} |"
-        )
+        if r.result is None:
+            lines.append(_markdown_line([r.name, f"error: {r.error}", *[""] * 7]))
+        else:
+            verified = "yes" if r.verified else "NO"
+            cells = [r.name, len(r.result.placement), *cost_cells(r.result), verified]
+            lines.append(_markdown_line(cells))
     return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -22,7 +23,7 @@ from .nonclassicality import (
     uhlmann_fidelity,
 )
 from .peephole import simplify, simplify_with_trace
-from .placement import check_search_limit, optimize
+from .placement import check_search_limit
 from .qasm import emit, parse_report
 from .realization import RealizationTable, build_table, dump_text
 from .simulator import equivalent
@@ -142,8 +143,8 @@ def _build_parser() -> _Parser:
 def _cmd_optimize(args) -> int:
     table = _searchable_table(args.arch)
     circuit = _read_circuit(args.infile, args.strict)
-    result = optimize(circuit, table)
-    if not equivalent(circuit, result.mapped, list(result.placement), tol=1e-8):
+    result, verified = bench_mod.map_verified(circuit, table, 1e-8)
+    if not verified:
         print(
             f"error: {args.infile}: mapped circuit is not equivalent to the input "
             f"under placement {list(result.placement)}; nothing written",
@@ -153,32 +154,21 @@ def _cmd_optimize(args) -> int:
     if args.outfile:
         Path(args.outfile).write_text(emit(result.mapped), encoding="utf-8")
     if args.report == "json":
-        print(
-            json.dumps(
-                {
-                    "input": args.infile,
-                    "arch": table.graph.name,
-                    "placement": list(result.placement),
-                    "initial": {"gates": result.initial_cost.gates, "levels": result.initial_cost.levels},
-                    "final": {"gates": result.final_cost.gates, "levels": result.final_cost.levels},
-                    "reduction_pct": {"gates": result.reduction_pct[0], "levels": result.reduction_pct[1]},
-                    "verified": True,
-                },
-                indent=2,
-            )
-        )
+        report = {
+            "input": args.infile,
+            "arch": table.graph.name,
+            "placement": list(result.placement),
+            "initial": asdict(result.initial_cost),
+            "final": asdict(result.final_cost),
+            "reduction_pct": dict(zip(("gates", "levels"), result.reduction_pct)),
+            "verified": True,
+        }
+        print(json.dumps(report, indent=2))
     else:
-        print(
-            "input,arch,placement,gates_in,levels_in,gates_out,levels_out,"
-            "gates_pct,levels_pct,verified"
-        )
+        header = ["input", "arch", "placement", *bench_mod.COST_COLUMNS, "verified"]
         placement = "|".join(str(p) for p in result.placement)
-        print(
-            f"{args.infile},{table.graph.name},{placement},"
-            f"{result.initial_cost.gates},{result.initial_cost.levels},"
-            f"{result.final_cost.gates},{result.final_cost.levels},"
-            f"{result.reduction_pct[0]},{result.reduction_pct[1]},true"
-        )
+        row = [args.infile, table.graph.name, placement, *bench_mod.cost_cells(result), "true"]
+        print(bench_mod.csv_text([header, row]), end="")
     return 0
 
 
@@ -208,8 +198,7 @@ def _cmd_verify(args) -> int:
         failures = 0
         for i in range(args.random):
             circuit = random_circuit(args.qubits, args.gates, rng)
-            result = optimize(circuit, table)
-            ok = equivalent(circuit, result.mapped, list(result.placement), tol=args.tol)
+            result, ok = bench_mod.map_verified(circuit, table, args.tol)
             if not ok:
                 failures += 1
                 print(
@@ -234,10 +223,8 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     table = _searchable_table(args.arch)
     rows = bench_mod.bench_directory(Path(args.directory), table, strict=args.strict)
-    if args.format == "csv":
-        print(bench_mod.render_csv(rows), end="")
-    else:
-        print(bench_mod.render_markdown(rows), end="")
+    render = bench_mod.render_csv if args.format == "csv" else bench_mod.render_markdown
+    print(render(rows), end="")
     errors = [r for r in rows if r.error is not None]
     if errors and not args.keep_going:
         print(f"{len(errors)} file(s) failed", file=sys.stderr)

@@ -64,36 +64,32 @@ def _mapped_gates(
     return out
 
 
-def check_search_limit(graph: CouplingGraph, limit: int = DEFAULT_SEARCH_LIMIT) -> None:
+def check_search_limit(graph: CouplingGraph) -> None:
     """Refuse a device too wide for exhaustive search, before any table is built."""
-    if graph.num_physical > limit:
+    if graph.num_physical > DEFAULT_SEARCH_LIMIT:
         raise ValueError(
             f"device has {graph.num_physical} qubits; exhaustive search is limited to "
-            f"{limit} (the tool refuses rather than silently approximating)"
+            f"{DEFAULT_SEARCH_LIMIT} (the tool refuses rather than silently approximating)"
         )
 
 
-def _check_widths(circuit: Circuit, table: RealizationTable, limit: int) -> int:
+def _check_widths(circuit: Circuit, table: RealizationTable) -> int:
     num_physical = table.graph.num_physical
     if circuit.num_qubits > num_physical:
         raise ValueError(
             f"circuit has {circuit.num_qubits} qubits, device only {num_physical}"
         )
-    check_search_limit(table.graph, limit)
+    check_search_limit(table.graph)
     return num_physical
 
 
-def optimize(
-    circuit: Circuit,
-    table: RealizationTable,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-) -> MappingResult:
+def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     """Try every injection of logical onto physical qubits, keep the best.
 
     The initial cost is measured on the circuit as written, even if it is
     not executable on the device as-is.
     """
-    num_physical = _check_widths(circuit, table, limit)
+    num_physical = _check_widths(circuit, table)
     cache: dict[tuple[GateKind, int], Gate] = {}
     best_key: tuple | None = None
     best_gates: list[Gate] | None = None

@@ -1,16 +1,16 @@
 """Per-architecture lookup from every ordered qubit pair to the cheapest
 known gate sequence implementing that CNOT on the device.
 
-Built once per coupling graph. Direct edges cost one gate, reversed edges
-five (Hadamard conjugation). Distant pairs are served by the cheapest of:
+Built once per coupling graph from one template, tried along every shortest
+path from both ends: swap one endpoint's content along the path, apply the
+CNOT locally, swap back. The local CNOT is native or, against the edge,
+Hadamard-conjugated, so an adjacent pair costs one gate or five. From
+distance two on, the walk may also stop one qubit short and apply a
+four-CNOT ladder across the middle qubit (two gate orders tried).
 
-  * swap the control (or the target) along a shortest path, apply the CNOT
-    locally, swap back;
-  * walk one endpoint until the pair is at distance two, then apply a
-    four-CNOT ladder across the middle qubit (two gate orders tried).
-
-Every candidate is peephole-simplified before costing, and every stored
-entry is checked against the plain CNOT unitary.
+Every candidate is peephole-simplified before costing, the cheapest by
+(gates, levels, gate sequence) is kept, and every stored entry is checked
+against the plain CNOT unitary.
 """
 from __future__ import annotations
 
@@ -73,42 +73,30 @@ def _ladder(graph: CouplingGraph, a: int, mid: int, b: int, order: int) -> list[
     return second + first + second + first
 
 
+def _conjugated(
+    graph: CouplingGraph, pairs: list[tuple[int, int]], middle: list[Gate]
+) -> list[Gate]:
+    """SWAP along each pair in turn, apply `middle`, then undo the SWAPs."""
+    swaps = [_swap(graph, a, b) for a, b in pairs]
+    return [g for s in swaps for g in s] + middle + [g for s in reversed(swaps) for g in s]
+
+
 def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[Gate]]:
     out: list[list[Gate]] = []
     for path in shortest_paths(graph, control, target):
         k = len(path) - 1
-        # Control content walks to the qubit adjacent to the target.
-        walk_in = [g for i in range(k - 1) for g in _swap(graph, path[i], path[i + 1])]
-        walk_out = [
-            g
-            for i in reversed(range(k - 1))
-            for g in _swap(graph, path[i], path[i + 1])
-        ]
-        out.append(walk_in + _local_cnot(graph, path[k - 1], target) + walk_out)
-        # Target content walks to the qubit adjacent to the control.
-        walk_in = [g for i in range(k, 1, -1) for g in _swap(graph, path[i], path[i - 1])]
-        walk_out = [
-            g for i in range(2, k + 1) for g in _swap(graph, path[i], path[i - 1])
-        ]
-        out.append(walk_in + _local_cnot(graph, control, path[1]) + walk_out)
-        # Walk the control until distance two remains, ladder across.
-        walk_in = [g for i in range(k - 2) for g in _swap(graph, path[i], path[i + 1])]
-        walk_out = [
-            g
-            for i in reversed(range(k - 2))
-            for g in _swap(graph, path[i], path[i + 1])
-        ]
-        for order in (0, 1):
-            out.append(
-                walk_in + _ladder(graph, path[k - 2], path[k - 1], target, order) + walk_out
-            )
-        # Walk the target until distance two remains, ladder across.
-        walk_in = [g for i in range(k, 2, -1) for g in _swap(graph, path[i], path[i - 1])]
-        walk_out = [g for i in range(3, k + 1) for g in _swap(graph, path[i], path[i - 1])]
-        for order in (0, 1):
-            out.append(
-                walk_in + _ladder(graph, control, path[1], path[2], order) + walk_out
-            )
+        # Walk the control's content toward the target, then the target's toward
+        # the control; `[::step]` keeps each CNOT running from control to target.
+        for walk, step in ((path, 1), (path[::-1], -1)):
+            pairs = list(zip(walk, walk[1:]))
+            near, far = (walk[k - 1], walk[k])[::step]
+            out.append(_conjugated(graph, pairs[: k - 1], _local_cnot(graph, near, far)))
+            if k >= 2:
+                # Stop at distance two and ladder across the middle qubit.
+                near, far = (walk[k - 2], walk[k])[::step]
+                for order in (0, 1):
+                    ladder = _ladder(graph, near, walk[k - 1], far, order)
+                    out.append(_conjugated(graph, pairs[: k - 2], ladder))
     return out
 
 
@@ -132,22 +120,10 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
         for target in range(n):
             if control == target:
                 continue
-            if allows(graph, control, target):
-                best = [cnot(control, target)]
-            elif allows(graph, target, control):
-                best = _local_cnot(graph, control, target)
-            else:
-                seen: set[tuple] = set()
-                best = None
-                for cand in _candidates(graph, control, target):
-                    reduced = simplify_gates(cand)
-                    key = _cost_key(reduced)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if best is None or key < _cost_key(best):
-                        best = reduced
-                assert best is not None
+            best = min(
+                (simplify_gates(c) for c in _candidates(graph, control, target)),
+                key=_cost_key,
+            )
             sequence = Circuit(n, tuple(best))
             for g in best:
                 if g.kind is GateKind.CNOT and not allows(graph, *g.qubits):

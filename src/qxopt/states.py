@@ -147,7 +147,10 @@ def parse_distribution(text: str, tolerance: float = 0.005) -> ProbabilityDistri
             raise ValueError(f"line {lineno}: inconsistent bitstring width")
         if bits in probs:
             raise ValueError(f"line {lineno}: duplicate outcome {bits!r}")
-        probs[bits] = float(value)
+        try:
+            probs[bits] = float(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected a probability, got {value!r}") from None
     if width is None:
         raise ValueError("empty distribution")
     dist = ProbabilityDistribution(width, probs, tolerance)
@@ -172,15 +175,18 @@ def parse_density_matrix(text: str) -> np.ndarray:
         raise ValueError("missing 'dm N' header")
     try:
         dim = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError("malformed 'dm N' header") from exc
+    except (IndexError, ValueError):
+        dim = 0
+    if dim < 1:
+        raise ValueError(f"malformed 'dm N' header {lines[0]!r}")
     body = lines[1:]
     if len(body) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, found {len(body)}")
     out = np.zeros((dim, dim), dtype=complex)
     for k, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"entry {k}: expected 're im', got {ln!r}")
-        out[k // dim, k % dim] = complex(float(parts[0]), float(parts[1]))
+        try:
+            re, im = (float(part) for part in ln.split())
+        except ValueError:
+            raise ValueError(f"entry {k}: expected 're im', got {ln!r}") from None
+        out[k // dim, k % dim] = complex(re, im)
     return out

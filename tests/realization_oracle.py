@@ -1,0 +1,81 @@
+"""Reference table construction: the candidate generator and the selection
+loop as they were before the shared swap-conjugation helper.
+
+Each of the four templates is written out by hand, adjacent pairs are
+special-cased, and the best candidate is picked by a loop that skips
+repeated cost keys. `test_realization.py` requires `build_table` to return
+the same entries, in the same order, as `build_entries` here.
+"""
+from __future__ import annotations
+
+from qxopt.circuit import Gate, cnot, levels_of
+from qxopt.peephole import simplify_gates
+from qxopt.realization import _cost_key, _ladder, _local_cnot, _swap
+from qxopt.topology import CouplingGraph, allows, shortest_paths
+
+
+def candidates(graph: CouplingGraph, control: int, target: int) -> list[list[Gate]]:
+    out: list[list[Gate]] = []
+    for path in shortest_paths(graph, control, target):
+        k = len(path) - 1
+        # Control content walks to the qubit adjacent to the target.
+        walk_in = [g for i in range(k - 1) for g in _swap(graph, path[i], path[i + 1])]
+        walk_out = [
+            g
+            for i in reversed(range(k - 1))
+            for g in _swap(graph, path[i], path[i + 1])
+        ]
+        out.append(walk_in + _local_cnot(graph, path[k - 1], target) + walk_out)
+        # Target content walks to the qubit adjacent to the control.
+        walk_in = [g for i in range(k, 1, -1) for g in _swap(graph, path[i], path[i - 1])]
+        walk_out = [
+            g for i in range(2, k + 1) for g in _swap(graph, path[i], path[i - 1])
+        ]
+        out.append(walk_in + _local_cnot(graph, control, path[1]) + walk_out)
+        # Walk the control until distance two remains, ladder across.
+        walk_in = [g for i in range(k - 2) for g in _swap(graph, path[i], path[i + 1])]
+        walk_out = [
+            g
+            for i in reversed(range(k - 2))
+            for g in _swap(graph, path[i], path[i + 1])
+        ]
+        for order in (0, 1):
+            out.append(
+                walk_in + _ladder(graph, path[k - 2], path[k - 1], target, order) + walk_out
+            )
+        # Walk the target until distance two remains, ladder across.
+        walk_in = [g for i in range(k, 2, -1) for g in _swap(graph, path[i], path[i - 1])]
+        walk_out = [g for i in range(3, k + 1) for g in _swap(graph, path[i], path[i - 1])]
+        for order in (0, 1):
+            out.append(
+                walk_in + _ladder(graph, control, path[1], path[2], order) + walk_out
+            )
+    return out
+
+
+def build_entries(graph: CouplingGraph) -> list[tuple[tuple[int, int], tuple[Gate, ...], int, int]]:
+    """Every entry as (pair, gates, total_gates, levels), in table order."""
+    n = graph.num_physical
+    out = []
+    for control in range(n):
+        for target in range(n):
+            if control == target:
+                continue
+            if allows(graph, control, target):
+                best = [cnot(control, target)]
+            elif allows(graph, target, control):
+                best = _local_cnot(graph, control, target)
+            else:
+                seen: set[tuple] = set()
+                best = None
+                for cand in candidates(graph, control, target):
+                    reduced = simplify_gates(cand)
+                    key = _cost_key(reduced)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if best is None or key < _cost_key(best):
+                        best = reduced
+                assert best is not None
+            out.append(((control, target), tuple(best), len(best), levels_of(best)))
+    return out

@@ -15,7 +15,6 @@ from itertools import permutations
 from qxopt.circuit import Circuit, Gate, GateKind, cost_report, levels_of
 from qxopt.peephole import _RULE_BY_PAIR, RuleFiring, verify_rules
 from qxopt.placement import (
-    DEFAULT_SEARCH_LIMIT,
     MappingResult,
     _check_widths,
     _mapped_gates,
@@ -71,13 +70,9 @@ def simplify_to_fixpoint(gates: list[Gate], trace: list[RuleFiring]) -> list[Gat
             return current
 
 
-def optimize(
-    circuit: Circuit,
-    table: RealizationTable,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-) -> MappingResult:
+def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     """Exhaustive placement that counts levels for every placement."""
-    num_physical = _check_widths(circuit, table, limit)
+    num_physical = _check_widths(circuit, table)
     cache: dict[tuple[GateKind, int], Gate] = {}
     best_key: tuple | None = None
     best_gates: list[Gate] | None = None

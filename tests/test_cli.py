@@ -1,9 +1,12 @@
+import csv
 import dataclasses
+import io
 import json
 import random
 
 import pytest
 
+import qxopt.bench
 import qxopt.cli
 from qxopt.bench import bench_directory, bench_file, render_csv, render_markdown
 from qxopt.circuit import Circuit, GateKind, cnot, gate1
@@ -108,7 +111,7 @@ def test_optimize_refuses_to_emit_unverified_result(routing_file, tmp_path, monk
         mapped = Circuit(result.mapped.num_qubits, result.mapped.gates + (extra,))
         return dataclasses.replace(result, mapped=mapped)
 
-    monkeypatch.setattr(qxopt.cli, "optimize", corrupted)
+    monkeypatch.setattr(qxopt.bench, "optimize", corrupted)
     out = tmp_path / "mapped.qasm"
     assert main(["optimize", "--arch", "qx2", "--in", str(routing_file), "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -172,7 +175,7 @@ def test_verify_random_self_check(capsys):
 
 
 def test_verify_random_failure_prints_reproducer(qx4_table, monkeypatch, capsys):
-    monkeypatch.setattr(qxopt.cli, "equivalent", lambda *args, **kwargs: False)
+    monkeypatch.setattr(qxopt.bench, "equivalent", lambda *args, **kwargs: False)
     code = main(
         ["verify", "--random", "2", "--arch", "qx4", "--qubits", "3", "--gates", "6", "--seed", "7"]
     )
@@ -212,6 +215,36 @@ def test_fidelity_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("fidelity = ")
     assert float(out.split("=")[1]) == pytest.approx(0.90, abs=0.03)
+
+
+@pytest.mark.parametrize(
+    "command,flag,text,position",
+    [
+        ("mermin", "--xxy", "000 0.5\n111 x\n", "line 2"),
+        ("mermin", "--yyy", "000 0.5\n111 x\n", "line 2"),
+        ("fidelity", "--a", "dm 1\n1 y\n", "entry 0"),
+        ("fidelity", "--b", "dm -1\n", "malformed 'dm N' header"),
+    ],
+)
+def test_analysis_commands_report_bad_value_position(
+    command, flag, text, position, tmp_path, capsys
+):
+    good = {
+        "--xxy": data_text("xxy_optimized_8192.probs"),
+        "--yyy": data_text("yyy_optimized_8192.probs"),
+        "--a": data_text("xxy_ideal.dm"),
+        "--b": data_text("xxy_optimized_tomo.dm"),
+    }
+    flags = ("--xxy", "--yyy") if command == "mermin" else ("--a", "--b")
+    argv = [command]
+    for f in flags:
+        path = tmp_path / f.strip("-")
+        path.write_text(text if f == flag else good[f])
+        argv += [f, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert position in err
 
 
 def test_table_dump(capsys):
@@ -292,6 +325,31 @@ def test_bench_keep_going_with_bad_file(tmp_path, capsys):
     assert "broken,error" in out
 
 
+def test_bench_keep_going_turns_unreadable_entry_into_error_row(tmp_path, capsys):
+    d = _write_bench_dir(tmp_path)
+    (d / "folder.qasm").mkdir()
+    assert main(["bench", str(d), "--arch", "qx2"]) == 1
+    capsys.readouterr()
+    assert main(["bench", str(d), "--arch", "qx2", "--keep-going"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("folder,error,")
+    assert "Is a directory" in lines[-1]
+
+
+def test_bench_csv_error_rows_read_back_as_nine_fields(tmp_path, capsys):
+    d = _write_bench_dir(tmp_path)
+    (d / "rx.qasm").write_text("qreg q[2]; rx q[0];")
+    (d / "same.qasm").write_text("qreg q[2]; cx q[0],q[0];")
+    (d / "range.qasm").write_text("qreg q[1];\nh q[3];\n")
+    assert main(["bench", str(d), "--arch", "qx2", "--format", "csv", "--keep-going"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 6
+    assert all(len(row) == 9 for row in rows)
+    errors = {row[0]: row[8] for row in rows if row[1] == "error"}
+    assert errors["same"] == "line 1, column 12: duplicate qubit in cx: q[0],q[0]"
+    assert errors["rx"].startswith("line 1, column 12: ")
+
+
 def test_bench_rows_reparse_and_reverify(tmp_path, qx2_table):
     d = _write_bench_dir(tmp_path)
     rows = bench_directory(d, qx2_table)
@@ -309,7 +367,7 @@ def test_bench_verifies_six_qubit_row(tmp_path):
     path.write_text(emit(Circuit(6, gates)))
     row = bench_file(path, build_table(graph))
     assert row.error is None
-    assert row.qubits == 6
+    assert len(row.result.placement) == 6
     assert row.verified is True
 
 

@@ -79,9 +79,10 @@ def test_circuit_wider_than_device_rejected(qx2_table):
         optimize(Circuit(6), qx2_table)
 
 
-def test_search_limit_enforced_and_named(qx2_table):
-    with pytest.raises(ValueError, match="limited to 4"):
-        optimize(Circuit(2), qx2_table, limit=4)
+def test_search_limit_enforced_and_named():
+    line9 = load("qubits 9\n" + "".join(f"{q} {q + 1}\n" for q in range(8)), name="line9")
+    with pytest.raises(ValueError, match="exhaustive search is limited to 8"):
+        optimize(Circuit(2), build_table(line9, verify=False))
 
 
 def test_search_limit_checked_on_the_graph_alone():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import realization_oracle
 from qxopt.circuit import Circuit, GateKind, cnot, gate_count
 from qxopt.realization import build_table, dump_text, lookup
 from qxopt.simulator import equivalent, unitary_of
@@ -96,3 +97,35 @@ def test_dump_text_lists_every_pair_with_cost(qx2_table):
     assert "cnot q[1],q[4]: gates=" in text
     assert text.count("cnot q[") == 20
     assert "cx q[0],q[1];" in text
+
+
+def _ring(n: int, chords: str = "", reversed_edges: frozenset = frozenset()) -> str:
+    edges = [(q, (q + 1) % n) for q in range(n)]
+    edges = [(b, a) if i in reversed_edges else (a, b) for i, (a, b) in enumerate(edges)]
+    return f"qubits {n}\n" + "".join(f"{a} {b}\n" for a, b in edges) + chords
+
+
+DIFFERENTIAL_DEVICES = {
+    "qx2": lambda: builtin("qx2"),
+    "qx4": lambda: builtin("qx4"),
+    "line8": lambda: load("qubits 8\n" + "".join(f"{q} {q + 1}\n" for q in range(7)), name="line8"),
+    "ring6-chord": lambda: load(_ring(6, "0 3\n"), name="ring6"),
+    "ring7-mixed": lambda: load(_ring(7, reversed_edges=frozenset({1, 3, 4})), name="ring7"),
+    "grid3x3": lambda: load(
+        "qubits 9\n"
+        + "".join(f"{q} {q + 1}\n" for q in range(9) if q % 3 != 2)
+        + "".join(f"{q} {q + 3}\n" for q in range(6)),
+        name="grid3x3",
+    ),
+}
+
+
+@pytest.mark.parametrize("device", sorted(DIFFERENTIAL_DEVICES))
+def test_build_table_matches_hand_written_generator(device):
+    graph = DIFFERENTIAL_DEVICES[device]()
+    table = build_table(graph, verify=device != "grid3x3")
+    got = [
+        (pair, entry.sequence.gates, entry.total_gates, entry.levels)
+        for pair, entry in table.entries.items()
+    ]
+    assert got == realization_oracle.build_entries(graph)

@@ -81,3 +81,24 @@ def test_parse_density_matrix_needs_header_and_count():
         parse_density_matrix("1 0\n0 1\n")
     with pytest.raises(ValueError, match="entries"):
         parse_density_matrix("dm 2\n1 0\n0 0\n0 0\n")
+
+
+def test_parse_distribution_names_the_line_of_a_bad_value():
+    with pytest.raises(ValueError, match=r"^line 2: expected a probability, got 'x'$"):
+        parse_distribution("000 0.5\n111 x")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("dm 1\n1 y", r"^entry 0: expected 're im', got '1 y'$"),
+        ("dm 2\n1 0\n0 0\n0 0 0\n0 0", r"^entry 2: expected 're im'"),
+        ("dm 2\n1 0\n0 0\n0 0\n0", r"^entry 3: expected 're im'"),
+        ("dm -1\n", r"^malformed 'dm N' header 'dm -1'$"),
+        ("dm 0\n", r"^malformed 'dm N' header"),
+        ("dm x\n1 0", r"^malformed 'dm N' header"),
+    ],
+)
+def test_parse_density_matrix_names_the_bad_entry_or_header(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_density_matrix(text)

@@ -87,7 +87,9 @@ def render_csv(rows: list[BenchRow]) -> str:
 
 
 def _markdown_line(cells: list) -> str:
-    return "|" + "|".join(f" {c} " if c != "" else " " for c in cells) + "|"
+    """One table row; a `|` inside a cell is escaped so it adds no column."""
+    text = [str(c).replace("|", "\\|") for c in cells]
+    return "|" + "|".join(f" {c} " if c != "" else " " for c in text) + "|"
 
 
 def render_markdown(rows: list[BenchRow]) -> str:

@@ -23,6 +23,10 @@ class GateKind(Enum):
     TDG = "tdg"
     CNOT = "cx"
 
+    # Members are singletons and compare by identity, so identity hashing is
+    # sound, and it skips Enum's Python-level __hash__ on every dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
         return 2 if self is GateKind.CNOT else 1

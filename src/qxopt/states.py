@@ -173,9 +173,10 @@ def parse_density_matrix(text: str) -> np.ndarray:
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("dm"):
         raise ValueError("missing 'dm N' header")
+    header = lines[0].split()
     try:
-        dim = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        dim = int(header[1]) if len(header) == 2 and header[0] == "dm" else 0
+    except ValueError:
         dim = 0
     if dim < 1:
         raise ValueError(f"malformed 'dm N' header {lines[0]!r}")

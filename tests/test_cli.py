@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -224,6 +225,7 @@ def test_fidelity_command(tmp_path, capsys):
         ("mermin", "--yyy", "000 0.5\n111 x\n", "line 2"),
         ("fidelity", "--a", "dm 1\n1 y\n", "entry 0"),
         ("fidelity", "--b", "dm -1\n", "malformed 'dm N' header"),
+        ("fidelity", "--a", "dm 1 3\n1 0\n", "malformed 'dm N' header 'dm 1 3'"),
     ],
 )
 def test_analysis_commands_report_bad_value_position(
@@ -348,6 +350,18 @@ def test_bench_csv_error_rows_read_back_as_nine_fields(tmp_path, capsys):
     errors = {row[0]: row[8] for row in rows if row[1] == "error"}
     assert errors["same"] == "line 1, column 12: duplicate qubit in cx: q[0],q[0]"
     assert errors["rx"].startswith("line 1, column 12: ")
+
+
+def test_bench_markdown_escapes_pipe_in_error_cell(tmp_path, capsys):
+    d = _write_bench_dir(tmp_path)
+    (d / "pipe.qasm").write_text("qreg q[1];\nh q[0]|x;\n")
+    assert main(["bench", str(d), "--arch", "qx4", "--format", "markdown", "--keep-going"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert row.startswith("| pipe | error: ")
+    assert "q[0]\\|x" in row
+    # Cells split on every `|` that is not escaped.
+    cells = re.split(r"(?<!\\)\|", row)[1:-1]
+    assert len(cells) == 9
 
 
 def test_bench_rows_reparse_and_reverify(tmp_path, qx2_table):

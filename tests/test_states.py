@@ -97,6 +97,8 @@ def test_parse_distribution_names_the_line_of_a_bad_value():
         ("dm -1\n", r"^malformed 'dm N' header 'dm -1'$"),
         ("dm 0\n", r"^malformed 'dm N' header"),
         ("dm x\n1 0", r"^malformed 'dm N' header"),
+        ("dm 1 3\n1 0", r"^malformed 'dm N' header 'dm 1 3'$"),
+        ("dmx 1\n1 0", r"^malformed 'dm N' header 'dmx 1'$"),
     ],
 )
 def test_parse_density_matrix_names_the_bad_entry_or_header(text, message):

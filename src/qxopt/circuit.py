@@ -144,23 +144,24 @@ def cost_report(circuit: Circuit) -> CostReport:
     return CostReport(gate_count(circuit), level_count(circuit))
 
 
+def check_placement(perm: Sequence[int], width: int, num_qubits: int) -> None:
+    """Refuse `perm` unless it maps `num_qubits` wires to distinct targets in 0..width-1."""
+    if len(perm) != num_qubits:
+        raise ValueError(f"placement covers {len(perm)} qubits, circuit has {num_qubits}")
+    if len(set(perm)) != len(perm):
+        raise ValueError(f"placement is not injective: {tuple(perm)}")
+    if any(not 0 <= p < width for p in perm):
+        raise ValueError(f"placement {tuple(perm)} outside 0..{width - 1}")
+
+
 def relabel(circuit: Circuit, perm: Sequence[int], num_qubits: int | None = None) -> Circuit:
     """Rewrite every qubit index i to perm[i], keeping gate order.
 
     `perm` must assign a distinct target to every wire of the circuit. The
     result has `num_qubits` wires (default: just enough to hold the image).
     """
-    if len(perm) != circuit.num_qubits:
-        raise ValueError(
-            f"permutation covers {len(perm)} qubits, circuit has {circuit.num_qubits}"
-        )
-    if len(set(perm)) != len(perm):
-        raise ValueError(f"mapping is not injective: {tuple(perm)}")
-    if any(p < 0 for p in perm):
-        raise ValueError(f"negative target index in mapping: {tuple(perm)}")
-    width = max(perm) + 1 if num_qubits is None else num_qubits
-    if max(perm) >= width:
-        raise ValueError(f"mapping image {tuple(perm)} does not fit {width} qubits")
+    width = max(perm, default=0) + 1 if num_qubits is None else num_qubits
+    check_placement(perm, width, circuit.num_qubits)
     gates = tuple(Gate(g.kind, tuple(perm[q] for q in g.qubits)) for g in circuit.gates)
     return Circuit(width, gates)
 

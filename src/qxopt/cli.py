@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import asdict
@@ -69,6 +70,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
+    return value
+
+
 def _searchable_table(arch: str) -> RealizationTable:
     """Realization table for an architecture within the search limit, which is
     checked before the table is built."""
@@ -107,7 +119,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check unitary equivalence")
     p.add_argument("circuits", nargs="*", help="two circuit files to compare")
     p.add_argument("--placement", help="comma-separated physical target per logical qubit")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--arch", help="needed for --random")
     p.add_argument(
         "--random", type=_int_at_least(0), metavar="N", help="self-check N random circuits"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .circuit import Circuit, CostReport, Gate, GateKind, cost_report, levels_of
+from .circuit import Circuit, CostReport, Gate, GateKind, check_placement, cost_report, levels_of
 from .peephole import simplify_gates
 from .realization import RealizationTable
 from .topology import CouplingGraph
@@ -93,7 +93,6 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     cache: dict[tuple[GateKind, int], Gate] = {}
     best_key: tuple | None = None
     best_gates: list[Gate] | None = None
-    best_placement: tuple[int, ...] | None = None
     for placement in permutations(range(num_physical), circuit.num_qubits):
         gates = simplify_gates(_mapped_gates(circuit, placement, table, cache))
         if best_key is not None and len(gates) > best_key[0]:
@@ -102,14 +101,12 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
         if best_key is None or key < best_key:
             best_key = key
             best_gates = gates
-            best_placement = placement
-    assert best_gates is not None and best_placement is not None
+    assert best_key is not None and best_gates is not None
     initial = cost_report(circuit)
-    mapped = Circuit(num_physical, tuple(best_gates))
-    final = cost_report(mapped)
+    final = CostReport(best_key[0], best_key[1])
     return MappingResult(
-        placement=best_placement,
-        mapped=mapped,
+        placement=best_key[2],
+        mapped=Circuit(num_physical, tuple(best_gates)),
         initial_cost=initial,
         final_cost=final,
         reduction_pct=percent_reduction(initial, final),
@@ -122,17 +119,6 @@ def cost_of(
     table: RealizationTable,
 ) -> CostReport:
     """Cost of relabel -> substitute -> simplify under one fixed placement."""
-    num_physical = table.graph.num_physical
-    placement = tuple(placement)
-    if len(placement) != circuit.num_qubits:
-        raise ValueError(
-            f"placement covers {len(placement)} qubits, circuit has {circuit.num_qubits}"
-        )
-    if len(set(placement)) != len(placement):
-        raise ValueError(f"placement is not injective: {placement}")
-    if any(not 0 <= p < num_physical for p in placement):
-        raise ValueError(f"placement {placement} outside 0..{num_physical - 1}")
+    check_placement(placement, table.graph.num_physical, circuit.num_qubits)
     gates = simplify_gates(_mapped_gates(circuit, placement, table, {}))
-    if not gates:
-        return CostReport(0, 0)
     return CostReport(len(gates), levels_of(gates))

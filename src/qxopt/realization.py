@@ -10,8 +10,8 @@ four-CNOT ladder across the middle qubit (two gate orders tried).
 
 Every candidate is peephole-simplified before costing, and the cheapest by
 (gates, levels, gate sequence) is kept. Every entry is an H+CNOT circuit,
-so it is Clifford: each stored entry is proven equal to the plain CNOT by
-comparing stabilizer tableaus, exactly and on a device of any size.
+so it is Clifford: each entry is proven equal to the plain CNOT as it is
+built, by comparing stabilizer tableaus, exactly and on a device of any size.
 """
 from __future__ import annotations
 
@@ -131,23 +131,14 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
                     raise RealizationError(
                         f"entry ({control},{target}) uses illegal CNOT{g.qubits}"
                     )
+            if verify and not equivalent(Circuit(n, (cnot(control, target),)), sequence):
+                raise RealizationError(
+                    f"entry ({control},{target}) does not implement its CNOT"
+                )
             entries[(control, target)] = RealizationEntry(
                 control, target, sequence, len(best), levels_of(best)
             )
-    table = RealizationTable(graph, entries)
-    if verify:
-        _verify_table(table)
-    return table
-
-
-def _verify_table(table: RealizationTable) -> None:
-    n = table.graph.num_physical
-    for (control, target), entry in table.entries.items():
-        plain = Circuit(n, (cnot(control, target),))
-        if not equivalent(plain, entry.sequence):
-            raise RealizationError(
-                f"entry ({control},{target}) does not implement its CNOT"
-            )
+    return RealizationTable(graph, entries)
 
 
 def lookup(table: RealizationTable, control: int, target: int) -> RealizationEntry:

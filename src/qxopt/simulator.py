@@ -131,22 +131,16 @@ def equivalent(
     and a global phase.
 
     c1 may be narrower than c2; its extra wires are padded with identity.
-    The phase is read off the first entry where the relabeled reference is
-    nonzero, then the whole matrices must agree entrywise within `tol`.
+    relabel refuses a placement that does not fit c2 (so a wider c1 too),
+    and unitary_of a width past the dense cap. The phase is read off the
+    first entry where the relabeled reference is nonzero, then the whole
+    matrices must agree entrywise within `tol`.
     """
-    n1, n2 = c1.num_qubits, c2.num_qubits
-    if n1 > n2:
-        raise ValueError(f"first circuit is wider ({n1}) than second ({n2})")
     if perm is None:
-        perm = list(range(n1))
-    perm = list(perm)
-    if len(perm) != n1 or len(set(perm)) != n1 or any(not 0 <= p < n2 for p in perm):
-        raise ValueError(f"invalid placement {perm} for {n1} -> {n2} qubits")
-    _check_width(n2, MAX_STATE_QUBITS)
-
+        perm = tuple(range(c1.num_qubits))
     # Relabeling the circuit conjugates its unitary by the placement's
     # permutation and pads the unused wires with identity.
-    reference = unitary_of(relabel(c1, perm, n2))
+    reference = unitary_of(relabel(c1, perm, c2.num_qubits))
     u2 = unitary_of(c2)
 
     flat_ref = reference.ravel()

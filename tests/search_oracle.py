@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from qxopt.circuit import Circuit, Gate, GateKind, cost_report, levels_of
-from qxopt.peephole import _RULE_BY_PAIR, RuleFiring, verify_rules
+from qxopt.peephole import _RULE_BY_PAIR, RuleFiring
 from qxopt.placement import (
     MappingResult,
     _check_widths,
@@ -57,7 +57,6 @@ def _rewrite_pass(gates: list[Gate], trace: list[RuleFiring]) -> tuple[list[Gate
 
 def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> list[Gate]:
     """The single backward-scan pass."""
-    verify_rules()
     return _rewrite_pass(list(gates), [] if trace is None else trace)[0]
 
 

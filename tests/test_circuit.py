@@ -18,7 +18,8 @@ from qxopt.circuit import (
     relabel,
 )
 from qxopt.fixtures import load_circuit, random_circuit
-from qxopt.simulator import unitary_of
+from qxopt.placement import cost_of
+from qxopt.simulator import equivalent, unitary_of
 
 
 def test_gate_arity_enforced():
@@ -126,6 +127,30 @@ def test_relabel_rejects_non_injective_and_out_of_range():
         relabel(c, [0, 0])
     with pytest.raises(ValueError):
         relabel(c, [0, 7], num_qubits=5)
+
+
+@pytest.mark.parametrize(
+    "perm,message",
+    [
+        ((0,), "placement covers 1 qubits, circuit has 2"),
+        ((1, 1), r"placement is not injective: \(1, 1\)"),
+        ((-1, 2), r"placement \(-1, 2\) outside 0..4"),
+        ((0, 5), r"placement \(0, 5\) outside 0..4"),
+    ],
+)
+def test_every_placement_caller_refuses_with_one_message(perm, message, qx2_table):
+    c = Circuit(2, (cnot(0, 1),))
+    callers = (
+        lambda: relabel(c, perm, 5),
+        lambda: cost_of(c, perm, qx2_table),
+        lambda: equivalent(c, Circuit(5), perm),
+    )
+    texts = set()
+    for call in callers:
+        with pytest.raises(ValueError, match=message) as info:
+            call()
+        texts.add(str(info.value))
+    assert len(texts) == 1
 
 
 @given(st.integers(0, 200))

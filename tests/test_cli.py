@@ -442,3 +442,29 @@ def test_verify_non_integer_placement_is_usage_error(routing_file, capsys):
     err = capsys.readouterr().err
     assert "--placement" in err
     assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
+def test_verify_rejects_bad_tolerance(value, routing_file, capsys):
+    for argv in (
+        ["verify", str(routing_file), str(routing_file), "--tol", value],
+        ["verify", "--random", "2", "--arch", "qx2", "--tol", value],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err
+        assert "FAIL" not in captured.out and "NOT equivalent" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "first,second,extra",
+    [("wide", "narrow", []), ("narrow", "wide", ["--placement", "0,9"])],
+)
+def test_verify_placement_that_does_not_fit_is_usage_error(first, second, extra, tmp_path, capsys):
+    (tmp_path / "wide.qasm").write_text("qreg q[3]; cx q[0],q[2];")
+    (tmp_path / "narrow.qasm").write_text("qreg q[2]; cx q[0],q[1];")
+    argv = ["verify", str(tmp_path / f"{first}.qasm"), str(tmp_path / f"{second}.qasm"), *extra]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: placement ")
+    assert "Traceback" not in err

@@ -1,9 +1,11 @@
 """Mapping with its check, and the reports built from it.
 
 `map_verified` is the only place where a placement search is followed by
-the equivalence check. The directory benchmark maps every circuit file
-through it, one `BenchRow` per file, sorted by gate reduction. Every CSV
-report goes through one `csv.writer`, which quotes fields per RFC 4180.
+the equivalence check. `VERIFY_TOL` is the one mapping-verification
+tolerance: the default of `map_verified` and of `qxopt verify --tol`. The
+directory benchmark maps every circuit file through it, one `BenchRow` per
+file, sorted by gate reduction. Every CSV report goes through one
+`csv.writer`, which quotes fields per RFC 4180.
 """
 from __future__ import annotations
 
@@ -18,9 +20,11 @@ from .qasm import parse
 from .realization import RealizationTable
 from .simulator import equivalent
 
+VERIFY_TOL = 1e-8
+
 
 def map_verified(
-    circuit: Circuit, table: RealizationTable, tol: float
+    circuit: Circuit, table: RealizationTable, tol: float = VERIFY_TOL
 ) -> tuple[MappingResult, bool]:
     """Best mapping of `circuit`, and whether it is equivalent to the input."""
     result = optimize(circuit, table)
@@ -40,7 +44,7 @@ class BenchRow:
 def bench_file(path: Path, table: RealizationTable, strict: bool = False) -> BenchRow:
     try:
         circuit = parse(path.read_text(encoding="utf-8"), strict=strict)
-        result, verified = map_verified(circuit, table, 1e-8)
+        result, verified = map_verified(circuit, table)
     except (OSError, ValueError, KeyError) as exc:
         return BenchRow(path.stem, None, error=str(exc))
     return BenchRow(path.stem, result, verified)

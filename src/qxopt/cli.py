@@ -32,7 +32,7 @@ from .states import parse_density_matrix, parse_distribution
 from .topology import CouplingGraph, builtin, load
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -55,30 +55,20 @@ def _read_circuit(path: str, strict: bool) -> Circuit:
     return report.circuit
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer of at least `minimum`."""
+def _at_least(kind: type, minimum: int):
+    """argparse type: a finite `kind` (int or float) of at least `minimum`."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
+        # Not math.isfinite: it raises OverflowError on a huge int.
+        if not minimum <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum} and finite, got {text}")
         return value
 
     return parse
-
-
-def _tolerance(text: str) -> float:
-    """argparse type: a finite float of at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
-    return value
 
 
 def _searchable_table(arch: str) -> RealizationTable:
@@ -89,14 +79,11 @@ def _searchable_table(arch: str) -> RealizationTable:
     return build_table(graph)
 
 
-def _placement_arg(text: str, width: int) -> list[int]:
+def _placement_arg(text: str) -> list[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise UsageError(f"--placement expects comma-separated integers, got {text!r}") from None
-    if len(values) != width:
-        raise UsageError(f"--placement lists {len(values)} targets, circuit has {width} qubits")
-    return values
 
 
 def _build_parser() -> _Parser:
@@ -119,13 +106,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check unitary equivalence")
     p.add_argument("circuits", nargs="*", help="two circuit files to compare")
     p.add_argument("--placement", help="comma-separated physical target per logical qubit")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_at_least(float, 0), default=bench_mod.VERIFY_TOL)
     p.add_argument("--arch", help="needed for --random")
     p.add_argument(
-        "--random", type=_int_at_least(0), metavar="N", help="self-check N random circuits"
+        "--random", type=_at_least(int, 0), metavar="N", help="self-check N random circuits"
     )
-    p.add_argument("--qubits", type=_int_at_least(1), default=4)
-    p.add_argument("--gates", type=_int_at_least(0), default=20)
+    p.add_argument("--qubits", type=_at_least(int, 1), default=4)
+    p.add_argument("--gates", type=_at_least(int, 0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true")
 
@@ -155,7 +142,7 @@ def _build_parser() -> _Parser:
 def _cmd_optimize(args) -> int:
     table = _searchable_table(args.arch)
     circuit = _read_circuit(args.infile, args.strict)
-    result, verified = bench_mod.map_verified(circuit, table, 1e-8)
+    result, verified = bench_mod.map_verified(circuit, table)
     if not verified:
         print(
             f"error: {args.infile}: mapped circuit is not equivalent to the input "
@@ -206,6 +193,8 @@ def _cmd_verify(args) -> int:
         if not args.arch:
             raise UsageError("--random requires --arch")
         table = _searchable_table(args.arch)
+        if args.qubits > table.graph.num_physical:
+            raise UsageError(f"--qubits exceeds the {table.graph.num_physical} qubits of {args.arch}")
         rng = random.Random(args.seed)
         failures = 0
         for i in range(args.random):
@@ -226,7 +215,7 @@ def _cmd_verify(args) -> int:
     second = _read_circuit(args.circuits[1], args.strict)
     placement = None
     if args.placement:
-        placement = _placement_arg(args.placement, first.num_qubits)
+        placement = _placement_arg(args.placement)
     ok = equivalent(first, second, placement, tol=args.tol)
     print("equivalent" if ok else "NOT equivalent")
     return 0 if ok else 2
@@ -292,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -144,14 +144,12 @@ def parse(text: str, strict: bool = False) -> Circuit:
     return parse_report(text, strict=strict).circuit
 
 
+def gate_line(gate: Gate) -> str:
+    """One gate statement, e.g. `cx q[0],q[1];`."""
+    return f"{gate.kind.value} " + ",".join(f"q[{q}]" for q in gate.qubits) + ";"
+
+
 def emit(circuit: Circuit) -> str:
     """Emit text that parses back to the identical circuit."""
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{circuit.num_qubits}];",
-    ]
-    for g in circuit.gates:
-        args = ",".join(f"q[{q}]" for q in g.qubits)
-        lines.append(f"{g.kind.value} {args};")
-    return "\n".join(lines) + "\n"
+    header = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
+    return "\n".join(header + [gate_line(g) for g in circuit.gates]) + "\n"

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind, cnot, gate1, levels_of
 from .peephole import simplify_gates
+from .qasm import gate_line
 from .stabilizer import equivalent
 from .topology import CouplingGraph, allows, shortest_paths
 
@@ -53,16 +54,12 @@ def _local_cnot(graph: CouplingGraph, control: int, target: int) -> list[Gate]:
 
 
 def _swap(graph: CouplingGraph, a: int, b: int) -> list[Gate]:
-    """SWAP from three CNOTs; a missing direction is fixed with Hadamards."""
-    ab = (a, b) in graph.edges
-    ba = (b, a) in graph.edges
-    if ab and ba:
-        return [cnot(a, b), cnot(b, a), cnot(a, b)]
-    if ab:
-        return [cnot(a, b)] + _local_cnot(graph, b, a) + [cnot(a, b)]
-    if ba:
-        return [cnot(b, a)] + _local_cnot(graph, a, b) + [cnot(b, a)]
-    raise RealizationError(f"qubits {a} and {b} are not adjacent")
+    """SWAP as CNOT(a, b), CNOT(b, a), CNOT(a, b), with `a` and `b` exchanged
+    first unless (a, b) is an edge; the middle CNOT is `_local_cnot`'s, so it
+    is H-conjugated on a one-way edge and raises on a non-adjacent pair."""
+    if (a, b) not in graph.edges:
+        a, b = b, a
+    return [cnot(a, b)] + _local_cnot(graph, b, a) + [cnot(a, b)]
 
 
 def _ladder(graph: CouplingGraph, a: int, mid: int, b: int, order: int) -> list[Gate]:
@@ -159,7 +156,5 @@ def dump_text(table: RealizationTable) -> str:
         lines.append(
             f"cnot q[{control}],q[{target}]: gates={entry.total_gates} levels={entry.levels}"
         )
-        for g in entry.sequence.gates:
-            args = ",".join(f"q[{q}]" for q in g.qubits)
-            lines.append(f"  {g.kind.value} {args};")
+        lines.extend(f"  {gate_line(g)}" for g in entry.sequence.gates)
     return "\n".join(lines) + "\n"

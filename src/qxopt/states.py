@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+PUBLISHED_SUM_TOL = 0.005  # published tables are rounded to three decimals
+
 
 def bitstring(index: int, num_qubits: int) -> str:
     return format(index, f"0{num_qubits}b")
@@ -31,7 +33,8 @@ class StateVector:
     def num_qubits(self) -> int:
         return int(self.amplitudes.shape[0]).bit_length() - 1
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        tol = 1e-10
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
         if abs(norm - 1.0) > tol:
             raise ValueError(f"state norm^2 = {norm}, not 1 within {tol}")
@@ -60,7 +63,8 @@ class DensityMatrix:
     def num_qubits(self) -> int:
         return int(self.matrix.shape[0]).bit_length() - 1
 
-    def validate(self, herm_tol: float = 1e-10, eig_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
+        herm_tol, eig_tol = 1e-10, 1e-8
         m = self.matrix
         if float(np.max(np.abs(m - m.conj().T))) > herm_tol:
             raise ValueError("matrix is not Hermitian within tolerance")
@@ -87,15 +91,11 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ProbabilityDistribution:
-    """Computational-basis outcome probabilities keyed by bitstring label.
-
-    The default sum tolerance is loose (0.005) because published tables are
-    rounded to three decimals.
-    """
+    """Computational-basis outcome probabilities keyed by bitstring label."""
 
     num_qubits: int
     probs: dict[str, float]
-    tolerance: float = field(default=0.005, compare=False)
+    tolerance: float = field(default=PUBLISHED_SUM_TOL, compare=False)
 
     def validate(self) -> None:
         for bits, p in self.probs.items():
@@ -111,7 +111,9 @@ class ProbabilityDistribution:
         return self.probs.get(bits, 0.0)
 
 
-def distribution_from_vector(values: np.ndarray, tolerance: float = 0.005) -> ProbabilityDistribution:
+def distribution_from_vector(
+    values: np.ndarray, tolerance: float = PUBLISHED_SUM_TOL
+) -> ProbabilityDistribution:
     values = np.asarray(values, dtype=float).ravel()
     n = int(values.shape[0]).bit_length() - 1
     probs = {bitstring(i, n): float(values[i]) for i in range(values.shape[0])}
@@ -128,7 +130,7 @@ def format_distribution(dist: ProbabilityDistribution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_distribution(text: str, tolerance: float = 0.005) -> ProbabilityDistribution:
+def parse_distribution(text: str) -> ProbabilityDistribution:
     probs: dict[str, float] = {}
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -153,7 +155,7 @@ def parse_distribution(text: str, tolerance: float = 0.005) -> ProbabilityDistri
             raise ValueError(f"line {lineno}: expected a probability, got {value!r}") from None
     if width is None:
         raise ValueError("empty distribution")
-    dist = ProbabilityDistribution(width, probs, tolerance)
+    dist = ProbabilityDistribution(width, probs)
     dist.validate()
     return dist
 

@@ -25,31 +25,13 @@ class CouplingGraph:
                 raise ValueError(f"self-loop edge ({c}, {t})")
             if not (0 <= c < self.num_physical and 0 <= t < self.num_physical):
                 raise ValueError(f"edge ({c}, {t}) outside 0..{self.num_physical - 1}")
-        if not _connected(self.num_physical, self.edges):
+        if len(_distances(self)) != self.num_physical**2:
             raise ValueError("coupling graph is not connected")
 
     def neighbors(self, q: int) -> list[int]:
         """Undirected adjacency; a reversed edge is still routable locally."""
         out = {t for c, t in self.edges if c == q} | {c for c, t in self.edges if t == q}
         return sorted(out)
-
-
-def _connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
-    adj: dict[int, set[int]] = {q: set() for q in range(n)}
-    for c, t in edges:
-        adj[c].add(t)
-        adj[t].add(c)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        q = frontier.pop()
-        for nb in adj[q]:
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return len(seen) == n
 
 
 _BUILTINS = {
@@ -109,6 +91,7 @@ def load(text: str, name: str = "custom") -> CouplingGraph:
 
 @lru_cache(maxsize=None)
 def _distances(graph: CouplingGraph) -> dict[tuple[int, int], int]:
+    adjacent = [graph.neighbors(q) for q in range(graph.num_physical)]
     dist: dict[tuple[int, int], int] = {}
     for start in range(graph.num_physical):
         dist[(start, start)] = 0
@@ -119,7 +102,7 @@ def _distances(graph: CouplingGraph) -> dict[tuple[int, int], int]:
             d += 1
             nxt = []
             for q in frontier:
-                for nb in graph.neighbors(q):
+                for nb in adjacent[q]:
                     if nb not in seen:
                         seen.add(nb)
                         dist[(start, nb)] = d

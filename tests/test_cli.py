@@ -457,14 +457,38 @@ def test_verify_rejects_bad_tolerance(value, routing_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "first,second,extra",
-    [("wide", "narrow", []), ("narrow", "wide", ["--placement", "0,9"])],
+    "first,second,extra,message",
+    [
+        ("wide", "narrow", [], "error: placement "),
+        ("narrow", "wide", ["--placement", "0,9"], "error: placement "),
+        ("narrow", "wide", ["--placement", "0,1,2,3,4,5,6"], "error: placement covers 7 qubits"),
+    ],
+    ids=["wide-narrow-extra0", "narrow-wide-extra1", "narrow-wide-extra2"],
 )
-def test_verify_placement_that_does_not_fit_is_usage_error(first, second, extra, tmp_path, capsys):
+def test_verify_placement_that_does_not_fit_is_usage_error(
+    first, second, extra, message, tmp_path, capsys
+):
     (tmp_path / "wide.qasm").write_text("qreg q[3]; cx q[0],q[2];")
     (tmp_path / "narrow.qasm").write_text("qreg q[2]; cx q[0],q[1];")
     argv = ["verify", str(tmp_path / f"{first}.qasm"), str(tmp_path / f"{second}.qasm"), *extra]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: placement ")
+    assert err.startswith(message)
     assert "Traceback" not in err
+
+
+def test_verify_random_refuses_too_many_qubits_before_generating(monkeypatch, capsys):
+    def no_circuit(*args):
+        raise AssertionError("random circuit generated for a width the device cannot hold")
+
+    monkeypatch.setattr(qxopt.cli, "random_circuit", no_circuit)
+    huge = "1" + "0" * 400
+    for argv in (
+        ["verify", "--random", "1", "--arch", "qx2", "--qubits", huge],
+        ["verify", "--random", "1", "--arch", "qx2", "--qubits", "6"],
+        ["verify", "--random", huge, "--arch", "qx2", "--qubits", "9"],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --qubits")
+        assert "Traceback" not in err

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import realization_oracle
-from qxopt.circuit import Circuit, GateKind, cnot, gate_count
-from qxopt.realization import build_table, dump_text, lookup
+from qxopt.circuit import Circuit, GateKind, cnot, gate1, gate_count
+from qxopt.realization import RealizationError, _swap, build_table, dump_text, lookup
 from qxopt.simulator import equivalent, unitary_of
 from qxopt.topology import allows, builtin, distance, load
 
@@ -21,6 +21,31 @@ def test_reversed_edge_is_hadamard_conjugation(qx2_table):
     want = unitary_of(Circuit(5, (cnot(1, 0),)))
     got = unitary_of(entry.sequence)
     assert np.max(np.abs(want - got)) < 1e-12
+
+
+def _h(q):
+    return gate1(GateKind.H, q)
+
+
+@pytest.mark.parametrize(
+    "edges,a,b,expected",
+    [
+        ("0 1\n1 0\n", 0, 1, [cnot(0, 1), cnot(1, 0), cnot(0, 1)]),
+        ("0 1\n1 0\n", 1, 0, [cnot(1, 0), cnot(0, 1), cnot(1, 0)]),
+        ("0 1\n", 0, 1, [cnot(0, 1), _h(1), _h(0), cnot(0, 1), _h(1), _h(0), cnot(0, 1)]),
+        ("0 1\n", 1, 0, [cnot(0, 1), _h(1), _h(0), cnot(0, 1), _h(1), _h(0), cnot(0, 1)]),
+        ("1 0\n", 0, 1, [cnot(1, 0), _h(0), _h(1), cnot(1, 0), _h(0), _h(1), cnot(1, 0)]),
+        ("1 0\n", 1, 0, [cnot(1, 0), _h(0), _h(1), cnot(1, 0), _h(0), _h(1), cnot(1, 0)]),
+    ],
+    ids=["two-way", "two-way-reversed", "forward", "forward-reversed", "reverse", "reverse-reversed"],
+)
+def test_swap_gates_are_pinned(edges, a, b, expected):
+    assert _swap(load("qubits 2\n" + edges), a, b) == expected
+
+
+def test_swap_of_non_adjacent_pair_raises():
+    with pytest.raises(RealizationError, match="not adjacent"):
+        _swap(load("qubits 3\n0 1\n1 2\n"), 0, 2)
 
 
 def test_qx2_distant_pair_within_paper_bound(qx2_table):

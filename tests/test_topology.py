@@ -37,6 +37,9 @@ def test_load_small_graph():
     g = load("qubits 2\n0 1\n")
     assert g.num_physical == 2
     assert g.edges == {(0, 1)}
+    single = load("qubits 1\n")
+    assert single.num_physical == 1
+    assert single.edges == frozenset()
 
 
 def test_load_rejects_disconnected():

@@ -7,64 +7,41 @@ verify the result against the original unitary. Analysis helpers compute
 Mermin-polynomial values and state fidelities from measured distributions
 and tomography matrices.
 """
-from .circuit import (
-    Circuit,
-    CostReport,
-    Gate,
-    GateKind,
-    cost_report,
-    gate_count,
-    inverse_of,
-    level_count,
-    relabel,
-)
-from .nonclassicality import MerminValue, lhv_bound, mermin3, parity_expectation, sanitize, uhlmann_fidelity
-from .peephole import simplify
-from .placement import MappingResult, cost_of, optimize
-from .qasm import emit, parse
-from .realization import RealizationTable, build_table, lookup
-from .simulator import equivalent, measure_probs, run_ideal, run_noisy, unitary_of
-from .states import DensityMatrix, NoiseSpec, ProbabilityDistribution, StateVector
-from .topology import CouplingGraph, allows, builtin, load
+from __future__ import annotations
 
-__all__ = [
-    "Circuit",
-    "CostReport",
-    "CouplingGraph",
-    "DensityMatrix",
-    "Gate",
-    "GateKind",
-    "MappingResult",
-    "MerminValue",
-    "NoiseSpec",
-    "ProbabilityDistribution",
-    "RealizationTable",
-    "StateVector",
-    "allows",
-    "build_table",
-    "builtin",
-    "cost_of",
-    "cost_report",
-    "emit",
-    "equivalent",
-    "gate_count",
-    "inverse_of",
-    "level_count",
-    "lhv_bound",
-    "load",
-    "lookup",
-    "measure_probs",
-    "mermin3",
-    "optimize",
-    "parity_expectation",
-    "parse",
-    "relabel",
-    "run_ideal",
-    "run_noisy",
-    "sanitize",
-    "simplify",
-    "uhlmann_fidelity",
-    "unitary_of",
-]
+import importlib
+
+# Public name -> defining module. Names resolve on first use (PEP 562), so
+# `import qxopt` loads no submodule, and numpy is imported only by a
+# simulator, state or analysis name.
+_EXPORTS = {
+    "circuit": (
+        "Circuit", "CostReport", "Gate", "GateKind", "cost_report", "gate_count",
+        "inverse_of", "level_count", "relabel",
+    ),
+    "nonclassicality": (
+        "MerminValue", "lhv_bound", "mermin3", "parity_expectation", "sanitize",
+        "uhlmann_fidelity",
+    ),
+    "peephole": ("simplify",),
+    "placement": ("MappingResult", "cost_of", "optimize"),
+    "qasm": ("emit", "parse"),
+    "realization": ("RealizationTable", "build_table", "lookup"),
+    "simulator": ("equivalent", "measure_probs", "run_ideal", "run_noisy", "unitary_of"),
+    "states": ("DensityMatrix", "NoiseSpec", "ProbabilityDistribution", "StateVector"),
+    "topology": ("CouplingGraph", "allows", "builtin", "load"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

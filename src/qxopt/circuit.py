@@ -7,6 +7,7 @@ works on these values.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -169,3 +170,17 @@ def relabel(circuit: Circuit, perm: Sequence[int], num_qubits: int | None = None
 def concat(a: Circuit, b: Circuit) -> Circuit:
     """Sequential composition; width is the wider of the two."""
     return Circuit(max(a.num_qubits, b.num_qubits), a.gates + b.gates)
+
+
+def random_circuit(num_qubits: int, num_gates: int, rng: random.Random) -> Circuit:
+    """Uniform random Clifford+T circuit, for property tests and self-checks."""
+    kinds = tuple(GateKind) if num_qubits >= 2 else tuple(k for k in GateKind if k.arity == 1)
+    gates = []
+    for _ in range(num_gates):
+        kind = rng.choice(kinds)
+        if kind.arity == 2:
+            control, target = rng.sample(range(num_qubits), 2)
+            gates.append(Gate(kind, (control, target)))
+        else:
+            gates.append(Gate(kind, (rng.randrange(num_qubits),)))
+    return Circuit(num_qubits, tuple(gates))

@@ -2,6 +2,10 @@
 
 Subcommands: optimize, simplify, verify, bench, mermin, fidelity, table dump.
 Exit codes: 0 success, 1 usage error, 2 verification failure.
+
+The analysis modules import numpy, so `mermin` and `fidelity` import them in
+their handlers; the other commands load numpy only when the path sum cannot
+prove a pair and `bench.equivalent` falls back to the dense simulator.
 """
 from __future__ import annotations
 
@@ -14,21 +18,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import bench as bench_mod
-from .circuit import Circuit
-from .fixtures import random_circuit
-from .nonclassicality import (
-    CLASSICAL_BOUND,
-    QUANTUM_BOUND,
-    mermin3,
-    sanitize,
-    uhlmann_fidelity,
-)
+from .circuit import Circuit, random_circuit
 from .peephole import simplify, simplify_with_trace
 from .placement import check_search_limit
 from .qasm import emit, parse_report
 from .realization import RealizationTable, build_table, dump_text
-from .simulator import equivalent
-from .states import parse_density_matrix, parse_distribution
 from .topology import CouplingGraph, builtin, load
 
 
@@ -216,7 +210,7 @@ def _cmd_verify(args) -> int:
     placement = None
     if args.placement:
         placement = _placement_arg(args.placement)
-    ok = equivalent(first, second, placement, tol=args.tol)
+    ok = bench_mod.equivalent(first, second, placement, tol=args.tol)
     print("equivalent" if ok else "NOT equivalent")
     return 0 if ok else 2
 
@@ -234,6 +228,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_mermin(args) -> int:
+    from .nonclassicality import CLASSICAL_BOUND, QUANTUM_BOUND, mermin3
+    from .states import parse_distribution
+
     xxy = parse_distribution(Path(args.xxy).read_text(encoding="utf-8"))
     yyy = parse_distribution(Path(args.yyy).read_text(encoding="utf-8"))
     value = mermin3(xxy, yyy)
@@ -245,6 +242,9 @@ def _cmd_mermin(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
+    from .nonclassicality import sanitize, uhlmann_fidelity
+    from .states import parse_density_matrix
+
     first = parse_density_matrix(Path(args.first).read_text(encoding="utf-8"))
     second = parse_density_matrix(Path(args.second).read_text(encoding="utf-8"))
     fid = uhlmann_fidelity(sanitize(first.real, first.imag), sanitize(second.real, second.imag))

@@ -4,15 +4,16 @@ Ships measured three-qubit probability distributions and tomography
 matrices from public cloud-processor experiments (raw, as published,
 including their transcription defects), the matching ideal state, and
 small circuit fixtures used by the benchmark harness and the test suite.
+`random_circuit` lives in `circuit`, which needs no numpy, and is
+re-exported here.
 """
 from __future__ import annotations
 
-import random
 from importlib import resources
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, random_circuit  # noqa: F401  (re-exported)
 from .qasm import parse
 from .states import ProbabilityDistribution, parse_density_matrix, parse_distribution
 
@@ -62,20 +63,3 @@ def load_circuit(name: str) -> Circuit:
     if name not in CIRCUITS:
         raise KeyError(f"unknown circuit {name!r}")
     return parse(data_text(f"{name}.qasm"))
-
-
-_RANDOM_KINDS = tuple(GateKind)
-
-
-def random_circuit(num_qubits: int, num_gates: int, rng: random.Random) -> Circuit:
-    """Uniform random Clifford+T circuit, for property tests and self-checks."""
-    kinds = _RANDOM_KINDS if num_qubits >= 2 else tuple(k for k in _RANDOM_KINDS if k.arity == 1)
-    gates = []
-    for _ in range(num_gates):
-        kind = rng.choice(kinds)
-        if kind.arity == 2:
-            control, target = rng.sample(range(num_qubits), 2)
-            gates.append(Gate(kind, (control, target)))
-        else:
-            gates.append(Gate(kind, (rng.randrange(num_qubits),)))
-    return Circuit(num_qubits, tuple(gates))

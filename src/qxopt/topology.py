@@ -25,13 +25,12 @@ class CouplingGraph:
                 raise ValueError(f"self-loop edge ({c}, {t})")
             if not (0 <= c < self.num_physical and 0 <= t < self.num_physical):
                 raise ValueError(f"edge ({c}, {t}) outside 0..{self.num_physical - 1}")
-        if len(_distances(self)) != self.num_physical**2:
+        if len(bfs(self, 0)) != self.num_physical:
             raise ValueError("coupling graph is not connected")
 
     def neighbors(self, q: int) -> list[int]:
         """Undirected adjacency; a reversed edge is still routable locally."""
-        out = {t for c, t in self.edges if c == q} | {c for c, t in self.edges if t == q}
-        return sorted(out)
+        return list(_adjacency(self)[q])
 
 
 _BUILTINS = {
@@ -90,44 +89,55 @@ def load(text: str, name: str = "custom") -> CouplingGraph:
 
 
 @lru_cache(maxsize=None)
-def _distances(graph: CouplingGraph) -> dict[tuple[int, int], int]:
-    adjacent = [graph.neighbors(q) for q in range(graph.num_physical)]
-    dist: dict[tuple[int, int], int] = {}
-    for start in range(graph.num_physical):
-        dist[(start, start)] = 0
-        frontier = [start]
-        d = 0
-        seen = {start}
-        while frontier:
-            d += 1
-            nxt = []
-            for q in frontier:
-                for nb in adjacent[q]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        dist[(start, nb)] = d
-                        nxt.append(nb)
-            frontier = nxt
+def _adjacency(graph: CouplingGraph) -> tuple[tuple[int, ...], ...]:
+    """Sorted undirected neighbors of every qubit, from one pass over the edges."""
+    adjacent: list[set[int]] = [set() for _ in range(graph.num_physical)]
+    for c, t in graph.edges:
+        adjacent[c].add(t)
+        adjacent[t].add(c)
+    return tuple(tuple(sorted(nbs)) for nbs in adjacent)
+
+
+@lru_cache(maxsize=None)
+def bfs(graph: CouplingGraph, source: int) -> dict[int, int]:
+    """Undirected distance from `source` to every qubit it reaches, computed
+    once per source: a device that is refused costs one search, not a table."""
+    if not 0 <= source < graph.num_physical:
+        raise ValueError(f"qubit {source} outside 0..{graph.num_physical - 1}")
+    adjacent = _adjacency(graph)
+    dist = {source: 0}
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for q in frontier:
+            for nb in adjacent[q]:
+                if nb not in dist:
+                    dist[nb] = d
+                    nxt.append(nb)
+        frontier = nxt
     return dist
 
 
 def distance(graph: CouplingGraph, a: int, b: int) -> int:
     """Undirected shortest-path distance between two physical qubits."""
-    return _distances(graph)[(a, b)]
+    return bfs(graph, a)[b]
 
 
 def shortest_paths(graph: CouplingGraph, a: int, b: int) -> list[list[int]]:
     """All undirected shortest paths from a to b, deterministically ordered."""
-    dist = _distances(graph)
-    target_len = dist[(a, b)]
+    adjacent = _adjacency(graph)
+    to_b = bfs(graph, b)
+    target_len = to_b[a]
 
     def extend(path: list[int]) -> list[list[int]]:
         last = path[-1]
         if last == b:
             return [path]
         out: list[list[int]] = []
-        for nb in graph.neighbors(last):
-            if dist[(nb, b)] == dist[(last, b)] - 1:
+        for nb in adjacent[last]:
+            if to_b[nb] == to_b[last] - 1:
                 out.extend(extend(path + [nb]))
         return out
 

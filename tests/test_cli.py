@@ -2,8 +2,12 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -492,3 +496,69 @@ def test_verify_random_refuses_too_many_qubits_before_generating(monkeypatch, ca
         err = capsys.readouterr().err
         assert err.startswith("error: --qubits")
         assert "Traceback" not in err
+
+
+def test_verify_tol_zero_accepts_exactly_equal_circuits(tmp_path, capsys):
+    # The path sum proves these exactly; the dense check read `t t` against
+    # `s` as unequal at tolerance 0 through float rounding.
+    (tmp_path / "tt.qasm").write_text("qreg q[1]; t q[0]; t q[0];")
+    (tmp_path / "s.qasm").write_text("qreg q[1]; s q[0];")
+    assert main(["verify", str(tmp_path / "tt.qasm"), str(tmp_path / "s.qasm"), "--tol", "0"]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    # Twelve qubits is past the dense cap; the path sum still proves equality.
+    ladder = "qreg q[12];\n" + "".join(f"h q[{q}];\ncx q[{q}],q[{q + 1}];\nt q[{q + 1}];\n" for q in range(11))
+    padded = ladder.replace("t q[5];", "t q[5];\nt q[3];\ntdg q[3];").replace("h q[7];", "tdg q[7];\nt q[7];\nh q[7];")
+    different = ladder.replace("t q[5];", "tdg q[5];")
+    for name, text in (("ladder", ladder), ("padded", padded), ("different", different)):
+        (tmp_path / f"{name}.qasm").write_text(text)
+    assert main(["verify", str(tmp_path / "ladder.qasm"), str(tmp_path / "padded.qasm"), "--tol", "0"]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    # A pair the path sum cannot prove still meets the dense cap.
+    assert main(["verify", str(tmp_path / "ladder.qasm"), str(tmp_path / "different.qasm")]) == 1
+    assert "exceeds the dense-simulation cap of 10" in capsys.readouterr().err
+
+
+def test_package_exports_resolve_on_first_use():
+    import qxopt
+
+    for name in qxopt.__all__:
+        value = getattr(qxopt, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        qxopt.frobnicate
+
+
+_NUMPY_FREE = """
+import sys
+from qxopt.cli import main
+assert main(sys.argv[1:]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--arch", "qx4", "--in", "{qasm}", "--report", "json"],
+        ["optimize", "--arch", "qx2", "--in", "{qasm}", "--report", "csv"],
+        ["simplify", "--in", "{qasm}"],
+        ["table", "dump", "--arch", "qx4"],
+        ["verify", "{qasm}", "{mapped}", "--placement", "{placement}"],
+        ["verify", "--random", "5", "--arch", "qx2", "--seed", "3"],
+        ["bench", "{dir}", "--arch", "qx4"],
+    ],
+    ids=["optimize-json", "optimize-csv", "simplify", "table-dump", "verify", "verify-random", "bench"],
+)
+def test_mapping_commands_leave_numpy_unimported(argv, tmp_path, capsys):
+    qasm = tmp_path / "mermin.qasm"
+    qasm.write_text(data_text("mermin_yyy_unopt.qasm"))
+    mapped = tmp_path / "mapped.qasm"
+    assert main(["optimize", "--arch", "qx4", "--in", str(qasm), "--out", str(mapped)]) == 0
+    placement = ",".join(str(p) for p in json.loads(capsys.readouterr().out)["placement"])
+    argv = [a.format(qasm=qasm, mapped=mapped, placement=placement, dir=tmp_path) for a in argv]
+    src = str(Path(qxopt.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,114 @@
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qxopt.simulator
+from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, inverse_of, random_circuit, relabel
+from qxopt.cli import main
+from qxopt.fixtures import CIRCUITS, load_circuit
+from qxopt.pathsum import proves_equal
+from qxopt.placement import optimize
+from qxopt.simulator import equivalent as dense_equivalent
+
+
+def _inverse(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
+    return tuple(Gate(inverse_of(g.kind), g.qubits) for g in reversed(gates))
+
+
+def _pairs(seed: int) -> tuple[list[tuple], list[tuple]]:
+    """Pairs (c1, c2, perm) built equal: c against c with d d^-1 inserted,
+    relabeled copies, and copies relabeled into a wider register; and
+    single-gate mutants (deleted, replaced, inserted), most of which change
+    the unitary."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    c = random_circuit(n, rng.randint(0, 30), rng)
+    d = random_circuit(n, rng.randint(1, 10), rng)
+    k = rng.randint(0, len(c.gates))
+    padded = Circuit(n, c.gates[:k] + d.gates + _inverse(d.gates) + c.gates[k:])
+    perm = rng.sample(range(n), n)
+    width = n + rng.randint(0, 2)
+    wide_perm = rng.sample(range(width), n)
+    equal = [
+        (c, padded, None),
+        (padded, c, None),
+        (c, relabel(c, perm, n), perm),
+        (padded, relabel(c, perm, n), perm),
+        (c, relabel(padded, wide_perm, width), wide_perm),
+    ]
+    mutants = []
+    for base in (c, padded):
+        gates = list(base.gates)
+        if not gates:
+            continue
+        i = rng.randrange(len(gates))
+        (new,) = random_circuit(n, 1, rng).gates
+        for m in (gates[:i] + gates[i + 1 :], gates[:i] + [new] + gates[i + 1 :], gates[:i] + [new] + gates[i:]):
+            mutants.append((c, Circuit(n, tuple(m)), None))
+    return equal, mutants
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 100_000))
+def test_never_proves_what_the_dense_check_rejects(seed):
+    equal, mutants = _pairs(seed)
+    for c1, c2, perm in equal + mutants:
+        if proves_equal(c1, c2, perm):
+            assert dense_equivalent(c1, c2, perm, tol=1e-9), (c1, c2, perm)
+    for c1, c2, perm in equal:
+        assert proves_equal(c1, c2, perm), (c1, c2, perm)
+
+
+def _one(*kinds: GateKind) -> Circuit:
+    return Circuit(1, tuple(gate1(k, 0) for k in kinds))
+
+
+def test_phases_are_exact_and_global_phase_is_ignored():
+    t, tdg, s, z = GateKind.T, GateKind.TDG, GateKind.S, GateKind.Z
+    assert proves_equal(_one(t, t), _one(s))
+    assert proves_equal(_one(*[t] * 8), _one())
+    assert proves_equal(_one(GateKind.Z, GateKind.X), _one(GateKind.Y))  # X Z = -i Y
+    assert proves_equal(_one(GateKind.H, z, GateKind.H), _one(GateKind.X))
+    assert not proves_equal(_one(t), _one(tdg))
+    assert not proves_equal(_one(s), _one(z))
+    assert not proves_equal(_one(GateKind.H), _one())
+
+
+def test_placement_that_does_not_fit_is_not_proven():
+    c = Circuit(2, (cnot(0, 1),))
+    assert not proves_equal(Circuit(3, (cnot(0, 1),)), c)  # wider first circuit
+    for perm in ([0], [0, 0], [0, 2], [-1, 0]):
+        assert not proves_equal(c, c, perm)
+    assert proves_equal(c, Circuit(2, (cnot(1, 0),)), [1, 0])
+
+
+@pytest.mark.parametrize("arch", ["qx2", "qx4"])
+def test_proves_every_bundled_fixture_mapping(arch, request):
+    table = request.getfixturevalue(f"{arch}_table")
+    for name in CIRCUITS:
+        circuit = load_circuit(name)
+        result = optimize(circuit, table)
+        assert proves_equal(circuit, result.mapped, list(result.placement)), name
+
+
+def test_proves_the_random_self_check_without_the_dense_fallback(monkeypatch, capsys):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense fallback reached")
+
+    monkeypatch.setattr(qxopt.simulator, "equivalent", no_dense)
+    assert main(["verify", "--random", "50", "--arch", "qx4", "--seed", "7"]) == 0
+    assert "50/50 random circuits verified" in capsys.readouterr().out
+
+
+def test_memory_follows_the_gates_not_the_declared_width():
+    wide = Circuit(200_000, (gate1(GateKind.H, 0),))
+    tracemalloc.start()
+    try:
+        assert proves_equal(wide, wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One small object per declared wire would be several megabytes.
+    assert peak < 100_000

@@ -1,6 +1,6 @@
 import pytest
 
-from qxopt.topology import allows, builtin, distance, load, shortest_paths
+from qxopt.topology import allows, bfs, builtin, distance, load, shortest_paths
 
 
 def test_qx2_edges():
@@ -89,3 +89,19 @@ def test_neighbors_are_undirected():
     g = builtin("qx2")
     assert g.neighbors(2) == [0, 1, 3, 4]
     assert g.neighbors(1) == [0, 2]
+
+
+def test_loading_a_long_line_runs_one_search():
+    # Connectivity is one search from qubit 0, not an all-pairs table.
+    bfs.cache_clear()
+    graph = load("qubits 2000\n" + "".join(f"{q} {q + 1}\n" for q in range(1999)))
+    info = bfs.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert distance(graph, 0, 1999) == 1999
+    assert bfs.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("source", [-1, 5])
+def test_distance_refuses_a_source_outside_the_device(source):
+    with pytest.raises(ValueError, match="outside 0..4"):
+        distance(builtin("qx2"), source, 2)

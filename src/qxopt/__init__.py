@@ -19,6 +19,7 @@ _EXPORTS = {
         "Circuit", "CostReport", "Gate", "GateKind", "cost_report", "gate_count",
         "inverse_of", "level_count", "relabel",
     ),
+    "bench": ("equivalent",),
     "nonclassicality": (
         "MerminValue", "lhv_bound", "mermin3", "parity_expectation", "sanitize",
         "uhlmann_fidelity",
@@ -27,7 +28,7 @@ _EXPORTS = {
     "placement": ("MappingResult", "cost_of", "optimize"),
     "qasm": ("emit", "parse"),
     "realization": ("RealizationTable", "build_table", "lookup"),
-    "simulator": ("equivalent", "measure_probs", "run_ideal", "run_noisy", "unitary_of"),
+    "simulator": ("measure_probs", "run_ideal", "run_noisy", "unitary_of"),
     "states": ("DensityMatrix", "NoiseSpec", "ProbabilityDistribution", "StateVector"),
     "topology": ("CouplingGraph", "allows", "builtin", "load"),
 }

@@ -1,14 +1,14 @@
 """Mapping with its check, and the reports built from it.
 
 `map_verified` is the only place where a placement search is followed by
-the equivalence check, and `equivalent` is the one check that `map_verified`
-and `qxopt verify` run: the exact path sum first, the dense simulator only
-for a pair the path sum cannot prove. `VERIFY_TOL` is the one
-mapping-verification tolerance, used only by that dense fallback: the
-default of `equivalent`, of `map_verified` and of `qxopt verify --tol`. The
-directory benchmark maps every circuit file through it, one `BenchRow` per
-file, sorted by gate reduction. Every CSV report goes through one
-`csv.writer`, which quotes fields per RFC 4180.
+the equivalence check, and `equivalent` (exported as `qxopt.equivalent`) is
+the one check that `map_verified` and `qxopt verify` run: the exact path
+sum first, the dense simulator only for a pair the path sum cannot prove.
+`VERIFY_TOL` is the one mapping-verification tolerance, used only by that
+dense fallback: the default of `equivalent`, of `map_verified` and of
+`qxopt verify --tol`. The directory benchmark maps every circuit file
+through it, one `BenchRow` per file, sorted by gate reduction. Every CSV
+report goes through one `csv.writer`, which quotes fields per RFC 4180.
 """
 from __future__ import annotations
 
@@ -32,7 +32,8 @@ def equivalent(
 ) -> bool:
     """True when c2 equals c1 relabeled by `perm`, up to global phase:
     proven exactly by the path sum, or else decided by the dense simulator
-    within `tol`, with its width cap and its placement errors. Only that
+    within `tol`, with its width cap. A placement that does not fit is
+    refused by `check_placement` before either check runs. Only the dense
     fallback imports numpy."""
     if proves_equal(c1, c2, perm):
         return True

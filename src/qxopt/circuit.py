@@ -145,8 +145,13 @@ def cost_report(circuit: Circuit) -> CostReport:
     return CostReport(gate_count(circuit), level_count(circuit))
 
 
-def check_placement(perm: Sequence[int], width: int, num_qubits: int) -> None:
-    """Refuse `perm` unless it maps `num_qubits` wires to distinct targets in 0..width-1."""
+def check_placement(perm: Sequence[int] | None, width: int, num_qubits: int) -> None:
+    """Refuse `perm` unless it maps `num_qubits` wires to distinct targets in
+    0..width-1. None is the identity, checked by the widths alone."""
+    if perm is None:
+        if num_qubits > width:
+            raise ValueError(f"placement (identity on {num_qubits} qubits) outside 0..{width - 1}")
+        return
     if len(perm) != num_qubits:
         raise ValueError(f"placement covers {len(perm)} qubits, circuit has {num_qubits}")
     if len(set(perm)) != len(perm):

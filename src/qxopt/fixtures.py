@@ -4,8 +4,6 @@ Ships measured three-qubit probability distributions and tomography
 matrices from public cloud-processor experiments (raw, as published,
 including their transcription defects), the matching ideal state, and
 small circuit fixtures used by the benchmark harness and the test suite.
-`random_circuit` lives in `circuit`, which needs no numpy, and is
-re-exported here.
 """
 from __future__ import annotations
 
@@ -13,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from .circuit import Circuit, random_circuit  # noqa: F401  (re-exported)
+from .circuit import Circuit
 from .qasm import parse
 from .states import ProbabilityDistribution, parse_density_matrix, parse_distribution
 

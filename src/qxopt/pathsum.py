@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, GateKind, inverse_of
+from .circuit import Circuit, GateKind, check_placement, inverse_of
 
 # Diagonal gates as the phase they add to a basis state with the wire set.
 _PHASE = {GateKind.Z: 4, GateKind.S: 2, GateKind.SDG: 6, GateKind.T: 1, GateKind.TDG: 7}
@@ -224,20 +224,14 @@ class _PathSum:
 def proves_equal(c1: Circuit, c2: Circuit, perm: Sequence[int] | None = None) -> bool:
     """True only when c2's unitary is proven equal to c1's relabeled by
     `perm` (wire i of c1 is wire perm[i] of c2; default the identity), up to
-    a global phase. False when that is not proven, including when the
-    placement does not fit: the caller decides what False means."""
-    if perm is None:
-        fits = c1.num_qubits <= c2.num_qubits
-    else:
-        fits = (
-            len(perm) == c1.num_qubits
-            and len(set(perm)) == len(perm)
-            and all(0 <= p < c2.num_qubits for p in perm)
-        )
-    if not fits:
-        return False
+    a global phase. False when that is not proven, including when the phase
+    polynomial outgrows a budget of 64 terms plus one per gate; the caller
+    decides what False means. A placement that does not fit raises
+    `check_placement`'s ValueError."""
+    check_placement(perm, c2.num_qubits, c1.num_qubits)
     s = _PathSum()
     n1, n2 = len(c1.gates), len(c2.gates)
+    budget = 64 + n1 + n2
     i = j = 0
     while i < n1 or j < n2:
         # Take from whichever side is behind its share of the interleaving.
@@ -250,4 +244,6 @@ def proves_equal(c1: Circuit, c2: Circuit, perm: Sequence[int] | None = None) ->
             j += 1
             s.prepend(inverse_of(g.kind), g.qubits)
         s.reduce()
+        if len(s.phase) > budget:
+            return False
     return s.is_identity()

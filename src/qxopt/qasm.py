@@ -9,7 +9,7 @@ names the offending token and its position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind
 
@@ -34,9 +34,7 @@ class QasmError(ValueError):
 @dataclass
 class ParseReport:
     circuit: Circuit
-    dropped_measure: int = 0
-    dropped_barrier: int = 0
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 _REF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
@@ -132,12 +130,7 @@ def parse_report(text: str, strict: bool = False) -> ParseReport:
         warnings.append(f"dropped {dropped_measure} measure statement(s)")
     if dropped_barrier:
         warnings.append(f"dropped {dropped_barrier} barrier statement(s)")
-    return ParseReport(
-        circuit=Circuit(qreg[1], tuple(gates)),
-        dropped_measure=dropped_measure,
-        dropped_barrier=dropped_barrier,
-        warnings=warnings,
-    )
+    return ParseReport(Circuit(qreg[1], tuple(gates)), warnings)
 
 
 def parse(text: str, strict: bool = False) -> Circuit:

@@ -30,8 +30,6 @@ class RealizationError(Exception):
 
 @dataclass(frozen=True)
 class RealizationEntry:
-    control: int
-    target: int
     sequence: Circuit
     total_gates: int
     levels: int
@@ -132,9 +130,7 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
                 raise RealizationError(
                     f"entry ({control},{target}) does not implement its CNOT"
                 )
-            entries[(control, target)] = RealizationEntry(
-                control, target, sequence, len(best), levels_of(best)
-            )
+            entries[(control, target)] = RealizationEntry(sequence, len(best), levels_of(best))
     return RealizationTable(graph, entries)
 
 

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from qxopt.circuit import Circuit, GateKind, cnot, gate_count, level_count
-from qxopt.fixtures import load_circuit, load_distribution, load_raw_density_matrix, random_circuit
+from qxopt.circuit import Circuit, GateKind, cnot, gate_count, level_count, random_circuit
+from qxopt.fixtures import load_circuit, load_distribution, load_raw_density_matrix
 from qxopt.nonclassicality import lhv_bound, mermin3, sanitize, uhlmann_fidelity
 from qxopt.peephole import simplify
 from qxopt.placement import cost_of, optimize

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qxopt import bench
 from qxopt.circuit import (
     Circuit,
     CostReport,
@@ -15,9 +16,11 @@ from qxopt.circuit import (
     gate_count,
     inverse_of,
     level_count,
+    random_circuit,
     relabel,
 )
-from qxopt.fixtures import load_circuit, random_circuit
+from qxopt.fixtures import load_circuit
+from qxopt.pathsum import proves_equal
 from qxopt.placement import cost_of
 from qxopt.simulator import equivalent, unitary_of
 
@@ -144,6 +147,8 @@ def test_every_placement_caller_refuses_with_one_message(perm, message, qx2_tabl
         lambda: relabel(c, perm, 5),
         lambda: cost_of(c, perm, qx2_table),
         lambda: equivalent(c, Circuit(5), perm),
+        lambda: proves_equal(c, Circuit(5), perm),
+        lambda: bench.equivalent(c, Circuit(5), perm),
     )
     texts = set()
     for call in callers:

@@ -14,9 +14,9 @@ import pytest
 import qxopt.bench
 import qxopt.cli
 from qxopt.bench import bench_directory, bench_file, render_csv, render_markdown
-from qxopt.circuit import Circuit, GateKind, cnot, gate1
+from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit
 from qxopt.cli import main
-from qxopt.fixtures import data_text, random_circuit
+from qxopt.fixtures import data_text
 from qxopt.placement import optimize
 from qxopt.qasm import emit, parse
 from qxopt.realization import build_table
@@ -463,22 +463,30 @@ def test_verify_rejects_bad_tolerance(value, routing_file, capsys):
 @pytest.mark.parametrize(
     "first,second,extra,message",
     [
-        ("wide", "narrow", [], "error: placement "),
-        ("narrow", "wide", ["--placement", "0,9"], "error: placement "),
-        ("narrow", "wide", ["--placement", "0,1,2,3,4,5,6"], "error: placement covers 7 qubits"),
+        ("wide", "narrow", [], "error: placement (identity on 3 qubits) outside 0..1\n"),
+        ("huge", "narrow", [], "error: placement (identity on 100000 qubits) outside 0..1\n"),
+        ("narrow", "wide", ["--placement", "0,9"], "error: placement (0, 9) outside 0..2\n"),
+        ("narrow", "narrow", ["--placement", "0,0"], "error: placement is not injective: (0, 0)\n"),
+        (
+            "narrow",
+            "wide",
+            ["--placement", "0,1,2,3,4,5,6"],
+            "error: placement covers 7 qubits, circuit has 2\n",
+        ),
     ],
-    ids=["wide-narrow-extra0", "narrow-wide-extra1", "narrow-wide-extra2"],
+    ids=[
+        "wide-narrow-extra0", "huge-narrow", "narrow-wide-extra1", "not-injective", "narrow-wide-extra2",
+    ],
 )
-def test_verify_placement_that_does_not_fit_is_usage_error(
-    first, second, extra, message, tmp_path, capsys
-):
+def test_verify_placement_that_does_not_fit_is_usage_error(first, second, extra, message, tmp_path):
+    (tmp_path / "huge.qasm").write_text("qreg q[100000]; cx q[0],q[99999];")
     (tmp_path / "wide.qasm").write_text("qreg q[3]; cx q[0],q[2];")
     (tmp_path / "narrow.qasm").write_text("qreg q[2]; cx q[0],q[1];")
     argv = ["verify", str(tmp_path / f"{first}.qasm"), str(tmp_path / f"{second}.qasm"), *extra]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(message)
-    assert "Traceback" not in err
+    # Refused before either check runs, so numpy is never imported.
+    proc = _run_numpy_free(argv, 1)
+    assert proc.stderr == message
+    assert len(proc.stderr) < 200
 
 
 def test_verify_random_refuses_too_many_qubits_before_generating(monkeypatch, capsys):
@@ -524,6 +532,8 @@ def test_package_exports_resolve_on_first_use():
     for name in qxopt.__all__:
         value = getattr(qxopt, name)
         assert getattr(sys.modules[value.__module__], name) is value
+    # The package's equivalence check is the one the CLI runs.
+    assert qxopt.equivalent is qxopt.bench.equivalent
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         qxopt.frobnicate
 
@@ -531,9 +541,22 @@ def test_package_exports_resolve_on_first_use():
 _NUMPY_FREE = """
 import sys
 from qxopt.cli import main
-assert main(sys.argv[1:]) == 0
+code = main(sys.argv[2:])
+assert code == int(sys.argv[1]), f"exit code {code}"
 assert "numpy" not in sys.modules, "numpy was imported"
 """
+
+
+def _run_numpy_free(argv: list[str], code: int) -> subprocess.CompletedProcess:
+    """Run `qxopt argv` in a fresh interpreter that fails unless it exits
+    with `code` and leaves numpy unimported."""
+    src = str(Path(qxopt.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE, str(code), *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 @pytest.mark.parametrize(
@@ -556,9 +579,4 @@ def test_mapping_commands_leave_numpy_unimported(argv, tmp_path, capsys):
     assert main(["optimize", "--arch", "qx4", "--in", str(qasm), "--out", str(mapped)]) == 0
     placement = ",".join(str(p) for p in json.loads(capsys.readouterr().out)["placement"])
     argv = [a.format(qasm=qasm, mapped=mapped, placement=placement, dir=tmp_path) for a in argv]
-    src = str(Path(qxopt.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE, *argv], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_numpy_free(argv, 0)

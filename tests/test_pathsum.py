@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qxopt.pathsum
 import qxopt.simulator
 from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, inverse_of, random_circuit, relabel
 from qxopt.cli import main
@@ -76,12 +77,38 @@ def test_phases_are_exact_and_global_phase_is_ignored():
     assert not proves_equal(_one(GateKind.H), _one())
 
 
-def test_placement_that_does_not_fit_is_not_proven():
+def test_placement_that_does_not_fit_is_refused():
     c = Circuit(2, (cnot(0, 1),))
-    assert not proves_equal(Circuit(3, (cnot(0, 1),)), c)  # wider first circuit
-    for perm in ([0], [0, 0], [0, 2], [-1, 0]):
-        assert not proves_equal(c, c, perm)
+    for first, perm, message in (
+        (Circuit(3, (cnot(0, 1),)), None, r"placement \(identity on 3 qubits\) outside 0..1"),
+        (c, [0], "placement covers 1 qubits, circuit has 2"),
+        (c, [0, 0], r"placement is not injective: \(0, 0\)"),
+        (c, [0, 2], r"placement \(0, 2\) outside 0..1"),
+        (c, [-1, 0], r"placement \(-1, 0\) outside 0..1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            proves_equal(first, c, perm)
     assert proves_equal(c, Circuit(2, (cnot(1, 0),)), [1, 0])
+
+
+def test_gives_up_once_the_phase_outgrows_its_budget(monkeypatch):
+    rng = random.Random(1)
+    c1, c2 = random_circuit(8, 400, rng), random_circuit(8, 400, rng)
+    budget = 64 + len(c1.gates) + len(c2.gates)
+    sizes = []
+    reduce = qxopt.pathsum._PathSum.reduce
+
+    def recording(self):
+        reduce(self)
+        sizes.append(len(self.phase))
+
+    monkeypatch.setattr(qxopt.pathsum._PathSum, "reduce", recording)
+    assert not proves_equal(c1, c2)
+    # Unbounded, this unequal pair grows past 1,600 terms and stays over the
+    # budget for well over a hundred gates; bounded, the first step over it
+    # is the last.
+    assert sizes[-1] > budget
+    assert max(sizes[:-1]) <= budget
 
 
 @pytest.mark.parametrize("arch", ["qx2", "qx4"])

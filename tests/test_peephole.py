@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import search_oracle
-from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, gate_count
-from qxopt.fixtures import random_circuit
+from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, gate_count, random_circuit
 from qxopt.peephole import (
     RULES,
     simplify,

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import qxopt.placement
 import search_oracle
-from qxopt.circuit import Circuit, CostReport, GateKind, cnot, gate1, levels_of
-from qxopt.fixtures import random_circuit
+from qxopt.circuit import Circuit, CostReport, GateKind, cnot, gate1, levels_of, random_circuit
 from qxopt.placement import check_search_limit, cost_of, optimize, percent_reduction
 from qxopt.realization import build_table
 from qxopt.simulator import equivalent

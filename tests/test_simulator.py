@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from qxopt.circuit import Circuit, GateKind, cnot, gate1, relabel
-from qxopt.fixtures import random_circuit
+from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit, relabel
 from qxopt.peephole import simplify
 from qxopt.simulator import (
     equivalent,

@@ -141,6 +141,22 @@ def levels_of(gates: Iterable[Gate]) -> int:
     return depth
 
 
+def cheapest(candidates: Iterable[tuple[list[Gate], tuple]]) -> tuple[tuple, list[Gate]]:
+    """Winning `(gates, levels, tiebreak)` key and gate list among `(gate
+    list, tiebreak)` pairs: fewest gates, then fewest levels, then smallest
+    tiebreak, the first of equal keys kept. Levels only break gate-count
+    ties, so they are counted only for a candidate no longer than the best."""
+    best: tuple[tuple, list[Gate]] | None = None
+    for gates, tiebreak in candidates:
+        if best is None or len(gates) <= best[0][0]:
+            key = (len(gates), levels_of(gates), tiebreak)
+            if best is None or key < best[0]:
+                best = key, gates
+    if best is None:
+        raise ValueError("no candidates to choose from")
+    return best
+
+
 def cost_report(circuit: Circuit) -> CostReport:
     return CostReport(gate_count(circuit), level_count(circuit))
 
@@ -170,11 +186,6 @@ def relabel(circuit: Circuit, perm: Sequence[int], num_qubits: int | None = None
     check_placement(perm, width, circuit.num_qubits)
     gates = tuple(Gate(g.kind, tuple(perm[q] for q in g.qubits)) for g in circuit.gates)
     return Circuit(width, gates)
-
-
-def concat(a: Circuit, b: Circuit) -> Circuit:
-    """Sequential composition; width is the wider of the two."""
-    return Circuit(max(a.num_qubits, b.num_qubits), a.gates + b.gates)
 
 
 def random_circuit(num_qubits: int, num_gates: int, rng: random.Random) -> Circuit:

@@ -2,11 +2,11 @@
 
 Every injection of the circuit's qubits into the device qubits is scored by
 relabeling, substituting each CNOT with its table realization, and peephole
-simplifying; the cheapest mapping wins under a deterministic total order
-(gates, then levels, then lexicographically smallest placement). Levels
-only break gate-count ties, so they are counted only for placements whose
-gate count is at most the best so far. Beyond the exhaustive limit the
-search refuses instead of degrading to a heuristic.
+simplifying. The winner is picked by `circuit.cheapest`, the rule the
+realization table uses too: fewest gates, then fewest levels, then the
+lexicographically smallest placement, with levels counted only for
+placements whose gate count is at most the best so far. Beyond the
+exhaustive limit the search refuses instead of degrading to a heuristic.
 """
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .circuit import Circuit, CostReport, Gate, GateKind, check_placement, cost_report, levels_of
+from .circuit import Circuit, CostReport, Gate, GateKind, check_placement, cheapest
+from .circuit import cost_report, levels_of
 from .peephole import simplify_gates
 from .realization import RealizationTable
 from .topology import CouplingGraph
@@ -91,22 +92,15 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     """
     num_physical = _check_widths(circuit, table)
     cache: dict[tuple[GateKind, int], Gate] = {}
-    best_key: tuple | None = None
-    best_gates: list[Gate] | None = None
-    for placement in permutations(range(num_physical), circuit.num_qubits):
-        gates = simplify_gates(_mapped_gates(circuit, placement, table, cache))
-        if best_key is not None and len(gates) > best_key[0]:
-            continue
-        key = (len(gates), levels_of(gates), placement)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_gates = gates
-    assert best_key is not None and best_gates is not None
+    (gates, levels, placement), best = cheapest(
+        (simplify_gates(_mapped_gates(circuit, p, table, cache)), p)
+        for p in permutations(range(num_physical), circuit.num_qubits)
+    )
     initial = cost_report(circuit)
-    final = CostReport(best_key[0], best_key[1])
+    final = CostReport(gates, levels)
     return MappingResult(
-        placement=best_key[2],
-        mapped=Circuit(num_physical, tuple(best_gates)),
+        placement=placement,
+        mapped=Circuit(num_physical, tuple(best)),
         initial_cost=initial,
         final_cost=final,
         reduction_pct=percent_reduction(initial, final),

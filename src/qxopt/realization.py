@@ -8,16 +8,18 @@ Hadamard-conjugated, so an adjacent pair costs one gate or five. From
 distance two on, the walk may also stop one qubit short and apply a
 four-CNOT ladder across the middle qubit (two gate orders tried).
 
-Every candidate is peephole-simplified before costing, and the cheapest by
-(gates, levels, gate sequence) is kept. Every entry is an H+CNOT circuit,
-so it is Clifford: each entry is proven equal to the plain CNOT as it is
-built, by comparing stabilizer tableaus, exactly and on a device of any size.
+Every candidate is peephole-simplified, and the winner is picked by
+`circuit.cheapest`, the rule the placement search uses too: fewest gates,
+then fewest levels (counted only on gate-count ties), then gate sequence.
+Every entry is an H+CNOT circuit, so it is Clifford: each entry is proven
+equal to the plain CNOT as it is built, by comparing stabilizer tableaus,
+exactly and on a device of any size.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, GateKind, cnot, gate1, levels_of
+from .circuit import Circuit, Gate, GateKind, cheapest, cnot, gate1, levels_of
 from .peephole import simplify_gates
 from .qasm import gate_line
 from .stabilizer import equivalent
@@ -96,14 +98,6 @@ def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[Ga
     return out
 
 
-def _cost_key(gates: list[Gate]) -> tuple:
-    return (
-        len(gates),
-        levels_of(gates),
-        tuple((g.kind.name, g.qubits) for g in gates),
-    )
-
-
 def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
     """Construct the full table for a connected coupling graph.
 
@@ -116,9 +110,9 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
         for target in range(n):
             if control == target:
                 continue
-            best = min(
-                (simplify_gates(c) for c in _candidates(graph, control, target)),
-                key=_cost_key,
+            _, best = cheapest(
+                (simplified, tuple((g.kind.name, g.qubits) for g in simplified))
+                for simplified in map(simplify_gates, _candidates(graph, control, target))
             )
             sequence = Circuit(n, tuple(best))
             for g in best:

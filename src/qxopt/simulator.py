@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, relabel
+from .circuit import Circuit, Gate, GateKind, check_placement, relabel
 from .states import (
     DensityMatrix,
     NoiseSpec,
@@ -131,11 +131,12 @@ def equivalent(
     and a global phase.
 
     c1 may be narrower than c2; its extra wires are padded with identity.
-    relabel refuses a placement that does not fit c2 (so a wider c1 too),
-    and unitary_of a width past the dense cap. The phase is read off the
-    first entry where the relabeled reference is nonzero, then the whole
-    matrices must agree entrywise within `tol`.
+    `check_placement` refuses a placement that does not fit c2 (so a wider
+    c1 too), and unitary_of a width past the dense cap. The phase is read
+    off the first entry where the relabeled reference is nonzero, then the
+    whole matrices must agree entrywise within `tol`.
     """
+    check_placement(perm, c2.num_qubits, c1.num_qubits)
     if perm is None:
         perm = tuple(range(c1.num_qubits))
     # Relabeling the circuit conjugates its unitary by the placement's

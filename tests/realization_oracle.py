@@ -3,15 +3,20 @@ loop as they were before the shared swap-conjugation helper.
 
 Each of the four templates is written out by hand, adjacent pairs are
 special-cased, and the best candidate is picked by a loop that skips
-repeated cost keys. `test_realization.py` requires `build_table` to return
+repeated cost keys and counts levels for every candidate. `test_realization.py` requires `build_table` to return
 the same entries, in the same order, as `build_entries` here.
 """
 from __future__ import annotations
 
 from qxopt.circuit import Gate, cnot, levels_of
 from qxopt.peephole import simplify_gates
-from qxopt.realization import _cost_key, _ladder, _local_cnot, _swap
+from qxopt.realization import _ladder, _local_cnot, _swap
 from qxopt.topology import CouplingGraph, allows, shortest_paths
+
+
+def _cost_key(gates: list[Gate]) -> tuple:
+    """(gates, levels, gate sequence), levels counted for every candidate."""
+    return (len(gates), levels_of(gates), tuple((g.kind.name, g.qubits) for g in gates))
 
 
 def candidates(graph: CouplingGraph, control: int, target: int) -> list[list[Gate]]:

@@ -418,9 +418,7 @@ def test_search_limit_refused_before_table_is_built(
     assert "exhaustive search is limited to 8" in capsys.readouterr().err
 
 
-def test_table_dump_still_builds_beyond_search_limit(tmp_path, monkeypatch, capsys):
-    # Dense verification of 72 entries at 9 qubits is slow and beside the point.
-    monkeypatch.setattr(qxopt.cli, "build_table", lambda graph: build_table(graph, verify=False))
+def test_table_dump_still_builds_beyond_search_limit(tmp_path, capsys):
     path = tmp_path / "line9.txt"
     path.write_text("qubits 9\n" + "".join(f"{q} {q + 1}\n" for q in range(8)))
     assert main(["table", "dump", "--arch", f"@{path}"]) == 0

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import qxopt.circuit
 import realization_oracle
-from qxopt.circuit import Circuit, GateKind, cnot, gate1, gate_count
-from qxopt.realization import RealizationError, _swap, build_table, dump_text, lookup
+from qxopt.circuit import Circuit, GateKind, cnot, gate1, gate_count, levels_of
+from qxopt.realization import RealizationError, _candidates, _swap, build_table, dump_text, lookup
 from qxopt.simulator import equivalent, unitary_of
 from qxopt.topology import allows, builtin, distance, load
 
@@ -124,6 +127,20 @@ def test_dump_text_lists_every_pair_with_cost(qx2_table):
     assert "cx q[0],q[1];" in text
 
 
+def test_build_counts_levels_only_for_gate_count_ties(monkeypatch):
+    counted = []
+
+    def counting_levels_of(gates):
+        counted.append(len(gates))
+        return levels_of(gates)
+
+    monkeypatch.setattr(qxopt.circuit, "levels_of", counting_levels_of)
+    graph = builtin("qx2")
+    build_table(graph)
+    candidates = sum(len(_candidates(graph, c, t)) for c in range(5) for t in range(5) if c != t)
+    assert 0 < len(counted) < candidates
+
+
 def _ring(n: int, chords: str = "", reversed_edges: frozenset = frozenset()) -> str:
     edges = [(q, (q + 1) % n) for q in range(n)]
     edges = [(b, a) if i in reversed_edges else (a, b) for i, (a, b) in enumerate(edges)]
@@ -142,6 +159,11 @@ DIFFERENTIAL_DEVICES = {
         + "".join(f"{q} {q + 3}\n" for q in range(6)),
         name="grid3x3",
     ),
+    # The 2x4 ladder the benchmark maps onto: rails and rungs alternate direction.
+    "ladder8": lambda: load(
+        "qubits 8\n# rails\n0 1\n2 1\n2 3\n4 5\n6 5\n6 7\n# rungs\n0 4\n5 1\n2 6\n7 3\n",
+        name="ladder8",
+    ),
 }
 
 
@@ -154,3 +176,16 @@ def test_build_table_matches_hand_written_generator(device):
         for pair, entry in table.entries.items()
     ]
     assert got == realization_oracle.build_entries(graph)
+
+
+@pytest.mark.parametrize(
+    "device,digest",
+    [
+        ("qx2", "6049de64dc08507dbc9327d9b32a3b57d95d7a3fb6de7d7caccaf6f6bffd547a"),
+        ("qx4", "fd13ba1e87822cac467d5b1a8b277915cf7835743e303672d41c675960622f60"),
+        ("ladder8", "bc159f8449a8c4f8fafc40b064c213e842708f2eb87a5f894dfa4d3f7677be60"),
+    ],
+)
+def test_dump_text_is_pinned(device, digest):
+    text = dump_text(build_table(DIFFERENTIAL_DEVICES[device]()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

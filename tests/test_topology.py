@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from qxopt.topology import allows, bfs, builtin, distance, load, shortest_paths
 
@@ -83,6 +86,21 @@ def test_distance_and_shortest_paths():
     assert shortest_paths(g, 1, 4) == [[1, 2, 4]]
     # 0 and 3 connect through 2 only at distance two
     assert shortest_paths(g, 0, 3) == [[0, 2, 3]]
+
+
+@given(st.integers(0, 10_000))
+def test_shortest_paths_come_sorted_and_shortest(seed):
+    # A random spanning tree plus random extra couplings.
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    edges = {(rng.randrange(q), q) for q in range(1, n)}
+    edges |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))}
+    g = load(f"qubits {n}\n" + "".join(f"{a} {b}\n" for a, b in sorted(edges)))
+    for a in range(n):
+        for b in range(n):
+            paths = shortest_paths(g, a, b)
+            assert paths and paths == sorted(paths)
+            assert all(len(p) == distance(g, a, b) + 1 for p in paths)
 
 
 def test_neighbors_are_undirected():

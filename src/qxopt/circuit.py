@@ -4,6 +4,12 @@ The IR is deliberately small: nine gate kinds, immutable gates and circuits,
 and two cost metrics (gate count and level count under ASAP scheduling).
 Everything downstream (routing, placement, peephole rewriting, simulation)
 works on these values.
+
+The placement search and the realization-table build run on gates coded as
+plain ints instead (`encode`/`decode`): the kind's index in `GateKind` in
+the low 4 bits, then one `bits`-wide field per qubit, the first qubit
+lowest. `field_bits` sizes the field from the circuit's or device's width;
+Python ints are unbounded, so no qubit index can wrap into its neighbor.
 """
 from __future__ import annotations
 
@@ -70,6 +76,43 @@ class Gate:
             raise ValueError(f"negative qubit index: {self.qubits}")
 
 
+# Kind of each gate-code index, and the index of each kind.
+KINDS = tuple(GateKind)
+KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
+# CNOT's index, 8, is the only one with bit 3 set: `code & 8` tests for it.
+CNOT_CODE = KIND_CODE[GateKind.CNOT]
+
+
+def field_bits(width: int) -> int:
+    """Bits per qubit field in the codes of gates on wires 0..width-1."""
+    return max(1, (width - 1).bit_length())
+
+
+def gate1_code(kind: GateKind, qubit: int) -> int:
+    return KIND_CODE[kind] | qubit << 4
+
+
+def cnot_code(control: int, target: int, bits: int) -> int:
+    return CNOT_CODE | control << 4 | target << 4 + bits
+
+
+def encode(gates: Iterable[Gate], bits: int) -> list[int]:
+    """One int per gate, laid out as by `gate1_code` and `cnot_code`; every
+    qubit must fit in a `bits`-wide field."""
+    shift = 4 + bits
+    return [
+        KIND_CODE[g.kind] | g.qubits[0] << 4 | (g.qubits[1] << shift if len(g.qubits) == 2 else 0)
+        for g in gates
+    ]
+
+
+def decode(code: int, bits: int) -> Gate:
+    """The gate coded as `code` by `encode` with `bits`-wide qubit fields."""
+    if code & 8:
+        return Gate(GateKind.CNOT, (code >> 4 & (1 << bits) - 1, code >> 4 + bits))
+    return Gate(KINDS[code & 15], (code >> 4,))
+
+
 def cnot(control: int, target: int) -> Gate:
     return Gate(GateKind.CNOT, (control, target))
 
@@ -130,28 +173,44 @@ def level_count(circuit: Circuit) -> int:
 
 
 def levels_of(gates: Iterable[Gate]) -> int:
+    gates = list(gates)
+    bits = field_bits(1 + max((q for g in gates for q in g.qubits), default=0))
+    return code_levels(encode(gates, bits), bits)
+
+
+def code_levels(codes: Iterable[int], bits: int) -> int:
+    """Depth of the gates coded as `codes`, scheduled as `level_count` does."""
+    shift = 4 + bits
+    mask = (1 << bits) - 1
     busy_until: dict[int, int] = {}
     depth = 0
-    for g in gates:
-        level = 1 + max((busy_until.get(q, 0) for q in g.qubits), default=0)
-        for q in g.qubits:
-            busy_until[q] = level
+    for code in codes:
+        if code & 8:
+            q = code >> 4 & mask
+            other = code >> shift
+            level = 1 + max(busy_until.get(q, 0), busy_until.get(other, 0))
+            busy_until[other] = level
+        else:
+            q = code >> 4
+            level = 1 + busy_until.get(q, 0)
+        busy_until[q] = level
         if level > depth:
             depth = level
     return depth
 
 
-def cheapest(candidates: Iterable[tuple[list[Gate], tuple]]) -> tuple[tuple, list[Gate]]:
-    """Winning `(gates, levels, tiebreak)` key and gate list among `(gate
-    list, tiebreak)` pairs: fewest gates, then fewest levels, then smallest
-    tiebreak, the first of equal keys kept. Levels only break gate-count
-    ties, so they are counted only for a candidate no longer than the best."""
-    best: tuple[tuple, list[Gate]] | None = None
-    for gates, tiebreak in candidates:
-        if best is None or len(gates) <= best[0][0]:
-            key = (len(gates), levels_of(gates), tiebreak)
+def cheapest(candidates: Iterable[tuple[list[int], tuple]], bits: int) -> tuple[tuple, list[int]]:
+    """Winning `(gates, levels, tiebreak)` key and code list among `(gate
+    code list, tiebreak)` pairs, coded with `bits`-wide qubit fields: fewest
+    gates, then fewest levels, then smallest tiebreak, the first of equal
+    keys kept. Levels only break gate-count ties, so they are counted only
+    for a candidate no longer than the best."""
+    best: tuple[tuple, list[int]] | None = None
+    for codes, tiebreak in candidates:
+        if best is None or len(codes) <= best[0][0]:
+            key = (len(codes), code_levels(codes, bits), tiebreak)
             if best is None or key < best[0]:
-                best = key, gates
+                best = key, codes
     if best is None:
         raise ValueError("no candidates to choose from")
     return best

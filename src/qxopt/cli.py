@@ -3,6 +3,11 @@
 Subcommands: optimize, simplify, verify, bench, mermin, fidelity, table dump.
 Exit codes: 0 success, 1 usage error, 2 verification failure.
 
+`optimize` and `simplify` check their output against the input before
+writing it, and exit 2 without writing anything on a mismatch. `simplify`
+still writes a circuit that neither checker can decide (the path sum gave
+up and it is past the dense cap), and says on stderr that it is unverified.
+
 The analysis modules import numpy, so `mermin` and `fidelity` import them in
 their handlers; the other commands load numpy only when the path sum cannot
 prove a pair and `bench.equivalent` falls back to the dense simulator.
@@ -169,16 +174,30 @@ def _cmd_simplify(args) -> int:
     circuit = _read_circuit(args.infile, args.strict)
     if args.trace:
         simplified, trace = simplify_with_trace(circuit)
-        for firing in trace:
-            print(f"{firing.rule} at {firing.position} on qubits {firing.qubits}")
     else:
-        simplified = simplify(circuit)
+        simplified, trace = simplify(circuit), []
+    try:
+        verified = bench_mod.equivalent(circuit, simplified)
+    except ValueError as exc:
+        # The path sum gave up and the circuit is past the dense cap.
+        verified, undecided = None, exc
+    if verified is False:
+        print(
+            f"error: {args.infile}: simplified circuit is not equivalent to the input; "
+            "nothing written",
+            file=sys.stderr,
+        )
+        return 2
+    for firing in trace:
+        print(f"{firing.rule} at {firing.position} on qubits {firing.qubits}")
     text = emit(simplified)
     if args.outfile:
         Path(args.outfile).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     print(f"gates: {len(circuit.gates)} -> {len(simplified.gates)}", file=sys.stderr)
+    if verified is None:
+        print(f"warning: {args.infile}: output unverified: {undecided}", file=sys.stderr)
     return 0
 
 

@@ -6,8 +6,16 @@ together. Each qubit keeps an index of the pending gates on it, so a
 gate's candidate partner is found in constant time instead of by scanning
 back. Rules only cancel inverse pairs or merge phase gates, so each
 firing strictly shrinks the circuit. The single pass already leaves no
-rule that could fire (see simplify_gates). The test suite proves each
-rule against the dense simulator, so nothing re-proves them at run time.
+rule that could fire (see rewrite). The test suite proves each rule
+against the dense simulator, so nothing re-proves them at run time.
+
+The engine, `rewrite`, runs on integer gate codes (see `circuit.encode`:
+kind index in the low 4 bits, then one field per qubit). Two codes act on
+identical qubits when `(p ^ c) >> 4 == 0`, and the rule for a kind pair is
+read from a flat 256-entry list. The placement search and the realization
+table call `rewrite` on codes directly and decode only their winners;
+`simplify_gates`, `simplify` and `simplify_with_trace` encode their input,
+rewrite it and decode the result, so all of them share one engine.
 
 Deliberately NOT exploited: algebraic commutations (e.g. Z-diagonal gates
 through CNOT controls). This is the smallest engine that removes repeated
@@ -17,8 +25,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import KIND_CODE, Circuit, Gate, GateKind, decode, encode, field_bits
 
 
 @dataclass(frozen=True)
@@ -44,7 +53,19 @@ RULES: tuple[RewriteRule, ...] = (
     RewriteRule("merge-sdgsdg-z", (GateKind.SDG, GateKind.SDG), (GateKind.Z,)),
 )
 
-_RULE_BY_PAIR = {rule.pattern: rule for rule in RULES}
+
+def _rule_slots() -> list[tuple[str, int] | None]:
+    """The rule for a pending gate of kind index p and an incoming one of
+    kind index c at slot `p << 4 | c`, as (name, merged kind index or -1)."""
+    slots: list[tuple[str, int] | None] = [None] * 256
+    for rule in RULES:
+        first, second = (KIND_CODE[kind] for kind in rule.pattern)
+        merged = KIND_CODE[rule.replacement[0]] if rule.replacement else -1
+        slots[first << 4 | second] = (rule.name, merged)
+    return slots
+
+
+_RULE_AT = _rule_slots()
 
 
 @dataclass(frozen=True)
@@ -57,15 +78,18 @@ class RuleFiring:
     qubits: tuple[int, ...]
 
 
-def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> list[Gate]:
-    """Rewrite a raw gate list to its fixpoint in one pass. Core of simplify().
+def rewrite(codes: list[int], bits: int, trace: list[RuleFiring] | None = None) -> list[int]:
+    """Rewrite gate codes with `bits`-wide qubit fields to their fixpoint in
+    one pass; with `trace`, append each firing to it.
 
     A gate's only possible partner is the last pending gate that touches
     any of its qubits. Each qubit keeps a stack of indices into `pending`
     for the gates on it, so that partner is found in constant time: the top
     of the qubit's stack for a 1-qubit gate, and for a CNOT the top shared
-    by both stacks (different tops mean no match). A deleted gate becomes a
-    `None` tombstone and leaves the stacks of its qubits, whose top it was.
+    by both stacks (different tops mean no match). The stacks live in a
+    dict, so a circuit on a few wires with large indices costs no more than
+    one on wires 0, 1, 2. A deleted gate becomes a -1 tombstone and leaves
+    the stacks of its qubits, whose top it was.
 
     Invariant: no two gates in `pending` match. A firing deletes pending[i],
     and every gate after index i is disjoint from its qubits. A pair that
@@ -73,45 +97,75 @@ def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> 
     those qubits, so the deletion creates no new match and a second pass
     could never fire.
     """
-    pending: list[Gate | None] = []
+    shift = 4 + bits
+    mask = (1 << bits) - 1
+    rule_at = _RULE_AT
+    pending: list[int] = []
     stacks: defaultdict[int, list[int]] = defaultdict(list)
-    for gate in gates:
-        qubits = gate.qubits
-        while True:
-            stack = stacks[qubits[0]]
-            i = stack[-1] if stack else -1
-            if i >= 0 and len(qubits) == 2:
-                other = stacks[qubits[1]]
-                if not other or other[-1] != i:
-                    i = -1
-            rule = None
-            if i >= 0 and pending[i].qubits == qubits:
-                rule = _RULE_BY_PAIR.get((pending[i].kind, gate.kind))
+    for code in codes:
+        # A merged gate keeps its qubits, so its stacks stay the same.
+        if code & 8:
+            stack, other = stacks[code >> 4 & mask], stacks[code >> shift]
+        else:
+            stack, other = stacks[code >> 4], None
+        while stack:
+            i = stack[-1]
+            if other is not None and (not other or other[-1] != i):
+                break
+            partner = pending[i]
+            if (partner ^ code) >> 4:
+                break
+            rule = rule_at[(partner & 15) << 4 | code & 15]
             if rule is None:
-                for q in qubits:
-                    stacks[q].append(len(pending))
-                pending.append(gate)
                 break
+            name, merged = rule
             if trace is not None:
-                position = sum(g is not None for g in pending[:i])
-                trace.append(RuleFiring(rule.name, position, qubits))
-            pending[i] = None
-            for q in qubits:
-                stacks[q].pop()
-            if not rule.replacement:
+                position = sum(c >= 0 for c in pending[:i])
+                trace.append(RuleFiring(name, position, decode(code, bits).qubits))
+            pending[i] = -1
+            stack.pop()
+            if other is not None:
+                other.pop()
+            if merged < 0:
+                code = -1
                 break
-            # Merged gate keeps walking: it may combine again.
-            gate = Gate(rule.replacement[0], qubits)
-    return [g for g in pending if g is not None]
+            # A merged gate keeps walking: it may combine again.
+            code = code >> 4 << 4 | merged
+        if code >= 0:
+            stack.append(len(pending))
+            if other is not None:
+                other.append(len(pending))
+            pending.append(code)
+    return [c for c in pending if c >= 0]
+
+
+def _simplify(gates: Sequence[Gate], bits: int, trace: list[RuleFiring] | None) -> list[Gate]:
+    """`rewrite` on the codes of `gates`. A gate the rules left alone comes
+    back as the input's own object; only merged gates are decoded anew."""
+    codes = encode(gates, bits)
+    out = rewrite(codes, bits, trace)
+    simplified = list(map(dict(zip(codes, gates)).get, out))
+    # A merged gate whose code the input lacks reads None; a Gate is truthy.
+    if not all(simplified):
+        simplified = [g or decode(c, bits) for g, c in zip(simplified, out)]
+    return simplified
+
+
+def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> list[Gate]:
+    """Rewrite a raw gate list to its fixpoint in one pass, as `simplify`
+    does a circuit; the qubit fields are sized from its highest qubit."""
+    width = 1 + max((q for g in gates for q in g.qubits), default=0)
+    return _simplify(gates, field_bits(width), trace)
 
 
 def simplify(circuit: Circuit) -> Circuit:
     """Apply the rule set until no rule fires; unitary preserved up to
     global phase, gate count never increases."""
-    return Circuit(circuit.num_qubits, tuple(simplify_gates(list(circuit.gates))))
+    gates = _simplify(circuit.gates, field_bits(circuit.num_qubits), None)
+    return Circuit(circuit.num_qubits, tuple(gates))
 
 
 def simplify_with_trace(circuit: Circuit) -> tuple[Circuit, list[RuleFiring]]:
     trace: list[RuleFiring] = []
-    out = Circuit(circuit.num_qubits, tuple(simplify_gates(list(circuit.gates), trace)))
-    return out, trace
+    gates = _simplify(circuit.gates, field_bits(circuit.num_qubits), trace)
+    return Circuit(circuit.num_qubits, tuple(gates)), trace

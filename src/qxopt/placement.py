@@ -7,17 +7,24 @@ realization table uses too: fewest gates, then fewest levels, then the
 lexicographically smallest placement, with levels counted only for
 placements whose gate count is at most the best so far. Beyond the
 exhaustive limit the search refuses instead of degrading to a heuristic.
+
+The search runs on integer gate codes (see `circuit.encode`), with qubit
+fields sized for the device: the table entries are encoded once per call,
+each placement's mapped circuit is built straight as codes and rewritten by
+`peephole.rewrite`, and only the winner is decoded back to `Gate`s.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .circuit import Circuit, CostReport, Gate, GateKind, check_placement, cheapest
-from .circuit import cost_report, levels_of
-from .peephole import simplify_gates
+from .circuit import Circuit, CostReport, check_placement, cheapest, code_levels, cost_report
+from .circuit import decode, encode, field_bits
+from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
+from .peephole import rewrite
+from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
 from .realization import RealizationTable
 from .topology import CouplingGraph
 
@@ -44,25 +51,30 @@ def percent_reduction(initial: CostReport, final: CostReport) -> tuple[int, int]
     return (pct(initial.gates, final.gates), pct(initial.levels, final.levels))
 
 
-def _mapped_gates(
-    circuit: Circuit,
-    placement: Sequence[int],
-    table: RealizationTable,
-    cache: dict[tuple[GateKind, int], Gate],
-) -> list[Gate]:
-    out: list[Gate] = []
-    entries = table.entries
-    for g in circuit.gates:
-        if g.kind is GateKind.CNOT:
-            out.extend(entries[(placement[g.qubits[0]], placement[g.qubits[1]])].sequence.gates)
-        else:
-            key = (g.kind, placement[g.qubits[0]])
-            gate = cache.get(key)
-            if gate is None:
-                gate = Gate(g.kind, (key[1],))
-                cache[key] = gate
-            out.append(gate)
-    return out
+def _mapper(circuit: Circuit, table: RealizationTable, bits: int) -> Callable[[Sequence[int]], list[int]]:
+    """Function from a placement to the gate codes (`bits`-wide qubit
+    fields) of `circuit` mapped under it: each CNOT replaced by its table
+    entry, each 1-qubit gate moved to its physical qubit."""
+    n = table.graph.num_physical
+    entries: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for (control, target), entry in table.entries.items():
+        entries[control][target] = encode(entry.sequence.gates, bits)
+    logical_bits = field_bits(circuit.num_qubits)
+    shift = 4 + logical_bits
+    mask = (1 << logical_bits) - 1
+    logical = encode(circuit.gates, logical_bits)
+
+    def mapped(placement: Sequence[int]) -> list[int]:
+        out: list[int] = []
+        for code in logical:
+            if code & 8:
+                out += entries[placement[code >> 4 & mask]][placement[code >> shift]]
+            else:
+                # `gate1_code` of the same kind on the physical qubit.
+                out.append(code & 15 | placement[code >> 4] << 4)
+        return out
+
+    return mapped
 
 
 def check_search_limit(graph: CouplingGraph) -> None:
@@ -91,16 +103,20 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     not executable on the device as-is.
     """
     num_physical = _check_widths(circuit, table)
-    cache: dict[tuple[GateKind, int], Gate] = {}
+    bits = field_bits(num_physical)
+    mapped = _mapper(circuit, table, bits)
     (gates, levels, placement), best = cheapest(
-        (simplify_gates(_mapped_gates(circuit, p, table, cache)), p)
-        for p in permutations(range(num_physical), circuit.num_qubits)
+        (
+            (rewrite(mapped(p), bits), p)
+            for p in permutations(range(num_physical), circuit.num_qubits)
+        ),
+        bits,
     )
     initial = cost_report(circuit)
     final = CostReport(gates, levels)
     return MappingResult(
         placement=placement,
-        mapped=Circuit(num_physical, tuple(best)),
+        mapped=Circuit(num_physical, tuple(decode(c, bits) for c in best)),
         initial_cost=initial,
         final_cost=final,
         reduction_pct=percent_reduction(initial, final),
@@ -114,5 +130,6 @@ def cost_of(
 ) -> CostReport:
     """Cost of relabel -> substitute -> simplify under one fixed placement."""
     check_placement(placement, table.graph.num_physical, circuit.num_qubits)
-    gates = simplify_gates(_mapped_gates(circuit, placement, table, {}))
-    return CostReport(len(gates), levels_of(gates))
+    bits = field_bits(table.graph.num_physical)
+    codes = rewrite(_mapper(circuit, table, bits)(placement), bits)
+    return CostReport(len(codes), code_levels(codes, bits))

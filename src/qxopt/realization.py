@@ -8,19 +8,25 @@ Hadamard-conjugated, so an adjacent pair costs one gate or five. From
 distance two on, the walk may also stop one qubit short and apply a
 four-CNOT ladder across the middle qubit (two gate orders tried).
 
-Every candidate is peephole-simplified, and the winner is picked by
-`circuit.cheapest`, the rule the placement search uses too: fewest gates,
-then fewest levels (counted only on gate-count ties), then gate sequence.
-Every entry is an H+CNOT circuit, so it is Clifford: each entry is proven
-equal to the plain CNOT as it is built, by comparing stabilizer tableaus,
-exactly and on a device of any size.
+The templates emit integer gate codes (see `circuit.encode`), never
+`Gate`s. Every candidate is rewritten by `peephole.rewrite`, the engine the
+placement search uses, and the winner is picked by `circuit.cheapest`, the
+rule the search uses too: fewest gates, then fewest levels (counted only on
+gate-count ties), then gate sequence, ordered as the tuple of each gate's
+(kind name, qubits). Only each pair's winner is decoded. Every entry is an
+H+CNOT circuit, so it is Clifford: each entry is proven equal to the plain
+CNOT as it is built, by comparing stabilizer tableaus, exactly and on a
+device of any size.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, GateKind, cheapest, cnot, gate1, levels_of
-from .peephole import simplify_gates
+from .circuit import KINDS, Circuit, GateKind, cheapest, cnot, cnot_code, decode, field_bits
+from .circuit import gate1_code
+from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.realization.levels_of`
+from .peephole import rewrite
+from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.realization.simplify_gates`
 from .qasm import gate_line
 from .stabilizer import equivalent
 from .topology import CouplingGraph, allows, shortest_paths
@@ -43,44 +49,48 @@ class RealizationTable:
     entries: dict[tuple[int, int], RealizationEntry]
 
 
-def _local_cnot(graph: CouplingGraph, control: int, target: int) -> list[Gate]:
+def _local_cnot(graph: CouplingGraph, control: int, target: int, bits: int) -> list[int]:
     """CNOT between adjacent qubits: native edge, or H-conjugated reverse."""
     if (control, target) in graph.edges:
-        return [cnot(control, target)]
+        return [cnot_code(control, target, bits)]
     if (target, control) in graph.edges:
-        h_pair = [gate1(GateKind.H, control), gate1(GateKind.H, target)]
-        return h_pair + [cnot(target, control)] + h_pair
+        h_pair = [gate1_code(GateKind.H, control), gate1_code(GateKind.H, target)]
+        return h_pair + [cnot_code(target, control, bits)] + h_pair
     raise RealizationError(f"qubits {control} and {target} are not adjacent")
 
 
-def _swap(graph: CouplingGraph, a: int, b: int) -> list[Gate]:
+def _swap(graph: CouplingGraph, a: int, b: int, bits: int) -> list[int]:
     """SWAP as CNOT(a, b), CNOT(b, a), CNOT(a, b), with `a` and `b` exchanged
     first unless (a, b) is an edge; the middle CNOT is `_local_cnot`'s, so it
     is H-conjugated on a one-way edge and raises on a non-adjacent pair."""
     if (a, b) not in graph.edges:
         a, b = b, a
-    return [cnot(a, b)] + _local_cnot(graph, b, a) + [cnot(a, b)]
+    outer = cnot_code(a, b, bits)
+    return [outer] + _local_cnot(graph, b, a, bits) + [outer]
 
 
-def _ladder(graph: CouplingGraph, a: int, mid: int, b: int, order: int) -> list[Gate]:
+def _ladder(graph: CouplingGraph, a: int, mid: int, b: int, order: int, bits: int) -> list[int]:
     """CNOT(a, b) across middle qubit `mid` as four local CNOTs."""
-    first = _local_cnot(graph, a, mid)
-    second = _local_cnot(graph, mid, b)
+    first = _local_cnot(graph, a, mid, bits)
+    second = _local_cnot(graph, mid, b, bits)
     if order == 0:
         return first + second + first + second
     return second + first + second + first
 
 
 def _conjugated(
-    graph: CouplingGraph, pairs: list[tuple[int, int]], middle: list[Gate]
-) -> list[Gate]:
+    graph: CouplingGraph, pairs: list[tuple[int, int]], middle: list[int], bits: int
+) -> list[int]:
     """SWAP along each pair in turn, apply `middle`, then undo the SWAPs."""
-    swaps = [_swap(graph, a, b) for a, b in pairs]
+    swaps = [_swap(graph, a, b, bits) for a, b in pairs]
     return [g for s in swaps for g in s] + middle + [g for s in reversed(swaps) for g in s]
 
 
-def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[Gate]]:
-    out: list[list[Gate]] = []
+def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[int]]:
+    """Gate codes, with `field_bits(graph.num_physical)`-wide qubit fields,
+    of every candidate realization of CNOT(control, target)."""
+    bits = field_bits(graph.num_physical)
+    out: list[list[int]] = []
     for path in shortest_paths(graph, control, target):
         k = len(path) - 1
         # Walk the control's content toward the target, then the target's toward
@@ -88,14 +98,30 @@ def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[Ga
         for walk, step in ((path, 1), (path[::-1], -1)):
             pairs = list(zip(walk, walk[1:]))
             near, far = (walk[k - 1], walk[k])[::step]
-            out.append(_conjugated(graph, pairs[: k - 1], _local_cnot(graph, near, far)))
+            out.append(_conjugated(graph, pairs[: k - 1], _local_cnot(graph, near, far, bits), bits))
             if k >= 2:
                 # Stop at distance two and ladder across the middle qubit.
                 near, far = (walk[k - 2], walk[k])[::step]
                 for order in (0, 1):
-                    ladder = _ladder(graph, near, walk[k - 1], far, order)
-                    out.append(_conjugated(graph, pairs[: k - 2], ladder))
+                    ladder = _ladder(graph, near, walk[k - 1], far, order, bits)
+                    out.append(_conjugated(graph, pairs[: k - 2], ladder, bits))
     return out
+
+
+# Each kind index's rank among the kind names: `_tiebreak` orders code
+# lists as the tuples of their gates' (kind name, qubits) order.
+_NAME_RANK = [sorted(kind.name for kind in KINDS).index(kind.name) for kind in KINDS]
+
+
+def _tiebreak(codes: list[int], bits: int) -> tuple[int, ...]:
+    """Per gate, (kind name rank, first qubit, second qubit or 0) packed in
+    one int; two gates of one kind have the same arity, so this orders as
+    (kind.name, qubits) does."""
+    shift = 4 + bits
+    mask = (1 << bits) - 1
+    return tuple(
+        _NAME_RANK[c & 15] << 2 * bits | (c >> 4 & mask) << bits | c >> shift for c in codes
+    )
 
 
 def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
@@ -105,17 +131,23 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
     CNOT up to global phase by its stabilizer tableau, on any device.
     """
     n = graph.num_physical
+    bits = field_bits(n)
     entries: dict[tuple[int, int], RealizationEntry] = {}
     for control in range(n):
         for target in range(n):
             if control == target:
                 continue
-            _, best = cheapest(
-                (simplified, tuple((g.kind.name, g.qubits) for g in simplified))
-                for simplified in map(simplify_gates, _candidates(graph, control, target))
+            (total, levels, _), best = cheapest(
+                (
+                    (simplified, _tiebreak(simplified, bits))
+                    for simplified in (
+                        rewrite(codes, bits) for codes in _candidates(graph, control, target)
+                    )
+                ),
+                bits,
             )
-            sequence = Circuit(n, tuple(best))
-            for g in best:
+            sequence = Circuit(n, tuple(decode(c, bits) for c in best))
+            for g in sequence.gates:
                 if g.kind is GateKind.CNOT and not allows(graph, *g.qubits):
                     raise RealizationError(
                         f"entry ({control},{target}) uses illegal CNOT{g.qubits}"
@@ -124,7 +156,7 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
                 raise RealizationError(
                     f"entry ({control},{target}) does not implement its CNOT"
                 )
-            entries[(control, target)] = RealizationEntry(sequence, len(best), levels_of(best))
+            entries[(control, target)] = RealizationEntry(sequence, total, levels)
     return RealizationTable(graph, entries)
 
 

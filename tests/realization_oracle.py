@@ -1,17 +1,43 @@
 """Reference table construction: the candidate generator and the selection
-loop as they were before the shared swap-conjugation helper.
+loop as they were before the shared swap-conjugation helper and the gate
+codes.
 
-Each of the four templates is written out by hand, adjacent pairs are
-special-cased, and the best candidate is picked by a loop that skips
-repeated cost keys and counts levels for every candidate. `test_realization.py` requires `build_table` to return
-the same entries, in the same order, as `build_entries` here.
+The templates build `Gate`s, each of the four walks is written out by
+hand, adjacent pairs are special-cased, candidates are simplified by the
+backward-scan pass of `search_oracle`, and the best candidate is picked by
+a loop that skips repeated cost keys and counts levels for every candidate.
+`test_realization.py` requires `build_table` to return the same entries,
+in the same order, as `build_entries` here.
 """
 from __future__ import annotations
 
-from qxopt.circuit import Gate, cnot, levels_of
-from qxopt.peephole import simplify_gates
-from qxopt.realization import _ladder, _local_cnot, _swap
+from qxopt.circuit import Gate, GateKind, cnot, gate1, levels_of
+from qxopt.realization import RealizationError
 from qxopt.topology import CouplingGraph, allows, shortest_paths
+from search_oracle import simplify_gates
+
+
+def _local_cnot(graph: CouplingGraph, control: int, target: int) -> list[Gate]:
+    if (control, target) in graph.edges:
+        return [cnot(control, target)]
+    if (target, control) in graph.edges:
+        h_pair = [gate1(GateKind.H, control), gate1(GateKind.H, target)]
+        return h_pair + [cnot(target, control)] + h_pair
+    raise RealizationError(f"qubits {control} and {target} are not adjacent")
+
+
+def _swap(graph: CouplingGraph, a: int, b: int) -> list[Gate]:
+    if (a, b) not in graph.edges:
+        a, b = b, a
+    return [cnot(a, b)] + _local_cnot(graph, b, a) + [cnot(a, b)]
+
+
+def _ladder(graph: CouplingGraph, a: int, mid: int, b: int, order: int) -> list[Gate]:
+    first = _local_cnot(graph, a, mid)
+    second = _local_cnot(graph, mid, b)
+    if order == 0:
+        return first + second + first + second
+    return second + first + second + first
 
 
 def _cost_key(gates: list[Gate]) -> tuple:

@@ -1,26 +1,74 @@
-"""Reference search: the peephole pass and the placement loop as they were
-before the per-qubit index and the tie-only level count.
+"""Reference search: the peephole pass and the placement loop in their
+plain, `Gate`-based forms.
 
-`simplify_gates` finds a gate's partner by scanning `pending` backward for
-the last overlapping gate, and deletes matched gates from the list in place.
+`stack_simplify_gates` is the single-pass stack machine on `Gate`s, as it
+ran before the engine moved to integer gate codes. `simplify_gates` finds a
+gate's partner by scanning `pending` backward for the last overlapping
+gate, and deletes matched gates from the list in place.
 `simplify_to_fixpoint` repeats that pass until a whole pass fires nothing.
+`mapped_gates` builds a placement's mapped circuit as `Gate`s, and
 `optimize` counts levels for every placement. Slow, but each step is the
 plain definition, so the differential tests in `test_peephole.py` and
 `test_placement.py` compare the shipped code against them.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import permutations
+from typing import Sequence
 
 from qxopt.circuit import Circuit, Gate, GateKind, cost_report, levels_of
-from qxopt.peephole import _RULE_BY_PAIR, RuleFiring
-from qxopt.placement import (
-    MappingResult,
-    _check_widths,
-    _mapped_gates,
-    percent_reduction,
-)
+from qxopt.peephole import RULES, RuleFiring
+from qxopt.placement import MappingResult, _check_widths, percent_reduction
 from qxopt.realization import RealizationTable
+
+_RULE_BY_PAIR = {rule.pattern: rule for rule in RULES}
+
+
+def mapped_gates(circuit: Circuit, placement: Sequence[int], table: RealizationTable) -> list[Gate]:
+    """Each CNOT replaced by its table entry, each 1-qubit gate relabeled."""
+    out: list[Gate] = []
+    for g in circuit.gates:
+        if g.kind is GateKind.CNOT:
+            out.extend(table.entries[(placement[g.qubits[0]], placement[g.qubits[1]])].sequence.gates)
+        else:
+            out.append(Gate(g.kind, (placement[g.qubits[0]],)))
+    return out
+
+
+def stack_simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> list[Gate]:
+    """The single pass with per-qubit stacks of indices into `pending`: a
+    1-qubit gate's partner is the top of its qubit's stack, a CNOT's the top
+    shared by both stacks. A deleted gate becomes a `None` tombstone."""
+    pending: list[Gate | None] = []
+    stacks: defaultdict[int, list[int]] = defaultdict(list)
+    for gate in gates:
+        qubits = gate.qubits
+        while True:
+            stack = stacks[qubits[0]]
+            i = stack[-1] if stack else -1
+            if i >= 0 and len(qubits) == 2:
+                other = stacks[qubits[1]]
+                if not other or other[-1] != i:
+                    i = -1
+            rule = None
+            if i >= 0 and pending[i].qubits == qubits:
+                rule = _RULE_BY_PAIR.get((pending[i].kind, gate.kind))
+            if rule is None:
+                for q in qubits:
+                    stacks[q].append(len(pending))
+                pending.append(gate)
+                break
+            if trace is not None:
+                position = sum(g is not None for g in pending[:i])
+                trace.append(RuleFiring(rule.name, position, qubits))
+            pending[i] = None
+            for q in qubits:
+                stacks[q].pop()
+            if not rule.replacement:
+                break
+            gate = Gate(rule.replacement[0], qubits)
+    return [g for g in pending if g is not None]
 
 
 def _overlaps(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -70,13 +118,12 @@ def simplify_to_fixpoint(gates: list[Gate], trace: list[RuleFiring]) -> list[Gat
 
 
 def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
-    """Exhaustive placement that counts levels for every placement."""
+    """Exhaustive placement on `Gate`s that counts levels for every placement."""
     num_physical = _check_widths(circuit, table)
-    cache: dict[tuple[GateKind, int], Gate] = {}
     best_key: tuple | None = None
     best_gates: list[Gate] | None = None
     for placement in permutations(range(num_physical), circuit.num_qubits):
-        gates = simplify_gates(_mapped_gates(circuit, placement, table, cache))
+        gates = simplify_gates(mapped_gates(circuit, placement, table))
         key = (len(gates), levels_of(gates), placement)
         if best_key is None or key < best_key:
             best_key = key

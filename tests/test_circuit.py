@@ -11,6 +11,9 @@ from qxopt.circuit import (
     Gate,
     GateKind,
     cnot,
+    decode,
+    encode,
+    field_bits,
     gate1,
     gate_count,
     inverse_of,
@@ -89,6 +92,25 @@ def test_level_count_matches_oracle_on_random_circuits(seed):
     c = random_circuit(rng.randint(1, 5), rng.randint(0, 30), rng)
     assert level_count(c) == _oracle_levels(c)
     assert level_count(c) <= gate_count(c)
+
+
+@given(st.integers(0, 400), st.sampled_from([(0, 1, 2, 3), (0, 1, 255, 256), (5, 65_535, 65_536, 70_000)]))
+def test_gate_codes_round_trip_and_count_levels_on_wide_wires(seed, wires):
+    rng = random.Random(seed)
+    c = relabel(random_circuit(4, rng.randint(0, 30), rng), wires, 70_001)
+    bits = field_bits(c.num_qubits)
+    assert bits == 17
+    assert [decode(code, bits) for code in encode(c.gates, bits)] == list(c.gates)
+    assert level_count(c) == _oracle_levels(c)
+
+
+def test_field_bits_cover_every_wire():
+    assert field_bits(1) == 1
+    for width in (2, 3, 4, 5, 8, 9, 256, 257, 70_000, 2**40 + 1):
+        bits = field_bits(width)
+        assert 1 << bits - 1 < width <= 1 << bits
+        gates = [cnot(width - 1, 0), gate1(GateKind.TDG, width - 1)]
+        assert [decode(code, bits) for code in encode(gates, bits)] == gates
 
 
 @given(st.integers(0, 200), st.integers(0, 200))

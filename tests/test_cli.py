@@ -13,6 +13,7 @@ import pytest
 
 import qxopt.bench
 import qxopt.cli
+import qxopt.peephole
 from qxopt.bench import bench_directory, bench_file, render_csv, render_markdown
 from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit
 from qxopt.cli import main
@@ -150,6 +151,38 @@ def test_simplify_command(tmp_path, capsys):
     assert main(["simplify", "--in", str(src), "--out", str(out), "--trace"]) == 0
     assert "cancel-hh" in capsys.readouterr().out
     assert parse(out.read_text()).gates == parse("qreg q[1]; t q[0];").gates
+
+
+@pytest.mark.parametrize("flags", [[], ["--trace"]], ids=["plain", "trace"])
+def test_simplify_refuses_to_emit_unverified_result(flags, routing_file, tmp_path, monkeypatch, capsys):
+    def dropping(circuit):
+        out = qxopt.peephole.simplify(circuit)
+        return Circuit(out.num_qubits, out.gates[:-1])
+
+    def dropping_with_trace(circuit):
+        out, trace = qxopt.peephole.simplify_with_trace(circuit)
+        return Circuit(out.num_qubits, out.gates[:-1]), trace
+
+    monkeypatch.setattr(qxopt.cli, "simplify", dropping)
+    monkeypatch.setattr(qxopt.cli, "simplify_with_trace", dropping_with_trace)
+    out = tmp_path / "out.qasm"
+    assert main(["simplify", "--in", str(routing_file), "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert "not equivalent" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_simplify_marks_output_no_checker_decides_as_unverified(tmp_path, monkeypatch, capsys):
+    # Eleven qubits is past the dense cap, and the path sum is made to give up.
+    monkeypatch.setattr(qxopt.bench, "proves_equal", lambda *args: False)
+    src = tmp_path / "wide.qasm"
+    src.write_text("qreg q[11];\nh q[10];\nh q[10];\nt q[0];\n")
+    out = tmp_path / "out.qasm"
+    assert main(["simplify", "--in", str(src), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "unverified" in err and "dense-simulation cap" in err
+    assert parse(out.read_text()).gates == (gate1(GateKind.T, 0),)
 
 
 def test_verify_reflexive_through_pipeline(routing_file, tmp_path, capsys):
@@ -563,12 +596,22 @@ def _run_numpy_free(argv: list[str], code: int) -> subprocess.CompletedProcess:
         ["optimize", "--arch", "qx4", "--in", "{qasm}", "--report", "json"],
         ["optimize", "--arch", "qx2", "--in", "{qasm}", "--report", "csv"],
         ["simplify", "--in", "{qasm}"],
+        ["simplify", "--in", "{qasm}", "--out", "{dir}/simplified.qasm", "--trace"],
         ["table", "dump", "--arch", "qx4"],
         ["verify", "{qasm}", "{mapped}", "--placement", "{placement}"],
         ["verify", "--random", "5", "--arch", "qx2", "--seed", "3"],
         ["bench", "{dir}", "--arch", "qx4"],
     ],
-    ids=["optimize-json", "optimize-csv", "simplify", "table-dump", "verify", "verify-random", "bench"],
+    ids=[
+        "optimize-json",
+        "optimize-csv",
+        "simplify",
+        "simplify-out-trace",
+        "table-dump",
+        "verify",
+        "verify-random",
+        "bench",
+    ],
 )
 def test_mapping_commands_leave_numpy_unimported(argv, tmp_path, capsys):
     qasm = tmp_path / "mermin.qasm"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from qxopt.peephole import (
     simplify_gates,
     simplify_with_trace,
 )
-from qxopt.placement import _mapped_gates
 from qxopt.simulator import unitary_of
 
 
@@ -97,15 +97,21 @@ def test_simplify_preserves_unitary_and_is_monotone_idempotent(seed):
             assert _phase_equal(u_in, u_out, tol=1e-9)
 
 
-def _assert_single_pass_matches_oracles(gates):
-    """Same gates and the same RuleFiring traces as the backward-scan pass
-    and the fixpoint loop; the untraced run gives the same gates."""
-    got_trace, scan_trace, fix_trace = [], [], []
+def _assert_single_pass_matches_oracles(gates, width=None):
+    """Same gates and the same RuleFiring traces from the code engine, the
+    Gate stack machine, the backward-scan pass and the fixpoint loop; the
+    untraced run gives the same gates, and so does `simplify` on a circuit
+    of `width` wires."""
+    got_trace, stack_trace, scan_trace, fix_trace = [], [], [], []
     got = simplify_gates(gates, got_trace)
+    assert got == search_oracle.stack_simplify_gates(gates, stack_trace)
     assert got == search_oracle.simplify_gates(gates, scan_trace)
     assert got == search_oracle.simplify_to_fixpoint(gates, fix_trace)
-    assert got_trace == scan_trace == fix_trace
+    assert got_trace == stack_trace == scan_trace == fix_trace
     assert simplify_gates(gates) == got
+    if width is not None:
+        out, trace = simplify_with_trace(Circuit(width, tuple(gates)))
+        assert list(out.gates) == got and trace == got_trace
 
 
 @settings(deadline=None, max_examples=200)
@@ -113,7 +119,7 @@ def _assert_single_pass_matches_oracles(gates):
 def test_single_pass_equals_fixpoint_on_random_circuits(seed):
     rng = random.Random(seed)
     c = random_circuit(rng.randint(1, 5), rng.randint(0, 60), rng)
-    _assert_single_pass_matches_oracles(list(c.gates))
+    _assert_single_pass_matches_oracles(list(c.gates), c.num_qubits)
 
 
 @settings(deadline=None, max_examples=100)
@@ -123,27 +129,43 @@ def test_single_pass_equals_fixpoint_on_mapped_gates(qx2_table, qx4_table, seed,
     table = qx2_table if arch == "qx2" else qx4_table
     c = random_circuit(rng.randint(1, 5), rng.randint(0, 40), rng)
     placement = rng.sample(range(5), c.num_qubits)
-    _assert_single_pass_matches_oracles(_mapped_gates(c, placement, table, {}))
+    _assert_single_pass_matches_oracles(search_oracle.mapped_gates(c, placement, table), 5)
 
 
-# Three qubits only, so most gates find a partner: cancellations, merge
-# chains (T T T T -> Z), CNOTs in both orientations, and matches across
-# gates on disjoint qubits.
-_GATE = st.one_of(
-    st.builds(
-        gate1,
-        st.sampled_from([k for k in GateKind if k is not GateKind.CNOT]),
-        st.integers(0, 2),
-    ),
-    st.builds(
-        lambda pair: cnot(*pair),
-        st.permutations([0, 1, 2]).map(lambda p: (p[0], p[1])),
-    ),
-)
+def _gates_on(wires):
+    """Gates on a few wires, so that most gates find a partner:
+    cancellations, merge chains (T T T T -> Z), CNOTs in both orientations,
+    and matches across gates on disjoint qubits."""
+    wire = st.sampled_from(wires)
+    return st.lists(
+        st.one_of(
+            st.builds(gate1, st.sampled_from([k for k in GateKind if k is not GateKind.CNOT]), wire),
+            st.builds(lambda pair: cnot(*pair), st.lists(wire, min_size=2, max_size=2, unique=True)),
+        ),
+        max_size=40,
+    )
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(_GATE, max_size=40))
+@given(_gates_on((0, 1, 2)))
 def test_stack_lookup_matches_backward_scan_on_dense_firings(gates):
-    _assert_single_pass_matches_oracles(gates)
+    _assert_single_pass_matches_oracles(gates, 3)
 
+
+# Wires at and past 8-bit and 16-bit qubit fields. Each set pairs wires that
+# agree in their low bits (0 and 256, 112 and 70,000), so a qubit field too
+# narrow for the width would alias them and match or block the wrong gates.
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([(0, 1, 256, 257), (112, 113, 70_000, 70_001)]).flatmap(_gates_on))
+def test_code_engine_matches_oracles_on_wide_wires(gates):
+    _assert_single_pass_matches_oracles(gates, 70_002)
+
+
+def test_sparse_wide_circuit_is_fast():
+    # Three gates on wire 99,999: per-qubit stacks cost nothing per unused wire.
+    c = Circuit(100_000, (gate1(GateKind.T, 99_999),) * 2 + (gate1(GateKind.S, 99_999),))
+    assert simplify(c).gates == (gate1(GateKind.Z, 99_999),)
+    start = time.perf_counter()
+    for _ in range(100):
+        simplify(c)
+    assert time.perf_counter() - start < 0.1

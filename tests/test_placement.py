@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import qxopt.circuit
 import search_oracle
-from qxopt.circuit import Circuit, CostReport, GateKind, cnot, gate1, levels_of, random_circuit
+from qxopt.circuit import Circuit, CostReport, GateKind, cnot, code_levels, gate1, random_circuit
 from qxopt.placement import check_search_limit, cost_of, optimize, percent_reduction
 from qxopt.realization import build_table
 from qxopt.simulator import equivalent
@@ -222,11 +222,11 @@ def test_levels_break_gate_count_tie_found_late(tables, arch, placement):
 def test_levels_counted_only_for_gate_count_ties(qx2_table, monkeypatch):
     counted = []
 
-    def counting_levels_of(gates):
-        counted.append(len(gates))
-        return levels_of(gates)
+    def counting_code_levels(codes, bits):
+        counted.append(len(codes))
+        return code_levels(codes, bits)
 
-    monkeypatch.setattr(qxopt.circuit, "levels_of", counting_levels_of)
+    monkeypatch.setattr(qxopt.circuit, "code_levels", counting_code_levels)
     result = optimize(TWO_CNOTS, qx2_table)
     # The initial cost is counted once; every other count is the search's.
     assert 1 < len(counted) < len(list(permutations(range(5), 3)))

@@ -5,7 +5,7 @@ import pytest
 
 import qxopt.circuit
 import realization_oracle
-from qxopt.circuit import Circuit, GateKind, cnot, gate1, gate_count, levels_of
+from qxopt.circuit import Circuit, GateKind, cnot, code_levels, decode, field_bits, gate1, gate_count
 from qxopt.realization import RealizationError, _candidates, _swap, build_table, dump_text, lookup
 from qxopt.simulator import equivalent, unitary_of
 from qxopt.topology import allows, builtin, distance, load
@@ -43,12 +43,13 @@ def _h(q):
     ids=["two-way", "two-way-reversed", "forward", "forward-reversed", "reverse", "reverse-reversed"],
 )
 def test_swap_gates_are_pinned(edges, a, b, expected):
-    assert _swap(load("qubits 2\n" + edges), a, b) == expected
+    bits = field_bits(2)
+    assert [decode(c, bits) for c in _swap(load("qubits 2\n" + edges), a, b, bits)] == expected
 
 
 def test_swap_of_non_adjacent_pair_raises():
     with pytest.raises(RealizationError, match="not adjacent"):
-        _swap(load("qubits 3\n0 1\n1 2\n"), 0, 2)
+        _swap(load("qubits 3\n0 1\n1 2\n"), 0, 2, field_bits(3))
 
 
 def test_qx2_distant_pair_within_paper_bound(qx2_table):
@@ -130,11 +131,11 @@ def test_dump_text_lists_every_pair_with_cost(qx2_table):
 def test_build_counts_levels_only_for_gate_count_ties(monkeypatch):
     counted = []
 
-    def counting_levels_of(gates):
-        counted.append(len(gates))
-        return levels_of(gates)
+    def counting_code_levels(codes, bits):
+        counted.append(len(codes))
+        return code_levels(codes, bits)
 
-    monkeypatch.setattr(qxopt.circuit, "levels_of", counting_levels_of)
+    monkeypatch.setattr(qxopt.circuit, "code_levels", counting_code_levels)
     graph = builtin("qx2")
     build_table(graph)
     candidates = sum(len(_candidates(graph, c, t)) for c in range(5) for t in range(5) if c != t)

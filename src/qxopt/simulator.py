@@ -2,8 +2,11 @@
 
 Caps: 10 qubits for unitaries and state vectors, 6 for density matrices.
 States, unitaries and density matrices are dense arrays, but a gate is never
-a 2^n x 2^n matrix: one kernel applies its 2x2 matrix (or, for CNOT, a row
-permutation) to the 2^n rows of whatever array it acts on.
+a 2^n x 2^n matrix. On vectors and unitaries one kernel, `_apply`, applies
+its 2x2 matrix (or, for CNOT, a row permutation) to the 2^n rows of the
+array. A density matrix is a (2,)*2n tensor instead, and each gate together
+with its depolarizing noise is one superoperator, contracted with the row
+and column axes of the qubits it touches.
 """
 from __future__ import annotations
 
@@ -79,17 +82,32 @@ def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVect
     return StateVector(amp)
 
 
-_PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
+_CNOT_LOCAL = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # local index 2*control + target
+
+# One qubit's depolarizing channel (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
+# equals (1 - 4p/3) rho + (2p/3) tr(rho) I, since the four Pauli conjugates
+# of rho sum to 2 tr(rho) I. As 4x4 matrices on (row, column) index pairs:
+_IDENTITY_MAP = np.eye(4)
+_TRACE_MAP = np.outer(np.eye(2).ravel(), np.eye(2).ravel())
 
 
-def _depolarize(rho: np.ndarray, qubit: int, p: float, num_qubits: int) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    mix = np.zeros_like(rho)
-    for kind in _PAULIS:
-        pauli = Gate(kind, (qubit,))
-        mix += _apply(pauli, _apply(pauli, rho, num_qubits).conj().T, num_qubits).conj().T
-    return (1.0 - p) * rho + (p / 3.0) * mix
+def _superoperator(kind: GateKind, p: float) -> np.ndarray:
+    """The gate, then p-depolarizing on each qubit it touches, as a (2,)*4k
+    tensor on k qubits. Its axes are the (row, column) pairs of the output,
+    one per qubit in the gate's order, then those of the input."""
+    k = kind.arity
+    u = (_CNOT_LOCAL if kind is GateKind.CNOT else GATE_MATRICES[kind]).reshape((2,) * (2 * k))
+    # U rho U^dagger: entry (a, b, c, d) is U[a, c] conj(U[b, d]). np.multiply.outer
+    # lays its axes out as a, c, b, d; pair each qubit's a with b and c with d.
+    paired = [ax for j in range(k) for ax in (j, 2 * k + j)]
+    paired += [ax for j in range(k) for ax in (k + j, 3 * k + j)]
+    conjugation = np.multiply.outer(u, u.conj()).transpose(paired).reshape(4**k, 4**k)
+    depolarize = (1.0 - 4.0 * p / 3.0) * _IDENTITY_MAP + (2.0 * p / 3.0) * _TRACE_MAP
+    channel = np.ones((1, 1))
+    for _ in range(k):
+        channel = np.multiply.outer(channel, depolarize).transpose(0, 2, 1, 3)
+        channel = channel.reshape(4 * len(channel), -1)
+    return (channel @ conjugation).reshape((2,) * (4 * k))
 
 
 def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
@@ -97,15 +115,19 @@ def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
     depolarizing channel to every qubit a gate touches, after the gate."""
     n = circuit.num_qubits
     _check_width(n, MAX_DENSITY_QUBITS)
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
+    # Row axis n-1-q and column axis 2n-1-q belong to qubit q.
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
+    superops: dict[tuple[GateKind, float], np.ndarray] = {}
     for g in circuit.gates:
-        # U rho U^dagger as two left-multiplications: (U (U rho)^dagger)^dagger.
-        rho = _apply(g, _apply(g, rho, n).conj().T, n).conj().T
         p = noise.p2 if g.kind.arity == 2 else noise.p1
-        for q in g.qubits:
-            rho = _depolarize(rho, q, p, n)
-    out = DensityMatrix(rho)
+        op = superops.get((g.kind, p))
+        if op is None:
+            op = superops[(g.kind, p)] = _superoperator(g.kind, p)
+        axes = [ax for q in g.qubits for ax in (n - 1 - q, 2 * n - 1 - q)]
+        k = len(axes)
+        rho = np.moveaxis(np.tensordot(op, rho, (range(k, 2 * k), axes)), range(k), axes)
+    out = DensityMatrix(rho.reshape(2**n, 2**n))
     out.validate()
     return out
 

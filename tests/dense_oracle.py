@@ -1,10 +1,12 @@
 """Reference simulator: the dense gate paths that `qxopt.simulator` used
-before it applied every gate through one kernel.
+before it applied every gate through one kernel, and every gate and its
+noise on a density matrix as one superoperator.
 
 Each gate here is a full 2^n x 2^n matrix built from Kronecker products (or
-a dense CNOT permutation), and placements are dense permutation matrices.
+a dense CNOT permutation), depolarizing noise is the explicit sum of the
+three Pauli conjugations, and placements are dense permutation matrices.
 Slow, but every step is plain linear algebra, so the differential tests in
-`test_simulator.py` compare the shipped kernel against it.
+`test_simulator.py` compare the shipped kernels against it.
 """
 from __future__ import annotations
 

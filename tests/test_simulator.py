@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
+from qxopt import simulator
 from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit, relabel
 from qxopt.peephole import simplify
 from qxopt.simulator import (
@@ -135,10 +136,12 @@ def test_equivalent_rejects_wider_first_circuit():
 
 
 def test_run_noisy_zero_noise_is_pure_ideal():
-    c = Circuit(2, (gate1(GateKind.H, 0), cnot(0, 1)))
-    rho = run_noisy(c, NoiseSpec(p1=0.0, p2=0.0))
-    psi = run_ideal(c).amplitudes
-    assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) < 1e-12
+    bell = Circuit(2, (gate1(GateKind.H, 0), cnot(0, 1)))
+    at_cap = random_circuit(6, 40, random.Random(6))  # the density-matrix cap
+    for c in (bell, at_cap):
+        rho = run_noisy(c, NoiseSpec(p1=0.0, p2=0.0))
+        psi = run_ideal(c).amplitudes
+        assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) < 1e-12
 
 
 def test_run_noisy_full_depolarize_after_x():
@@ -164,6 +167,34 @@ def test_depolarizing_channel_is_cptp_on_random_circuits(seed):
     eigs = np.linalg.eigvalsh(rho.matrix)
     assert abs(np.trace(rho.matrix).real - 1.0) < 1e-10
     assert float(np.min(eigs)) > -1e-10
+
+
+def test_run_noisy_builds_one_superoperator_per_kind_and_strength(monkeypatch):
+    built = []
+    real = simulator._superoperator
+
+    def counting(kind, p):
+        built.append((kind, p))
+        return real(kind, p)
+
+    monkeypatch.setattr(simulator, "_superoperator", counting)
+    gates = (
+        gate1(GateKind.H, 0),
+        gate1(GateKind.H, 2),
+        cnot(0, 1),
+        gate1(GateKind.T, 1),
+        cnot(2, 0),
+        gate1(GateKind.H, 1),
+        cnot(1, 2),
+        gate1(GateKind.T, 0),
+    )
+    run_noisy(Circuit(3, gates), NoiseSpec(p1=0.01, p2=0.02))
+    assert len(built) == 3
+    assert set(built) == {(GateKind.H, 0.01), (GateKind.T, 0.01), (GateKind.CNOT, 0.02)}
+    # Each call builds its own: a second call with other strengths builds anew.
+    built.clear()
+    run_noisy(Circuit(3, gates), NoiseSpec(p1=0.03, p2=0.03))
+    assert len(built) == 3
 
 
 def test_run_noisy_width_cap():
@@ -216,8 +247,17 @@ def test_unitary_and_run_ideal_match_dense_oracle(seed):
 @given(st.integers(0, 10_000))
 def test_run_noisy_matches_dense_oracle(seed):
     rng = random.Random(seed)
-    c = random_circuit(rng.randint(1, 4), rng.randint(0, 20), rng)
-    noise = NoiseSpec(p1=rng.random() * 0.2, p2=rng.random() * 0.2)
+    n = rng.randint(1, 6)
+    gates = list(random_circuit(n, rng.randint(0, 20), rng).gates)
+    if n >= 3:
+        # CNOTs across at least one wire, control above and below the target.
+        lo = rng.randrange(n - 2)
+        hi = rng.randrange(lo + 2, n)
+        for g in (cnot(lo, hi), cnot(hi, lo)):
+            gates.insert(rng.randint(0, len(gates)), g)
+    c = Circuit(n, tuple(gates))
+    p1, p2 = (rng.choice((0.0, 1.0, rng.random(), rng.random())) for _ in range(2))
+    noise = NoiseSpec(p1=p1, p2=p2)
     got = run_noisy(c, noise).matrix
     want = dense_oracle.run_noisy(c, noise).matrix
     assert np.max(np.abs(got - want)) < 1e-12

@@ -2,11 +2,15 @@
 
 Caps: 10 qubits for unitaries and state vectors, 6 for density matrices.
 States, unitaries and density matrices are dense arrays, but a gate is never
-a 2^n x 2^n matrix. On vectors and unitaries one kernel, `_apply`, applies
-its 2x2 matrix (or, for CNOT, a row permutation) to the 2^n rows of the
-array. A density matrix is a (2,)*2n tensor instead, and each gate together
-with its depolarizing noise is one superoperator, contracted with the row
-and column axes of the qubits it touches.
+a 2^n x 2^n matrix. Vectors and unitaries go through one kernel, `_evolve`.
+Every gate but H is monomial (one nonzero per matrix row), so a run of them
+is one row permutation and one phase per row: the kernel folds each such
+gate into a pending (source row, phase) pair of length 2^n and touches the
+array only to apply that pair, in one gather-and-scale pass, before each H
+and at the end. H is the one gate that passes over the array by itself. A
+density matrix is a (2,)*2n tensor instead, and each gate together with its
+depolarizing noise is one superoperator, contracted with the row and column
+axes of the qubits it touches.
 """
 from __future__ import annotations
 
@@ -41,16 +45,71 @@ GATE_MATRICES: dict[GateKind, np.ndarray] = {
 }
 
 
-def _apply(gate: Gate, rows: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Left-multiply `rows` (a 2^n vector or a 2^n x k block) by one gate,
-    qubit 0 = least-significant bit. The only place a gate acts on an array."""
-    if gate.kind is GateKind.CNOT:
-        control, target = gate.qubits
-        idx = np.arange(rows.shape[0])
-        return rows[idx ^ (((idx >> control) & 1) << target)]
-    (q,) = gate.qubits
+def _monomial(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """A monomial 2x2 matrix as (flip, phases): output bit b reads input bit
+    b ^ flip, scaled by phases[b]."""
+    flip = int(m[0, 0] == 0)
+    return flip, m[[0, 1], [flip, 1 - flip]]
+
+
+_MONOMIAL = {k: _monomial(m) for k, m in GATE_MATRICES.items() if k is not GateKind.H}
+
+
+def _gather(rows: np.ndarray | None, src: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Row i of the result is phase[i] * rows[src[i]]; `rows=None` is the
+    identity, whose result is one scatter into a zero matrix."""
+    dim = len(src)
+    if rows is None:
+        out = np.zeros((dim, dim), dtype=complex)
+        out[np.arange(dim), src] = phase
+        return out
+    out = rows[src]
+    out *= phase.reshape((dim,) + (1,) * (rows.ndim - 1))
+    return out
+
+
+def _hadamard(rows: np.ndarray, q: int, num_qubits: int) -> np.ndarray:
     shaped = rows.reshape(2 ** (num_qubits - 1 - q), 2, -1)
-    return (GATE_MATRICES[gate.kind] @ shaped).reshape(rows.shape)
+    return (GATE_MATRICES[GateKind.H] @ shaped).reshape(rows.shape)
+
+
+def _evolve(gates: tuple[Gate, ...], rows: np.ndarray | None, num_qubits: int) -> np.ndarray:
+    """Left-multiply `rows` (a 2^n vector or a 2^n x k block; None is the
+    2^n identity) by the gates in order, qubit 0 = least-significant bit.
+    The one kernel through which gates act on vectors and unitaries.
+    Returns a new array.
+
+    The monomial gates since the last array pass are held as a pending
+    (src, phase) pair, applied by `_gather` before each H and at the end,
+    so a circuit with k H gates passes over the array at most 2k + 1 times.
+    """
+    idx = np.arange(2**num_qubits)
+    ones = np.ones(len(idx), dtype=complex)  # never written: every fold makes new arrays
+    src, phase, pending = idx, ones, True
+    for g in gates:
+        if g.kind is GateKind.H:
+            if pending:
+                rows = _gather(rows, src, phase)
+                src, phase, pending = idx, ones, False
+            rows = _hadamard(rows, g.qubits[0], num_qubits)
+            continue
+        # Composing gate (g_src, g_phase) after the pending pair gives
+        # src[g_src] and g_phase * phase[g_src].
+        if g.kind is GateKind.CNOT:
+            control, target = g.qubits
+            g_src = idx ^ (((idx >> control) & 1) << target)
+            src, phase = src[g_src], phase[g_src]
+        else:
+            (q,) = g.qubits
+            flip, phases = _MONOMIAL[g.kind]
+            if flip:
+                g_src = idx ^ (1 << q)
+                src, phase = src[g_src], phase[g_src]
+            phase = phase * phases[(idx >> q) & 1]
+        pending = True
+    if pending:
+        rows = _gather(rows, src, phase)
+    return rows
 
 
 def _check_width(num_qubits: int, cap: int) -> None:
@@ -61,10 +120,7 @@ def _check_width(num_qubits: int, cap: int) -> None:
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Product of the circuit's gate unitaries, in circuit order."""
     _check_width(circuit.num_qubits, MAX_STATE_QUBITS)
-    u = np.eye(2**circuit.num_qubits, dtype=complex)
-    for g in circuit.gates:
-        u = _apply(g, u, circuit.num_qubits)
-    return u
+    return _evolve(circuit.gates, None, circuit.num_qubits)
 
 
 def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -76,10 +132,7 @@ def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVect
         raise ValueError(
             f"initial state has {initial.num_qubits} qubits, circuit {circuit.num_qubits}"
         )
-    amp = initial.amplitudes.copy()
-    for g in circuit.gates:
-        amp = _apply(g, amp, circuit.num_qubits)
-    return StateVector(amp)
+    return StateVector(_evolve(circuit.gates, initial.amplitudes, circuit.num_qubits))
 
 
 _CNOT_LOCAL = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # local index 2*control + target
@@ -156,7 +209,9 @@ def equivalent(
     `check_placement` refuses a placement that does not fit c2 (so a wider
     c1 too), and unitary_of a width past the dense cap. The phase is read
     off the first entry where the relabeled reference is nonzero, then the
-    whole matrices must agree entrywise within `tol`.
+    whole matrices must agree entrywise within `tol`. That entry lies in
+    row 0: a unitary's row has norm 1, so row 0 holds an entry of magnitude
+    at least 2^(-n/2), far above the 1e-9 threshold.
     """
     check_placement(perm, c2.num_qubits, c1.num_qubits)
     if perm is None:
@@ -166,14 +221,13 @@ def equivalent(
     reference = unitary_of(relabel(c1, perm, c2.num_qubits))
     u2 = unitary_of(c2)
 
-    flat_ref = reference.ravel()
-    anchors = np.flatnonzero(np.abs(flat_ref) > 1e-9)
-    if anchors.size == 0:
-        return False
-    anchor = anchors[0]
-    phase = u2.ravel()[anchor] / flat_ref[anchor]
+    anchor = int(np.argmax(np.abs(reference[0]) > 1e-9))
+    phase = u2[0, anchor] / reference[0, anchor]
     mag = abs(phase)
     if mag < 1e-12:
         return False
     phase /= mag
-    return float(np.max(np.abs(u2 - phase * reference))) <= tol
+    # phase * reference - u2, in place: only np.abs allocates a 2^n x 2^n array.
+    reference *= phase
+    reference -= u2
+    return float(np.max(np.abs(reference))) <= tol

@@ -1,10 +1,11 @@
-"""Reference simulator: the dense gate paths that `qxopt.simulator` used
-before it applied every gate through one kernel, and every gate and its
-noise on a density matrix as one superoperator.
+"""Reference simulator: dense gate paths that `qxopt.simulator` no longer runs.
 
-Each gate here is a full 2^n x 2^n matrix built from Kronecker products (or
-a dense CNOT permutation), depolarizing noise is the explicit sum of the
-three Pauli conjugations, and placements are dense permutation matrices.
+`apply_gate` is the per-gate kernel that unitaries and state vectors went
+through before the simulator gathered each run of monomial gates into one
+row pass: one pass over the array per gate. Everything else builds each
+gate as a full 2^n x 2^n matrix from Kronecker products (or a dense CNOT
+permutation), depolarizing noise as the explicit sum of the three Pauli
+conjugations, and placements as dense permutation matrices.
 Slow, but every step is plain linear algebra, so the differential tests in
 `test_simulator.py` compare the shipped kernels against it.
 """
@@ -32,6 +33,25 @@ def embedded_gate(gate: Gate, num_qubits: int) -> np.ndarray:
         np.kron(np.eye(2 ** (num_qubits - 1 - q)), GATE_MATRICES[gate.kind]),
         np.eye(2**q),
     )
+
+
+def apply_gate(gate: Gate, rows: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Left-multiply `rows` (a 2^n vector or a 2^n x k block) by one gate,
+    qubit 0 = least-significant bit, in one pass over the array."""
+    if gate.kind is GateKind.CNOT:
+        control, target = gate.qubits
+        idx = np.arange(rows.shape[0])
+        return rows[idx ^ (((idx >> control) & 1) << target)]
+    (q,) = gate.qubits
+    shaped = rows.reshape(2 ** (num_qubits - 1 - q), 2, -1)
+    return (GATE_MATRICES[gate.kind] @ shaped).reshape(rows.shape)
+
+
+def evolve_by_gate(circuit: Circuit, rows: np.ndarray) -> np.ndarray:
+    """`rows` after the circuit's gates, applied one `apply_gate` at a time."""
+    for g in circuit.gates:
+        rows = apply_gate(g, rows, circuit.num_qubits)
+    return rows
 
 
 def _check_width(num_qubits: int, cap: int) -> None:

@@ -243,6 +243,85 @@ def test_unitary_and_run_ideal_match_dense_oracle(seed):
     assert np.max(np.abs(run_ideal(c, psi).amplitudes - reference @ psi.amplitudes)) < 1e-12
 
 
+# The kernel against the per-gate kernel it replaced, one pass over the array
+# per gate, at every width up to 9.
+
+
+def _monomial_gates(n, num_gates, rng):
+    """A random circuit's gates without its H gates."""
+    return [g for g in random_circuit(n, num_gates, rng).gates if g.kind is not GateKind.H]
+
+
+def _random_state(rng, n):
+    nprng = np.random.default_rng(rng.randrange(2**32))
+    amp = nprng.standard_normal(2**n) + 1j * nprng.standard_normal(2**n)
+    return StateVector(amp / np.linalg.norm(amp))
+
+
+def _assert_matches_per_gate_oracle(c, rng):
+    dim = 2**c.num_qubits
+    identity = np.eye(dim, dtype=complex)
+    assert np.max(np.abs(unitary_of(c) - dense_oracle.evolve_by_gate(c, identity))) < 1e-12
+    basis = basis_state(c.num_qubits).amplitudes
+    want = dense_oracle.evolve_by_gate(c, basis)
+    assert np.max(np.abs(run_ideal(c).amplitudes - want)) < 1e-12
+    psi = _random_state(rng, c.num_qubits)
+    want = dense_oracle.evolve_by_gate(c, psi.amplitudes)
+    assert np.max(np.abs(run_ideal(c, psi).amplitudes - want)) < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000))
+def test_unitary_and_run_ideal_match_per_gate_oracle(seed):
+    rng = random.Random(seed)
+    c = random_circuit(rng.randint(1, 9), rng.randint(0, 40), rng)
+    _assert_matches_per_gate_oracle(c, rng)
+
+
+@pytest.mark.parametrize("shape", ["h-free", "h-only", "ends-monomial"])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kernel_shapes_match_per_gate_oracle(shape, n):
+    rng = random.Random(f"{shape}/{n}")
+    if shape == "h-free":  # the whole matrix comes from one scatter
+        gates = _monomial_gates(n, 30, rng)
+    elif shape == "h-only":
+        gates = [gate1(GateKind.H, rng.randrange(n)) for _ in range(12)]
+    else:  # H gates inside, then a monomial run applied at the end
+        gates = list(random_circuit(n, 20, rng).gates) + [gate1(GateKind.H, 0)]
+        gates += _monomial_gates(n, 10, rng)
+    _assert_matches_per_gate_oracle(Circuit(n, tuple(gates)), rng)
+
+
+def test_kernel_passes_over_the_array_at_most_twice_per_h(monkeypatch):
+    passes = []
+    real_gather, real_hadamard = simulator._gather, simulator._hadamard
+
+    def gather(rows, src, phase):
+        passes.append("gather")
+        return real_gather(rows, src, phase)
+
+    def hadamard(rows, q, num_qubits):
+        passes.append("H")
+        return real_hadamard(rows, q, num_qubits)
+
+    monkeypatch.setattr(simulator, "_gather", gather)
+    monkeypatch.setattr(simulator, "_hadamard", hadamard)
+    rng = random.Random(13)
+    for n in (2, 5, 9):
+        for _ in range(5):
+            c = random_circuit(n, 40, rng)
+            k = sum(g.kind is GateKind.H for g in c.gates)
+            for run in (lambda: unitary_of(c), lambda: run_ideal(c)):
+                passes.clear()
+                run()
+                assert passes.count("H") == k
+                assert len(passes) <= 2 * k + 1
+    h_free = Circuit(9, tuple(_monomial_gates(9, 60, rng)))
+    passes.clear()
+    unitary_of(h_free)
+    assert passes == ["gather"]
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10_000))
 def test_run_noisy_matches_dense_oracle(seed):

@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.
 writing it, and exit 2 without writing anything on a mismatch. `simplify`
 still writes a circuit that neither checker can decide (the path sum gave
 up and it is past the dense cap), and says on stderr that it is unverified.
+A command that builds a realization table exits 2 if an entry fails its
+proof.
 
 The analysis modules import numpy, so `mermin` and `fidelity` import them in
 their handlers; the other commands load numpy only when the path sum cannot
@@ -27,7 +29,7 @@ from .circuit import Circuit, random_circuit
 from .peephole import simplify, simplify_with_trace
 from .placement import check_search_limit
 from .qasm import emit, parse_report
-from .realization import RealizationTable, build_table, dump_text
+from .realization import RealizationError, RealizationTable, build_table, dump_text
 from .topology import CouplingGraph, builtin, load
 
 
@@ -300,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except RealizationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

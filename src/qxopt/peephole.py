@@ -23,6 +23,7 @@ Hadamards and collapses swap-sequence overlap.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
@@ -89,7 +90,9 @@ def rewrite(codes: list[int], bits: int, trace: list[RuleFiring] | None = None) 
     by both stacks (different tops mean no match). The stacks live in a
     dict, so a circuit on a few wires with large indices costs no more than
     one on wires 0, 1, 2. A deleted gate becomes a -1 tombstone and leaves
-    the stacks of its qubits, whose top it was.
+    the stacks of its qubits, whose top it was. With `trace`, the sorted
+    tombstone indices give a firing's position among the live gates by
+    bisection.
 
     Invariant: no two gates in `pending` match. A firing deletes pending[i],
     and every gate after index i is disjoint from its qubits. A pair that
@@ -101,6 +104,7 @@ def rewrite(codes: list[int], bits: int, trace: list[RuleFiring] | None = None) 
     mask = (1 << bits) - 1
     rule_at = _RULE_AT
     pending: list[int] = []
+    dead: list[int] | None = [] if trace is not None else None
     stacks: defaultdict[int, list[int]] = defaultdict(list)
     for code in codes:
         # A merged gate keeps its qubits, so its stacks stay the same.
@@ -119,9 +123,10 @@ def rewrite(codes: list[int], bits: int, trace: list[RuleFiring] | None = None) 
             if rule is None:
                 break
             name, merged = rule
-            if trace is not None:
-                position = sum(c >= 0 for c in pending[:i])
+            if dead is not None:
+                position = i - bisect_left(dead, i)
                 trace.append(RuleFiring(name, position, decode(code, bits).qubits))
+                insort(dead, i)
             pending[i] = -1
             stack.pop()
             if other is not None:

@@ -18,6 +18,14 @@ def bitstring(index: int, num_qubits: int) -> str:
     return format(index, f"0{num_qubits}b")
 
 
+def _num_qubits(size: int, what: str) -> int:
+    """Qubits of a `size`-long state space; refuses a size that is not a
+    power of two of at least 2."""
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"{what} {size} is not a power of two")
+    return size.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class StateVector:
     amplitudes: np.ndarray
@@ -25,9 +33,7 @@ class StateVector:
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex).ravel()
         object.__setattr__(self, "amplitudes", amp)
-        n = amp.shape[0]
-        if n < 2 or n & (n - 1):
-            raise ValueError(f"amplitude vector length {n} is not a power of two")
+        _num_qubits(amp.shape[0], "amplitude vector length")
 
     @property
     def num_qubits(self) -> int:
@@ -55,9 +61,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        n = m.shape[0]
-        if n < 2 or n & (n - 1):
-            raise ValueError(f"dimension {n} is not a power of two")
+        _num_qubits(m.shape[0], "dimension")
 
     @property
     def num_qubits(self) -> int:
@@ -115,7 +119,7 @@ def distribution_from_vector(
     values: np.ndarray, tolerance: float = PUBLISHED_SUM_TOL
 ) -> ProbabilityDistribution:
     values = np.asarray(values, dtype=float).ravel()
-    n = int(values.shape[0]).bit_length() - 1
+    n = _num_qubits(values.shape[0], "probability vector length")
     probs = {bitstring(i, n): float(values[i]) for i in range(values.shape[0])}
     return ProbabilityDistribution(n, probs, tolerance)
 

@@ -25,7 +25,9 @@ class CouplingGraph:
                 raise ValueError(f"self-loop edge ({c}, {t})")
             if not (0 <= c < self.num_physical and 0 <= t < self.num_physical):
                 raise ValueError(f"edge ({c}, {t}) outside 0..{self.num_physical - 1}")
-        if len(bfs(self, 0)) != self.num_physical:
+        # A connected graph on N qubits has at least N - 1 edges; checking
+        # that first refuses a huge header without building its adjacency.
+        if self.num_physical > len(self.edges) + 1 or len(bfs(self, 0)) != self.num_physical:
             raise ValueError("coupling graph is not connected")
 
     def neighbors(self, q: int) -> list[int]:

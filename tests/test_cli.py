@@ -14,6 +14,8 @@ import pytest
 import qxopt.bench
 import qxopt.cli
 import qxopt.peephole
+import qxopt.realization
+import qxopt.topology
 from qxopt.bench import bench_directory, bench_file, render_csv, render_markdown
 from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit
 from qxopt.cli import main
@@ -339,11 +341,44 @@ BENCH_MARKDOWN_QX4 = (
 )
 
 
+# The paper's fixture cost table: the bundled circuits on each device.
+FIXTURES_MARKDOWN_QX2 = (
+    "| Name | Qubits | Initial gates | Initial levels | Final gates | Final levels "
+    "| % gates | % levels | Verified |\n"
+    "|---|---|---|---|---|---|---|---|---|\n"
+    "| mermin_yyy_unopt | 3 | 14 | 8 | 9 | 5 | 36 | 38 | yes |\n"
+    "| mermin_xxy_unopt | 3 | 12 | 7 | 8 | 5 | 33 | 29 | yes |\n"
+    "| mermin_yyy_opt | 3 | 10 | 6 | 8 | 5 | 20 | 17 | yes |\n"
+    "| ghz | 3 | 3 | 3 | 3 | 3 | 0 | 0 | yes |\n"
+    "| mermin_xxy_opt | 3 | 4 | 3 | 4 | 3 | 0 | 0 | yes |\n"
+    "| routing_example | 3 | 2 | 2 | 2 | 2 | 0 | 0 | yes |\n"
+)
+
+FIXTURES_CSV_QX4 = (
+    "name,qubits,gates_in,levels_in,gates_out,levels_out,gates_pct,levels_pct,verified\n"
+    "mermin_yyy_unopt,3,14,8,9,5,36,38,true\n"
+    "mermin_xxy_unopt,3,12,7,8,5,33,29,true\n"
+    "mermin_yyy_opt,3,10,6,8,5,20,17,true\n"
+    "ghz,3,3,3,3,3,0,0,true\n"
+    "mermin_xxy_opt,3,4,3,4,3,0,0,true\n"
+    "routing_example,3,2,2,2,2,0,0,true\n"
+)
+
+FIXTURE_DIR = Path(qxopt.__file__).with_name("data")
+
+
 @pytest.mark.parametrize(
-    "arch,fmt,expected", [("qx2", "csv", BENCH_CSV_QX2), ("qx4", "markdown", BENCH_MARKDOWN_QX4)]
+    "arch,fmt,expected",
+    [
+        ("qx2", "csv", BENCH_CSV_QX2),
+        ("qx4", "markdown", BENCH_MARKDOWN_QX4),
+        pytest.param("qx2", "markdown", FIXTURES_MARKDOWN_QX2, id="fixtures-qx2-markdown"),
+        pytest.param("qx4", "csv", FIXTURES_CSV_QX4, id="fixtures-qx4-csv"),
+    ],
 )
 def test_bench_stdout_pinned(arch, fmt, expected, tmp_path, capsys):
-    d = _write_bench_dir(tmp_path)
+    fixture_tables = (FIXTURES_MARKDOWN_QX2, FIXTURES_CSV_QX4)
+    d = FIXTURE_DIR if expected in fixture_tables else _write_bench_dir(tmp_path)
     assert main(["bench", str(d), "--arch", arch, "--format", fmt]) == 0
     assert capsys.readouterr().out == expected
 
@@ -578,14 +613,18 @@ assert "numpy" not in sys.modules, "numpy was imported"
 """
 
 
+def _run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` with this checkout's package first
+    on its path."""
+    src = str(Path(qxopt.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def _run_numpy_free(argv: list[str], code: int) -> subprocess.CompletedProcess:
     """Run `qxopt argv` in a fresh interpreter that fails unless it exits
     with `code` and leaves numpy unimported."""
-    src = str(Path(qxopt.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE, str(code), *argv], capture_output=True, text=True, env=env
-    )
+    proc = _run_python(["-c", _NUMPY_FREE, str(code), *argv])
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -601,6 +640,11 @@ def _run_numpy_free(argv: list[str], code: int) -> subprocess.CompletedProcess:
         ["verify", "{qasm}", "{mapped}", "--placement", "{placement}"],
         ["verify", "--random", "5", "--arch", "qx2", "--seed", "3"],
         ["bench", "{dir}", "--arch", "qx4"],
+        ["optimize", "--arch", "@{ladder8}", "--in", "{five}", "--report", "json"],
+        ["verify", "{qasm}", "{qasm}"],
+        ["verify", "--random", "20", "--arch", "qx4", "--seed", "7"],
+        ["verify", "--random", "20", "--arch", "qx2", "--qubits", "4", "--gates", "20", "--seed", "7"],
+        ["bench", "{fixtures}", "--arch", "qx2"],
     ],
     ids=[
         "optimize-json",
@@ -611,6 +655,11 @@ def _run_numpy_free(argv: list[str], code: int) -> subprocess.CompletedProcess:
         "verify",
         "verify-random",
         "bench",
+        "optimize-ladder8",
+        "verify-unplaced",
+        "verify-random-qx4",
+        "verify-random-qx2",
+        "bench-fixtures",
     ],
 )
 def test_mapping_commands_leave_numpy_unimported(argv, tmp_path, capsys):
@@ -619,5 +668,50 @@ def test_mapping_commands_leave_numpy_unimported(argv, tmp_path, capsys):
     mapped = tmp_path / "mapped.qasm"
     assert main(["optimize", "--arch", "qx4", "--in", str(qasm), "--out", str(mapped)]) == 0
     placement = ",".join(str(p) for p in json.loads(capsys.readouterr().out)["placement"])
-    argv = [a.format(qasm=qasm, mapped=mapped, placement=placement, dir=tmp_path) for a in argv]
+    # The 2x4 ladder of perfbench (rails and rungs alternate direction) and a
+    # 5-qubit circuit on it: 6,720 placements at the search limit.
+    ladder8 = tmp_path / "ladder8.graph"
+    ladder8.write_text("qubits 8\n0 1\n2 1\n2 3\n4 5\n6 5\n6 7\n0 4\n5 1\n2 6\n7 3\n")
+    five = tmp_path / "five.qasm"
+    five.write_text(
+        "qreg q[5];\nh q[0];\ncx q[0],q[1];\nt q[1];\ncx q[1],q[2];\nh q[3];\n"
+        "cx q[3],q[4];\ns q[4];\ncx q[2],q[4];\ncx q[0],q[3];\ntdg q[2];\n"
+    )
+    files = dict(qasm=qasm, mapped=mapped, dir=tmp_path, ladder8=ladder8, five=five, fixtures=FIXTURE_DIR)
+    argv = [a.format(placement=placement, **files) for a in argv]
     _run_numpy_free(argv, 0)
+
+
+def test_python_m_qxopt_prints_what_main_prints(tmp_path, capsys):
+    two_way = tmp_path / "two_way.graph"
+    two_way.write_text("qubits 3\n0 1\n1 0\n1 2\n")
+    argv = ["table", "dump", "--arch", f"@{two_way}"]
+    proc = _run_python(["-m", "qxopt", *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "dump", "--arch", "qx2"], ["optimize", "--arch", "qx2", "--in", "{qasm}"]],
+    ids=["table-dump", "optimize"],
+)
+def test_table_entry_that_fails_its_proof_exits_two(argv, routing_file, monkeypatch, capsys):
+    monkeypatch.setattr(qxopt.realization, "equivalent", lambda *args: False)
+    assert main([a.format(qasm=routing_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: entry (0,1) does not implement its CNOT\n"
+    assert captured.out == ""
+
+
+def test_coupling_header_beyond_its_edges_is_refused_at_once(routing_file, tmp_path, monkeypatch, capsys):
+    def no_search(graph, source):
+        raise AssertionError("searched a device whose header outnumbers its edges")
+
+    # At a trillion qubits a search would exhaust memory before it refused.
+    monkeypatch.setattr(qxopt.topology, "bfs", no_search)
+    arch = tmp_path / "huge.graph"
+    arch.write_text("qubits 1000000000000\n0 1\n")
+    assert main(["optimize", "--arch", f"@{arch}", "--in", str(routing_file)]) == 1
+    assert capsys.readouterr().err == "error: coupling graph is not connected\n"

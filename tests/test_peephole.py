@@ -169,3 +169,13 @@ def test_sparse_wide_circuit_is_fast():
     for _ in range(100):
         simplify(c)
     assert time.perf_counter() - start < 0.1
+
+
+def test_traced_rewrite_is_linear():
+    # Each firing's position comes from a bisection over the tombstones, not
+    # from a count over the pending list (which took about 6 s here).
+    c = random_circuit(2, 40_000, random.Random(1))
+    start = time.perf_counter()
+    _, trace = simplify_with_trace(c)
+    assert time.perf_counter() - start < 1.0
+    assert len(trace) == 5755

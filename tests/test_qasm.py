@@ -88,3 +88,34 @@ def test_parse_emit_roundtrip_random(seed):
     rng = random.Random(seed)
     c = random_circuit(rng.randint(1, 5), rng.randint(0, 20), rng)
     assert parse(emit(c)) == c
+
+
+@pytest.mark.parametrize(
+    "text,strict,message",
+    [
+        ("qreg q[2];\nh r[0];", False, "line 2, column 1: unknown register 'r' (declared: 'q')"),
+        ("qreg q;", False, "line 1, column 1: malformed register declaration 'qreg q'"),
+        ("qreg q[0];", False, "line 1, column 1: register 'q' must have positive size"),
+        (
+            "qreg q[1]; creg c[1]; creg d[1];",
+            False,
+            "line 1, column 23: multiple classical registers are not supported",
+        ),
+        ("qreg q[1];\nbarrier q[0];", True, "line 2, column 1: barrier statement not allowed in strict mode"),
+        ("h q[0];\nqreg q[1];", False, "line 1, column 1: gate statement before qreg declaration"),
+        ("qreg q[2]; cx q[0];", False, "line 1, column 12: cx takes 2 operand(s), got 1"),
+        ("qreg q[2]; h q[0],q[1];", False, "line 1, column 12: h takes 1 operand(s), got 2"),
+        ("qreg q[1]; h q;", False, "line 1, column 12: malformed qubit reference 'q'"),
+        ("OPENQASM 2.0;\n// nothing\n", False, "line 1, column 1: no quantum register declared"),
+        ("", False, "line 1, column 1: no quantum register declared"),
+    ],
+    ids=[
+        "unknown-register", "malformed-register", "zero-size", "second-creg", "strict-barrier",
+        "gate-before-qreg", "too-few-operands", "too-many-operands", "malformed-reference",
+        "no-qreg", "empty",
+    ],
+)
+def test_parse_pins_each_refusal(text, strict, message):
+    with pytest.raises(QasmError) as info:
+        parse(text, strict=strict)
+    assert str(info.value) == message

@@ -99,8 +99,66 @@ def test_parse_distribution_names_the_line_of_a_bad_value():
         ("dm x\n1 0", r"^malformed 'dm N' header"),
         ("dm 1 3\n1 0", r"^malformed 'dm N' header 'dm 1 3'$"),
         ("dmx 1\n1 0", r"^malformed 'dm N' header 'dmx 1'$"),
+        ("", r"^missing 'dm N' header$"),
+        ("1 0\n0 1\n", r"^missing 'dm N' header$"),
+        ("dm 2\n1 0\n", r"^expected 4 entries, found 1$"),
     ],
 )
 def test_parse_density_matrix_names_the_bad_entry_or_header(text, message):
     with pytest.raises(ValueError, match=message):
         parse_density_matrix(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0a 0.5\n01 0.5\n", "line 1: bad bitstring '0a'"),
+        ("0 0.5 x\n", "line 1: expected 'bitstring value', got '0 0.5 x'"),
+        ("# counts\n0\n", "line 2: expected 'bitstring value', got '0'"),
+        ("0 0.5\n01 0.5\n", "line 2: inconsistent bitstring width"),
+        ("0 0.5\n0 0.5\n", "line 2: duplicate outcome '0'"),
+        ("0 1.5\n1 -0.5\n", "probability 1.5 for 0 outside [0, 1]"),
+        ("0 nan\n1 1\n", "probability nan for 0 outside [0, 1]"),
+        ("0 0.5\n1 0.25\n", "probabilities sum to 0.75, not 1 within 0.005"),
+        ("\n# nothing\n", "empty distribution"),
+    ],
+    ids=[
+        "bad-label", "three-tokens", "one-token", "inconsistent-width", "duplicate",
+        "outside-unit-interval", "nan", "bad-sum", "empty",
+    ],
+)
+def test_parse_distribution_pins_each_refusal(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_distribution(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (
+            lambda: distribution_from_vector(np.array([0.5, 0.25, 0.25])),
+            "probability vector length 3 is not a power of two",
+        ),
+        (lambda: distribution_from_vector(np.array([1.0])), "probability vector length 1 is not a power of two"),
+        (lambda: DensityMatrix(np.zeros((2, 3))), "density matrix must be square, got shape (2, 3)"),
+        (
+            lambda: DensityMatrix(parse_density_matrix("dm 3\n" + "1 0\n" * 9)),
+            "dimension 3 is not a power of two",
+        ),
+        (lambda: DensityMatrix(parse_density_matrix("dm 1\n1 0\n")), "dimension 1 is not a power of two"),
+        (lambda: ProbabilityDistribution(2, {"0": 1.0}).validate(), "bad outcome label '0' for 2 qubits"),
+        (
+            lambda: ProbabilityDistribution(1, {"0": 0.5, "2": 0.5}).validate(),
+            "bad outcome label '2' for 1 qubits",
+        ),
+    ],
+    ids=[
+        "vector-of-three", "vector-of-one", "non-square", "dm-file-of-three", "dm-file-of-one",
+        "short-label", "non-binary-label",
+    ],
+)
+def test_state_containers_refuse_what_is_not_a_qubit_space(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

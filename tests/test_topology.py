@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from qxopt import topology
 from qxopt.topology import allows, bfs, builtin, distance, load, shortest_paths
 
 
@@ -123,3 +124,37 @@ def test_loading_a_long_line_runs_one_search():
 def test_distance_refuses_a_source_outside_the_device(source):
     with pytest.raises(ValueError, match="outside 0..4"):
         distance(builtin("qx2"), source, 2)
+
+
+def test_header_with_too_few_edges_is_refused_without_a_search(monkeypatch):
+    def no_search(graph, source):
+        raise AssertionError("searched a graph with fewer than N - 1 edges")
+
+    monkeypatch.setattr(topology, "bfs", no_search)
+    with pytest.raises(ValueError, match="^coupling graph is not connected$"):
+        load("qubits 5\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("qubits 0\n", "num_physical must be positive"),
+        ("qubits 2\n0 2\n", "edge (0, 2) outside 0..1"),
+        ("qubits 2\n-1 0\n", "edge (-1, 0) outside 0..1"),
+        ("# device\nqubit 2\n0 1\n", "line 2: expected 'qubits N' header"),
+        ("qubits 2 3\n0 1\n", "line 1: expected 'qubits N' header"),
+        ("qubits 2\n0\n", "line 2: expected 'control target', got '0'"),
+        ("qubits 2\n0 1 # ok\n1 0 2\n", "line 3: expected 'control target', got '1 0 2'"),
+        ("", "missing 'qubits N' header"),
+        ("# only a comment\n", "missing 'qubits N' header"),
+        ("qubits 3\n0 1\n1 0\n", "coupling graph is not connected"),
+    ],
+    ids=[
+        "zero-qubits", "edge-out-of-range", "negative-edge", "bad-header", "header-arity",
+        "one-token", "three-tokens", "empty", "no-header", "disconnected",
+    ],
+)
+def test_load_pins_each_refusal(text, message):
+    with pytest.raises(ValueError) as info:
+        load(text)
+    assert str(info.value) == message

@@ -13,7 +13,8 @@ import importlib
 
 # Public name -> defining module. Names resolve on first use (PEP 562), so
 # `import qxopt` loads no submodule, and numpy is imported only by a
-# simulator, state or analysis name.
+# simulator name or when state-vector, density-matrix or fidelity code runs;
+# the distribution and Mermin names never import it.
 _EXPORTS = {
     "circuit": (
         "Circuit", "CostReport", "Gate", "GateKind", "cost_report", "gate_count",

@@ -10,27 +10,23 @@ up and it is past the dense cap), and says on stderr that it is unverified.
 A command that builds a realization table exits 2 if an entry fails its
 proof.
 
-The analysis modules import numpy, so `mermin` and `fidelity` import them in
-their handlers; the other commands load numpy only when the path sum cannot
+Each handler imports only what it runs. `mermin` loads neither numpy nor the
+mapping modules, and `fidelity` loads numpy but no mapping module. The other
+commands load the mapping modules, and numpy only when the path sum cannot
 prove a pair and `bench.equivalent` falls back to the dense simulator.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import random
 import sys
-from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bench as bench_mod
-from .circuit import Circuit, random_circuit
-from .peephole import simplify, simplify_with_trace
-from .placement import check_search_limit
-from .qasm import emit, parse_report
-from .realization import RealizationError, RealizationTable, build_table, dump_text
-from .topology import CouplingGraph, builtin, load
+if TYPE_CHECKING:
+    from .circuit import Circuit
+    from .realization import RealizationTable
+    from .topology import CouplingGraph
 
 
 class UsageError(ValueError):
@@ -43,6 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_arch(arch: str) -> CouplingGraph:
+    from .topology import builtin, load
+
     if arch.startswith("@"):
         path = Path(arch[1:])
         return load(path.read_text(encoding="utf-8"), name=path.stem)
@@ -50,6 +48,8 @@ def _resolve_arch(arch: str) -> CouplingGraph:
 
 
 def _read_circuit(path: str, strict: bool) -> Circuit:
+    from .qasm import parse_report
+
     report = parse_report(Path(path).read_text(encoding="utf-8"), strict=strict)
     for warning in report.warnings:
         print(f"warning: {path}: {warning}", file=sys.stderr)
@@ -75,6 +75,9 @@ def _at_least(kind: type, minimum: int):
 def _searchable_table(arch: str) -> RealizationTable:
     """Realization table for an architecture within the search limit, which is
     checked before the table is built."""
+    from .placement import check_search_limit
+    from .realization import build_table
+
     graph = _resolve_arch(arch)
     check_search_limit(graph)
     return build_table(graph)
@@ -107,7 +110,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check unitary equivalence")
     p.add_argument("circuits", nargs="*", help="two circuit files to compare")
     p.add_argument("--placement", help="comma-separated physical target per logical qubit")
-    p.add_argument("--tol", type=_at_least(float, 0), default=bench_mod.VERIFY_TOL)
+    # Default None stands for bench.VERIFY_TOL, which `mermin` and `fidelity`
+    # would otherwise import the mapping modules to read.
+    p.add_argument("--tol", type=_at_least(float, 0))
     p.add_argument("--arch", help="needed for --random")
     p.add_argument(
         "--random", type=_at_least(int, 0), metavar="N", help="self-check N random circuits"
@@ -141,6 +146,12 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_optimize(args) -> int:
+    import json
+    from dataclasses import asdict
+
+    from . import bench as bench_mod
+    from .qasm import emit
+
     table = _searchable_table(args.arch)
     circuit = _read_circuit(args.infile, args.strict)
     result, verified = bench_mod.map_verified(circuit, table)
@@ -173,6 +184,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
+    from . import bench as bench_mod
+    from .peephole import simplify, simplify_with_trace
+    from .qasm import emit
+
     circuit = _read_circuit(args.infile, args.strict)
     if args.trace:
         simplified, trace = simplify_with_trace(circuit)
@@ -204,6 +219,13 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import random
+
+    from . import bench as bench_mod
+    from .circuit import random_circuit
+    from .qasm import emit
+
+    tol = bench_mod.VERIFY_TOL if args.tol is None else args.tol
     if args.random is not None:
         if not args.arch:
             raise UsageError("--random requires --arch")
@@ -214,7 +236,7 @@ def _cmd_verify(args) -> int:
         failures = 0
         for i in range(args.random):
             circuit = random_circuit(args.qubits, args.gates, rng)
-            result, ok = bench_mod.map_verified(circuit, table, args.tol)
+            result, ok = bench_mod.map_verified(circuit, table, tol)
             if not ok:
                 failures += 1
                 print(
@@ -231,12 +253,14 @@ def _cmd_verify(args) -> int:
     placement = None
     if args.placement:
         placement = _placement_arg(args.placement)
-    ok = bench_mod.equivalent(first, second, placement, tol=args.tol)
+    ok = bench_mod.equivalent(first, second, placement, tol=tol)
     print("equivalent" if ok else "NOT equivalent")
     return 0 if ok else 2
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     table = _searchable_table(args.arch)
     rows = bench_mod.bench_directory(Path(args.directory), table, strict=args.strict)
     render = bench_mod.render_csv if args.format == "csv" else bench_mod.render_markdown
@@ -276,7 +300,9 @@ def _cmd_fidelity(args) -> int:
 def _cmd_table(args) -> int:
     if args.table_command != "dump":
         raise UsageError("usage: qxopt table dump --arch ...")
-    table: RealizationTable = build_table(_resolve_arch(args.arch))
+    from .realization import build_table, dump_text
+
+    table = build_table(_resolve_arch(args.arch))
     print(dump_text(table), end="")
     return 0
 
@@ -292,6 +318,14 @@ _HANDLERS = {
 }
 
 
+def _proof_failures() -> tuple[type[Exception], ...]:
+    """`RealizationError` once a handler has loaded the module that raises it.
+    Until then nothing can raise it, and importing it to catch it would load
+    the mapping modules into every command."""
+    realization = sys.modules.get(f"{__package__}.realization")
+    return (realization.RealizationError,) if realization is not None else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -302,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except RealizationError as exc:
+    except _proof_failures() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError) as exc:

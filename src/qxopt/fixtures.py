@@ -8,12 +8,14 @@ small circuit fixtures used by the benchmark harness and the test suite.
 from __future__ import annotations
 
 from importlib import resources
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuit import Circuit
 from .qasm import parse
 from .states import ProbabilityDistribution, parse_density_matrix, parse_distribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DISTRIBUTIONS = (
     "xxy_unoptimized_1024",

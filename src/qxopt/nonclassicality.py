@@ -4,15 +4,20 @@ Expectation values come from computational-basis distributions measured
 after basis-rotation circuits: an outcome's eigenvalue is +1 for even bit
 parity and -1 for odd. That convention reproduces the shipped experiment
 data end to end, which is the strongest evidence available for it.
+
+The Mermin half sums plain dicts and needs no numpy, so `qxopt mermin` never
+loads it; `sanitize` and `uhlmann_fidelity` import numpy where they run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .states import DensityMatrix, ProbabilityDistribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLASSICAL_BOUND = 2.0
 QUANTUM_BOUND = 4.0
@@ -65,6 +70,8 @@ def sanitize(raw_re: np.ndarray, raw_im: np.ndarray) -> DensityMatrix:
     to one. Genuinely indefinite input is kept indefinite: forcing it
     positive would silently change every overlap computed from it.
     """
+    import numpy as np
+
     raw_re = np.asarray(raw_re, dtype=float)
     raw_im = np.asarray(raw_im, dtype=float)
     if raw_re.shape != raw_im.shape or raw_re.ndim != 2 or raw_re.shape[0] != raw_re.shape[1]:
@@ -86,6 +93,8 @@ def uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     Eigenvalues are clipped at zero before each square root; rounded input
     data routinely produces tiny negative ones.
     """
+    import numpy as np
+
     a, b = rho1.matrix, rho2.matrix
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")

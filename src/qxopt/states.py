@@ -4,12 +4,18 @@ probability distributions, noise parameters, and their text formats.
 Conventions: qubit 0 is the least-significant bit of a basis-state index;
 bitstring labels are written most-significant-bit first, so label "011"
 means qubit 1 and qubit 0 are set.
+
+Distributions are plain dicts and need no numpy, so `qxopt mermin` never
+loads it; the vector and matrix code imports numpy where it runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PUBLISHED_SUM_TOL = 0.005  # published tables are rounded to three decimals
 
@@ -31,6 +37,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         amp = np.asarray(self.amplitudes, dtype=complex).ravel()
         object.__setattr__(self, "amplitudes", amp)
         _num_qubits(amp.shape[0], "amplitude vector length")
@@ -40,6 +48,8 @@ class StateVector:
         return int(self.amplitudes.shape[0]).bit_length() - 1
 
     def validate(self) -> None:
+        import numpy as np
+
         tol = 1e-10
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
         if abs(norm - 1.0) > tol:
@@ -47,6 +57,8 @@ class StateVector:
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
+    import numpy as np
+
     amp = np.zeros(2**num_qubits, dtype=complex)
     amp[index] = 1.0
     return StateVector(amp)
@@ -57,6 +69,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -68,6 +82,8 @@ class DensityMatrix:
         return int(self.matrix.shape[0]).bit_length() - 1
 
     def validate(self) -> None:
+        import numpy as np
+
         herm_tol, eig_tol = 1e-10, 1e-8
         m = self.matrix
         if float(np.max(np.abs(m - m.conj().T))) > herm_tol:
@@ -118,6 +134,8 @@ class ProbabilityDistribution:
 def distribution_from_vector(
     values: np.ndarray, tolerance: float = PUBLISHED_SUM_TOL
 ) -> ProbabilityDistribution:
+    import numpy as np
+
     values = np.asarray(values, dtype=float).ravel()
     n = _num_qubits(values.shape[0], "probability vector length")
     probs = {bitstring(i, n): float(values[i]) for i in range(values.shape[0])}
@@ -165,6 +183,8 @@ def parse_distribution(text: str) -> ProbabilityDistribution:
 
 
 def format_density_matrix(matrix: np.ndarray) -> str:
+    import numpy as np
+
     m = np.asarray(matrix, dtype=complex)
     lines = [f"dm {m.shape[0]}"]
     for row in m:
@@ -175,6 +195,8 @@ def format_density_matrix(matrix: np.ndarray) -> str:
 
 def parse_density_matrix(text: str) -> np.ndarray:
     """Read the raw complex matrix; no sanitization is applied here."""
+    import numpy as np
+
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("dm"):
@@ -195,5 +217,7 @@ def parse_density_matrix(text: str) -> np.ndarray:
             re, im = (float(part) for part in ln.split())
         except ValueError:
             raise ValueError(f"entry {k}: expected 're im', got {ln!r}") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"entry {k}: {ln!r} is not finite")
         out[k // dim, k % dim] = complex(re, im)
     return out

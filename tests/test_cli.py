@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import qxopt.bench
+import qxopt.circuit
 import qxopt.cli
 import qxopt.peephole
 import qxopt.realization
@@ -157,16 +158,18 @@ def test_simplify_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--trace"]], ids=["plain", "trace"])
 def test_simplify_refuses_to_emit_unverified_result(flags, routing_file, tmp_path, monkeypatch, capsys):
+    simplify, simplify_with_trace = qxopt.peephole.simplify, qxopt.peephole.simplify_with_trace
+
     def dropping(circuit):
-        out = qxopt.peephole.simplify(circuit)
+        out = simplify(circuit)
         return Circuit(out.num_qubits, out.gates[:-1])
 
     def dropping_with_trace(circuit):
-        out, trace = qxopt.peephole.simplify_with_trace(circuit)
+        out, trace = simplify_with_trace(circuit)
         return Circuit(out.num_qubits, out.gates[:-1]), trace
 
-    monkeypatch.setattr(qxopt.cli, "simplify", dropping)
-    monkeypatch.setattr(qxopt.cli, "simplify_with_trace", dropping_with_trace)
+    monkeypatch.setattr(qxopt.peephole, "simplify", dropping)
+    monkeypatch.setattr(qxopt.peephole, "simplify_with_trace", dropping_with_trace)
     out = tmp_path / "out.qasm"
     assert main(["simplify", "--in", str(routing_file), "--out", str(out), *flags]) == 2
     captured = capsys.readouterr()
@@ -235,26 +238,32 @@ def test_verify_needs_two_files(capsys):
 
 
 def test_mermin_command(tmp_path, capsys):
-    xxy = tmp_path / "xxy.probs"
-    yyy = tmp_path / "yyy.probs"
-    xxy.write_text(data_text("xxy_optimized_8192.probs"))
-    yyy.write_text(data_text("yyy_optimized_8192.probs"))
-    assert main(["mermin", "--xxy", str(xxy), "--yyy", str(yyy)]) == 0
-    out = capsys.readouterr().out
-    assert "m3 = 3.126" in out
-    assert "classical bound = 2" in out
-    assert "quantum bound = 4" in out
+    # The paper's three Mermin values, unoptimized at 1024 and 8192 shots and
+    # optimized at 8192, pinned byte for byte.
+    published = (
+        ("unoptimized_1024", "2.855", "0.855"),
+        ("unoptimized_8192", "3.009", "1.009"),
+        ("optimized_8192", "3.126", "1.126"),
+    )
+    for shots, m3, violation in published:
+        xxy = tmp_path / "xxy.probs"
+        yyy = tmp_path / "yyy.probs"
+        xxy.write_text(data_text(f"xxy_{shots}.probs"))
+        yyy.write_text(data_text(f"yyy_{shots}.probs"))
+        assert main(["mermin", "--xxy", str(xxy), "--yyy", str(yyy)]) == 0
+        assert capsys.readouterr().out == (
+            f"m3 = {m3}\nviolation = {violation}\nclassical bound = 2\nquantum bound = 4\n"
+        )
 
 
 def test_fidelity_command(tmp_path, capsys):
     a = tmp_path / "a.dm"
     b = tmp_path / "b.dm"
     a.write_text(data_text("xxy_ideal.dm"))
-    b.write_text(data_text("xxy_optimized_tomo.dm"))
-    assert main(["fidelity", "--a", str(a), "--b", str(b)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("fidelity = ")
-    assert float(out.split("=")[1]) == pytest.approx(0.90, abs=0.03)
+    for tomography, fidelity in (("unoptimized", "0.7183"), ("optimized", "0.8955")):
+        b.write_text(data_text(f"xxy_{tomography}_tomo.dm"))
+        assert main(["fidelity", "--a", str(a), "--b", str(b)]) == 0
+        assert capsys.readouterr().out == f"fidelity = {fidelity}\n"
 
 
 @pytest.mark.parametrize(
@@ -265,6 +274,8 @@ def test_fidelity_command(tmp_path, capsys):
         ("fidelity", "--a", "dm 1\n1 y\n", "entry 0"),
         ("fidelity", "--b", "dm -1\n", "malformed 'dm N' header"),
         ("fidelity", "--a", "dm 1 3\n1 0\n", "malformed 'dm N' header 'dm 1 3'"),
+        ("fidelity", "--a", "dm 2\ninf 0\n0 0\n0 0\n1 0\n", "entry 0: 'inf 0' is not finite"),
+        ("fidelity", "--b", "dm 2\n1 0\n0 0\n0 0\n0 nan\n", "entry 3: '0 nan' is not finite"),
     ],
 )
 def test_analysis_commands_report_bad_value_position(
@@ -480,7 +491,7 @@ def test_search_limit_refused_before_table_is_built(
     def no_table(graph):
         raise AssertionError("realization table built for a device over the search limit")
 
-    monkeypatch.setattr(qxopt.cli, "build_table", no_table)
+    monkeypatch.setattr(qxopt.realization, "build_table", no_table)
     argv = [a.format(qasm=routing_file, dir=routing_file.parent) for a in argv]
     assert main(argv + ["--arch", f"@{grid6x6_file}"]) == 1
     assert "exhaustive search is limited to 8" in capsys.readouterr().err
@@ -559,7 +570,7 @@ def test_verify_random_refuses_too_many_qubits_before_generating(monkeypatch, ca
     def no_circuit(*args):
         raise AssertionError("random circuit generated for a width the device cannot hold")
 
-    monkeypatch.setattr(qxopt.cli, "random_circuit", no_circuit)
+    monkeypatch.setattr(qxopt.circuit, "random_circuit", no_circuit)
     huge = "1" + "0" * 400
     for argv in (
         ["verify", "--random", "1", "--arch", "qx2", "--qubits", huge],
@@ -604,12 +615,13 @@ def test_package_exports_resolve_on_first_use():
         qxopt.frobnicate
 
 
-_NUMPY_FREE = """
+_UNIMPORTED = """
 import sys
 from qxopt.cli import main
-code = main(sys.argv[2:])
+code = main(sys.argv[3:])
 assert code == int(sys.argv[1]), f"exit code {code}"
-assert "numpy" not in sys.modules, "numpy was imported"
+loaded = [name for name in sys.argv[2].split(",") if name in sys.modules]
+assert not loaded, f"imported {', '.join(loaded)}"
 """
 
 
@@ -621,12 +633,16 @@ def _run_python(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
-def _run_numpy_free(argv: list[str], code: int) -> subprocess.CompletedProcess:
+def _run_unimported(argv: list[str], code: int, modules: tuple[str, ...]) -> subprocess.CompletedProcess:
     """Run `qxopt argv` in a fresh interpreter that fails unless it exits
-    with `code` and leaves numpy unimported."""
-    proc = _run_python(["-c", _NUMPY_FREE, str(code), *argv])
+    with `code` and leaves each of `modules` unimported."""
+    proc = _run_python(["-c", _UNIMPORTED, str(code), ",".join(modules), *argv])
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def _run_numpy_free(argv: list[str], code: int) -> subprocess.CompletedProcess:
+    return _run_unimported(argv, code, ("numpy",))
 
 
 @pytest.mark.parametrize(
@@ -680,6 +696,42 @@ def test_mapping_commands_leave_numpy_unimported(argv, tmp_path, capsys):
     files = dict(qasm=qasm, mapped=mapped, dir=tmp_path, ladder8=ladder8, five=five, fixtures=FIXTURE_DIR)
     argv = [a.format(placement=placement, **files) for a in argv]
     _run_numpy_free(argv, 0)
+
+
+_MAPPING_STACK = tuple(
+    f"qxopt.{name}"
+    for name in ("bench", "circuit", "qasm", "topology", "peephole", "placement", "realization", "pathsum", "stabilizer")
+)
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (
+            ["mermin", "--xxy", "{data}/xxy_optimized_8192.probs", "--yyy", "{data}/yyy_optimized_8192.probs"],
+            ("numpy", *_MAPPING_STACK),
+        ),
+        (["fidelity", "--a", "{data}/xxy_ideal.dm", "--b", "{data}/xxy_optimized_tomo.dm"], _MAPPING_STACK),
+    ],
+    ids=["mermin", "fidelity"],
+)
+def test_analysis_commands_load_only_what_they_run(argv, modules):
+    # `mermin` sums two dicts and needs neither numpy nor the mapping
+    # modules; `fidelity` needs numpy for its eigendecompositions only.
+    _run_unimported([a.format(data=FIXTURE_DIR) for a in argv], 0, modules)
+
+
+def test_fixture_distributions_reach_mermin3_without_numpy():
+    code = (
+        "import sys\n"
+        "from qxopt import fixtures, nonclassicality\n"
+        "xxy, yyy = (fixtures.load_distribution(f'{b}_optimized_8192') for b in ('xxy', 'yyy'))\n"
+        "print(f'{nonclassicality.mermin3(xxy, yyy).m3:.3f}')\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3.126\n"
 
 
 def test_python_m_qxopt_prints_what_main_prints(tmp_path, capsys):

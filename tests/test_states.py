@@ -94,6 +94,8 @@ def test_parse_distribution_names_the_line_of_a_bad_value():
         ("dm 1\n1 y", r"^entry 0: expected 're im', got '1 y'$"),
         ("dm 2\n1 0\n0 0\n0 0 0\n0 0", r"^entry 2: expected 're im'"),
         ("dm 2\n1 0\n0 0\n0 0\n0", r"^entry 3: expected 're im'"),
+        ("dm 1\ninf 0", r"^entry 0: 'inf 0' is not finite$"),
+        ("dm 2\n1 0\n0 0\n0 0\n0 nan", r"^entry 3: '0 nan' is not finite$"),
         ("dm -1\n", r"^malformed 'dm N' header 'dm -1'$"),
         ("dm 0\n", r"^malformed 'dm N' header"),
         ("dm x\n1 0", r"^malformed 'dm N' header"),

@@ -50,10 +50,10 @@ def _resolve_arch(arch: str) -> CouplingGraph:
 def _read_circuit(path: str, strict: bool) -> Circuit:
     from .qasm import parse_report
 
-    report = parse_report(Path(path).read_text(encoding="utf-8"), strict=strict)
-    for warning in report.warnings:
+    circuit, warnings = parse_report(Path(path).read_text(encoding="utf-8"), strict=strict)
+    for warning in warnings:
         print(f"warning: {path}: {warning}", file=sys.stderr)
-    return report.circuit
+    return circuit
 
 
 def _at_least(kind: type, minimum: int):

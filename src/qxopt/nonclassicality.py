@@ -76,6 +76,8 @@ def sanitize(raw_re: np.ndarray, raw_im: np.ndarray) -> DensityMatrix:
     raw_im = np.asarray(raw_im, dtype=float)
     if raw_re.shape != raw_im.shape or raw_re.ndim != 2 or raw_re.shape[0] != raw_re.shape[1]:
         raise ValueError(f"parts must be equal square matrices, got {raw_re.shape} / {raw_im.shape}")
+    if not (np.isfinite(raw_re).all() and np.isfinite(raw_im).all()):
+        raise ValueError("parts must be finite")
     m = raw_re + 1j * raw_im
     m = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(m)

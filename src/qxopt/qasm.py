@@ -9,132 +9,93 @@ names the offending token and its position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind
 
 GATE_NAMES: dict[str, GateKind] = {kind.value: kind for kind in GateKind}
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    column: int
-
-    def __str__(self) -> str:
-        return f"line {self.line}, column {self.column}"
-
-
 class QasmError(ValueError):
-    def __init__(self, message: str, span: SourceSpan):
-        super().__init__(f"{span}: {message}")
-        self.span = span
-
-
-@dataclass
-class ParseReport:
-    circuit: Circuit
-    warnings: list[str]
+    """A refusal whose message starts with the statement's line and column."""
 
 
 _REF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
 
 
 def _statements(text: str):
-    """Yield (statement, span) pairs, splitting on ';' and skipping // comments."""
+    """Yield (statement, "line L, column C") pairs, splitting on ';' and
+    skipping // comments."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0]
         col = 1
         for piece in line.split(";"):
             stripped = piece.strip()
             if stripped:
-                yield stripped, SourceSpan(lineno, col + len(piece) - len(piece.lstrip()))
+                yield stripped, f"line {lineno}, column {col + len(piece) - len(piece.lstrip())}"
             col += len(piece) + 1
 
 
-def _parse_ref(token: str, reg_name: str, reg_size: int, span: SourceSpan) -> int:
+def _parse_ref(token: str, reg_name: str, reg_size: int, at: str) -> int:
     m = _REF.match(token)
     if not m:
-        raise QasmError(f"malformed qubit reference {token!r}", span)
+        raise QasmError(f"{at}: malformed qubit reference {token!r}")
     name, idx = m.group(1), int(m.group(2))
     if name != reg_name:
-        raise QasmError(f"unknown register {name!r} (declared: {reg_name!r})", span)
+        raise QasmError(f"{at}: unknown register {name!r} (declared: {reg_name!r})")
     if idx >= reg_size:
-        raise QasmError(f"qubit index {idx} >= register size {reg_size}", span)
+        raise QasmError(f"{at}: qubit index {idx} >= register size {reg_size}")
     return idx
 
 
-def parse_report(text: str, strict: bool = False) -> ParseReport:
-    qreg: tuple[str, int] | None = None
-    creg: tuple[str, int] | None = None
+def parse_report(text: str, strict: bool = False) -> tuple[Circuit, list[str]]:
+    """The circuit, and one warning per kind of statement that was dropped."""
+    registers: dict[str, tuple[str, int]] = {}  # keyed by "qreg" / "creg"
+    dropped = {"measure": 0, "barrier": 0}
     gates: list[Gate] = []
-    dropped_measure = 0
-    dropped_barrier = 0
-    warnings: list[str] = []
 
-    for stmt, span in _statements(text):
-        head = stmt.split(None, 1)
-        keyword = head[0]
-        rest = head[1].strip() if len(head) > 1 else ""
+    for stmt, at in _statements(text):
+        keyword, *tail = stmt.split(None, 1)
+        rest = tail[0] if tail else ""
 
-        if keyword == "OPENQASM":
-            continue
-        if keyword == "include":
+        if keyword in ("OPENQASM", "include"):
             continue
         if keyword in ("qreg", "creg"):
             m = _REF.match(rest)
             if not m:
-                raise QasmError(f"malformed register declaration {stmt!r}", span)
+                raise QasmError(f"{at}: malformed register declaration {stmt!r}")
             name, size = m.group(1), int(m.group(2))
             if size < 1:
-                raise QasmError(f"register {name!r} must have positive size", span)
-            if keyword == "qreg":
-                if qreg is not None:
-                    raise QasmError("multiple quantum registers are not supported", span)
-                qreg = (name, size)
-            else:
-                if creg is not None:
-                    raise QasmError("multiple classical registers are not supported", span)
-                creg = (name, size)
-            continue
-        if keyword == "measure":
+                raise QasmError(f"{at}: register {name!r} must have positive size")
+            if keyword in registers:
+                which = "quantum" if keyword == "qreg" else "classical"
+                raise QasmError(f"{at}: multiple {which} registers are not supported")
+            registers[keyword] = (name, size)
+        elif keyword in dropped:
             if strict:
-                raise QasmError("measure statement not allowed in strict mode", span)
-            dropped_measure += 1
-            continue
-        if keyword == "barrier":
-            if strict:
-                raise QasmError("barrier statement not allowed in strict mode", span)
-            dropped_barrier += 1
-            continue
+                raise QasmError(f"{at}: {keyword} statement not allowed in strict mode")
+            dropped[keyword] += 1
+        else:
+            kind = GATE_NAMES.get(keyword)
+            if kind is None:
+                raise QasmError(f"{at}: unknown gate {keyword!r}")
+            if "qreg" not in registers:
+                raise QasmError(f"{at}: gate statement before qreg declaration")
+            args = [a.strip() for a in rest.split(",")] if rest else []
+            if len(args) != kind.arity:
+                raise QasmError(f"{at}: {keyword} takes {kind.arity} operand(s), got {len(args)}")
+            qubits = tuple(_parse_ref(a, *registers["qreg"], at) for a in args)
+            if len(set(qubits)) != len(qubits):
+                raise QasmError(f"{at}: duplicate qubit in {keyword}: {rest}")
+            gates.append(Gate(kind, qubits))
 
-        kind = GATE_NAMES.get(keyword)
-        if kind is None:
-            raise QasmError(f"unknown gate {keyword!r}", span)
-        if qreg is None:
-            raise QasmError("gate statement before qreg declaration", span)
-        name, size = qreg
-        args = [a.strip() for a in rest.split(",")] if rest else []
-        if len(args) != kind.arity:
-            raise QasmError(
-                f"{keyword} takes {kind.arity} operand(s), got {len(args)}", span
-            )
-        qubits = tuple(_parse_ref(a, name, size, span) for a in args)
-        if len(set(qubits)) != len(qubits):
-            raise QasmError(f"duplicate qubit in {keyword}: {rest}", span)
-        gates.append(Gate(kind, qubits))
-
-    if qreg is None:
-        raise QasmError("no quantum register declared", SourceSpan(1, 1))
-    if dropped_measure:
-        warnings.append(f"dropped {dropped_measure} measure statement(s)")
-    if dropped_barrier:
-        warnings.append(f"dropped {dropped_barrier} barrier statement(s)")
-    return ParseReport(Circuit(qreg[1], tuple(gates)), warnings)
+    if "qreg" not in registers:
+        raise QasmError("line 1, column 1: no quantum register declared")
+    warnings = [f"dropped {n} {keyword} statement(s)" for keyword, n in dropped.items() if n]
+    return Circuit(registers["qreg"][1], tuple(gates)), warnings
 
 
 def parse(text: str, strict: bool = False) -> Circuit:
-    return parse_report(text, strict=strict).circuit
+    return parse_report(text, strict=strict)[0]
 
 
 def gate_line(gate: Gate) -> str:

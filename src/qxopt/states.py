@@ -109,6 +109,11 @@ class NoiseSpec:
                 raise ValueError(f"{name} = {p} outside [0, 1]")
 
 
+def _check_probability(bits: str, p: float, where: str = "") -> None:
+    if not -1e-12 <= p <= 1.0 + 1e-12:  # refuses nan too
+        raise ValueError(f"{where}probability {p} for {bits} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class ProbabilityDistribution:
     """Computational-basis outcome probabilities keyed by bitstring label."""
@@ -121,8 +126,7 @@ class ProbabilityDistribution:
         for bits, p in self.probs.items():
             if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad outcome label {bits!r} for {self.num_qubits} qubits")
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ValueError(f"probability {p} for {bits} outside [0, 1]")
+            _check_probability(bits, p)
         total = sum(self.probs.values())
         if abs(total - 1.0) > self.tolerance:
             raise ValueError(f"probabilities sum to {total}, not 1 within {self.tolerance}")
@@ -145,11 +149,6 @@ def distribution_from_vector(
 # Text formats.
 #   distribution: one "bitstring value" pair per line
 #   density matrix: "dm N" header, then N*N "re im" pairs in row-major order
-
-
-def format_distribution(dist: ProbabilityDistribution) -> str:
-    lines = [f"{bits} {float(dist.probs[bits])!r}" for bits in sorted(dist.probs)]
-    return "\n".join(lines) + "\n"
 
 
 def parse_distribution(text: str) -> ProbabilityDistribution:
@@ -175,22 +174,12 @@ def parse_distribution(text: str) -> ProbabilityDistribution:
             probs[bits] = float(value)
         except ValueError:
             raise ValueError(f"line {lineno}: expected a probability, got {value!r}") from None
+        _check_probability(bits, probs[bits], f"line {lineno}: ")
     if width is None:
         raise ValueError("empty distribution")
     dist = ProbabilityDistribution(width, probs)
     dist.validate()
     return dist
-
-
-def format_density_matrix(matrix: np.ndarray) -> str:
-    import numpy as np
-
-    m = np.asarray(matrix, dtype=complex)
-    lines = [f"dm {m.shape[0]}"]
-    for row in m:
-        for entry in row:
-            lines.append(f"{float(entry.real)!r} {float(entry.imag)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_density_matrix(text: str) -> np.ndarray:

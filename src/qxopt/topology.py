@@ -30,10 +30,6 @@ class CouplingGraph:
         if self.num_physical > len(self.edges) + 1 or len(bfs(self, 0)) != self.num_physical:
             raise ValueError("coupling graph is not connected")
 
-    def neighbors(self, q: int) -> list[int]:
-        """Undirected adjacency; a reversed edge is still routable locally."""
-        return list(_adjacency(self)[q])
-
 
 _BUILTINS = {
     "qx2": (5, {(0, 1), (0, 2), (1, 2), (4, 2), (4, 3), (3, 2)}),
@@ -78,10 +74,14 @@ def load(text: str, name: str = "custom") -> CouplingGraph:
             if len(parts) != 2 or parts[0] != "qubits":
                 raise ValueError(f"line {lineno}: expected 'qubits N' header")
             num = _int(parts[1], lineno)
+            if num < 1:
+                raise ValueError(f"line {lineno}: num_physical must be positive")
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'control target', got {raw!r}")
         c, t = _int(parts[0], lineno), _int(parts[1], lineno)
+        if not (0 <= c < num and 0 <= t < num):
+            raise ValueError(f"line {lineno}: edge ({c}, {t}) outside 0..{num - 1}")
         if (c, t) in edges:
             raise ValueError(f"line {lineno}: duplicate edge ({c}, {t})")
         edges.add((c, t))
@@ -120,11 +120,6 @@ def bfs(graph: CouplingGraph, source: int) -> dict[int, int]:
                     nxt.append(nb)
         frontier = nxt
     return dist
-
-
-def distance(graph: CouplingGraph, a: int, b: int) -> int:
-    """Undirected shortest-path distance between two physical qubits."""
-    return bfs(graph, a)[b]
 
 
 def shortest_paths(graph: CouplingGraph, a: int, b: int) -> list[list[int]]:

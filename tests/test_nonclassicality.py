@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -164,6 +165,18 @@ def test_sanitize_rejects_zero_matrix():
 def test_sanitize_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         sanitize(np.zeros((4, 4)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["real", "imaginary"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_sanitize_refuses_non_finite_parts_before_any_arithmetic(part, bad):
+    parts = [np.eye(2) / 2, np.zeros((2, 2))]
+    parts[part][0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail here
+        with pytest.raises(ValueError) as info:
+            sanitize(*parts)
+    assert str(info.value) == "parts must be finite"
 
 
 def test_fidelity_reproduces_published_values():

@@ -1,10 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import qasm_oracle
 from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit
 from qxopt.qasm import QasmError, emit, parse, parse_report
+from test_parser_fuzz import _TOKENS
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -46,12 +48,12 @@ def test_parse_rejects_malformed_statement():
 
 
 def test_measure_and_barrier_dropped_with_warning():
-    report = parse_report(
+    circuit, warnings = parse_report(
         HEADER + "qreg q[2]; creg c[2];\nh q[0];\nbarrier q[0],q[1];\n"
         "measure q[0] -> c[0];\nmeasure q[1] -> c[1];"
     )
-    assert report.circuit.gates == (gate1(GateKind.H, 0),)
-    assert report.warnings == [
+    assert circuit.gates == (gate1(GateKind.H, 0),)
+    assert warnings == [
         "dropped 2 measure statement(s)",
         "dropped 1 barrier statement(s)",
     ]
@@ -60,6 +62,48 @@ def test_measure_and_barrier_dropped_with_warning():
 def test_strict_mode_rejects_measure():
     with pytest.raises(QasmError, match="strict"):
         parse("qreg q[1]; measure q[0] -> c[0];", strict=True)
+
+
+def test_any_whitespace_separates_a_keyword_and_its_operands():
+    c = parse("qreg q[2];\nh\tq[0];\ncx q[0],\tq[1];")
+    assert c.gates == (gate1(GateKind.H, 0), cnot(0, 1))
+
+
+def _read(read_report, text, strict):
+    """A reader's circuit and warnings, or the class name and text of its refusal."""
+    try:
+        return read_report(text, strict)
+    except ValueError as error:
+        return type(error).__name__, str(error)
+
+
+def _oracle_report(text, strict):
+    report = qasm_oracle.parse_report(text, strict=strict)
+    return report.circuit, report.warnings
+
+
+_SPACES = ["\t", "\x0b", "\xa0"]
+_TOKEN = st.sampled_from(_TOKENS + _SPACES)
+# Statements that start with a keyword and a separator, after an optional
+# declaration, so that draws reach the operand checks and the gate list.
+_STATEMENT = st.tuples(
+    st.one_of(st.sampled_from(["h", "x", "cx", "tdg", "measure", "barrier", "creg"]), st.sampled_from(_TOKENS)),
+    st.sampled_from([" ", "", *_SPACES]),
+    st.one_of(
+        st.sampled_from(["q[0]", "q[1],q[2]", "q[2],\tq[0]", "q[0] -> c[0]", "q[3]", "q[1],q[1]", "c[2]"]),
+        st.lists(_TOKEN, max_size=6).map("".join),
+    ),
+).map("".join)
+_PROGRAM = st.tuples(
+    st.sampled_from(["", "qreg q[3];", "qreg q[3]; creg c[3];\n"]),
+    st.lists(_STATEMENT, max_size=5).map(";".join),
+).map("".join)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(st.text(max_size=200), st.lists(_TOKEN, max_size=80).map("".join), _PROGRAM), st.booleans())
+def test_reader_matches_the_oracle(text, strict):
+    assert _read(parse_report, text, strict) == _read(_oracle_report, text, strict)
 
 
 def test_comments_and_blank_lines_ignored():

@@ -8,7 +8,7 @@ import realization_oracle
 from qxopt.circuit import Circuit, GateKind, cnot, code_levels, decode, field_bits, gate1, gate_count
 from qxopt.realization import RealizationError, _candidates, _swap, build_table, dump_text, lookup
 from qxopt.simulator import equivalent, unitary_of
-from qxopt.topology import allows, builtin, distance, load
+from qxopt.topology import allows, bfs, builtin, load
 
 
 def test_direct_edge_is_single_gate(qx2_table):
@@ -88,7 +88,7 @@ def test_cost_floors_and_distance_trend(arch, qx2_table, qx4_table):
     graph = table.graph
     by_distance: dict[int, list[int]] = {}
     for (control, target), entry in table.entries.items():
-        d = distance(graph, control, target)
+        d = bfs(graph, control)[target]
         by_distance.setdefault(d, []).append(entry.total_gates)
         if allows(graph, control, target):
             assert entry.total_gates == 1

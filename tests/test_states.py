@@ -9,8 +9,6 @@ from qxopt.states import (
     basis_state,
     bitstring,
     distribution_from_vector,
-    format_density_matrix,
-    format_distribution,
     parse_density_matrix,
     parse_distribution,
 )
@@ -55,7 +53,7 @@ def test_distribution_sum_tolerance():
 
 def test_distribution_text_roundtrip():
     dist = distribution_from_vector(np.array([0.25, 0.25, 0.5, 0.0]))
-    again = parse_distribution(format_distribution(dist))
+    again = parse_distribution("".join(f"{bits} {p!r}\n" for bits, p in sorted(dist.probs.items())))
     assert again.num_qubits == 2
     assert again.probs == dist.probs
 
@@ -72,7 +70,8 @@ def test_parse_distribution_rejects_garbage():
 def test_density_matrix_text_roundtrip():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    again = parse_density_matrix(format_density_matrix(m))
+    text = "dm 4\n" + "".join(f"{float(z.real)!r} {float(z.imag)!r}\n" for z in m.ravel())
+    again = parse_density_matrix(text)
     assert np.max(np.abs(again - m)) < 1e-12
 
 
@@ -119,14 +118,15 @@ def test_parse_density_matrix_names_the_bad_entry_or_header(text, message):
         ("# counts\n0\n", "line 2: expected 'bitstring value', got '0'"),
         ("0 0.5\n01 0.5\n", "line 2: inconsistent bitstring width"),
         ("0 0.5\n0 0.5\n", "line 2: duplicate outcome '0'"),
-        ("0 1.5\n1 -0.5\n", "probability 1.5 for 0 outside [0, 1]"),
-        ("0 nan\n1 1\n", "probability nan for 0 outside [0, 1]"),
+        ("0 1.5\n1 -0.5\n", "line 1: probability 1.5 for 0 outside [0, 1]"),
+        ("0 nan\n1 1\n", "line 1: probability nan for 0 outside [0, 1]"),
+        ("# counts\n0 0.5\n1 nan\n", "line 3: probability nan for 1 outside [0, 1]"),
         ("0 0.5\n1 0.25\n", "probabilities sum to 0.75, not 1 within 0.005"),
         ("\n# nothing\n", "empty distribution"),
     ],
     ids=[
         "bad-label", "three-tokens", "one-token", "inconsistent-width", "duplicate",
-        "outside-unit-interval", "nan", "bad-sum", "empty",
+        "outside-unit-interval", "nan", "nan-after-comment", "bad-sum", "empty",
     ],
 )
 def test_parse_distribution_pins_each_refusal(text, message):

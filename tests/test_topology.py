@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qxopt import topology
-from qxopt.topology import allows, bfs, builtin, distance, load, shortest_paths
+from qxopt.topology import CouplingGraph, allows, bfs, builtin, load, shortest_paths
 
 
 def test_qx2_edges():
@@ -82,8 +82,8 @@ def test_load_qx4_text_equals_builtin():
 
 def test_distance_and_shortest_paths():
     g = builtin("qx2")
-    assert distance(g, 1, 2) == 1
-    assert distance(g, 1, 4) == 2
+    assert bfs(g, 1)[2] == 1
+    assert bfs(g, 1)[4] == 2
     assert shortest_paths(g, 1, 4) == [[1, 2, 4]]
     # 0 and 3 connect through 2 only at distance two
     assert shortest_paths(g, 0, 3) == [[0, 2, 3]]
@@ -101,13 +101,7 @@ def test_shortest_paths_come_sorted_and_shortest(seed):
         for b in range(n):
             paths = shortest_paths(g, a, b)
             assert paths and paths == sorted(paths)
-            assert all(len(p) == distance(g, a, b) + 1 for p in paths)
-
-
-def test_neighbors_are_undirected():
-    g = builtin("qx2")
-    assert g.neighbors(2) == [0, 1, 3, 4]
-    assert g.neighbors(1) == [0, 2]
+            assert all(len(p) == bfs(g, a)[b] + 1 for p in paths)
 
 
 def test_loading_a_long_line_runs_one_search():
@@ -116,14 +110,14 @@ def test_loading_a_long_line_runs_one_search():
     graph = load("qubits 2000\n" + "".join(f"{q} {q + 1}\n" for q in range(1999)))
     info = bfs.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    assert distance(graph, 0, 1999) == 1999
+    assert bfs(graph, 0)[1999] == 1999
     assert bfs.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("source", [-1, 5])
 def test_distance_refuses_a_source_outside_the_device(source):
     with pytest.raises(ValueError, match="outside 0..4"):
-        distance(builtin("qx2"), source, 2)
+        bfs(builtin("qx2"), source)[2]
 
 
 def test_header_with_too_few_edges_is_refused_without_a_search(monkeypatch):
@@ -138,9 +132,9 @@ def test_header_with_too_few_edges_is_refused_without_a_search(monkeypatch):
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("qubits 0\n", "num_physical must be positive"),
-        ("qubits 2\n0 2\n", "edge (0, 2) outside 0..1"),
-        ("qubits 2\n-1 0\n", "edge (-1, 0) outside 0..1"),
+        ("qubits 0\n", "line 1: num_physical must be positive"),
+        ("qubits 2\n0 2\n", "line 2: edge (0, 2) outside 0..1"),
+        ("qubits 2\n-1 0\n", "line 2: edge (-1, 0) outside 0..1"),
         ("# device\nqubit 2\n0 1\n", "line 2: expected 'qubits N' header"),
         ("qubits 2 3\n0 1\n", "line 1: expected 'qubits N' header"),
         ("qubits 2\n0\n", "line 2: expected 'control target', got '0'"),
@@ -157,4 +151,19 @@ def test_header_with_too_few_edges_is_refused_without_a_search(monkeypatch):
 def test_load_pins_each_refusal(text, message):
     with pytest.raises(ValueError) as info:
         load(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "num_physical,edges,message",
+    [
+        (0, [], "num_physical must be positive"),
+        (2, [(0, 2)], "edge (0, 2) outside 0..1"),
+        (2, [(-1, 0)], "edge (-1, 0) outside 0..1"),
+    ],
+    ids=["zero-qubits", "edge-out-of-range", "negative-edge"],
+)
+def test_coupling_graph_keeps_its_own_checks(num_physical, edges, message):
+    with pytest.raises(ValueError) as info:
+        CouplingGraph(num_physical, frozenset(edges))
     assert str(info.value) == message

@@ -40,6 +40,10 @@ __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
 
 
+class RealizationError(Exception):
+    """A realization-table entry is illegal on its device or fails its proof."""
+
+
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:

@@ -139,9 +139,6 @@ class Circuit:
                 if q >= n:
                     raise ValueError(f"gate {g} uses qubit {q} >= num_qubits {n}")
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 @dataclass(frozen=True)
 class CostReport:

@@ -8,7 +8,9 @@ writing it, and exit 2 without writing anything on a mismatch. `simplify`
 still writes a circuit that neither checker can decide (the path sum gave
 up and it is past the dense cap), and says on stderr that it is unverified.
 A command that builds a realization table exits 2 if an entry fails its
-proof.
+proof. `RealizationError` is defined in the package root, which every
+process loads already, so `main` catches it by name without loading the
+mapping modules into commands that never build a table.
 
 Each handler imports only what it runs. `mermin` loads neither numpy nor the
 mapping modules, and `fidelity` loads numpy but no mapping module. The other
@@ -22,6 +24,8 @@ import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from . import RealizationError
 
 if TYPE_CHECKING:
     from .circuit import Circuit
@@ -147,7 +151,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_optimize(args) -> int:
     import json
-    from dataclasses import asdict
 
     from . import bench as bench_mod
     from .qasm import emit
@@ -169,8 +172,8 @@ def _cmd_optimize(args) -> int:
             "input": args.infile,
             "arch": table.graph.name,
             "placement": list(result.placement),
-            "initial": asdict(result.initial_cost),
-            "final": asdict(result.final_cost),
+            "initial": {"gates": result.initial_cost.gates, "levels": result.initial_cost.levels},
+            "final": {"gates": result.final_cost.gates, "levels": result.final_cost.levels},
             "reduction_pct": dict(zip(("gates", "levels"), result.reduction_pct)),
             "verified": True,
         }
@@ -185,14 +188,12 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_simplify(args) -> int:
     from . import bench as bench_mod
-    from .peephole import simplify, simplify_with_trace
+    from .peephole import RuleFiring, simplify
     from .qasm import emit
 
     circuit = _read_circuit(args.infile, args.strict)
-    if args.trace:
-        simplified, trace = simplify_with_trace(circuit)
-    else:
-        simplified, trace = simplify(circuit), []
+    trace: list[RuleFiring] | None = [] if args.trace else None
+    simplified = simplify(circuit, trace)
     try:
         verified = bench_mod.equivalent(circuit, simplified)
     except ValueError as exc:
@@ -205,7 +206,7 @@ def _cmd_simplify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    for firing in trace:
+    for firing in trace or ():
         print(f"{firing.rule} at {firing.position} on qubits {firing.qubits}")
     text = emit(simplified)
     if args.outfile:
@@ -318,14 +319,6 @@ _HANDLERS = {
 }
 
 
-def _proof_failures() -> tuple[type[Exception], ...]:
-    """`RealizationError` once a handler has loaded the module that raises it.
-    Until then nothing can raise it, and importing it to catch it would load
-    the mapping modules into every command."""
-    realization = sys.modules.get(f"{__package__}.realization")
-    return (realization.RealizationError,) if realization is not None else ()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -336,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except _proof_failures() as exc:
+    except RealizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError) as exc:

@@ -28,10 +28,6 @@ class MerminValue:
     m3: float
     violation: float
 
-    @classmethod
-    def from_m3(cls, m3: float) -> "MerminValue":
-        return cls(m3=m3, violation=m3 - CLASSICAL_BOUND)
-
 
 def parity_expectation(dist: ProbabilityDistribution) -> float:
     """Sum of P_i * E_i with E_i = (-1)^(bit parity of outcome i)."""
@@ -48,7 +44,7 @@ def mermin3(xxy: ProbabilityDistribution, yyy: ProbabilityDistribution) -> Mermi
         if dist.num_qubits != 3:
             raise ValueError(f"{name} distribution has {dist.num_qubits} qubits, need 3")
     m3 = 3.0 * parity_expectation(xxy) - parity_expectation(yyy)
-    return MerminValue.from_m3(m3)
+    return MerminValue(m3, m3 - CLASSICAL_BOUND)
 
 
 def lhv_bound() -> float:

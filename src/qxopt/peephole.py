@@ -13,9 +13,11 @@ The engine, `rewrite`, runs on integer gate codes (see `circuit.encode`:
 kind index in the low 4 bits, then one field per qubit). Two codes act on
 identical qubits when `(p ^ c) >> 4 == 0`, and the rule for a kind pair is
 read from a flat 256-entry list. The placement search and the realization
-table call `rewrite` on codes directly and decode only their winners;
-`simplify_gates`, `simplify` and `simplify_with_trace` encode their input,
-rewrite it and decode the result, so all of them share one engine.
+table call `rewrite` on codes directly and decode only their winners.
+Gates come in by two doors, `simplify_gates` for a raw gate list and
+`simplify` for a circuit, each with an optional `trace` list that receives
+every firing. Both encode their input, rewrite it and decode the result, so
+all callers share one engine.
 
 Deliberately NOT exploited: algebraic commutations (e.g. Z-diagonal gates
 through CNOT controls). This is the smallest engine that removes repeated
@@ -163,14 +165,9 @@ def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> 
     return _simplify(gates, field_bits(width), trace)
 
 
-def simplify(circuit: Circuit) -> Circuit:
+def simplify(circuit: Circuit, trace: list[RuleFiring] | None = None) -> Circuit:
     """Apply the rule set until no rule fires; unitary preserved up to
-    global phase, gate count never increases."""
-    gates = _simplify(circuit.gates, field_bits(circuit.num_qubits), None)
-    return Circuit(circuit.num_qubits, tuple(gates))
-
-
-def simplify_with_trace(circuit: Circuit) -> tuple[Circuit, list[RuleFiring]]:
-    trace: list[RuleFiring] = []
+    global phase, gate count never increases. With `trace`, append each
+    firing to it."""
     gates = _simplify(circuit.gates, field_bits(circuit.num_qubits), trace)
-    return Circuit(circuit.num_qubits, tuple(gates)), trace
+    return Circuit(circuit.num_qubits, tuple(gates))

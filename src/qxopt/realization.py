@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import RealizationError
 from .circuit import KINDS, Circuit, GateKind, cheapest, cnot, cnot_code, decode, field_bits
 from .circuit import gate1_code
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.realization.levels_of`
@@ -30,10 +31,6 @@ from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.real
 from .qasm import gate_line
 from .stabilizer import equivalent
 from .topology import CouplingGraph, allows, shortest_paths
-
-
-class RealizationError(Exception):
-    pass
 
 
 @dataclass(frozen=True)

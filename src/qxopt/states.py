@@ -131,9 +131,6 @@ class ProbabilityDistribution:
         if abs(total - 1.0) > self.tolerance:
             raise ValueError(f"probabilities sum to {total}, not 1 within {self.tolerance}")
 
-    def prob(self, bits: str) -> float:
-        return self.probs.get(bits, 0.0)
-
 
 def distribution_from_vector(
     values: np.ndarray, tolerance: float = PUBLISHED_SUM_TOL

@@ -82,6 +82,8 @@ def load(text: str, name: str = "custom") -> CouplingGraph:
         c, t = _int(parts[0], lineno), _int(parts[1], lineno)
         if not (0 <= c < num and 0 <= t < num):
             raise ValueError(f"line {lineno}: edge ({c}, {t}) outside 0..{num - 1}")
+        if c == t:
+            raise ValueError(f"line {lineno}: self-loop edge ({c}, {t})")
         if (c, t) in edges:
             raise ValueError(f"line {lineno}: duplicate edge ({c}, {t})")
         edges.add((c, t))

@@ -158,18 +158,13 @@ def test_simplify_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--trace"]], ids=["plain", "trace"])
 def test_simplify_refuses_to_emit_unverified_result(flags, routing_file, tmp_path, monkeypatch, capsys):
-    simplify, simplify_with_trace = qxopt.peephole.simplify, qxopt.peephole.simplify_with_trace
+    simplify = qxopt.peephole.simplify
 
-    def dropping(circuit):
-        out = simplify(circuit)
+    def dropping(circuit, trace=None):
+        out = simplify(circuit, trace)
         return Circuit(out.num_qubits, out.gates[:-1])
 
-    def dropping_with_trace(circuit):
-        out, trace = simplify_with_trace(circuit)
-        return Circuit(out.num_qubits, out.gates[:-1]), trace
-
     monkeypatch.setattr(qxopt.peephole, "simplify", dropping)
-    monkeypatch.setattr(qxopt.peephole, "simplify_with_trace", dropping_with_trace)
     out = tmp_path / "out.qasm"
     assert main(["simplify", "--in", str(routing_file), "--out", str(out), *flags]) == 2
     captured = capsys.readouterr()

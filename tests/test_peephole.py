@@ -7,12 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import search_oracle
 from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, gate_count, random_circuit
-from qxopt.peephole import (
-    RULES,
-    simplify,
-    simplify_gates,
-    simplify_with_trace,
-)
+from qxopt.peephole import RULES, simplify, simplify_gates
 from qxopt.simulator import unitary_of
 
 
@@ -76,7 +71,8 @@ def test_shared_qubit_blocks_matching():
 
 def test_trace_reports_fired_rules():
     c = Circuit(1, (gate1(GateKind.S, 0), gate1(GateKind.SDG, 0)))
-    out, trace = simplify_with_trace(c)
+    trace = []
+    out = simplify(c, trace)
     assert out.gates == ()
     assert [f.rule for f in trace] == ["cancel-s-sdg"]
 
@@ -110,7 +106,8 @@ def _assert_single_pass_matches_oracles(gates, width=None):
     assert got_trace == stack_trace == scan_trace == fix_trace
     assert simplify_gates(gates) == got
     if width is not None:
-        out, trace = simplify_with_trace(Circuit(width, tuple(gates)))
+        trace = []
+        out = simplify(Circuit(width, tuple(gates)), trace)
         assert list(out.gates) == got and trace == got_trace
 
 
@@ -175,7 +172,8 @@ def test_traced_rewrite_is_linear():
     # Each firing's position comes from a bisection over the tombstones, not
     # from a count over the pending list (which took about 6 s here).
     c = random_circuit(2, 40_000, random.Random(1))
+    trace = []
     start = time.perf_counter()
-    _, trace = simplify_with_trace(c)
+    simplify(c, trace)
     assert time.perf_counter() - start < 1.0
     assert len(trace) == 5755

@@ -1,11 +1,13 @@
+import importlib
 import importlib.util
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,3 +26,11 @@ def test_noise_vs_gates_exits_1_when_the_short_preparation_does_not_win(monkeypa
     assert err == (
         "the 4-gate preparation does not beat the 12-gate one at scale 0.5, 1.0, 2.0, 5.0, 10.0\n"
     )
+
+
+def test_every_benchmark_binding_resolves_to_a_function():
+    # The benchmark's tracer replaces these names where each caller binds
+    # them; a rename in `qxopt` would otherwise surface only in a traced run.
+    spans = _load("spans", ROOT / "perfbench")
+    for module, name, _layer in spans.BINDINGS:
+        assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"

@@ -204,14 +204,14 @@ def test_run_noisy_width_cap():
 
 def test_measure_probs_basis_state():
     probs = measure_probs(basis_state(3, 0))
-    assert probs.prob("000") == 1.0
+    assert probs.probs["000"] == 1.0
 
 
 def test_measure_probs_ghz():
     c = Circuit(3, (gate1(GateKind.H, 0), cnot(0, 1), cnot(1, 2)))
     probs = measure_probs(run_ideal(c))
-    assert probs.prob("000") == pytest.approx(0.5, abs=1e-12)
-    assert probs.prob("111") == pytest.approx(0.5, abs=1e-12)
+    assert probs.probs["000"] == pytest.approx(0.5, abs=1e-12)
+    assert probs.probs["111"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_measure_probs_uniform_superposition():
@@ -223,8 +223,8 @@ def test_measure_probs_uniform_superposition():
 def test_measure_probs_density_matrix_diagonal():
     rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
     probs = measure_probs(rho)
-    assert probs.prob("0") == 0.25
-    assert probs.prob("1") == 0.75
+    assert probs.probs["0"] == 0.25
+    assert probs.probs["1"] == 0.75
 
 
 # Differential tests: the gate kernel against the dense Kronecker-product

@@ -135,6 +135,7 @@ def test_header_with_too_few_edges_is_refused_without_a_search(monkeypatch):
         ("qubits 0\n", "line 1: num_physical must be positive"),
         ("qubits 2\n0 2\n", "line 2: edge (0, 2) outside 0..1"),
         ("qubits 2\n-1 0\n", "line 2: edge (-1, 0) outside 0..1"),
+        ("qubits 2\n0 0\n0 1\n", "line 2: self-loop edge (0, 0)"),
         ("# device\nqubit 2\n0 1\n", "line 2: expected 'qubits N' header"),
         ("qubits 2 3\n0 1\n", "line 1: expected 'qubits N' header"),
         ("qubits 2\n0\n", "line 2: expected 'control target', got '0'"),
@@ -144,7 +145,7 @@ def test_header_with_too_few_edges_is_refused_without_a_search(monkeypatch):
         ("qubits 3\n0 1\n1 0\n", "coupling graph is not connected"),
     ],
     ids=[
-        "zero-qubits", "edge-out-of-range", "negative-edge", "bad-header", "header-arity",
+        "zero-qubits", "edge-out-of-range", "negative-edge", "self-loop", "bad-header", "header-arity",
         "one-token", "three-tokens", "empty", "no-header", "disconnected",
     ],
 )

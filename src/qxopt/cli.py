@@ -33,6 +33,15 @@ if TYPE_CHECKING:
     from .topology import CouplingGraph
 
 
+# What `--help` and a bare `qxopt` print; the module docstring holds the
+# implementation notes.
+_DESCRIPTION = (
+    "Map Clifford+T circuits onto CNOT-restricted devices and check the results. "
+    "Subcommands: optimize, simplify, verify, bench, mermin, fidelity, table dump. "
+    "Exit codes: 0 success, 1 usage error, 2 verification failure."
+)
+
+
 class UsageError(ValueError):
     pass
 
@@ -95,7 +104,7 @@ def _placement_arg(text: str) -> list[int]:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qxopt", description=__doc__)
+    parser = _Parser(prog="qxopt", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("optimize", help="map a circuit onto an architecture")

@@ -1,27 +1,40 @@
 """Exhaustive logical-to-physical placement search.
 
-Every injection of the circuit's qubits into the device qubits is scored by
-relabeling, substituting each CNOT with its table realization, and peephole
-simplifying. The winner is picked by `circuit.cheapest`, the rule the
-realization table uses too: fewest gates, then fewest levels, then the
-lexicographically smallest placement, with levels counted only for
-placements whose gate count is at most the best so far. Beyond the
-exhaustive limit the search refuses instead of degrading to a heuristic.
+Every injection of the circuit's qubits into the device qubits is covered;
+a placement is scored by relabeling, substituting each CNOT with its table
+realization, and peephole simplifying. The winner is picked by
+`circuit.cheapest`, the rule the realization table uses too: fewest gates,
+then fewest levels, then the lexicographically smallest placement, with
+levels counted only for placements whose gate count is at most the best so
+far. Beyond the exhaustive limit the search refuses instead of degrading to
+a heuristic.
 
 The search runs on integer gate codes (see `circuit.encode`), with qubit
 fields sized for the device: the table entries are encoded once per call,
 each placement's mapped circuit is built straight as codes and rewritten by
 `peephole.rewrite`, and only the winner is decoded back to `Gate`s.
+
+Not every injection needs scoring. Under a placement, a wire with no CNOT
+(a wire with no gates included) is isolated if no table entry chosen for
+the circuit's CNOTs touches its physical qubit. Its gates then meet no
+other gate, so the rewrite and the level count treat it alike on every
+untouched qubit, and placements that differ only in where their isolated
+wires sit have equal gates and levels. Of such a class the tie-break keeps
+the smallest placement: the one that puts the isolated wires, in logical
+order, on the smallest untouched qubits. `_placements` generates just those
+representatives, so the minimum over them is the minimum over all
+injections, with the same placement and mapped circuit. A circuit with a
+CNOT on every wire has no such class and scores every injection.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Callable, Sequence
+from itertools import combinations, permutations
+from typing import Callable, Iterable, Sequence
 
 from .circuit import Circuit, CostReport, check_placement, cheapest, code_levels, cost_report
-from .circuit import decode, encode, field_bits
+from .circuit import GateKind, decode, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
 from .peephole import rewrite
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
@@ -51,14 +64,22 @@ def percent_reduction(initial: CostReport, final: CostReport) -> tuple[int, int]
     return (pct(initial.gates, final.gates), pct(initial.levels, final.levels))
 
 
-def _mapper(circuit: Circuit, table: RealizationTable, bits: int) -> Callable[[Sequence[int]], list[int]]:
-    """Function from a placement to the gate codes (`bits`-wide qubit
-    fields) of `circuit` mapped under it: each CNOT replaced by its table
-    entry, each 1-qubit gate moved to its physical qubit."""
+def _entry_codes(table: RealizationTable, bits: int) -> list[list[list[int]]]:
+    """`[control][target]`: the gate codes (`bits`-wide qubit fields) of the
+    table entry for CNOT(control, target); empty where control == target."""
     n = table.graph.num_physical
     entries: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
     for (control, target), entry in table.entries.items():
         entries[control][target] = encode(entry.sequence.gates, bits)
+    return entries
+
+
+def _mapper(
+    circuit: Circuit, entries: list[list[list[int]]]
+) -> Callable[[Sequence[int]], list[int]]:
+    """Function from a placement to the gate codes of `circuit` mapped under
+    it: each CNOT replaced by its entry from `_entry_codes`, each 1-qubit
+    gate moved to its physical qubit."""
     logical_bits = field_bits(circuit.num_qubits)
     shift = 4 + logical_bits
     mask = (1 << logical_bits) - 1
@@ -75,6 +96,57 @@ def _mapper(circuit: Circuit, table: RealizationTable, bits: int) -> Callable[[S
         return out
 
     return mapped
+
+
+def _touched(codes: list[int], bits: int) -> int:
+    """Bit mask of the qubits that the gates coded as `codes` act on."""
+    mask = (1 << bits) - 1
+    touched = 0
+    for code in codes:
+        touched |= 1 << (code >> 4 & mask)
+        if code & 8:
+            touched |= 1 << (code >> 4 + bits)
+    return touched
+
+
+def _placements(
+    circuit: Circuit, entries: list[list[list[int]]], bits: int
+) -> Iterable[tuple[int, ...]]:
+    """The smallest placement of each class of equal-cost placements (see
+    the module docstring). Every class has one member when every wire has a
+    CNOT, or when the CNOT wires leave at most one qubit free; then this is
+    every injection."""
+    n = len(entries)
+    k = circuit.num_qubits
+    pairs = {g.qubits for g in circuit.gates if g.kind is GateKind.CNOT}
+    linked = sorted({q for pair in pairs for q in pair})
+    if len(linked) == k or n - len(linked) < 2:
+        yield from permutations(range(n), k)
+        return
+    free = [w for w in range(k) if w not in linked]
+    touches = [[_touched(codes, bits) for codes in row] for row in entries]
+    placement = [0] * k
+    for injection in permutations(range(n), len(linked)):
+        occupied = 0
+        for w, q in zip(linked, injection):
+            placement[w] = q
+            occupied |= 1 << q
+        touched = occupied
+        for a, b in pairs:
+            touched |= touches[placement[a]][placement[b]]
+        spare = [q for q in range(n) if (touched & ~occupied) >> q & 1]
+        untouched = [q for q in range(n) if not touched >> q & 1]
+        # Each CNOT-free wire takes a spare qubit or is isolated; the
+        # isolated ones, in logical order, take the smallest untouched qubits.
+        for m in range(max(0, len(free) - len(spare)), min(len(free), len(untouched)) + 1):
+            for isolated in combinations(free, m):
+                for w, q in zip(isolated, untouched):
+                    placement[w] = q
+                rest = [w for w in free if w not in isolated]
+                for spots in permutations(spare, len(rest)):
+                    for w, q in zip(rest, spots):
+                        placement[w] = q
+                    yield tuple(placement)
 
 
 def check_search_limit(graph: CouplingGraph) -> None:
@@ -97,19 +169,18 @@ def _check_widths(circuit: Circuit, table: RealizationTable) -> int:
 
 
 def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
-    """Try every injection of logical onto physical qubits, keep the best.
+    """The best injection of logical onto physical qubits, scoring one
+    placement per class of equal-cost placements (see the module docstring).
 
     The initial cost is measured on the circuit as written, even if it is
     not executable on the device as-is.
     """
     num_physical = _check_widths(circuit, table)
     bits = field_bits(num_physical)
-    mapped = _mapper(circuit, table, bits)
+    entries = _entry_codes(table, bits)
+    mapped = _mapper(circuit, entries)
     (gates, levels, placement), best = cheapest(
-        (
-            (rewrite(mapped(p), bits), p)
-            for p in permutations(range(num_physical), circuit.num_qubits)
-        ),
+        ((rewrite(mapped(p), bits), p) for p in _placements(circuit, entries, bits)),
         bits,
     )
     initial = cost_report(circuit)
@@ -131,5 +202,5 @@ def cost_of(
     """Cost of relabel -> substitute -> simplify under one fixed placement."""
     check_placement(placement, table.graph.num_physical, circuit.num_qubits)
     bits = field_bits(table.graph.num_physical)
-    codes = rewrite(_mapper(circuit, table, bits)(placement), bits)
+    codes = rewrite(_mapper(circuit, _entry_codes(table, bits))(placement), bits)
     return CostReport(len(codes), code_levels(codes, bits))

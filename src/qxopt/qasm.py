@@ -4,7 +4,8 @@ files built from the Clifford+T set.
 Accepted: the version header, one include line, one qreg, an optional creg,
 the nine gate statements, and measure/barrier statements (dropped with a
 warning, or rejected under strict mode). Everything else is an error that
-names the offending token and its position.
+names the offending token and its position; a file without a `qreg` is
+refused as a whole.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ GATE_NAMES: dict[str, GateKind] = {kind.value: kind for kind in GateKind}
 
 
 class QasmError(ValueError):
-    """A refusal whose message starts with the statement's line and column."""
+    """A refusal whose message starts with the statement's line and column,
+    or, for a file that declares no `qreg`, carries no position."""
 
 
 _REF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
@@ -89,7 +91,7 @@ def parse_report(text: str, strict: bool = False) -> tuple[Circuit, list[str]]:
             gates.append(Gate(kind, qubits))
 
     if "qreg" not in registers:
-        raise QasmError("line 1, column 1: no quantum register declared")
+        raise QasmError("no quantum register declared")
     warnings = [f"dropped {n} {keyword} statement(s)" for keyword, n in dropped.items() if n]
     return Circuit(registers["qreg"][1], tuple(gates)), warnings
 

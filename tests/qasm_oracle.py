@@ -25,8 +25,10 @@ class SourceSpan:
 
 
 class QasmError(ValueError):
-    def __init__(self, message: str, span: SourceSpan):
-        super().__init__(f"{span}: {message}")
+    """Refusal at `span`, or of the whole file when `span` is None."""
+
+    def __init__(self, message: str, span: SourceSpan | None):
+        super().__init__(message if span is None else f"{span}: {message}")
         self.span = span
 
 
@@ -124,7 +126,7 @@ def parse_report(text: str, strict: bool = False) -> ParseReport:
         gates.append(Gate(kind, qubits))
 
     if qreg is None:
-        raise QasmError("no quantum register declared", SourceSpan(1, 1))
+        raise QasmError("no quantum register declared", None)
     if dropped_measure:
         warnings.append(f"dropped {dropped_measure} measure statement(s)")
     if dropped_barrier:

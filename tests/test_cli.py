@@ -54,6 +54,14 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("argv", [["--help"], []])
+def test_help_shows_usage_not_implementation_notes(argv, capsys):
+    main(argv)
+    out = " ".join(capsys.readouterr().out.split())
+    assert "Exit codes: 0 success, 1 usage error, 2 verification failure." in out
+    assert "RealizationError" not in out
+
+
 def test_optimize_json_report(routing_file, tmp_path, capsys):
     out = tmp_path / "mapped.qasm"
     code = main(

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qxopt.circuit
+import qxopt.placement
 import search_oracle
-from qxopt.circuit import Circuit, CostReport, GateKind, cnot, code_levels, gate1, random_circuit
-from qxopt.placement import check_search_limit, cost_of, optimize, percent_reduction
+from qxopt.circuit import Circuit, CostReport, GateKind, cnot, code_levels, field_bits, gate1
+from qxopt.circuit import random_circuit
+from qxopt.placement import _entry_codes, _placements, check_search_limit, cost_of, optimize
+from qxopt.placement import percent_reduction
 from qxopt.realization import build_table
 from qxopt.simulator import equivalent
 from qxopt.topology import allows, builtin, load
@@ -231,3 +234,173 @@ def test_levels_counted_only_for_gate_count_ties(qx2_table, monkeypatch):
     # The initial cost is counted once; every other count is the search's.
     assert 1 < len(counted) < len(list(permutations(range(5), 3)))
     assert min(counted) == result.final_cost.gates
+
+
+# The 2x4 ladder of the limit8 benchmark workload: top row 0-3, bottom row
+# 4-7, rails and rungs alternating in direction.
+LADDER8_TEXT = """qubits 8
+0 1
+2 1
+2 3
+4 5
+6 5
+6 7
+0 4
+5 1
+2 6
+7 3
+"""
+
+LINE6_TEXT = "qubits 6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
+
+
+@pytest.fixture(scope="module")
+def sparse_tables(qx2_table, qx4_table):
+    return {
+        "qx2": qx2_table,
+        "qx4": qx4_table,
+        "ladder8": build_table(load(LADDER8_TEXT, name="ladder8")),
+        "line6": build_table(load(LINE6_TEXT, name="line6")),
+    }
+
+
+# Widest circuit drawn per device; ladder8 stays at 4 so that each call of
+# the full enumeration (1,680 placements) stays short.
+_SPARSE_WIDTH = {"qx2": 5, "qx4": 5, "ladder8": 4, "line6": 6}
+
+
+@st.composite
+def _sparse_circuits(draw):
+    """(device name, circuit with at most 3 CNOTs): most wires carry no
+    CNOT, and some carry no gate at all."""
+    arch = draw(st.sampled_from(sorted(_SPARSE_WIDTH)))
+    width = draw(st.integers(1, _SPARSE_WIDTH[arch]))
+    wire = st.integers(0, 7)
+    cnots = draw(st.lists(st.tuples(st.just(GateKind.CNOT), wire, wire), max_size=3))
+    kind = st.sampled_from(_ONE_QUBIT_KINDS)
+    ones = draw(st.lists(st.tuples(kind, wire, st.just(0)), max_size=10))
+    return arch, _circuit(width, draw(st.permutations(cnots + ones)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_sparse_circuits())
+def test_optimize_matches_full_enumeration_on_sparse_circuits(sparse_tables, case):
+    arch, circuit = case
+    table = sparse_tables[arch]
+    assert optimize(circuit, table) == search_oracle.optimize(circuit, table)
+
+
+def _count_rewrites(monkeypatch):
+    calls = []
+    rewrite = qxopt.placement.rewrite
+
+    def counting_rewrite(codes, bits):
+        calls.append(len(codes))
+        return rewrite(codes, bits)
+
+    monkeypatch.setattr(qxopt.placement, "rewrite", counting_rewrite)
+    return calls
+
+
+def test_cnot_free_circuit_scores_one_placement(qx2_table, monkeypatch):
+    calls = _count_rewrites(monkeypatch)
+    circuit = Circuit(4, (gate1(GateKind.H, 0), gate1(GateKind.T, 2), gate1(GateKind.T, 2)))
+    result = optimize(circuit, qx2_table)
+    assert len(calls) == 1
+    assert result.placement == (0, 1, 2, 3)
+    assert result == search_oracle.optimize(circuit, qx2_table)
+
+
+def test_circuit_with_a_cnot_on_every_wire_scores_every_injection(qx2_table, monkeypatch):
+    calls = _count_rewrites(monkeypatch)
+    optimize(TWO_CNOTS, qx2_table)
+    assert len(calls) == len(list(permutations(range(5), 3)))
+
+
+def _touched_by(table, placement, circuit):
+    """Physical qubits that the entries of the circuit's CNOTs act on."""
+    return {
+        q
+        for g in circuit.gates
+        if g.kind is GateKind.CNOT
+        for e in table.entries[(placement[g.qubits[0]], placement[g.qubits[1]])].sequence.gates
+        for q in e.qubits
+    }
+
+
+def _scored(circuit, table):
+    bits = field_bits(table.graph.num_physical)
+    return list(_placements(circuit, _entry_codes(table, bits), bits))
+
+
+def test_isolated_wire_never_lands_on_a_qubit_an_entry_touches(sparse_tables):
+    # On the line, CNOT(0, 3) is routed through qubits 1 and 2: wire 2 sits
+    # on one of them (where it meets the entry's gates) or, isolated, on the
+    # smallest qubit the entry leaves alone.
+    table = sparse_tables["line6"]
+    circuit = Circuit(3, (cnot(0, 1), gate1(GateKind.H, 2)))
+    assert _touched_by(table, (0, 3), circuit) == {0, 1, 2, 3}
+    scored = _scored(circuit, table)
+    assert sorted(p for p in scored if p[:2] == (0, 3)) == [(0, 3, 1), (0, 3, 2), (0, 3, 4)]
+    for p in scored:
+        touched = _touched_by(table, p, circuit)
+        if p[2] not in touched:
+            assert p[2] == min(set(range(6)) - touched)
+
+
+@pytest.mark.parametrize(
+    "arch,circuit",
+    [
+        ("line6", Circuit(4, (cnot(0, 1), gate1(GateKind.H, 2), gate1(GateKind.T, 3)))),
+        ("qx2", Circuit(5, (gate1(GateKind.S, 1), cnot(3, 1), gate1(GateKind.H, 4)))),
+        ("ladder8", Circuit(4, (cnot(1, 2), gate1(GateKind.X, 0), cnot(2, 1)))),
+        # One qubit left free: every class has one member.
+        ("qx2", Circuit(5, (cnot(0, 1), cnot(2, 3), gate1(GateKind.T, 4)))),
+    ],
+)
+def test_scored_placements_are_the_smallest_of_each_class(sparse_tables, arch, circuit):
+    # A class: the CNOT wires' qubits, the qubits of the CNOT-free wires
+    # that some entry touches, and which CNOT-free wires sit elsewhere.
+    table = sparse_tables[arch]
+    linked = {q for g in circuit.gates if g.kind is GateKind.CNOT for q in g.qubits}
+    smallest = {}
+    for p in permutations(range(table.graph.num_physical), circuit.num_qubits):
+        touched = _touched_by(table, p, circuit)
+        key = tuple(p[w] if w in linked or p[w] in touched else None for w in range(len(p)))
+        smallest[key] = min(smallest.get(key, p), p)
+    scored = _scored(circuit, table)
+    assert len(scored) == len(set(scored))
+    assert sorted(scored) == sorted(smallest.values())
+
+
+@pytest.mark.parametrize(
+    "gates,placement",
+    [
+        # Wire 3's S costs the same on qubit 1, inside the route, as on 4,
+        # the smallest untouched qubit; 1 is smaller.
+        ((gate1(GateKind.S, 3), cnot(1, 2), cnot(0, 2), cnot(1, 2)), (2, 0, 3, 1)),
+        # On qubit 1, wire 3's H would sit between the two entries and keep
+        # them from cancelling; isolated, it goes to 4, not 1.
+        ((cnot(1, 2), gate1(GateKind.H, 3), cnot(0, 2), cnot(1, 2)), (2, 0, 3, 4)),
+    ],
+    ids=["on-route", "isolated"],
+)
+def test_cnot_free_wire_takes_a_route_qubit_only_where_it_costs_nothing(sparse_tables, gates, placement):
+    # Under (2, 0, 3, ...) both CNOT(1, 2) entries are routed from qubit 0
+    # through 1 and 2 to 3, and cancel across CNOT(0, 2) on (2, 3).
+    table = sparse_tables["ladder8"]
+    circuit = Circuit(4, gates)
+    assert _touched_by(table, (2, 0, 3), circuit) == {0, 1, 2, 3}
+    result = optimize(circuit, table)
+    assert result.placement == placement
+    assert result.final_cost == CostReport(2, 1)
+    assert result == search_oracle.optimize(circuit, table)
+
+
+def test_more_cnot_free_wires_than_untouched_qubits_matches_oracle(qx2_table):
+    # Under (0, 3, ...) the entry for CNOT(0, 3) touches 0, 2 and 3, which
+    # leaves two untouched qubits for the three CNOT-free wires.
+    ones = (gate1(GateKind.H, 2), gate1(GateKind.T, 3), gate1(GateKind.Y, 4))
+    circuit = Circuit(5, (cnot(0, 1),) + ones)
+    assert _touched_by(qx2_table, (0, 3), circuit) == {0, 2, 3}
+    assert optimize(circuit, qx2_table) == search_oracle.optimize(circuit, qx2_table)

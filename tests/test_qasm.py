@@ -150,8 +150,8 @@ def test_parse_emit_roundtrip_random(seed):
         ("qreg q[2]; cx q[0];", False, "line 1, column 12: cx takes 2 operand(s), got 1"),
         ("qreg q[2]; h q[0],q[1];", False, "line 1, column 12: h takes 1 operand(s), got 2"),
         ("qreg q[1]; h q;", False, "line 1, column 12: malformed qubit reference 'q'"),
-        ("OPENQASM 2.0;\n// nothing\n", False, "line 1, column 1: no quantum register declared"),
-        ("", False, "line 1, column 1: no quantum register declared"),
+        ("OPENQASM 2.0;\n// nothing\n", False, "no quantum register declared"),
+        ("", False, "no quantum register declared"),
     ],
     ids=[
         "unknown-register", "malformed-register", "zero-size", "second-creg", "strict-barrier",

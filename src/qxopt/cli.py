@@ -23,7 +23,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from . import RealizationError
 
@@ -31,6 +31,8 @@ if TYPE_CHECKING:
     from .circuit import Circuit
     from .realization import RealizationTable
     from .topology import CouplingGraph
+
+_T = TypeVar("_T")
 
 
 # What `--help` and a bare `qxopt` print; the module docstring holds the
@@ -51,19 +53,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _read_parsed(path: str, parse: Callable[[str], _T]) -> _T:
+    """`parse` of the file's text. A ValueError from decoding or parsing it is
+    raised again prefixed with the path; an OSError names the file already."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _resolve_arch(arch: str) -> CouplingGraph:
     from .topology import builtin, load
 
     if arch.startswith("@"):
-        path = Path(arch[1:])
-        return load(path.read_text(encoding="utf-8"), name=path.stem)
+        path = arch[1:]
+        return _read_parsed(path, lambda text: load(text, name=Path(path).stem))
     return builtin(arch)
 
 
 def _read_circuit(path: str, strict: bool) -> Circuit:
     from .qasm import parse_report
 
-    circuit, warnings = parse_report(Path(path).read_text(encoding="utf-8"), strict=strict)
+    circuit, warnings = _read_parsed(path, lambda text: parse_report(text, strict=strict))
     for warning in warnings:
         print(f"warning: {path}: {warning}", file=sys.stderr)
     return circuit
@@ -286,8 +297,8 @@ def _cmd_mermin(args) -> int:
     from .nonclassicality import CLASSICAL_BOUND, QUANTUM_BOUND, mermin3
     from .states import parse_distribution
 
-    xxy = parse_distribution(Path(args.xxy).read_text(encoding="utf-8"))
-    yyy = parse_distribution(Path(args.yyy).read_text(encoding="utf-8"))
+    xxy = _read_parsed(args.xxy, parse_distribution)
+    yyy = _read_parsed(args.yyy, parse_distribution)
     value = mermin3(xxy, yyy)
     print(f"m3 = {value.m3:.3f}")
     print(f"violation = {value.violation:.3f}")
@@ -300,8 +311,8 @@ def _cmd_fidelity(args) -> int:
     from .nonclassicality import sanitize, uhlmann_fidelity
     from .states import parse_density_matrix
 
-    first = parse_density_matrix(Path(args.first).read_text(encoding="utf-8"))
-    second = parse_density_matrix(Path(args.second).read_text(encoding="utf-8"))
+    first = _read_parsed(args.first, parse_density_matrix)
+    second = _read_parsed(args.second, parse_density_matrix)
     fid = uhlmann_fidelity(sanitize(first.real, first.imag), sanitize(second.real, second.imag))
     print(f"fidelity = {fid:.4f}")
     return 0

@@ -4,6 +4,10 @@ Ships measured three-qubit probability distributions and tomography
 matrices from public cloud-processor experiments (raw, as published,
 including their transcription defects), the matching ideal state, and
 small circuit fixtures used by the benchmark harness and the test suite.
+
+The files in `qxopt/data` are the one list of what ships: each name tuple
+below holds the sorted stems of the files with its suffix (`.probs`,
+`.qasm`, `.dm`), read when this module loads.
 """
 from __future__ import annotations
 
@@ -17,28 +21,10 @@ from .states import ProbabilityDistribution, parse_density_matrix, parse_distrib
 if TYPE_CHECKING:
     import numpy as np
 
-DISTRIBUTIONS = (
-    "xxy_unoptimized_1024",
-    "xxy_unoptimized_8192",
-    "xxy_optimized_8192",
-    "yyy_unoptimized_1024",
-    "yyy_unoptimized_8192",
-    "yyy_optimized_8192",
-)
-
-CIRCUITS = (
-    "routing_example",
-    "ghz",
-    "mermin_xxy_unopt",
-    "mermin_xxy_opt",
-    "mermin_yyy_unopt",
-    "mermin_yyy_opt",
-)
-
-DENSITY_MATRICES = (
-    "xxy_ideal",
-    "xxy_unoptimized_tomo",
-    "xxy_optimized_tomo",
+_FILES = sorted(entry.name for entry in resources.files("qxopt.data").iterdir())
+DISTRIBUTIONS, CIRCUITS, DENSITY_MATRICES = (
+    tuple(name.removesuffix(suffix) for name in _FILES if name.endswith(suffix))
+    for suffix in (".probs", ".qasm", ".dm")
 )
 
 
@@ -46,20 +32,21 @@ def data_text(filename: str) -> str:
     return resources.files("qxopt.data").joinpath(filename).read_text(encoding="utf-8")
 
 
+def _named_text(name: str, names: tuple[str, ...], suffix: str, what: str) -> str:
+    """Text of the bundled file `name + suffix`; refuses a name not in `names`."""
+    if name not in names:
+        raise KeyError(f"unknown {what} {name!r}")
+    return data_text(name + suffix)
+
+
 def load_distribution(name: str) -> ProbabilityDistribution:
-    if name not in DISTRIBUTIONS:
-        raise KeyError(f"unknown distribution {name!r}")
-    return parse_distribution(data_text(f"{name}.probs"))
+    return parse_distribution(_named_text(name, DISTRIBUTIONS, ".probs", "distribution"))
 
 
 def load_raw_density_matrix(name: str) -> np.ndarray:
     """Raw complex matrix as published; sanitize before analysis."""
-    if name not in DENSITY_MATRICES:
-        raise KeyError(f"unknown density matrix {name!r}")
-    return parse_density_matrix(data_text(f"{name}.dm"))
+    return parse_density_matrix(_named_text(name, DENSITY_MATRICES, ".dm", "density matrix"))
 
 
 def load_circuit(name: str) -> Circuit:
-    if name not in CIRCUITS:
-        raise KeyError(f"unknown circuit {name!r}")
-    return parse(data_text(f"{name}.qasm"))
+    return parse(_named_text(name, CIRCUITS, ".qasm", "circuit"))

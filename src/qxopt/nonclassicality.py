@@ -31,7 +31,6 @@ class MerminValue:
 
 def parity_expectation(dist: ProbabilityDistribution) -> float:
     """Sum of P_i * E_i with E_i = (-1)^(bit parity of outcome i)."""
-    dist.validate()
     total = 0.0
     for bits, p in dist.probs.items():
         total += p if bits.count("1") % 2 == 0 else -p

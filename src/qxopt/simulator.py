@@ -191,9 +191,7 @@ def measure_probs(state: StateVector | DensityMatrix) -> ProbabilityDistribution
         values = np.abs(state.amplitudes) ** 2
     else:
         values = np.clip(np.diag(state.matrix).real, 0.0, None)
-    dist = distribution_from_vector(values, tolerance=1e-10)
-    dist.validate()
-    return dist
+    return distribution_from_vector(values, tolerance=1e-10)
 
 
 def equivalent(

@@ -5,6 +5,13 @@ Conventions: qubit 0 is the least-significant bit of a basis-state index;
 bitstring labels are written most-significant-bit first, so label "011"
 means qubit 1 and qubit 0 are set.
 
+Each payload checks itself when it is built: vectors and matrices span
+whole qubits, and a distribution checks each label and probability and its
+sum (within `tolerance`). A density matrix checks physicality only in
+`validate`, since `nonclassicality.sanitize` keeps indefinite published data
+indefinite on purpose. A built distribution's `probs` dict can still be
+mutated, and nothing checks it again.
+
 Distributions are plain dicts and need no numpy, so `qxopt mermin` never
 loads it; the vector and matrix code imports numpy where it runs.
 """
@@ -47,20 +54,12 @@ class StateVector:
     def num_qubits(self) -> int:
         return int(self.amplitudes.shape[0]).bit_length() - 1
 
-    def validate(self) -> None:
-        import numpy as np
 
-        tol = 1e-10
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > tol:
-            raise ValueError(f"state norm^2 = {norm}, not 1 within {tol}")
-
-
-def basis_state(num_qubits: int, index: int = 0) -> StateVector:
+def basis_state(num_qubits: int) -> StateVector:
     import numpy as np
 
     amp = np.zeros(2**num_qubits, dtype=complex)
-    amp[index] = 1.0
+    amp[0] = 1.0
     return StateVector(amp)
 
 
@@ -76,10 +75,6 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         _num_qubits(m.shape[0], "dimension")
-
-    @property
-    def num_qubits(self) -> int:
-        return int(self.matrix.shape[0]).bit_length() - 1
 
     def validate(self) -> None:
         import numpy as np
@@ -122,7 +117,7 @@ class ProbabilityDistribution:
     probs: dict[str, float]
     tolerance: float = field(default=PUBLISHED_SUM_TOL, compare=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for bits, p in self.probs.items():
             if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad outcome label {bits!r} for {self.num_qubits} qubits")
@@ -174,9 +169,7 @@ def parse_distribution(text: str) -> ProbabilityDistribution:
         _check_probability(bits, probs[bits], f"line {lineno}: ")
     if width is None:
         raise ValueError("empty distribution")
-    dist = ProbabilityDistribution(width, probs)
-    dist.validate()
-    return dist
+    return ProbabilityDistribution(width, probs)
 
 
 def parse_density_matrix(text: str) -> np.ndarray:

@@ -219,6 +219,21 @@ def test_relabel_conjugates_unitary_by_permutation(seed):
     assert np.max(np.abs(left - right)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: Gate(GateKind.H, (-1,)), "negative qubit index: (-1,)"),
+        (lambda: Circuit(0), "num_qubits must be positive"),
+        (lambda: CostReport(gates=-1, levels=0), "costs must be non-negative"),
+    ],
+    ids=["negative-qubit", "no-qubits", "negative-cost"],
+)
+def test_constructors_pin_each_refusal(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_cost_report_invariants():
     with pytest.raises(ValueError):
         CostReport(gates=2, levels=3)

@@ -240,6 +240,41 @@ def test_verify_needs_two_files(capsys):
     assert main(["verify", "one.qasm"]) == 1
 
 
+def test_verify_random_needs_arch(capsys):
+    assert main(["verify", "--random", "3"]) == 1
+    assert capsys.readouterr().err == "error: --random requires --arch\n"
+
+
+_BEFORE_QREG = "line 1, column 1: gate statement before qreg declaration"
+
+
+@pytest.mark.parametrize(
+    "argv,content,message",
+    [
+        (["verify", "{good}", "{bad}"], b"h q[0];\n", _BEFORE_QREG),
+        (["optimize", "--arch", "qx2", "--in", "{bad}"], b"h q[0];\n", _BEFORE_QREG),
+        (
+            ["optimize", "--arch", "@{bad}", "--in", "{good}"],
+            b"h q[0];\n",
+            "line 1: expected 'qubits N' header",
+        ),
+        (
+            ["mermin", "--xxy", "{bad}", "--yyy", "{bad}"],
+            b"\xff",
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+    ],
+    ids=["verify-second", "optimize", "coupling-file", "undecodable"],
+)
+def test_refusal_names_the_file_it_parses(argv, content, message, routing_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    assert main([a.format(good=routing_file, bad=bad) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: {message}\n"
+    assert captured.out == ""
+
+
 def test_mermin_command(tmp_path, capsys):
     # The paper's three Mermin values, unoptimized at 1024 and 8192 shots and
     # optimized at 8192, pinned byte for byte.
@@ -298,7 +333,7 @@ def test_analysis_commands_report_bad_value_position(
         argv += [f, str(path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {tmp_path / flag.strip('-')}: ")
     assert position in err
 
 
@@ -760,6 +795,21 @@ def test_table_entry_that_fails_its_proof_exits_two(argv, routing_file, monkeypa
     assert captured.out == ""
 
 
+def test_table_dump_refuses_an_entry_with_an_illegal_cnot(monkeypatch, capsys):
+    # The plain CNOT passes its proof; only the legality check refuses it.
+    monkeypatch.setattr(
+        qxopt.realization,
+        "_candidates",
+        lambda graph, control, target: [
+            [qxopt.circuit.cnot_code(control, target, qxopt.circuit.field_bits(graph.num_physical))]
+        ],
+    )
+    assert main(["table", "dump", "--arch", "qx2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: entry (0,3) uses illegal CNOT(0, 3)\n"
+    assert captured.out == ""
+
+
 def test_coupling_header_beyond_its_edges_is_refused_at_once(routing_file, tmp_path, monkeypatch, capsys):
     def no_search(graph, source):
         raise AssertionError("searched a device whose header outnumbers its edges")
@@ -769,4 +819,4 @@ def test_coupling_header_beyond_its_edges_is_refused_at_once(routing_file, tmp_p
     arch = tmp_path / "huge.graph"
     arch.write_text("qubits 1000000000000\n0 1\n")
     assert main(["optimize", "--arch", f"@{arch}", "--in", str(routing_file)]) == 1
-    assert capsys.readouterr().err == "error: coupling graph is not connected\n"
+    assert capsys.readouterr().err == f"error: {arch}: coupling graph is not connected\n"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import qxopt.circuit
+import qxopt.realization
 import realization_oracle
-from qxopt.circuit import Circuit, GateKind, cnot, code_levels, decode, field_bits, gate1, gate_count
+from qxopt.circuit import Circuit, GateKind, cnot, cnot_code, code_levels, decode, field_bits
+from qxopt.circuit import gate1, gate_count
 from qxopt.realization import RealizationError, _candidates, _swap, build_table, dump_text, lookup
 from qxopt.simulator import equivalent, unitary_of
 from qxopt.topology import allows, bfs, builtin, load
@@ -110,6 +112,19 @@ def test_build_rejects_disconnected_by_construction():
     # Disconnected graphs cannot even be constructed.
     with pytest.raises(ValueError, match="not connected"):
         load("qubits 4\n0 1\n2 3\n")
+
+
+def test_build_refuses_an_entry_with_an_illegal_cnot(monkeypatch):
+    # The plain CNOT is the cheapest candidate and implements its CNOT
+    # exactly, so only the legality check can refuse it.
+    monkeypatch.setattr(
+        qxopt.realization,
+        "_candidates",
+        lambda graph, control, target: [[cnot_code(control, target, field_bits(graph.num_physical))]],
+    )
+    with pytest.raises(RealizationError) as info:
+        build_table(builtin("qx2"))
+    assert str(info.value) == "entry (0,3) uses illegal CNOT(0, 3)"
 
 
 def test_line_graph_long_distance_entry_sound():

@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import qxopt.cli
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -26,6 +28,16 @@ def test_noise_vs_gates_exits_1_when_the_short_preparation_does_not_win(monkeypa
     assert err == (
         "the 4-gate preparation does not beat the 12-gate one at scale 0.5, 1.0, 2.0, 5.0, 10.0\n"
     )
+
+
+def test_cli_capture_covers_every_subcommand_and_input():
+    capture = _load("cli_capture")
+    assert {argv[0] for argv in capture.RUNS if argv} >= set(qxopt.cli._HANDLERS)
+    args = [arg for argv in capture.RUNS for arg in argv]
+    for report in ("json", "csv", "markdown"):
+        assert report in args
+    for name in capture.INPUTS:
+        assert any(name in arg for arg in args), name
 
 
 def test_every_benchmark_binding_resolves_to_a_function():

@@ -197,13 +197,19 @@ def test_run_noisy_builds_one_superoperator_per_kind_and_strength(monkeypatch):
     assert len(built) == 3
 
 
+def test_run_ideal_refuses_an_initial_state_of_another_width():
+    with pytest.raises(ValueError) as info:
+        run_ideal(Circuit(2), basis_state(3))
+    assert str(info.value) == "initial state has 3 qubits, circuit 2"
+
+
 def test_run_noisy_width_cap():
     with pytest.raises(ValueError, match="cap"):
         run_noisy(Circuit(7), NoiseSpec())
 
 
 def test_measure_probs_basis_state():
-    probs = measure_probs(basis_state(3, 0))
+    probs = measure_probs(basis_state(3))
     assert probs.probs["000"] == 1.0
 
 

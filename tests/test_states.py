@@ -20,9 +20,7 @@ def test_bitstring_labels_are_msb_first():
 
 
 def test_state_vector_validation():
-    basis_state(2).validate()
-    with pytest.raises(ValueError, match="norm"):
-        StateVector(np.array([1.0, 1.0])).validate()
+    assert basis_state(2).num_qubits == 2
     with pytest.raises(ValueError, match="power of two"):
         StateVector(np.array([1.0, 0.0, 0.0]))
 
@@ -46,9 +44,37 @@ def test_noise_spec_range_checked():
 
 
 def test_distribution_sum_tolerance():
-    ProbabilityDistribution(1, {"0": 0.5, "1": 0.503}).validate()  # within 0.005
+    ProbabilityDistribution(1, {"0": 0.5, "1": 0.503})  # within 0.005
     with pytest.raises(ValueError, match="sum"):
-        ProbabilityDistribution(1, {"0": 0.5, "1": 0.45}).validate()
+        ProbabilityDistribution(1, {"0": 0.5, "1": 0.45})
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (
+            lambda: ProbabilityDistribution(1, {"0": 1.5, "1": -0.5}),
+            "probability 1.5 for 0 outside [0, 1]",
+        ),
+        (
+            lambda: ProbabilityDistribution(1, {"0": 0.5, "1": float("nan")}),
+            "probability nan for 1 outside [0, 1]",
+        ),
+        (
+            lambda: ProbabilityDistribution(1, {"0": 0.5, "1": 0.45}),
+            "probabilities sum to 0.95, not 1 within 0.005",
+        ),
+        (
+            lambda: distribution_from_vector(np.array([0.5, 0.5 + 1e-9]), tolerance=1e-10),
+            "probabilities sum to 1.000000001, not 1 within 1e-10",
+        ),
+    ],
+    ids=["probability", "nan", "sum", "strict-sum"],
+)
+def test_distribution_is_refused_when_built(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_distribution_text_roundtrip():
@@ -149,9 +175,9 @@ def test_parse_distribution_pins_each_refusal(text, message):
             "dimension 3 is not a power of two",
         ),
         (lambda: DensityMatrix(parse_density_matrix("dm 1\n1 0\n")), "dimension 1 is not a power of two"),
-        (lambda: ProbabilityDistribution(2, {"0": 1.0}).validate(), "bad outcome label '0' for 2 qubits"),
+        (lambda: ProbabilityDistribution(2, {"0": 1.0}), "bad outcome label '0' for 2 qubits"),
         (
-            lambda: ProbabilityDistribution(1, {"0": 0.5, "2": 0.5}).validate(),
+            lambda: ProbabilityDistribution(1, {"0": 0.5, "2": 0.5}),
             "bad outcome label '2' for 1 qubits",
         ),
     ],

@@ -161,8 +161,9 @@ def test_load_pins_each_refusal(text, message):
         (0, [], "num_physical must be positive"),
         (2, [(0, 2)], "edge (0, 2) outside 0..1"),
         (2, [(-1, 0)], "edge (-1, 0) outside 0..1"),
+        (2, [(1, 1)], "self-loop edge (1, 1)"),
     ],
-    ids=["zero-qubits", "edge-out-of-range", "negative-edge"],
+    ids=["zero-qubits", "edge-out-of-range", "negative-edge", "self-loop"],
 )
 def test_coupling_graph_keeps_its_own_checks(num_physical, edges, message):
     with pytest.raises(ValueError) as info:

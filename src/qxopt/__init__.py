@@ -10,6 +10,7 @@ and tomography matrices.
 from __future__ import annotations
 
 import importlib
+from operator import attrgetter
 
 # Public name -> defining module. Names resolve on first use (PEP 562), so
 # `import qxopt` loads no submodule, and numpy is imported only by a
@@ -42,6 +43,48 @@ __version__ = "0.1.0"
 
 class RealizationError(Exception):
     """A realization-table entry is illegal on its device or fails its proof."""
+
+
+class Record:
+    """Base of the package's immutable value classes. Defining a subclass
+    imports nothing and generates no code, so a command process pays next
+    to nothing for its value classes at start-up.
+
+    A subclass lists its fields in `__slots__`, in `__init__` order, and
+    sets each with `object.__setattr__`. Equality (same class only) and hash
+    read the tuple of the fields named by the class keyword `compared`, by
+    default all of them; repr is `Name(field=value, ...)` over every field.
+    Assigning or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compared: tuple[str, ...] | None = None) -> None:
+        names = compared or cls.__slots__
+        get = attrgetter(*names)
+        cls._key = staticmethod(get if len(names) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copy and pickle rebuild through `__init__`, which re-runs its checks.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def __getattr__(name: str):

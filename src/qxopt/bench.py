@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import Record
 from .circuit import Circuit
 from .pathsum import proves_equal
 from .placement import MappingResult, optimize
@@ -50,14 +50,22 @@ def map_verified(
     return result, equivalent(circuit, result.mapped, list(result.placement), tol=tol)
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(Record):
     """One benchmarked file: its mapping, or the error that stopped it."""
 
+    __slots__ = ("name", "result", "verified", "error")
     name: str
     result: MappingResult | None
-    verified: bool = False
-    error: str | None = None
+    verified: bool
+    error: str | None
+
+    def __init__(
+        self, name: str, result: MappingResult | None, verified: bool = False, error: str | None = None
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "error", error)
 
 
 def bench_file(path: Path, table: RealizationTable, strict: bool = False) -> BenchRow:

@@ -14,9 +14,10 @@ Python ints are unbounded, so no qubit index can wrap into its neighbor.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
+
+from . import Record
 
 
 class GateKind(Enum):
@@ -58,22 +59,22 @@ def inverse_of(kind: GateKind) -> GateKind:
     return _INVERSE[kind]
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Record):
     """One gate application. For CNOT, qubits = (control, target)."""
 
+    __slots__ = ("kind", "qubits")
     kind: GateKind
     qubits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.qubits) != self.kind.arity:
-            raise ValueError(
-                f"{self.kind.name} takes {self.kind.arity} qubit(s), got {self.qubits}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubit in gate: {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index: {self.qubits}")
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...]) -> None:
+        if len(qubits) != kind.arity:
+            raise ValueError(f"{kind.name} takes {kind.arity} qubit(s), got {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"duplicate qubit in gate: {qubits}")
+        if any(q < 0 for q in qubits):
+            raise ValueError(f"negative qubit index: {qubits}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "qubits", qubits)
 
 
 # Kind of each gate-code index, and the index of each kind.
@@ -121,39 +122,42 @@ def gate1(kind: GateKind, qubit: int) -> Gate:
     return Gate(kind, (qubit,))
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """Ordered gate sequence over `num_qubits` wires. Immutable value."""
 
+    __slots__ = ("num_qubits", "gates")
     num_qubits: int
-    gates: tuple[Gate, ...] = ()
+    gates: tuple[Gate, ...]
 
-    def __post_init__(self) -> None:
-        if self.num_qubits < 1:
+    def __init__(self, num_qubits: int, gates: Iterable[Gate] = ()) -> None:
+        if num_qubits < 1:
             raise ValueError("num_qubits must be positive")
-        if not isinstance(self.gates, tuple):
-            object.__setattr__(self, "gates", tuple(self.gates))
-        n = self.num_qubits
-        for g in self.gates:
+        if not isinstance(gates, tuple):
+            gates = tuple(gates)
+        for g in gates:
             for q in g.qubits:
-                if q >= n:
-                    raise ValueError(f"gate {g} uses qubit {q} >= num_qubits {n}")
+                if q >= num_qubits:
+                    raise ValueError(f"gate {g} uses qubit {q} >= num_qubits {num_qubits}")
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "gates", gates)
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Gate count and schedule depth of a circuit."""
 
+    __slots__ = ("gates", "levels")
     gates: int
     levels: int
 
-    def __post_init__(self) -> None:
-        if self.gates < 0 or self.levels < 0:
+    def __init__(self, gates: int, levels: int) -> None:
+        if gates < 0 or levels < 0:
             raise ValueError("costs must be non-negative")
-        if self.levels > self.gates:
+        if levels > gates:
             raise ValueError("levels cannot exceed gates")
-        if (self.levels == 0) != (self.gates == 0):
+        if (levels == 0) != (gates == 0):
             raise ValueError("levels is zero exactly when gates is zero")
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "levels", levels)
 
 
 def gate_count(circuit: Circuit) -> int:

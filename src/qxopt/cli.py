@@ -15,7 +15,10 @@ mapping modules into commands that never build a table.
 Each handler imports only what it runs. `mermin` loads neither numpy nor the
 mapping modules, and `fidelity` loads numpy but no mapping module. The other
 commands load the mapping modules, and numpy only when the path sum cannot
-prove a pair and `bench.equivalent` falls back to the dense simulator.
+prove a pair and `bench.equivalent` falls back to the dense simulator. No
+command loads the standard library's data-class module or the `inspect` it
+imports: the value classes are `__slots__` classes on `qxopt.Record`, which
+the package root defines.
 """
 from __future__ import annotations
 

@@ -10,10 +10,10 @@ loads it; `sanitize` and `uhlmann_fidelity` import numpy where they run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
+from . import Record
 from .states import DensityMatrix, ProbabilityDistribution
 
 if TYPE_CHECKING:
@@ -23,10 +23,14 @@ CLASSICAL_BOUND = 2.0
 QUANTUM_BOUND = 4.0
 
 
-@dataclass(frozen=True)
-class MerminValue:
+class MerminValue(Record):
+    __slots__ = ("m3", "violation")
     m3: float
     violation: float
+
+    def __init__(self, m3: float, violation: float) -> None:
+        object.__setattr__(self, "m3", m3)
+        object.__setattr__(self, "violation", violation)
 
 
 def parity_expectation(dist: ProbabilityDistribution) -> float:

@@ -27,17 +27,24 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Sequence
 
+from . import Record
 from .circuit import KIND_CODE, Circuit, Gate, GateKind, decode, encode, field_bits
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Record):
+    __slots__ = ("name", "pattern", "replacement")
     name: str
     pattern: tuple[GateKind, GateKind]
     replacement: tuple[GateKind, ...]
+
+    def __init__(
+        self, name: str, pattern: tuple[GateKind, GateKind], replacement: tuple[GateKind, ...]
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "replacement", replacement)
 
 
 RULES: tuple[RewriteRule, ...] = (
@@ -71,14 +78,19 @@ def _rule_slots() -> list[tuple[str, int] | None]:
 _RULE_AT = _rule_slots()
 
 
-@dataclass(frozen=True)
-class RuleFiring:
+class RuleFiring(Record):
     """One applied rewrite: rule name, position in the evolving gate list,
     and the qubits involved."""
 
+    __slots__ = ("rule", "position", "qubits")
     rule: str
     position: int
     qubits: tuple[int, ...]
+
+    def __init__(self, rule: str, position: int, qubits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "qubits", qubits)
 
 
 def rewrite(codes: list[int], bits: int, trace: list[RuleFiring] | None = None) -> list[int]:
@@ -151,6 +163,9 @@ def _simplify(gates: Sequence[Gate], bits: int, trace: list[RuleFiring] | None) 
     back as the input's own object; only merged gates are decoded anew."""
     codes = encode(gates, bits)
     out = rewrite(codes, bits, trace)
+    # Every firing shortens the list, so an unchanged length means none fired.
+    if len(out) == len(codes):
+        return list(gates)
     simplified = list(map(dict(zip(codes, gates)).get, out))
     # A merged gate whose code the input lacks reads None; a Gate is truthy.
     if not all(simplified):
@@ -168,6 +183,8 @@ def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> 
 def simplify(circuit: Circuit, trace: list[RuleFiring] | None = None) -> Circuit:
     """Apply the rule set until no rule fires; unitary preserved up to
     global phase, gate count never increases. With `trace`, append each
-    firing to it."""
+    firing to it. A circuit on which no rule fires is its own result."""
     gates = _simplify(circuit.gates, field_bits(circuit.num_qubits), trace)
+    if len(gates) == len(circuit.gates):
+        return circuit
     return Circuit(circuit.num_qubits, tuple(gates))

@@ -29,10 +29,10 @@ CNOT on every wire has no such class and scores every injection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
+from . import Record
 from .circuit import Circuit, CostReport, check_placement, cheapest, code_levels, cost_report
 from .circuit import GateKind, decode, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
@@ -44,13 +44,27 @@ from .topology import CouplingGraph
 DEFAULT_SEARCH_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class MappingResult:
+class MappingResult(Record):
+    __slots__ = ("placement", "mapped", "initial_cost", "final_cost", "reduction_pct")
     placement: tuple[int, ...]
     mapped: Circuit
     initial_cost: CostReport
     final_cost: CostReport
     reduction_pct: tuple[int, int]
+
+    def __init__(
+        self,
+        placement: tuple[int, ...],
+        mapped: Circuit,
+        initial_cost: CostReport,
+        final_cost: CostReport,
+        reduction_pct: tuple[int, int],
+    ) -> None:
+        object.__setattr__(self, "placement", placement)
+        object.__setattr__(self, "mapped", mapped)
+        object.__setattr__(self, "initial_cost", initial_cost)
+        object.__setattr__(self, "final_cost", final_cost)
+        object.__setattr__(self, "reduction_pct", reduction_pct)
 
 
 def percent_reduction(initial: CostReport, final: CostReport) -> tuple[int, int]:

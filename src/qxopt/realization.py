@@ -20,9 +20,7 @@ device of any size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import RealizationError
+from . import RealizationError, Record
 from .circuit import KINDS, Circuit, GateKind, cheapest, cnot, cnot_code, decode, field_bits
 from .circuit import gate1_code
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.realization.levels_of`
@@ -33,17 +31,26 @@ from .stabilizer import equivalent
 from .topology import CouplingGraph, allows, shortest_paths
 
 
-@dataclass(frozen=True)
-class RealizationEntry:
+class RealizationEntry(Record):
+    __slots__ = ("sequence", "total_gates", "levels")
     sequence: Circuit
     total_gates: int
     levels: int
 
+    def __init__(self, sequence: Circuit, total_gates: int, levels: int) -> None:
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "total_gates", total_gates)
+        object.__setattr__(self, "levels", levels)
 
-@dataclass(frozen=True)
-class RealizationTable:
+
+class RealizationTable(Record):
+    __slots__ = ("graph", "entries")
     graph: CouplingGraph
     entries: dict[tuple[int, int], RealizationEntry]
+
+    def __init__(self, graph: CouplingGraph, entries: dict[tuple[int, int], RealizationEntry]) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "entries", entries)
 
 
 def _local_cnot(graph: CouplingGraph, control: int, target: int, bits: int) -> list[int]:

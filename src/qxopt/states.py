@@ -18,8 +18,9 @@ loads it; the vector and matrix code imports numpy where it runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from . import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,16 +40,16 @@ def _num_qubits(size: int, what: str) -> int:
     return size.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
+    __slots__ = ("amplitudes",)
     amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, amplitudes: np.ndarray) -> None:
         import numpy as np
 
-        amp = np.asarray(self.amplitudes, dtype=complex).ravel()
-        object.__setattr__(self, "amplitudes", amp)
+        amp = np.asarray(amplitudes, dtype=complex).ravel()
         _num_qubits(amp.shape[0], "amplitude vector length")
+        object.__setattr__(self, "amplitudes", amp)
 
     @property
     def num_qubits(self) -> int:
@@ -63,18 +64,18 @@ def basis_state(num_qubits: int) -> StateVector:
     return StateVector(amp)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
+    __slots__ = ("matrix",)
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         import numpy as np
 
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         _num_qubits(m.shape[0], "dimension")
+        object.__setattr__(self, "matrix", m)
 
     def validate(self) -> None:
         import numpy as np
@@ -90,18 +91,20 @@ class DensityMatrix:
             raise ValueError(f"matrix has eigenvalue {low} < -{eig_tol}")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Record):
     """Per-gate symmetric depolarizing strengths: p1 after single-qubit
     gates, p2 per touched qubit after two-qubit gates."""
 
-    p1: float = 0.001
-    p2: float = 0.01
+    __slots__ = ("p1", "p2")
+    p1: float
+    p2: float
 
-    def __post_init__(self) -> None:
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
+    def __init__(self, p1: float = 0.001, p2: float = 0.01) -> None:
+        for name, p in (("p1", p1), ("p2", p2)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} = {p} outside [0, 1]")
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
 
 
 def _check_probability(bits: str, p: float, where: str = "") -> None:
@@ -109,22 +112,26 @@ def _check_probability(bits: str, p: float, where: str = "") -> None:
         raise ValueError(f"{where}probability {p} for {bits} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
-    """Computational-basis outcome probabilities keyed by bitstring label."""
+class ProbabilityDistribution(Record, compared=("num_qubits", "probs")):
+    """Computational-basis outcome probabilities keyed by bitstring label.
+    The sum `tolerance` is not compared."""
 
+    __slots__ = ("num_qubits", "probs", "tolerance")
     num_qubits: int
     probs: dict[str, float]
-    tolerance: float = field(default=PUBLISHED_SUM_TOL, compare=False)
+    tolerance: float
 
-    def __post_init__(self) -> None:
-        for bits, p in self.probs.items():
-            if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
-                raise ValueError(f"bad outcome label {bits!r} for {self.num_qubits} qubits")
+    def __init__(self, num_qubits: int, probs: dict[str, float], tolerance: float = PUBLISHED_SUM_TOL) -> None:
+        for bits, p in probs.items():
+            if len(bits) != num_qubits or set(bits) - {"0", "1"}:
+                raise ValueError(f"bad outcome label {bits!r} for {num_qubits} qubits")
             _check_probability(bits, p)
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > self.tolerance:
-            raise ValueError(f"probabilities sum to {total}, not 1 within {self.tolerance}")
+        total = sum(probs.values())
+        if abs(total - 1.0) > tolerance:
+            raise ValueError(f"probabilities sum to {total}, not 1 within {tolerance}")
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "tolerance", tolerance)
 
 
 def distribution_from_vector(

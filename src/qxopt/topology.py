@@ -6,28 +6,36 @@ other device is described by a small text format ("qubits N" then one
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
+
+from . import Record
 
 
-@dataclass(frozen=True)
-class CouplingGraph:
+class CouplingGraph(Record, compared=("num_physical", "edges")):
+    """Directed coupling map; `name` is a label that equality and hash skip,
+    so two loads of one device share the `bfs` and `_adjacency` caches."""
+
+    __slots__ = ("num_physical", "edges", "name")
     num_physical: int
     edges: frozenset[tuple[int, int]]
-    name: str = field(default="custom", compare=False)
+    name: str
 
-    def __post_init__(self) -> None:
-        if self.num_physical < 1:
+    def __init__(self, num_physical: int, edges: Iterable[tuple[int, int]], name: str = "custom") -> None:
+        if num_physical < 1:
             raise ValueError("num_physical must be positive")
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for c, t in self.edges:
+        edges = frozenset(edges)
+        for c, t in edges:
             if c == t:
                 raise ValueError(f"self-loop edge ({c}, {t})")
-            if not (0 <= c < self.num_physical and 0 <= t < self.num_physical):
-                raise ValueError(f"edge ({c}, {t}) outside 0..{self.num_physical - 1}")
+            if not (0 <= c < num_physical and 0 <= t < num_physical):
+                raise ValueError(f"edge ({c}, {t}) outside 0..{num_physical - 1}")
+        object.__setattr__(self, "num_physical", num_physical)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "name", name)
         # A connected graph on N qubits has at least N - 1 edges; checking
         # that first refuses a huge header without building its adjacency.
-        if self.num_physical > len(self.edges) + 1 or len(bfs(self, 0)) != self.num_physical:
+        if num_physical > len(edges) + 1 or len(bfs(self, 0)) != num_physical:
             raise ValueError("coupling graph is not connected")
 
 

@@ -224,9 +224,13 @@ def test_relabel_conjugates_unitary_by_permutation(seed):
     [
         (lambda: Gate(GateKind.H, (-1,)), "negative qubit index: (-1,)"),
         (lambda: Circuit(0), "num_qubits must be positive"),
+        (
+            lambda: Circuit(2, (gate1(GateKind.H, 3),)),
+            "gate Gate(kind=<GateKind.H: 'h'>, qubits=(3,)) uses qubit 3 >= num_qubits 2",
+        ),
         (lambda: CostReport(gates=-1, levels=0), "costs must be non-negative"),
     ],
-    ids=["negative-qubit", "no-qubits", "negative-cost"],
+    ids=["negative-qubit", "no-qubits", "qubit-out-of-range", "negative-cost"],
 )
 def test_constructors_pin_each_refusal(make, message):
     with pytest.raises(ValueError) as info:

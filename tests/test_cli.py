@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -21,7 +20,7 @@ from qxopt.bench import bench_directory, bench_file, render_csv, render_markdown
 from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit
 from qxopt.cli import main
 from qxopt.fixtures import data_text
-from qxopt.placement import optimize
+from qxopt.placement import MappingResult, optimize
 from qxopt.qasm import emit, parse
 from qxopt.realization import build_table
 from qxopt.topology import load
@@ -126,7 +125,13 @@ def test_optimize_refuses_to_emit_unverified_result(routing_file, tmp_path, monk
         result = optimize(circuit, table)
         extra = gate1(GateKind.X, result.placement[0])
         mapped = Circuit(result.mapped.num_qubits, result.mapped.gates + (extra,))
-        return dataclasses.replace(result, mapped=mapped)
+        return MappingResult(
+            placement=result.placement,
+            mapped=mapped,
+            initial_cost=result.initial_cost,
+            final_cost=result.final_cost,
+            reduction_pct=result.reduction_pct,
+        )
 
     monkeypatch.setattr(qxopt.bench, "optimize", corrupted)
     out = tmp_path / "mapped.qasm"
@@ -599,7 +604,7 @@ def test_verify_placement_that_does_not_fit_is_usage_error(first, second, extra,
     (tmp_path / "narrow.qasm").write_text("qreg q[2]; cx q[0],q[1];")
     argv = ["verify", str(tmp_path / f"{first}.qasm"), str(tmp_path / f"{second}.qasm"), *extra]
     # Refused before either check runs, so numpy is never imported.
-    proc = _run_numpy_free(argv, 1)
+    proc = _run_lean(argv, 1)
     assert proc.stderr == message
     assert len(proc.stderr) < 200
 
@@ -679,8 +684,13 @@ def _run_unimported(argv: list[str], code: int, modules: tuple[str, ...]) -> sub
     return proc
 
 
-def _run_numpy_free(argv: list[str], code: int) -> subprocess.CompletedProcess:
-    return _run_unimported(argv, code, ("numpy",))
+# No command that can run without numpy imports it, nor `dataclasses` and
+# the `inspect` it loads, which cost a process more than its search.
+_LEAN = ("numpy", "dataclasses", "inspect")
+
+
+def _run_lean(argv: list[str], code: int) -> subprocess.CompletedProcess:
+    return _run_unimported(argv, code, _LEAN)
 
 
 @pytest.mark.parametrize(
@@ -733,7 +743,7 @@ def test_mapping_commands_leave_numpy_unimported(argv, tmp_path, capsys):
     )
     files = dict(qasm=qasm, mapped=mapped, dir=tmp_path, ladder8=ladder8, five=five, fixtures=FIXTURE_DIR)
     argv = [a.format(placement=placement, **files) for a in argv]
-    _run_numpy_free(argv, 0)
+    _run_lean(argv, 0)
 
 
 _MAPPING_STACK = tuple(
@@ -747,15 +757,19 @@ _MAPPING_STACK = tuple(
     [
         (
             ["mermin", "--xxy", "{data}/xxy_optimized_8192.probs", "--yyy", "{data}/yyy_optimized_8192.probs"],
-            ("numpy", *_MAPPING_STACK),
+            (*_LEAN, *_MAPPING_STACK),
         ),
-        (["fidelity", "--a", "{data}/xxy_ideal.dm", "--b", "{data}/xxy_optimized_tomo.dm"], _MAPPING_STACK),
+        (
+            ["fidelity", "--a", "{data}/xxy_ideal.dm", "--b", "{data}/xxy_optimized_tomo.dm"],
+            ("dataclasses", *_MAPPING_STACK),
+        ),
     ],
     ids=["mermin", "fidelity"],
 )
 def test_analysis_commands_load_only_what_they_run(argv, modules):
     # `mermin` sums two dicts and needs neither numpy nor the mapping
-    # modules; `fidelity` needs numpy for its eigendecompositions only.
+    # modules; `fidelity` needs numpy for its eigendecompositions only, and
+    # numpy itself imports `inspect`.
     _run_unimported([a.format(data=FIXTURE_DIR) for a in argv], 0, modules)
 
 

@@ -10,6 +10,9 @@ plain ints instead (`encode`/`decode`): the kind's index in `GateKind` in
 the low 4 bits, then one `bits`-wide field per qubit, the first qubit
 lowest. `field_bits` sizes the field from the circuit's or device's width;
 Python ints are unbounded, so no qubit index can wrap into its neighbor.
+Kind index 9, `BLOCK_CODE`, is no gate: in a code list for
+`peephole.rewrite_pending` it marks the start of a block (see
+`peephole.mark_blocks`), with the block's index above the kind field.
 """
 from __future__ import annotations
 
@@ -80,8 +83,10 @@ class Gate(Record):
 # Kind of each gate-code index, and the index of each kind.
 KINDS = tuple(GateKind)
 KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
-# CNOT's index, 8, is the only one with bit 3 set: `code & 8` tests for it.
+# CNOT's index, 8, is the only gate kind with bit 3 set: `code & 8` tests
+# for it, in a list without block markers (kind 9).
 CNOT_CODE = KIND_CODE[GateKind.CNOT]
+BLOCK_CODE = 9
 
 
 def field_bits(width: int) -> int:
@@ -200,16 +205,22 @@ def code_levels(codes: Iterable[int], bits: int) -> int:
     return depth
 
 
-def cheapest(candidates: Iterable[tuple[list[int], tuple]], bits: int) -> tuple[tuple, list[int]]:
-    """Winning `(gates, levels, tiebreak)` key and code list among `(gate
-    code list, tiebreak)` pairs, coded with `bits`-wide qubit fields: fewest
-    gates, then fewest levels, then smallest tiebreak, the first of equal
-    keys kept. Levels only break gate-count ties, so they are counted only
-    for a candidate no longer than the best."""
+def cheapest(
+    candidates: Iterable[tuple[list[int], int, tuple]], bits: int
+) -> tuple[tuple, list[int]]:
+    """Winning `(gates, levels, tiebreak)` key and code list among `(pending,
+    dead, tiebreak)` triples: gate codes with `bits`-wide qubit fields among
+    `dead` -1 tombstones, as `peephole.rewrite_pending` returns them. The
+    rule: fewest gates, then fewest levels, then smallest tiebreak, the
+    first of equal keys kept. Levels only break gate-count ties, so a
+    candidate is filtered and its levels counted only when it has no more
+    gates than the best so far."""
     best: tuple[tuple, list[int]] | None = None
-    for codes, tiebreak in candidates:
-        if best is None or len(codes) <= best[0][0]:
-            key = (len(codes), code_levels(codes, bits), tiebreak)
+    for pending, dead, tiebreak in candidates:
+        count = len(pending) - dead
+        if best is None or count <= best[0][0]:
+            codes = [c for c in pending if c >= 0]
+            key = (count, code_levels(codes, bits), tiebreak)
             if best is None or key < best[0]:
                 best = key, codes
     if best is None:

@@ -2,22 +2,43 @@
 
 Two gates match a rule when they act on identical qubit tuples and every
 gate between them touches disjoint qubits, i.e. the pair can be commuted
-together. Each qubit keeps an index of the pending gates on it, so a
-gate's candidate partner is found in constant time instead of by scanning
-back. Rules only cancel inverse pairs or merge phase gates, so each
+together. Rules only cancel inverse pairs or merge phase gates, so each
 firing strictly shrinks the circuit. The single pass already leaves no
-rule that could fire (see rewrite). The test suite proves each rule
+rule that could fire (see rewrite_pending). The test suite proves each rule
 against the dense simulator, so nothing re-proves them at run time.
 
-The engine, `rewrite`, runs on integer gate codes (see `circuit.encode`:
-kind index in the low 4 bits, then one field per qubit). Two codes act on
-identical qubits when `(p ^ c) >> 4 == 0`, and the rule for a kind pair is
-read from a flat 256-entry list. The placement search and the realization
-table call `rewrite` on codes directly and decode only their winners.
-Gates come in by two doors, `simplify_gates` for a raw gate list and
-`simplify` for a circuit, each with an optional `trace` list that receives
-every firing. Both encode their input, rewrite it and decode the result, so
-all callers share one engine.
+The engine, `rewrite_pending`, runs on integer gate codes (see
+`circuit.encode`: kind index in the low 4 bits, then one field per qubit).
+Its state is flat: the pending gates in order, `top[q]`, the newest
+pending gate on each qubit, and per pending gate a link back to the
+previous pending gate on its first qubit and one on its second. A gate's
+one possible partner is the top of its qubits, found in constant time, and
+a deleted gate hands each of its qubits back along its links. A link is
+stored as a distance, not an index, so a run of gates can be appended
+with its links precomputed. The rule for a kind pair is read from a flat
+256-entry table.
+
+That is what a block is for (`mark_blocks`): a run of codes on which no
+rule fires, such as a realization-table entry, which is itself a `rewrite`
+result. Pushed gate by gate after any pending gates, a block gate that is
+not the first gate on each of its qubits meets the block's own previous
+gate on a qubit: a 1-qubit gate meets the same partner as in the block
+alone, and so does a CNOT that is first on neither qubit; a CNOT that is
+first on one qubit only meets two different tops. None of those pairs
+fires in the block alone, so none fires here. Only the heads, the gates
+first on all their qubits, can meet a pending gate. So when no head fires,
+appending the whole block at once, with one link patched and one `top` set
+per qubit, is exactly what the gate-by-gate pass would do; when one fires,
+the block is read gate by gate.
+
+The placement search passes each multi-gate table entry as a block and
+keeps the pending list with its tombstones, so that `circuit.cheapest`
+filters only the candidates it has to. The realization table calls
+`rewrite`, the filtering wrapper, and decodes only its winners. Gates come
+in by two doors, `simplify_gates` for a raw gate list and `simplify` for a
+circuit, each with an optional `trace` list that receives every firing.
+Both encode their input, rewrite it and decode the result, so all callers
+share one engine.
 
 Deliberately NOT exploited: algebraic commutations (e.g. Z-diagonal gates
 through CNOT controls). This is the smallest engine that removes repeated
@@ -27,10 +48,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from . import Record
-from .circuit import KIND_CODE, Circuit, Gate, GateKind, decode, encode, field_bits
+from .circuit import BLOCK_CODE, CNOT_CODE, KIND_CODE, Circuit, Gate, GateKind, decode, encode
+from .circuit import field_bits
 
 
 class RewriteRule(Record):
@@ -64,18 +87,30 @@ RULES: tuple[RewriteRule, ...] = (
 )
 
 
-def _rule_slots() -> list[tuple[str, int] | None]:
-    """The rule for a pending gate of kind index p and an incoming one of
-    kind index c at slot `p << 4 | c`, as (name, merged kind index or -1)."""
-    slots: list[tuple[str, int] | None] = [None] * 256
+# What a pending gate of kind index p and an incoming one of kind index c
+# turn into, at slot `p << 4 | c`: the merged kind index, _CANCEL or
+# _NO_RULE.
+_CANCEL = -1
+_NO_RULE = -2
+
+
+def _rule_table() -> tuple[list[int], list[str | None]]:
+    """Each slot's outcome, and its rule's name for traces."""
+    outcomes = [_NO_RULE] * 256
+    names: list[str | None] = [None] * 256
     for rule in RULES:
         first, second = (KIND_CODE[kind] for kind in rule.pattern)
-        merged = KIND_CODE[rule.replacement[0]] if rule.replacement else -1
-        slots[first << 4 | second] = (rule.name, merged)
-    return slots
+        slot = first << 4 | second
+        outcomes[slot] = KIND_CODE[rule.replacement[0]] if rule.replacement else _CANCEL
+        names[slot] = rule.name
+    return outcomes, names
 
 
-_RULE_AT = _rule_slots()
+_OUTCOME, _RULE_NAME = _rule_table()
+# Qubit fields up to this wide keep `top` in a list, wider ones in a dict,
+# so a circuit on a few wires with large indices costs no more than one on
+# wires 0, 1, 2.
+_LIST_BITS = 8
 
 
 class RuleFiring(Record):
@@ -93,20 +128,33 @@ class RuleFiring(Record):
         object.__setattr__(self, "qubits", qubits)
 
 
-def rewrite(codes: list[int], bits: int, trace: list[RuleFiring] | None = None) -> list[int]:
+def rewrite_pending(
+    codes: Iterable[int],
+    bits: int,
+    blocks: Sequence[tuple] = (),
+    trace: list[RuleFiring] | None = None,
+) -> tuple[list[int], int]:
     """Rewrite gate codes with `bits`-wide qubit fields to their fixpoint in
-    one pass; with `trace`, append each firing to it.
+    one pass; with `trace`, append each firing to it. `codes` may hold the
+    block markers of `mark_blocks`, with `blocks` the table it returned.
 
-    A gate's only possible partner is the last pending gate that touches
-    any of its qubits. Each qubit keeps a stack of indices into `pending`
-    for the gates on it, so that partner is found in constant time: the top
-    of the qubit's stack for a 1-qubit gate, and for a CNOT the top shared
-    by both stacks (different tops mean no match). The stacks live in a
-    dict, so a circuit on a few wires with large indices costs no more than
-    one on wires 0, 1, 2. A deleted gate becomes a -1 tombstone and leaves
-    the stacks of its qubits, whose top it was. With `trace`, the sorted
-    tombstone indices give a firing's position among the live gates by
-    bisection.
+    Returns the pending list and the number of -1 tombstones in it: the
+    result is its other entries, in order. Index 0 is a sentinel tombstone,
+    the `top` of every qubit that no pending gate is on.
+
+    A gate's only possible partner is the newest pending gate on its qubits,
+    `top[q]`. A 1-qubit gate reads the rule for the top of its qubit with
+    no test of that gate's qubits: a CNOT there has kind 8, and no rule
+    pairs kind 8, or the sentinel's kind field 15, with a 1-qubit kind. A
+    CNOT cancels exactly when both its qubits' tops are the same pending
+    gate with its own code. A deleted gate is the top of each of its
+    qubits, so nothing links to it, and each top steps back along the
+    deleted gate's link on that qubit. With `trace`, the sorted tombstone
+    indices give a firing's position among the live gates by bisection.
+
+    A marker is followed by its block's codes. When none of the block's
+    heads fires, the block is appended whole and its codes are skipped;
+    otherwise they are read gate by gate (see the module docstring).
 
     Invariant: no two gates in `pending` match. A firing deletes pending[i],
     and every gate after index i is disjoint from its qubits. A pair that
@@ -116,46 +164,161 @@ def rewrite(codes: list[int], bits: int, trace: list[RuleFiring] | None = None) 
     """
     shift = 4 + bits
     mask = (1 << bits) - 1
-    rule_at = _RULE_AT
-    pending: list[int] = []
-    dead: list[int] | None = [] if trace is not None else None
-    stacks: defaultdict[int, list[int]] = defaultdict(list)
-    for code in codes:
-        # A merged gate keeps its qubits, so its stacks stay the same.
+    outcomes = _OUTCOME
+    pending = [-1]
+    link1 = [0]
+    link2 = [0]
+    top: list[int] | defaultdict[int, int] = (
+        [0] * (mask + 1) if bits <= _LIST_BITS else defaultdict(int)
+    )
+    dead = 1
+    tombs = [0] if trace is not None else None
+    it = iter(codes)
+    for code in it:
         if code & 8:
-            stack, other = stacks[code >> 4 & mask], stacks[code >> shift]
-        else:
-            stack, other = stacks[code >> 4], None
-        while stack:
-            i = stack[-1]
-            if other is not None and (not other or other[-1] != i):
-                break
-            partner = pending[i]
-            if (partner ^ code) >> 4:
-                break
-            rule = rule_at[(partner & 15) << 4 | code & 15]
-            if rule is None:
-                break
-            name, merged = rule
-            if dead is not None:
-                position = i - bisect_left(dead, i)
-                trace.append(RuleFiring(name, position, decode(code, bits).qubits))
-                insort(dead, i)
+            if code & 1:
+                run, run1, run2, heads, cnot_heads, spans1, spans2 = blocks[code >> 4]
+                for q, kind in heads:
+                    if outcomes[(pending[top[q]] & 15) << 4 | kind] != _NO_RULE:
+                        break
+                else:
+                    for c, t, head in cnot_heads:
+                        i = top[c]
+                        if i == top[t] and pending[i] == head:
+                            break
+                    else:
+                        n = len(pending)
+                        pending += run
+                        link1 += run1
+                        link2 += run2
+                        for q, first, last in spans1:
+                            link1[n + first] = n + first - top[q]
+                            top[q] = n + last
+                        for q, first, last in spans2:
+                            link2[n + first] = n + first - top[q]
+                            top[q] = n + last
+                        next(islice(it, len(run), len(run)), None)
+                continue
+            c = code >> 4 & mask
+            t = code >> shift
+            i = top[c]
+            if i == top[t] and pending[i] == code:
+                if tombs is not None:
+                    _record(trace, tombs, i, _RULE_NAME[CNOT_CODE << 4 | CNOT_CODE], (c, t))
+                pending[i] = -1
+                dead += 1
+                top[c] = i - link1[i]
+                top[t] = i - link2[i]
+            else:
+                n = len(pending)
+                link1.append(n - i)
+                link2.append(n - top[t])
+                top[c] = top[t] = n
+                pending.append(code)
+            continue
+        q = code >> 4
+        i = top[q]
+        merged = outcomes[(pending[i] & 15) << 4 | code & 15]
+        while merged != _NO_RULE:
+            if tombs is not None:
+                _record(trace, tombs, i, _RULE_NAME[(pending[i] & 15) << 4 | code & 15], (q,))
             pending[i] = -1
-            stack.pop()
-            if other is not None:
-                other.pop()
-            if merged < 0:
-                code = -1
+            dead += 1
+            i = top[q] = i - link1[i]
+            if merged == _CANCEL:
                 break
             # A merged gate keeps walking: it may combine again.
             code = code >> 4 << 4 | merged
-        if code >= 0:
-            stack.append(len(pending))
-            if other is not None:
-                other.append(len(pending))
+            merged = outcomes[(pending[i] & 15) << 4 | merged]
+        else:
+            n = len(pending)
+            link1.append(n - i)
+            link2.append(0)
+            top[q] = n
             pending.append(code)
+    return pending, dead
+
+
+def _record(
+    trace: list[RuleFiring], tombs: list[int], i: int, rule: str | None, qubits: tuple[int, ...]
+) -> None:
+    """Append the firing that deletes pending gate `i`, at its position
+    among the live gates, and add `i` to the sorted tombstone indices."""
+    trace.append(RuleFiring(rule, i - bisect_left(tombs, i), qubits))
+    insort(tombs, i)
+
+
+def rewrite(codes: list[int], bits: int, trace: list[RuleFiring] | None = None) -> list[int]:
+    """The gate codes `rewrite_pending` leaves, without its tombstones."""
+    pending, _ = rewrite_pending(codes, bits, (), trace)
     return [c for c in pending if c >= 0]
+
+
+def _block(run: list[int], bits: int) -> tuple | None:
+    """What `rewrite_pending` needs to append `run` whole, or None if a rule
+    fires in `run` alone: its codes, their links on the first and second
+    qubit as distances within `run` (0 where a gate is the first on that
+    qubit; `rewrite_pending` patches those), its 1-qubit heads as (qubit,
+    kind index), its CNOT heads as (control, target, code), and per qubit
+    (qubit, offset of its first gate, offset of its last gate), split by
+    whether the first gate links that qubit as its first or its second.
+
+    While no rule has fired, the top of each qubit is its last gate so far,
+    so a rule fires in `run` exactly when some gate matches that."""
+    shift = 4 + bits
+    mask = (1 << bits) - 1
+    last: dict[int, int] = {}
+    link1: list[int] = []
+    link2: list[int] = []
+    heads: list[tuple[int, int]] = []
+    cnot_heads: list[tuple[int, int, int]] = []
+    first1: dict[int, int] = {}
+    first2: dict[int, int] = {}
+    for k, code in enumerate(run):
+        if code & 8:
+            q, t = code >> 4 & mask, code >> shift
+            if t in last:
+                if last[t] == last.get(q) and run[last[t]] == code:
+                    return None
+                link2.append(k - last[t])
+            else:
+                link2.append(0)
+                first2[t] = k
+                if q not in last:
+                    cnot_heads.append((q, t, code))
+            last[t] = k
+        else:
+            q = code >> 4
+            link2.append(0)
+            if q not in last:
+                heads.append((q, code & 15))
+            elif _OUTCOME[(run[last[q]] & 15) << 4 | code & 15] != _NO_RULE:
+                return None
+        if q in last:
+            link1.append(k - last[q])
+        else:
+            link1.append(0)
+            first1[q] = k
+        last[q] = k
+    spans1 = tuple((q, k, last[q]) for q, k in first1.items())
+    spans2 = tuple((q, k, last[q]) for q, k in first2.items())
+    return (run, link1, link2, tuple(heads), tuple(cnot_heads), spans1, spans2)
+
+
+def mark_blocks(runs: list[list[int]], bits: int) -> tuple[list[list[int]], list[tuple]]:
+    """Each of `runs` that has two or more gates and on which no rule fires,
+    led by a marker code (kind index `BLOCK_CODE`, the block's index above
+    it), and the block table for `rewrite_pending`; other runs as they are."""
+    marked: list[list[int]] = []
+    blocks: list[tuple] = []
+    for run in runs:
+        block = _block(run, bits) if len(run) >= 2 else None
+        if block is None:
+            marked.append(run)
+        else:
+            marked.append([BLOCK_CODE | len(blocks) << 4] + run)
+            blocks.append(block)
+    return marked, blocks
 
 
 def _simplify(gates: Sequence[Gate], bits: int, trace: list[RuleFiring] | None) -> list[Gate]:

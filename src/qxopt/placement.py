@@ -10,9 +10,17 @@ far. Beyond the exhaustive limit the search refuses instead of degrading to
 a heuristic.
 
 The search runs on integer gate codes (see `circuit.encode`), with qubit
-fields sized for the device: the table entries are encoded once per call,
-each placement's mapped circuit is built straight as codes and rewritten by
-`peephole.rewrite`, and only the winner is decoded back to `Gate`s.
+fields sized for the device. `_scorer`, which `optimize` and `cost_of`
+share, encodes the table entries once per call and marks each multi-gate
+entry as a block (`peephole.mark_blocks`): every entry is a `rewrite`
+result, on which no rule fires (`mark_blocks` checks), so
+`peephole.rewrite_pending` appends it whole unless one of its first gates
+meets a pending gate. Each placement's mapped circuit is built straight as
+codes, and the engine returns its pending list with the count of
+tombstones in it. Scoring is count-first: `circuit.cheapest` reads the
+gate count off that count, and filters the list and counts its levels only
+when the count is at most the best so far. Only the winner is decoded back
+to `Gate`s.
 
 Not every injection needs scoring. Under a placement, a wire with no CNOT
 (a wire with no gates included) is isolated if no table entry chosen for
@@ -33,10 +41,10 @@ from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
 from . import Record
-from .circuit import Circuit, CostReport, check_placement, cheapest, code_levels, cost_report
+from .circuit import Circuit, CostReport, check_placement, cheapest, cost_report
 from .circuit import GateKind, decode, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
-from .peephole import rewrite
+from .peephole import mark_blocks, rewrite_pending
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
 from .realization import RealizationTable
 from .topology import CouplingGraph
@@ -92,7 +100,8 @@ def _mapper(
     circuit: Circuit, entries: list[list[list[int]]]
 ) -> Callable[[Sequence[int]], list[int]]:
     """Function from a placement to the gate codes of `circuit` mapped under
-    it: each CNOT replaced by its entry from `_entry_codes`, each 1-qubit
+    it: each CNOT replaced by its entry from `entries` (`[control][target]`,
+    as `_entry_codes` gives them, perhaps marked as blocks), each 1-qubit
     gate moved to its physical qubit."""
     logical_bits = field_bits(circuit.num_qubits)
     shift = 4 + logical_bits
@@ -163,6 +172,23 @@ def _placements(
                     yield tuple(placement)
 
 
+def _scorer(
+    circuit: Circuit, table: RealizationTable, bits: int
+) -> tuple[list[list[list[int]]], Callable[[Sequence[int]], tuple[list[int], int]]]:
+    """The table's entry codes, and a function from a placement to
+    `rewrite_pending`'s `(pending, dead)` for `circuit` mapped under it,
+    with each multi-gate entry passed as a block."""
+    entries = _entry_codes(table, bits)
+    n = len(entries)
+    marked, blocks = mark_blocks([codes for row in entries for codes in row], bits)
+    mapped = _mapper(circuit, [marked[row * n : (row + 1) * n] for row in range(n)])
+
+    def score(placement: Sequence[int]) -> tuple[list[int], int]:
+        return rewrite_pending(mapped(placement), bits, blocks)
+
+    return entries, score
+
+
 def check_search_limit(graph: CouplingGraph) -> None:
     """Refuse a device too wide for exhaustive search, before any table is built."""
     if graph.num_physical > DEFAULT_SEARCH_LIMIT:
@@ -191,11 +217,9 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     """
     num_physical = _check_widths(circuit, table)
     bits = field_bits(num_physical)
-    entries = _entry_codes(table, bits)
-    mapped = _mapper(circuit, entries)
+    entries, score = _scorer(circuit, table, bits)
     (gates, levels, placement), best = cheapest(
-        ((rewrite(mapped(p), bits), p) for p in _placements(circuit, entries, bits)),
-        bits,
+        ((*score(p), p) for p in _placements(circuit, entries, bits)), bits
     )
     initial = cost_report(circuit)
     final = CostReport(gates, levels)
@@ -216,5 +240,6 @@ def cost_of(
     """Cost of relabel -> substitute -> simplify under one fixed placement."""
     check_placement(placement, table.graph.num_physical, circuit.num_qubits)
     bits = field_bits(table.graph.num_physical)
-    codes = rewrite(_mapper(circuit, _entry_codes(table, bits))(placement), bits)
-    return CostReport(len(codes), code_levels(codes, bits))
+    _, score = _scorer(circuit, table, bits)
+    (gates, levels, _), _ = cheapest([(*score(placement), ())], bits)
+    return CostReport(gates, levels)

@@ -143,7 +143,7 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
                 continue
             (total, levels, _), best = cheapest(
                 (
-                    (simplified, _tiebreak(simplified, bits))
+                    (simplified, 0, _tiebreak(simplified, bits))
                     for simplified in (
                         rewrite(codes, bits) for codes in _candidates(graph, control, target)
                     )

@@ -2,7 +2,9 @@
 plain, `Gate`-based forms.
 
 `stack_simplify_gates` is the single-pass stack machine on `Gate`s, as it
-ran before the engine moved to integer gate codes. `simplify_gates` finds a
+ran before the engine moved to integer gate codes. `stack_rewrite` is that
+machine on gate codes, a dict of per-qubit stacks, as it ran before the
+engine moved to flat links and whole-block pushes. `simplify_gates` finds a
 gate's partner by scanning `pending` backward for the last overlapping
 gate, and deletes matched gates from the list in place.
 `simplify_to_fixpoint` repeats that pass until a whole pass fires nothing.
@@ -13,11 +15,12 @@ plain definition, so the differential tests in `test_peephole.py` and
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict
 from itertools import permutations
 from typing import Sequence
 
-from qxopt.circuit import Circuit, Gate, GateKind, cost_report, levels_of
+from qxopt.circuit import KIND_CODE, Circuit, Gate, GateKind, cost_report, decode, levels_of
 from qxopt.peephole import RULES, RuleFiring
 from qxopt.placement import MappingResult, _check_widths, percent_reduction
 from qxopt.realization import RealizationTable
@@ -69,6 +72,67 @@ def stack_simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = Non
                 break
             gate = Gate(rule.replacement[0], qubits)
     return [g for g in pending if g is not None]
+
+
+def _rule_slots() -> list[tuple[str, int] | None]:
+    """The rule for a pending gate of kind index p and an incoming one of
+    kind index c at slot `p << 4 | c`, as (name, merged kind index or -1)."""
+    slots: list[tuple[str, int] | None] = [None] * 256
+    for rule in RULES:
+        first, second = (KIND_CODE[kind] for kind in rule.pattern)
+        merged = KIND_CODE[rule.replacement[0]] if rule.replacement else -1
+        slots[first << 4 | second] = (rule.name, merged)
+    return slots
+
+
+_RULE_AT = _rule_slots()
+
+
+def stack_rewrite(codes: list[int], bits: int, trace: list[RuleFiring] | None = None) -> list[int]:
+    """The single pass on gate codes with a dict of per-qubit stacks of
+    indices into `pending`: a 1-qubit gate's partner is the top of its
+    qubit's stack, a CNOT's the top shared by both stacks, and a partner
+    must act on the same qubits, `(partner ^ code) >> 4 == 0`. A deleted
+    gate becomes a -1 tombstone and leaves the stacks of its qubits."""
+    shift = 4 + bits
+    mask = (1 << bits) - 1
+    pending: list[int] = []
+    dead: list[int] | None = [] if trace is not None else None
+    stacks: defaultdict[int, list[int]] = defaultdict(list)
+    for code in codes:
+        if code & 8:
+            stack, other = stacks[code >> 4 & mask], stacks[code >> shift]
+        else:
+            stack, other = stacks[code >> 4], None
+        while stack:
+            i = stack[-1]
+            if other is not None and (not other or other[-1] != i):
+                break
+            partner = pending[i]
+            if (partner ^ code) >> 4:
+                break
+            rule = _RULE_AT[(partner & 15) << 4 | code & 15]
+            if rule is None:
+                break
+            name, merged = rule
+            if dead is not None:
+                position = i - bisect_left(dead, i)
+                trace.append(RuleFiring(name, position, decode(code, bits).qubits))
+                insort(dead, i)
+            pending[i] = -1
+            stack.pop()
+            if other is not None:
+                other.pop()
+            if merged < 0:
+                code = -1
+                break
+            code = code >> 4 << 4 | merged
+        if code >= 0:
+            stack.append(len(pending))
+            if other is not None:
+                other.append(len(pending))
+            pending.append(code)
+    return [c for c in pending if c >= 0]
 
 
 def _overlaps(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import search_oracle
-from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, gate_count, random_circuit
-from qxopt.peephole import RULES, simplify, simplify_gates
+from qxopt.circuit import BLOCK_CODE, Circuit, Gate, GateKind, cnot, encode, field_bits, gate1
+from qxopt.circuit import gate_count, inverse_of, random_circuit
+from qxopt.peephole import RULES, mark_blocks, rewrite, rewrite_pending, simplify, simplify_gates
 from qxopt.simulator import unitary_of
 
 
@@ -99,11 +100,31 @@ def test_simplify_preserves_unitary_and_is_monotone_idempotent(seed):
             assert _phase_equal(u_in, u_out, tol=1e-9)
 
 
+def _bits_for(gates):
+    return field_bits(1 + max((q for g in gates for q in g.qubits), default=0))
+
+
+def _assert_engine_matches_stack_oracle(gates):
+    """Same codes, in the same order, and the same trace from the engine as
+    from the dict-of-stacks engine it replaced; the tombstone count leaves
+    the live codes, and `rewrite` returns just those."""
+    bits = _bits_for(gates)
+    codes = encode(gates, bits)
+    got_trace, stack_trace = [], []
+    pending, dead = rewrite_pending(codes, bits, (), got_trace)
+    live = [c for c in pending if c >= 0]
+    assert live == search_oracle.stack_rewrite(codes, bits, stack_trace)
+    assert got_trace == stack_trace
+    assert len(pending) - dead == len(live)
+    assert rewrite(codes, bits) == live
+
+
 def _assert_single_pass_matches_oracles(gates, width=None):
     """Same gates and the same RuleFiring traces from the code engine, the
     Gate stack machine, the backward-scan pass and the fixpoint loop; the
     untraced run gives the same gates, and so does `simplify` on a circuit
-    of `width` wires."""
+    of `width` wires. The codes match the old code engine's too."""
+    _assert_engine_matches_stack_oracle(gates)
     got_trace, stack_trace, scan_trace, fix_trace = [], [], [], []
     got = simplify_gates(gates, got_trace)
     assert got == search_oracle.stack_simplify_gates(gates, stack_trace)
@@ -162,6 +183,89 @@ def test_stack_lookup_matches_backward_scan_on_dense_firings(gates):
 @given(st.sampled_from([(0, 1, 256, 257), (112, 113, 70_000, 70_001)]).flatmap(_gates_on))
 def test_code_engine_matches_oracles_on_wide_wires(gates):
     _assert_single_pass_matches_oracles(gates, 70_002)
+
+
+def _mirror(runs):
+    """The adjoint of the runs' concatenation, as runs: each run reversed
+    with each gate inverted, in reverse order."""
+    return [[Gate(inverse_of(g.kind), g.qubits) for g in reversed(run)] for run in reversed(runs)]
+
+
+def _assert_blocks_match_stack_oracle(runs):
+    """Runs rewritten to their fixpoint, marked as blocks and rewritten
+    together: the same codes and trace as the old engine on the plain
+    concatenation, whether each block is pushed whole or gate by gate."""
+    bits = _bits_for([g for run in runs for g in run])
+    fixed = [rewrite(encode(run, bits), bits) for run in runs]
+    marked, blocks = mark_blocks(fixed, bits)
+    assert len(blocks) == sum(len(run) >= 2 for run in fixed)
+    got_trace, stack_trace = [], []
+    pending, dead = rewrite_pending([c for run in marked for c in run], bits, blocks, got_trace)
+    live = [c for c in pending if c >= 0]
+    assert live == search_oracle.stack_rewrite([c for run in fixed for c in run], bits, stack_trace)
+    assert got_trace == stack_trace
+    assert len(pending) - dead == len(live)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_gates_on((0, 1, 2)), max_size=8))
+def test_blocks_match_stack_oracle(runs):
+    _assert_blocks_match_stack_oracle(runs)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from([(0, 1, 256, 257), (112, 113, 70_000, 70_001)]).flatmap(
+        lambda wires: st.lists(_gates_on(wires), max_size=8)
+    )
+)
+def test_blocks_match_stack_oracle_on_wide_wires(runs):
+    _assert_blocks_match_stack_oracle(runs)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_gates_on((0, 1, 2)), max_size=4), _gates_on((0, 1, 2)))
+def test_blocks_cancel_against_their_mirror(runs, middle):
+    # Each deleted block gate hands its qubits' tops back along its links,
+    # so the mirror half undoes the first half block by block.
+    fixed = [simplify_gates(run) for run in runs]
+    _assert_blocks_match_stack_oracle(fixed + [middle] + _mirror(fixed))
+    _assert_blocks_match_stack_oracle(fixed + _mirror(fixed))
+    bits = _bits_for([g for run in fixed for g in run])
+    marked, blocks = mark_blocks([encode(run, bits) for run in fixed + _mirror(fixed)], bits)
+    pending, dead = rewrite_pending([c for run in marked for c in run], bits, blocks)
+    assert len(pending) == dead
+
+
+def test_block_cnot_hands_its_target_back():
+    # The block's CNOT is the first gate on qubit 1 and links it as its
+    # second qubit; cancelled, it hands qubit 1 back to the T, which the
+    # TDG then cancels.
+    runs = [
+        [gate1(GateKind.T, 1)],
+        [cnot(0, 1), gate1(GateKind.X, 2)],
+        [cnot(0, 1)],
+        [gate1(GateKind.TDG, 1)],
+    ]
+    _assert_blocks_match_stack_oracle(runs)
+    bits = _bits_for([g for run in runs for g in run])
+    marked, blocks = mark_blocks([encode(run, bits) for run in runs], bits)
+    pending, _ = rewrite_pending([c for run in marked for c in run], bits, blocks)
+    assert len(blocks) == 1 and [c for c in pending if c >= 0] == encode([gate1(GateKind.X, 2)], bits)
+
+
+def test_run_on_which_a_rule_fires_is_not_a_block():
+    # A block is pushed whole only when its own gates leave each other alone.
+    bits = 2
+    fires = encode([gate1(GateKind.H, 0), gate1(GateKind.X, 1), gate1(GateKind.H, 0)], bits)
+    cnots = encode([cnot(0, 1), gate1(GateKind.X, 2), cnot(0, 1)], bits)
+    stays = encode([gate1(GateKind.H, 0), gate1(GateKind.T, 0), cnot(1, 0), cnot(0, 1)], bits)
+    single = encode([cnot(0, 1)], bits)
+    marked, blocks = mark_blocks([fires, cnots, stays, single], bits)
+    assert marked == [fires, cnots, [BLOCK_CODE] + stays, single] and len(blocks) == 1
+    pending, dead = rewrite_pending([c for run in marked for c in run], bits, blocks)
+    plain = fires + cnots + stays + single
+    assert [c for c in pending if c >= 0] == search_oracle.stack_rewrite(plain, bits)
 
 
 def test_sparse_wide_circuit_is_fast():

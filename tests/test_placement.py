@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import qxopt.circuit
 import qxopt.placement
 import search_oracle
-from qxopt.circuit import Circuit, CostReport, GateKind, cnot, code_levels, field_bits, gate1
-from qxopt.circuit import random_circuit
-from qxopt.placement import _entry_codes, _placements, check_search_limit, cost_of, optimize
-from qxopt.placement import percent_reduction
+from qxopt.circuit import Circuit, CostReport, GateKind, cnot, code_levels, encode
+from qxopt.circuit import field_bits, gate1, random_circuit
+from qxopt.placement import _entry_codes, _mapper, _placements, _scorer, check_search_limit
+from qxopt.placement import cost_of, optimize, percent_reduction
 from qxopt.realization import build_table
 from qxopt.simulator import equivalent
 from qxopt.topology import allows, builtin, load
@@ -292,13 +292,13 @@ def test_optimize_matches_full_enumeration_on_sparse_circuits(sparse_tables, cas
 
 def _count_rewrites(monkeypatch):
     calls = []
-    rewrite = qxopt.placement.rewrite
+    rewrite_pending = qxopt.placement.rewrite_pending
 
-    def counting_rewrite(codes, bits):
+    def counting_rewrite(codes, bits, blocks):
         calls.append(len(codes))
-        return rewrite(codes, bits)
+        return rewrite_pending(codes, bits, blocks)
 
-    monkeypatch.setattr(qxopt.placement, "rewrite", counting_rewrite)
+    monkeypatch.setattr(qxopt.placement, "rewrite_pending", counting_rewrite)
     return calls
 
 
@@ -404,3 +404,61 @@ def test_more_cnot_free_wires_than_untouched_qubits_matches_oracle(qx2_table):
     circuit = Circuit(5, (cnot(0, 1),) + ones)
     assert _touched_by(qx2_table, (0, 3), circuit) == {0, 2, 3}
     assert optimize(circuit, qx2_table) == search_oracle.optimize(circuit, qx2_table)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(_SPARSE_WIDTH)), st.integers(0, 10_000))
+def test_block_engine_matches_stack_oracle_on_every_placement(sparse_tables, arch, seed):
+    # Every multi-gate entry goes to the engine as a block: the codes of each
+    # placement equal the old engine's on the plain mapped list.
+    rng = random.Random(seed)
+    table = sparse_tables[arch]
+    n = table.graph.num_physical
+    circuit = random_circuit(rng.randint(1, min(4, _SPARSE_WIDTH[arch])), rng.randint(0, 16), rng)
+    bits = field_bits(n)
+    entries, score = _scorer(circuit, table, bits)
+    plain = _mapper(circuit, entries)
+    for p in permutations(range(n), circuit.num_qubits):
+        pending, dead = score(p)
+        live = [c for c in pending if c >= 0]
+        assert live == search_oracle.stack_rewrite(plain(p), bits)
+        assert len(pending) - dead == len(live)
+
+
+def _scored_codes(circuit, table, placement):
+    """The live codes the search scores for `placement`, and the old
+    engine's codes for the plain mapped gates."""
+    bits = field_bits(table.graph.num_physical)
+    pending, _ = _scorer(circuit, table, bits)[1](placement)
+    plain = encode(search_oracle.mapped_gates(circuit, placement, table), bits)
+    return [c for c in pending if c >= 0], search_oracle.stack_rewrite(plain, bits), bits
+
+
+def test_entry_whose_head_cancels_a_pending_h(sparse_tables):
+    # Against the edge 0 -> 1, CNOT(1, 0) is H1 H0 CX(0, 1) H1 H0; its head
+    # H1 meets the pending H1, so the entry is read gate by gate.
+    circuit = Circuit(2, (gate1(GateKind.H, 1), cnot(1, 0)))
+    live, oracle, bits = _scored_codes(circuit, sparse_tables["ladder8"], (0, 1))
+    want = [gate1(GateKind.H, 0), cnot(0, 1), gate1(GateKind.H, 1), gate1(GateKind.H, 0)]
+    assert live == oracle == encode(want, bits)
+
+
+def test_entries_of_two_identical_cnots_cancel_completely(sparse_tables):
+    # Two CNOT(1, 0) against the edge 0 -> 1, apart in the circuit: the
+    # first entry is pushed whole, the second's heads fire, and every gate
+    # of both entries cancels across the T on qubit 3.
+    table = sparse_tables["ladder8"]
+    circuit = Circuit(4, (cnot(1, 0), gate1(GateKind.T, 3), cnot(1, 0)))
+    live, oracle, bits = _scored_codes(circuit, table, (0, 1, 2, 3))
+    assert live == oracle == encode([gate1(GateKind.T, 3)], bits)
+    assert cost_of(circuit, (0, 1, 2, 3), table) == CostReport(1, 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["qx2", "ladder8"]), st.integers(0, 10_000))
+def test_cost_of_the_winner_is_its_final_cost(sparse_tables, arch, seed):
+    rng = random.Random(seed)
+    table = sparse_tables[arch]
+    circuit = random_circuit(rng.randint(1, min(4, _SPARSE_WIDTH[arch])), rng.randint(0, 16), rng)
+    result = optimize(circuit, table)
+    assert cost_of(circuit, result.placement, table) == result.final_cost

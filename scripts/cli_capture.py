@@ -12,8 +12,9 @@ command whose output moved:
     python scripts/cli_capture.py > after.txt
 
 The list covers every subcommand and report format on the bundled data, one
-malformed input for each file parser, and a two-file `verify` with one bad
-file. It takes no options.
+malformed input for each file parser, a two-file `verify` with one bad
+file, and mappings onto an 8-qubit ladder, among them ones on which the
+search prunes placements. It takes no options.
 """
 from __future__ import annotations
 
@@ -35,9 +36,19 @@ CIRCUITS = (
 )
 ARCHS = ("qx2", "qx4", "@line.graph")
 
-# Inputs written next to the bundled data: a device, and one malformed file per parser.
+# Inputs written next to the bundled data: two devices, a circuit, and one
+# malformed file per parser. The search prunes placements by their H and
+# CNOT skeleton only where some wire carries neither gate and the device
+# has qubits to spare: the circuit's wire 3 carries only T, TDG and X, and
+# the 2x4 ladder (top row 0-3, bottom row 4-7) has 8 qubits.
 INPUTS = {
     "line.graph": "qubits 5\n0 1\n1 2\n2 3\n3 4\n",
+    "ladder.graph": "qubits 8\n0 1\n2 1\n2 3\n4 5\n6 5\n6 7\n0 4\n5 1\n2 6\n7 3\n",
+    "idle_wire.qasm": (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\nh q[0];\nt q[3];\n'
+        "cx q[0],q[1];\ns q[1];\ncx q[1],q[2];\nh q[2];\ntdg q[3];\ncx q[2],q[0];\n"
+        "x q[3];\nh q[1];\ncx q[0],q[1];\n"
+    ),
     "bad.graph": "qubits 3\n0 0\n",
     "gate_before_qreg.qasm": "OPENQASM 2.0;\nh q[0];\n",
     "no_qreg.qasm": "OPENQASM 2.0;\n",
@@ -57,6 +68,10 @@ RUNS = (
         for i, a in enumerate(ARCHS)
     ]
     + [["optimize", "--arch", "qx4", "--in", "ghz.qasm", "--strict"]]
+    + [
+        ["optimize", "--arch", "@ladder.graph", "--in", f"{c}.qasm", "--report", "json"]
+        for c in (*CIRCUITS, "idle_wire")
+    ]
     + [["simplify", "--in", f"{c}.qasm"] for c in CIRCUITS]
     + [
         ["simplify", "--in", "mermin_yyy_unopt.qasm", "--trace"],
@@ -66,6 +81,7 @@ RUNS = (
         ["verify", "ghz.qasm", "ghz.qasm", "--tol", "0"],
         ["verify", "--random", "5", "--arch", "qx4", "--qubits", "3", "--gates", "10", "--seed", "1"],
         ["verify", "--random", "3", "--arch", "@line.graph", "--qubits", "5", "--seed", "2"],
+        ["verify", "--random", "3", "--arch", "@ladder.graph", "--qubits", "5", "--seed", "3"],
         ["bench", "circuits", "--arch", "qx2"],
         ["bench", "circuits", "--arch", "qx4", "--format", "markdown"],
         ["bench", "mixed", "--arch", "qx2"],

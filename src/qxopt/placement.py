@@ -10,17 +10,16 @@ far. Beyond the exhaustive limit the search refuses instead of degrading to
 a heuristic.
 
 The search runs on integer gate codes (see `circuit.encode`), with qubit
-fields sized for the device. `_scorer`, which `optimize` and `cost_of`
-share, encodes the table entries once per call and marks each multi-gate
-entry as a block (`peephole.mark_blocks`): every entry is a `rewrite`
-result, on which no rule fires (`mark_blocks` checks), so
-`peephole.rewrite_pending` appends it whole unless one of its first gates
-meets a pending gate. Each placement's mapped circuit is built straight as
-codes, and the engine returns its pending list with the count of
-tombstones in it. Scoring is count-first: `circuit.cheapest` reads the
+fields sized for the device. `optimize` encodes the table entries once per
+call and marks each multi-gate entry as a block (`peephole.mark_blocks`):
+every entry is a `rewrite` result, on which no rule fires (`mark_blocks`
+checks), so `peephole.rewrite_pending` appends it whole unless one of its
+first gates meets a pending gate. Each placement's mapped circuit is built
+straight as codes, and the engine returns its pending list with the count
+of tombstones in it. Scoring is count-first: `circuit.cheapest` reads the
 gate count off that count, and filters the list and counts its levels only
 when the count is at most the best so far. Only the winner is decoded back
-to `Gate`s.
+to `Gate`s. `cost_of` scores one placement from the plain entry codes.
 
 Not every injection needs scoring. Under a placement, a wire with no CNOT
 (a wire with no gates included) is isolated if no table entry chosen for
@@ -33,16 +32,56 @@ order, on the smallest untouched qubits. `_placements` generates just those
 representatives, so the minimum over them is the minimum over all
 injections, with the same placement and mapped circuit. A circuit with a
 CNOT on every wire has no such class and scores every injection.
+
+Nor does every representative need a full rewrite. A placement's skeleton
+is the H and CNOT gates of its mapped circuit: the logical H gates and
+every CNOT's table entry, which is itself H and CNOT only. The skeleton's
+gate count after `rewrite_pending` is at most the placement's final gate
+count, for these reasons:
+
+- Take each H on a qubit and each CNOT on a pair as a generator of a
+  right-angled Coxeter group, in which two distinct generators commute
+  exactly when they act on disjoint qubits.
+- An H-H or CNOT-CNOT firing deletes a pair `s u s` in which every gate
+  of `u` is disjoint from `s`, so every letter of `u` commutes with `s`:
+  a relation of the group. Every other rule acts on X, Y, Z, S, SDG, T
+  and TDG alone, and no rule creates an H or a CNOT. So the final
+  circuit's skeleton is a word for the same group element as the mapped
+  circuit's skeleton.
+- Rewritten alone, the skeleton keeps no such pair (the engine's
+  invariant). In a right-angled Coxeter group a word without one is
+  reduced (Tits' solution of the word problem, 1969), and no word for the
+  same element is shorter. So the rewritten skeleton's count is at most
+  the final skeleton's, which is at most the final count.
+
+`_candidates` skips each placement whose bound exceeds the least gate
+count it has passed to `cheapest`, which is `cheapest`'s own best count: a
+skipped placement has more gates than a candidate already seen, so it can
+neither win nor tie, and the winner, its mapped circuit and its levels are
+those of the unpruned search. The skeleton's length before the rewrite,
+the logical H count plus the CNOTs' entry lengths, costs a few lookups per
+placement; a placement whose length is at most the best count cannot be
+pruned and is scored at once. Placements that put every H and CNOT wire on
+the same qubits share one skeleton, so the bound is memoized by those
+qubits: limit8's 6-qubit case has 3 wires with neither, and its 3,762
+placements share 336 skeletons.
+
+A skeleton rewrite costs nearly what a full one does, so the bound pays
+only where placements share skeletons: where some wire carries neither H
+nor CNOT and the device has at least two qubits more than the H and CNOT
+wires. Every other circuit is scored in full, placement by placement.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import Record
 from .circuit import Circuit, CostReport, check_placement, cheapest, cost_report
-from .circuit import GateKind, decode, encode, field_bits
+from .circuit import KIND_CODE, GateKind, decode, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
 from .peephole import mark_blocks, rewrite_pending
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
@@ -50,6 +89,9 @@ from .realization import RealizationTable
 from .topology import CouplingGraph
 
 DEFAULT_SEARCH_LIMIT = 8
+# The skeleton's gate kinds, and their kind indices in gate codes.
+_SKELETON_GATES = (GateKind.H, GateKind.CNOT)
+_SKELETON_KINDS = tuple(KIND_CODE[kind] for kind in _SKELETON_GATES)
 
 
 class MappingResult(Record):
@@ -97,16 +139,19 @@ def _entry_codes(table: RealizationTable, bits: int) -> list[list[list[int]]]:
 
 
 def _mapper(
-    circuit: Circuit, entries: list[list[list[int]]]
+    circuit: Circuit, entries: list[list[list[int]]], skeleton: bool = False
 ) -> Callable[[Sequence[int]], list[int]]:
     """Function from a placement to the gate codes of `circuit` mapped under
     it: each CNOT replaced by its entry from `entries` (`[control][target]`,
     as `_entry_codes` gives them, perhaps marked as blocks), each 1-qubit
-    gate moved to its physical qubit."""
+    gate moved to its physical qubit. With `skeleton`, only the H gates and
+    the CNOTs are mapped."""
     logical_bits = field_bits(circuit.num_qubits)
     shift = 4 + logical_bits
     mask = (1 << logical_bits) - 1
     logical = encode(circuit.gates, logical_bits)
+    if skeleton:
+        logical = [code for code in logical if code & 15 in _SKELETON_KINDS]
 
     def mapped(placement: Sequence[int]) -> list[int]:
         out: list[int] = []
@@ -172,21 +217,54 @@ def _placements(
                     yield tuple(placement)
 
 
-def _scorer(
+def _candidates(
     circuit: Circuit, table: RealizationTable, bits: int
-) -> tuple[list[list[list[int]]], Callable[[Sequence[int]], tuple[list[int], int]]]:
-    """The table's entry codes, and a function from a placement to
-    `rewrite_pending`'s `(pending, dead)` for `circuit` mapped under it,
-    with each multi-gate entry passed as a block."""
+) -> Iterator[tuple[list[int], int, tuple[int, ...]]]:
+    """`rewrite_pending`'s `(pending, dead)` and the placement, with each
+    multi-gate entry passed as a block, for each placement from
+    `_placements` that the skeleton bound does not prune (see the module
+    docstring)."""
     entries = _entry_codes(table, bits)
     n = len(entries)
     marked, blocks = mark_blocks([codes for row in entries for codes in row], bits)
-    mapped = _mapper(circuit, [marked[row * n : (row + 1) * n] for row in range(n)])
-
-    def score(placement: Sequence[int]) -> tuple[list[int], int]:
-        return rewrite_pending(mapped(placement), bits, blocks)
-
-    return entries, score
+    rows = [marked[row * n : (row + 1) * n] for row in range(n)]
+    mapped = _mapper(circuit, rows)
+    placements = _placements(circuit, entries, bits)
+    skeleton_qubits = [g.qubits for g in circuit.gates if g.kind in _SKELETON_GATES]
+    wires = sorted({q for qubits in skeleton_qubits for q in qubits})
+    if not wires or len(wires) == circuit.num_qubits or n - len(wires) < 2:
+        # No skeleton to bound, or no two placements that share one.
+        for placement in placements:
+            yield (*rewrite_pending(mapped(placement), bits, blocks), placement)
+        return
+    cnots = Counter(qubits for qubits in skeleton_qubits if len(qubits) == 2)
+    h_count = len(skeleton_qubits) - sum(cnots.values())
+    # Per logical CNOT pair, [control][target]: its count times the length
+    # of each entry.
+    lengths = [
+        (a, b, [[m * len(codes) for codes in row] for row in entries])
+        for (a, b), m in cnots.items()
+    ]
+    key = itemgetter(*wires)
+    skeleton = _mapper(circuit, rows, skeleton=True)
+    memo: dict = {}
+    best = math.inf
+    for placement in placements:
+        length = h_count
+        for a, b, pair_lengths in lengths:
+            length += pair_lengths[placement[a]][placement[b]]
+        if length > best:
+            k = key(placement)
+            bound = memo.get(k)
+            if bound is None:
+                pending, dead = rewrite_pending(skeleton(placement), bits, blocks)
+                bound = memo[k] = len(pending) - dead
+            if bound > best:
+                continue
+        pending, dead = rewrite_pending(mapped(placement), bits, blocks)
+        if len(pending) - dead < best:
+            best = len(pending) - dead
+        yield pending, dead, placement
 
 
 def check_search_limit(graph: CouplingGraph) -> None:
@@ -210,17 +288,15 @@ def _check_widths(circuit: Circuit, table: RealizationTable) -> int:
 
 def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     """The best injection of logical onto physical qubits, scoring one
-    placement per class of equal-cost placements (see the module docstring).
+    placement per class of equal-cost placements, less those whose skeleton
+    bound already exceeds the best count (see the module docstring).
 
     The initial cost is measured on the circuit as written, even if it is
     not executable on the device as-is.
     """
     num_physical = _check_widths(circuit, table)
     bits = field_bits(num_physical)
-    entries, score = _scorer(circuit, table, bits)
-    (gates, levels, placement), best = cheapest(
-        ((*score(p), p) for p in _placements(circuit, entries, bits)), bits
-    )
+    (gates, levels, placement), best = cheapest(_candidates(circuit, table, bits), bits)
     initial = cost_report(circuit)
     final = CostReport(gates, levels)
     return MappingResult(
@@ -240,6 +316,6 @@ def cost_of(
     """Cost of relabel -> substitute -> simplify under one fixed placement."""
     check_placement(placement, table.graph.num_physical, circuit.num_qubits)
     bits = field_bits(table.graph.num_physical)
-    _, score = _scorer(circuit, table, bits)
-    (gates, levels, _), _ = cheapest([(*score(placement), ())], bits)
+    mapped = _mapper(circuit, _entry_codes(table, bits))
+    (gates, levels, _), _ = cheapest([(*rewrite_pending(mapped(placement), bits), ())], bits)
     return CostReport(gates, levels)

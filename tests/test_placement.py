@@ -9,7 +9,8 @@ import qxopt.placement
 import search_oracle
 from qxopt.circuit import Circuit, CostReport, GateKind, cnot, code_levels, encode
 from qxopt.circuit import field_bits, gate1, random_circuit
-from qxopt.placement import _entry_codes, _mapper, _placements, _scorer, check_search_limit
+from qxopt.peephole import mark_blocks, rewrite_pending
+from qxopt.placement import _entry_codes, _mapper, _placements, check_search_limit
 from qxopt.placement import cost_of, optimize, percent_reduction
 from qxopt.realization import build_table
 from qxopt.simulator import equivalent
@@ -290,31 +291,193 @@ def test_optimize_matches_full_enumeration_on_sparse_circuits(sparse_tables, cas
     assert optimize(circuit, table) == search_oracle.optimize(circuit, table)
 
 
-def _count_rewrites(monkeypatch):
-    calls = []
-    rewrite_pending = qxopt.placement.rewrite_pending
+class _SkeletonCodes(list):
+    """A skeleton's mapped codes, tagged so that the counting rewrite can
+    tell them from a full mapped circuit's."""
 
-    def counting_rewrite(codes, bits, blocks):
-        calls.append(len(codes))
+
+class _SearchCounts:
+    """What one search covered and rewrote: the placements `_placements`
+    yielded, those whose full mapped codes were built, and the lengths of
+    the code lists passed to `rewrite_pending`, full and skeleton apart."""
+
+    def __init__(self):
+        self.covered = []
+        self.scored = []
+        self.full = []
+        self.skeleton = []
+
+    def pruned(self):
+        return sorted(set(self.covered) - set(self.scored))
+
+
+def _count_rewrites(monkeypatch):
+    counts = _SearchCounts()
+    rewrite_pending = qxopt.placement.rewrite_pending
+    mapper = qxopt.placement._mapper
+    placements = qxopt.placement._placements
+
+    def counting_rewrite(codes, bits, blocks=()):
+        (counts.skeleton if isinstance(codes, _SkeletonCodes) else counts.full).append(len(codes))
         return rewrite_pending(codes, bits, blocks)
 
+    def tagging_mapper(circuit, entries, skeleton=False):
+        mapped = mapper(circuit, entries, skeleton)
+
+        def tagged(placement):
+            if skeleton:
+                return _SkeletonCodes(mapped(placement))
+            counts.scored.append(tuple(placement))
+            return mapped(placement)
+
+        return tagged
+
+    def recording_placements(circuit, entries, bits):
+        for placement in placements(circuit, entries, bits):
+            counts.covered.append(placement)
+            yield placement
+
     monkeypatch.setattr(qxopt.placement, "rewrite_pending", counting_rewrite)
-    return calls
+    monkeypatch.setattr(qxopt.placement, "_mapper", tagging_mapper)
+    monkeypatch.setattr(qxopt.placement, "_placements", recording_placements)
+    return counts
 
 
 def test_cnot_free_circuit_scores_one_placement(qx2_table, monkeypatch):
-    calls = _count_rewrites(monkeypatch)
+    counts = _count_rewrites(monkeypatch)
     circuit = Circuit(4, (gate1(GateKind.H, 0), gate1(GateKind.T, 2), gate1(GateKind.T, 2)))
     result = optimize(circuit, qx2_table)
-    assert len(calls) == 1
+    assert len(counts.full) == 1
+    assert counts.skeleton == []
     assert result.placement == (0, 1, 2, 3)
     assert result == search_oracle.optimize(circuit, qx2_table)
 
 
 def test_circuit_with_a_cnot_on_every_wire_scores_every_injection(qx2_table, monkeypatch):
-    calls = _count_rewrites(monkeypatch)
+    # A circuit of CNOTs alone is its own skeleton, so nothing is pruned:
+    # scored plus pruned is every injection, each once.
+    counts = _count_rewrites(monkeypatch)
     optimize(TWO_CNOTS, qx2_table)
-    assert len(calls) == len(list(permutations(range(5), 3)))
+    injections = list(permutations(range(5), 3))
+    assert sorted(counts.covered) == injections
+    assert len(counts.scored) == len(counts.full) == len(injections)
+    assert counts.pruned() == [] and counts.skeleton == []
+
+
+def _skeleton_heavy(rng, width, num_gates, idle_wires=0):
+    """A random circuit of mostly H and CNOT gates, with some T, S, X and Z;
+    its last `idle_wires` wires carry neither H nor CNOT."""
+    active = width - idle_wires
+    gates = []
+    for _ in range(num_gates):
+        roll = rng.random()
+        if roll < 0.35 and active >= 2:
+            gates.append(cnot(*rng.sample(range(active), 2)))
+        elif roll < 0.65:
+            gates.append(gate1(GateKind.H, rng.randrange(active)))
+        else:
+            kind = rng.choice((GateKind.T, GateKind.S, GateKind.X, GateKind.Z))
+            gates.append(gate1(kind, rng.randrange(width)))
+    return Circuit(width, tuple(gates))
+
+
+# (width, wires with neither H nor CNOT, gates, seed) of ladder8 circuits.
+# With such a wire, placements share skeletons and the search prunes; with
+# none, it scores every placement.
+_LADDER8_CASES = [(5, 0, 14, 1), (5, 1, 16, 3), (5, 2, 20, 2), (6, 3, 12, 4), (6, 1, 10, 5)]
+
+
+@pytest.mark.parametrize("width,idle,num_gates,seed", _LADDER8_CASES)
+def test_pruned_search_matches_unpruned_oracle_on_ladder8(
+    sparse_tables, monkeypatch, width, idle, num_gates, seed
+):
+    table = sparse_tables["ladder8"]
+    circuit = _skeleton_heavy(random.Random(seed), width, num_gates, idle)
+    counts = _count_rewrites(monkeypatch)
+    result = optimize(circuit, table)
+    monkeypatch.undo()
+    # Placement, costs and mapped gates, all as the unpruned search has them.
+    assert result == search_oracle.optimize(circuit, table)
+    assert len(counts.covered) == len(set(counts.covered))
+    assert len(counts.full) == len(counts.scored)
+    pruned = counts.pruned()
+    if not idle:
+        assert pruned == [] and counts.skeleton == []
+        return
+    # Pruning fires, and every pruned placement costs more than the winner.
+    assert pruned and len(counts.full) < len(counts.covered)
+    for placement in pruned[:: max(1, len(pruned) // 50)]:
+        assert cost_of(circuit, placement, table).gates > result.final_cost.gates
+
+
+@pytest.mark.parametrize("width,idle,num_gates,seed", [c for c in _LADDER8_CASES if c[1]])
+def test_skeleton_rewrites_never_exceed_skeleton_wire_assignments(
+    sparse_tables, monkeypatch, width, idle, num_gates, seed
+):
+    # Placements that agree on the H and CNOT wires share one memoized bound.
+    circuit = _skeleton_heavy(random.Random(seed), width, num_gates, idle)
+    counts = _count_rewrites(monkeypatch)
+    optimize(circuit, sparse_tables["ladder8"])
+    wires = sorted(
+        {q for g in circuit.gates if g.kind in (GateKind.H, GateKind.CNOT) for q in g.qubits}
+    )
+    assignments = {tuple(p[w] for w in wires) for p in counts.covered}
+    assert len(wires) < width
+    assert 0 < len(counts.skeleton) <= len(assignments) < len(counts.covered)
+
+
+def _block_scorer(circuit, table, bits, skeleton=False):
+    """The table's entry codes, and the search's function from a placement to
+    `rewrite_pending`'s `(pending, dead)`, each multi-gate entry a block;
+    with `skeleton`, for the H and CNOT gates alone."""
+    entries = _entry_codes(table, bits)
+    n = len(entries)
+    marked, blocks = mark_blocks([codes for row in entries for codes in row], bits)
+    mapped = _mapper(circuit, [marked[row * n : (row + 1) * n] for row in range(n)], skeleton)
+    return entries, lambda placement: rewrite_pending(mapped(placement), bits, blocks)
+
+
+def _count(pending_dead):
+    pending, dead = pending_dead
+    return len(pending) - dead
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(_SPARSE_WIDTH)), st.integers(0, 10_000))
+def test_skeleton_count_bounds_the_full_count_on_every_placement(sparse_tables, arch, seed):
+    rng = random.Random(seed)
+    table = sparse_tables[arch]
+    n = table.graph.num_physical
+    width = rng.randint(1, min(4, _SPARSE_WIDTH[arch]))
+    circuit = _skeleton_heavy(rng, width, rng.randint(0, 16), rng.randint(0, width - 1))
+    bits = field_bits(n)
+    _, full = _block_scorer(circuit, table, bits)
+    _, skeleton = _block_scorer(circuit, table, bits, skeleton=True)
+    for p in permutations(range(n), circuit.num_qubits):
+        assert _count(skeleton(p)) <= _count(full(p))
+
+
+def test_skeleton_bound_is_tight_when_identical_reversed_cnots_cancel(sparse_tables):
+    # Against the edge 0 -> 1, both CNOT(1, 0) entries cancel completely in
+    # the skeleton and, across wire 3's T and TDG, in the full circuit too;
+    # the H on wire 2 is all that is left of either.
+    table = sparse_tables["ladder8"]
+    circuit = Circuit(
+        4,
+        (
+            gate1(GateKind.H, 2),
+            cnot(1, 0),
+            gate1(GateKind.T, 3),
+            cnot(1, 0),
+            gate1(GateKind.TDG, 3),
+        ),
+    )
+    bits = field_bits(table.graph.num_physical)
+    _, full = _block_scorer(circuit, table, bits)
+    _, skeleton = _block_scorer(circuit, table, bits, skeleton=True)
+    placement = (0, 1, 2, 3)
+    assert _count(skeleton(placement)) == _count(full(placement)) == 1
+    assert cost_of(circuit, placement, table) == CostReport(1, 1)
 
 
 def _touched_by(table, placement, circuit):
@@ -416,7 +579,7 @@ def test_block_engine_matches_stack_oracle_on_every_placement(sparse_tables, arc
     n = table.graph.num_physical
     circuit = random_circuit(rng.randint(1, min(4, _SPARSE_WIDTH[arch])), rng.randint(0, 16), rng)
     bits = field_bits(n)
-    entries, score = _scorer(circuit, table, bits)
+    entries, score = _block_scorer(circuit, table, bits)
     plain = _mapper(circuit, entries)
     for p in permutations(range(n), circuit.num_qubits):
         pending, dead = score(p)
@@ -429,7 +592,7 @@ def _scored_codes(circuit, table, placement):
     """The live codes the search scores for `placement`, and the old
     engine's codes for the plain mapped gates."""
     bits = field_bits(table.graph.num_physical)
-    pending, _ = _scorer(circuit, table, bits)[1](placement)
+    pending, _ = _block_scorer(circuit, table, bits)[1](placement)
     plain = encode(search_oracle.mapped_gates(circuit, placement, table), bits)
     return [c for c in pending if c >= 0], search_oracle.stack_rewrite(plain, bits), bits
 

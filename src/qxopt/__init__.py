@@ -51,16 +51,20 @@ class Record:
     to nothing for its value classes at start-up.
 
     A subclass lists its fields in `__slots__`, in `__init__` order, and
-    sets each with `object.__setattr__`. Equality (same class only) and hash
-    read the tuple of the fields named by the class keyword `compared`, by
-    default all of them; repr is `Name(field=value, ...)` over every field.
-    Assigning or deleting a field raises AttributeError.
+    sets each with `object.__setattr__`. A slot named with a leading
+    underscore is not a field: it holds state that `__init__` derives from
+    the fields, and repr, equality, hash, copy and pickle skip it. Equality
+    (same class only) and hash read the tuple of the fields named by the
+    class keyword `compared`, by default all of them; repr is
+    `Name(field=value, ...)` over every field. Assigning or deleting a
+    field raises AttributeError.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, compared: tuple[str, ...] | None = None) -> None:
-        names = compared or cls.__slots__
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        names = compared or cls._fields
         get = attrgetter(*names)
         cls._key = staticmethod(get if len(names) > 1 else lambda record: (get(record),))
 
@@ -73,7 +77,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -83,8 +87,9 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # Copy and pickle rebuild through `__init__`, which re-runs its checks.
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        # Copy and pickle rebuild through `__init__`, which re-runs its
+        # checks and derives the private slots again.
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 def __getattr__(name: str):

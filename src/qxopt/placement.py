@@ -10,9 +10,10 @@ far. Beyond the exhaustive limit the search refuses instead of degrading to
 a heuristic.
 
 The search runs on integer gate codes (see `circuit.encode`), with qubit
-fields sized for the device. `optimize` encodes the table entries once per
-call and marks each multi-gate entry as a block (`peephole.mark_blocks`):
-every entry is a `rewrite` result, on which no rule fires (`mark_blocks`
+fields sized for the device. It reads the table's entries in the form the
+table carries them, built once with it: their gate codes, and the same
+codes with each multi-gate entry marked as a block (`peephole.mark_blocks`).
+Every entry is a `rewrite` result, on which no rule fires (`mark_blocks`
 checks), so `peephole.rewrite_pending` appends it whole unless one of its
 first gates meets a pending gate. Each placement's mapped circuit is built
 straight as codes, and the engine returns its pending list with the count
@@ -83,7 +84,7 @@ from . import Record
 from .circuit import Circuit, CostReport, check_placement, cheapest, cost_report
 from .circuit import KIND_CODE, GateKind, decode, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
-from .peephole import mark_blocks, rewrite_pending
+from .peephole import rewrite_pending
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
 from .realization import RealizationTable
 from .topology import CouplingGraph
@@ -128,24 +129,14 @@ def percent_reduction(initial: CostReport, final: CostReport) -> tuple[int, int]
     return (pct(initial.gates, final.gates), pct(initial.levels, final.levels))
 
 
-def _entry_codes(table: RealizationTable, bits: int) -> list[list[list[int]]]:
-    """`[control][target]`: the gate codes (`bits`-wide qubit fields) of the
-    table entry for CNOT(control, target); empty where control == target."""
-    n = table.graph.num_physical
-    entries: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for (control, target), entry in table.entries.items():
-        entries[control][target] = encode(entry.sequence.gates, bits)
-    return entries
-
-
 def _mapper(
     circuit: Circuit, entries: list[list[list[int]]], skeleton: bool = False
 ) -> Callable[[Sequence[int]], list[int]]:
     """Function from a placement to the gate codes of `circuit` mapped under
     it: each CNOT replaced by its entry from `entries` (`[control][target]`,
-    as `_entry_codes` gives them, perhaps marked as blocks), each 1-qubit
-    gate moved to its physical qubit. With `skeleton`, only the H gates and
-    the CNOTs are mapped."""
+    a table's `_codes` or `_marked`), each 1-qubit gate moved to its
+    physical qubit. With `skeleton`, only the H gates and the CNOTs are
+    mapped."""
     logical_bits = field_bits(circuit.num_qubits)
     shift = 4 + logical_bits
     mask = (1 << logical_bits) - 1
@@ -224,10 +215,8 @@ def _candidates(
     multi-gate entry passed as a block, for each placement from
     `_placements` that the skeleton bound does not prune (see the module
     docstring)."""
-    entries = _entry_codes(table, bits)
+    entries, rows, blocks = table._codes, table._marked, table._blocks
     n = len(entries)
-    marked, blocks = mark_blocks([codes for row in entries for codes in row], bits)
-    rows = [marked[row * n : (row + 1) * n] for row in range(n)]
     mapped = _mapper(circuit, rows)
     placements = _placements(circuit, entries, bits)
     skeleton_qubits = [g.qubits for g in circuit.gates if g.kind in _SKELETON_GATES]
@@ -316,6 +305,6 @@ def cost_of(
     """Cost of relabel -> substitute -> simplify under one fixed placement."""
     check_placement(placement, table.graph.num_physical, circuit.num_qubits)
     bits = field_bits(table.graph.num_physical)
-    mapped = _mapper(circuit, _entry_codes(table, bits))
+    mapped = _mapper(circuit, table._codes)
     (gates, levels, _), _ = cheapest([(*rewrite_pending(mapped(placement), bits), ())], bits)
     return CostReport(gates, levels)

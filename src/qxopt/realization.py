@@ -17,14 +17,22 @@ gate-count ties), then gate sequence, ordered as the tuple of each gate's
 H+CNOT circuit, so it is Clifford: each entry is proven equal to the plain
 CNOT as it is built, by comparing stabilizer tableaus, exactly and on a
 device of any size.
+
+The table carries its entries in the form the placement search reads:
+each entry's gate codes, the same codes with each multi-gate entry marked
+as a block (`peephole.mark_blocks`), and the block table. The constructor
+derives them from the entries, once per table, so no search encodes or
+marks an entry.
 """
 from __future__ import annotations
 
+from itertools import permutations
+
 from . import RealizationError, Record
-from .circuit import KINDS, Circuit, GateKind, cheapest, cnot, cnot_code, decode, field_bits
-from .circuit import gate1_code
+from .circuit import KIND_CODE, KINDS, Circuit, Gate, GateKind, cheapest, cnot, cnot_code
+from .circuit import decode, encode, field_bits, gate1_code
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.realization.levels_of`
-from .peephole import rewrite
+from .peephole import mark_blocks, rewrite
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.realization.simplify_gates`
 from .qasm import gate_line
 from .stabilizer import equivalent
@@ -44,13 +52,30 @@ class RealizationEntry(Record):
 
 
 class RealizationTable(Record):
-    __slots__ = ("graph", "entries")
+    """The entries of one device, and their search form, derived from them
+    here, so that a table built by `build_table`, by hand, by copy or by
+    pickle searches alike. The search form, `[control][target]` lists with
+    `field_bits(graph.num_physical)`-wide qubit fields, empty where no entry
+    is: `_codes`, each entry's gate codes; `_marked`, the same lists with
+    each multi-gate entry marked as a block (`peephole.mark_blocks`); and
+    `_blocks`, the block table. The search only reads them."""
+
+    __slots__ = ("graph", "entries", "_codes", "_marked", "_blocks")
     graph: CouplingGraph
     entries: dict[tuple[int, int], RealizationEntry]
 
     def __init__(self, graph: CouplingGraph, entries: dict[tuple[int, int], RealizationEntry]) -> None:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "entries", entries)
+        n = graph.num_physical
+        bits = field_bits(n)
+        codes: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
+        for (control, target), entry in entries.items():
+            codes[control][target] = encode(entry.sequence.gates, bits)
+        marked, blocks = mark_blocks([run for row in codes for run in row], bits)
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_marked", [marked[row * n : (row + 1) * n] for row in range(n)])
+        object.__setattr__(self, "_blocks", blocks)
 
 
 def _local_cnot(graph: CouplingGraph, control: int, target: int, bits: int) -> list[int]:
@@ -112,20 +137,25 @@ def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[in
     return out
 
 
-# Each kind index's rank among the kind names: `_tiebreak` orders code
-# lists as the tuples of their gates' (kind name, qubits) order.
+# Each kind index's rank among the kind names.
 _NAME_RANK = [sorted(kind.name for kind in KINDS).index(kind.name) for kind in KINDS]
 
 
-def _tiebreak(codes: list[int], bits: int) -> tuple[int, ...]:
-    """Per gate, (kind name rank, first qubit, second qubit or 0) packed in
-    one int; two gates of one kind have the same arity, so this orders as
-    (kind.name, qubits) does."""
-    shift = 4 + bits
-    mask = (1 << bits) - 1
-    return tuple(
-        _NAME_RANK[c & 15] << 2 * bits | (c >> 4 & mask) << bits | c >> shift for c in codes
-    )
+def _gate_ranks(n: int, bits: int) -> dict[int, int]:
+    """Each gate code on `n` qubits, `bits`-wide fields, to its (kind name
+    rank, first qubit, second qubit or 0) packed in one int. Two gates of
+    one kind have the same arity, so the tuple of a code list's ranks
+    orders as the tuple of its gates' (kind.name, qubits) does."""
+    ranks: dict[int, int] = {}
+    for kind in KINDS:
+        rank = _NAME_RANK[KIND_CODE[kind]] << 2 * bits
+        if kind is GateKind.CNOT:
+            for control, target in permutations(range(n), 2):
+                ranks[cnot_code(control, target, bits)] = rank | control << bits | target
+        else:
+            for q in range(n):
+                ranks[gate1_code(kind, q)] = rank | q << bits
+    return ranks
 
 
 def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
@@ -136,6 +166,9 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
     """
     n = graph.num_physical
     bits = field_bits(n)
+    rank = _gate_ranks(n, bits).__getitem__
+    # Each winning code's Gate, decoded once per build.
+    gates: dict[int, Gate] = {}
     entries: dict[tuple[int, int], RealizationEntry] = {}
     for control in range(n):
         for target in range(n):
@@ -143,14 +176,17 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
                 continue
             (total, levels, _), best = cheapest(
                 (
-                    (simplified, 0, _tiebreak(simplified, bits))
+                    (simplified, 0, tuple(map(rank, simplified)))
                     for simplified in (
                         rewrite(codes, bits) for codes in _candidates(graph, control, target)
                     )
                 ),
                 bits,
             )
-            sequence = Circuit(n, tuple(decode(c, bits) for c in best))
+            for c in best:
+                if c not in gates:
+                    gates[c] = decode(c, bits)
+            sequence = Circuit(n, tuple(map(gates.__getitem__, best)))
             for g in sequence.gates:
                 if g.kind is GateKind.CNOT and not allows(graph, *g.qubits):
                     raise RealizationError(

@@ -7,14 +7,32 @@ hand, adjacent pairs are special-cased, candidates are simplified by the
 backward-scan pass of `search_oracle`, and the best candidate is picked by
 a loop that skips repeated cost keys and counts levels for every candidate.
 `test_realization.py` requires `build_table` to return the same entries,
-in the same order, as `build_entries` here.
+in the same order, as `build_entries` here, and its per-build rank lookup
+to give the same tie-break keys as `tiebreak`, the per-candidate key
+`build_table` computed before.
 """
 from __future__ import annotations
 
-from qxopt.circuit import Gate, GateKind, cnot, gate1, levels_of
+from qxopt.circuit import KINDS, Gate, GateKind, cnot, gate1, levels_of
 from qxopt.realization import RealizationError
 from qxopt.topology import CouplingGraph, allows, shortest_paths
 from search_oracle import simplify_gates
+
+
+# Each kind index's rank among the kind names: `tiebreak` orders code
+# lists as the tuples of their gates' (kind name, qubits) order.
+_NAME_RANK = [sorted(kind.name for kind in KINDS).index(kind.name) for kind in KINDS]
+
+
+def tiebreak(codes: list[int], bits: int) -> tuple[int, ...]:
+    """Per gate, (kind name rank, first qubit, second qubit or 0) packed in
+    one int; two gates of one kind have the same arity, so this orders as
+    (kind.name, qubits) does."""
+    shift = 4 + bits
+    mask = (1 << bits) - 1
+    return tuple(
+        _NAME_RANK[c & 15] << 2 * bits | (c >> 4 & mask) << bits | c >> shift for c in codes
+    )
 
 
 def _local_cnot(graph: CouplingGraph, control: int, target: int) -> list[Gate]:

@@ -1,20 +1,25 @@
+import copy
+import pickle
 import random
+import sys
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qxopt.circuit
+import qxopt.peephole
 import qxopt.placement
 import search_oracle
 from qxopt.circuit import Circuit, CostReport, GateKind, cnot, code_levels, encode
 from qxopt.circuit import field_bits, gate1, random_circuit
-from qxopt.peephole import mark_blocks, rewrite_pending
-from qxopt.placement import _entry_codes, _mapper, _placements, check_search_limit
+from qxopt.fixtures import CIRCUITS, load_circuit
+from qxopt.peephole import rewrite_pending
+from qxopt.placement import _mapper, _placements, check_search_limit
 from qxopt.placement import cost_of, optimize, percent_reduction
-from qxopt.realization import build_table
+from qxopt.realization import RealizationEntry, RealizationTable, build_table
 from qxopt.simulator import equivalent
-from qxopt.topology import allows, builtin, load
+from qxopt.topology import CouplingGraph, allows, builtin, load
 
 TWO_CNOTS = Circuit(3, (cnot(0, 1), cnot(1, 2)))  # CNOT(a,b); CNOT(b,c)
 
@@ -430,11 +435,8 @@ def _block_scorer(circuit, table, bits, skeleton=False):
     """The table's entry codes, and the search's function from a placement to
     `rewrite_pending`'s `(pending, dead)`, each multi-gate entry a block;
     with `skeleton`, for the H and CNOT gates alone."""
-    entries = _entry_codes(table, bits)
-    n = len(entries)
-    marked, blocks = mark_blocks([codes for row in entries for codes in row], bits)
-    mapped = _mapper(circuit, [marked[row * n : (row + 1) * n] for row in range(n)], skeleton)
-    return entries, lambda placement: rewrite_pending(mapped(placement), bits, blocks)
+    mapped = _mapper(circuit, table._marked, skeleton)
+    return table._codes, lambda placement: rewrite_pending(mapped(placement), bits, table._blocks)
 
 
 def _count(pending_dead):
@@ -493,7 +495,7 @@ def _touched_by(table, placement, circuit):
 
 def _scored(circuit, table):
     bits = field_bits(table.graph.num_physical)
-    return list(_placements(circuit, _entry_codes(table, bits), bits))
+    return list(_placements(circuit, table._codes, bits))
 
 
 def test_isolated_wire_never_lands_on_a_qubit_an_entry_touches(sparse_tables):
@@ -625,3 +627,69 @@ def test_cost_of_the_winner_is_its_final_cost(sparse_tables, arch, seed):
     circuit = random_circuit(rng.randint(1, min(4, _SPARSE_WIDTH[arch])), rng.randint(0, 16), rng)
     result = optimize(circuit, table)
     assert cost_of(circuit, result.placement, table) == result.final_cost
+
+
+def _rebuilt(table):
+    """The table built again by hand from fresh graph and entry records, deep
+    copied, and round-tripped through pickle."""
+    n = table.graph.num_physical
+    graph = CouplingGraph(n, set(table.graph.edges), table.graph.name)
+    entries = {
+        pair: RealizationEntry(Circuit(n, entry.sequence.gates), entry.total_gates, entry.levels)
+        for pair, entry in table.entries.items()
+    }
+    return [
+        RealizationTable(graph, entries),
+        copy.deepcopy(table),
+        pickle.loads(pickle.dumps(table)),
+    ]
+
+
+@pytest.mark.parametrize("arch", ["qx2", "qx4", "hex"])
+def test_hand_built_copied_and_unpickled_tables_search_alike(tables, arch):
+    table = tables[arch]
+    results = [optimize(load_circuit(name), table) for name in CIRCUITS]
+    for other in _rebuilt(table):
+        assert other == table
+        assert other._codes == table._codes
+        assert other._marked == table._marked
+        assert other._blocks == table._blocks
+        for name, want in zip(CIRCUITS, results):
+            got = optimize(load_circuit(name), other)
+            assert got.placement == want.placement
+            assert (got.initial_cost, got.final_cost) == (want.initial_cost, want.final_cost)
+            assert got.mapped == want.mapped
+
+
+def _record_calls(monkeypatch, module, name):
+    """Arguments of every call of `module.name`, through whichever qxopt
+    module binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for loaded in [m for key, m in sys.modules.items() if key.split(".")[0] == "qxopt"]:
+        if getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, recording)
+    return calls
+
+
+def test_search_neither_encodes_nor_marks_a_table_entry(sparse_tables, monkeypatch):
+    marks = _record_calls(monkeypatch, qxopt.peephole, "mark_blocks")
+    encodes = _record_calls(monkeypatch, qxopt.circuit, "encode")
+    table = build_table(builtin("qx2"), verify=False)
+    assert len(marks) == 1
+    # Wire 3 carries neither H nor CNOT, so ladder8 maps the skeleton too.
+    idle = Circuit(4, (cnot(0, 1), gate1(GateKind.H, 2), gate1(GateKind.T, 3)))
+    mermin = load_circuit("mermin_yyy_unopt")
+    for circuit, searched in ((mermin, table), (mermin, table), (idle, sparse_tables["ladder8"])):
+        marks.clear()
+        encodes.clear()
+        result = optimize(circuit, searched)
+        cost_of(circuit, result.placement, searched)
+        assert marks == []
+        # The mapper encodes the circuit, and so does its initial level count.
+        assert encodes and all(tuple(args[0]) == circuit.gates for args in encodes)

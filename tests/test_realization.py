@@ -1,4 +1,5 @@
 import hashlib
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ import pytest
 import qxopt.circuit
 import qxopt.realization
 import realization_oracle
-from qxopt.circuit import Circuit, GateKind, cnot, cnot_code, code_levels, decode, field_bits
-from qxopt.circuit import gate1, gate_count
-from qxopt.realization import RealizationError, _candidates, _swap, build_table, dump_text, lookup
+from qxopt.circuit import BLOCK_CODE, Circuit, GateKind, cnot, cnot_code, code_levels, decode
+from qxopt.circuit import field_bits, gate1, gate_count
+from qxopt.peephole import rewrite
+from qxopt.realization import RealizationError, _candidates, _gate_ranks, _swap, build_table
+from qxopt.realization import dump_text, lookup
 from qxopt.simulator import equivalent, unitary_of
 from qxopt.topology import allows, bfs, builtin, load
+from test_placement import HEX_TEXT, LINE6_TEXT
 
 
 def test_direct_edge_is_single_gate(qx2_table):
@@ -205,3 +209,49 @@ def test_build_table_matches_hand_written_generator(device):
 def test_dump_text_is_pinned(device, digest):
     text = dump_text(build_table(DIFFERENTIAL_DEVICES[device]()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("device", ["qx2", "qx4", "ladder8"])
+def test_rank_lookup_gives_the_per_candidate_tiebreak(device):
+    # One lookup per build replaced a key computed per candidate: both give
+    # the same key for every candidate, raw and rewritten.
+    graph = DIFFERENTIAL_DEVICES[device]()
+    n = graph.num_physical
+    bits = field_bits(n)
+    rank = _gate_ranks(n, bits)
+    for control, target in permutations(range(n), 2):
+        for codes in _candidates(graph, control, target):
+            for run in (codes, rewrite(codes, bits)):
+                assert tuple(map(rank.__getitem__, run)) == realization_oracle.tiebreak(run, bits)
+
+
+FORM_DEVICES = {
+    **DIFFERENTIAL_DEVICES,
+    "line6": lambda: load(LINE6_TEXT, name="line6"),
+    "hex": lambda: load(HEX_TEXT, name="hex"),
+}
+
+
+@pytest.mark.parametrize("device", sorted(FORM_DEVICES))
+def test_table_carries_its_entries_as_codes_and_blocks(device):
+    # `[control][target]`: the entry's gate codes, and the same codes led by
+    # a block marker when the entry has two or more gates; blocks are
+    # numbered in row order.
+    table = build_table(FORM_DEVICES[device](), verify=False)
+    n = table.graph.num_physical
+    bits = field_bits(n)
+    blocks = 0
+    for control in range(n):
+        for target in range(n):
+            codes = table._codes[control][target]
+            marked = table._marked[control][target]
+            if control == target:
+                assert codes == marked == []
+                continue
+            assert tuple(decode(c, bits) for c in codes) == table.entries[(control, target)].sequence.gates
+            if len(codes) >= 2:
+                assert marked == [BLOCK_CODE | blocks << 4] + codes
+                blocks += 1
+            else:
+                assert marked == codes
+    assert len(table._blocks) == blocks

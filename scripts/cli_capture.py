@@ -54,6 +54,7 @@ INPUTS = {
     "no_qreg.qasm": "OPENQASM 2.0;\n",
     "bad.probs": "000 0.5\n111 x\n",
     "bad.dm": "dm 2\n1 0\n",
+    "bad_entry.dm": "# tomography\ndm 1\n\nnan 0\n",
 }
 
 RUNS = (
@@ -103,9 +104,12 @@ RUNS = (
         ["table", "dump", "--arch", "@bad.graph"],
         ["mermin", "--xxy", "xxy_optimized_8192.probs", "--yyy", "bad.probs"],
         ["fidelity", "--a", "xxy_ideal.dm", "--b", "bad.dm"],
+        ["fidelity", "--a", "xxy_ideal.dm", "--b", "bad_entry.dm"],
         ["optimize", "--arch", "qx2", "--in", "missing.qasm"],
         ["optimize", "--arch", "qx9", "--in", "ghz.qasm"],
         ["verify", "ghz.qasm"],
+        ["verify", "ghz.qasm", "ghz.qasm", "--placement", ""],
+        ["verify", "ghz.qasm", "ghz.qasm", "--placement", "0,,1,2"],
         ["verify", "--random", "3"],
         ["table"],
         ["--help"],

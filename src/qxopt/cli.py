@@ -112,7 +112,7 @@ def _searchable_table(arch: str) -> RealizationTable:
 
 def _placement_arg(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"--placement expects comma-separated integers, got {text!r}") from None
 
@@ -275,7 +275,7 @@ def _cmd_verify(args) -> int:
     first = _read_circuit(args.circuits[0], args.strict)
     second = _read_circuit(args.circuits[1], args.strict)
     placement = None
-    if args.placement:
+    if args.placement is not None:
         placement = _placement_arg(args.placement)
     ok = bench_mod.equivalent(first, second, placement, tol=tol)
     print("equivalent" if ok else "NOT equivalent")

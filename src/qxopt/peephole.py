@@ -34,11 +34,10 @@ the block is read gate by gate.
 The placement search passes each multi-gate table entry as a block and
 keeps the pending list with its tombstones, so that `circuit.cheapest`
 filters only the candidates it has to. The realization table calls
-`rewrite`, the filtering wrapper, and decodes only its winners. Gates come
-in by two doors, `simplify_gates` for a raw gate list and `simplify` for a
-circuit, each with an optional `trace` list that receives every firing.
-Both encode their input, rewrite it and decode the result, so all callers
-share one engine.
+`rewrite`, the filtering wrapper, and decodes only its winners. `Gate`s
+come in by one door, `simplify`, which encodes a circuit once; the wrapper
+`simplify_gates`, for a raw gate list, has no caller here but is bound by
+the benchmark's span tracer (`perfbench/spans.py`).
 
 Deliberately NOT exploited: algebraic commutations (e.g. Z-diagonal gates
 through CNOT controls). This is the smallest engine that removes repeated
@@ -321,33 +320,26 @@ def mark_blocks(runs: list[list[int]], bits: int) -> tuple[list[list[int]], list
     return marked, blocks
 
 
-def _simplify(gates: Sequence[Gate], bits: int, trace: list[RuleFiring] | None) -> list[Gate]:
-    """`rewrite` on the codes of `gates`. A gate the rules left alone comes
-    back as the input's own object; only merged gates are decoded anew."""
-    codes = encode(gates, bits)
-    out = rewrite(codes, bits, trace)
-    # Every firing shortens the list, so an unchanged length means none fired.
-    if len(out) == len(codes):
-        return list(gates)
-    simplified = list(map(dict(zip(codes, gates)).get, out))
-    # A merged gate whose code the input lacks reads None; a Gate is truthy.
-    if not all(simplified):
-        simplified = [g or decode(c, bits) for g, c in zip(simplified, out)]
-    return simplified
-
-
 def simplify_gates(gates: list[Gate], trace: list[RuleFiring] | None = None) -> list[Gate]:
-    """Rewrite a raw gate list to its fixpoint in one pass, as `simplify`
-    does a circuit; the qubit fields are sized from its highest qubit."""
+    """`simplify` on a raw gate list, as a new list; the qubit fields are
+    sized from its highest qubit."""
     width = 1 + max((q for g in gates for q in g.qubits), default=0)
-    return _simplify(gates, field_bits(width), trace)
+    return list(simplify(Circuit(width, gates), trace).gates)
 
 
 def simplify(circuit: Circuit, trace: list[RuleFiring] | None = None) -> Circuit:
     """Apply the rule set until no rule fires; unitary preserved up to
     global phase, gate count never increases. With `trace`, append each
-    firing to it. A circuit on which no rule fires is its own result."""
-    gates = _simplify(circuit.gates, field_bits(circuit.num_qubits), trace)
-    if len(gates) == len(circuit.gates):
+    firing to it. A circuit on which no rule fires is its own result; in
+    any other, only merged gates are new objects."""
+    bits = field_bits(circuit.num_qubits)
+    codes = encode(circuit.gates, bits)
+    out = rewrite(codes, bits, trace)
+    # Every firing shortens the list, so an unchanged length means none fired.
+    if len(out) == len(codes):
         return circuit
-    return Circuit(circuit.num_qubits, tuple(gates))
+    gates = list(map(dict(zip(codes, circuit.gates)).get, out))
+    # A merged gate whose code the input lacks reads None; a Gate is truthy.
+    if not all(gates):
+        gates = [g or decode(c, bits) for g, c in zip(gates, out)]
+    return Circuit(circuit.num_qubits, gates)

@@ -9,18 +9,19 @@ levels counted only for placements whose gate count is at most the best so
 far. Beyond the exhaustive limit the search refuses instead of degrading to
 a heuristic.
 
-The search runs on integer gate codes (see `circuit.encode`), with qubit
-fields sized for the device. It reads the table's entries in the form the
-table carries them, built once with it: their gate codes, and the same
-codes with each multi-gate entry marked as a block (`peephole.mark_blocks`).
-Every entry is a `rewrite` result, on which no rule fires (`mark_blocks`
-checks), so `peephole.rewrite_pending` appends it whole unless one of its
-first gates meets a pending gate. Each placement's mapped circuit is built
-straight as codes, and the engine returns its pending list with the count
-of tombstones in it. Scoring is count-first: `circuit.cheapest` reads the
-gate count off that count, and filters the list and counts its levels only
-when the count is at most the best so far. Only the winner is decoded back
-to `Gate`s. `cost_of` scores one placement from the plain entry codes.
+The search runs on integer gate codes (see `circuit.encode`). `optimize`
+and `cost_of` each encode the circuit once, with qubit fields sized for its
+wires, and read every count off that list; mapped codes have fields sized
+for the device. The table carries its entries, built once with it, as gate codes and
+as the same codes with each multi-gate entry marked as a block
+(`peephole.mark_blocks`). Every entry is a `rewrite` result, on which no
+rule fires (`mark_blocks` checks), so `peephole.rewrite_pending` appends it
+whole unless one of its first gates meets a pending gate. Each placement's
+mapped circuit is built straight as codes, and the engine returns its
+pending list with the count of tombstones in it. Scoring is count-first:
+`circuit.cheapest` reads the gate count off that count, and filters the
+list and counts its levels only when the count is at most the best so far.
+Only the winner is decoded back to `Gate`s.
 
 Not every injection needs scoring. Under a placement, a wire with no CNOT
 (a wire with no gates included) is isolated if no table entry chosen for
@@ -81,10 +82,10 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import Record
-from .circuit import Circuit, CostReport, check_placement, cheapest, cost_report
+from .circuit import Circuit, CostReport, check_placement, cheapest, code_levels
 from .circuit import KIND_CODE, GateKind, decode, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
-from .peephole import rewrite_pending
+from .peephole import rewrite, rewrite_pending
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
 from .realization import RealizationTable
 from .topology import CouplingGraph
@@ -130,23 +131,18 @@ def percent_reduction(initial: CostReport, final: CostReport) -> tuple[int, int]
 
 
 def _mapper(
-    circuit: Circuit, entries: list[list[list[int]]], skeleton: bool = False
+    codes: list[int], bits: int, entries: list[list[list[int]]]
 ) -> Callable[[Sequence[int]], list[int]]:
-    """Function from a placement to the gate codes of `circuit` mapped under
-    it: each CNOT replaced by its entry from `entries` (`[control][target]`,
-    a table's `_codes` or `_marked`), each 1-qubit gate moved to its
-    physical qubit. With `skeleton`, only the H gates and the CNOTs are
-    mapped."""
-    logical_bits = field_bits(circuit.num_qubits)
-    shift = 4 + logical_bits
-    mask = (1 << logical_bits) - 1
-    logical = encode(circuit.gates, logical_bits)
-    if skeleton:
-        logical = [code for code in logical if code & 15 in _SKELETON_KINDS]
+    """Function from a placement to the gate codes `codes`, with `bits`-wide
+    qubit fields, mapped under it: each CNOT replaced by its entry from
+    `entries` (`[control][target]`, a table's `_codes` or `_marked`), each
+    1-qubit gate moved to its physical qubit."""
+    shift = 4 + bits
+    mask = (1 << bits) - 1
 
     def mapped(placement: Sequence[int]) -> list[int]:
         out: list[int] = []
-        for code in logical:
+        for code in codes:
             if code & 8:
                 out += entries[placement[code >> 4 & mask]][placement[code >> shift]]
             else:
@@ -209,15 +205,17 @@ def _placements(
 
 
 def _candidates(
-    circuit: Circuit, table: RealizationTable, bits: int
+    circuit: Circuit, codes: list[int], table: RealizationTable, bits: int
 ) -> Iterator[tuple[list[int], int, tuple[int, ...]]]:
     """`rewrite_pending`'s `(pending, dead)` and the placement, with each
     multi-gate entry passed as a block, for each placement from
     `_placements` that the skeleton bound does not prune (see the module
-    docstring)."""
+    docstring). `codes` are the circuit's gates, encoded at
+    `field_bits(circuit.num_qubits)`."""
     entries, rows, blocks = table._codes, table._marked, table._blocks
     n = len(entries)
-    mapped = _mapper(circuit, rows)
+    logical_bits = field_bits(circuit.num_qubits)
+    mapped = _mapper(codes, logical_bits, rows)
     placements = _placements(circuit, entries, bits)
     skeleton_qubits = [g.qubits for g in circuit.gates if g.kind in _SKELETON_GATES]
     wires = sorted({q for qubits in skeleton_qubits for q in qubits})
@@ -231,11 +229,11 @@ def _candidates(
     # Per logical CNOT pair, [control][target]: its count times the length
     # of each entry.
     lengths = [
-        (a, b, [[m * len(codes) for codes in row] for row in entries])
+        (a, b, [[m * len(entry) for entry in row] for row in entries])
         for (a, b), m in cnots.items()
     ]
     key = itemgetter(*wires)
-    skeleton = _mapper(circuit, rows, skeleton=True)
+    skeleton = _mapper([c for c in codes if c & 15 in _SKELETON_KINDS], logical_bits, rows)
     memo: dict = {}
     best = math.inf
     for placement in placements:
@@ -285,8 +283,10 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     """
     num_physical = _check_widths(circuit, table)
     bits = field_bits(num_physical)
-    (gates, levels, placement), best = cheapest(_candidates(circuit, table, bits), bits)
-    initial = cost_report(circuit)
+    logical_bits = field_bits(circuit.num_qubits)
+    codes = encode(circuit.gates, logical_bits)
+    (gates, levels, placement), best = cheapest(_candidates(circuit, codes, table, bits), bits)
+    initial = CostReport(len(codes), code_levels(codes, logical_bits))
     final = CostReport(gates, levels)
     return MappingResult(
         placement=placement,
@@ -305,6 +305,7 @@ def cost_of(
     """Cost of relabel -> substitute -> simplify under one fixed placement."""
     check_placement(placement, table.graph.num_physical, circuit.num_qubits)
     bits = field_bits(table.graph.num_physical)
-    mapped = _mapper(circuit, table._codes)
-    (gates, levels, _), _ = cheapest([(*rewrite_pending(mapped(placement), bits), ())], bits)
-    return CostReport(gates, levels)
+    logical_bits = field_bits(circuit.num_qubits)
+    mapped = _mapper(encode(circuit.gates, logical_bits), logical_bits, table._codes)
+    codes = rewrite(mapped(placement), bits)
+    return CostReport(len(codes), code_levels(codes, bits))

@@ -183,8 +183,9 @@ def parse_density_matrix(text: str) -> np.ndarray:
     """Read the raw complex matrix; no sanitization is applied here."""
     import numpy as np
 
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    numbers = [n for n, ln in enumerate(stripped, start=1) if ln]
+    lines = [stripped[n - 1] for n in numbers]
     if not lines or not lines[0].startswith("dm"):
         raise ValueError("missing 'dm N' header")
     header = lines[0].split()
@@ -198,12 +199,12 @@ def parse_density_matrix(text: str) -> np.ndarray:
     if len(body) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, found {len(body)}")
     out = np.zeros((dim, dim), dtype=complex)
-    for k, ln in enumerate(body):
+    for k, (lineno, ln) in enumerate(zip(numbers[1:], body)):
         try:
             re, im = (float(part) for part in ln.split())
         except ValueError:
-            raise ValueError(f"entry {k}: expected 're im', got {ln!r}") from None
+            raise ValueError(f"line {lineno}: entry {k}: expected 're im', got {ln!r}") from None
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"entry {k}: {ln!r} is not finite")
+            raise ValueError(f"line {lineno}: entry {k}: {ln!r} is not finite")
         out[k // dim, k % dim] = complex(re, im)
     return out

@@ -314,11 +314,12 @@ def test_fidelity_command(tmp_path, capsys):
     [
         ("mermin", "--xxy", "000 0.5\n111 x\n", "line 2"),
         ("mermin", "--yyy", "000 0.5\n111 x\n", "line 2"),
-        ("fidelity", "--a", "dm 1\n1 y\n", "entry 0"),
+        ("fidelity", "--a", "dm 1\n1 y\n", "line 2: entry 0"),
         ("fidelity", "--b", "dm -1\n", "malformed 'dm N' header"),
         ("fidelity", "--a", "dm 1 3\n1 0\n", "malformed 'dm N' header 'dm 1 3'"),
-        ("fidelity", "--a", "dm 2\ninf 0\n0 0\n0 0\n1 0\n", "entry 0: 'inf 0' is not finite"),
-        ("fidelity", "--b", "dm 2\n1 0\n0 0\n0 0\n0 nan\n", "entry 3: '0 nan' is not finite"),
+        ("fidelity", "--a", "dm 2\ninf 0\n0 0\n0 0\n1 0\n", "line 2: entry 0: 'inf 0' is not finite"),
+        ("fidelity", "--b", "dm 2\n1 0\n0 0\n0 0\n0 nan\n", "line 5: entry 3: '0 nan' is not finite"),
+        ("fidelity", "--b", "# tomo\ndm 1\n\nnan 0\n", "line 4: entry 0: 'nan 0' is not finite"),
     ],
 )
 def test_analysis_commands_report_bad_value_position(
@@ -593,9 +594,20 @@ def test_verify_rejects_bad_tolerance(value, routing_file, capsys):
             ["--placement", "0,1,2,3,4,5,6"],
             "error: placement covers 7 qubits, circuit has 2\n",
         ),
+        # An empty placement is not the identity, and no empty token is skipped.
+        *(
+            (
+                "narrow",
+                "narrow",
+                ["--placement", value],
+                f"error: --placement expects comma-separated integers, got {value!r}\n",
+            )
+            for value in ("", " , ", "0,,1", ",0,1", "0,1,")
+        ),
     ],
     ids=[
         "wide-narrow-extra0", "huge-narrow", "narrow-wide-extra1", "not-injective", "narrow-wide-extra2",
+        "empty", "blank-tokens", "empty-middle-token", "empty-first-token", "empty-last-token",
     ],
 )
 def test_verify_placement_that_does_not_fit_is_usage_error(first, second, extra, message, tmp_path):

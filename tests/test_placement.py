@@ -303,14 +303,16 @@ class _SkeletonCodes(list):
 
 class _SearchCounts:
     """What one search covered and rewrote: the placements `_placements`
-    yielded, those whose full mapped codes were built, and the lengths of
-    the code lists passed to `rewrite_pending`, full and skeleton apart."""
+    yielded, those whose full mapped codes were built, the lengths of the
+    code lists passed to `rewrite_pending`, full and skeleton apart, and the
+    number of mappers made."""
 
     def __init__(self):
         self.covered = []
         self.scored = []
         self.full = []
         self.skeleton = []
+        self.mappers = 0
 
     def pruned(self):
         return sorted(set(self.covered) - set(self.scored))
@@ -326,8 +328,14 @@ def _count_rewrites(monkeypatch):
         (counts.skeleton if isinstance(codes, _SkeletonCodes) else counts.full).append(len(codes))
         return rewrite_pending(codes, bits, blocks)
 
-    def tagging_mapper(circuit, entries, skeleton=False):
-        mapped = mapper(circuit, entries, skeleton)
+    def tagging_mapper(codes, bits, entries):
+        # A search makes the full circuit's mapper first and its skeleton's
+        # second. For a circuit of H and CNOT gates alone the two code lists
+        # are equal, so only the order tells them apart.
+        assert counts.mappers < 2, "a search makes at most two mappers"
+        skeleton = counts.mappers == 1
+        counts.mappers += 1
+        mapped = mapper(codes, bits, entries)
 
         def tagged(placement):
             if skeleton:
@@ -431,11 +439,21 @@ def test_skeleton_rewrites_never_exceed_skeleton_wire_assignments(
     assert 0 < len(counts.skeleton) <= len(assignments) < len(counts.covered)
 
 
+def _mapper_of(circuit, entries, skeleton=False):
+    """The search's mapper over `entries` for the circuit's gates, encoded
+    for its own wires; with `skeleton`, for its H and CNOT gates alone."""
+    gates = circuit.gates
+    if skeleton:
+        gates = [g for g in gates if g.kind in (GateKind.H, GateKind.CNOT)]
+    bits = field_bits(circuit.num_qubits)
+    return _mapper(encode(gates, bits), bits, entries)
+
+
 def _block_scorer(circuit, table, bits, skeleton=False):
     """The table's entry codes, and the search's function from a placement to
     `rewrite_pending`'s `(pending, dead)`, each multi-gate entry a block;
     with `skeleton`, for the H and CNOT gates alone."""
-    mapped = _mapper(circuit, table._marked, skeleton)
+    mapped = _mapper_of(circuit, table._marked, skeleton)
     return table._codes, lambda placement: rewrite_pending(mapped(placement), bits, table._blocks)
 
 
@@ -582,7 +600,7 @@ def test_block_engine_matches_stack_oracle_on_every_placement(sparse_tables, arc
     circuit = random_circuit(rng.randint(1, min(4, _SPARSE_WIDTH[arch])), rng.randint(0, 16), rng)
     bits = field_bits(n)
     entries, score = _block_scorer(circuit, table, bits)
-    plain = _mapper(circuit, entries)
+    plain = _mapper_of(circuit, entries)
     for p in permutations(range(n), circuit.num_qubits):
         pending, dead = score(p)
         live = [c for c in pending if c >= 0]
@@ -680,16 +698,24 @@ def _record_calls(monkeypatch, module, name):
 def test_search_neither_encodes_nor_marks_a_table_entry(sparse_tables, monkeypatch):
     marks = _record_calls(monkeypatch, qxopt.peephole, "mark_blocks")
     encodes = _record_calls(monkeypatch, qxopt.circuit, "encode")
+    mappers = _record_calls(monkeypatch, qxopt.placement, "_mapper")
     table = build_table(builtin("qx2"), verify=False)
     assert len(marks) == 1
-    # Wire 3 carries neither H nor CNOT, so ladder8 maps the skeleton too.
+    # Every wire of the mermin circuit carries an H or a CNOT, so qx2 maps
+    # it in full; wire 3 here carries neither, so ladder8 maps the skeleton
+    # too.
     idle = Circuit(4, (cnot(0, 1), gate1(GateKind.H, 2), gate1(GateKind.T, 3)))
     mermin = load_circuit("mermin_yyy_unopt")
-    for circuit, searched in ((mermin, table), (mermin, table), (idle, sparse_tables["ladder8"])):
+    cases = ((mermin, table, 1), (mermin, table, 1), (idle, sparse_tables["ladder8"], 2))
+    for circuit, searched, mapper_count in cases:
         marks.clear()
         encodes.clear()
+        mappers.clear()
         result = optimize(circuit, searched)
+        assert len(mappers) == mapper_count
+        # One encoding of the circuit serves the search, the skeleton and
+        # the initial cost.
+        assert marks == [] and [tuple(args[0]) for args in encodes] == [circuit.gates]
+        encodes.clear()
         cost_of(circuit, result.placement, searched)
-        assert marks == []
-        # The mapper encodes the circuit, and so does its initial level count.
-        assert encodes and all(tuple(args[0]) == circuit.gates for args in encodes)
+        assert marks == [] and [tuple(args[0]) for args in encodes] == [circuit.gates]

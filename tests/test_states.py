@@ -116,11 +116,17 @@ def test_parse_distribution_names_the_line_of_a_bad_value():
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("dm 1\n1 y", r"^entry 0: expected 're im', got '1 y'$"),
-        ("dm 2\n1 0\n0 0\n0 0 0\n0 0", r"^entry 2: expected 're im'"),
-        ("dm 2\n1 0\n0 0\n0 0\n0", r"^entry 3: expected 're im'"),
-        ("dm 1\ninf 0", r"^entry 0: 'inf 0' is not finite$"),
-        ("dm 2\n1 0\n0 0\n0 0\n0 nan", r"^entry 3: '0 nan' is not finite$"),
+        ("dm 1\n1 y", r"^line 2: entry 0: expected 're im', got '1 y'$"),
+        ("dm 2\n1 0\n0 0\n0 0 0\n0 0", r"^line 4: entry 2: expected 're im'"),
+        ("dm 2\n1 0\n0 0\n0 0\n0", r"^line 5: entry 3: expected 're im'"),
+        ("dm 1\ninf 0", r"^line 2: entry 0: 'inf 0' is not finite$"),
+        ("dm 2\n1 0\n0 0\n0 0\n0 nan", r"^line 5: entry 3: '0 nan' is not finite$"),
+        # Comments and blank lines count as lines, not as entries.
+        (
+            "# tomography\ndm 2\n1 0\n\n0 0 # off-diagonal\n0 0 x\n0 0",
+            r"^line 6: entry 2: expected 're im', got '0 0 x'$",
+        ),
+        ("dm 1\n  # ok\n\n1 0 inf", r"^line 4: entry 0: expected 're im'"),
         ("dm -1\n", r"^malformed 'dm N' header 'dm -1'$"),
         ("dm 0\n", r"^malformed 'dm N' header"),
         ("dm x\n1 0", r"^malformed 'dm N' header"),

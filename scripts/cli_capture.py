@@ -111,6 +111,8 @@ RUNS = (
         ["verify", "ghz.qasm", "ghz.qasm", "--placement", ""],
         ["verify", "ghz.qasm", "ghz.qasm", "--placement", "0,,1,2"],
         ["verify", "--random", "3"],
+        ["verify", "ghz.qasm", "ghz.qasm", "--random", "2", "--arch", "qx2"],
+        ["verify", "--random", "2", "--arch", "qx2", "--placement", "0,1,2"],
         ["table"],
         ["--help"],
         [],

@@ -21,11 +21,11 @@ _EXPORTS = {
         "Circuit", "CostReport", "Gate", "GateKind", "cost_report", "gate_count",
         "inverse_of", "level_count", "relabel",
     ),
-    "bench": ("equivalent",),
     "nonclassicality": (
         "MerminValue", "lhv_bound", "mermin3", "parity_expectation", "sanitize",
         "uhlmann_fidelity",
     ),
+    "pathsum": ("equivalent",),
     "peephole": ("simplify",),
     "placement": ("MappingResult", "cost_of", "optimize"),
     "qasm": ("emit", "parse"),

@@ -1,53 +1,19 @@
-"""Mapping with its check, and the reports built from it.
-
-`map_verified` is the only place where a placement search is followed by
-the equivalence check, and `equivalent` (exported as `qxopt.equivalent`) is
-the one check that `map_verified` and `qxopt verify` run: the exact path
-sum first, the dense simulator only for a pair the path sum cannot prove.
-`VERIFY_TOL` is the one mapping-verification tolerance, used only by that
-dense fallback: the default of `equivalent`, of `map_verified` and of
-`qxopt verify --tol`. The directory benchmark maps every circuit file
-through it, one `BenchRow` per file, sorted by gate reduction. Every CSV
-report goes through one `csv.writer`, which quotes fields per RFC 4180.
+"""The directory report: every circuit file of a directory mapped and
+checked by `placement.map_verified`, one `BenchRow` per file, sorted by gate
+reduction, and rendered as CSV or markdown. Every CSV report goes through
+one `csv.writer`, which quotes fields per RFC 4180. Only `qxopt bench` and
+`qxopt optimize --report csv` load this module.
 """
 from __future__ import annotations
 
 import csv
 import io
 from pathlib import Path
-from typing import Sequence
 
 from . import Record
-from .circuit import Circuit
-from .pathsum import proves_equal
-from .placement import MappingResult, optimize
+from .placement import MappingResult, map_verified
 from .qasm import parse
 from .realization import RealizationTable
-
-VERIFY_TOL = 1e-8
-
-
-def equivalent(
-    c1: Circuit, c2: Circuit, perm: Sequence[int] | None = None, tol: float = VERIFY_TOL
-) -> bool:
-    """True when c2 equals c1 relabeled by `perm`, up to global phase:
-    proven exactly by the path sum, or else decided by the dense simulator
-    within `tol`, with its width cap. A placement that does not fit is
-    refused by `check_placement` before either check runs. Only the dense
-    fallback imports numpy."""
-    if proves_equal(c1, c2, perm):
-        return True
-    from . import simulator
-
-    return simulator.equivalent(c1, c2, perm, tol=tol)
-
-
-def map_verified(
-    circuit: Circuit, table: RealizationTable, tol: float = VERIFY_TOL
-) -> tuple[MappingResult, bool]:
-    """Best mapping of `circuit`, and whether it is equivalent to the input."""
-    result = optimize(circuit, table)
-    return result, equivalent(circuit, result.mapped, list(result.placement), tol=tol)
 
 
 class BenchRow(Record):

@@ -13,12 +13,15 @@ process loads already, so `main` catches it by name without loading the
 mapping modules into commands that never build a table.
 
 Each handler imports only what it runs. `mermin` loads neither numpy nor the
-mapping modules, and `fidelity` loads numpy but no mapping module. The other
-commands load the mapping modules, and numpy only when the path sum cannot
-prove a pair and `bench.equivalent` falls back to the dense simulator. No
-command loads the standard library's data-class module or the `inspect` it
-imports: the value classes are `__slots__` classes on `qxopt.Record`, which
-the package root defines.
+mapping modules, and `fidelity` loads numpy but no mapping module. `simplify`
+and a two-file `verify` load the parser and the check, `pathsum`, but not the
+search; `simplify` adds `peephole`. `optimize`, `verify --random`, `bench`
+and `table dump` load the search modules. Only `bench` and `optimize --report
+csv` load the report module, `bench`, and `csv`. A mapping command loads
+numpy only when the path sum cannot prove a pair and `pathsum.equivalent`
+falls back to the dense simulator. No command loads the standard library's
+data-class module or the `inspect` it imports: the value classes are
+`__slots__` classes on `qxopt.Record`, which the package root defines.
 """
 from __future__ import annotations
 
@@ -137,8 +140,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check unitary equivalence")
     p.add_argument("circuits", nargs="*", help="two circuit files to compare")
     p.add_argument("--placement", help="comma-separated physical target per logical qubit")
-    # Default None stands for bench.VERIFY_TOL, which `mermin` and `fidelity`
-    # would otherwise import the mapping modules to read.
+    # Default None stands for pathsum.VERIFY_TOL, which every process would
+    # otherwise import `pathsum` to read while building the parser.
     p.add_argument("--tol", type=_at_least(float, 0))
     p.add_argument("--arch", help="needed for --random")
     p.add_argument(
@@ -175,12 +178,12 @@ def _build_parser() -> _Parser:
 def _cmd_optimize(args) -> int:
     import json
 
-    from . import bench as bench_mod
+    from .placement import map_verified
     from .qasm import emit
 
     table = _searchable_table(args.arch)
     circuit = _read_circuit(args.infile, args.strict)
-    result, verified = bench_mod.map_verified(circuit, table)
+    result, verified = map_verified(circuit, table)
     if not verified:
         print(
             f"error: {args.infile}: mapped circuit is not equivalent to the input "
@@ -202,15 +205,17 @@ def _cmd_optimize(args) -> int:
         }
         print(json.dumps(report, indent=2))
     else:
-        header = ["input", "arch", "placement", *bench_mod.COST_COLUMNS, "verified"]
+        from .bench import COST_COLUMNS, cost_cells, csv_text
+
+        header = ["input", "arch", "placement", *COST_COLUMNS, "verified"]
         placement = "|".join(str(p) for p in result.placement)
-        row = [args.infile, table.graph.name, placement, *bench_mod.cost_cells(result), "true"]
-        print(bench_mod.csv_text([header, row]), end="")
+        row = [args.infile, table.graph.name, placement, *cost_cells(result), "true"]
+        print(csv_text([header, row]), end="")
     return 0
 
 
 def _cmd_simplify(args) -> int:
-    from . import bench as bench_mod
+    from .pathsum import equivalent
     from .peephole import RuleFiring, simplify
     from .qasm import emit
 
@@ -218,7 +223,7 @@ def _cmd_simplify(args) -> int:
     trace: list[RuleFiring] | None = [] if args.trace else None
     simplified = simplify(circuit, trace)
     try:
-        verified = bench_mod.equivalent(circuit, simplified)
+        verified = equivalent(circuit, simplified)
     except ValueError as exc:
         # The path sum gave up and the circuit is past the dense cap.
         verified, undecided = None, exc
@@ -242,34 +247,44 @@ def _cmd_simplify(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _verify_random(args, tol: float) -> int:
     import random
 
-    from . import bench as bench_mod
     from .circuit import random_circuit
+    from .placement import map_verified
     from .qasm import emit
 
-    tol = bench_mod.VERIFY_TOL if args.tol is None else args.tol
+    if args.circuits:
+        raise UsageError(f"--random takes no circuit files, got {' '.join(args.circuits)}")
+    if args.placement is not None:
+        raise UsageError("--random takes no --placement")
+    if not args.arch:
+        raise UsageError("--random requires --arch")
+    table = _searchable_table(args.arch)
+    if args.qubits > table.graph.num_physical:
+        raise UsageError(f"--qubits exceeds the {table.graph.num_physical} qubits of {args.arch}")
+    rng = random.Random(args.seed)
+    failures = 0
+    for i in range(args.random):
+        circuit = random_circuit(args.qubits, args.gates, rng)
+        result, ok = map_verified(circuit, table, tol)
+        if not ok:
+            failures += 1
+            print(
+                f"case {i}: FAIL (seed {args.seed}, placement "
+                f"{','.join(str(p) for p in result.placement)}); input circuit:"
+            )
+            print(emit(circuit), end="")
+    print(f"{args.random - failures}/{args.random} random circuits verified")
+    return 0 if failures == 0 else 2
+
+
+def _cmd_verify(args) -> int:
+    from .pathsum import VERIFY_TOL, equivalent
+
+    tol = VERIFY_TOL if args.tol is None else args.tol
     if args.random is not None:
-        if not args.arch:
-            raise UsageError("--random requires --arch")
-        table = _searchable_table(args.arch)
-        if args.qubits > table.graph.num_physical:
-            raise UsageError(f"--qubits exceeds the {table.graph.num_physical} qubits of {args.arch}")
-        rng = random.Random(args.seed)
-        failures = 0
-        for i in range(args.random):
-            circuit = random_circuit(args.qubits, args.gates, rng)
-            result, ok = bench_mod.map_verified(circuit, table, tol)
-            if not ok:
-                failures += 1
-                print(
-                    f"case {i}: FAIL (seed {args.seed}, placement "
-                    f"{','.join(str(p) for p in result.placement)}); input circuit:"
-                )
-                print(emit(circuit), end="")
-        print(f"{args.random - failures}/{args.random} random circuits verified")
-        return 0 if failures == 0 else 2
+        return _verify_random(args, tol)
     if len(args.circuits) != 2:
         raise UsageError("verify needs exactly two circuit files (or --random N)")
     first = _read_circuit(args.circuits[0], args.strict)
@@ -277,7 +292,7 @@ def _cmd_verify(args) -> int:
     placement = None
     if args.placement is not None:
         placement = _placement_arg(args.placement)
-    ok = bench_mod.equivalent(first, second, placement, tol=tol)
+    ok = equivalent(first, second, placement, tol=tol)
     print("equivalent" if ok else "NOT equivalent")
     return 0 if ok else 2
 

@@ -23,12 +23,21 @@ No rule applies to a variable that is still on an output wire. The sum is
 the identity up to global phase exactly when no phase term is left and
 every output is its wire's input variable. Only wires some gate touches get
 variables, so time and memory follow the gate count, not the width.
+
+`equivalent` (exported as `qxopt.equivalent`) is the one mapping check, run
+by `placement.map_verified`, `qxopt verify` and `qxopt simplify`: the path
+sum first, the dense simulator only for a pair it cannot prove. `VERIFY_TOL`,
+the default of `equivalent`, `map_verified` and `qxopt verify --tol`, is
+used only by that fallback. The module imports only `circuit`, so a command
+that only checks loads no search module.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
 from .circuit import Circuit, GateKind, check_placement, inverse_of
+
+VERIFY_TOL = 1e-8
 
 # Diagonal gates as the phase they add to a basis state with the wire set.
 _PHASE = {GateKind.Z: 4, GateKind.S: 2, GateKind.SDG: 6, GateKind.T: 1, GateKind.TDG: 7}
@@ -247,3 +256,18 @@ def proves_equal(c1: Circuit, c2: Circuit, perm: Sequence[int] | None = None) ->
         if len(s.phase) > budget:
             return False
     return s.is_identity()
+
+
+def equivalent(
+    c1: Circuit, c2: Circuit, perm: Sequence[int] | None = None, tol: float = VERIFY_TOL
+) -> bool:
+    """True when c2 equals c1 relabeled by `perm`, up to global phase:
+    proven exactly by the path sum, or else decided by the dense simulator
+    within `tol`, with its width cap. A placement that does not fit is
+    refused by `check_placement` before either check runs. Only the dense
+    fallback imports numpy."""
+    if proves_equal(c1, c2, perm):
+        return True
+    from . import simulator
+
+    return simulator.equivalent(c1, c2, perm, tol=tol)

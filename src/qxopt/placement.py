@@ -7,7 +7,8 @@ realization, and peephole simplifying. The winner is picked by
 then fewest levels, then the lexicographically smallest placement, with
 levels counted only for placements whose gate count is at most the best so
 far. Beyond the exhaustive limit the search refuses instead of degrading to
-a heuristic.
+a heuristic. `map_verified` is the only place where a search is followed
+by the mapping check, `pathsum.equivalent`.
 
 The search runs on integer gate codes (see `circuit.encode`). `optimize`
 and `cost_of` each encode the circuit once, with qubit fields sized for its
@@ -85,6 +86,7 @@ from . import Record
 from .circuit import Circuit, CostReport, check_placement, cheapest, code_levels
 from .circuit import KIND_CODE, GateKind, decode, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
+from .pathsum import VERIFY_TOL, equivalent
 from .peephole import rewrite, rewrite_pending
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
 from .realization import RealizationTable
@@ -295,6 +297,14 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
         final_cost=final,
         reduction_pct=percent_reduction(initial, final),
     )
+
+
+def map_verified(
+    circuit: Circuit, table: RealizationTable, tol: float = VERIFY_TOL
+) -> tuple[MappingResult, bool]:
+    """Best mapping of `circuit`, and whether it is equivalent to the input."""
+    result = optimize(circuit, table)
+    return result, equivalent(circuit, result.mapped, list(result.placement), tol=tol)
 
 
 def cost_of(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qxopt import bench
+from qxopt import pathsum
 from qxopt.circuit import (
     Circuit,
     CostReport,
@@ -172,7 +172,7 @@ def test_every_placement_caller_refuses_with_one_message(perm, message, qx2_tabl
         lambda: cost_of(c, perm, qx2_table),
         lambda: equivalent(c, Circuit(5), perm),
         lambda: proves_equal(c, Circuit(5), perm),
-        lambda: bench.equivalent(c, Circuit(5), perm),
+        lambda: pathsum.equivalent(c, Circuit(5), perm),
     )
     texts = set()
     for call in callers:

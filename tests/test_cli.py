@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-import qxopt.bench
 import qxopt.circuit
 import qxopt.cli
+import qxopt.pathsum
 import qxopt.peephole
+import qxopt.placement
 import qxopt.realization
 import qxopt.topology
 from qxopt.bench import bench_directory, bench_file, render_csv, render_markdown
@@ -133,7 +134,7 @@ def test_optimize_refuses_to_emit_unverified_result(routing_file, tmp_path, monk
             reduction_pct=result.reduction_pct,
         )
 
-    monkeypatch.setattr(qxopt.bench, "optimize", corrupted)
+    monkeypatch.setattr(qxopt.placement, "optimize", corrupted)
     out = tmp_path / "mapped.qasm"
     assert main(["optimize", "--arch", "qx2", "--in", str(routing_file), "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -188,7 +189,7 @@ def test_simplify_refuses_to_emit_unverified_result(flags, routing_file, tmp_pat
 
 def test_simplify_marks_output_no_checker_decides_as_unverified(tmp_path, monkeypatch, capsys):
     # Eleven qubits is past the dense cap, and the path sum is made to give up.
-    monkeypatch.setattr(qxopt.bench, "proves_equal", lambda *args: False)
+    monkeypatch.setattr(qxopt.pathsum, "proves_equal", lambda *args: False)
     src = tmp_path / "wide.qasm"
     src.write_text("qreg q[11];\nh q[10];\nh q[10];\nt q[0];\n")
     out = tmp_path / "out.qasm"
@@ -226,7 +227,7 @@ def test_verify_random_self_check(capsys):
 
 
 def test_verify_random_failure_prints_reproducer(qx4_table, monkeypatch, capsys):
-    monkeypatch.setattr(qxopt.bench, "equivalent", lambda *args, **kwargs: False)
+    monkeypatch.setattr(qxopt.placement, "equivalent", lambda *args, **kwargs: False)
     code = main(
         ["verify", "--random", "2", "--arch", "qx4", "--qubits", "3", "--gates", "6", "--seed", "7"]
     )
@@ -248,6 +249,23 @@ def test_verify_needs_two_files(capsys):
 def test_verify_random_needs_arch(capsys):
     assert main(["verify", "--random", "3"]) == 1
     assert capsys.readouterr().err == "error: --random requires --arch\n"
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["a.qasm", "b.qasm"], "error: --random takes no circuit files, got a.qasm b.qasm\n"),
+        (["--placement", "0,1"], "error: --random takes no --placement\n"),
+    ],
+    ids=["circuit-files", "placement"],
+)
+def test_verify_random_refuses_arguments_it_would_ignore(extra, message, capsys):
+    # Checking random circuits instead of the pair asked about would answer
+    # another question; the files need not exist to be refused.
+    assert main(["verify", *extra, "--random", "2", "--arch", "qx2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
 
 
 _BEFORE_QREG = "line 1, column 1: gate statement before qreg declaration"
@@ -665,7 +683,7 @@ def test_package_exports_resolve_on_first_use():
         value = getattr(qxopt, name)
         assert getattr(sys.modules[value.__module__], name) is value
     # The package's equivalence check is the one the CLI runs.
-    assert qxopt.equivalent is qxopt.bench.equivalent
+    assert qxopt.equivalent is qxopt.pathsum.equivalent
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         qxopt.frobnicate
 
@@ -783,6 +801,36 @@ def test_analysis_commands_load_only_what_they_run(argv, modules):
     # modules; `fidelity` needs numpy for its eigendecompositions only, and
     # numpy itself imports `inspect`.
     _run_unimported([a.format(data=FIXTURE_DIR) for a in argv], 0, modules)
+
+
+_REPORT = ("csv", "qxopt.bench")
+_SEARCH = tuple(f"qxopt.{name}" for name in ("placement", "realization", "topology", "stabilizer"))
+
+
+@pytest.mark.parametrize(
+    "argv,code,modules",
+    [
+        (["optimize", "--arch", "qx4", "--in", "{data}/ghz.qasm", "--report", "json"], 0, _REPORT),
+        (["simplify", "--in", "{data}/mermin_yyy_unopt.qasm"], 0, (*_REPORT, *_SEARCH)),
+        (
+            ["verify", "{data}/ghz.qasm", "{data}/ghz.qasm", "--placement", "0,1,2"],
+            0,
+            (*_REPORT, *_SEARCH, "qxopt.peephole"),
+        ),
+        # Refuted by the dense fallback, which loads numpy but not the search.
+        (
+            ["verify", "{data}/mermin_xxy_unopt.qasm", "{data}/mermin_xxy_opt.qasm"],
+            2,
+            (*_REPORT, *_SEARCH, "qxopt.peephole"),
+        ),
+    ],
+    ids=["optimize-json", "simplify", "verify-placement", "verify-refuted"],
+)
+def test_mapping_commands_load_no_report_or_search_they_do_not_run(argv, code, modules):
+    # The report (`bench`, `csv`) is loaded only by `bench` and `optimize
+    # --report csv`; the check lives in `pathsum`, so checking a pair loads
+    # neither the search nor the peephole pass.
+    _run_unimported([a.format(data=FIXTURE_DIR) for a in argv], code, modules)
 
 
 def test_fixture_distributions_reach_mermin3_without_numpy():

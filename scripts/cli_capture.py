@@ -113,6 +113,8 @@ RUNS = (
         ["verify", "--random", "3"],
         ["verify", "ghz.qasm", "ghz.qasm", "--random", "2", "--arch", "qx2"],
         ["verify", "--random", "2", "--arch", "qx2", "--placement", "0,1,2"],
+        ["verify", "--random", "2", "--arch", "qx2", "--strict"],
+        ["verify", "ghz.qasm", "ghz.qasm", "--arch", "qx9"],
         ["table"],
         ["--help"],
         [],

@@ -12,6 +12,10 @@ proof. `RealizationError` is defined in the package root, which every
 process loads already, so `main` catches it by name without loading the
 mapping modules into commands that never build a table.
 
+`verify` refuses, as a usage error, an argument that its mode would drop:
+circuit files, `--placement` and `--strict` under `--random`, and `--arch`
+without it.
+
 Each handler imports only what it runs. `mermin` loads neither numpy nor the
 mapping modules, and `fidelity` loads numpy but no mapping module. `simplify`
 and a two-file `verify` load the parser and the check, `pathsum`, but not the
@@ -143,7 +147,7 @@ def _build_parser() -> _Parser:
     # Default None stands for pathsum.VERIFY_TOL, which every process would
     # otherwise import `pathsum` to read while building the parser.
     p.add_argument("--tol", type=_at_least(float, 0))
-    p.add_argument("--arch", help="needed for --random")
+    p.add_argument("--arch", help="needed for --random, refused without it")
     p.add_argument(
         "--random", type=_at_least(int, 0), metavar="N", help="self-check N random circuits"
     )
@@ -258,6 +262,8 @@ def _verify_random(args, tol: float) -> int:
         raise UsageError(f"--random takes no circuit files, got {' '.join(args.circuits)}")
     if args.placement is not None:
         raise UsageError("--random takes no --placement")
+    if args.strict:
+        raise UsageError("--random takes no --strict")
     if not args.arch:
         raise UsageError("--random requires --arch")
     table = _searchable_table(args.arch)
@@ -287,6 +293,8 @@ def _cmd_verify(args) -> int:
         return _verify_random(args, tol)
     if len(args.circuits) != 2:
         raise UsageError("verify needs exactly two circuit files (or --random N)")
+    if args.arch is not None:
+        raise UsageError("verify without --random takes no --arch")
     first = _read_circuit(args.circuits[0], args.strict)
     second = _read_circuit(args.circuits[1], args.strict)
     placement = None

@@ -2,18 +2,33 @@
 
 Caps: 10 qubits for unitaries and state vectors, 6 for density matrices.
 States, unitaries and density matrices are dense arrays, but a gate is never
-a 2^n x 2^n matrix. Vectors and unitaries go through one kernel, `_evolve`.
-Every gate but H is monomial (one nonzero per matrix row), so a run of them
-is one row permutation and one phase per row: the kernel folds each such
-gate into a pending (source row, phase) pair of length 2^n and touches the
-array only to apply that pair, in one gather-and-scale pass, before each H
-and at the end. H is the one gate that passes over the array by itself. A
-density matrix is a (2,)*2n tensor instead, and each gate together with its
-depolarizing noise is one superoperator, contracted with the row and column
-axes of the qubits it touches.
+a 2^n x 2^n matrix. Vectors, unitaries and density matrices go through one
+kernel, `_evolve`. Every gate but H is monomial (one nonzero per matrix
+row), so a run of them is one row permutation and one phase per row: the
+kernel folds each such gate into a pending (source row, phase) pair of
+length 2^n and touches the array only to apply that pair, in one
+gather-and-scale pass, before each H and at the end. H is the one gate that
+passes over the array by itself. Each monomial gate's own pair is built
+once per width and read from a cache.
+
+A density matrix rho evolves as U rho U^dagger = (U (U rho)^dagger)^dagger,
+two `_evolve` calls, which holds for any square matrix, Hermitian or not.
+`run_noisy` applies the depolarizing noise after each gate lazily. With
+lam = 1 - 4p/3, p-depolarizing on qubit q is
+D(rho) = lam rho + (1 - lam)/2 I_q (x) tr_q rho, and:
+- D commutes with every 1-qubit unitary V on q: tr_q(V rho V^dagger) =
+  tr_q rho, and V I_q V^dagger = I_q;
+- D commutes with every gate that does not touch q;
+- two such channels on q compose to one, whose lam is the product of theirs.
+So a qubit's noise can wait until the next CNOT on that qubit, or the end of
+the circuit, as one channel. `run_noisy` keeps one pending lam per qubit and
+applies it (`_depolarize`) only before a CNOT on the qubit whose lam is not
+1, and at the end; each run of gates between two such flushes goes through
+`_evolve` at once. Without noise it applies none.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -73,11 +88,33 @@ def _hadamard(rows: np.ndarray, q: int, num_qubits: int) -> np.ndarray:
     return (GATE_MATRICES[GateKind.H] @ shaped).reshape(rows.shape)
 
 
+@functools.lru_cache(maxsize=256)
+def _move(
+    kind: GateKind, qubits: tuple[int, ...], num_qubits: int
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One monomial gate on 2^n rows as read-only (src, phase) arrays: row i
+    of the result is phase[i] * row src[i]. None stands for the identity
+    permutation (a diagonal gate) or all-one phases (a CNOT)."""
+    idx = np.arange(2**num_qubits)
+    if kind is GateKind.CNOT:
+        control, target = qubits
+        src, phase = idx ^ (((idx >> control) & 1) << target), None
+    else:
+        (q,) = qubits
+        flip, phases = _MONOMIAL[kind]
+        src = idx ^ (1 << q) if flip else None
+        phase = phases[(idx >> q) & 1]
+    for a in (src, phase):
+        if a is not None:
+            a.flags.writeable = False
+    return src, phase
+
+
 def _evolve(gates: tuple[Gate, ...], rows: np.ndarray | None, num_qubits: int) -> np.ndarray:
     """Left-multiply `rows` (a 2^n vector or a 2^n x k block; None is the
     2^n identity) by the gates in order, qubit 0 = least-significant bit.
-    The one kernel through which gates act on vectors and unitaries.
-    Returns a new array.
+    The one kernel through which gates act on vectors, unitaries and
+    density matrices. Returns a new array.
 
     The monomial gates since the last array pass are held as a pending
     (src, phase) pair, applied by `_gather` before each H and at the end,
@@ -95,17 +132,11 @@ def _evolve(gates: tuple[Gate, ...], rows: np.ndarray | None, num_qubits: int) -
             continue
         # Composing gate (g_src, g_phase) after the pending pair gives
         # src[g_src] and g_phase * phase[g_src].
-        if g.kind is GateKind.CNOT:
-            control, target = g.qubits
-            g_src = idx ^ (((idx >> control) & 1) << target)
+        g_src, g_phase = _move(g.kind, g.qubits, num_qubits)
+        if g_src is not None:
             src, phase = src[g_src], phase[g_src]
-        else:
-            (q,) = g.qubits
-            flip, phases = _MONOMIAL[g.kind]
-            if flip:
-                g_src = idx ^ (1 << q)
-                src, phase = src[g_src], phase[g_src]
-            phase = phase * phases[(idx >> q) & 1]
+        if g_phase is not None:
+            phase = phase * g_phase
         pending = True
     if pending:
         rows = _gather(rows, src, phase)
@@ -135,52 +166,56 @@ def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVect
     return StateVector(_evolve(circuit.gates, initial.amplitudes, circuit.num_qubits))
 
 
-_CNOT_LOCAL = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # local index 2*control + target
-
-# One qubit's depolarizing channel (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
-# equals (1 - 4p/3) rho + (2p/3) tr(rho) I, since the four Pauli conjugates
-# of rho sum to 2 tr(rho) I. As 4x4 matrices on (row, column) index pairs:
-_IDENTITY_MAP = np.eye(4)
-_TRACE_MAP = np.outer(np.eye(2).ravel(), np.eye(2).ravel())
+def _conjugate(gates: tuple[Gate, ...], rho: np.ndarray, num_qubits: int) -> np.ndarray:
+    """U rho U^dagger for the gates' product U, as (U (U rho)^dagger)^dagger."""
+    half = _evolve(gates, rho, num_qubits).conj().T
+    return _evolve(gates, half, num_qubits).conj().T
 
 
-def _superoperator(kind: GateKind, p: float) -> np.ndarray:
-    """The gate, then p-depolarizing on each qubit it touches, as a (2,)*4k
-    tensor on k qubits. Its axes are the (row, column) pairs of the output,
-    one per qubit in the gate's order, then those of the input."""
-    k = kind.arity
-    u = (_CNOT_LOCAL if kind is GateKind.CNOT else GATE_MATRICES[kind]).reshape((2,) * (2 * k))
-    # U rho U^dagger: entry (a, b, c, d) is U[a, c] conj(U[b, d]). np.multiply.outer
-    # lays its axes out as a, c, b, d; pair each qubit's a with b and c with d.
-    paired = [ax for j in range(k) for ax in (j, 2 * k + j)]
-    paired += [ax for j in range(k) for ax in (k + j, 3 * k + j)]
-    conjugation = np.multiply.outer(u, u.conj()).transpose(paired).reshape(4**k, 4**k)
-    depolarize = (1.0 - 4.0 * p / 3.0) * _IDENTITY_MAP + (2.0 * p / 3.0) * _TRACE_MAP
-    channel = np.ones((1, 1))
-    for _ in range(k):
-        channel = np.multiply.outer(channel, depolarize).transpose(0, 2, 1, 3)
-        channel = channel.reshape(4 * len(channel), -1)
-    return (channel @ conjugation).reshape((2,) * (4 * k))
+def _depolarize(rho: np.ndarray, q: int, lam: float, num_qubits: int) -> np.ndarray:
+    """rho -> lam rho + (1 - lam)/2 I_q (x) tr_q rho, on the (a, 2, b, a, 2, b)
+    view in which qubit q's row and column bits are axes 1 and 4. Returns a
+    new C-contiguous array."""
+    a, b = 2 ** (num_qubits - 1 - q), 2**q
+    view = rho.reshape(a, 2, b, a, 2, b)
+    mixed = (0.5 * (1.0 - lam)) * (view[:, 0, :, :, 0] + view[:, 1, :, :, 1])
+    out = lam * view
+    out[:, 0, :, :, 0] += mixed
+    out[:, 1, :, :, 1] += mixed
+    return out.reshape(rho.shape)
 
 
 def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
     """Evolve |0...0><0...0| through the circuit, applying a symmetric
-    depolarizing channel to every qubit a gate touches, after the gate."""
+    depolarizing channel to every qubit a gate touches, after the gate.
+
+    Each qubit's channels wait, merged into one, until a CNOT on it or the
+    end (see the module docstring)."""
     n = circuit.num_qubits
     _check_width(n, MAX_DENSITY_QUBITS)
-    # Row axis n-1-q and column axis 2n-1-q belong to qubit q.
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = 1.0
-    superops: dict[tuple[GateKind, float], np.ndarray] = {}
-    for g in circuit.gates:
-        p = noise.p2 if g.kind.arity == 2 else noise.p1
-        op = superops.get((g.kind, p))
-        if op is None:
-            op = superops[(g.kind, p)] = _superoperator(g.kind, p)
-        axes = [ax for q in g.qubits for ax in (n - 1 - q, 2 * n - 1 - q)]
-        k = len(axes)
-        rho = np.moveaxis(np.tensordot(op, rho, (range(k, 2 * k), axes)), range(k), axes)
-    out = DensityMatrix(rho.reshape(2**n, 2**n))
+    gates = circuit.gates
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    lam1, lam2 = 1.0 - 4.0 * noise.p1 / 3.0, 1.0 - 4.0 * noise.p2 / 3.0
+    waiting = [1.0] * n  # each qubit's pending lam
+    start = 0  # gates[start:] have not been applied yet
+    for i, g in enumerate(gates):
+        two = g.kind.arity == 2
+        if two and any(waiting[q] != 1.0 for q in g.qubits):
+            rho = _conjugate(gates[start:i], rho, n)
+            start = i
+            for q in g.qubits:
+                if waiting[q] != 1.0:
+                    rho = _depolarize(rho, q, waiting[q], n)
+                    waiting[q] = 1.0
+        lam = lam2 if two else lam1
+        for q in g.qubits:
+            waiting[q] *= lam
+    rho = _conjugate(gates[start:], rho, n)
+    for q, lam in enumerate(waiting):
+        if lam != 1.0:
+            rho = _depolarize(rho, q, lam, n)
+    out = DensityMatrix(rho)
     out.validate()
     return out
 

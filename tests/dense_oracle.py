@@ -2,7 +2,11 @@
 
 `apply_gate` is the per-gate kernel that unitaries and state vectors went
 through before the simulator gathered each run of monomial gates into one
-row pass: one pass over the array per gate. Everything else builds each
+row pass: one pass over the array per gate. `superoperator_run_noisy` is
+the density-matrix kernel that `run_noisy` ran before it deferred each
+qubit's noise: every gate together with its noise as one superoperator,
+contracted with the row and column axes of the qubits it touches. Everything
+else builds each
 gate as a full 2^n x 2^n matrix from Kronecker products (or a dense CNOT
 permutation), depolarizing noise as the explicit sum of the three Pauli
 conjugations, and placements as dense permutation matrices.
@@ -95,6 +99,56 @@ def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
         for q in g.qubits:
             rho = _depolarize(rho, q, p, circuit.num_qubits)
     out = DensityMatrix(rho)
+    out.validate()
+    return out
+
+
+_CNOT_LOCAL = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # local index 2*control + target
+
+# One qubit's depolarizing channel (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
+# equals (1 - 4p/3) rho + (2p/3) tr(rho) I, since the four Pauli conjugates
+# of rho sum to 2 tr(rho) I. As 4x4 matrices on (row, column) index pairs:
+_IDENTITY_MAP = np.eye(4)
+_TRACE_MAP = np.outer(np.eye(2).ravel(), np.eye(2).ravel())
+
+
+def _superoperator(kind: GateKind, p: float) -> np.ndarray:
+    """The gate, then p-depolarizing on each qubit it touches, as a (2,)*4k
+    tensor on k qubits. Its axes are the (row, column) pairs of the output,
+    one per qubit in the gate's order, then those of the input."""
+    k = kind.arity
+    u = (_CNOT_LOCAL if kind is GateKind.CNOT else GATE_MATRICES[kind]).reshape((2,) * (2 * k))
+    # U rho U^dagger: entry (a, b, c, d) is U[a, c] conj(U[b, d]). np.multiply.outer
+    # lays its axes out as a, c, b, d; pair each qubit's a with b and c with d.
+    paired = [ax for j in range(k) for ax in (j, 2 * k + j)]
+    paired += [ax for j in range(k) for ax in (k + j, 3 * k + j)]
+    conjugation = np.multiply.outer(u, u.conj()).transpose(paired).reshape(4**k, 4**k)
+    depolarize = (1.0 - 4.0 * p / 3.0) * _IDENTITY_MAP + (2.0 * p / 3.0) * _TRACE_MAP
+    channel = np.ones((1, 1))
+    for _ in range(k):
+        channel = np.multiply.outer(channel, depolarize).transpose(0, 2, 1, 3)
+        channel = channel.reshape(4 * len(channel), -1)
+    return (channel @ conjugation).reshape((2,) * (4 * k))
+
+
+def superoperator_run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
+    """`simulator.run_noisy` as one superoperator contraction per gate, each
+    built once per call for every gate kind and noise strength."""
+    n = circuit.num_qubits
+    _check_width(n, MAX_DENSITY_QUBITS)
+    # Row axis n-1-q and column axis 2n-1-q belong to qubit q.
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
+    superops: dict[tuple[GateKind, float], np.ndarray] = {}
+    for g in circuit.gates:
+        p = noise.p2 if g.kind.arity == 2 else noise.p1
+        op = superops.get((g.kind, p))
+        if op is None:
+            op = superops[(g.kind, p)] = _superoperator(g.kind, p)
+        axes = [ax for q in g.qubits for ax in (n - 1 - q, 2 * n - 1 - q)]
+        k = len(axes)
+        rho = np.moveaxis(np.tensordot(op, rho, (range(k, 2 * k), axes)), range(k), axes)
+    out = DensityMatrix(rho.reshape(2**n, 2**n))
     out.validate()
     return out
 

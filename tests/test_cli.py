@@ -268,6 +268,23 @@ def test_verify_random_refuses_arguments_it_would_ignore(extra, message, capsys)
     assert captured.out == ""
 
 
+def test_verify_random_refuses_strict(capsys):
+    # The random circuits are generated, never parsed, so --strict would
+    # check nothing.
+    assert main(["verify", "--random", "2", "--arch", "qx2", "--strict"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --random takes no --strict\n"
+    assert captured.out == ""
+
+
+def test_two_file_verify_refuses_arch(capsys):
+    # A two-file check reads no device; the files need not exist to be refused.
+    assert main(["verify", "a.qasm", "b.qasm", "--arch", "qx9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: verify without --random takes no --arch\n"
+    assert captured.out == ""
+
+
 _BEFORE_QREG = "line 1, column 1: gate statement before qreg declaration"
 
 

@@ -171,13 +171,13 @@ def test_depolarizing_channel_is_cptp_on_random_circuits(seed):
 
 def test_run_noisy_builds_one_superoperator_per_kind_and_strength(monkeypatch):
     built = []
-    real = simulator._superoperator
+    real = dense_oracle._superoperator
 
     def counting(kind, p):
         built.append((kind, p))
         return real(kind, p)
 
-    monkeypatch.setattr(simulator, "_superoperator", counting)
+    monkeypatch.setattr(dense_oracle, "_superoperator", counting)
     gates = (
         gate1(GateKind.H, 0),
         gate1(GateKind.H, 2),
@@ -188,13 +188,61 @@ def test_run_noisy_builds_one_superoperator_per_kind_and_strength(monkeypatch):
         cnot(1, 2),
         gate1(GateKind.T, 0),
     )
-    run_noisy(Circuit(3, gates), NoiseSpec(p1=0.01, p2=0.02))
+    dense_oracle.superoperator_run_noisy(Circuit(3, gates), NoiseSpec(p1=0.01, p2=0.02))
     assert len(built) == 3
     assert set(built) == {(GateKind.H, 0.01), (GateKind.T, 0.01), (GateKind.CNOT, 0.02)}
     # Each call builds its own: a second call with other strengths builds anew.
     built.clear()
-    run_noisy(Circuit(3, gates), NoiseSpec(p1=0.03, p2=0.03))
+    dense_oracle.superoperator_run_noisy(Circuit(3, gates), NoiseSpec(p1=0.03, p2=0.03))
     assert len(built) == 3
+
+
+def _count_depolarizing(monkeypatch) -> list[tuple[int, float]]:
+    applied = []
+    real = simulator._depolarize
+
+    def counting(rho, q, lam, num_qubits):
+        applied.append((q, lam))
+        return real(rho, q, lam, num_qubits)
+
+    monkeypatch.setattr(simulator, "_depolarize", counting)
+    return applied
+
+
+def test_run_noisy_without_noise_depolarizes_nothing(monkeypatch):
+    applied = _count_depolarizing(monkeypatch)
+    run_noisy(random_circuit(5, 60, random.Random(3)), NoiseSpec(p1=0.0, p2=0.0))
+    assert applied == []
+
+
+def test_run_noisy_merges_a_qubits_one_qubit_noise_into_one_channel(monkeypatch):
+    applied = _count_depolarizing(monkeypatch)
+    gates = (gate1(GateKind.H, 0), gate1(GateKind.T, 0), gate1(GateKind.X, 2), gate1(GateKind.H, 0))
+    run_noisy(Circuit(4, gates), NoiseSpec(p1=0.03, p2=0.0))
+    lam = 1.0 - 4.0 * 0.03 / 3.0
+    assert sorted(q for q, _ in applied) == [0, 2]  # qubits 1 and 3: no gate, no noise
+    assert dict(applied)[0] == pytest.approx(lam**3)
+    assert dict(applied)[2] == pytest.approx(lam)
+
+
+def test_run_noisy_flushes_a_qubits_noise_before_its_next_cnot(monkeypatch):
+    applied = _count_depolarizing(monkeypatch)
+    lam = 1.0 - 4.0 * 0.02 / 3.0
+    run_noisy(Circuit(3, (cnot(0, 1), cnot(1, 2))), NoiseSpec(p1=0.0, p2=0.02))
+    # Qubit 1's noise from the first CNOT, before the second; then the end.
+    assert [q for q, _ in applied] == [1, 0, 1, 2]
+    assert all(value == pytest.approx(lam) for _, value in applied)
+
+
+def test_cached_gate_moves_refuse_writes():
+    src, phase = simulator._move(GateKind.CNOT, (0, 1), 3)
+    assert phase is None
+    with pytest.raises(ValueError):
+        src[0] = 5
+    src, phase = simulator._move(GateKind.Y, (1,), 3)
+    with pytest.raises(ValueError):
+        phase[0] = 0.0
+    assert simulator._move(GateKind.Y, (1,), 3)[0] is src
 
 
 def test_run_ideal_refuses_an_initial_state_of_another_width():
@@ -345,6 +393,19 @@ def test_run_noisy_matches_dense_oracle(seed):
     noise = NoiseSpec(p1=p1, p2=p2)
     got = run_noisy(c, noise).matrix
     want = dense_oracle.run_noisy(c, noise).matrix
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000))
+def test_run_noisy_matches_superoperator_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    c = random_circuit(n, rng.randint(0, 40), rng)
+    p1, p2 = (rng.choice((0.0, 1.0, rng.random(), rng.random())) for _ in range(2))
+    noise = NoiseSpec(p1=p1, p2=p2)
+    got = run_noisy(c, noise).matrix
+    want = dense_oracle.superoperator_run_noisy(c, noise).matrix
     assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -13,8 +13,9 @@ command whose output moved:
 
 The list covers every subcommand and report format on the bundled data, one
 malformed input for each file parser, a two-file `verify` with one bad
-file, and mappings onto an 8-qubit ladder, among them ones on which the
-search prunes placements. It takes no options.
+file, a two-file `verify` of a 10-qubit pair that only the dense check
+decides, over many column blocks, and mappings onto an 8-qubit ladder,
+among them ones on which the search prunes placements. It takes no options.
 """
 from __future__ import annotations
 
@@ -36,6 +37,13 @@ CIRCUITS = (
 )
 ARCHS = ("qx2", "qx4", "@line.graph")
 
+_WIDE = (
+    'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[10];\nh q[0];\nh q[3];\nh q[6];\nh q[9];\n'
+    "cx q[0],q[1];\ncx q[3],q[4];\ncx q[6],q[7];\ncx q[9],q[8];\nt q[1];\ns q[4];\ntdg q[7];\n"
+    "t q[8];\ncx q[1],q[2];\ncx q[4],q[5];\ncx q[7],q[8];\nh q[2];\nh q[5];\ncx q[2],q[3];\n"
+    "cx q[5],q[6];\ncx q[8],q[9];\n"
+)
+
 # Inputs written next to the bundled data: two devices, a circuit, and one
 # malformed file per parser. The search prunes placements by their H and
 # CNOT skeleton only where some wire carries neither gate and the device
@@ -49,6 +57,10 @@ INPUTS = {
         "cx q[0],q[1];\ns q[1];\ncx q[1],q[2];\nh q[2];\ntdg q[3];\ncx q[2],q[0];\n"
         "x q[3];\nh q[1];\ncx q[0],q[1];\n"
     ),
+    # A 10-qubit pair that differs only on inputs with wire 9 set: the dense
+    # check decides it past the first half of its column blocks.
+    "wide.qasm": _WIDE,
+    "wide_t.qasm": _WIDE.replace("qreg q[10];\n", "qreg q[10];\nt q[9];\n"),
     "bad.graph": "qubits 3\n0 0\n",
     "gate_before_qreg.qasm": "OPENQASM 2.0;\nh q[0];\n",
     "no_qreg.qasm": "OPENQASM 2.0;\n",
@@ -80,6 +92,7 @@ RUNS = (
         ["verify", "mermin_xxy_unopt.qasm", "mermin_xxy_opt.qasm"],
         ["verify", "mermin_yyy_unopt.qasm", "mapped_0.qasm", "--placement", "0,1,2"],
         ["verify", "ghz.qasm", "ghz.qasm", "--tol", "0"],
+        ["verify", "wide.qasm", "wide_t.qasm"],
         ["verify", "--random", "5", "--arch", "qx4", "--qubits", "3", "--gates", "10", "--seed", "1"],
         ["verify", "--random", "3", "--arch", "@line.graph", "--qubits", "5", "--seed", "2"],
         ["verify", "--random", "3", "--arch", "@ladder.graph", "--qubits", "5", "--seed", "3"],
@@ -115,6 +128,9 @@ RUNS = (
         ["verify", "--random", "2", "--arch", "qx2", "--placement", "0,1,2"],
         ["verify", "--random", "2", "--arch", "qx2", "--strict"],
         ["verify", "ghz.qasm", "ghz.qasm", "--arch", "qx9"],
+        ["verify", "ghz.qasm", "ghz.qasm", "--qubits", "3"],
+        ["verify", "ghz.qasm", "ghz.qasm", "--gates", "10"],
+        ["verify", "ghz.qasm", "ghz.qasm", "--seed", "1"],
         ["table"],
         ["--help"],
         [],

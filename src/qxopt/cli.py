@@ -13,8 +13,8 @@ process loads already, so `main` catches it by name without loading the
 mapping modules into commands that never build a table.
 
 `verify` refuses, as a usage error, an argument that its mode would drop:
-circuit files, `--placement` and `--strict` under `--random`, and `--arch`
-without it.
+circuit files, `--placement` and `--strict` under `--random`, and `--arch`,
+`--qubits`, `--gates` and `--seed` without it.
 
 Each handler imports only what it runs. `mermin` loads neither numpy nor the
 mapping modules, and `fidelity` loads numpy but no mapping module. `simplify`
@@ -151,9 +151,11 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--random", type=_at_least(int, 0), metavar="N", help="self-check N random circuits"
     )
-    p.add_argument("--qubits", type=_at_least(int, 1), default=4)
-    p.add_argument("--gates", type=_at_least(int, 0), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    # Default None, so that a two-file verify can refuse them; --random
+    # fills in 4, 20 and 0.
+    p.add_argument("--qubits", type=_at_least(int, 1), help="with --random: width (default 4)")
+    p.add_argument("--gates", type=_at_least(int, 0), help="with --random: length (default 20)")
+    p.add_argument("--seed", type=int, help="with --random: generator seed (default 0)")
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("bench", help="optimize every .qasm file in a directory")
@@ -266,18 +268,21 @@ def _verify_random(args, tol: float) -> int:
         raise UsageError("--random takes no --strict")
     if not args.arch:
         raise UsageError("--random requires --arch")
+    qubits = 4 if args.qubits is None else args.qubits
+    gates = 20 if args.gates is None else args.gates
+    seed = 0 if args.seed is None else args.seed
     table = _searchable_table(args.arch)
-    if args.qubits > table.graph.num_physical:
+    if qubits > table.graph.num_physical:
         raise UsageError(f"--qubits exceeds the {table.graph.num_physical} qubits of {args.arch}")
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     failures = 0
     for i in range(args.random):
-        circuit = random_circuit(args.qubits, args.gates, rng)
+        circuit = random_circuit(qubits, gates, rng)
         result, ok = map_verified(circuit, table, tol)
         if not ok:
             failures += 1
             print(
-                f"case {i}: FAIL (seed {args.seed}, placement "
+                f"case {i}: FAIL (seed {seed}, placement "
                 f"{','.join(str(p) for p in result.placement)}); input circuit:"
             )
             print(emit(circuit), end="")
@@ -293,8 +298,9 @@ def _cmd_verify(args) -> int:
         return _verify_random(args, tol)
     if len(args.circuits) != 2:
         raise UsageError("verify needs exactly two circuit files (or --random N)")
-    if args.arch is not None:
-        raise UsageError("verify without --random takes no --arch")
+    for name in ("arch", "qubits", "gates", "seed"):
+        if getattr(args, name) is not None:
+            raise UsageError(f"verify without --random takes no --{name}")
     first = _read_circuit(args.circuits[0], args.strict)
     second = _read_circuit(args.circuits[1], args.strict)
     placement = None

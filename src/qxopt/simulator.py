@@ -3,16 +3,28 @@
 Caps: 10 qubits for unitaries and state vectors, 6 for density matrices.
 States, unitaries and density matrices are dense arrays, but a gate is never
 a 2^n x 2^n matrix. Vectors, unitaries and density matrices go through one
-kernel, `_evolve`. Every gate but H is monomial (one nonzero per matrix
-row), so a run of them is one row permutation and one phase per row: the
-kernel folds each such gate into a pending (source row, phase) pair of
-length 2^n and touches the array only to apply that pair, in one
-gather-and-scale pass, before each H and at the end. H is the one gate that
-passes over the array by itself. Each monomial gate's own pair is built
-once per width and read from a cache.
+kernel in two parts: a plan (`_plan`) made once per circuit, and a runner
+(`_run`) that applies it. Every gate but H is monomial (one nonzero per
+matrix row), so a run of them is one row permutation and one phase per row:
+the plan folds each such gate into a pending (source row, phase) pair of
+length 2^n and emits that pair as one gather-and-scale step before each H
+and at the end. H is the one gate that passes over the array by itself.
+Each monomial gate's own pair is built once per width and read from a
+cache. The runner takes an array, or a range of identity columns, which
+the plan's first gather builds by one scatter.
+
+`equivalent` decides by column blocks. Column j of a unitary is the circuit
+applied to e_j, and the runner only permutes and mixes rows, so any block
+of columns can be built without the others, from the same plan. A block
+has BLOCK_ENTRIES entries (512 KB), so up to 7 qubits it is the whole
+matrix and at the 10-qubit cap it is 32 columns. The reference's blocks are
+built in column order and held until one has a nonzero entry in row 0,
+which fixes the global phase; then c2's blocks are built and each pair
+compared, and the first pair that differs ends the check. Apart from the
+held blocks, one block of each unitary is alive at a time.
 
 A density matrix rho evolves as U rho U^dagger = (U (U rho)^dagger)^dagger,
-two `_evolve` calls, which holds for any square matrix, Hermitian or not.
+two runs of one plan, which holds for any square matrix, Hermitian or not.
 `run_noisy` applies the depolarizing noise after each gate lazily. With
 lam = 1 - 4p/3, p-depolarizing on qubit q is
 D(rho) = lam rho + (1 - lam)/2 I_q (x) tr_q rho, and:
@@ -23,13 +35,14 @@ D(rho) = lam rho + (1 - lam)/2 I_q (x) tr_q rho, and:
 So a qubit's noise can wait until the next CNOT on that qubit, or the end of
 the circuit, as one channel. `run_noisy` keeps one pending lam per qubit and
 applies it (`_depolarize`) only before a CNOT on the qubit whose lam is not
-1, and at the end; each run of gates between two such flushes goes through
-`_evolve` at once. Without noise it applies none.
+1, and at the end; each run of gates between two such flushes is one plan,
+run twice. Without noise it applies none.
 """
 from __future__ import annotations
 
 import functools
 import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,6 +58,8 @@ from .states import (
 
 MAX_STATE_QUBITS = 10
 MAX_DENSITY_QUBITS = 6
+# Entries per column block of `equivalent`: 512 KB of complex128.
+BLOCK_ENTRIES = 2**15
 
 _S2 = 1.0 / math.sqrt(2.0)
 
@@ -60,6 +75,9 @@ GATE_MATRICES: dict[GateKind, np.ndarray] = {
 }
 
 
+_H = GATE_MATRICES[GateKind.H]
+
+
 def _monomial(m: np.ndarray) -> tuple[int, np.ndarray]:
     """A monomial 2x2 matrix as (flip, phases): output bit b reads input bit
     b ^ flip, scaled by phases[b]."""
@@ -70,13 +88,18 @@ def _monomial(m: np.ndarray) -> tuple[int, np.ndarray]:
 _MONOMIAL = {k: _monomial(m) for k, m in GATE_MATRICES.items() if k is not GateKind.H}
 
 
-def _gather(rows: np.ndarray | None, src: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Row i of the result is phase[i] * rows[src[i]]; `rows=None` is the
-    identity, whose result is one scatter into a zero matrix."""
+def _gather(rows: np.ndarray | range, src: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Row i of the result is phase[i] * rows[src[i]]. A range stands for
+    those columns of the 2^n identity, whose result is one scatter into a
+    zero block."""
     dim = len(src)
-    if rows is None:
-        out = np.zeros((dim, dim), dtype=complex)
-        out[np.arange(dim), src] = phase
+    if isinstance(rows, range):
+        out = np.zeros((dim, len(rows)), dtype=complex)
+        if len(rows) == dim:
+            out[np.arange(dim), src] = phase
+        else:
+            hit = np.flatnonzero((src >= rows.start) & (src < rows.stop))
+            out[hit, src[hit] - rows.start] = phase[hit]
         return out
     out = rows[src]
     out *= phase.reshape((dim,) + (1,) * (rows.ndim - 1))
@@ -85,7 +108,21 @@ def _gather(rows: np.ndarray | None, src: np.ndarray, phase: np.ndarray) -> np.n
 
 def _hadamard(rows: np.ndarray, q: int, num_qubits: int) -> np.ndarray:
     shaped = rows.reshape(2 ** (num_qubits - 1 - q), 2, -1)
-    return (GATE_MATRICES[GateKind.H] @ shaped).reshape(rows.shape)
+    return (_H @ shaped).reshape(rows.shape)
+
+
+def _read_only(*arrays: np.ndarray | None) -> None:
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The identity on 2^n rows as a read-only (src, phase) pair."""
+    idx, ones = np.arange(2**num_qubits), np.ones(2**num_qubits, dtype=complex)
+    _read_only(idx, ones)
+    return idx, ones
 
 
 @functools.lru_cache(maxsize=256)
@@ -104,32 +141,37 @@ def _move(
         flip, phases = _MONOMIAL[kind]
         src = idx ^ (1 << q) if flip else None
         phase = phases[(idx >> q) & 1]
-    for a in (src, phase):
-        if a is not None:
-            a.flags.writeable = False
+    _read_only(src, phase)
     return src, phase
 
 
-def _evolve(gates: tuple[Gate, ...], rows: np.ndarray | None, num_qubits: int) -> np.ndarray:
-    """Left-multiply `rows` (a 2^n vector or a 2^n x k block; None is the
-    2^n identity) by the gates in order, qubit 0 = least-significant bit.
-    The one kernel through which gates act on vectors, unitaries and
-    density matrices. Returns a new array.
+def _plan(
+    gates: tuple[Gate, ...], num_qubits: int, columns: bool = False
+) -> Iterator[int | tuple[np.ndarray, np.ndarray]]:
+    """The gates, qubit 0 = least-significant bit, as the steps `_run` takes:
+    an int q is H on qubit q, a (src, phase) pair one `_gather`.
 
-    The monomial gates since the last array pass are held as a pending
-    (src, phase) pair, applied by `_gather` before each H and at the end,
-    so a circuit with k H gates passes over the array at most 2k + 1 times.
+    Each run of monomial gates between two H gates (or an end) is folded
+    into one (src, phase) pair, so a circuit with k H gates has at most
+    2k + 1 steps. The steps come lazily, so a plan run once holds one pair
+    at a time; a `list` of them serves any number of runs, since no step's
+    arrays are ever written. A plan for identity `columns` starts with the
+    identity pending, so that its first step is a gather, the one scatter
+    that builds the columns; a plan for an array starts with nothing
+    pending, so a leading H does not copy the array first.
     """
-    idx = np.arange(2**num_qubits)
-    ones = np.ones(len(idx), dtype=complex)  # never written: every fold makes new arrays
-    src, phase, pending = idx, ones, True
+    identity = _identity(num_qubits)
+    # The pending pair; None while nothing is pending.
+    src, phase = identity if columns else (None, None)
     for g in gates:
         if g.kind is GateKind.H:
-            if pending:
-                rows = _gather(rows, src, phase)
-                src, phase, pending = idx, ones, False
-            rows = _hadamard(rows, g.qubits[0], num_qubits)
+            if src is not None:
+                yield src, phase
+                src = None
+            yield g.qubits[0]
             continue
+        if src is None:
+            src, phase = identity
         # Composing gate (g_src, g_phase) after the pending pair gives
         # src[g_src] and g_phase * phase[g_src].
         g_src, g_phase = _move(g.kind, g.qubits, num_qubits)
@@ -137,10 +179,26 @@ def _evolve(gates: tuple[Gate, ...], rows: np.ndarray | None, num_qubits: int) -
             src, phase = src[g_src], phase[g_src]
         if g_phase is not None:
             phase = phase * g_phase
-        pending = True
-    if pending:
-        rows = _gather(rows, src, phase)
-    return rows
+    if src is not None:
+        yield src, phase
+
+
+def _run(
+    plan: Iterable[int | tuple[np.ndarray, np.ndarray]],
+    rows: np.ndarray | range,
+    num_qubits: int,
+) -> np.ndarray:
+    """Left-multiply `rows`, a 2^n vector or a 2^n x k block, by a plan's
+    gates in order; a range stands for those columns of the identity and
+    takes a plan made for `columns`. The one kernel through which gates act
+    on vectors, unitaries and density matrices. Returns a new array."""
+    out = rows
+    for step in plan:
+        if type(step) is tuple:
+            out = _gather(out, step[0], step[1])
+        else:
+            out = _hadamard(out, step, num_qubits)
+    return out.copy() if out is rows else out
 
 
 def _check_width(num_qubits: int, cap: int) -> None:
@@ -148,10 +206,18 @@ def _check_width(num_qubits: int, cap: int) -> None:
         raise ValueError(f"{num_qubits} qubits exceeds the dense-simulation cap of {cap}")
 
 
+def _block_width(num_qubits: int) -> int:
+    """Columns per block of `equivalent`: BLOCK_ENTRIES entries, the whole
+    matrix up to 7 qubits."""
+    dim = 2**num_qubits
+    return max(1, min(dim, BLOCK_ENTRIES // dim))
+
+
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Product of the circuit's gate unitaries, in circuit order."""
-    _check_width(circuit.num_qubits, MAX_STATE_QUBITS)
-    return _evolve(circuit.gates, None, circuit.num_qubits)
+    n = circuit.num_qubits
+    _check_width(n, MAX_STATE_QUBITS)
+    return _run(_plan(circuit.gates, n, columns=True), range(2**n), n)
 
 
 def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -163,13 +229,16 @@ def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVect
         raise ValueError(
             f"initial state has {initial.num_qubits} qubits, circuit {circuit.num_qubits}"
         )
-    return StateVector(_evolve(circuit.gates, initial.amplitudes, circuit.num_qubits))
+    n = circuit.num_qubits
+    return StateVector(_run(_plan(circuit.gates, n), initial.amplitudes, n))
 
 
 def _conjugate(gates: tuple[Gate, ...], rho: np.ndarray, num_qubits: int) -> np.ndarray:
-    """U rho U^dagger for the gates' product U, as (U (U rho)^dagger)^dagger."""
-    half = _evolve(gates, rho, num_qubits).conj().T
-    return _evolve(gates, half, num_qubits).conj().T
+    """U rho U^dagger for the gates' product U, as (U (U rho)^dagger)^dagger,
+    both halves from one plan."""
+    plan = list(_plan(gates, num_qubits))
+    half = _run(plan, rho, num_qubits).conj().T
+    return _run(plan, half, num_qubits).conj().T
 
 
 def _depolarize(rho: np.ndarray, q: int, lam: float, num_qubits: int) -> np.ndarray:
@@ -240,27 +309,61 @@ def equivalent(
 
     c1 may be narrower than c2; its extra wires are padded with identity.
     `check_placement` refuses a placement that does not fit c2 (so a wider
-    c1 too), and unitary_of a width past the dense cap. The phase is read
-    off the first entry where the relabeled reference is nonzero, then the
-    whole matrices must agree entrywise within `tol`. That entry lies in
-    row 0: a unitary's row has norm 1, so row 0 holds an entry of magnitude
-    at least 2^(-n/2), far above the 1e-9 threshold.
+    c1 too), and a width past the dense cap is refused before any plan is
+    built. The phase is read off the first entry where the relabeled
+    reference is nonzero, then the matrices must agree entrywise within
+    `tol`. That entry lies in row 0: a unitary's row has norm 1, so row 0
+    holds an entry of magnitude at least 2^(-n/2), far above the 1e-9
+    threshold.
+
+    Both unitaries are built one block of `_block_width(n)` columns at a
+    time from one plan each. The reference's blocks are held, in column
+    order, until one holds the anchor; then c2's block there is built, the
+    phase read, and each block compared, the held ones first. The first
+    block off by more than `tol` ends the check, so a pair that differs in
+    the anchor block builds one block of c2. Past the held blocks, at most
+    one block of each unitary is alive: at the 10-qubit cap a block is 32
+    columns, 512 KB, where the whole matrix is 16 MB.
     """
-    check_placement(perm, c2.num_qubits, c1.num_qubits)
+    n = c2.num_qubits
+    check_placement(perm, n, c1.num_qubits)
+    _check_width(n, MAX_STATE_QUBITS)
     if perm is None:
         perm = tuple(range(c1.num_qubits))
+    dim, width = 2**n, _block_width(n)
+    blocks = [range(j, j + width) for j in range(0, dim, width)]
+    # A plan runs once per block: only a plan for several keeps its steps.
+    keep = list if len(blocks) > 1 else iter
     # Relabeling the circuit conjugates its unitary by the placement's
     # permutation and pads the unused wires with identity.
-    reference = unitary_of(relabel(c1, perm, c2.num_qubits))
-    u2 = unitary_of(c2)
-
-    anchor = int(np.argmax(np.abs(reference[0]) > 1e-9))
-    phase = u2[0, anchor] / reference[0, anchor]
+    reference = keep(_plan(relabel(c1, perm, n).gates, n, columns=True))
+    held = []
+    for cols in blocks:
+        held.append(_run(reference, cols, n))
+        hits = np.flatnonzero(np.abs(held[-1][0]) > 1e-9)
+        if hits.size:  # some block has one: row 0 has norm 1
+            break
+    ref, at = held.pop(), len(held)
+    plan2 = keep(_plan(c2.gates, n, columns=True))
+    u2 = _run(plan2, blocks[at], n)
+    anchor = hits[0]
+    phase = u2[0, anchor] / ref[0, anchor]
     mag = abs(phase)
     if mag < 1e-12:
         return False
     phase /= mag
-    # phase * reference - u2, in place: only np.abs allocates a 2^n x 2^n array.
-    reference *= phase
-    reference -= u2
-    return float(np.max(np.abs(reference))) <= tol
+
+    def close(ref: np.ndarray, u2: np.ndarray) -> bool:
+        # phase * ref - u2, in place: only np.abs allocates a block.
+        ref *= phase
+        ref -= u2
+        return float(np.max(np.abs(ref))) <= tol
+
+    if not close(ref, u2):
+        return False
+    for k, cols in enumerate(blocks):
+        if k != at:
+            ref = held[k] if k < at else _run(reference, cols, n)
+            if not close(ref, _run(plan2, cols, n)):
+                return False
+    return True

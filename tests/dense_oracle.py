@@ -2,7 +2,10 @@
 
 `apply_gate` is the per-gate kernel that unitaries and state vectors went
 through before the simulator gathered each run of monomial gates into one
-row pass: one pass over the array per gate. `superoperator_run_noisy` is
+row pass: one pass over the array per gate. `whole_matrix_equivalent` is
+the check `simulator.equivalent` ran before it built its unitaries one
+column block at a time: the shipped kernel's two whole 2^n x 2^n matrices,
+then one comparison. `superoperator_run_noisy` is
 the density-matrix kernel that `run_noisy` ran before it deferred each
 qubit's noise: every gate together with its noise as one superoperator,
 contracted with the row and column axes of the qubits it touches. Everything
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from qxopt.circuit import Circuit, Gate, GateKind
+from qxopt import simulator
+from qxopt.circuit import Circuit, Gate, GateKind, check_placement, relabel
 from qxopt.simulator import GATE_MATRICES, MAX_DENSITY_QUBITS, MAX_STATE_QUBITS
 from qxopt.states import DensityMatrix, NoiseSpec
 
@@ -214,3 +218,30 @@ def equivalent(
         return False
     phase /= mag
     return float(np.max(np.abs(u2 - phase * reference))) <= tol
+
+
+def whole_matrix_equivalent(
+    c1: Circuit,
+    c2: Circuit,
+    perm: list[int] | tuple[int, ...] | None = None,
+    tol: float = 1e-9,
+) -> bool:
+    """`simulator.equivalent` on whole unitaries: the relabeled reference and
+    c2's unitary are built in full by `simulator.unitary_of`, the phase is
+    read off the first nonzero entry of the reference's row 0, and every
+    entry must agree within `tol`."""
+    check_placement(perm, c2.num_qubits, c1.num_qubits)
+    if perm is None:
+        perm = tuple(range(c1.num_qubits))
+    reference = simulator.unitary_of(relabel(c1, perm, c2.num_qubits))
+    u2 = simulator.unitary_of(c2)
+
+    anchor = int(np.argmax(np.abs(reference[0]) > 1e-9))
+    phase = u2[0, anchor] / reference[0, anchor]
+    mag = abs(phase)
+    if mag < 1e-12:
+        return False
+    phase /= mag
+    reference *= phase
+    reference -= u2
+    return float(np.max(np.abs(reference))) <= tol

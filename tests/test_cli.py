@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -283,6 +285,29 @@ def test_two_file_verify_refuses_arch(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: verify without --random takes no --arch\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("option,value", [("--qubits", "3"), ("--gates", "10"), ("--seed", "1")])
+def test_two_file_verify_refuses_random_only_options(option, value, capsys):
+    # Only --random generates circuits, so a two-file check would drop these.
+    assert main(["verify", "a.qasm", "b.qasm", option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: verify without --random takes no {option}\n"
+    assert captured.out == ""
+
+
+def test_verify_random_defaults_to_four_qubits_twenty_gates_seed_zero(monkeypatch, capsys):
+    made = []
+    real = qxopt.circuit.random_circuit
+
+    def recording(num_qubits, num_gates, rng):
+        made.append(real(num_qubits, num_gates, rng))
+        return made[-1]
+
+    monkeypatch.setattr(qxopt.circuit, "random_circuit", recording)
+    assert main(["verify", "--random", "2", "--arch", "qx4"]) == 0
+    rng = random.Random(0)
+    assert made == [real(4, 20, rng) for _ in range(2)]
 
 
 _BEFORE_QREG = "line 1, column 1: gate statement before qreg declaration"
@@ -911,3 +936,138 @@ def test_coupling_header_beyond_its_edges_is_refused_at_once(routing_file, tmp_p
     arch.write_text("qubits 1000000000000\n0 1\n")
     assert main(["optimize", "--arch", f"@{arch}", "--in", str(routing_file)]) == 1
     assert capsys.readouterr().err == f"error: {arch}: coupling graph is not connected\n"
+
+
+# For every option of every subcommand, two runs that differ only in that
+# option. Their exit codes, output or written files must differ; a refusal
+# counts, so an option a mode would drop is refused there. A new option
+# without an entry fails `test_every_option_has_a_run_that_it_changes`.
+_MAP = ["--in", "ghz.qasm"]
+_SIMPLIFY = ["simplify", "--in", "mermin_yyy_unopt.qasm"]
+_PAIR = ["verify", "ghz.qasm", "ghz.qasm"]
+_BENCH = ["bench", "circuits", "--arch", "qx2"]
+_MERMIN = ["xxy_unoptimized_1024.probs", "yyy_unoptimized_1024.probs"]
+_TOMO = ["xxy_ideal.dm", "xxy_optimized_tomo.dm"]
+_OPTION_RUNS = {
+    ("optimize", "--arch"): (
+        ["optimize", "--arch", "qx2", *_MAP],
+        ["optimize", "--arch", "qx4", *_MAP],
+    ),
+    ("optimize", "--in"): (
+        ["optimize", "--arch", "qx2", *_MAP],
+        ["optimize", "--arch", "qx2", "--in", "routing_example.qasm"],
+    ),
+    ("optimize", "--out"): (
+        ["optimize", "--arch", "qx2", *_MAP],
+        ["optimize", "--arch", "qx2", *_MAP, "--out", "mapped.qasm"],
+    ),
+    ("optimize", "--report"): (
+        ["optimize", "--arch", "qx2", *_MAP],
+        ["optimize", "--arch", "qx2", *_MAP, "--report", "csv"],
+    ),
+    ("optimize", "--strict"): (
+        ["optimize", "--arch", "qx2", *_MAP],
+        ["optimize", "--arch", "qx2", *_MAP, "--strict"],
+    ),
+    ("simplify", "--in"): (_SIMPLIFY, ["simplify", "--in", "mermin_xxy_unopt.qasm"]),
+    ("simplify", "--out"): (_SIMPLIFY, [*_SIMPLIFY, "--out", "simplified.qasm"]),
+    ("simplify", "--trace"): (_SIMPLIFY, [*_SIMPLIFY, "--trace"]),
+    ("simplify", "--strict"): (["simplify", *_MAP], ["simplify", *_MAP, "--strict"]),
+    ("verify", "--placement"): (_PAIR, [*_PAIR, "--placement", "2,1,0"]),
+    # Every entry of two unitaries differs by at most 2 once the phase is fixed.
+    ("verify", "--tol"): (
+        ["verify", "ghz.qasm", "mermin_xxy_opt.qasm"],
+        ["verify", "ghz.qasm", "mermin_xxy_opt.qasm", "--tol", "3"],
+    ),
+    ("verify", "--arch"): (_PAIR, [*_PAIR, "--arch", "qx2"]),
+    ("verify", "--random"): (
+        ["verify", "--random", "1", "--arch", "qx2"],
+        ["verify", "--random", "2", "--arch", "qx2"],
+    ),
+    ("verify", "--qubits"): (_PAIR, [*_PAIR, "--qubits", "3"]),
+    ("verify", "--gates"): (_PAIR, [*_PAIR, "--gates", "10"]),
+    ("verify", "--seed"): (_PAIR, [*_PAIR, "--seed", "1"]),
+    ("verify", "--strict"): (_PAIR, [*_PAIR, "--strict"]),
+    # On qx2 and qx4 every bundled circuit maps to the same costs.
+    ("bench", "--arch"): (_BENCH, ["bench", "circuits", "--arch", "@line.graph"]),
+    ("bench", "--format"): (_BENCH, [*_BENCH, "--format", "markdown"]),
+    ("bench", "--keep-going"): (  # without it, the row error is an exit 1
+        ["bench", "mixed", "--arch", "qx2", "--keep-going"],
+        ["bench", "mixed", "--arch", "qx2"],
+    ),
+    ("bench", "--strict"): (_BENCH, [*_BENCH, "--strict"]),
+    ("mermin", "--xxy"): (
+        ["mermin", "--xxy", _MERMIN[0], "--yyy", _MERMIN[1]],
+        ["mermin", "--xxy", "xxy_optimized_8192.probs", "--yyy", _MERMIN[1]],
+    ),
+    ("mermin", "--yyy"): (
+        ["mermin", "--xxy", _MERMIN[0], "--yyy", _MERMIN[1]],
+        ["mermin", "--xxy", _MERMIN[0], "--yyy", "yyy_optimized_8192.probs"],
+    ),
+    ("fidelity", "--a"): (
+        ["fidelity", "--a", _TOMO[0], "--b", _TOMO[1]],
+        ["fidelity", "--a", "xxy_unoptimized_tomo.dm", "--b", _TOMO[1]],
+    ),
+    ("fidelity", "--b"): (
+        ["fidelity", "--a", _TOMO[0], "--b", _TOMO[1]],
+        ["fidelity", "--a", _TOMO[0], "--b", "xxy_unoptimized_tomo.dm"],
+    ),
+    ("table dump", "--arch"): (
+        ["table", "dump", "--arch", "qx2"],
+        ["table", "dump", "--arch", "qx4"],
+    ),
+}
+
+
+def _parser_options():
+    """(subcommand, option) for every option a subcommand's parser accepts."""
+    found = set()
+
+    def walk(parser, command):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    walk(child, f"{command} {name}".strip())
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                found.add((command, action.option_strings[0]))
+
+    walk(qxopt.cli._build_parser(), "")
+    return found
+
+
+def test_every_option_has_a_run_that_it_changes():
+    assert _parser_options() == set(_OPTION_RUNS)
+
+
+@pytest.fixture()
+def data_dir(tmp_path, monkeypatch):
+    """The bundled data, a 5-qubit line device, `circuits/` with the bundled
+    circuits and `mixed/` with those and a file without a qreg, as the
+    working directory."""
+    names = sorted(entry.name for entry in resources.files("qxopt.data").iterdir())
+    for name in names:
+        (tmp_path / name).write_text(data_text(name))
+    (tmp_path / "line.graph").write_text("qubits 5\n0 1\n1 2\n2 3\n3 4\n")
+    for sub, extra in (("circuits", {}), ("mixed", {"no_qreg.qasm": "OPENQASM 2.0;\n"})):
+        (tmp_path / sub).mkdir()
+        for name in names:
+            if name.endswith(".qasm"):
+                (tmp_path / sub / name).write_text(data_text(name))
+        for name, text in extra.items():
+            (tmp_path / sub / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("key", sorted(_OPTION_RUNS), ids=" ".join)
+def test_setting_an_option_changes_the_outcome_or_is_refused(key, data_dir, capsys):
+    outcomes = []
+    for argv in _OPTION_RUNS[key]:
+        before = {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
+        written = {p: data for p, data in written.items() if before.get(p) != data}
+        outcomes.append((code, captured.out, captured.err, written))
+    assert outcomes[0][0] in (0, 2)  # the first run is a request the command answers
+    assert outcomes[0] != outcomes[1]

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,28 @@ def test_kernel_passes_over_the_array_at_most_twice_per_h(monkeypatch):
     assert passes == ["gather"]
 
 
+def test_run_ideal_starts_with_h_without_copying_the_state(monkeypatch):
+    gathers = []
+    real_gather = simulator._gather
+
+    def gather(rows, src, phase):
+        gathers.append(src)
+        return real_gather(rows, src, phase)
+
+    monkeypatch.setattr(simulator, "_gather", gather)
+    c = Circuit(3, (gate1(GateKind.H, 0), cnot(0, 1), cnot(1, 2)))
+    psi = run_ideal(c).amplitudes
+    assert len(gathers) == 1
+    assert np.allclose(psi, dense_oracle.evolve_by_gate(c, basis_state(3).amplitudes))
+
+
+def test_run_ideal_of_an_empty_circuit_returns_a_new_array():
+    initial = basis_state(2)
+    out = run_ideal(Circuit(2), initial).amplitudes
+    assert out is not initial.amplitudes
+    assert np.array_equal(out, initial.amplitudes)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10_000))
 def test_run_noisy_matches_dense_oracle(seed):
@@ -431,3 +454,147 @@ def test_equivalent_verdicts_match_dense_oracle(seed):
         assert verdict == dense_oracle.equivalent(c, second, placement)
         if expected is not None:
             assert verdict is expected
+
+
+# The column-block equivalence check against the whole-matrix check it
+# replaced, at every width up to the dense cap.
+
+
+def _toffoli(a, b, t):
+    """CCX on control wires a, b and target t as Clifford+T gates."""
+    h, tg, td = GateKind.H, GateKind.T, GateKind.TDG
+    return (
+        gate1(h, t), cnot(b, t), gate1(td, t), cnot(a, t), gate1(tg, t), cnot(b, t),
+        gate1(td, t), cnot(a, t), gate1(tg, b), gate1(tg, t), gate1(h, t), cnot(a, b),
+        gate1(tg, a), gate1(td, b), cnot(a, b),
+    )
+
+
+def _multi_controlled_x(controls, spare, target):
+    """X on `target` when every control wire is 1, from Toffolis that borrow
+    len(controls) - 2 `spare` wires in any state and restore them."""
+    x = list(controls)
+    m = len(x)
+    if m <= 1:
+        return (cnot(x[0], target),) if x else (gate1(GateKind.X, target),)
+    if m == 2:
+        return _toffoli(x[0], x[1], target)
+    y = list(spare[: m - 2])
+    ladder = [_toffoli(x[k], y[k - 2], y[k - 1]) for k in range(m - 2, 1, -1)]
+    half = ladder + [_toffoli(x[0], x[1], y[0])] + ladder[::-1]
+    top = _toffoli(x[-1], y[-1], target)
+    return sum([top, *half, top, *half], ())
+
+
+def _block_flip(n, block):
+    """A prefix that changes only the first or the last column block of
+    `equivalent`: X on wire 0 controlled by the wires that number the blocks
+    being all 0 or all 1, or Z on wire 0 when one block covers the matrix."""
+    low = simulator._block_width(n).bit_length() - 1
+    if low == n:
+        return (gate1(GateKind.Z, 0),)
+    flip = _multi_controlled_x(range(low, n), range(1, low), 0)
+    if block == "last":
+        return flip
+    zeros = tuple(gate1(GateKind.X, q) for q in range(low, n))
+    return zeros + flip + zeros
+
+
+@pytest.mark.parametrize("block", ["first", "last"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_block_flip_moves_only_its_column_block(n, block):
+    u = unitary_of(Circuit(n, _block_flip(n, block)))
+    width = simulator._block_width(n)
+    inside = slice(0, width) if block == "first" else slice(2**n - width, 2**n)
+    moved = u - np.eye(2**n)
+    assert np.max(np.abs(moved[:, inside])) > 0.5
+    moved[:, inside] = 0
+    assert np.max(np.abs(moved)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(deadline=None, max_examples=3)
+@given(st.integers(0, 10_000))
+def test_blocked_equivalent_matches_whole_matrix_oracle(n, seed):
+    rng = random.Random(seed)
+    n1 = rng.randint(1, n)
+    c = random_circuit(n1, rng.randint(0, 16), rng)
+    perm = rng.sample(range(n), n1)
+    placed = relabel(c, perm, n)
+    mapped = simplify(placed)
+    extra = random_circuit(n, 1, rng).gates
+    q = rng.randrange(n)
+    phase_i = (gate1(GateKind.Y, q), gate1(GateKind.X, q), gate1(GateKind.Z, q))  # Z X Y = i I
+    cases = [
+        (c, mapped, perm, True),  # padded and permuted
+        (c, Circuit(n, mapped.gates + extra), perm, False),  # one gate too many
+        (c, mapped, rng.sample(range(n), n1), None),  # another placement: either verdict
+        (c, Circuit(n, mapped.gates + phase_i), perm, True),  # a pure global phase
+        (placed, Circuit(n, _block_flip(n, "last") + placed.gates), None, False),
+    ]
+    if n > 1:
+        # Below an X on the top wire, row 0 of the unitary is zero on every
+        # column whose top bit is clear: the anchor lies in the upper half.
+        below = random_circuit(n - 1, rng.randint(0, 16), rng)
+        top = (gate1(GateKind.X, n - 1),)
+        flipped = Circuit(n, top + below.gates)
+        cases += [
+            (flipped, Circuit(n, top + simplify(below).gates), None, True),
+            (flipped, Circuit(n, top + below.gates + extra), None, False),
+            # From 8 qubits, the first block is held until the anchor is found.
+            (flipped, Circuit(n, _block_flip(n, "first") + flipped.gates), None, False),
+        ]
+    for first, second, placement, expected in cases:
+        verdict = equivalent(first, second, placement)
+        assert verdict == dense_oracle.whole_matrix_equivalent(first, second, placement)
+        if expected is not None:
+            assert verdict is expected
+
+
+def _h_layer_then_monomials(n, num_gates, rng):
+    """H on every wire, then monomial gates: every entry of the unitary is
+    nonzero, so the anchor is column 0 and every column block differs from
+    the same circuit with one more T."""
+    layer = tuple(gate1(GateKind.H, q) for q in range(n))
+    return Circuit(n, layer + tuple(_monomial_gates(n, num_gates, rng)))
+
+
+def test_equivalent_builds_one_block_of_each_when_the_anchor_block_differs(monkeypatch):
+    runs = []
+    real_run = simulator._run
+
+    def run(plan, rows, num_qubits):
+        runs.append(rows)
+        return real_run(plan, rows, num_qubits)
+
+    monkeypatch.setattr(simulator, "_run", run)
+    c = _h_layer_then_monomials(9, 40, random.Random(9))
+    assert not equivalent(c, Circuit(9, c.gates + (gate1(GateKind.T, 0),)))
+    assert runs == [range(0, 64), range(0, 64)]  # the reference's, then c2's
+    runs.clear()
+    assert equivalent(c, c)
+    assert runs == [range(j, j + 64) for j in range(0, 512, 64) for _ in (0, 1)]
+
+
+def test_equivalent_at_the_dense_cap_holds_a_few_blocks():
+    layer = tuple(gate1(GateKind.H, q) for q in range(10))
+    c = Circuit(10, layer + random_circuit(10, 60, random.Random(13)).gates)
+    assert abs(run_ideal(c).amplitudes[0]) > 1e-9  # the anchor is column 0
+    same = simplify(c)
+    assert equivalent(c, same)  # fills the gate caches outside the trace
+    tracemalloc.start()
+    try:
+        assert equivalent(c, same)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # the two whole unitaries alone take 32 MB
+
+
+def test_equivalent_refuses_past_the_cap_before_planning(monkeypatch):
+    def plan(*args, **kwargs):
+        raise AssertionError("planned a circuit past the dense cap")
+
+    monkeypatch.setattr(simulator, "_plan", plan)
+    with pytest.raises(ValueError, match="cap of 10"):
+        equivalent(Circuit(2), Circuit(11))

@@ -11,7 +11,8 @@ command whose output moved:
 
     python scripts/cli_capture.py > after.txt
 
-The list covers every subcommand and report format on the bundled data, one
+The list covers every subcommand and report format on the bundled data,
+`fidelity` with the pure ideal state first, second and as both arguments, one
 malformed input for each file parser, a two-file `verify` with one bad
 file, a two-file `verify` of a 10-qubit pair that only the dense check
 decides, over many column blocks, and mappings onto an 8-qubit ladder,
@@ -108,6 +109,10 @@ RUNS = (
         ["mermin", "--xxy", "xxy_optimized_8192.probs", "--yyy", "yyy_optimized_8192.probs"],
         ["fidelity", "--a", "xxy_ideal.dm", "--b", "xxy_unoptimized_tomo.dm"],
         ["fidelity", "--a", "xxy_ideal.dm", "--b", "xxy_optimized_tomo.dm"],
+        # Indefinite tomography first, the pure ideal second: the closed form
+        # waits for a certificate that this input fails. Then both pure.
+        ["fidelity", "--a", "xxy_unoptimized_tomo.dm", "--b", "xxy_ideal.dm"],
+        ["fidelity", "--a", "xxy_ideal.dm", "--b", "xxy_ideal.dm"],
         # Refusals: one malformed file per parser, then usage errors.
         ["optimize", "--arch", "qx2", "--in", "gate_before_qreg.qasm"],
         ["optimize", "--arch", "qx2", "--in", "no_qreg.qasm"],

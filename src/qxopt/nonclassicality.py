@@ -5,11 +5,37 @@ after basis-rotation circuits: an outcome's eigenvalue is +1 for even bit
 parity and -1 for odd. That convention reproduces the shipped experiment
 data end to end, which is the strongest evidence available for it.
 
+Fidelity is measured against an ideal state, which is pure: |psi><psi|. For
+a pure argument, Uhlmann fidelity is exactly sqrt(<psi|rho|psi>) (Jozsa,
+J. Mod. Opt. 41, 2315 (1994)), an O(d^2) sum in place of two d x d
+eigendecompositions. `uhlmann_fidelity` takes that closed form whenever it
+gives the value of the general formula, and runs the general formula
+otherwise:
+- A matrix m counts as rank one, u u^dagger, when no entry of m - u u^dagger
+  exceeds RANK_ONE_TOL times m's largest diagonal entry d, where
+  u = m[:, k] / sqrt(d) is m's column k through that entry. Passing this
+  shows m Hermitian positive semidefinite as well.
+- rho1 rank one: sqrt(rho1) = u u^dagger / |u|, so the inner matrix of the
+  general formula is rank one with eigenvalue <u|rho2|u>, and the formula
+  returns its square root, clipped at 0, for any Hermitian rho2, indefinite
+  or not.
+- rho2 rank one: the general formula clips rho1's negative eigenvalues
+  before its square root, so it returns sqrt(<u|rho1+|u>), rho1+ being rho1
+  without them. That is sqrt(<u|rho1|u>) only when rho1 has none, so the
+  closed form waits for a certificate: a Cholesky factorization of
+  rho1 + PSD_SHIFT I, which exists only when rho1's smallest eigenvalue is
+  above about -PSD_SHIFT. Indefinite data, such as the published
+  tomography, fails it and keeps the general formula's value.
+Both hold for Hermitian arguments, as every density matrix is. A
+non-Hermitian matrix is none (`DensityMatrix.validate` refuses it), and on
+one the general formula's value depends on which triangle LAPACK reads.
+
 The Mermin half sums plain dicts and needs no numpy, so `qxopt mermin` never
 loads it; `sanitize` and `uhlmann_fidelity` import numpy where they run.
 """
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -21,6 +47,10 @@ if TYPE_CHECKING:
 
 CLASSICAL_BOUND = 2.0
 QUANTUM_BOUND = 4.0
+# Rank-one test of `uhlmann_fidelity`, relative to the largest diagonal entry.
+RANK_ONE_TOL = 1e-12
+# Diagonal shift of the Cholesky certificate that rho1 has no negative eigenvalue.
+PSD_SHIFT = 1e-12
 
 
 class MerminValue(Record):
@@ -88,20 +118,65 @@ def sanitize(raw_re: np.ndarray, raw_im: np.ndarray) -> DensityMatrix:
     return DensityMatrix(m / trace)
 
 
+def _rank_one(m: np.ndarray) -> np.ndarray | None:
+    """u with m = u u^dagger within RANK_ONE_TOL (module docstring), else None."""
+    import numpy as np
+
+    diag = m.diagonal().real
+    k = int(np.argmax(diag))
+    d = float(diag[k])
+    if not d > 0.0:
+        return None
+    u = m[:, k] / math.sqrt(d)
+    bound = RANK_ONE_TOL * d
+    # The diagonal alone rejects a mixed state before u u^dagger is formed.
+    if float(np.max(np.abs(diag - (u.real**2 + u.imag**2)))) > bound:
+        return None
+    if float(np.max(np.abs(m - np.outer(u, u.conj())))) > bound:
+        return None
+    return u
+
+
+def _positive_semidefinite(m: np.ndarray) -> bool:
+    """Whether m + PSD_SHIFT I has a Cholesky factor, so that m has no
+    eigenvalue below about -PSD_SHIFT."""
+    import numpy as np
+
+    shifted = m.copy()
+    shifted.ravel()[:: len(m) + 1] += PSD_SHIFT
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), clamped to [0, 1].
 
-    Eigenvalues are clipped at zero before each square root; rounded input
-    data routinely produces tiny negative ones.
+    When rho1 is rank one, u u^dagger, this is sqrt(<u|rho2|u>); when rho2
+    is, and rho1 passes the Cholesky certificate, sqrt(<u|rho1|u>). Both
+    are the general formula's value, which is computed otherwise (see the
+    module docstring). The general formula clips eigenvalues at zero before
+    each square root; rounded input data routinely produces tiny negative
+    ones.
     """
     import numpy as np
 
     a, b = rho1.matrix, rho2.matrix
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w, v = np.linalg.eigh(a)
-    sqrt_a = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    inner = sqrt_a @ b @ sqrt_a
-    eigs = np.linalg.eigvalsh(inner)
-    fid = float(np.sum(np.sqrt(np.clip(eigs, 0.0, None))))
+    u, other = _rank_one(a), b
+    if u is None:
+        u, other = _rank_one(b), a
+        if u is not None and not _positive_semidefinite(a):
+            u = None
+    if u is not None:
+        fid = math.sqrt(max(float(np.vdot(u, other @ u).real), 0.0))
+    else:
+        w, v = np.linalg.eigh(a)
+        sqrt_a = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        inner = sqrt_a @ b @ sqrt_a
+        eigs = np.linalg.eigvalsh(inner)
+        fid = float(np.sum(np.sqrt(np.clip(eigs, 0.0, None))))
     return min(max(fid, 0.0), 1.0)

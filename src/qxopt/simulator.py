@@ -15,7 +15,8 @@ the plan's first gather builds by one scatter.
 
 `equivalent` decides by column blocks. Column j of a unitary is the circuit
 applied to e_j, and the runner only permutes and mixes rows, so any block
-of columns can be built without the others, from the same plan. A block
+of columns can be built without the others, from the same plan; the
+reference's plan moves c1's gates by the placement as it folds them. A block
 has BLOCK_ENTRIES entries (512 KB), so up to 7 qubits it is the whole
 matrix and at the 10-qubit cap it is 32 columns. The reference's blocks are
 built in column order and held until one has a nonzero entry in row 0,
@@ -46,7 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, check_placement, relabel
+from .circuit import Circuit, Gate, GateKind, check_placement
 from .states import (
     DensityMatrix,
     NoiseSpec,
@@ -146,10 +147,15 @@ def _move(
 
 
 def _plan(
-    gates: tuple[Gate, ...], num_qubits: int, columns: bool = False
+    gates: tuple[Gate, ...],
+    num_qubits: int,
+    columns: bool = False,
+    wires: tuple[int, ...] | list[int] | None = None,
 ) -> Iterator[int | tuple[np.ndarray, np.ndarray]]:
     """The gates, qubit 0 = least-significant bit, as the steps `_run` takes:
-    an int q is H on qubit q, a (src, phase) pair one `_gather`.
+    an int q is H on qubit q, a (src, phase) pair one `_gather`. A wire map
+    `wires` moves each gate's qubit q to wires[q], as `circuit.relabel`
+    would, without building the relabeled gates; the caller checks it.
 
     Each run of monomial gates between two H gates (or an end) is folded
     into one (src, phase) pair, so a circuit with k H gates has at most
@@ -164,17 +170,20 @@ def _plan(
     # The pending pair; None while nothing is pending.
     src, phase = identity if columns else (None, None)
     for g in gates:
+        qubits = g.qubits
+        if wires is not None:
+            qubits = tuple([wires[q] for q in qubits])
         if g.kind is GateKind.H:
             if src is not None:
                 yield src, phase
                 src = None
-            yield g.qubits[0]
+            yield qubits[0]
             continue
         if src is None:
             src, phase = identity
         # Composing gate (g_src, g_phase) after the pending pair gives
         # src[g_src] and g_phase * phase[g_src].
-        g_src, g_phase = _move(g.kind, g.qubits, num_qubits)
+        g_src, g_phase = _move(g.kind, qubits, num_qubits)
         if g_src is not None:
             src, phase = src[g_src], phase[g_src]
         if g_phase is not None:
@@ -243,15 +252,17 @@ def _conjugate(gates: tuple[Gate, ...], rho: np.ndarray, num_qubits: int) -> np.
 
 def _depolarize(rho: np.ndarray, q: int, lam: float, num_qubits: int) -> np.ndarray:
     """rho -> lam rho + (1 - lam)/2 I_q (x) tr_q rho, on the (a, 2, b, a, 2, b)
-    view in which qubit q's row and column bits are axes 1 and 4. Returns a
-    new C-contiguous array."""
+    view in which qubit q's row and column bits are axes 1 and 4. Writes into
+    `rho` when it is C-contiguous, else into one C-contiguous copy, and
+    returns the array written."""
+    rho = np.ascontiguousarray(rho)
     a, b = 2 ** (num_qubits - 1 - q), 2**q
     view = rho.reshape(a, 2, b, a, 2, b)
     mixed = (0.5 * (1.0 - lam)) * (view[:, 0, :, :, 0] + view[:, 1, :, :, 1])
-    out = lam * view
-    out[:, 0, :, :, 0] += mixed
-    out[:, 1, :, :, 1] += mixed
-    return out.reshape(rho.shape)
+    view *= lam
+    view[:, 0, :, :, 0] += mixed
+    view[:, 1, :, :, 1] += mixed
+    return rho
 
 
 def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
@@ -259,7 +270,8 @@ def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
     depolarizing channel to every qubit a gate touches, after the gate.
 
     Each qubit's channels wait, merged into one, until a CNOT on it or the
-    end (see the module docstring)."""
+    end (see the module docstring). Every array `_depolarize` is given is
+    this call's own, so it writes in place."""
     n = circuit.num_qubits
     _check_width(n, MAX_DENSITY_QUBITS)
     gates = circuit.gates
@@ -328,15 +340,13 @@ def equivalent(
     n = c2.num_qubits
     check_placement(perm, n, c1.num_qubits)
     _check_width(n, MAX_STATE_QUBITS)
-    if perm is None:
-        perm = tuple(range(c1.num_qubits))
     dim, width = 2**n, _block_width(n)
     blocks = [range(j, j + width) for j in range(0, dim, width)]
     # A plan runs once per block: only a plan for several keeps its steps.
     keep = list if len(blocks) > 1 else iter
-    # Relabeling the circuit conjugates its unitary by the placement's
-    # permutation and pads the unused wires with identity.
-    reference = keep(_plan(relabel(c1, perm, n).gates, n, columns=True))
+    # Moving c1's wires by the placement conjugates its unitary by the
+    # placement's permutation and pads the unused wires with identity.
+    reference = keep(_plan(c1.gates, n, columns=True, wires=perm))
     held = []
     for cols in blocks:
         held.append(_run(reference, cols, n))

@@ -1,11 +1,15 @@
-"""Reference simulator: dense gate paths that `qxopt.simulator` no longer runs.
+"""Reference paths that `qxopt` no longer runs: the simulator's dense gate
+paths, and the general fidelity formula.
 
 `apply_gate` is the per-gate kernel that unitaries and state vectors went
 through before the simulator gathered each run of monomial gates into one
 row pass: one pass over the array per gate. `whole_matrix_equivalent` is
 the check `simulator.equivalent` ran before it built its unitaries one
 column block at a time: the shipped kernel's two whole 2^n x 2^n matrices,
-then one comparison. `superoperator_run_noisy` is
+then one comparison. `eigen_uhlmann_fidelity` is the general formula that
+`nonclassicality.uhlmann_fidelity` now runs only when neither argument
+allows its closed form: two eigendecompositions on every call.
+`superoperator_run_noisy` is
 the density-matrix kernel that `run_noisy` ran before it deferred each
 qubit's noise: every gate together with its noise as one superoperator,
 contracted with the row and column axes of the qubits it touches. Everything
@@ -14,7 +18,8 @@ gate as a full 2^n x 2^n matrix from Kronecker products (or a dense CNOT
 permutation), depolarizing noise as the explicit sum of the three Pauli
 conjugations, and placements as dense permutation matrices.
 Slow, but every step is plain linear algebra, so the differential tests in
-`test_simulator.py` compare the shipped kernels against it.
+`test_simulator.py` and `test_nonclassicality.py` compare the shipped code
+against it.
 """
 from __future__ import annotations
 
@@ -24,6 +29,21 @@ from qxopt import simulator
 from qxopt.circuit import Circuit, Gate, GateKind, check_placement, relabel
 from qxopt.simulator import GATE_MATRICES, MAX_DENSITY_QUBITS, MAX_STATE_QUBITS
 from qxopt.states import DensityMatrix, NoiseSpec
+
+
+def eigen_uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
+    """Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), clamped to [0, 1], through an
+    eigendecomposition of rho1 and the eigenvalues of the inner matrix, each
+    clipped at zero before its square root."""
+    a, b = rho1.matrix, rho2.matrix
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    w, v = np.linalg.eigh(a)
+    sqrt_a = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    inner = sqrt_a @ b @ sqrt_a
+    eigs = np.linalg.eigvalsh(inner)
+    fid = float(np.sum(np.sqrt(np.clip(eigs, 0.0, None))))
+    return min(max(fid, 0.0), 1.0)
 
 
 def embedded_gate(gate: Gate, num_qubits: int) -> np.ndarray:

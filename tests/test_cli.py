@@ -840,7 +840,7 @@ _MAPPING_STACK = tuple(
 )
 def test_analysis_commands_load_only_what_they_run(argv, modules):
     # `mermin` sums two dicts and needs neither numpy nor the mapping
-    # modules; `fidelity` needs numpy for its eigendecompositions only, and
+    # modules; `fidelity` needs numpy for its matrix algebra only, and
     # numpy itself imports `inspect`.
     _run_unimported([a.format(data=FIXTURE_DIR) for a in argv], 0, modules)
 

@@ -1,12 +1,17 @@
+import contextlib
 import math
+import random
 import warnings
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qxopt.fixtures import load_distribution, load_raw_density_matrix
+from dense_oracle import eigen_uhlmann_fidelity
+from qxopt.circuit import random_circuit
+from qxopt.fixtures import load_circuit, load_distribution, load_raw_density_matrix
 from qxopt.nonclassicality import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
@@ -16,7 +21,8 @@ from qxopt.nonclassicality import (
     sanitize,
     uhlmann_fidelity,
 )
-from qxopt.states import DensityMatrix, ProbabilityDistribution, distribution_from_vector
+from qxopt.simulator import run_ideal, run_noisy
+from qxopt.states import DensityMatrix, NoiseSpec, ProbabilityDistribution, distribution_from_vector
 
 
 def _uniform(n):
@@ -124,8 +130,7 @@ def test_fidelity_of_pure_states_is_overlap(seed):
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
     fid = uhlmann_fidelity(_pure(a), _pure(b))
-    # sqrt of the product's near-zero eigenvalues contributes ~1e-8 noise
-    assert fid == pytest.approx(abs(np.vdot(a, b)), abs=1e-6)
+    assert fid == pytest.approx(abs(np.vdot(a, b)), abs=1e-12)
 
 
 @settings(deadline=None, max_examples=30)
@@ -140,6 +145,118 @@ def test_fidelity_symmetric_on_valid_states(seed):
 
     a, b = random_density(), random_density()
     assert uhlmann_fidelity(a, b) == pytest.approx(uhlmann_fidelity(b, a), abs=1e-8)
+
+
+@contextlib.contextmanager
+def _eigen_calls():
+    """Record every numpy eigendecomposition made inside the block."""
+    calls = []
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            stack.enter_context(mock.patch.object(np.linalg, name, counting(name, real)))
+        yield calls
+
+
+def _random_density(rng, dim, rank):
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+# The closed form against a rank-one argument, against the general formula
+# it stands in for (`dense_oracle.eigen_uhlmann_fidelity`). The general
+# formula takes square roots of eigenvalues that are zero up to rounding,
+# about 2.2e-16, so it carries about 1e-8 of noise per eigenvalue; the
+# closed form carries rounding only.
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000))
+def test_fidelity_against_a_rank_one_argument_is_its_closed_form(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))  # dimensions 2 to 64
+    dim = 2**n
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    mixed = _random_density(rng, dim, int(rng.integers(1, dim + 1)))
+    # Minus a random pure state: <psi|indefinite|psi> may be below 0.
+    indefinite = DensityMatrix(mixed.matrix - 1.5 * rng.random() * _random_density(rng, dim, 1).matrix)
+    circuit = random_circuit(n, int(rng.integers(0, 30)), random.Random(seed))
+    ideal = run_ideal(circuit).amplitudes
+    p1, p2 = (float(rng.choice([rng.random() * 0.05, rng.random(), 1.0])) for _ in range(2))
+    noisy = run_noisy(circuit, NoiseSpec(p1=p1, p2=p2))
+    noiseless = run_noisy(circuit, NoiseSpec(p1=0.0, p2=0.0))  # pure too
+    cases = [  # rho1, rho2, the rank-one argument's vector, the other argument
+        (_pure(psi), mixed, psi, mixed),
+        (mixed, _pure(psi), psi, mixed),
+        (_pure(psi), indefinite, psi, indefinite),
+        (noisy, _pure(ideal), ideal, noisy),
+        (_pure(ideal), noisy, ideal, noisy),
+        (noiseless, _pure(ideal), ideal, noiseless),
+    ]
+    for rho1, rho2, u, other in cases:
+        with _eigen_calls() as calls:
+            fid = uhlmann_fidelity(rho1, rho2)
+        assert calls == []
+        closed = math.sqrt(max(np.vdot(u, other.matrix @ u).real, 0.0))
+        assert fid == pytest.approx(min(closed, 1.0), abs=1e-12)
+        assert fid == pytest.approx(eigen_uhlmann_fidelity(rho1, rho2), abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["mermin_xxy_unopt", "mermin_xxy_opt"])
+def test_fidelity_of_a_noisy_output_against_its_ideal_state_decomposes_nothing(name):
+    circuit = load_circuit(name)
+    psi = run_ideal(circuit).amplitudes
+    ideal = DensityMatrix(np.outer(psi, psi.conj()))
+    for scale in (0.0, 0.5, 1.0, 2.0, 5.0):
+        rho = run_noisy(circuit, NoiseSpec(p1=0.001 * scale, p2=0.01 * scale))
+        with _eigen_calls() as calls:
+            fid = uhlmann_fidelity(rho, ideal)
+        assert calls == []
+        assert fid == pytest.approx(eigen_uhlmann_fidelity(rho, ideal), abs=1e-6)
+
+
+def test_fidelity_keeps_the_general_formula_where_no_closed_form_gives_its_value():
+    ideal = load_raw_density_matrix("xxy_ideal")
+    raw = load_raw_density_matrix("xxy_unoptimized_tomo")
+    # The tomography is indefinite, so rho2's closed form would not clip
+    # its negative eigenvalues as the general formula does.
+    tomography = sanitize(raw.real, raw.imag)
+    assert np.linalg.eigvalsh(tomography.matrix)[0] < -1e-3
+    rng = np.random.default_rng(28)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    near_pure = DensityMatrix((1 - 1e-6) * _pure(psi).matrix + 1e-6 * np.eye(8) / 8)
+    full_rank = _random_density(rng, 8, 8), _random_density(rng, 8, 8)
+    # Indefinite, with the diagonal and column 0 of |0><0|: only entries off
+    # both tell it from a rank-one matrix.
+    off = np.zeros((8, 8))
+    off[1, 2] = off[2, 1] = 0.3
+    fake_pure = DensityMatrix(_pure(np.eye(8)[0]).matrix + off)
+    # Smallest eigenvalue -1e-6: below the certificate's -1e-12.
+    barely = full_rank[1].matrix - (np.linalg.eigvalsh(full_rank[1].matrix)[0] + 1e-6) * np.eye(8)
+    cases = [
+        (tomography, sanitize(ideal.real, ideal.imag)),
+        (near_pure, near_pure),
+        (near_pure, full_rank[0]),
+        full_rank,
+        (fake_pure, full_rank[1]),
+        (DensityMatrix(barely), _pure(psi)),
+    ]
+    for rho1, rho2 in cases:
+        with _eigen_calls() as calls:
+            fid = uhlmann_fidelity(rho1, rho2)
+        assert calls == ["eigh", "eigvalsh"]
+        assert fid == eigen_uhlmann_fidelity(rho1, rho2)
+    assert uhlmann_fidelity(*cases[0]) == pytest.approx(0.7188056023, abs=1e-9)
 
 
 def test_sanitize_keeps_valid_pure_state():

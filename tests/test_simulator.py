@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from qxopt import simulator
+from qxopt import circuit as circuit_module, simulator
 from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit, relabel
 from qxopt.peephole import simplify
 from qxopt.simulator import (
@@ -233,6 +233,24 @@ def test_run_noisy_flushes_a_qubits_noise_before_its_next_cnot(monkeypatch):
     # Qubit 1's noise from the first CNOT, before the second; then the end.
     assert [q for q, _ in applied] == [1, 0, 1, 2]
     assert all(value == pytest.approx(lam) for _, value in applied)
+
+
+def test_depolarize_writes_into_a_c_contiguous_array():
+    rng = np.random.default_rng(5)
+    rho = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    q, lam = 2, 0.9
+    view = rho.reshape(2, 2, 4, 2, 2, 4)
+    mixed = (0.5 * (1.0 - lam)) * (view[:, 0, :, :, 0] + view[:, 1, :, :, 1])
+    want = lam * view
+    want[:, 0, :, :, 0] += mixed
+    want[:, 1, :, :, 1] += mixed
+    transposed = rho.T.copy().T  # the same entries, F-contiguous
+    out = simulator._depolarize(transposed, q, lam, 4)
+    assert out is not transposed and out.flags.c_contiguous
+    assert np.array_equal(transposed, rho)  # a copy was written, not the input
+    assert np.array_equal(out, want.reshape(16, 16))
+    assert simulator._depolarize(rho, q, lam, 4) is rho
+    assert np.array_equal(rho, want.reshape(16, 16))
 
 
 def test_cached_gate_moves_refuse_writes():
@@ -549,6 +567,47 @@ def test_blocked_equivalent_matches_whole_matrix_oracle(n, seed):
         assert verdict == dense_oracle.whole_matrix_equivalent(first, second, placement)
         if expected is not None:
             assert verdict is expected
+
+
+def test_equivalent_plans_the_placement_without_relabeling(monkeypatch):
+    rng = random.Random(28)
+    cases = []
+    for n in range(1, 10):
+        n1 = rng.randint(1, n)
+        c = random_circuit(n1, rng.randint(0, 24), rng)
+        perm = tuple(rng.sample(range(n), n1))
+        placed = relabel(c, perm, n)
+        # A plan through the wire map builds each block exactly as one of
+        # the relabeled circuit.
+        width = simulator._block_width(n)
+        for j in range(0, 2**n, width):
+            cols = range(j, j + width)
+            moved = simulator._run(simulator._plan(c.gates, n, True, wires=perm), cols, n)
+            built = simulator._run(simulator._plan(placed.gates, n, True), cols, n)
+            assert np.array_equal(moved, built)
+        extra = Circuit(n, simplify(placed).gates + random_circuit(n, 1, rng).gates)
+        for second, placement in ((simplify(placed), perm), (extra, perm), (placed, None)):
+            cases.append((c, second, placement))
+    want = [dense_oracle.whole_matrix_equivalent(*case) for case in cases]
+    assert True in want and False in want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("equivalent relabeled a circuit")
+
+    checks = []
+    real_check = simulator.check_placement
+
+    def check(*args):
+        checks.append(args)
+        return real_check(*args)
+
+    monkeypatch.setattr(circuit_module, "relabel", refuse)
+    monkeypatch.setattr(simulator, "relabel", refuse, raising=False)
+    monkeypatch.setattr(simulator, "check_placement", check)
+    for case, verdict in zip(cases, want):
+        checks.clear()
+        assert equivalent(*case) is verdict
+        assert len(checks) == 1
 
 
 def _h_layer_then_monomials(n, num_gates, rng):

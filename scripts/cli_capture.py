@@ -15,8 +15,9 @@ The list covers every subcommand and report format on the bundled data,
 `fidelity` with the pure ideal state first, second and as both arguments, one
 malformed input for each file parser, a two-file `verify` with one bad
 file, a two-file `verify` of a 10-qubit pair that only the dense check
-decides, over many column blocks, and mappings onto an 8-qubit ladder,
-among them ones on which the search prunes placements. It takes no options.
+decides, over many column blocks, one of a 9-qubit pair that `--tol 0.1`
+tells apart, and mappings onto an 8-qubit ladder, among them ones on which
+the search prunes placements. It takes no options.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ _WIDE = (
     "t q[8];\ncx q[1],q[2];\ncx q[4],q[5];\ncx q[7],q[8];\nh q[2];\nh q[5];\ncx q[2],q[3];\n"
     "cx q[5],q[6];\ncx q[8],q[9];\n"
 )
+_H9 = "qreg q[9];\n" + "".join(f"h q[{q}];\n" for q in range(9))
 
 # Inputs written next to the bundled data: two devices, a circuit, and one
 # malformed file per parser. The search prunes placements by their H and
@@ -62,6 +64,10 @@ INPUTS = {
     # check decides it past the first half of its column blocks.
     "wide.qasm": _WIDE,
     "wide_t.qasm": _WIDE.replace("qreg q[10];\n", "qreg q[10];\nt q[9];\n"),
+    # A pair one T apart below nine H gates: entries of the unitaries differ
+    # by 0.03, entries of the miter U2^dagger U1 - I by 0.77.
+    "h9.qasm": _H9,
+    "th9.qasm": _H9.replace("qreg q[9];\n", "qreg q[9];\nt q[0];\n"),
     "bad.graph": "qubits 3\n0 0\n",
     "gate_before_qreg.qasm": "OPENQASM 2.0;\nh q[0];\n",
     "no_qreg.qasm": "OPENQASM 2.0;\n",
@@ -94,6 +100,7 @@ RUNS = (
         ["verify", "mermin_yyy_unopt.qasm", "mapped_0.qasm", "--placement", "0,1,2"],
         ["verify", "ghz.qasm", "ghz.qasm", "--tol", "0"],
         ["verify", "wide.qasm", "wide_t.qasm"],
+        ["verify", "h9.qasm", "th9.qasm", "--tol", "0.1"],
         ["verify", "--random", "5", "--arch", "qx4", "--qubits", "3", "--gates", "10", "--seed", "1"],
         ["verify", "--random", "3", "--arch", "@line.graph", "--qubits", "5", "--seed", "2"],
         ["verify", "--random", "3", "--arch", "@ladder.graph", "--qubits", "5", "--seed", "3"],

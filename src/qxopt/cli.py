@@ -146,7 +146,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--placement", help="comma-separated physical target per logical qubit")
     # Default None stands for pathsum.VERIFY_TOL, which every process would
     # otherwise import `pathsum` to read while building the parser.
-    p.add_argument("--tol", type=_at_least(float, 0))
+    p.add_argument(
+        "--tol",
+        type=_at_least(float, 0),
+        help="dense fallback only: bound on each entry of U2^dagger U1 - phase * I",
+    )
     p.add_argument("--arch", help="needed for --random, refused without it")
     p.add_argument(
         "--random", type=_at_least(int, 0), metavar="N", help="self-check N random circuits"

@@ -262,10 +262,12 @@ def equivalent(
     c1: Circuit, c2: Circuit, perm: Sequence[int] | None = None, tol: float = VERIFY_TOL
 ) -> bool:
     """True when c2 equals c1 relabeled by `perm`, up to global phase:
-    proven exactly by the path sum, or else decided by the dense simulator
-    within `tol`, with its width cap. A placement that does not fit is
-    refused by `check_placement` before either check runs. Only the dense
-    fallback imports numpy."""
+    proven exactly by the path sum, or else decided by the dense simulator,
+    with its width cap. Both check the miter c1 . c2^dagger; the dense one
+    builds it as V = U2^dagger U1' and accepts when no entry of V - phi I
+    exceeds `tol`, a bound that means the same at every width. A placement
+    that does not fit is refused by `check_placement` before either check
+    runs. Only the dense fallback imports numpy."""
     if proves_equal(c1, c2, perm):
         return True
     from . import simulator

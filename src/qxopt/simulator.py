@@ -13,16 +13,13 @@ Each monomial gate's own pair is built once per width and read from a
 cache. The runner takes an array, or a range of identity columns, which
 the plan's first gather builds by one scatter.
 
-`equivalent` decides by column blocks. Column j of a unitary is the circuit
-applied to e_j, and the runner only permutes and mixes rows, so any block
-of columns can be built without the others, from the same plan; the
-reference's plan moves c1's gates by the placement as it folds them. A block
+`equivalent` checks the miter: one plan runs c1's gates, moved by the
+placement, then c2's gates in reverse, each inverted, and so gives
+V = U2^dagger U1', which is phi I exactly when the two circuits agree up to
+the global phase phi. Column j of V is that plan run on e_j, so V is built
+and checked one block of columns at a time, each block on its own. A block
 has BLOCK_ENTRIES entries (512 KB), so up to 7 qubits it is the whole
-matrix and at the 10-qubit cap it is 32 columns. The reference's blocks are
-built in column order and held until one has a nonzero entry in row 0,
-which fixes the global phase; then c2's blocks are built and each pair
-compared, and the first pair that differs ends the check. Apart from the
-held blocks, one block of each unitary is alive at a time.
+matrix and at the 10-qubit cap it is 32 columns.
 
 A density matrix rho evolves as U rho U^dagger = (U (U rho)^dagger)^dagger,
 two runs of one plan, which holds for any square matrix, Hermitian or not.
@@ -47,7 +44,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, check_placement
+from .circuit import Circuit, Gate, GateKind, check_placement, inverse_of
 from .states import (
     DensityMatrix,
     NoiseSpec,
@@ -147,15 +144,11 @@ def _move(
 
 
 def _plan(
-    gates: tuple[Gate, ...],
-    num_qubits: int,
-    columns: bool = False,
-    wires: tuple[int, ...] | list[int] | None = None,
+    gates: Iterable[tuple[GateKind, tuple[int, ...]]], num_qubits: int, columns: bool = False
 ) -> Iterator[int | tuple[np.ndarray, np.ndarray]]:
-    """The gates, qubit 0 = least-significant bit, as the steps `_run` takes:
-    an int q is H on qubit q, a (src, phase) pair one `_gather`. A wire map
-    `wires` moves each gate's qubit q to wires[q], as `circuit.relabel`
-    would, without building the relabeled gates; the caller checks it.
+    """The (kind, qubits) gates, qubit 0 = least-significant bit, as the
+    steps `_run` takes: an int q is H on qubit q, a (src, phase) pair one
+    `_gather`.
 
     Each run of monomial gates between two H gates (or an end) is folded
     into one (src, phase) pair, so a circuit with k H gates has at most
@@ -169,11 +162,8 @@ def _plan(
     identity = _identity(num_qubits)
     # The pending pair; None while nothing is pending.
     src, phase = identity if columns else (None, None)
-    for g in gates:
-        qubits = g.qubits
-        if wires is not None:
-            qubits = tuple([wires[q] for q in qubits])
-        if g.kind is GateKind.H:
+    for kind, qubits in gates:
+        if kind is GateKind.H:
             if src is not None:
                 yield src, phase
                 src = None
@@ -183,7 +173,7 @@ def _plan(
             src, phase = identity
         # Composing gate (g_src, g_phase) after the pending pair gives
         # src[g_src] and g_phase * phase[g_src].
-        g_src, g_phase = _move(g.kind, qubits, num_qubits)
+        g_src, g_phase = _move(kind, qubits, num_qubits)
         if g_src is not None:
             src, phase = src[g_src], phase[g_src]
         if g_phase is not None:
@@ -210,6 +200,10 @@ def _run(
     return out.copy() if out is rows else out
 
 
+def _pairs(gates: Iterable[Gate]) -> Iterator[tuple[GateKind, tuple[int, ...]]]:
+    return ((g.kind, g.qubits) for g in gates)
+
+
 def _check_width(num_qubits: int, cap: int) -> None:
     if num_qubits > cap:
         raise ValueError(f"{num_qubits} qubits exceeds the dense-simulation cap of {cap}")
@@ -226,7 +220,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     """Product of the circuit's gate unitaries, in circuit order."""
     n = circuit.num_qubits
     _check_width(n, MAX_STATE_QUBITS)
-    return _run(_plan(circuit.gates, n, columns=True), range(2**n), n)
+    return _run(_plan(_pairs(circuit.gates), n, columns=True), range(2**n), n)
 
 
 def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -239,13 +233,13 @@ def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVect
             f"initial state has {initial.num_qubits} qubits, circuit {circuit.num_qubits}"
         )
     n = circuit.num_qubits
-    return StateVector(_run(_plan(circuit.gates, n), initial.amplitudes, n))
+    return StateVector(_run(_plan(_pairs(circuit.gates), n), initial.amplitudes, n))
 
 
 def _conjugate(gates: tuple[Gate, ...], rho: np.ndarray, num_qubits: int) -> np.ndarray:
     """U rho U^dagger for the gates' product U, as (U (U rho)^dagger)^dagger,
     both halves from one plan."""
-    plan = list(_plan(gates, num_qubits))
+    plan = list(_plan(_pairs(gates), num_qubits))
     half = _run(plan, rho, num_qubits).conj().T
     return _run(plan, half, num_qubits).conj().T
 
@@ -322,58 +316,37 @@ def equivalent(
     c1 may be narrower than c2; its extra wires are padded with identity.
     `check_placement` refuses a placement that does not fit c2 (so a wider
     c1 too), and a width past the dense cap is refused before any plan is
-    built. The phase is read off the first entry where the relabeled
-    reference is nonzero, then the matrices must agree entrywise within
-    `tol`. That entry lies in row 0: a unitary's row has norm 1, so row 0
-    holds an entry of magnitude at least 2^(-n/2), far above the 1e-9
-    threshold.
+    built. Moving c1's gates by the placement conjugates its unitary by the
+    placement's permutation, so the miter's one plan (see the module
+    docstring) gives V = U2^dagger U1'. The phase phi is V[0, 0] scaled to
+    magnitude 1; a magnitude below 1e-12 is a difference. The circuits
+    agree when no entry of V - phi I exceeds `tol`. V is unitary, so `tol`
+    means the same at every width.
 
-    Both unitaries are built one block of `_block_width(n)` columns at a
-    time from one plan each. The reference's blocks are held, in column
-    order, until one holds the anchor; then c2's block there is built, the
-    phase read, and each block compared, the held ones first. The first
-    block off by more than `tol` ends the check, so a pair that differs in
-    the anchor block builds one block of c2. Past the held blocks, at most
-    one block of each unitary is alive: at the 10-qubit cap a block is 32
-    columns, 512 KB, where the whole matrix is 16 MB.
+    V is built one block of `_block_width(n)` columns at a time, in column
+    order, and the first block off by more than `tol` ends the check. One
+    block of V is built at a time: at the 10-qubit cap a block is 512 KB,
+    where the whole matrix is 16 MB.
     """
     n = c2.num_qubits
     check_placement(perm, n, c1.num_qubits)
     _check_width(n, MAX_STATE_QUBITS)
     dim, width = 2**n, _block_width(n)
-    blocks = [range(j, j + width) for j in range(0, dim, width)]
+    wire = range(n) if perm is None else perm
+    miter = [(g.kind, tuple([wire[q] for q in g.qubits])) for g in c1.gates]
+    miter += [(inverse_of(g.kind), g.qubits) for g in reversed(c2.gates)]
     # A plan runs once per block: only a plan for several keeps its steps.
-    keep = list if len(blocks) > 1 else iter
-    # Moving c1's wires by the placement conjugates its unitary by the
-    # placement's permutation and pads the unused wires with identity.
-    reference = keep(_plan(c1.gates, n, columns=True, wires=perm))
-    held = []
-    for cols in blocks:
-        held.append(_run(reference, cols, n))
-        hits = np.flatnonzero(np.abs(held[-1][0]) > 1e-9)
-        if hits.size:  # some block has one: row 0 has norm 1
-            break
-    ref, at = held.pop(), len(held)
-    plan2 = keep(_plan(c2.gates, n, columns=True))
-    u2 = _run(plan2, blocks[at], n)
-    anchor = hits[0]
-    phase = u2[0, anchor] / ref[0, anchor]
-    mag = abs(phase)
-    if mag < 1e-12:
-        return False
-    phase /= mag
-
-    def close(ref: np.ndarray, u2: np.ndarray) -> bool:
-        # phase * ref - u2, in place: only np.abs allocates a block.
-        ref *= phase
-        ref -= u2
-        return float(np.max(np.abs(ref))) <= tol
-
-    if not close(ref, u2):
-        return False
-    for k, cols in enumerate(blocks):
-        if k != at:
-            ref = held[k] if k < at else _run(reference, cols, n)
-            if not close(ref, _run(plan2, cols, n)):
+    plan = (list if width < dim else iter)(_plan(miter, n, columns=True))
+    for j in range(0, dim, width):
+        v = _run(plan, range(j, j + width), n)
+        if j == 0:
+            mag = abs(v[0, 0])
+            if mag < 1e-12:
                 return False
+            phase = v[0, 0] / mag
+        # V - phi I, in place: the block's diagonal is v[j + k, k], every
+        # (width + 1)-th entry of the flat block from entry j * width.
+        v.flat[j * width : (j + width) * width : width + 1] -= phase
+        if not float(np.max(np.abs(v))) <= tol:
+            return False
     return True

@@ -246,10 +246,13 @@ def whole_matrix_equivalent(
     perm: list[int] | tuple[int, ...] | None = None,
     tol: float = 1e-9,
 ) -> bool:
-    """`simulator.equivalent` on whole unitaries: the relabeled reference and
-    c2's unitary are built in full by `simulator.unitary_of`, the phase is
-    read off the first nonzero entry of the reference's row 0, and every
-    entry must agree within `tol`."""
+    """The dense check on whole unitaries, without the miter: the relabeled
+    reference and c2's unitary are built in full by `simulator.unitary_of`,
+    the phase is read off the first nonzero entry of the reference's row 0,
+    and every entry must agree within `tol`. So `tol` bounds entries of
+    U2 - phi U1' here, where `simulator.equivalent` bounds those of its
+    miter V - phi I; the tests compare the two only on pairs that are equal
+    or far apart."""
     check_placement(perm, c2.num_qubits, c1.num_qubits)
     if perm is None:
         perm = tuple(range(c1.num_qubits))

@@ -698,6 +698,16 @@ def test_verify_random_refuses_too_many_qubits_before_generating(monkeypatch, ca
         assert "Traceback" not in err
 
 
+def test_verify_tol_bounds_the_same_measure_at_every_width(tmp_path, capsys):
+    # Below nine H gates, one T moves entries of the unitary by at most
+    # 0.77 / 2^4.5 = 0.03, but entries of U2^dagger U1 - I by 0.77.
+    h9 = "qreg q[9];\n" + "".join(f"h q[{q}];\n" for q in range(9))
+    (tmp_path / "h9.qasm").write_text(h9)
+    (tmp_path / "th9.qasm").write_text(h9.replace("qreg q[9];\n", "qreg q[9];\nt q[0];\n"))
+    assert main(["verify", str(tmp_path / "h9.qasm"), str(tmp_path / "th9.qasm"), "--tol", "0.1"]) == 2
+    assert capsys.readouterr().out == "NOT equivalent\n"
+
+
 def test_verify_tol_zero_accepts_exactly_equal_circuits(tmp_path, capsys):
     # The path sum proves these exactly; the dense check read `t t` against
     # `s` as unequal at tolerance 0 through float rounding.
@@ -974,7 +984,7 @@ _OPTION_RUNS = {
     ("simplify", "--trace"): (_SIMPLIFY, [*_SIMPLIFY, "--trace"]),
     ("simplify", "--strict"): (["simplify", *_MAP], ["simplify", *_MAP, "--strict"]),
     ("verify", "--placement"): (_PAIR, [*_PAIR, "--placement", "2,1,0"]),
-    # Every entry of two unitaries differs by at most 2 once the phase is fixed.
+    # No entry of the miter V - phi I exceeds 2, V unitary and |phi| = 1.
     ("verify", "--tol"): (
         ["verify", "ghz.qasm", "mermin_xxy_opt.qasm"],
         ["verify", "ghz.qasm", "mermin_xxy_opt.qasm", "--tol", "3"],

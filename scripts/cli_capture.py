@@ -16,7 +16,9 @@ The list covers every subcommand and report format on the bundled data,
 malformed input for each file parser, a two-file `verify` with one bad
 file, a two-file `verify` of a 10-qubit pair that only the dense check
 decides, over many column blocks, one of a 9-qubit pair that `--tol 0.1`
-tells apart, and mappings onto an 8-qubit ladder, among them ones on which
+tells apart, one of `ghz.qasm` against a copy with a leading T, which the
+dense check decides on what is left of its miter once the shared gates
+cancel, and mappings onto an 8-qubit ladder, among them ones on which
 the search prunes placements. It takes no options.
 """
 from __future__ import annotations
@@ -68,6 +70,9 @@ INPUTS = {
     # by 0.03, entries of the miter U2^dagger U1 - I by 0.77.
     "h9.qasm": _H9,
     "th9.qasm": _H9.replace("qreg q[9];\n", "qreg q[9];\nt q[0];\n"),
+    # GHZ below one T: the path sum rejects it, so the dense check runs on
+    # the miter that is left once the three shared gates cancel.
+    "t_ghz.qasm": (DATA / "ghz.qasm").read_text().replace("creg", "t q[0];\ncreg"),
     "bad.graph": "qubits 3\n0 0\n",
     "gate_before_qreg.qasm": "OPENQASM 2.0;\nh q[0];\n",
     "no_qreg.qasm": "OPENQASM 2.0;\n",
@@ -101,6 +106,7 @@ RUNS = (
         ["verify", "ghz.qasm", "ghz.qasm", "--tol", "0"],
         ["verify", "wide.qasm", "wide_t.qasm"],
         ["verify", "h9.qasm", "th9.qasm", "--tol", "0.1"],
+        ["verify", "ghz.qasm", "t_ghz.qasm"],
         ["verify", "--random", "5", "--arch", "qx4", "--qubits", "3", "--gates", "10", "--seed", "1"],
         ["verify", "--random", "3", "--arch", "@line.graph", "--qubits", "5", "--seed", "2"],
         ["verify", "--random", "3", "--arch", "@ladder.graph", "--qubits", "5", "--seed", "3"],

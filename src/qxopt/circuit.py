@@ -247,6 +247,12 @@ def check_placement(perm: Sequence[int] | None, width: int, num_qubits: int) -> 
         raise ValueError(f"placement {tuple(perm)} outside 0..{width - 1}")
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse an equivalence tolerance that is NaN, infinite or negative."""
+    if not 0 <= tol < float("inf"):
+        raise ValueError(f"tolerance must be at least 0 and finite, got {tol!r}")
+
+
 def relabel(circuit: Circuit, perm: Sequence[int], num_qubits: int | None = None) -> Circuit:
     """Rewrite every qubit index i to perm[i], keeping gate order.
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, GateKind, check_placement, inverse_of
+from .circuit import Circuit, GateKind, check_placement, check_tolerance, inverse_of
 
 VERIFY_TOL = 1e-8
 
@@ -265,9 +265,11 @@ def equivalent(
     proven exactly by the path sum, or else decided by the dense simulator,
     with its width cap. Both check the miter c1 . c2^dagger; the dense one
     builds it as V = U2^dagger U1' and accepts when no entry of V - phi I
-    exceeds `tol`, a bound that means the same at every width. A placement
-    that does not fit is refused by `check_placement` before either check
-    runs. Only the dense fallback imports numpy."""
+    exceeds `tol`, a bound that means the same at every width. A `tol` that
+    is NaN, infinite or negative, and a placement that does not fit (by
+    `check_placement`), are refused before either check runs. Only the
+    dense fallback imports numpy."""
+    check_tolerance(tol)
     if proves_equal(c1, c2, perm):
         return True
     from . import simulator

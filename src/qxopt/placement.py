@@ -83,7 +83,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import Record
-from .circuit import Circuit, CostReport, check_placement, cheapest, code_levels
+from .circuit import Circuit, CostReport, check_placement, check_tolerance, cheapest, code_levels
 from .circuit import KIND_CODE, GateKind, decode, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
 from .pathsum import VERIFY_TOL, equivalent
@@ -302,7 +302,9 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
 def map_verified(
     circuit: Circuit, table: RealizationTable, tol: float = VERIFY_TOL
 ) -> tuple[MappingResult, bool]:
-    """Best mapping of `circuit`, and whether it is equivalent to the input."""
+    """Best mapping of `circuit`, and whether it is equivalent to the input.
+    A `tol` that is NaN, infinite or negative is refused before the search."""
+    check_tolerance(tol)
     result = optimize(circuit, table)
     return result, equivalent(circuit, result.mapped, list(result.placement), tol=tol)
 

@@ -16,10 +16,17 @@ the plan's first gather builds by one scatter.
 `equivalent` checks the miter: one plan runs c1's gates, moved by the
 placement, then c2's gates in reverse, each inverted, and so gives
 V = U2^dagger U1', which is phi I exactly when the two circuits agree up to
-the global phase phi. Column j of V is that plan run on e_j, so V is built
-and checked one block of columns at a time, each block on its own. A block
-has BLOCK_ENTRIES entries (512 KB), so up to 7 qubits it is the whole
-matrix and at the 10-qubit cap it is 32 columns.
+the global phase phi. Before the plan is made, `_seam` removes the inverse
+pairs that meet where c1's gates end and c2's inverted ones begin: walking
+c2 from its last gate, a gate cancels against the c1 gate on top of all its
+wires when that gate is on the same qubits and is its inverse. The gates
+between them are on other wires and commute with both, so each pair is
+g . g^dagger = I moved next to itself, and V is unchanged. A gate that does
+not cancel blocks its wires, and the walk stops once every wire is blocked.
+Column j of V is the plan run on e_j, so V is built and checked one block
+of columns at a time, each block on its own. A block has BLOCK_ENTRIES
+entries (512 KB), so up to 7 qubits it is the whole matrix and at the
+10-qubit cap it is 32 columns.
 
 A density matrix rho evolves as U rho U^dagger = (U (U rho)^dagger)^dagger,
 two runs of one plan, which holds for any square matrix, Hermitian or not.
@@ -40,11 +47,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, check_placement, inverse_of
+from .circuit import Circuit, Gate, GateKind, check_placement, check_tolerance, inverse_of
 from .states import (
     DensityMatrix,
     NoiseSpec,
@@ -123,6 +131,10 @@ def _identity(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, ones
 
 
+# A gate as its kind and qubits, without the validation of a `Gate`.
+Pair = tuple[GateKind, tuple[int, ...]]
+
+
 @functools.lru_cache(maxsize=256)
 def _move(
     kind: GateKind, qubits: tuple[int, ...], num_qubits: int
@@ -144,7 +156,7 @@ def _move(
 
 
 def _plan(
-    gates: Iterable[tuple[GateKind, tuple[int, ...]]], num_qubits: int, columns: bool = False
+    gates: Iterable[Pair], num_qubits: int, columns: bool = False
 ) -> Iterator[int | tuple[np.ndarray, np.ndarray]]:
     """The (kind, qubits) gates, qubit 0 = least-significant bit, as the
     steps `_run` takes: an int q is H on qubit q, a (src, phase) pair one
@@ -200,7 +212,7 @@ def _run(
     return out.copy() if out is rows else out
 
 
-def _pairs(gates: Iterable[Gate]) -> Iterator[tuple[GateKind, tuple[int, ...]]]:
+def _pairs(gates: Iterable[Gate]) -> Iterator[Pair]:
     return ((g.kind, g.qubits) for g in gates)
 
 
@@ -304,6 +316,40 @@ def measure_probs(state: StateVector | DensityMatrix) -> ProbabilityDistribution
     return distribution_from_vector(values, tolerance=1e-10)
 
 
+def _seam(head: list[Pair], tail: Iterator[Pair], num_qubits: int) -> list[Pair]:
+    """The miter `head` then `tail`, (kind, qubits) pairs in miter order,
+    without the inverse pairs that meet at its seam (see the module
+    docstring): the kept head, then the kept part of the tail read so far.
+    The rest of `tail` stays unread in the iterator. The head is read from
+    its end only as deep as the tail's entries reach."""
+    tops: list[deque[int]] = [deque() for _ in range(num_qubits)]  # head indices, top first
+    blocked: set[int] = set()
+    gone: set[int] = set()
+    kept: list[Pair] = []
+    scan = len(head)  # head[scan:] is sorted into `tops`
+    for kind, qubits in tail:
+        if blocked.isdisjoint(qubits):
+            q = qubits[0]
+            while not tops[q] and scan:
+                scan -= 1
+                for w in head[scan][1]:
+                    tops[w].append(scan)
+            # A head gate on the same qubits is read into each of their
+            # tops, with every gate above it, so tops[w][0] settles each wire.
+            if tops[q] and head[tops[q][0]] == (inverse_of(kind), qubits):
+                top = tops[q][0]
+                if all(tops[w][0] == top for w in qubits):
+                    gone.add(top)
+                    for w in qubits:
+                        tops[w].popleft()
+                    continue
+        blocked.update(qubits)
+        kept.append((kind, qubits))
+        if len(blocked) == num_qubits:
+            break
+    return head[:scan] + [head[i] for i in range(scan, len(head)) if i not in gone] + kept
+
+
 def equivalent(
     c1: Circuit,
     c2: Circuit,
@@ -314,6 +360,7 @@ def equivalent(
     and a global phase.
 
     c1 may be narrower than c2; its extra wires are padded with identity.
+    A `tol` that is NaN, infinite or negative is refused first. Then
     `check_placement` refuses a placement that does not fit c2 (so a wider
     c1 too), and a width past the dense cap is refused before any plan is
     built. Moving c1's gates by the placement conjugates its unitary by the
@@ -323,18 +370,27 @@ def equivalent(
     agree when no entry of V - phi I exceeds `tol`. V is unitary, so `tol`
     means the same at every width.
 
+    Before the plan is made, `_seam` removes the inverse pairs where c1's
+    gates meet c2's inverted ones, which leaves V as it was: a mapped
+    circuit plans only the gates before the tail it shares with its input,
+    and a pair whose miter cancels completely, V = I, builds no block.
+
     V is built one block of `_block_width(n)` columns at a time, in column
     order, and the first block off by more than `tol` ends the check. One
     block of V is built at a time: at the 10-qubit cap a block is 512 KB,
     where the whole matrix is 16 MB.
     """
+    check_tolerance(tol)
     n = c2.num_qubits
     check_placement(perm, n, c1.num_qubits)
     _check_width(n, MAX_STATE_QUBITS)
-    dim, width = 2**n, _block_width(n)
     wire = range(n) if perm is None else perm
-    miter = [(g.kind, tuple([wire[q] for q in g.qubits])) for g in c1.gates]
-    miter += [(inverse_of(g.kind), g.qubits) for g in reversed(c2.gates)]
+    tail = ((inverse_of(g.kind), g.qubits) for g in reversed(c2.gates))
+    miter = _seam([(g.kind, tuple([wire[q] for q in g.qubits])) for g in c1.gates], tail, n)
+    miter += tail
+    if not miter:
+        return True
+    dim, width = 2**n, _block_width(n)
     # A plan runs once per block: only a plan for several keeps its steps.
     plan = (list if width < dim else iter)(_plan(miter, n, columns=True))
     for j in range(0, dim, width):

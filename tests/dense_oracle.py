@@ -6,7 +6,9 @@ through before the simulator gathered each run of monomial gates into one
 row pass: one pass over the array per gate. `whole_matrix_equivalent` is
 the check `simulator.equivalent` ran before it built its unitaries one
 column block at a time: the shipped kernel's two whole 2^n x 2^n matrices,
-then one comparison. `eigen_uhlmann_fidelity` is the general formula that
+then one comparison. `miter_equivalent` is the check it ran before it
+removed the inverse pairs at the miter's seam: every gate of both circuits
+in the one plan. `eigen_uhlmann_fidelity` is the general formula that
 `nonclassicality.uhlmann_fidelity` now runs only when neither argument
 allows its closed form: two eigendecompositions on every call.
 `superoperator_run_noisy` is
@@ -26,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from qxopt import simulator
-from qxopt.circuit import Circuit, Gate, GateKind, check_placement, relabel
+from qxopt.circuit import Circuit, Gate, GateKind, check_placement, inverse_of, relabel
 from qxopt.simulator import GATE_MATRICES, MAX_DENSITY_QUBITS, MAX_STATE_QUBITS
 from qxopt.states import DensityMatrix, NoiseSpec
 
@@ -268,3 +270,33 @@ def whole_matrix_equivalent(
     reference *= phase
     reference -= u2
     return float(np.max(np.abs(reference))) <= tol
+
+
+def miter_equivalent(
+    c1: Circuit,
+    c2: Circuit,
+    perm: list[int] | tuple[int, ...] | None = None,
+    tol: float = 1e-9,
+) -> bool:
+    """`simulator.equivalent` without its seam cancellation: one plan runs
+    all of c1's gates, moved by the placement, then all of c2's in reverse,
+    each inverted, and V - phi I is checked one column block at a time."""
+    n = c2.num_qubits
+    check_placement(perm, n, c1.num_qubits)
+    _check_width(n, MAX_STATE_QUBITS)
+    dim, width = 2**n, simulator._block_width(n)
+    wire = range(n) if perm is None else perm
+    miter = [(g.kind, tuple([wire[q] for q in g.qubits])) for g in c1.gates]
+    miter += [(inverse_of(g.kind), g.qubits) for g in reversed(c2.gates)]
+    plan = list(simulator._plan(miter, n, columns=True))
+    for j in range(0, dim, width):
+        v = simulator._run(plan, range(j, j + width), n)
+        if j == 0:
+            mag = abs(v[0, 0])
+            if mag < 1e-12:
+                return False
+            phase = v[0, 0] / mag
+        v.flat[j * width : (j + width) * width : width + 1] -= phase
+        if not float(np.max(np.abs(v))) <= tol:
+            return False
+    return True

@@ -139,3 +139,17 @@ def test_memory_follows_the_gates_not_the_declared_width():
         tracemalloc.stop()
     # One small object per declared wire would be several megabytes.
     assert peak < 100_000
+
+
+def test_equivalent_refuses_a_bad_tolerance_before_the_proof(monkeypatch):
+    # The proof would accept this pair and never read `tol`.
+    def proof(*args):
+        raise AssertionError("tried a proof under a refused tolerance")
+
+    monkeypatch.setattr(qxopt.pathsum, "proves_equal", proof)
+    c = Circuit(2, (gate1(GateKind.H, 0), cnot(0, 1)))
+    for tol in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ValueError, match="tolerance"):
+            qxopt.pathsum.equivalent(c, c, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            qxopt.equivalent(c, c, tol=tol)

@@ -719,3 +719,13 @@ def test_search_neither_encodes_nor_marks_a_table_entry(sparse_tables, monkeypat
         encodes.clear()
         cost_of(circuit, result.placement, searched)
         assert marks == [] and [tuple(args[0]) for args in encodes] == [circuit.gates]
+
+
+def test_map_verified_refuses_a_bad_tolerance_before_the_search(monkeypatch, qx2_table):
+    def search(*args):
+        raise AssertionError("searched under a refused tolerance")
+
+    monkeypatch.setattr(qxopt.placement, "optimize", search)
+    for tol in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ValueError, match="tolerance"):
+            qxopt.placement.map_verified(TWO_CNOTS, qx2_table, tol=tol)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from qxopt import circuit as circuit_module, simulator
-from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit, relabel
+from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, inverse_of, random_circuit, relabel
 from qxopt.peephole import simplify
 from qxopt.simulator import (
     equivalent,
@@ -638,6 +638,8 @@ def _h_layer_then_monomials(n, num_gates, rng):
 def test_equivalent_builds_one_block_of_each_when_the_anchor_block_differs(monkeypatch):
     # One plan runs c1 then c2's inverse, so a block is one run: the first
     # block of the miter differs, and an equal pair runs each block once.
+    # T T against S on every wire keeps the equal pair's seam from
+    # cancelling; c against itself would cancel to V = I and run nothing.
     runs = []
     real_run = simulator._run
 
@@ -650,7 +652,9 @@ def test_equivalent_builds_one_block_of_each_when_the_anchor_block_differs(monke
     assert not equivalent(c, Circuit(9, c.gates + (gate1(GateKind.T, 0),)))
     assert runs == [range(0, 64)]
     runs.clear()
-    assert equivalent(c, c)
+    tt = tuple(gate1(GateKind.T, q) for q in range(9)) * 2
+    s = tuple(gate1(GateKind.S, q) for q in range(9))
+    assert equivalent(Circuit(9, c.gates + tt), Circuit(9, c.gates + s))
     assert runs == [range(j, j + 64) for j in range(0, 512, 64)]
 
 
@@ -676,3 +680,201 @@ def test_equivalent_refuses_past_the_cap_before_planning(monkeypatch):
     monkeypatch.setattr(simulator, "_plan", plan)
     with pytest.raises(ValueError, match="cap of 10"):
         equivalent(Circuit(2), Circuit(11))
+    c = random_circuit(12, 30, random.Random(12))  # its miter would cancel completely
+    with pytest.raises(ValueError, match="cap of 10"):
+        equivalent(c, c)
+
+
+def test_equivalent_refuses_a_bad_tolerance_before_any_work(monkeypatch):
+    def check(*args):
+        raise AssertionError("checked the placement of a refused tolerance")
+
+    monkeypatch.setattr(simulator, "check_placement", check)
+    c = Circuit(2, (gate1(GateKind.H, 0), cnot(0, 1)))
+    for tol in (math.nan, math.inf, -math.inf, -1e-9):
+        with pytest.raises(ValueError, match="tolerance"):
+            equivalent(c, c, tol=tol)
+
+
+# The seam cancellation: inverse pairs where c1's gates meet c2's inverted
+# ones leave the miter's product V as it was.
+
+
+def _commuted(gates, rng):
+    """`gates` in a random order that keeps the order of every two gates
+    that share a wire, so the product is unchanged."""
+    gates, out = list(gates), []
+    while gates:
+        ready = []
+        busy = set()
+        for i, g in enumerate(gates):
+            if busy.isdisjoint(g.qubits):
+                ready.append(i)
+            busy.update(g.qubits)
+        out.append(gates.pop(rng.choice(ready)))
+    return tuple(out)
+
+
+def _with_inverse_pairs(gates, n, rng):
+    """`gates` with one to three g g^dagger pairs inserted, each at the end
+    or at a random place."""
+    gates = list(gates)
+    for _ in range(rng.randint(1, 3)):
+        g = random_circuit(n, 1, rng).gates[0]
+        at = rng.choice([len(gates), rng.randint(0, len(gates))])
+        gates[at:at] = [g, Gate(inverse_of(g.kind), g.qubits)]
+    return tuple(gates)
+
+
+def _seam_pairs(n, rng):
+    """Cases (c1, c2, placement, verdict) on n wires, c1 possibly narrower,
+    most of them sharing a tail up to commutation; verdict None when either
+    is possible."""
+    n1 = rng.randint(1, n)
+    perm = tuple(rng.sample(range(n), n1)) if rng.random() < 0.6 else None
+    place = range(n1) if perm is None else perm
+    body = random_circuit(n1, rng.randint(0, 12), rng).gates
+    shared = random_circuit(n1, rng.randint(0, 16), rng).gates
+    c1 = Circuit(n1, body + shared)
+    placed_body = relabel(Circuit(n1, body), place, n).gates
+    tail = _commuted(relabel(Circuit(n1, shared), place, n).gates, rng)
+    c2 = Circuit(n, placed_body + tail)
+    # One gate is never a multiple of the identity.
+    extra = random_circuit(n, 1, rng).gates
+    q = rng.randrange(n1)
+    s_on_q = Circuit(n1, c1.gates + (gate1(GateKind.S, q),))
+    cases = [
+        (c1, c2, True),  # a shared tail
+        (c1, Circuit(n, placed_body + extra + tail), False),  # one gate more below it
+        (c1, Circuit(n, c2.gates + extra), False),  # one gate more above it
+        (Circuit(n1, c1.gates + random_circuit(n1, 1, rng).gates), c2, False),  # in c1
+        (c1, Circuit(n, tail), None),  # c1's body left over
+        (Circuit(n1, _with_inverse_pairs(c1.gates, n1, rng)), c2, True),
+        (c1, Circuit(n, _with_inverse_pairs(c2.gates, n, rng)), True),
+        # S meets S, never its inverse: c2 ends in S^dagger, so V has S S.
+        (s_on_q, Circuit(n, c2.gates + (gate1(GateKind.SDG, place[q]),)), False),
+        (s_on_q, Circuit(n, c2.gates + (gate1(GateKind.S, place[q]),)), True),
+    ]
+    if n1 > 1:
+        a, b = rng.sample(range(n1), 2)
+        cx_ab = Circuit(n1, c1.gates + (cnot(a, b),))
+        cases.append((cx_ab, Circuit(n, c2.gates + (cnot(place[b], place[a]),)), False))
+    return [(first, second, perm, verdict) for first, second, verdict in cases]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 10), st.integers(0, 10_000))
+def test_equivalent_verdicts_match_the_uncancelled_miter(n, seed):
+    rng = random.Random(seed)
+    for c1, c2, perm, expected in _seam_pairs(n, rng):
+        verdict = equivalent(c1, c2, perm)
+        assert verdict == dense_oracle.miter_equivalent(c1, c2, perm)
+        assert verdict == dense_oracle.whole_matrix_equivalent(c1, c2, perm)
+        if expected is not None:
+            assert verdict is expected
+
+
+def _full_miter(c1, c2, perm):
+    wire = range(c2.num_qubits) if perm is None else perm
+    head = [(g.kind, tuple(wire[q] for q in g.qubits)) for g in c1.gates]
+    return head + [(inverse_of(g.kind), g.qubits) for g in reversed(c2.gates)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 8), st.integers(0, 10_000))
+def test_seam_leaves_the_miter_product_unchanged(n, seed):
+    # Exact inverse pairs only: the products agree to rounding, with no
+    # phase freedom, whatever the verdict.
+    rng = random.Random(seed)
+    for c1, c2, perm, _ in _seam_pairs(n, rng):
+        full = _full_miter(c1, c2, perm)
+        tail = iter(full[len(c1.gates) :])
+        seamed = simulator._seam(full[: len(c1.gates)], tail, n) + list(tail)
+        dim = 2**n
+        before = simulator._run(simulator._plan(full, n, columns=True), range(dim), n)
+        after = simulator._run(simulator._plan(seamed, n, columns=True), range(dim), n)
+        assert np.max(np.abs(before - after)) < 1e-9
+
+
+def test_seam_cancels_only_inverse_pairs_on_the_same_qubit_tuple():
+    h, s, sdg, x = GateKind.H, GateKind.S, GateKind.SDG, GateKind.X
+    cx = GateKind.CNOT
+    cases = [
+        # (head, tail, what is left)
+        ([(s, (0,))], [(sdg, (0,))], []),
+        ([(s, (0,))], [(s, (0,))], [(s, (0,)), (s, (0,))]),
+        ([(cx, (0, 1))], [(cx, (0, 1))], []),
+        ([(cx, (0, 1))], [(cx, (1, 0))], [(cx, (0, 1)), (cx, (1, 0))]),
+        # The CNOT is not on top of wire 1, whose H shares a qubit with it.
+        ([(cx, (0, 1)), (h, (1,))], [(cx, (0, 1))], [(cx, (0, 1)), (h, (1,)), (cx, (0, 1))]),
+        # H on wire 2 is off the CNOT's wires, so they commute.
+        ([(cx, (0, 1)), (h, (2,))], [(cx, (0, 1))], [(h, (2,))]),
+        # The kept H blocks wire 0, so the X behind it cancels nothing.
+        ([(x, (0,))], [(h, (0,)), (x, (0,))], [(x, (0,)), (h, (0,)), (x, (0,))]),
+        # Cancelling one pair uncovers the next.
+        ([(h, (0,)), (s, (0,)), (x, (1,))], [(x, (1,)), (sdg, (0,)), (h, (0,))], []),
+    ]
+    for head, tail, left in cases:
+        rest = iter(tail)
+        assert simulator._seam(list(head), rest, 3) + list(rest) == left
+
+
+def test_seam_stops_reading_c2_once_every_wire_is_blocked():
+    h, x = GateKind.H, GateKind.X
+    head = [(h, (0,)), (h, (1,))]
+    # X on 0 blocks wire 0, H on 1 cancels, and X on 1 then finds no head
+    # gate on wire 1 and blocks it: every wire is blocked.
+    tail = iter([(x, (0,)), (h, (1,)), (x, (1,)), (h, (0,)), (x, (0,))])
+    assert simulator._seam(list(head), tail, 2) == [(h, (0,)), (x, (0,)), (x, (1,))]
+    assert list(tail) == [(h, (0,)), (x, (0,))]
+    # A third wire that no tail entry touches stays open, so the walk reads
+    # the tail to its end.
+    tail = iter([(x, (0,)), (h, (1,)), (x, (1,)), (h, (0,)), (x, (0,))])
+    assert simulator._seam(list(head), tail, 3) == [
+        (h, (0,)), (x, (0,)), (x, (1,)), (h, (0,)), (x, (0,))
+    ]
+    assert next(tail, None) is None
+
+
+def test_equivalent_cancels_a_shared_tail_without_running_a_block(monkeypatch):
+    def run(*args):
+        raise AssertionError("ran a block of a miter that cancels")
+
+    monkeypatch.setattr(simulator, "_run", run)
+    rng = random.Random(30)
+    for n in range(1, 11):
+        n1 = rng.randint(1, n)
+        c = random_circuit(n1, 40, rng)
+        perm = tuple(rng.sample(range(n), n1))
+        assert equivalent(c, relabel(c, perm, n), perm)
+        assert equivalent(c, Circuit(n, _commuted(relabel(c, perm, n).gates, rng)), perm)
+
+
+def test_a_cancelled_miter_passes_at_zero_tolerance():
+    # H H rounds to 1 + 2e-16 on the diagonal: the uncancelled miter fails
+    # tol=0, the cancelled one is V = I exactly.
+    c = Circuit(2, (gate1(GateKind.H, 0), cnot(0, 1)))
+    assert not dense_oracle.miter_equivalent(c, c, tol=0)
+    assert equivalent(c, c, tol=0)
+
+
+def test_equivalent_plans_only_what_the_seam_leaves(monkeypatch):
+    planned = []
+    real_plan = simulator._plan
+
+    def plan(gates, num_qubits, columns=False):
+        gates = list(gates)
+        planned.append(gates)
+        return real_plan(gates, num_qubits, columns)
+
+    monkeypatch.setattr(simulator, "_plan", plan)
+    rng = random.Random(31)
+    shared = random_circuit(4, 30, rng).gates
+    perm = (3, 0, 4, 1)
+    hs = tuple(gate1(GateKind.H, q) for q in range(4))
+    xs = tuple(gate1(GateKind.X, p) for p in perm)
+    c1 = Circuit(4, hs + shared)
+    c2 = Circuit(5, xs + _commuted(relabel(Circuit(4, shared), perm, 5).gates, rng))
+    assert not equivalent(c1, c2, perm)
+    h, x = GateKind.H, GateKind.X
+    assert planned == [[(h, (p,)) for p in perm] + [(x, (p,)) for p in reversed(perm)]]

@@ -7,11 +7,17 @@ kernel in two parts: a plan (`_plan`) made once per circuit, and a runner
 (`_run`) that applies it. Every gate but H is monomial (one nonzero per
 matrix row), so a run of them is one row permutation and one phase per row:
 the plan folds each such gate into a pending (source row, phase) pair of
-length 2^n and emits that pair as one gather-and-scale step before each H
-and at the end. H is the one gate that passes over the array by itself.
-Each monomial gate's own pair is built once per width and read from a
-cache. The runner takes an array, or a range of identity columns, which
-the plan's first gather builds by one scatter.
+length 2^n, emitted as one gather-and-scale step. The plan holds H gates
+back in a frame and folds a gate through them while its conjugate stays
+monomial (see `_plan`), so a CNOT reversed by H gates, as a mapped circuit
+writes it, is one more permutation. A CNOT whose control alone meets the
+frame first opens a window on its two wires, which folds the gates on them
+once their product is monomial up to H gates. An H passes over the array
+by itself only where an S, SDG, T or TDG meets it, or such a CNOT whose
+window was given up, or at the end. Each gate's pair is built once per
+width and read from a cache, and so is each window's that folds.
+The runner takes an array, or a range of identity columns, which the
+plan's first gather builds by one scatter.
 
 `equivalent` checks the miter: one plan runs c1's gates, moved by the
 placement, then c2's gates in reverse, each inverted, and so gives
@@ -22,7 +28,8 @@ c2 from its last gate, a gate cancels against the c1 gate on top of all its
 wires when that gate is on the same qubits and is its inverse. The gates
 between them are on other wires and commute with both, so each pair is
 g . g^dagger = I moved next to itself, and V is unchanged. A gate that does
-not cancel blocks its wires, and the walk stops once every wire is blocked.
+not cancel blocks its wires, and the walk stops once every wire c1's gates
+touch is blocked, since no gate can cancel on any other.
 Column j of V is the plan run on e_j, so V is built and checked one block
 of columns at a time, each block on its own. A block has BLOCK_ENTRIES
 entries (512 KB), so up to 7 qubits it is the whole matrix and at the
@@ -135,22 +142,93 @@ def _identity(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 Pair = tuple[GateKind, tuple[int, ...]]
 
 
+# H g H for the 1-qubit gates that it leaves monomial, as `_monomial` gives
+# them: H X H = Z, H Z H = X and H Y H = -Y. H S H and H T H mix two rows.
+_THROUGH_H = {
+    GateKind.X: _MONOMIAL[GateKind.Z],
+    GateKind.Y: (1, -_MONOMIAL[GateKind.Y][1]),
+    GateKind.Z: _MONOMIAL[GateKind.X],
+}
+
+
 @functools.lru_cache(maxsize=256)
 def _move(
-    kind: GateKind, qubits: tuple[int, ...], num_qubits: int
+    kind: GateKind, qubits: tuple[int, ...], num_qubits: int, framed: int = 0
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """One monomial gate on 2^n rows as read-only (src, phase) arrays: row i
-    of the result is phase[i] * row src[i]. None stands for the identity
-    permutation (a diagonal gate) or all-one phases (a CNOT)."""
+    """One monomial gate on 2^n rows, conjugated by H on its qubits in the
+    bitmask `framed` (a monomial conjugate, see `_plan`), as read-only
+    (src, phase) arrays: row i of the result is phase[i] * row src[i]. None
+    stands for the identity permutation or all-one phases."""
     idx = np.arange(2**num_qubits)
     if kind is GateKind.CNOT:
         control, target = qubits
-        src, phase = idx ^ (((idx >> control) & 1) << target), None
+        if framed == 1 << target:  # H_t CX H_t = CZ
+            src, phase = None, 1 - 2 * ((idx >> control) & (idx >> target) & 1) + 0j
+        else:
+            if framed:  # (H (x) H) CX (H (x) H) is the reversed CX
+                control, target = target, control
+            src, phase = idx ^ (((idx >> control) & 1) << target), None
     else:
         (q,) = qubits
-        flip, phases = _MONOMIAL[kind]
+        flip, phases = (_THROUGH_H if framed else _MONOMIAL)[kind]
         src = idx ^ (1 << q) if flip else None
         phase = phases[(idx >> q) & 1]
+    _read_only(src, phase)
+    return src, phase
+
+
+# A window (see `_plan`) holds gates on two wires, its first wire the low
+# bit of a 4x4 matrix. Each gate as such a matrix, by kind and the places
+# of its qubits in the window:
+_IN_WINDOW = {
+    **{(k, (0,)): np.kron(np.eye(2), m) for k, m in GATE_MATRICES.items()},
+    **{(k, (1,)): np.kron(m, np.eye(2)) for k, m in GATE_MATRICES.items()},
+    (GateKind.CNOT, (0, 1)): np.eye(4, dtype=complex)[[0, 3, 2, 1]],
+    (GateKind.CNOT, (1, 0)): np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+}
+# H_G for the four subsets G of a window's wires, G as a 2-bit mask.
+_H_ON = np.stack([np.kron(*(_H if g & b else np.eye(2) for b in (2, 1))) for g in range(4)])
+# Gates a window holds before it is given up.
+_WINDOW_GATES = 8
+
+
+def _turn(kind: GateKind, w: int, t: int, images: int) -> int:
+    """The images U Z_0 U^dagger and U Z_1 U^dagger of a window's product U,
+    up to sign, after one more Clifford gate on its wires w (and t, for a
+    CNOT's target), 0 or 1 each. An image is a 4-bit Pauli mask, bits 0 and
+    1 its X part on the window's wires and bits 2 and 3 its Z part; Z_0's
+    image is the low nibble of `images`."""
+    if kind is GateKind.H:  # X <-> Z
+        x, z = images & 0x11 << w, images & 0x44 << w
+        return images ^ x ^ z | x << 2 | z >> 2
+    if kind is GateKind.CNOT:  # X_c -> X_c X_t, Z_t -> Z_c Z_t
+        images ^= (images >> w & 0x11) << t
+        return images ^ (images >> 2 + t & 0x11) << 2 + w
+    if kind is GateKind.S or kind is GateKind.SDG:  # X -> +-Y
+        return images ^ (images >> w & 0x11) << 2 + w
+    return images  # a Pauli only changes signs
+
+
+# The images as a window opens, after H on its control and the CNOT.
+_OPENED = _turn(GateKind.CNOT, 0, 1, _turn(GateKind.H, 0, 0, 0x84))
+
+
+@functools.lru_cache(maxsize=256)
+def _window_move(held: tuple[Pair, ...], g: int, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """M = H_G U, monomial, as a read-only (src, phase) pair on 2^n rows: U
+    is H on the control of the CNOT `held` starts with, then the `held`
+    gates, on that CNOT's two wires; G is a 2-bit mask of those wires."""
+    wires = held[0][1]
+    u = _IN_WINDOW[GateKind.H, (0,)]
+    for kind, qubits in held:
+        u = _IN_WINDOW[kind, tuple(wires.index(q) for q in qubits)] @ u
+    m = _H_ON[g] @ u
+    a, b = wires
+    idx = np.arange(2**num_qubits)
+    row = (idx >> a) & 1 | ((idx >> b) & 1) << 1
+    col = np.argmax(np.abs(m), axis=1)
+    src = idx & ~(1 << a | 1 << b) | ((col & 1) << a | (col >> 1) << b)[row]
+    phase = m[np.arange(4), col][row]
     _read_only(src, phase)
     return src, phase
 
@@ -162,36 +240,134 @@ def _plan(
     steps `_run` takes: an int q is H on qubit q, a (src, phase) pair one
     `_gather`.
 
-    Each run of monomial gates between two H gates (or an end) is folded
-    into one (src, phase) pair, so a circuit with k H gates has at most
-    2k + 1 steps. The steps come lazily, so a plan run once holds one pair
-    at a time; a `list` of them serves any number of runs, since no step's
-    arrays are ever written. A plan for identity `columns` starts with the
-    identity pending, so that its first step is a gather, the one scatter
-    that builds the columns; a plan for an array starts with nothing
-    pending, so a leading H does not copy the array first.
+    What is read and not yet emitted is H_F P: first the pending pair P,
+    then H on each qubit of the frame F. An H toggles its qubit in F, since
+    H H = I. Any other gate g is folded into P as H_F g H_F, since
+    g H_F = H_F (H_F g H_F), and that is g off F. On F, H X H = Z,
+    H Y H = -Y (the sign goes into the phases, so the global phase is
+    exact), a CNOT with both qubits in F is the reversed CNOT, and one with
+    its target alone in F is CZ; each is monomial, with phases +-1 or +-i.
+    S, SDG, T or TDG on a qubit of F, or a CNOT whose control alone is in
+    F, is not: P is emitted, then H on that one qubit, which leaves F, and
+    the gate is then folded. At the end P is emitted, then H on the rest of
+    F in ascending order.
+
+    A CNOT whose control alone is in F first opens a window on its two
+    wires instead: U, the product of H on the control and the CNOT. Later
+    gates on those wires alone join U; gates off them commute with U and
+    are read as before. Once U = H_G M with M monomial and G a set of the
+    two wires, M is folded into P and G joins F, since
+    H_F U P = H_F H_G M P and M commutes with H_F. U stays Clifford, so
+    the check follows only U's images of Z on the two wires (`_turn`):
+    H_G U is monomial exactly when it maps both to products of Z, and G is
+    then the wires where they have an X part. M is multiplied out, 4x4,
+    only when it folds, and its pair is cached by the gates the window
+    held, since a mapped circuit repeats a few such runs. T or TDG on the two wires, a gate on one of them
+    and a third, the end, or _WINDOW_GATES gates held give the window up:
+    the CNOT then flushes as above, and the gates held after it are read
+    again. A mapped circuit writes a CNOT against an
+    edge's direction with H gates that the search may move or merge with a
+    neighbour's, differently for each of the placements it ties on. One
+    gate at a time the frame finds the permutation in only some of those
+    forms; the window finds it in the others, so a check costs the same
+    whichever placement won.
+
+    An H step takes at least one H gate off F, and a gather comes only
+    before an H step or at the end. A window's G has no more qubits than
+    the H gates in U, since a row of U has at most 2^h nonzero entries for
+    h of them, and one of H_G M has 2^|G|. So a plan with k H passes, k no
+    more than its H gates, has at most 2k + 1 steps. The steps come lazily,
+    so a plan run once holds one pair at a time; a `list` of them serves any
+    number of runs, since no step's arrays are ever written. A plan for
+    identity `columns` starts with the identity pending, so that its first
+    step is a gather, the one scatter that builds the columns; a plan for
+    an array starts with nothing pending, so a leading H does not copy the
+    array first.
     """
     identity = _identity(num_qubits)
     # The pending pair; None while nothing is pending.
     src, phase = identity if columns else (None, None)
-    for kind, qubits in gates:
-        if kind is GateKind.H:
-            if src is not None:
-                yield src, phase
-                src = None
-            yield qubits[0]
-            continue
-        if src is None:
-            src, phase = identity
-        # Composing gate (g_src, g_phase) after the pending pair gives
-        # src[g_src] and g_phase * phase[g_src].
-        g_src, g_phase = _move(kind, qubits, num_qubits)
-        if g_src is not None:
-            src, phase = src[g_src], phase[g_src]
-        if g_phase is not None:
-            phase = phase * g_phase
+    frame = 0  # F as a bitmask
+    window = None  # [its two wires, them as a bitmask, `_turn` images, the gates it holds]
+    gates = iter(gates)
+    source = gates  # or an iterator over gates to read again, before the rest
+    while True:
+        for kind, qubits in source:
+            if window is not None and (1 << qubits[0] | 1 << qubits[-1]) & window[1]:
+                wires, on, images, held = window
+                held.append((kind, qubits))
+                inside = not (1 << qubits[0] | 1 << qubits[-1]) & ~on
+                if inside and kind is not GateKind.T and kind is not GateKind.TDG:
+                    images = _turn(kind, qubits[0] != wires[0], qubits[-1] != wires[0], images)
+                    # H_G U is monomial when it maps Z_0 and Z_1 to Z-type Paulis.
+                    both = (images | images >> 4) & 15
+                    if not both & both >> 2:
+                        if src is None:
+                            src, phase = identity
+                        g_src, g_phase = _window_move(tuple(held), both & 3, num_qubits)
+                        src, phase = src[g_src], phase[g_src] * g_phase
+                        frame |= (both & 1) << wires[0] | (both >> 1 & 1) << wires[1]
+                        window = None
+                        continue
+                    if len(held) < _WINDOW_GATES:
+                        window[2] = images
+                        continue
+                # Given up: the CNOT flushes, as it would have without the
+                # window, and the gates held after it are read again; the
+                # one gate that gave the window up right away is read below.
+                if src is not None:
+                    yield src, phase
+                yield wires[0]
+                src, phase = _move(GateKind.CNOT, wires, num_qubits, 0)[0], identity[1]
+                window = None
+                if len(held) > 2:
+                    source = iter(held[1:] if source is gates else held[1:] + list(source))
+                    break
+            if kind is GateKind.H:
+                frame ^= 1 << qubits[0]
+                continue
+            framed = frame and frame & (1 << qubits[0] | 1 << qubits[-1])
+            # S, SDG, T or TDG on F, or a CNOT whose control alone is on F: its
+            # conjugate is not monomial, so P and H on that qubit go first.
+            if framed and (
+                framed == 1 << qubits[0] if kind is GateKind.CNOT else kind not in _THROUGH_H
+            ):
+                if kind is GateKind.CNOT and window is None:
+                    window = [qubits, 1 << qubits[0] | 1 << qubits[1], _OPENED, [(kind, qubits)]]
+                    frame ^= framed
+                    continue
+                if src is not None:
+                    yield src, phase
+                    src = None
+                yield qubits[0]
+                frame ^= framed
+                framed = 0
+            if src is None:
+                src, phase = identity
+            # Composing gate (g_src, g_phase) after the pending pair gives
+            # src[g_src] and g_phase * phase[g_src].
+            g_src, g_phase = _move(kind, qubits, num_qubits, framed)
+            if g_src is not None:
+                src, phase = src[g_src], phase[g_src]
+            if g_phase is not None:
+                phase = phase * g_phase
+        else:
+            if source is not gates:
+                source = gates
+            elif window is None:
+                break
+            else:  # the end gives the window up
+                wires, held = window[0], window[3]
+                if src is not None:
+                    yield src, phase
+                yield wires[0]
+                src, phase = _move(GateKind.CNOT, wires, num_qubits, 0)[0], identity[1]
+                window = None
+                source = iter(held[1:])
     if src is not None:
         yield src, phase
+    if frame:
+        yield from (q for q in range(num_qubits) if frame >> q & 1)
 
 
 def _run(
@@ -321,14 +497,17 @@ def _seam(head: list[Pair], tail: Iterator[Pair], num_qubits: int) -> list[Pair]
     without the inverse pairs that meet at its seam (see the module
     docstring): the kept head, then the kept part of the tail read so far.
     The rest of `tail` stays unread in the iterator. The head is read from
-    its end only as deep as the tail's entries reach."""
+    its end only as deep as the tail's entries on its wires reach; a tail
+    entry on a wire that no head entry touches cancels nothing, and the walk
+    stops once every wire the head touches is blocked."""
     tops: list[deque[int]] = [deque() for _ in range(num_qubits)]  # head indices, top first
-    blocked: set[int] = set()
+    # The head's wires that no kept tail entry has blocked yet.
+    live = {w for _, qubits in head for w in qubits}
     gone: set[int] = set()
     kept: list[Pair] = []
     scan = len(head)  # head[scan:] is sorted into `tops`
-    for kind, qubits in tail:
-        if blocked.isdisjoint(qubits):
+    for kind, qubits in tail if live else ():
+        if live.issuperset(qubits):
             q = qubits[0]
             while not tops[q] and scan:
                 scan -= 1
@@ -343,9 +522,9 @@ def _seam(head: list[Pair], tail: Iterator[Pair], num_qubits: int) -> list[Pair]
                     for w in qubits:
                         tops[w].popleft()
                     continue
-        blocked.update(qubits)
+        live.difference_update(qubits)
         kept.append((kind, qubits))
-        if len(blocked) == num_qubits:
+        if not live:
             break
     return head[:scan] + [head[i] for i in range(scan, len(head)) if i not in gone] + kept
 

@@ -6,9 +6,11 @@ through before the simulator gathered each run of monomial gates into one
 row pass: one pass over the array per gate. `whole_matrix_equivalent` is
 the check `simulator.equivalent` ran before it built its unitaries one
 column block at a time: the shipped kernel's two whole 2^n x 2^n matrices,
-then one comparison. `miter_equivalent` is the check it ran before it
+then one comparison. `frameless_plan` is the plan `simulator._plan` made
+before it held H gates back in a frame: every H is its own pass over the
+array. `miter_equivalent` is the check `simulator.equivalent` ran before it
 removed the inverse pairs at the miter's seam: every gate of both circuits
-in the one plan. `eigen_uhlmann_fidelity` is the general formula that
+in one `frameless_plan`. `eigen_uhlmann_fidelity` is the general formula that
 `nonclassicality.uhlmann_fidelity` now runs only when neither argument
 allows its closed form: two eigendecompositions on every call.
 `superoperator_run_noisy` is
@@ -24,6 +26,8 @@ Slow, but every step is plain linear algebra, so the differential tests in
 against it.
 """
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -278,9 +282,10 @@ def miter_equivalent(
     perm: list[int] | tuple[int, ...] | None = None,
     tol: float = 1e-9,
 ) -> bool:
-    """`simulator.equivalent` without its seam cancellation: one plan runs
-    all of c1's gates, moved by the placement, then all of c2's in reverse,
-    each inverted, and V - phi I is checked one column block at a time."""
+    """`simulator.equivalent` without its seam cancellation and without the
+    plan's Hadamard frame: one `frameless_plan` runs all of c1's gates,
+    moved by the placement, then all of c2's in reverse, each inverted, and
+    V - phi I is checked one column block at a time."""
     n = c2.num_qubits
     check_placement(perm, n, c1.num_qubits)
     _check_width(n, MAX_STATE_QUBITS)
@@ -288,7 +293,7 @@ def miter_equivalent(
     wire = range(n) if perm is None else perm
     miter = [(g.kind, tuple([wire[q] for q in g.qubits])) for g in c1.gates]
     miter += [(inverse_of(g.kind), g.qubits) for g in reversed(c2.gates)]
-    plan = list(simulator._plan(miter, n, columns=True))
+    plan = list(frameless_plan(miter, n, columns=True))
     for j in range(0, dim, width):
         v = simulator._run(plan, range(j, j + width), n)
         if j == 0:
@@ -300,3 +305,29 @@ def miter_equivalent(
         if not float(np.max(np.abs(v))) <= tol:
             return False
     return True
+
+
+def frameless_plan(
+    gates: Iterable[simulator.Pair], num_qubits: int, columns: bool = False
+) -> Iterator[int | tuple[np.ndarray, np.ndarray]]:
+    """`simulator._plan` without its Hadamard frame: every H is its own
+    step, and each run of monomial gates between two H gates (or an end) is
+    one gather. Its steps are `_run`'s."""
+    identity = simulator._identity(num_qubits)
+    src, phase = identity if columns else (None, None)
+    for kind, qubits in gates:
+        if kind is GateKind.H:
+            if src is not None:
+                yield src, phase
+                src = None
+            yield qubits[0]
+            continue
+        if src is None:
+            src, phase = identity
+        g_src, g_phase = simulator._move(kind, qubits, num_qubits)
+        if g_src is not None:
+            src, phase = src[g_src], phase[g_src]
+        if g_phase is not None:
+            phase = phase * g_phase
+    if src is not None:
+        yield src, phase

@@ -2,8 +2,8 @@
 
 Caps: 10 qubits for unitaries and state vectors, 6 for density matrices.
 States, unitaries and density matrices are dense arrays, but a gate is never
-a 2^n x 2^n matrix. Vectors, unitaries and density matrices go through one
-kernel in two parts: a plan (`_plan`) made once per circuit, and a runner
+a 2^n x 2^n matrix. Vectors and unitaries go through one kernel in two
+parts: a plan (`_plan`) made once per circuit, and a runner
 (`_run`) that applies it. Every gate but H is monomial (one nonzero per
 matrix row), so a run of them is one row permutation and one phase per row:
 the plan folds each such gate into a pending (source row, phase) pair of
@@ -35,20 +35,20 @@ of columns at a time, each block on its own. A block has BLOCK_ENTRIES
 entries (512 KB), so up to 7 qubits it is the whole matrix and at the
 10-qubit cap it is 32 columns.
 
-A density matrix rho evolves as U rho U^dagger = (U (U rho)^dagger)^dagger,
-two runs of one plan, which holds for any square matrix, Hermitian or not.
-`run_noisy` applies the depolarizing noise after each gate lazily. With
-lam = 1 - 4p/3, p-depolarizing on qubit q is
-D(rho) = lam rho + (1 - lam)/2 I_q (x) tr_q rho, and:
-- D commutes with every 1-qubit unitary V on q: tr_q(V rho V^dagger) =
-  tr_q rho, and V I_q V^dagger = I_q;
-- D commutes with every gate that does not touch q;
-- two such channels on q compose to one, whose lam is the product of theirs.
-So a qubit's noise can wait until the next CNOT on that qubit, or the end of
-the circuit, as one channel. `run_noisy` keeps one pending lam per qubit and
-applies it (`_depolarize`) only before a CNOT on the qubit whose lam is not
-1, and at the end; each run of gates between two such flushes is one plan,
-run twice. Without noise it applies none.
+`run_noisy` works on the density matrix's Pauli coefficients instead:
+rho = 2^-n sum_P c_P P over the 4^n Pauli strings P, a real vector. A gate
+maps c by its Pauli transfer matrix (PTM), which for a Clifford maps each
+Pauli to +-a Pauli, a signed permutation; T and TDG turn X and Y about Z.
+With lam = 1 - 4p/3, p-depolarizing on qubit q scales every P that is not
+I on q by lam: diag(1, lam, lam, lam) on q's Pauli, which commutes with
+every 1-qubit PTM, and two such channels compose to one, whose lam is the
+product of theirs. So each qubit keeps one pending 4x4 PTM, its 1-qubit
+gates, and one pending lam. Before a CNOT, the pending maps of its two
+qubits pass over the coefficients, one 4x4 product on that qubit's axis
+each, and then the CNOT, one cached signed gather. At the end each
+qubit's pending map is folded into its factor of rho, the 2x2 matrix that
+each of its Paulis stands for, and rho is built from them. A circuit
+without CNOTs makes no pass before that, and each CNOT at most three.
 """
 from __future__ import annotations
 
@@ -378,7 +378,7 @@ def _run(
     """Left-multiply `rows`, a 2^n vector or a 2^n x k block, by a plan's
     gates in order; a range stands for those columns of the identity and
     takes a plan made for `columns`. The one kernel through which gates act
-    on vectors, unitaries and density matrices. Returns a new array."""
+    on vectors and unitaries. Returns a new array."""
     out = rows
     for step in plan:
         if type(step) is tuple:
@@ -424,61 +424,202 @@ def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVect
     return StateVector(_run(_plan(_pairs(circuit.gates), n), initial.amplitudes, n))
 
 
-def _conjugate(gates: tuple[Gate, ...], rho: np.ndarray, num_qubits: int) -> np.ndarray:
-    """U rho U^dagger for the gates' product U, as (U (U rho)^dagger)^dagger,
-    both halves from one plan."""
-    plan = list(_plan(_pairs(gates), num_qubits))
-    half = _run(plan, rho, num_qubits).conj().T
-    return _run(plan, half, num_qubits).conj().T
+# Pauli transfer matrices (PTMs). A density matrix on n qubits is
+# rho = 2^-n sum_a c_a P_a over the 4^n Pauli strings P_a, where digit a_q of
+# a = sum_q a_q 4^q names qubit q's factor: 0, 1, 2, 3 for I, X, Y, Z. A gate
+# U maps c to R c, R[a, b] = tr(P_a U P_b U^dagger) / 2^k on its k qubits.
+# A Clifford maps each Pauli to +-a Pauli, so its R is a signed permutation,
+# given here as (src, sign): row a of R is sign[a] at column src[a].
+_SIGNED = {
+    GateKind.H: ((0, 3, 2, 1), (1, 1, -1, 1)),  # X <-> Z, Y -> -Y
+    GateKind.X: ((0, 1, 2, 3), (1, 1, -1, -1)),
+    GateKind.Y: ((0, 1, 2, 3), (1, -1, 1, -1)),
+    GateKind.Z: ((0, 1, 2, 3), (1, -1, -1, 1)),
+    GateKind.S: ((0, 2, 1, 3), (1, -1, 1, 1)),  # X -> Y -> -X
+    GateKind.SDG: ((0, 2, 1, 3), (1, 1, -1, 1)),  # X -> -Y -> -X
+    # On the control's digit plus 4 times the target's: X_c -> X_c X_t,
+    # Z_t -> Z_c Z_t.
+    GateKind.CNOT: (
+        (0, 5, 6, 3, 4, 1, 2, 7, 11, 14, 13, 8, 15, 10, 9, 12),
+        (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1, -1, 1, 1),
+    ),
+}
+# T turns X and Y by pi/4 about Z, and TDG back.
+_TURN = {GateKind.T: 1.0, GateKind.TDG: -1.0}
 
 
-def _depolarize(rho: np.ndarray, q: int, lam: float, num_qubits: int) -> np.ndarray:
-    """rho -> lam rho + (1 - lam)/2 I_q (x) tr_q rho, on the (a, 2, b, a, 2, b)
-    view in which qubit q's row and column bits are axes 1 and 4. Writes into
-    `rho` when it is C-contiguous, else into one C-contiguous copy, and
-    returns the array written."""
-    rho = np.ascontiguousarray(rho)
-    a, b = 2 ** (num_qubits - 1 - q), 2**q
-    view = rho.reshape(a, 2, b, a, 2, b)
-    mixed = (0.5 * (1.0 - lam)) * (view[:, 0, :, :, 0] + view[:, 1, :, :, 1])
-    view *= lam
-    view[:, 0, :, :, 0] += mixed
-    view[:, 1, :, :, 1] += mixed
-    return rho
+@functools.lru_cache(maxsize=None)
+def _ptm(kind: GateKind) -> np.ndarray:
+    """The kind's PTM as a read-only matrix, 16x16 for a CNOT."""
+    if kind in _TURN:
+        c, s = _S2, _TURN[kind] * _S2
+        m = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]], dtype=float)
+    else:
+        src, sign = _SIGNED[kind]
+        m = np.zeros((len(src), len(src)))
+        m[np.arange(len(src)), src] = sign
+    _read_only(m)
+    return m
+
+
+@functools.lru_cache(maxsize=None)
+def _cliffords() -> tuple[dict[GateKind, tuple[int, ...]], tuple[np.ndarray, ...]]:
+    """The 24 one-qubit Clifford PTMs, each a signed permutation, numbered
+    from the identity, 0: (after, matrices), where after[kind][i] is the
+    number of R_kind R_i, and matrices[i] is R_i, read-only."""
+    one_qubit = {k: v for k, v in _SIGNED.items() if k is not GateKind.CNOT}
+    elements = [((0, 1, 2, 3), (1, 1, 1, 1))]
+    number = {elements[0]: 0}
+    after: dict[GateKind, list[int]] = {k: [] for k in one_qubit}
+    for src, sign in elements:  # grows as it is read
+        for kind, (g_src, g_sign) in one_qubit.items():
+            # Row a of R_g R is g_sign[a] times row g_src[a] of R.
+            e = (
+                tuple(src[b] for b in g_src),
+                tuple(g_sign[a] * sign[b] for a, b in enumerate(g_src)),
+            )
+            if e not in number:
+                number[e] = len(elements)
+                elements.append(e)
+            after[kind].append(number[e])
+    matrices = []
+    for src, sign in elements:
+        m = np.zeros((4, 4))
+        m[np.arange(4), src] = sign
+        _read_only(m)
+        matrices.append(m)
+    return {k: tuple(v) for k, v in after.items()}, tuple(matrices)
+
+
+@functools.lru_cache(maxsize=64)
+def _cnot_gather(control: int, target: int, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """A CNOT's PTM on the 4^n coefficients as a read-only (src, sign) pair:
+    entry a of the result is sign[a] * c[src[a]]."""
+    idx = np.arange(4**num_qubits)
+    dc, dt = idx >> 2 * control & 3, idx >> 2 * target & 3
+    src16, sign16 = (np.array(v) for v in _SIGNED[GateKind.CNOT])
+    local = dc | dt << 2
+    src = idx ^ dc << 2 * control ^ dt << 2 * target
+    src |= (src16[local] & 3) << 2 * control | (src16[local] >> 2) << 2 * target
+    sign = sign16[local].astype(float)
+    _read_only(src, sign)
+    return src, sign
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_state(num_qubits: int) -> np.ndarray:
+    """|0...0><0...0| = (x)_q (I + Z)/2 as read-only coefficients."""
+    coeffs = np.ones(1)
+    for _ in range(num_qubits):
+        coeffs = np.kron(coeffs, (1.0, 0.0, 0.0, 1.0))
+    _read_only(coeffs)
+    return coeffs
+
+
+def _pass(
+    coeffs: np.ndarray, op: np.ndarray | tuple[np.ndarray, np.ndarray], q: int | None
+) -> np.ndarray:
+    """One pass over the 4^n coefficients, into a new array: a 4x4 PTM on
+    qubit q's digit, or, for q None, a (src, sign) gather of all of them.
+    A signed permutation is applied as a 4x4 matrix too: its zero entries
+    add exact zeros, and the product is faster than a gather on one axis."""
+    if q is None:
+        return coeffs[op[0]] * op[1]
+    if q == 0:  # a batched product of 4x1 columns is slow; one 4-column product is not
+        return (coeffs.reshape(-1, 4) @ op.T).reshape(-1)
+    return (op @ coeffs.reshape(-1, 4, 4**q)).reshape(-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_factors() -> np.ndarray:
+    """Digit b's 2x2 factor P_b / 2 of rho, as a real 4x16 matrix: row b
+    holds, for a real then for an imaginary coefficient, the factor's
+    entries (r, c) in the order 00, 01, 10, 11, each as its real and
+    imaginary part. Right-multiplied by it, complex data viewed as pairs of
+    reals is multiplied as complex numbers."""
+    paulis = [np.eye(2)] + [GATE_MATRICES[k] for k in (GateKind.X, GateKind.Y, GateKind.Z)]
+    halves = np.stack(paulis).reshape(4, 4) / 2
+    m = np.stack((halves, 1j * halves), axis=1).view(float).reshape(4, 16)
+    _read_only(m)
+    return m
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(num_qubits: int) -> np.ndarray:
+    """Where `_density` leaves rho[r, c], flat: each qubit q's pair
+    2 r_q + c_q is a base-4 digit, qubit n-1's lowest, then qubit 0's,
+    qubit 1's and so on up to qubit n-2's."""
+    r, c = np.arange(2**num_qubits)[:, None], np.arange(2**num_qubits)
+    pair = [2 * (r >> q & 1) + (c >> q & 1) for q in range(num_qubits)]
+    at = pair[-1] + sum(pair[q] << 2 * (q + 1) for q in range(num_qubits - 1))
+    at = at.reshape(-1)
+    _read_only(at)
+    return at
+
+
+def _density(coeffs: np.ndarray, ops: list[np.ndarray], num_qubits: int) -> np.ndarray:
+    """rho = 2^-n sum_a (R c)_a P_a for R the product of the per-qubit PTMs
+    `ops`: each qubit's digit b becomes its 2x2 factor sum_a R_q[a, b] P_a / 2,
+    qubit 0's first. Each step multiplies the last axis, then moves its
+    result to the front, so the next qubit's digit is last."""
+    n = num_qubits
+    # Row 2b + i of factors[q]: qubit q's factor for digit b, times i^i.
+    factors = (np.stack(ops).transpose(0, 2, 1) @ _pauli_factors()).reshape(n, 8, 8)
+    out = coeffs.reshape(-1, 4) @ factors[0, ::2]
+    for q in range(1, n):
+        out = np.ascontiguousarray(out.view(complex).T).view(float).reshape(-1, 8) @ factors[q]
+    return out.view(complex).reshape(-1)[_layout(n)].reshape(2**n, 2**n)
+
+
+def _pending(op: int | np.ndarray, lam: float, cliffords: tuple[np.ndarray, ...]) -> np.ndarray:
+    """A qubit's pending PTM R with its noise: diag(1, lam, lam, lam) R, the
+    merged depolarizing channel after R (it commutes with R). Row 0 of R is
+    (1, 0, 0, 0) exactly, as it is for every gate, so lam R with 1 at
+    [0, 0] is that product."""
+    m = cliffords[op] if type(op) is int else op
+    if lam == 1.0:
+        return m
+    m = lam * m
+    m[0, 0] = 1.0
+    return m
 
 
 def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
     """Evolve |0...0><0...0| through the circuit, applying a symmetric
     depolarizing channel to every qubit a gate touches, after the gate.
 
-    Each qubit's channels wait, merged into one, until a CNOT on it or the
-    end (see the module docstring). Every array `_depolarize` is given is
-    this call's own, so it writes in place."""
+    The state is its 4^n Pauli coefficients (see the module docstring).
+    Each qubit keeps one pending PTM, its 1-qubit gates since its last
+    CNOT, a number in `_cliffords` until a T or TDG makes it a matrix, and
+    one pending lam; before a CNOT the two qubits' pending maps pass over
+    the coefficients, then the CNOT's gather does. At the end each pending
+    map is folded into the qubit's factor of rho."""
     n = circuit.num_qubits
     _check_width(n, MAX_DENSITY_QUBITS)
-    gates = circuit.gates
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
+    after, cliffords = _cliffords()
     lam1, lam2 = 1.0 - 4.0 * noise.p1 / 3.0, 1.0 - 4.0 * noise.p2 / 3.0
-    waiting = [1.0] * n  # each qubit's pending lam
-    start = 0  # gates[start:] have not been applied yet
-    for i, g in enumerate(gates):
-        two = g.kind.arity == 2
-        if two and any(waiting[q] != 1.0 for q in g.qubits):
-            rho = _conjugate(gates[start:i], rho, n)
-            start = i
+    coeffs = _zero_state(n)
+    ops: list[int | np.ndarray] = [0] * n  # each qubit's pending PTM
+    lams = [1.0] * n  # and its pending lam
+    for g in circuit.gates:
+        kind = g.kind
+        if kind is GateKind.CNOT:
             for q in g.qubits:
-                if waiting[q] != 1.0:
-                    rho = _depolarize(rho, q, waiting[q], n)
-                    waiting[q] = 1.0
-        lam = lam2 if two else lam1
-        for q in g.qubits:
-            waiting[q] *= lam
-    rho = _conjugate(gates[start:], rho, n)
-    for q, lam in enumerate(waiting):
-        if lam != 1.0:
-            rho = _depolarize(rho, q, lam, n)
-    out = DensityMatrix(rho)
+                op = ops[q]
+                if type(op) is not int or op or lams[q] != 1.0:  # not the identity
+                    coeffs = _pass(coeffs, _pending(op, lams[q], cliffords), q)
+                    ops[q] = 0
+                lams[q] = lam2
+            coeffs = _pass(coeffs, _cnot_gather(*g.qubits, n), None)
+            continue
+        q = g.qubits[0]
+        op = ops[q]
+        if type(op) is int and kind in after:
+            ops[q] = after[kind][op]
+        else:
+            ops[q] = _ptm(kind) @ (cliffords[op] if type(op) is int else op)
+        lams[q] *= lam1
+    out = DensityMatrix(_density(coeffs, [_pending(o, l, cliffords) for o, l in zip(ops, lams)], n))
     out.validate()
     return out
 
@@ -497,22 +638,28 @@ def _seam(head: list[Pair], tail: Iterator[Pair], num_qubits: int) -> list[Pair]
     without the inverse pairs that meet at its seam (see the module
     docstring): the kept head, then the kept part of the tail read so far.
     The rest of `tail` stays unread in the iterator. The head is read from
-    its end only as deep as the tail's entries on its wires reach; a tail
-    entry on a wire that no head entry touches cancels nothing, and the walk
-    stops once every wire the head touches is blocked."""
+    its end only as deep as the tail's entries on its wires reach, and no
+    deeper than a wire's last head entry; a tail entry on a wire that no
+    head entry touches cancels nothing, and the walk stops once every wire
+    the head touches is blocked."""
     tops: list[deque[int]] = [deque() for _ in range(num_qubits)]  # head indices, top first
+    unscanned = [0] * num_qubits  # head entries on each wire not yet in `tops`
+    for _, qubits in head:
+        for w in qubits:
+            unscanned[w] += 1
     # The head's wires that no kept tail entry has blocked yet.
-    live = {w for _, qubits in head for w in qubits}
+    live = {w for w, count in enumerate(unscanned) if count}
     gone: set[int] = set()
     kept: list[Pair] = []
     scan = len(head)  # head[scan:] is sorted into `tops`
     for kind, qubits in tail if live else ():
         if live.issuperset(qubits):
             q = qubits[0]
-            while not tops[q] and scan:
+            while not tops[q] and unscanned[q]:
                 scan -= 1
                 for w in head[scan][1]:
                     tops[w].append(scan)
+                    unscanned[w] -= 1
             # A head gate on the same qubits is read into each of their
             # tops, with every gate above it, so tops[w][0] settles each wire.
             if tops[q] and head[tops[q][0]] == (inverse_of(kind), qubits):

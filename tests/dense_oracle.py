@@ -16,7 +16,11 @@ allows its closed form: two eigendecompositions on every call.
 `superoperator_run_noisy` is
 the density-matrix kernel that `run_noisy` ran before it deferred each
 qubit's noise: every gate together with its noise as one superoperator,
-contracted with the row and column axes of the qubits it touches. Everything
+contracted with the row and column axes of the qubits it touches.
+`deferred_run_noisy` is the one `run_noisy` ran after that, before it
+evolved Pauli coefficients: rho itself, conjugated by two runs of one
+dense plan per run of gates, with each qubit's noise deferred to its next
+CNOT or the end and applied there as one merged channel. Everything
 else builds each
 gate as a full 2^n x 2^n matrix from Kronecker products (or a dense CNOT
 permutation), depolarizing noise as the explicit sum of the three Pauli
@@ -179,6 +183,65 @@ def superoperator_run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix
         k = len(axes)
         rho = np.moveaxis(np.tensordot(op, rho, (range(k, 2 * k), axes)), range(k), axes)
     out = DensityMatrix(rho.reshape(2**n, 2**n))
+    out.validate()
+    return out
+
+
+def _conjugate(gates: tuple[Gate, ...], rho: np.ndarray, num_qubits: int) -> np.ndarray:
+    """U rho U^dagger for the gates' product U, as (U (U rho)^dagger)^dagger,
+    both halves from one `simulator._plan`."""
+    plan = list(simulator._plan(simulator._pairs(gates), num_qubits))
+    half = simulator._run(plan, rho, num_qubits).conj().T
+    return simulator._run(plan, half, num_qubits).conj().T
+
+
+def _depolarize_in_place(rho: np.ndarray, q: int, lam: float, num_qubits: int) -> np.ndarray:
+    """rho -> lam rho + (1 - lam)/2 I_q (x) tr_q rho, on the (a, 2, b, a, 2, b)
+    view in which qubit q's row and column bits are axes 1 and 4. Writes into
+    `rho` when it is C-contiguous, else into one C-contiguous copy, and
+    returns the array written."""
+    rho = np.ascontiguousarray(rho)
+    a, b = 2 ** (num_qubits - 1 - q), 2**q
+    view = rho.reshape(a, 2, b, a, 2, b)
+    mixed = (0.5 * (1.0 - lam)) * (view[:, 0, :, :, 0] + view[:, 1, :, :, 1])
+    view *= lam
+    view[:, 0, :, :, 0] += mixed
+    view[:, 1, :, :, 1] += mixed
+    return rho
+
+
+def deferred_run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
+    """`simulator.run_noisy` on the 2^n x 2^n matrix: each run of gates
+    between two flushes conjugates rho by two runs of one plan, and each
+    qubit's depolarizing noise waits, merged into one channel of lam the
+    product of its gates' lam = 1 - 4p/3, until a CNOT on it or the end,
+    where `_depolarize_in_place` applies it. Every array that function is
+    given is this call's own, so it writes in place."""
+    n = circuit.num_qubits
+    _check_width(n, MAX_DENSITY_QUBITS)
+    gates = circuit.gates
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    lam1, lam2 = 1.0 - 4.0 * noise.p1 / 3.0, 1.0 - 4.0 * noise.p2 / 3.0
+    waiting = [1.0] * n  # each qubit's pending lam
+    start = 0  # gates[start:] have not been applied yet
+    for i, g in enumerate(gates):
+        two = g.kind.arity == 2
+        if two and any(waiting[q] != 1.0 for q in g.qubits):
+            rho = _conjugate(gates[start:i], rho, n)
+            start = i
+            for q in g.qubits:
+                if waiting[q] != 1.0:
+                    rho = _depolarize_in_place(rho, q, waiting[q], n)
+                    waiting[q] = 1.0
+        lam = lam2 if two else lam1
+        for q in g.qubits:
+            waiting[q] *= lam
+    rho = _conjugate(gates[start:], rho, n)
+    for q, lam in enumerate(waiting):
+        if lam != 1.0:
+            rho = _depolarize_in_place(rho, q, lam, n)
+    out = DensityMatrix(rho)
     out.validate()
     return out
 

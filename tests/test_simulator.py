@@ -1,6 +1,9 @@
+import importlib.util
 import math
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from qxopt.states import DensityMatrix, NoiseSpec, StateVector, basis_state
 from qxopt.topology import load
 
 S2 = 1 / math.sqrt(2)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_empty_circuit_unitary_is_identity():
@@ -223,28 +227,32 @@ def test_run_noisy_builds_one_superoperator_per_kind_and_strength(monkeypatch):
     assert len(built) == 3
 
 
+# The four tests below check the deferred-noise oracle,
+# `dense_oracle.deferred_run_noisy`, which `run_noisy` ran on the 2^n x 2^n
+# matrix before it evolved Pauli coefficients.
 def _count_depolarizing(monkeypatch) -> list[tuple[int, float]]:
     applied = []
-    real = simulator._depolarize
+    real = dense_oracle._depolarize_in_place
 
     def counting(rho, q, lam, num_qubits):
         applied.append((q, lam))
         return real(rho, q, lam, num_qubits)
 
-    monkeypatch.setattr(simulator, "_depolarize", counting)
+    monkeypatch.setattr(dense_oracle, "_depolarize_in_place", counting)
     return applied
 
 
 def test_run_noisy_without_noise_depolarizes_nothing(monkeypatch):
     applied = _count_depolarizing(monkeypatch)
-    run_noisy(random_circuit(5, 60, random.Random(3)), NoiseSpec(p1=0.0, p2=0.0))
+    c = random_circuit(5, 60, random.Random(3))
+    dense_oracle.deferred_run_noisy(c, NoiseSpec(p1=0.0, p2=0.0))
     assert applied == []
 
 
 def test_run_noisy_merges_a_qubits_one_qubit_noise_into_one_channel(monkeypatch):
     applied = _count_depolarizing(monkeypatch)
     gates = (gate1(GateKind.H, 0), gate1(GateKind.T, 0), gate1(GateKind.X, 2), gate1(GateKind.H, 0))
-    run_noisy(Circuit(4, gates), NoiseSpec(p1=0.03, p2=0.0))
+    dense_oracle.deferred_run_noisy(Circuit(4, gates), NoiseSpec(p1=0.03, p2=0.0))
     lam = 1.0 - 4.0 * 0.03 / 3.0
     assert sorted(q for q, _ in applied) == [0, 2]  # qubits 1 and 3: no gate, no noise
     assert dict(applied)[0] == pytest.approx(lam**3)
@@ -254,7 +262,8 @@ def test_run_noisy_merges_a_qubits_one_qubit_noise_into_one_channel(monkeypatch)
 def test_run_noisy_flushes_a_qubits_noise_before_its_next_cnot(monkeypatch):
     applied = _count_depolarizing(monkeypatch)
     lam = 1.0 - 4.0 * 0.02 / 3.0
-    run_noisy(Circuit(3, (cnot(0, 1), cnot(1, 2))), NoiseSpec(p1=0.0, p2=0.02))
+    c = Circuit(3, (cnot(0, 1), cnot(1, 2)))
+    dense_oracle.deferred_run_noisy(c, NoiseSpec(p1=0.0, p2=0.02))
     # Qubit 1's noise from the first CNOT, before the second; then the end.
     assert [q for q, _ in applied] == [1, 0, 1, 2]
     assert all(value == pytest.approx(lam) for _, value in applied)
@@ -270,12 +279,147 @@ def test_depolarize_writes_into_a_c_contiguous_array():
     want[:, 0, :, :, 0] += mixed
     want[:, 1, :, :, 1] += mixed
     transposed = rho.T.copy().T  # the same entries, F-contiguous
-    out = simulator._depolarize(transposed, q, lam, 4)
+    out = dense_oracle._depolarize_in_place(transposed, q, lam, 4)
     assert out is not transposed and out.flags.c_contiguous
     assert np.array_equal(transposed, rho)  # a copy was written, not the input
     assert np.array_equal(out, want.reshape(16, 16))
-    assert simulator._depolarize(rho, q, lam, 4) is rho
+    assert dense_oracle._depolarize_in_place(rho, q, lam, 4) is rho
     assert np.array_equal(rho, want.reshape(16, 16))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10_000))
+def test_deferred_oracle_matches_pauli_sum_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    c = random_circuit(n, rng.randint(0, 30), rng)
+    p1, p2 = (rng.choice((0.0, 1.0, rng.random())) for _ in range(2))
+    noise = NoiseSpec(p1=p1, p2=p2)
+    got = dense_oracle.deferred_run_noisy(c, noise).matrix
+    want = dense_oracle.run_noisy(c, noise).matrix
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+_PAULI_MATRICES = [np.eye(2)] + [
+    simulator.GATE_MATRICES[k] for k in (GateKind.X, GateKind.Y, GateKind.Z)
+]
+
+
+def _pauli_string(a, num_qubits):
+    """P_a, qubit q's factor the Pauli of digit q of a, qubit 0 lowest."""
+    out = np.ones((1, 1))
+    for q in reversed(range(num_qubits)):
+        out = np.kron(out, _PAULI_MATRICES[a >> 2 * q & 3])
+    return out
+
+
+def _transfer_matrix(u, num_qubits):
+    """tr(P_a U P_b U^dagger) / 2^k, from the matrix alone."""
+    paulis = [_pauli_string(a, num_qubits) for a in range(4**num_qubits)]
+    return np.array(
+        [[np.trace(pa @ u @ pb @ u.conj().T).real for pb in paulis] for pa in paulis]
+    ) / 2**num_qubits
+
+
+def _is_signed_permutation(m):
+    nonzero = m != 0
+    return (
+        np.all(nonzero.sum(axis=0) == 1)
+        and np.all(nonzero.sum(axis=1) == 1)
+        and np.all(np.abs(m[nonzero]) == 1)
+    )
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_each_kinds_pauli_transfer_matrix_matches_its_unitary(kind):
+    if kind is GateKind.CNOT:
+        u = unitary_of(Circuit(2, (cnot(0, 1),)))  # control on digit 0, as `_ptm` has it
+        k = 2
+    else:
+        u, k = simulator.GATE_MATRICES[kind], 1
+    ptm = simulator._ptm(kind)
+    assert ptm.shape == (4**k, 4**k)
+    assert np.max(np.abs(ptm - _transfer_matrix(u, k))) < 1e-12
+    assert _is_signed_permutation(ptm) == (kind not in (GateKind.T, GateKind.TDG))
+
+
+def test_one_qubit_clifford_table_is_closed_and_each_entry_a_product():
+    after, matrices = simulator._cliffords()
+    assert len(matrices) == 24
+    assert len({m.tobytes() for m in matrices}) == 24
+    assert np.array_equal(matrices[0], np.eye(4))
+    assert set(after) == set(GateKind) - {GateKind.T, GateKind.TDG, GateKind.CNOT}
+    for kind, row in after.items():
+        for i, j in enumerate(row):
+            assert _is_signed_permutation(matrices[j])
+            assert np.array_equal(matrices[j], simulator._ptm(kind) @ matrices[i])
+
+
+@pytest.mark.parametrize("lam", [0.9, 1 - 4 * 0.37 / 3, -1 / 3])
+def test_depolarizing_is_a_pauli_scale(lam):
+    # diag(1, lam, lam, lam) on one qubit's Pauli digit is the Pauli-sum
+    # channel with p = 3 (1 - lam) / 4; lam = -1/3 is p = 1.
+    rng = np.random.default_rng(8)
+    _, matrices = simulator._cliffords()
+    for n in (1, 2, 3):
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        coeffs = np.array([np.trace(_pauli_string(b, n) @ rho).real for b in range(4**n)])
+        assert np.max(np.abs(simulator._density(coeffs, [matrices[0]] * n, n) - rho)) < 1e-12
+        for q in range(n):
+            scaled = simulator._pass(coeffs, simulator._pending(0, lam, matrices), q)
+            got = simulator._density(scaled, [matrices[0]] * n, n)
+            want = dense_oracle._depolarize(rho, q, 3 * (1 - lam) / 4, n)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_run_noisy_matches_dense_oracle_on_the_400_gate_benchmark_circuit(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up there
+    spec.loader.exec_module(gen)
+    (case,) = [c for c in gen.random5_cases(77) if c.name == "r5_400@qx2"]
+    c = qasm.parse(case.qasm)
+    assert (c.num_qubits, len(c.gates)) == (5, 400)
+    for noise in (NoiseSpec(), NoiseSpec(p1=1.0, p2=1.0)):
+        got = run_noisy(c, noise).matrix
+        want = dense_oracle.run_noisy(c, noise).matrix
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _count_passes(monkeypatch) -> list:
+    passes = []
+    real = simulator._pass
+
+    def counting(coeffs, op, q):
+        passes.append(q)
+        return real(coeffs, op, q)
+
+    monkeypatch.setattr(simulator, "_pass", counting)
+    return passes
+
+
+def test_run_noisy_passes_over_the_coefficients_only_at_cnots(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    rng = random.Random(12)
+    one_qubit = [k for k in GateKind if k is not GateKind.CNOT]
+    for noise in (NoiseSpec(), NoiseSpec(p1=0.0, p2=0.0), NoiseSpec(p1=1.0, p2=0.5)):
+        gates = tuple(gate1(rng.choice(one_qubit), rng.randrange(6)) for _ in range(200))
+        passes.clear()
+        run_noisy(Circuit(6, gates), noise)
+        assert passes == []
+        for _ in range(5):
+            c = random_circuit(6, 120, rng)
+            passes.clear()
+            run_noisy(c, noise)
+            cnots = sum(g.kind is GateKind.CNOT for g in c.gates)
+            assert passes.count(None) == cnots  # one gather per CNOT
+            assert len(passes) <= 3 * cnots
+    # Without noise, a CNOT after only CNOTs on its qubits is its gather alone.
+    passes.clear()
+    run_noisy(Circuit(3, (cnot(0, 1), cnot(1, 2), cnot(0, 2))), NoiseSpec(p1=0.0, p2=0.0))
+    assert passes == [None, None, None]
 
 
 def test_cached_gate_moves_refuse_writes():
@@ -1009,6 +1153,16 @@ def test_seam_stops_reading_c2_once_every_wire_is_blocked():
     ]
     assert head.read == {1, 2}
     assert list(tail) == [(x, (2,)), (h, (2,))]
+
+
+def test_seam_stops_reading_a_wire_whose_head_entries_all_cancelled():
+    # H on 1 cancels the head's only entry on wire 1. X on 1 then finds no
+    # head entry left on that wire, so it reads nothing deeper and is kept.
+    h, x = GateKind.H, GateKind.X
+    head = _ReadLog([(x, (0,)), (h, (0,)), (h, (1,))])
+    tail = iter([(h, (1,)), (x, (1,))])
+    assert simulator._seam(head, tail, 2) == [(x, (0,)), (h, (0,)), (x, (1,))]
+    assert head.read == {2}
 
 
 def test_equivalent_cancels_a_shared_tail_without_running_a_block(monkeypatch):

@@ -35,20 +35,21 @@ of columns at a time, each block on its own. A block has BLOCK_ENTRIES
 entries (512 KB), so up to 7 qubits it is the whole matrix and at the
 10-qubit cap it is 32 columns.
 
-`run_noisy` works on the density matrix's Pauli coefficients instead:
-rho = 2^-n sum_P c_P P over the 4^n Pauli strings P, a real vector. A gate
-maps c by its Pauli transfer matrix (PTM), which for a Clifford maps each
-Pauli to +-a Pauli, a signed permutation; T and TDG turn X and Y about Z.
-With lam = 1 - 4p/3, p-depolarizing on qubit q scales every P that is not
-I on q by lam: diag(1, lam, lam, lam) on q's Pauli, which commutes with
-every 1-qubit PTM, and two such channels compose to one, whose lam is the
-product of theirs. So each qubit keeps one pending 4x4 PTM, its 1-qubit
-gates, and one pending lam. Before a CNOT, the pending maps of its two
-qubits pass over the coefficients, one 4x4 product on that qubit's axis
-each, and then the CNOT, one cached signed gather. At the end each
-qubit's pending map is folded into its factor of rho, the 2x2 matrix that
-each of its Paulis stands for, and rho is built from them. A circuit
-without CNOTs makes no pass before that, and each CNOT at most three.
+`run_noisy` works on the density matrix's Pauli coefficients instead, the
+real vector c with rho = 2^-n sum_P c_P P over the 4^n Pauli strings P. A
+gate maps c by its Pauli transfer matrix (PTM), derived once from its
+unitary (`_ptm`), which for a Clifford is a signed permutation: each Pauli
+goes to +-a Pauli. With lam = 1 - 4p/3, p-depolarizing on qubit q scales
+every P that is not I on q by lam: diag(1, lam, lam, lam) on q's Pauli,
+which commutes with every 1-qubit PTM, and two such channels compose to
+one, whose lam is the product of theirs. So each qubit keeps one pending
+4x4 PTM, the product of its 1-qubit gates', and one pending lam. Before a
+CNOT, the pending maps of its two qubits pass over the coefficients, one
+4x4 product on that qubit's axis each, and then the CNOT, one cached signed
+gather. At the end each qubit's pending map is folded into its factor of
+rho, the 2x2 matrix that each of its Paulis stands for, and rho is built
+from them. A circuit without CNOTs makes no pass before that, and each CNOT
+at most three.
 """
 from __future__ import annotations
 
@@ -428,67 +429,27 @@ def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVect
 # rho = 2^-n sum_a c_a P_a over the 4^n Pauli strings P_a, where digit a_q of
 # a = sum_q a_q 4^q names qubit q's factor: 0, 1, 2, 3 for I, X, Y, Z. A gate
 # U maps c to R c, R[a, b] = tr(P_a U P_b U^dagger) / 2^k on its k qubits.
-# A Clifford maps each Pauli to +-a Pauli, so its R is a signed permutation,
-# given here as (src, sign): row a of R is sign[a] at column src[a].
-_SIGNED = {
-    GateKind.H: ((0, 3, 2, 1), (1, 1, -1, 1)),  # X <-> Z, Y -> -Y
-    GateKind.X: ((0, 1, 2, 3), (1, 1, -1, -1)),
-    GateKind.Y: ((0, 1, 2, 3), (1, -1, 1, -1)),
-    GateKind.Z: ((0, 1, 2, 3), (1, -1, -1, 1)),
-    GateKind.S: ((0, 2, 1, 3), (1, -1, 1, 1)),  # X -> Y -> -X
-    GateKind.SDG: ((0, 2, 1, 3), (1, 1, -1, 1)),  # X -> -Y -> -X
-    # On the control's digit plus 4 times the target's: X_c -> X_c X_t,
-    # Z_t -> Z_c Z_t.
-    GateKind.CNOT: (
-        (0, 5, 6, 3, 4, 1, 2, 7, 11, 14, 13, 8, 15, 10, 9, 12),
-        (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1, -1, 1, 1),
-    ),
-}
-# T turns X and Y by pi/4 about Z, and TDG back.
-_TURN = {GateKind.T: 1.0, GateKind.TDG: -1.0}
+_PAULIS = np.stack([np.eye(2)] + [GATE_MATRICES[k] for k in (GateKind.X, GateKind.Y, GateKind.Z)])
+_read_only(_PAULIS)
 
 
 @functools.lru_cache(maxsize=None)
 def _ptm(kind: GateKind) -> np.ndarray:
-    """The kind's PTM as a read-only matrix, 16x16 for a CNOT."""
-    if kind in _TURN:
-        c, s = _S2, _TURN[kind] * _S2
-        m = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]], dtype=float)
+    """The kind's PTM, 16x16 for a CNOT, as a read-only matrix derived from
+    its unitary: `GATE_MATRICES`, or `_IN_WINDOW`'s CNOT, its control the
+    low bit, digit a_0 of a = a_0 + 4 a_1. Entries within 1e-12 of an
+    integer are rounded to it, so a Clifford's R is exactly a signed
+    permutation."""
+    p = _PAULIS
+    if kind is GateKind.CNOT:
+        u = _IN_WINDOW[kind, (0, 1)]
+        p = np.stack([np.kron(p[a >> 2], p[a & 3]) for a in range(16)])
     else:
-        src, sign = _SIGNED[kind]
-        m = np.zeros((len(src), len(src)))
-        m[np.arange(len(src)), src] = sign
+        u = GATE_MATRICES[kind]
+    m = np.einsum("aij,bji->ab", p, u @ p @ u.conj().T).real / len(u)
+    m = np.where(np.abs(m - np.round(m)) < 1e-12, np.round(m), m) + 0.0  # + 0.0 makes -0.0 0.0
     _read_only(m)
     return m
-
-
-@functools.lru_cache(maxsize=None)
-def _cliffords() -> tuple[dict[GateKind, tuple[int, ...]], tuple[np.ndarray, ...]]:
-    """The 24 one-qubit Clifford PTMs, each a signed permutation, numbered
-    from the identity, 0: (after, matrices), where after[kind][i] is the
-    number of R_kind R_i, and matrices[i] is R_i, read-only."""
-    one_qubit = {k: v for k, v in _SIGNED.items() if k is not GateKind.CNOT}
-    elements = [((0, 1, 2, 3), (1, 1, 1, 1))]
-    number = {elements[0]: 0}
-    after: dict[GateKind, list[int]] = {k: [] for k in one_qubit}
-    for src, sign in elements:  # grows as it is read
-        for kind, (g_src, g_sign) in one_qubit.items():
-            # Row a of R_g R is g_sign[a] times row g_src[a] of R.
-            e = (
-                tuple(src[b] for b in g_src),
-                tuple(g_sign[a] * sign[b] for a, b in enumerate(g_src)),
-            )
-            if e not in number:
-                number[e] = len(elements)
-                elements.append(e)
-            after[kind].append(number[e])
-    matrices = []
-    for src, sign in elements:
-        m = np.zeros((4, 4))
-        m[np.arange(4), src] = sign
-        _read_only(m)
-        matrices.append(m)
-    return {k: tuple(v) for k, v in after.items()}, tuple(matrices)
 
 
 @functools.lru_cache(maxsize=64)
@@ -497,11 +458,12 @@ def _cnot_gather(control: int, target: int, num_qubits: int) -> tuple[np.ndarray
     entry a of the result is sign[a] * c[src[a]]."""
     idx = np.arange(4**num_qubits)
     dc, dt = idx >> 2 * control & 3, idx >> 2 * target & 3
-    src16, sign16 = (np.array(v) for v in _SIGNED[GateKind.CNOT])
+    ptm = _ptm(GateKind.CNOT)
+    src16, sign16 = ptm.nonzero()[1], ptm[ptm != 0]  # one entry per row
     local = dc | dt << 2
     src = idx ^ dc << 2 * control ^ dt << 2 * target
     src |= (src16[local] & 3) << 2 * control | (src16[local] >> 2) << 2 * target
-    sign = sign16[local].astype(float)
+    sign = sign16[local]
     _read_only(src, sign)
     return src, sign
 
@@ -537,8 +499,7 @@ def _pauli_factors() -> np.ndarray:
     entries (r, c) in the order 00, 01, 10, 11, each as its real and
     imaginary part. Right-multiplied by it, complex data viewed as pairs of
     reals is multiplied as complex numbers."""
-    paulis = [np.eye(2)] + [GATE_MATRICES[k] for k in (GateKind.X, GateKind.Y, GateKind.Z)]
-    halves = np.stack(paulis).reshape(4, 4) / 2
+    halves = _PAULIS.reshape(4, 4) / 2
     m = np.stack((halves, 1j * halves), axis=1).view(float).reshape(4, 16)
     _read_only(m)
     return m
@@ -571,15 +532,18 @@ def _density(coeffs: np.ndarray, ops: list[np.ndarray], num_qubits: int) -> np.n
     return out.view(complex).reshape(-1)[_layout(n)].reshape(2**n, 2**n)
 
 
-def _pending(op: int | np.ndarray, lam: float, cliffords: tuple[np.ndarray, ...]) -> np.ndarray:
-    """A qubit's pending PTM R with its noise: diag(1, lam, lam, lam) R, the
-    merged depolarizing channel after R (it commutes with R). Row 0 of R is
-    (1, 0, 0, 0) exactly, as it is for every gate, so lam R with 1 at
-    [0, 0] is that product."""
-    m = cliffords[op] if type(op) is int else op
+_NO_MAP = np.eye(4)  # the identity PTM: a qubit's pending map before any 1-qubit gate
+_read_only(_NO_MAP)
+
+
+def _pending(op: np.ndarray, lam: float) -> np.ndarray:
+    """A qubit's pending PTM R, a 4x4 array that is never written, with its
+    noise: diag(1, lam, lam, lam) R, the merged depolarizing channel after R
+    (it commutes with R). Row 0 of every `_ptm` is (1, 0, 0, 0) exactly, so
+    is R's, and lam R with 1 at [0, 0] is that product."""
     if lam == 1.0:
-        return m
-    m = lam * m
+        return op
+    m = lam * op
     m[0, 0] = 1.0
     return m
 
@@ -588,38 +552,30 @@ def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
     """Evolve |0...0><0...0| through the circuit, applying a symmetric
     depolarizing channel to every qubit a gate touches, after the gate.
 
-    The state is its 4^n Pauli coefficients (see the module docstring).
-    Each qubit keeps one pending PTM, its 1-qubit gates since its last
-    CNOT, a number in `_cliffords` until a T or TDG makes it a matrix, and
-    one pending lam; before a CNOT the two qubits' pending maps pass over
-    the coefficients, then the CNOT's gather does. At the end each pending
-    map is folded into the qubit's factor of rho."""
+    The state is its 4^n Pauli coefficients (see the module docstring). Each
+    qubit keeps one pending map, the product of the PTMs of its 1-qubit
+    gates since its last CNOT, each derived from the gate's unitary, and one
+    pending lam. Before a CNOT its qubits' maps pass over the coefficients,
+    then its gather does; at the end each map folds into its qubit's rho
+    factor."""
     n = circuit.num_qubits
     _check_width(n, MAX_DENSITY_QUBITS)
-    after, cliffords = _cliffords()
     lam1, lam2 = 1.0 - 4.0 * noise.p1 / 3.0, 1.0 - 4.0 * noise.p2 / 3.0
     coeffs = _zero_state(n)
-    ops: list[int | np.ndarray] = [0] * n  # each qubit's pending PTM
-    lams = [1.0] * n  # and its pending lam
+    ops, lams = [_NO_MAP] * n, [1.0] * n  # each qubit's pending PTM and lam
     for g in circuit.gates:
-        kind = g.kind
-        if kind is GateKind.CNOT:
+        if g.kind is GateKind.CNOT:
             for q in g.qubits:
-                op = ops[q]
-                if type(op) is not int or op or lams[q] != 1.0:  # not the identity
-                    coeffs = _pass(coeffs, _pending(op, lams[q], cliffords), q)
-                    ops[q] = 0
+                if ops[q] is not _NO_MAP or lams[q] != 1.0:
+                    coeffs = _pass(coeffs, _pending(ops[q], lams[q]), q)
+                    ops[q] = _NO_MAP
                 lams[q] = lam2
             coeffs = _pass(coeffs, _cnot_gather(*g.qubits, n), None)
             continue
         q = g.qubits[0]
-        op = ops[q]
-        if type(op) is int and kind in after:
-            ops[q] = after[kind][op]
-        else:
-            ops[q] = _ptm(kind) @ (cliffords[op] if type(op) is int else op)
+        ops[q] = _ptm(g.kind) if ops[q] is _NO_MAP else _ptm(g.kind) @ ops[q]
         lams[q] *= lam1
-    out = DensityMatrix(_density(coeffs, [_pending(o, l, cliffords) for o, l in zip(ops, lams)], n))
+    out = DensityMatrix(_density(coeffs, [_pending(o, l) for o, l in zip(ops, lams)], n))
     out.validate()
     return out
 

@@ -5,12 +5,12 @@ Conventions: qubit 0 is the least-significant bit of a basis-state index;
 bitstring labels are written most-significant-bit first, so label "011"
 means qubit 1 and qubit 0 are set.
 
-Each payload checks itself when it is built: vectors and matrices span
-whole qubits, and a distribution checks each label and probability and its
-sum (within `tolerance`). A density matrix checks physicality only in
-`validate`, since `nonclassicality.sanitize` keeps indefinite published data
-indefinite on purpose. A built distribution's `probs` dict can still be
-mutated, and nothing checks it again.
+Each payload checks itself when it is built: vectors and matrices span whole
+qubits and hold finite entries, and a distribution checks each label and
+probability and its sum (within `tolerance`). A density matrix checks
+physicality only in `validate`, since `nonclassicality.sanitize` keeps
+indefinite published data indefinite on purpose. A built distribution's
+`probs` dict can still be mutated, and nothing checks it again.
 
 Distributions are plain dicts and need no numpy, so `qxopt mermin` never
 loads it; the vector and matrix code imports numpy where it runs.
@@ -49,6 +49,8 @@ class StateVector(Record):
 
         amp = np.asarray(amplitudes, dtype=complex).ravel()
         _num_qubits(amp.shape[0], "amplitude vector length")
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitude vector has a non-finite entry")
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -75,6 +77,8 @@ class DensityMatrix(Record):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         _num_qubits(m.shape[0], "dimension")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         object.__setattr__(self, "matrix", m)
 
     def validate(self) -> None:

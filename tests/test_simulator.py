@@ -343,33 +343,21 @@ def test_each_kinds_pauli_transfer_matrix_matches_its_unitary(kind):
     assert _is_signed_permutation(ptm) == (kind not in (GateKind.T, GateKind.TDG))
 
 
-def test_one_qubit_clifford_table_is_closed_and_each_entry_a_product():
-    after, matrices = simulator._cliffords()
-    assert len(matrices) == 24
-    assert len({m.tobytes() for m in matrices}) == 24
-    assert np.array_equal(matrices[0], np.eye(4))
-    assert set(after) == set(GateKind) - {GateKind.T, GateKind.TDG, GateKind.CNOT}
-    for kind, row in after.items():
-        for i, j in enumerate(row):
-            assert _is_signed_permutation(matrices[j])
-            assert np.array_equal(matrices[j], simulator._ptm(kind) @ matrices[i])
-
-
 @pytest.mark.parametrize("lam", [0.9, 1 - 4 * 0.37 / 3, -1 / 3])
 def test_depolarizing_is_a_pauli_scale(lam):
     # diag(1, lam, lam, lam) on one qubit's Pauli digit is the Pauli-sum
     # channel with p = 3 (1 - lam) / 4; lam = -1/3 is p = 1.
     rng = np.random.default_rng(8)
-    _, matrices = simulator._cliffords()
+    identity = np.eye(4)
     for n in (1, 2, 3):
         a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
         coeffs = np.array([np.trace(_pauli_string(b, n) @ rho).real for b in range(4**n)])
-        assert np.max(np.abs(simulator._density(coeffs, [matrices[0]] * n, n) - rho)) < 1e-12
+        assert np.max(np.abs(simulator._density(coeffs, [identity] * n, n) - rho)) < 1e-12
         for q in range(n):
-            scaled = simulator._pass(coeffs, simulator._pending(0, lam, matrices), q)
-            got = simulator._density(scaled, [matrices[0]] * n, n)
+            scaled = simulator._pass(coeffs, simulator._pending(identity, lam), q)
+            got = simulator._density(scaled, [identity] * n, n)
             want = dense_oracle._depolarize(rho, q, 3 * (1 - lam) / 4, n)
             assert np.max(np.abs(got - want)) < 1e-12
 

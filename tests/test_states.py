@@ -186,10 +186,20 @@ def test_parse_distribution_pins_each_refusal(text, message):
             lambda: ProbabilityDistribution(1, {"0": 0.5, "2": 0.5}),
             "bad outcome label '2' for 1 qubits",
         ),
+        # Every comparison with NaN is false, so `validate`'s bounds alone
+        # would let these through, and a fidelity computed from them is NaN.
+        (lambda: DensityMatrix(np.full((2, 2), np.nan)), "density matrix has a non-finite entry"),
+        (
+            lambda: DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]])),
+            "density matrix has a non-finite entry",
+        ),
+        (lambda: DensityMatrix(np.array([[np.inf, 0.0], [0.0, 0.5]])), "density matrix has a non-finite entry"),
+        (lambda: StateVector(np.array([np.nan, 1.0])), "amplitude vector has a non-finite entry"),
     ],
     ids=[
         "vector-of-three", "vector-of-one", "non-square", "dm-file-of-three", "dm-file-of-one",
-        "short-label", "non-binary-label",
+        "short-label", "non-binary-label", "all-nan-matrix", "nan-off-diagonal", "infinite-entry",
+        "nan-vector",
     ],
 )
 def test_state_containers_refuse_what_is_not_a_qubit_space(make, message):

@@ -23,7 +23,7 @@ otherwise:
   before its square root, so it returns sqrt(<u|rho1+|u>), rho1+ being rho1
   without them. That is sqrt(<u|rho1|u>) only when rho1 has none, so the
   closed form waits for a certificate: a Cholesky factorization of
-  rho1 + PSD_SHIFT I, which exists only when rho1's smallest eigenvalue is
+  rho1 + PSD_SHIFT I (`states.positive_semidefinite`), which exists only when rho1's smallest eigenvalue is
   above about -PSD_SHIFT. Indefinite data, such as the published
   tomography, fails it and keeps the general formula's value.
 Both hold for Hermitian arguments, as every density matrix is. A
@@ -40,7 +40,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from . import Record
-from .states import DensityMatrix, ProbabilityDistribution
+from .states import DensityMatrix, ProbabilityDistribution, positive_semidefinite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -137,20 +137,6 @@ def _rank_one(m: np.ndarray) -> np.ndarray | None:
     return u
 
 
-def _positive_semidefinite(m: np.ndarray) -> bool:
-    """Whether m + PSD_SHIFT I has a Cholesky factor, so that m has no
-    eigenvalue below about -PSD_SHIFT."""
-    import numpy as np
-
-    shifted = m.copy()
-    shifted.ravel()[:: len(m) + 1] += PSD_SHIFT
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), clamped to [0, 1].
 
@@ -169,7 +155,7 @@ def uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     u, other = _rank_one(a), b
     if u is None:
         u, other = _rank_one(b), a
-        if u is not None and not _positive_semidefinite(a):
+        if u is not None and not positive_semidefinite(a, PSD_SHIFT):
             u = None
     if u is not None:
         fid = math.sqrt(max(float(np.vdot(u, other @ u).real), 0.0))

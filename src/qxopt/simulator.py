@@ -12,10 +12,13 @@ back in a frame and folds a gate through them while its conjugate stays
 monomial (see `_plan`), so a CNOT reversed by H gates, as a mapped circuit
 writes it, is one more permutation. A CNOT whose control alone meets the
 frame first opens a window on its two wires, which folds the gates on them
-once their product is monomial up to H gates. An H passes over the array
-by itself only where an S, SDG, T or TDG meets it, or such a CNOT whose
-window was given up, or at the end. Each gate's pair is built once per
-width and read from a cache, and so is each window's that folds.
+once their product is monomial up to H gates. Every step folded is a
+matrix, the gate's own conjugated by the frame or a window's product,
+embedded on 2^n rows by one function (`_embed`); no gate's action is
+written down twice. An H passes over the array by itself only where an S,
+SDG, T or TDG meets it, or such a CNOT whose window was given up, or at
+the end. Each gate's pair is built once per width and read from a cache,
+and so is each window's.
 The runner takes an array, or a range of identity columns, which the
 plan's first gather builds by one scatter.
 
@@ -92,14 +95,12 @@ GATE_MATRICES: dict[GateKind, np.ndarray] = {
 _H = GATE_MATRICES[GateKind.H]
 
 
-def _monomial(m: np.ndarray) -> tuple[int, np.ndarray]:
-    """A monomial 2x2 matrix as (flip, phases): output bit b reads input bit
-    b ^ flip, scaled by phases[b]."""
-    flip = int(m[0, 0] == 0)
-    return flip, m[[0, 1], [flip, 1 - flip]]
-
-
-_MONOMIAL = {k: _monomial(m) for k, m in GATE_MATRICES.items() if k is not GateKind.H}
+def _rounded(m: np.ndarray) -> np.ndarray:
+    """m with each entry within 1e-12 of an integer, or of a Gaussian integer
+    for a complex m, rounded to it, and -0.0 made 0.0: a Clifford's derived
+    matrices come out exact."""
+    r = np.round(m)
+    return np.where(np.abs(m - r) < 1e-12, r, m) + 0.0
 
 
 def _gather(rows: np.ndarray | range, src: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -141,39 +142,29 @@ def _identity(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 # A gate as its kind and qubits, without the validation of a `Gate`.
 Pair = tuple[GateKind, tuple[int, ...]]
+# A monomial matrix on 2^n rows as `_embed` gives it, and a window's fold.
+Step = tuple[np.ndarray | None, np.ndarray | None]
+Fold = tuple[np.ndarray | None, np.ndarray | None, int]
 
 
-# H g H for the 1-qubit gates that it leaves monomial, as `_monomial` gives
-# them: H X H = Z, H Z H = X and H Y H = -Y. H S H and H T H mix two rows.
-_THROUGH_H = {
-    GateKind.X: _MONOMIAL[GateKind.Z],
-    GateKind.Y: (1, -_MONOMIAL[GateKind.Y][1]),
-    GateKind.Z: _MONOMIAL[GateKind.X],
-}
-
-
-@functools.lru_cache(maxsize=256)
-def _move(
-    kind: GateKind, qubits: tuple[int, ...], num_qubits: int, framed: int = 0
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """One monomial gate on 2^n rows, conjugated by H on its qubits in the
-    bitmask `framed` (a monomial conjugate, see `_plan`), as read-only
-    (src, phase) arrays: row i of the result is phase[i] * row src[i]. None
-    stands for the identity permutation or all-one phases."""
+def _embed(m: np.ndarray, wires: tuple[int, ...], num_qubits: int) -> Step | None:
+    """A unitary 2^k x 2^k matrix m on k `wires`, wire j its bit j, as a
+    read-only (src, phase) pair on 2^n rows when m is monomial, one nonzero
+    entry per row: row i of the result is phase[i] * row src[i]. None stands
+    for the identity permutation or all-one phases, and for the whole pair
+    when m is not monomial."""
+    if np.count_nonzero(m) != len(m):
+        return None
+    col, entry = m.nonzero()[1], m[m != 0]  # row by row
     idx = np.arange(2**num_qubits)
-    if kind is GateKind.CNOT:
-        control, target = qubits
-        if framed == 1 << target:  # H_t CX H_t = CZ
-            src, phase = None, 1 - 2 * ((idx >> control) & (idx >> target) & 1) + 0j
-        else:
-            if framed:  # (H (x) H) CX (H (x) H) is the reversed CX
-                control, target = target, control
-            src, phase = idx ^ (((idx >> control) & 1) << target), None
-    else:
-        (q,) = qubits
-        flip, phases = (_THROUGH_H if framed else _MONOMIAL)[kind]
-        src = idx ^ (1 << q) if flip else None
-        phase = phases[(idx >> q) & 1]
+    row = sum([(idx >> w & 1) << j for j, w in enumerate(wires)])  # each row's row of m
+    src = phase = None
+    moved = (col ^ range(len(m))).tolist()  # the bits of its row each row of m flips
+    if any(moved):
+        flips = np.array([sum((d >> j & 1) << w for j, w in enumerate(wires)) for d in moved])
+        src = idx ^ flips[row]
+    if (entry != 1).any():
+        phase = entry[row]
     _read_only(src, phase)
     return src, phase
 
@@ -187,51 +178,45 @@ _IN_WINDOW = {
     (GateKind.CNOT, (0, 1)): np.eye(4, dtype=complex)[[0, 3, 2, 1]],
     (GateKind.CNOT, (1, 0)): np.eye(4, dtype=complex)[[0, 1, 3, 2]],
 }
-# H_G for the four subsets G of a window's wires, G as a 2-bit mask.
+# H_G for the four subsets G of two wires, G as a 2-bit mask.
 _H_ON = np.stack([np.kron(*(_H if g & b else np.eye(2) for b in (2, 1))) for g in range(4)])
 # Gates a window holds before it is given up.
 _WINDOW_GATES = 8
-
-
-def _turn(kind: GateKind, w: int, t: int, images: int) -> int:
-    """The images U Z_0 U^dagger and U Z_1 U^dagger of a window's product U,
-    up to sign, after one more Clifford gate on its wires w (and t, for a
-    CNOT's target), 0 or 1 each. An image is a 4-bit Pauli mask, bits 0 and
-    1 its X part on the window's wires and bits 2 and 3 its Z part; Z_0's
-    image is the low nibble of `images`."""
-    if kind is GateKind.H:  # X <-> Z
-        x, z = images & 0x11 << w, images & 0x44 << w
-        return images ^ x ^ z | x << 2 | z >> 2
-    if kind is GateKind.CNOT:  # X_c -> X_c X_t, Z_t -> Z_c Z_t
-        images ^= (images >> w & 0x11) << t
-        return images ^ (images >> 2 + t & 0x11) << 2 + w
-    if kind is GateKind.S or kind is GateKind.SDG:  # X -> +-Y
-        return images ^ (images >> w & 0x11) << 2 + w
-    return images  # a Pauli only changes signs
-
-
-# The images as a window opens, after H on its control and the CNOT.
-_OPENED = _turn(GateKind.CNOT, 0, 1, _turn(GateKind.H, 0, 0, 0x84))
+# H_F g H_F for every kind g but H, by the set F of g's wires that H gates
+# frame (see `_plan`), F a mask of their places in g: bit 0 a CNOT's control.
+_CONJUGATES = {
+    kind: [_rounded(h @ m @ h) for h in (_H_ON if len(m) == 4 else (np.eye(2), _H))]
+    for kind, m in {**GATE_MATRICES, GateKind.CNOT: _IN_WINDOW[GateKind.CNOT, (0, 1)]}.items()
+    if kind is not GateKind.H
+}
 
 
 @functools.lru_cache(maxsize=256)
-def _window_move(held: tuple[Pair, ...], g: int, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """M = H_G U, monomial, as a read-only (src, phase) pair on 2^n rows: U
-    is H on the control of the CNOT `held` starts with, then the `held`
-    gates, on that CNOT's two wires; G is a 2-bit mask of those wires."""
+def _move(kind: GateKind, qubits: tuple[int, ...], num_qubits: int, framed: int) -> Step | None:
+    """The gate H_F g H_F, for F the qubits of g in the bitmask `framed`, as
+    `_embed` gives it on 2^n rows: None when it is not monomial."""
+    f = sum(1 << j for j, q in enumerate(qubits) if framed >> q & 1)
+    return _embed(_CONJUGATES[kind][f], qubits, num_qubits)
+
+
+@functools.lru_cache(maxsize=256)
+def _window_move(held: tuple[Pair, ...], num_qubits: int) -> Fold | None:
+    """A window's fold (see `_plan`): U is H on the control of the CNOT that
+    `held` starts with, then the `held` gates, all on that CNOT's two wires;
+    for the one 2-bit mask G of those wires that makes M = H_G U monomial,
+    `_embed` of M and then G. None when no G does."""
     wires = held[0][1]
     u = _IN_WINDOW[GateKind.H, (0,)]
     for kind, qubits in held:
         u = _IN_WINDOW[kind, tuple(wires.index(q) for q in qubits)] @ u
-    m = _H_ON[g] @ u
-    a, b = wires
-    idx = np.arange(2**num_qubits)
-    row = (idx >> a) & 1 | ((idx >> b) & 1) << 1
-    col = np.argmax(np.abs(m), axis=1)
-    src = idx & ~(1 << a | 1 << b) | ((col & 1) << a | (col >> 1) << b)[row]
-    phase = m[np.arange(4), col][row]
-    _read_only(src, phase)
-    return src, phase
+    ms = _H_ON @ u
+    # U is Clifford, so an entry of H_G U has magnitude 0, 1/2, 1/sqrt(2) or
+    # 1, and a row with an entry of magnitude 1 has no other nonzero entry.
+    fits = np.flatnonzero(np.abs(ms).max(axis=2).min(axis=1) > 0.9)
+    if not len(fits):
+        return None
+    g = int(fits[0])
+    return (*_embed(_rounded(ms[g]), wires, num_qubits), g)
 
 
 def _plan(
@@ -244,34 +229,28 @@ def _plan(
     What is read and not yet emitted is H_F P: first the pending pair P,
     then H on each qubit of the frame F. An H toggles its qubit in F, since
     H H = I. Any other gate g is folded into P as H_F g H_F, since
-    g H_F = H_F (H_F g H_F), and that is g off F. On F, H X H = Z,
-    H Y H = -Y (the sign goes into the phases, so the global phase is
-    exact), a CNOT with both qubits in F is the reversed CNOT, and one with
-    its target alone in F is CZ; each is monomial, with phases +-1 or +-i.
-    S, SDG, T or TDG on a qubit of F, or a CNOT whose control alone is in
-    F, is not: P is emitted, then H on that one qubit, which leaves F, and
-    the gate is then folded. At the end P is emitted, then H on the rest of
-    F in ascending order.
+    g H_F = H_F (H_F g H_F): that conjugate of g's matrix, embedded on 2^n
+    rows (`_move`), whenever it is monomial. Its phases carry every sign, so
+    the global phase is exact. When it is not (S, SDG, T or TDG on a qubit
+    of F, or a CNOT whose control alone is in F), P is emitted, then H on
+    that one qubit, which leaves F, and g is then folded as it is. At the
+    end P is emitted, then H on the rest of F in ascending order.
 
     A CNOT whose control alone is in F first opens a window on its two
     wires instead: U, the product of H on the control and the CNOT. Later
     gates on those wires alone join U; gates off them commute with U and
     are read as before. Once U = H_G M with M monomial and G a set of the
     two wires, M is folded into P and G joins F, since
-    H_F U P = H_F H_G M P and M commutes with H_F. U stays Clifford, so
-    the check follows only U's images of Z on the two wires (`_turn`):
-    H_G U is monomial exactly when it maps both to products of Z, and G is
-    then the wires where they have an X part. M is multiplied out, 4x4,
-    only when it folds, and its pair is cached by the gates the window
-    held, since a mapped circuit repeats a few such runs. T or TDG on the two wires, a gate on one of them
-    and a third, the end, or _WINDOW_GATES gates held give the window up:
-    the CNOT then flushes as above, and the gates held after it are read
-    again. A mapped circuit writes a CNOT against an
-    edge's direction with H gates that the search may move or merge with a
-    neighbour's, differently for each of the placements it ties on. One
-    gate at a time the frame finds the permutation in only some of those
-    forms; the window finds it in the others, so a check costs the same
-    whichever placement won.
+    H_F U P = H_F H_G M P and M commutes with H_F (`_window_move`, cached by
+    the gates the window held, since a mapped circuit repeats a few such
+    runs). T or TDG on the two wires, a gate on one of them and a third, the
+    end, or _WINDOW_GATES gates held give the window up: the CNOT then
+    flushes as above, and the gates held after it are read again. A mapped
+    circuit writes a CNOT against an edge's direction with H gates that the
+    search may move or merge with a neighbour's, differently for each of the
+    placements it ties on. One gate at a time the frame finds the
+    permutation in only some of those forms; the window finds it in the
+    others, so a check costs the same whichever placement won.
 
     An H step takes at least one H gate off F, and a gather comes only
     before an H step or at the end. A window's G has no more qubits than
@@ -289,82 +268,65 @@ def _plan(
     # The pending pair; None while nothing is pending.
     src, phase = identity if columns else (None, None)
     frame = 0  # F as a bitmask
-    window = None  # [its two wires, them as a bitmask, `_turn` images, the gates it holds]
+    window = None  # [its two wires, them as a bitmask, the gates it holds]
     gates = iter(gates)
     source = gates  # or an iterator over gates to read again, before the rest
     while True:
         for kind, qubits in source:
-            if window is not None and (1 << qubits[0] | 1 << qubits[-1]) & window[1]:
-                wires, on, images, held = window
+            on = 1 << qubits[0] | 1 << qubits[-1]
+            if window is not None and on & window[1]:
+                wires, held = window[0], window[2]
                 held.append((kind, qubits))
-                inside = not (1 << qubits[0] | 1 << qubits[-1]) & ~on
-                if inside and kind is not GateKind.T and kind is not GateKind.TDG:
-                    images = _turn(kind, qubits[0] != wires[0], qubits[-1] != wires[0], images)
-                    # H_G U is monomial when it maps Z_0 and Z_1 to Z-type Paulis.
-                    both = (images | images >> 4) & 15
-                    if not both & both >> 2:
-                        if src is None:
-                            src, phase = identity
-                        g_src, g_phase = _window_move(tuple(held), both & 3, num_qubits)
-                        src, phase = src[g_src], phase[g_src] * g_phase
-                        frame |= (both & 1) << wires[0] | (both >> 1 & 1) << wires[1]
-                        window = None
-                        continue
-                    if len(held) < _WINDOW_GATES:
-                        window[2] = images
-                        continue
-                # Given up: the CNOT flushes, as it would have without the
-                # window, and the gates held after it are read again; the
-                # one gate that gave the window up right away is read below.
-                if src is not None:
-                    yield src, phase
-                yield wires[0]
-                src, phase = _move(GateKind.CNOT, wires, num_qubits, 0)[0], identity[1]
-                window = None
-                if len(held) > 2:
-                    source = iter(held[1:] if source is gates else held[1:] + list(source))
+                if on & ~window[1] or kind is GateKind.T or kind is GateKind.TDG:
                     break
-            if kind is GateKind.H:
-                frame ^= 1 << qubits[0]
+                step = _window_move(tuple(held), num_qubits)
+                if step is None:
+                    if len(held) < _WINDOW_GATES:
+                        continue
+                    break
+                frame |= (step[2] & 1) << wires[0] | (step[2] >> 1) << wires[1]
+                window = None
+            elif kind is GateKind.H:
+                frame ^= on
                 continue
-            framed = frame and frame & (1 << qubits[0] | 1 << qubits[-1])
-            # S, SDG, T or TDG on F, or a CNOT whose control alone is on F: its
-            # conjugate is not monomial, so P and H on that qubit go first.
-            if framed and (
-                framed == 1 << qubits[0] if kind is GateKind.CNOT else kind not in _THROUGH_H
-            ):
-                if kind is GateKind.CNOT and window is None:
-                    window = [qubits, 1 << qubits[0] | 1 << qubits[1], _OPENED, [(kind, qubits)]]
+            else:
+                framed = frame & on
+                step = _move(kind, qubits, num_qubits, framed)
+                if step is None:
+                    if kind is GateKind.CNOT and window is None:
+                        window = [qubits, on, [(kind, qubits)]]
+                        frame ^= framed
+                        continue
+                    if src is not None:
+                        yield src, phase
+                        src = None
+                    yield qubits[0]
                     frame ^= framed
-                    continue
-                if src is not None:
-                    yield src, phase
-                    src = None
-                yield qubits[0]
-                frame ^= framed
-                framed = 0
+                    step = _move(kind, qubits, num_qubits, 0)
             if src is None:
                 src, phase = identity
-            # Composing gate (g_src, g_phase) after the pending pair gives
+            # Composing (g_src, g_phase) after the pending pair gives
             # src[g_src] and g_phase * phase[g_src].
-            g_src, g_phase = _move(kind, qubits, num_qubits, framed)
-            if g_src is not None:
-                src, phase = src[g_src], phase[g_src]
-            if g_phase is not None:
-                phase = phase * g_phase
+            if step[0] is not None:
+                src, phase = src[step[0]], phase[step[0]]
+            if step[1] is not None:
+                phase = phase * step[1]
         else:
             if source is not gates:
                 source = gates
-            elif window is None:
+                continue
+            if window is None:
                 break
-            else:  # the end gives the window up
-                wires, held = window[0], window[3]
-                if src is not None:
-                    yield src, phase
-                yield wires[0]
-                src, phase = _move(GateKind.CNOT, wires, num_qubits, 0)[0], identity[1]
-                window = None
-                source = iter(held[1:])
+        # The window is given up, by the gate just read or by the end: the
+        # CNOT flushes, as it would have without the window, and the gates
+        # held after it are read again, then the rest.
+        wires, held = window[0], window[2]
+        if src is not None:
+            yield src, phase
+        yield wires[0]
+        src, phase = _move(GateKind.CNOT, wires, num_qubits, 0)[0], identity[1]
+        window = None
+        source = iter(held[1:] + ([] if source is gates else list(source)))
     if src is not None:
         yield src, phase
     if frame:
@@ -437,17 +399,15 @@ _read_only(_PAULIS)
 def _ptm(kind: GateKind) -> np.ndarray:
     """The kind's PTM, 16x16 for a CNOT, as a read-only matrix derived from
     its unitary: `GATE_MATRICES`, or `_IN_WINDOW`'s CNOT, its control the
-    low bit, digit a_0 of a = a_0 + 4 a_1. Entries within 1e-12 of an
-    integer are rounded to it, so a Clifford's R is exactly a signed
-    permutation."""
+    low bit, digit a_0 of a = a_0 + 4 a_1. It is `_rounded`, so a
+    Clifford's R is exactly a signed permutation."""
     p = _PAULIS
     if kind is GateKind.CNOT:
         u = _IN_WINDOW[kind, (0, 1)]
         p = np.stack([np.kron(p[a >> 2], p[a & 3]) for a in range(16)])
     else:
         u = GATE_MATRICES[kind]
-    m = np.einsum("aij,bji->ab", p, u @ p @ u.conj().T).real / len(u)
-    m = np.where(np.abs(m - np.round(m)) < 1e-12, np.round(m), m) + 0.0  # + 0.0 makes -0.0 0.0
+    m = _rounded(np.einsum("aij,bji->ab", p, u @ p @ u.conj().T).real / len(u))
     _read_only(m)
     return m
 
@@ -566,9 +526,11 @@ def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
     for g in circuit.gates:
         if g.kind is GateKind.CNOT:
             for q in g.qubits:
-                if ops[q] is not _NO_MAP or lams[q] != 1.0:
+                # A product that came back to the identity (say H H) and no
+                # noise: nothing to pass.
+                if lams[q] != 1.0 or ops[q] is not _NO_MAP and not np.array_equal(ops[q], _NO_MAP):
                     coeffs = _pass(coeffs, _pending(ops[q], lams[q]), q)
-                    ops[q] = _NO_MAP
+                ops[q] = _NO_MAP
                 lams[q] = lam2
             coeffs = _pass(coeffs, _cnot_gather(*g.qubits, n), None)
             continue

@@ -9,7 +9,9 @@ Each payload checks itself when it is built: vectors and matrices span whole
 qubits and hold finite entries, and a distribution checks each label and
 probability and its sum (within `tolerance`). A density matrix checks
 physicality only in `validate`, since `nonclassicality.sanitize` keeps
-indefinite published data indefinite on purpose. A built distribution's
+indefinite published data indefinite on purpose; its eigenvalue bound is a
+Cholesky certificate (`positive_semidefinite`), with the spectrum computed
+only when that fails. A built distribution's
 `probs` dict can still be mutated, and nothing checks it again.
 
 Distributions are plain dicts and need no numpy, so `qxopt mermin` never
@@ -66,6 +68,21 @@ def basis_state(num_qubits: int) -> StateVector:
     return StateVector(amp)
 
 
+def positive_semidefinite(m: np.ndarray, shift: float) -> bool:
+    """Whether the Hermitian m + shift I has a Cholesky factor, which
+    certifies that m has no eigenvalue below about -shift without computing
+    its spectrum."""
+    import numpy as np
+
+    shifted = m.copy()
+    shifted.ravel()[:: len(m) + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class DensityMatrix(Record):
     __slots__ = ("matrix",)
     matrix: np.ndarray
@@ -90,9 +107,12 @@ class DensityMatrix(Record):
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(float(np.trace(m).real) - 1.0) > herm_tol:
             raise ValueError(f"trace = {np.trace(m).real}, not 1 within {herm_tol}")
-        low = float(np.min(np.linalg.eigvalsh(m)))
-        if low < -eig_tol:
-            raise ValueError(f"matrix has eigenvalue {low} < -{eig_tol}")
+        # The spectrum is computed only when the certificate fails, to
+        # decide and report the lowest eigenvalue.
+        if not positive_semidefinite(m, eig_tol):
+            low = float(np.min(np.linalg.eigvalsh(m)))
+            if low < -eig_tol:
+                raise ValueError(f"matrix has eigenvalue {low} < -{eig_tol}")
 
 
 class NoiseSpec(Record):

@@ -8,29 +8,32 @@ the check `simulator.equivalent` ran before it built its unitaries one
 column block at a time: the shipped kernel's two whole 2^n x 2^n matrices,
 then one comparison. `frameless_plan` is the plan `simulator._plan` made
 before it held H gates back in a frame: every H is its own pass over the
-array. `miter_equivalent` is the check `simulator.equivalent` ran before it
-removed the inverse pairs at the miter's seam: every gate of both circuits
-in one `frameless_plan`. `eigen_uhlmann_fidelity` is the general formula that
+array. `typed_move`, `typed_turn` and `typed_window_mask` are the plan's
+gate algebra as typed rules, before `simulator._plan` derived each step
+from its gate's matrix: each gate and its conjugates through H gates, and
+the bit rules that tracked a window's images of Z. `miter_equivalent` is
+the check `simulator.equivalent` ran before it removed the inverse pairs
+at the miter's seam: every gate of both circuits in one `frameless_plan`.
+`eigen_uhlmann_fidelity` is the general formula that
 `nonclassicality.uhlmann_fidelity` now runs only when neither argument
 allows its closed form: two eigendecompositions on every call.
-`superoperator_run_noisy` is
-the density-matrix kernel that `run_noisy` ran before it deferred each
-qubit's noise: every gate together with its noise as one superoperator,
-contracted with the row and column axes of the qubits it touches.
-`deferred_run_noisy` is the one `run_noisy` ran after that, before it
-evolved Pauli coefficients: rho itself, conjugated by two runs of one
-dense plan per run of gates, with each qubit's noise deferred to its next
-CNOT or the end and applied there as one merged channel. Everything
-else builds each
-gate as a full 2^n x 2^n matrix from Kronecker products (or a dense CNOT
-permutation), depolarizing noise as the explicit sum of the three Pauli
-conjugations, and placements as dense permutation matrices.
-Slow, but every step is plain linear algebra, so the differential tests in
-`test_simulator.py` and `test_nonclassicality.py` compare the shipped code
-against it.
+`superoperator_run_noisy` is the density-matrix kernel that `run_noisy`
+ran before it deferred each qubit's noise: every gate together with its
+noise as one superoperator, contracted with the row and column axes of the
+qubits it touches. `deferred_run_noisy` is the one `run_noisy` ran after
+that, before it evolved Pauli coefficients: rho itself, conjugated by two
+runs of one dense plan per run of gates, with each qubit's noise deferred
+to its next CNOT or the end and applied there as one merged channel.
+Everything else builds each gate as a full 2^n x 2^n matrix from
+Kronecker products (or a dense CNOT permutation), depolarizing noise as
+the explicit sum of the three Pauli conjugations, and placements as dense
+permutation matrices. Slow, but every step is plain linear algebra, so
+the differential tests in `test_simulator.py` and `test_nonclassicality.py`
+compare the shipped code against it.
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -387,10 +390,91 @@ def frameless_plan(
             continue
         if src is None:
             src, phase = identity
-        g_src, g_phase = simulator._move(kind, qubits, num_qubits)
+        g_src, g_phase = typed_move(kind, qubits, num_qubits, 0)
         if g_src is not None:
             src, phase = src[g_src], phase[g_src]
         if g_phase is not None:
             phase = phase * g_phase
     if src is not None:
         yield src, phase
+
+
+# The dense plan's gate algebra as it was typed by hand before `simulator`
+# derived each step from its gate's matrix (`simulator._embed`).
+
+
+def _typed_monomial(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """A monomial 2x2 matrix as (flip, phases): output bit b reads input bit
+    b ^ flip, scaled by phases[b]."""
+    flip = int(m[0, 0] == 0)
+    return flip, m[[0, 1], [flip, 1 - flip]]
+
+
+_TYPED = {k: _typed_monomial(m) for k, m in GATE_MATRICES.items() if k is not GateKind.H}
+# H g H for the 1-qubit gates that it leaves monomial: H X H = Z, H Z H = X
+# and H Y H = -Y. H S H and H T H mix two rows.
+_TYPED_THROUGH_H = {
+    GateKind.X: _TYPED[GateKind.Z],
+    GateKind.Y: (1, -_TYPED[GateKind.Y][1]),
+    GateKind.Z: _TYPED[GateKind.X],
+}
+
+
+@functools.lru_cache(maxsize=256)
+def typed_move(
+    kind: GateKind, qubits: tuple[int, ...], num_qubits: int, framed: int
+) -> tuple[np.ndarray | None, np.ndarray | None] | None:
+    """`simulator._move` as typed rules: one gate on 2^n rows, conjugated by
+    H on its qubits in the bitmask `framed`, as read-only (src, phase)
+    arrays, None for the identity permutation or all-one phases. On a
+    framed target alone a CNOT is CZ, on both qubits the reversed CNOT; on
+    a framed control alone, and S, SDG, T or TDG on a framed qubit, the
+    conjugate is not monomial and the result is None."""
+    idx = np.arange(2**num_qubits)
+    framed &= sum(1 << q for q in qubits)
+    if kind is GateKind.CNOT:
+        control, target = qubits
+        if framed == 1 << control:
+            return None
+        if framed == 1 << target:  # H_t CX H_t = CZ
+            src, phase = None, 1 - 2 * ((idx >> control) & (idx >> target) & 1) + 0j
+        else:
+            if framed:  # (H (x) H) CX (H (x) H) is the reversed CX
+                control, target = target, control
+            src, phase = idx ^ (((idx >> control) & 1) << target), None
+    else:
+        if framed and kind not in _TYPED_THROUGH_H:
+            return None
+        (q,) = qubits
+        flip, phases = (_TYPED_THROUGH_H if framed else _TYPED)[kind]
+        src = idx ^ (1 << q) if flip else None
+        phase = phases[(idx >> q) & 1]
+    simulator._read_only(src, phase)
+    return src, phase
+
+
+def typed_turn(kind: GateKind, w: int, t: int, images: int) -> int:
+    """The images U Z_0 U^dagger and U Z_1 U^dagger of a window's product U,
+    up to sign, after one more Clifford gate on its wires w (and t, for a
+    CNOT's target), 0 or 1 each, by the conjugation rules of Aaronson and
+    Gottesman (quant-ph/0406196). An image is a 4-bit Pauli mask, bits 0 and
+    1 its X part on the window's wires and bits 2 and 3 its Z part; Z_0's
+    image is the low nibble of `images`. U starts as the identity, 0x84."""
+    if kind is GateKind.H:  # X <-> Z
+        x, z = images & 0x11 << w, images & 0x44 << w
+        return images ^ x ^ z | x << 2 | z >> 2
+    if kind is GateKind.CNOT:  # X_c -> X_c X_t, Z_t -> Z_c Z_t
+        images ^= (images >> w & 0x11) << t
+        return images ^ (images >> 2 + t & 0x11) << 2 + w
+    if kind is GateKind.S or kind is GateKind.SDG:  # X -> +-Y
+        return images ^ (images >> w & 0x11) << 2 + w
+    return images  # a Pauli only changes signs
+
+
+def typed_window_mask(images: int) -> int | None:
+    """The 2-bit mask G of a window's wires for which H_G U is monomial, read
+    off `typed_turn`'s images: H_G U is monomial exactly when it maps Z_0
+    and Z_1 to products of Z, and G is the wires where U's images have an X
+    part. None when no G makes it monomial."""
+    both = (images | images >> 4) & 15
+    return None if both & both >> 2 else both & 3

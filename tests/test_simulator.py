@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -410,16 +411,36 @@ def test_run_noisy_passes_over_the_coefficients_only_at_cnots(monkeypatch):
     assert passes == [None, None, None]
 
 
+def test_run_noisy_passes_over_no_product_that_is_the_identity(monkeypatch):
+    # H H, and S S Z, multiply back to the identity before the CNOT: without
+    # noise only the CNOT's gather passes; with noise on qubit 0, its
+    # channel does too.
+    passes = _count_passes(monkeypatch)
+    h = (gate1(GateKind.H, 0),) * 2
+    s = (gate1(GateKind.S, 0),) * 2 + (gate1(GateKind.Z, 0),)
+    for ones, noise, want in (
+        (h, NoiseSpec(p1=0.0, p2=0.0), [None]),
+        (s, NoiseSpec(p1=0.0, p2=0.0), [None]),
+        (h, NoiseSpec(p1=0.1, p2=0.0), [0, None]),
+    ):
+        c = Circuit(2, ones + (cnot(0, 1), gate1(GateKind.H, 1)))
+        passes.clear()
+        rho = run_noisy(c, noise)
+        assert passes == want
+        assert np.max(np.abs(rho.matrix - dense_oracle.run_noisy(c, noise).matrix)) < 1e-12
+
+
 def test_cached_gate_moves_refuse_writes():
-    src, phase = simulator._move(GateKind.CNOT, (0, 1), 3)
+    src, phase = simulator._move(GateKind.CNOT, (0, 1), 3, 0)
     assert phase is None
     with pytest.raises(ValueError):
         src[0] = 5
-    src, phase = simulator._move(GateKind.Y, (1,), 3)
+    src, phase = simulator._move(GateKind.Y, (1,), 3, 0)
     with pytest.raises(ValueError):
         phase[0] = 0.0
-    assert simulator._move(GateKind.Y, (1,), 3)[0] is src
-    # A window's pair: H0 CNOT(0, 1) H1 H0 CNOT(1, 0) H1 is the identity.
+    assert simulator._move(GateKind.Y, (1,), 3, 0)[0] is src
+    # A window's fold: H0 CNOT(0, 1) H1 H0 CNOT(1, 0) H1 is the identity,
+    # and then an X on wire 0 makes M = X0, a real permutation.
     held = (
         (GateKind.CNOT, (0, 1)),
         (GateKind.H, (1,)),
@@ -427,14 +448,64 @@ def test_cached_gate_moves_refuse_writes():
         (GateKind.CNOT, (1, 0)),
         (GateKind.H, (1,)),
     )
-    src, phase = simulator._window_move(held, 0, 3)
-    assert np.array_equal(src, np.arange(8))
-    assert np.max(np.abs(phase - 1)) < 1e-12
+    assert simulator._window_move(held, 3) == (None, None, 0)
+    src, phase, g = simulator._window_move(held + ((GateKind.X, (0,)),), 3)
+    assert g == 0 and phase is None
+    assert np.array_equal(src, np.arange(8) ^ 1)
     with pytest.raises(ValueError):
         src[0] = 5
-    with pytest.raises(ValueError):
-        phase[0] = 0.0
-    assert simulator._window_move(held, 0, 3)[0] is src
+    assert simulator._window_move(held + ((GateKind.X, (0,)),), 3)[0] is src
+
+
+def _as_arrays(step, num_qubits):
+    """A (src, phase) step with None read as the identity or all-one phases."""
+    idx, ones = simulator._identity(num_qubits)
+    return (idx if step[0] is None else step[0]), (ones if step[1] is None else step[1])
+
+
+# Gates a window may hold, one of each way a Clifford gate turns the images
+# of Z on its wires: H on either wire, S and SDG (X to +-Y), a Pauli (signs
+# only), and the CNOT both ways.
+WINDOW_ALPHABET = [(GateKind.H, (0,)), (GateKind.H, (1,)), (GateKind.S, (0,)), (GateKind.SDG, (1,))]
+WINDOW_ALPHABET += [(GateKind.Y, (0,)), (GateKind.CNOT, (0, 1)), (GateKind.CNOT, (1, 0))]
+
+
+def test_derived_moves_match_the_typed_rules():
+    # Each step `_plan` folds is its gate's conjugate through the frame,
+    # derived from the gate's matrix, against the rules typed by hand: the
+    # same arrays, entry for entry and of the same dtype.
+    for n in range(2, 7):
+        for kind in GateKind:
+            if kind is GateKind.H:
+                continue
+            width = 2 if kind is GateKind.CNOT else 1
+            for qubits in itertools.permutations(range(n), width):
+                for f in range(2**width):
+                    framed = sum(1 << q for j, q in enumerate(qubits) if f >> j & 1)
+                    got = simulator._move(kind, qubits, n, framed)
+                    want = dense_oracle.typed_move(kind, qubits, n, framed)
+                    assert (got is None) == (want is None), (kind, qubits, n, framed)
+                    if got is not None:
+                        for a, b in zip(_as_arrays(got, n), _as_arrays(want, n)):
+                            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # Every sequence of up to 5 gates after a window's CNOT: the fold's G,
+    # or None, is the one the typed images of Z give, and H_G M is U.
+    cnot01 = (GateKind.CNOT, (0, 1))
+    for length in range(6):
+        for seq in itertools.product(WINDOW_ALPHABET, repeat=length):
+            images = dense_oracle.typed_turn(GateKind.H, 0, 0, 0x84)
+            u = simulator._IN_WINDOW[GateKind.H, (0,)]
+            for kind, qubits in (cnot01,) + seq:
+                images = dense_oracle.typed_turn(kind, qubits[0], qubits[-1], images)
+                u = simulator._IN_WINDOW[kind, qubits] @ u
+            step = simulator._window_move.__wrapped__((cnot01,) + seq, 2)
+            want = dense_oracle.typed_window_mask(images)
+            assert (None if step is None else step[2]) == want, seq
+            if step is not None:
+                src, phase = _as_arrays(step, 2)
+                m = np.zeros((4, 4), dtype=complex)
+                m[np.arange(4), src] = phase
+                assert np.max(np.abs(simulator._H_ON[want] @ m - u)) < 1e-12
 
 
 def test_run_ideal_refuses_an_initial_state_of_another_width():

@@ -35,6 +35,32 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex)).validate()
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+def test_density_matrix_eigenvalue_bound_is_decided_at_its_boundary(rotated, monkeypatch):
+    # Cholesky certifies -5e-9; only a failed certificate computes the
+    # spectrum, which refuses -2e-8 with the lowest eigenvalue named.
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    if not rotated:
+        q = np.eye(4)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
+    for low in (-5e-9, -2e-8):
+        m = q @ np.diag([low, 0.3, 0.3, 0.4 - low]) @ q.conj().T
+        rho = DensityMatrix((m + m.conj().T) / 2)
+        if low > -1e-8:
+            rho.validate()
+            assert calls == []
+            continue
+        want = real(rho.matrix)[0]
+        assert want == -2e-8 if not rotated else abs(want + 2e-8) < 1e-15
+        with pytest.raises(ValueError) as info:
+            rho.validate()
+        assert str(info.value) == f"matrix has eigenvalue {want} < -1e-08"
+        assert calls == [1]
+
+
 def test_noise_spec_range_checked():
     NoiseSpec(p1=0.0, p2=1.0)
     with pytest.raises(ValueError):

@@ -10,6 +10,8 @@ plain ints instead (`encode`/`decode`): the kind's index in `GateKind` in
 the low 4 bits, then one `bits`-wide field per qubit, the first qubit
 lowest. `field_bits` sizes the field from the circuit's or device's width;
 Python ints are unbounded, so no qubit index can wrap into its neighbor.
+`decode_all` turns a whole code list back into `Gate`s, decoding each
+distinct code once and sharing its `Gate` among its repeats.
 Kind index 9, `BLOCK_CODE`, is no gate: in a code list for
 `peephole.rewrite_pending` it marks the start of a block (see
 `peephole.mark_blocks`), with the block's index above the kind field.
@@ -117,6 +119,12 @@ def decode(code: int, bits: int) -> Gate:
     if code & 8:
         return Gate(GateKind.CNOT, (code >> 4 & (1 << bits) - 1, code >> 4 + bits))
     return Gate(KINDS[code & 15], (code >> 4,))
+
+
+def decode_all(codes: Sequence[int], bits: int) -> tuple[Gate, ...]:
+    """`decode` of each code in `codes`, decoding each distinct code once."""
+    gates = {code: decode(code, bits) for code in set(codes)}
+    return tuple(map(gates.__getitem__, codes))
 
 
 def cnot(control: int, target: int) -> Gate:

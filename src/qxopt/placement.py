@@ -22,7 +22,8 @@ mapped circuit is built straight as codes, and the engine returns its
 pending list with the count of tombstones in it. Scoring is count-first:
 `circuit.cheapest` reads the gate count off that count, and filters the
 list and counts its levels only when the count is at most the best so far.
-Only the winner is decoded back to `Gate`s.
+Only the winner is decoded back to `Gate`s, each distinct code once
+(`circuit.decode_all`).
 
 Not every injection needs scoring. Under a placement, a wire with no CNOT
 (a wire with no gates included) is isolated if no table entry chosen for
@@ -84,7 +85,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import Record
 from .circuit import Circuit, CostReport, check_placement, check_tolerance, cheapest, code_levels
-from .circuit import KIND_CODE, GateKind, decode, encode, field_bits
+from .circuit import KIND_CODE, GateKind, decode_all, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
 from .pathsum import VERIFY_TOL, equivalent
 from .peephole import rewrite, rewrite_pending
@@ -292,7 +293,7 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     final = CostReport(gates, levels)
     return MappingResult(
         placement=placement,
-        mapped=Circuit(num_physical, tuple(decode(c, bits) for c in best)),
+        mapped=Circuit(num_physical, decode_all(best, bits)),
         initial_cost=initial,
         final_cost=final,
         reduction_pct=percent_reduction(initial, final),

@@ -6,6 +6,11 @@ the nine gate statements, and measure/barrier statements (dropped with a
 warning, or rejected under strict mode). Everything else is an error that
 names the offending token and its position; a file without a `qreg` is
 refused as a whole.
+
+Within one `parse_report` call a repeated gate statement parses once (a
+5-qubit circuit has at most 60 distinct ones, however long it is); a
+refusal is never remembered, so every refusal and its position are those
+of a full read. `gate_line` fills one template per gate kind.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ _REF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
 
 
 def _statements(text: str):
-    """Yield (statement, "line L, column C") pairs, splitting on ';' and
+    """Yield (statement, line, column) triples, splitting on ';' and
     skipping // comments."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0]
@@ -33,7 +38,7 @@ def _statements(text: str):
         for piece in line.split(";"):
             stripped = piece.strip()
             if stripped:
-                yield stripped, f"line {lineno}, column {col + len(piece) - len(piece.lstrip())}"
+                yield stripped, lineno, col + len(piece) - len(piece.lstrip())
             col += len(piece) + 1
 
 
@@ -50,12 +55,22 @@ def _parse_ref(token: str, reg_name: str, reg_size: int, at: str) -> int:
 
 
 def parse_report(text: str, strict: bool = False) -> tuple[Circuit, list[str]]:
-    """The circuit, and one warning per kind of statement that was dropped."""
+    """The circuit, and one warning per kind of statement that was dropped.
+
+    A gate statement whose stripped text already parsed in this call reuses
+    its `Gate`: its checks read only the text and the `qreg`, which cannot
+    change once a gate has parsed."""
     registers: dict[str, tuple[str, int]] = {}  # keyed by "qreg" / "creg"
     dropped = {"measure": 0, "barrier": 0}
     gates: list[Gate] = []
+    parsed: dict[str, Gate] = {}
 
-    for stmt, at in _statements(text):
+    for stmt, lineno, column in _statements(text):
+        gate = parsed.get(stmt)
+        if gate is not None:
+            gates.append(gate)
+            continue
+        at = f"line {lineno}, column {column}"
         keyword, *tail = stmt.split(None, 1)
         rest = tail[0] if tail else ""
 
@@ -88,7 +103,8 @@ def parse_report(text: str, strict: bool = False) -> tuple[Circuit, list[str]]:
             qubits = tuple(_parse_ref(a, *registers["qreg"], at) for a in args)
             if len(set(qubits)) != len(qubits):
                 raise QasmError(f"{at}: duplicate qubit in {keyword}: {rest}")
-            gates.append(Gate(kind, qubits))
+            gate = parsed[stmt] = Gate(kind, qubits)
+            gates.append(gate)
 
     if "qreg" not in registers:
         raise QasmError("no quantum register declared")
@@ -100,9 +116,16 @@ def parse(text: str, strict: bool = False) -> Circuit:
     return parse_report(text, strict=strict)[0]
 
 
+# Each kind's statement template, filled with the gate's qubits.
+_LINE = {
+    kind: (f"{kind.value} q[{{}}];" if kind.arity == 1 else f"{kind.value} q[{{}}],q[{{}}];").format
+    for kind in GateKind
+}
+
+
 def gate_line(gate: Gate) -> str:
     """One gate statement, e.g. `cx q[0],q[1];`."""
-    return f"{gate.kind.value} " + ",".join(f"q[{q}]" for q in gate.qubits) + ";"
+    return _LINE[gate.kind](*gate.qubits)
 
 
 def emit(circuit: Circuit) -> str:

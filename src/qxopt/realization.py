@@ -6,17 +6,19 @@ path from both ends: swap one endpoint's content along the path, apply the
 CNOT locally, swap back. The local CNOT is native or, against the edge,
 Hadamard-conjugated, so an adjacent pair costs one gate or five. From
 distance two on, the walk may also stop one qubit short and apply a
-four-CNOT ladder across the middle qubit (two gate orders tried).
+four-CNOT ladder across the middle qubit (two gate orders tried). A
+candidate that two of these constructions give alike is tried once.
 
 The templates emit integer gate codes (see `circuit.encode`), never
 `Gate`s. Every candidate is rewritten by `peephole.rewrite`, the engine the
 placement search uses, and the winner is picked by `circuit.cheapest`, the
 rule the search uses too: fewest gates, then fewest levels (counted only on
 gate-count ties), then gate sequence, ordered as the tuple of each gate's
-(kind name, qubits). Only each pair's winner is decoded. Every entry is an
-H+CNOT circuit, so it is Clifford: each entry is proven equal to the plain
-CNOT as it is built, by comparing stabilizer tableaus, exactly and on a
-device of any size.
+(kind name, qubits). Only the winners are decoded, all in one
+`circuit.decode_all` call, so each distinct code becomes one `Gate` that
+the entries share. Every entry is an H+CNOT circuit, so it is Clifford:
+each entry is proven equal to the plain CNOT as it is built, by comparing
+stabilizer tableaus, exactly and on a device of any size.
 
 The table carries its entries in the form the placement search reads:
 each entry's gate codes, the same codes with each multi-gate entry marked
@@ -26,11 +28,11 @@ marks an entry.
 """
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import islice, permutations
 
 from . import RealizationError, Record
-from .circuit import KIND_CODE, KINDS, Circuit, Gate, GateKind, cheapest, cnot, cnot_code
-from .circuit import decode, encode, field_bits, gate1_code
+from .circuit import KIND_CODE, KINDS, Circuit, GateKind, cheapest, cnot, cnot_code
+from .circuit import decode_all, encode, field_bits, gate1_code
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.realization.levels_of`
 from .peephole import mark_blocks, rewrite
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.realization.simplify_gates`
@@ -117,7 +119,9 @@ def _conjugated(
 
 def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[int]]:
     """Gate codes, with `field_bits(graph.num_physical)`-wide qubit fields,
-    of every candidate realization of CNOT(control, target)."""
+    of every distinct candidate realization of CNOT(control, target), each
+    at its first occurrence. The walks from both ends give the same local
+    CNOT on an adjacent pair, and the same two ladders at distance two."""
     bits = field_bits(graph.num_physical)
     out: list[list[int]] = []
     for path in shortest_paths(graph, control, target):
@@ -134,7 +138,7 @@ def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[in
                 for order in (0, 1):
                     ladder = _ladder(graph, near, walk[k - 1], far, order, bits)
                     out.append(_conjugated(graph, pairs[: k - 2], ladder, bits))
-    return out
+    return list(map(list, dict.fromkeys(map(tuple, out))))
 
 
 # Each kind index's rank among the kind names.
@@ -167,36 +171,33 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
     n = graph.num_physical
     bits = field_bits(n)
     rank = _gate_ranks(n, bits).__getitem__
-    # Each winning code's Gate, decoded once per build.
-    gates: dict[int, Gate] = {}
-    entries: dict[tuple[int, int], RealizationEntry] = {}
-    for control in range(n):
-        for target in range(n):
-            if control == target:
-                continue
-            (total, levels, _), best = cheapest(
-                (
-                    (simplified, 0, tuple(map(rank, simplified)))
-                    for simplified in (
-                        rewrite(codes, bits) for codes in _candidates(graph, control, target)
-                    )
-                ),
-                bits,
-            )
-            for c in best:
-                if c not in gates:
-                    gates[c] = decode(c, bits)
-            sequence = Circuit(n, tuple(map(gates.__getitem__, best)))
-            for g in sequence.gates:
-                if g.kind is GateKind.CNOT and not allows(graph, *g.qubits):
-                    raise RealizationError(
-                        f"entry ({control},{target}) uses illegal CNOT{g.qubits}"
-                    )
-            if verify and not equivalent(Circuit(n, (cnot(control, target),)), sequence):
-                raise RealizationError(
-                    f"entry ({control},{target}) does not implement its CNOT"
+    winners = {
+        (control, target): cheapest(
+            (
+                (simplified, 0, tuple(map(rank, simplified)))
+                for simplified in (
+                    rewrite(codes, bits) for codes in _candidates(graph, control, target)
                 )
-            entries[(control, target)] = RealizationEntry(sequence, total, levels)
+            ),
+            bits,
+        )
+        for control, target in permutations(range(n), 2)
+    }
+    # All winners decoded in one call, so that entries share their gates.
+    gates = iter(decode_all([c for _, best in winners.values() for c in best], bits))
+    entries: dict[tuple[int, int], RealizationEntry] = {}
+    for (control, target), ((total, levels, _), best) in winners.items():
+        sequence = Circuit(n, tuple(islice(gates, len(best))))
+        for g in sequence.gates:
+            if g.kind is GateKind.CNOT and not allows(graph, *g.qubits):
+                raise RealizationError(
+                    f"entry ({control},{target}) uses illegal CNOT{g.qubits}"
+                )
+        if verify and not equivalent(Circuit(n, (cnot(control, target),)), sequence):
+            raise RealizationError(
+                f"entry ({control},{target}) does not implement its CNOT"
+            )
+        entries[(control, target)] = RealizationEntry(sequence, total, levels)
     return RealizationTable(graph, entries)
 
 

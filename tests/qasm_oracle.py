@@ -1,9 +1,11 @@
 """Reference QASM reader: the statement parser that `qxopt.qasm` replaced.
 
 It builds a `SourceSpan` for every statement and returns a `ParseReport`,
-with one branch per keyword. The differential test in `test_qasm.py`
-requires `qxopt.qasm.parse_report` to return the same circuit and warnings
-on every input, or to refuse it with the same message.
+with one branch per keyword, and reads every statement in full. The
+differential test in `test_qasm.py` requires `qxopt.qasm.parse_report` to
+return the same circuit and warnings on every input, or to refuse it with
+the same message. `gate_line` is the gate formatter `qxopt.qasm` replaced
+with per-kind templates.
 """
 from __future__ import annotations
 
@@ -136,3 +138,8 @@ def parse_report(text: str, strict: bool = False) -> ParseReport:
 
 def parse(text: str, strict: bool = False) -> Circuit:
     return parse_report(text, strict=strict).circuit
+
+
+def gate_line(gate: Gate) -> str:
+    """One gate statement, e.g. `cx q[0],q[1];`."""
+    return f"{gate.kind.value} " + ",".join(f"q[{q}]" for q in gate.qubits) + ";"

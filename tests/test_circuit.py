@@ -12,6 +12,7 @@ from qxopt.circuit import (
     GateKind,
     cnot,
     decode,
+    decode_all,
     encode,
     field_bits,
     gate1,
@@ -111,6 +112,17 @@ def test_field_bits_cover_every_wire():
         assert 1 << bits - 1 < width <= 1 << bits
         gates = [cnot(width - 1, 0), gate1(GateKind.TDG, width - 1)]
         assert [decode(code, bits) for code in encode(gates, bits)] == gates
+
+
+@given(st.integers(1, 4), st.integers(0, 10_000))
+def test_decode_all_decodes_each_distinct_code_once(bits, seed):
+    # A small pool of codes drawn with repeats, so that most codes recur.
+    rng = random.Random(seed)
+    pool = encode(random_circuit(1 << bits, rng.randint(1, 6), rng).gates, bits)
+    codes = [rng.choice(pool) for _ in range(rng.randint(0, 40))]
+    gates = decode_all(codes, bits)
+    assert gates == tuple(decode(c, bits) for c in codes)
+    assert len({id(g) for g in gates}) == len(set(codes))
 
 
 @given(st.integers(0, 200), st.integers(0, 200))

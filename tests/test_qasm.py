@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qasm_oracle
-from qxopt.circuit import Circuit, GateKind, cnot, gate1, random_circuit
-from qxopt.qasm import QasmError, emit, parse, parse_report
+from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, random_circuit
+from qxopt.qasm import QasmError, emit, gate_line, parse, parse_report
 from test_parser_fuzz import _TOKENS
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -106,6 +106,50 @@ def test_reader_matches_the_oracle(text, strict):
     assert _read(parse_report, text, strict) == _read(_oracle_report, text, strict)
 
 
+# Statements to repeat, so that one program meets the same text again:
+# valid gates, one of them in several spacings, and statements that must
+# be read anew at each occurrence: refusals, dropped statements, and a
+# `qreg` that a gate may precede, follow, or both. Valid gates are drawn
+# more often, so that many programs parse to the end.
+_VALID = [
+    "h q[0]", "h  q[0]", "h\tq[0] ", " h q[0]", "cx q[0],q[1]", "cx q[0], q[1]", "cx q[2],q[0]",
+    "tdg q[2]", "s q[1]",
+]
+_OTHER = [
+    "qreg q[3]", "qreg r[2]", "creg c[3]", "cx q[1],q[1]", "x q[3]", "measure q[0] -> c[0]",
+    "barrier q[0],q[1]",
+]
+_REPEATS = st.tuples(
+    st.sampled_from(["", "qreg q[3];\n", "qreg q[3]; creg c[3];\n"]),
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_VALID), st.sampled_from(_VALID + _OTHER)),
+            st.sampled_from([";", "; ", ";\n", ";\t"]),
+        ),
+        max_size=30,
+    ),
+).map(lambda drawn: drawn[0] + "".join(stmt + end for stmt, end in drawn[1]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_REPEATS, st.booleans())
+def test_repeated_statements_read_as_the_oracle_reads_them(text, strict):
+    assert _read(parse_report, text, strict) == _read(_oracle_report, text, strict)
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda kind: kind.name)
+def test_gate_line_matches_the_oracle_formatter(kind):
+    indices = (0, 1, 9, 10, 11, 99, 100, 4095)
+    qubit_tuples = (
+        [(q,) for q in indices]
+        if kind.arity == 1
+        else [(a, b) for a in indices for b in indices if a != b]
+    )
+    for qubits in qubit_tuples:
+        gate = Gate(kind, qubits)
+        assert gate_line(gate) == qasm_oracle.gate_line(gate)
+
+
 def test_comments_and_blank_lines_ignored():
     c = parse("// a comment\nqreg q[1];\n\nh q[0]; // trailing\n")
     assert c.gates == (gate1(GateKind.H, 0),)
@@ -147,6 +191,7 @@ def test_parse_emit_roundtrip_random(seed):
         ),
         ("qreg q[1];\nbarrier q[0];", True, "line 2, column 1: barrier statement not allowed in strict mode"),
         ("h q[0];\nqreg q[1];", False, "line 1, column 1: gate statement before qreg declaration"),
+        ("h q[0]; qreg q[1]; h q[0];", False, "line 1, column 1: gate statement before qreg declaration"),
         ("qreg q[2]; cx q[0];", False, "line 1, column 12: cx takes 2 operand(s), got 1"),
         ("qreg q[2]; h q[0],q[1];", False, "line 1, column 12: h takes 1 operand(s), got 2"),
         ("qreg q[1]; h q;", False, "line 1, column 12: malformed qubit reference 'q'"),
@@ -155,7 +200,7 @@ def test_parse_emit_roundtrip_random(seed):
     ],
     ids=[
         "unknown-register", "malformed-register", "zero-size", "second-creg", "strict-barrier",
-        "gate-before-qreg", "too-few-operands", "too-many-operands", "malformed-reference",
+        "gate-before-qreg", "gate-before-and-after-qreg", "too-few-operands", "too-many-operands", "malformed-reference",
         "no-qreg", "empty",
     ],
 )

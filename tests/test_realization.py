@@ -225,6 +225,19 @@ def test_rank_lookup_gives_the_per_candidate_tiebreak(device):
                 assert tuple(map(rank.__getitem__, run)) == realization_oracle.tiebreak(run, bits)
 
 
+@pytest.mark.parametrize("device,distinct", [("qx2", 44), ("qx4", 44), ("ladder8", 412)])
+def test_candidates_are_each_tried_once(device, distinct):
+    # The constructions give 72, 72 and 496 code lists, of which these
+    # many differ within their pair; each is kept once, in first order.
+    graph = DIFFERENTIAL_DEVICES[device]()
+    total = 0
+    for control, target in permutations(range(graph.num_physical), 2):
+        runs = list(map(tuple, _candidates(graph, control, target)))
+        assert len(set(runs)) == len(runs)
+        total += len(runs)
+    assert total == distinct
+
+
 FORM_DEVICES = {
     **DIFFERENTIAL_DEVICES,
     "line6": lambda: load(LINE6_TEXT, name="line6"),

@@ -35,7 +35,21 @@ the smallest placement: the one that puts the isolated wires, in logical
 order, on the smallest untouched qubits. `_placements` generates just those
 representatives, so the minimum over them is the minimum over all
 injections, with the same placement and mapped circuit. A circuit with a
-CNOT on every wire has no such class and scores every injection.
+CNOT on every wire has no such class.
+
+Nor does a placement need scoring when a symmetry of the table maps it to
+a smaller one. A symmetry (the table's `_symmetries`) is a permutation σ
+of the device's qubits under which every entry, relabeled, is the entry of
+its image pair. Then the mapped circuit of σ∘p, which puts wire w on
+σ(p[w]), is σ applied to p's, gate for gate, and the rewrite engine, which
+looks at qubits only to tell them apart, keeps the two relabelings of each
+other, with equal gates and levels. So `_placements` yields no p with
+σ∘p < p for a kept σ. Any subset of the symmetries keeps the search exact:
+the winner, the smallest placement of the fewest gates and levels, has no
+smaller placement of equal cost, so no σ skips it, just as no class drops
+it. qx2 has σ = (0 4)(1 3), so a circuit with a CNOT on every wire scores
+half its injections there; qx4 and the 8-qubit ladder have no symmetry
+and pay nothing for the test.
 
 Nor does every representative need a full rewrite. A placement's skeleton
 is the H and CNOT gates of its mapped circuit: the logical H gates and
@@ -167,13 +181,23 @@ def _touched(codes: list[int], bits: int) -> int:
     return touched
 
 
-def _placements(
+def _placements(circuit: Circuit, table: RealizationTable, bits: int) -> Iterable[tuple[int, ...]]:
+    """The smallest placement of each class of equal-cost placements (see
+    the module docstring), less each placement p that one of the table's
+    symmetries σ maps to a smaller σ∘p. Every class has one member when
+    every wire has a CNOT, or when the CNOT wires leave at most one qubit
+    free; then, on a table without symmetries, this is every injection."""
+    placements = _representatives(circuit, table._codes, bits)
+    if not table._symmetries:
+        return placements
+    images = [sigma.__getitem__ for sigma in table._symmetries]
+    return (p for p in placements if not any(tuple(map(image, p)) < p for image in images))
+
+
+def _representatives(
     circuit: Circuit, entries: list[list[list[int]]], bits: int
 ) -> Iterable[tuple[int, ...]]:
-    """The smallest placement of each class of equal-cost placements (see
-    the module docstring). Every class has one member when every wire has a
-    CNOT, or when the CNOT wires leave at most one qubit free; then this is
-    every injection."""
+    """The smallest placement of each class of equal-cost placements."""
     n = len(entries)
     k = circuit.num_qubits
     pairs = {g.qubits for g in circuit.gates if g.kind is GateKind.CNOT}
@@ -219,7 +243,7 @@ def _candidates(
     n = len(entries)
     logical_bits = field_bits(circuit.num_qubits)
     mapped = _mapper(codes, logical_bits, rows)
-    placements = _placements(circuit, entries, bits)
+    placements = _placements(circuit, table, bits)
     skeleton_qubits = [g.qubits for g in circuit.gates if g.kind in _SKELETON_GATES]
     wires = sorted({q for qubits in skeleton_qubits for q in qubits})
     if not wires or len(wires) == circuit.num_qubits or n - len(wires) < 2:

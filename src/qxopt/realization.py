@@ -6,8 +6,10 @@ path from both ends: swap one endpoint's content along the path, apply the
 CNOT locally, swap back. The local CNOT is native or, against the edge,
 Hadamard-conjugated, so an adjacent pair costs one gate or five. From
 distance two on, the walk may also stop one qubit short and apply a
-four-CNOT ladder across the middle qubit (two gate orders tried). A
-candidate that two of these constructions give alike is tried once.
+four-CNOT ladder across the middle qubit (two gate orders tried). The
+walk from the target's end builds only what needs a SWAP: its local CNOT
+at distance one and its ladders at distance two are the other walk's, so
+each candidate is built once.
 
 The templates emit integer gate codes (see `circuit.encode`), never
 `Gate`s. Every candidate is rewritten by `peephole.rewrite`, the engine the
@@ -24,7 +26,12 @@ The table carries its entries in the form the placement search reads:
 each entry's gate codes, the same codes with each multi-gate entry marked
 as a block (`peephole.mark_blocks`), and the block table. The constructor
 derives them from the entries, once per table, so no search encodes or
-marks an entry.
+marks an entry. It also derives the table's symmetries: the permutations
+of the qubits that map every entry, relabeled, onto the entry of its image
+pair, found by a backtracking that compares entry lengths first and whole
+entries last (`_symmetries`). The search skips a placement that one of
+them maps to a smaller placement of equal cost. qx2's table has one,
+(0 4)(1 3); qx4's and the 8-qubit ladder's have none.
 """
 from __future__ import annotations
 
@@ -60,9 +67,11 @@ class RealizationTable(Record):
     `field_bits(graph.num_physical)`-wide qubit fields, empty where no entry
     is: `_codes`, each entry's gate codes; `_marked`, the same lists with
     each multi-gate entry marked as a block (`peephole.mark_blocks`); and
-    `_blocks`, the block table. The search only reads them."""
+    `_blocks`, the block table. Beside them, `_symmetries`: permutations
+    of the qubits under which every entry, relabeled, is the entry of its
+    image pair (see `_symmetries`). The search only reads them."""
 
-    __slots__ = ("graph", "entries", "_codes", "_marked", "_blocks")
+    __slots__ = ("graph", "entries", "_codes", "_marked", "_blocks", "_symmetries")
     graph: CouplingGraph
     entries: dict[tuple[int, int], RealizationEntry]
 
@@ -78,6 +87,53 @@ class RealizationTable(Record):
         object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_marked", [marked[row * n : (row + 1) * n] for row in range(n)])
         object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_symmetries", _symmetries(codes, bits))
+
+
+def _symmetries(codes: list[list[list[int]]], bits: int) -> tuple[tuple[int, ...], ...]:
+    """Permutations σ ≠ id of the qubits of `codes` (`[control][target]`
+    gate codes, `bits`-wide qubit fields) under which every entry's codes,
+    each qubit q relabeled σ[q], equal `codes[σ[c]][σ[t]]`: for each qubit
+    i and image j > i, the first such σ, images tried in increasing order,
+    that fixes qubits 0..i-1 and sends i to j. So at most n(n-1)/2 are kept.
+
+    A backtracking maps qubits 0, 1, ... in turn and drops a partial map as
+    soon as the entries between two mapped qubits and between their images
+    differ in length; only a complete map has its entries compared."""
+    n = len(codes)
+    lengths = [[len(run) for run in row] for row in codes]
+    shift = 4 + bits
+    mask = (1 << bits) - 1
+
+    def relabeled(run: list[int], sigma: list[int]) -> list[int]:
+        return [
+            code & 15 | sigma[code >> 4 & mask] << 4 | sigma[code >> shift] << shift
+            if code & 8
+            else code & 15 | sigma[code >> 4] << 4
+            for code in run
+        ]
+
+    def first(sigma: list[int]) -> tuple[int, ...] | None:
+        q = len(sigma) - 1
+        image = sigma[q]
+        for a in range(q):
+            if lengths[a][q] != lengths[sigma[a]][image] or lengths[q][a] != lengths[image][sigma[a]]:
+                return None
+        if q == n - 1:
+            for c in range(n):
+                for t in range(n):
+                    if relabeled(codes[c][t], sigma) != codes[sigma[c]][sigma[t]]:
+                        return None
+            return tuple(sigma)
+        for nxt in range(n):
+            if nxt not in sigma:
+                found = first(sigma + [nxt])
+                if found is not None:
+                    return found
+        return None
+
+    kept = (first(list(range(i)) + [j]) for i in range(n) for j in range(i + 1, n))
+    return tuple(sigma for sigma in kept if sigma is not None)
 
 
 def _local_cnot(graph: CouplingGraph, control: int, target: int, bits: int) -> list[int]:
@@ -119,9 +175,10 @@ def _conjugated(
 
 def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[int]]:
     """Gate codes, with `field_bits(graph.num_physical)`-wide qubit fields,
-    of every distinct candidate realization of CNOT(control, target), each
-    at its first occurrence. The walks from both ends give the same local
-    CNOT on an adjacent pair, and the same two ladders at distance two."""
+    of every distinct candidate realization of CNOT(control, target). The
+    walks from both ends give the same local CNOT on an adjacent pair, and
+    the same two ladders at distance two; only the forward walk builds
+    them."""
     bits = field_bits(graph.num_physical)
     out: list[list[int]] = []
     for path in shortest_paths(graph, control, target):
@@ -130,15 +187,19 @@ def _candidates(graph: CouplingGraph, control: int, target: int) -> list[list[in
         # the control; `[::step]` keeps each CNOT running from control to target.
         for walk, step in ((path, 1), (path[::-1], -1)):
             pairs = list(zip(walk, walk[1:]))
-            near, far = (walk[k - 1], walk[k])[::step]
-            out.append(_conjugated(graph, pairs[: k - 1], _local_cnot(graph, near, far, bits), bits))
-            if k >= 2:
+            # Without a SWAP, a construction of the reverse walk is the
+            # forward walk's, so the reverse walk builds none.
+            fewest = 0 if step == 1 else 1
+            if k - 1 >= fewest:
+                near, far = (walk[k - 1], walk[k])[::step]
+                out.append(_conjugated(graph, pairs[: k - 1], _local_cnot(graph, near, far, bits), bits))
+            if k - 2 >= fewest:
                 # Stop at distance two and ladder across the middle qubit.
                 near, far = (walk[k - 2], walk[k])[::step]
                 for order in (0, 1):
                     ladder = _ladder(graph, near, walk[k - 1], far, order, bits)
                     out.append(_conjugated(graph, pairs[: k - 2], ladder, bits))
-    return list(map(list, dict.fromkeys(map(tuple, out))))
+    return out
 
 
 # Each kind index's rank among the kind names.

@@ -228,7 +228,9 @@ def test_levels_break_gate_count_tie_found_late(tables, arch, placement):
     assert result == search_oracle.optimize(LEVELS_DECIDE, tables[arch])
 
 
-def test_levels_counted_only_for_gate_count_ties(qx2_table, monkeypatch):
+def test_levels_counted_only_for_gate_count_ties(qx4_table, monkeypatch):
+    # On qx4, a table without symmetries, the search scores every injection.
+    assert qx4_table._symmetries == ()
     counted = []
 
     def counting_code_levels(codes, bits):
@@ -236,7 +238,7 @@ def test_levels_counted_only_for_gate_count_ties(qx2_table, monkeypatch):
         return code_levels(codes, bits)
 
     monkeypatch.setattr(qxopt.circuit, "code_levels", counting_code_levels)
-    result = optimize(TWO_CNOTS, qx2_table)
+    result = optimize(TWO_CNOTS, qx4_table)
     # The initial cost is counted once; every other count is the search's.
     assert 1 < len(counted) < len(list(permutations(range(5), 3)))
     assert min(counted) == result.final_cost.gates
@@ -259,6 +261,13 @@ LADDER8_TEXT = """qubits 8
 
 LINE6_TEXT = "qubits 6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 
+# Devices with many table symmetries: a star with one-way edges from its
+# centre, and the complete graph on four qubits with both edge directions.
+# Every permutation of the star's leaves, and every permutation of K4,
+# maps each entry onto its image's entry: 23 symmetries each.
+STAR5_TEXT = "qubits 5\n0 1\n0 2\n0 3\n0 4\n"
+K4_TEXT = "qubits 4\n" + "".join(f"{a} {b}\n" for a, b in permutations(range(4), 2))
+
 
 @pytest.fixture(scope="module")
 def sparse_tables(qx2_table, qx4_table):
@@ -267,12 +276,14 @@ def sparse_tables(qx2_table, qx4_table):
         "qx4": qx4_table,
         "ladder8": build_table(load(LADDER8_TEXT, name="ladder8")),
         "line6": build_table(load(LINE6_TEXT, name="line6")),
+        "star5": build_table(load(STAR5_TEXT, name="star5")),
+        "k4": build_table(load(K4_TEXT, name="k4")),
     }
 
 
 # Widest circuit drawn per device; ladder8 stays at 4 so that each call of
 # the full enumeration (1,680 placements) stays short.
-_SPARSE_WIDTH = {"qx2": 5, "qx4": 5, "ladder8": 4, "line6": 6}
+_SPARSE_WIDTH = {"qx2": 5, "qx4": 5, "ladder8": 4, "line6": 6, "star5": 5, "k4": 4}
 
 
 @st.composite
@@ -345,8 +356,8 @@ def _count_rewrites(monkeypatch):
 
         return tagged
 
-    def recording_placements(circuit, entries, bits):
-        for placement in placements(circuit, entries, bits):
+    def recording_placements(circuit, table, bits):
+        for placement in placements(circuit, table, bits):
             counts.covered.append(placement)
             yield placement
 
@@ -366,15 +377,67 @@ def test_cnot_free_circuit_scores_one_placement(qx2_table, monkeypatch):
     assert result == search_oracle.optimize(circuit, qx2_table)
 
 
-def test_circuit_with_a_cnot_on_every_wire_scores_every_injection(qx2_table, monkeypatch):
+def test_circuit_with_a_cnot_on_every_wire_scores_every_injection(qx4_table, monkeypatch):
     # A circuit of CNOTs alone is its own skeleton, so nothing is pruned:
-    # scored plus pruned is every injection, each once.
+    # on qx4, a table without symmetries, scored plus pruned is every
+    # injection, each once.
+    assert qx4_table._symmetries == ()
     counts = _count_rewrites(monkeypatch)
-    optimize(TWO_CNOTS, qx2_table)
+    optimize(TWO_CNOTS, qx4_table)
     injections = list(permutations(range(5), 3))
     assert sorted(counts.covered) == injections
     assert len(counts.scored) == len(counts.full) == len(injections)
     assert counts.pruned() == [] and counts.skeleton == []
+
+
+def _image(sigma, placement):
+    """σ∘p: the placement `placement` with each physical qubit q moved to σ[q]."""
+    return tuple(sigma[q] for q in placement)
+
+
+def test_circuit_with_a_cnot_on_every_wire_scores_half_the_injections_on_qx2(
+    qx2_table, monkeypatch
+):
+    # qx2's one symmetry σ swaps qubits 0 and 4, and 1 and 3: of each pair
+    # p, σ∘p (never equal on three wires) the search scores the smaller.
+    (sigma,) = qx2_table._symmetries
+    counts = _count_rewrites(monkeypatch)
+    result = optimize(TWO_CNOTS, qx2_table)
+    monkeypatch.undo()
+    kept = [p for p in permutations(range(5), 3) if p < _image(sigma, p)]
+    assert len(kept) == 30
+    assert sorted(counts.covered) == sorted(counts.scored) == kept
+    assert len(counts.full) == len(kept) and counts.skeleton == []
+    assert result == search_oracle.optimize(TWO_CNOTS, qx2_table)
+
+
+def test_placement_that_a_symmetry_fixes_is_scored(sparse_tables):
+    # The star's symmetry that swaps leaves 3 and 4 maps (0, 1, 2) to itself;
+    # it is not smaller, so the search keeps it, and it wins.
+    table = sparse_tables["star5"]
+    assert (0, 1, 2, 4, 3) in table._symmetries
+    circuit = Circuit(3, (cnot(0, 1), cnot(0, 2)))
+    result = optimize(circuit, table)
+    assert (result.placement, result.final_cost) == ((0, 1, 2), CostReport(2, 2))
+    assert result == search_oracle.optimize(circuit, table)
+
+
+@pytest.mark.parametrize("arch", ["star5", "k4"])
+@pytest.mark.parametrize("seed", range(3))
+def test_circuit_with_a_cnot_on_every_wire_matches_oracle_on_symmetric_devices(
+    sparse_tables, arch, seed
+):
+    # Every wire carries a CNOT, so every injection is a class of its own,
+    # and the table's symmetries alone decide which are skipped.
+    rng = random.Random(seed)
+    table = sparse_tables[arch]
+    width = _SPARSE_WIDTH[arch]
+    wires = list(range(width))
+    rng.shuffle(wires)
+    gates = [cnot(a, b) for a, b in zip(wires, wires[1:])]
+    gates += random_circuit(width, 12, rng).gates
+    circuit = Circuit(width, tuple(rng.sample(gates, len(gates))))
+    assert optimize(circuit, table) == search_oracle.optimize(circuit, table)
 
 
 def _skeleton_heavy(rng, width, num_gates, idle_wires=0):
@@ -513,7 +576,7 @@ def _touched_by(table, placement, circuit):
 
 def _scored(circuit, table):
     bits = field_bits(table.graph.num_physical)
-    return list(_placements(circuit, table._codes, bits))
+    return list(_placements(circuit, table, bits))
 
 
 def test_isolated_wire_never_lands_on_a_qubit_an_entry_touches(sparse_tables):
@@ -543,7 +606,9 @@ def test_isolated_wire_never_lands_on_a_qubit_an_entry_touches(sparse_tables):
 )
 def test_scored_placements_are_the_smallest_of_each_class(sparse_tables, arch, circuit):
     # A class: the CNOT wires' qubits, the qubits of the CNOT-free wires
-    # that some entry touches, and which CNOT-free wires sit elsewhere.
+    # that some entry touches, and which CNOT-free wires sit elsewhere. Of
+    # the smallest placements, those that a table symmetry maps to a
+    # smaller one are skipped.
     table = sparse_tables[arch]
     linked = {q for g in circuit.gates if g.kind is GateKind.CNOT for q in g.qubits}
     smallest = {}
@@ -551,9 +616,12 @@ def test_scored_placements_are_the_smallest_of_each_class(sparse_tables, arch, c
         touched = _touched_by(table, p, circuit)
         key = tuple(p[w] if w in linked or p[w] in touched else None for w in range(len(p)))
         smallest[key] = min(smallest.get(key, p), p)
+    kept = [
+        p for p in smallest.values() if all(p <= _image(sigma, p) for sigma in table._symmetries)
+    ]
     scored = _scored(circuit, table)
     assert len(scored) == len(set(scored))
-    assert sorted(scored) == sorted(smallest.values())
+    assert sorted(scored) == sorted(kept)
 
 
 @pytest.mark.parametrize(
@@ -672,6 +740,7 @@ def test_hand_built_copied_and_unpickled_tables_search_alike(tables, arch):
         assert other._codes == table._codes
         assert other._marked == table._marked
         assert other._blocks == table._blocks
+        assert other._symmetries == table._symmetries
         for name, want in zip(CIRCUITS, results):
             got = optimize(load_circuit(name), other)
             assert got.placement == want.placement

@@ -8,13 +8,13 @@ import qxopt.circuit
 import qxopt.realization
 import realization_oracle
 from qxopt.circuit import BLOCK_CODE, Circuit, GateKind, cnot, cnot_code, code_levels, decode
-from qxopt.circuit import field_bits, gate1, gate_count
+from qxopt.circuit import field_bits, gate1, gate1_code, gate_count
 from qxopt.peephole import rewrite
 from qxopt.realization import RealizationError, _candidates, _gate_ranks, _swap, build_table
 from qxopt.realization import dump_text, lookup
 from qxopt.simulator import equivalent, unitary_of
 from qxopt.topology import allows, bfs, builtin, load
-from test_placement import HEX_TEXT, LINE6_TEXT
+from test_placement import HEX_TEXT, K4_TEXT, LINE6_TEXT, STAR5_TEXT
 
 
 def test_direct_edge_is_single_gate(qx2_table):
@@ -227,8 +227,8 @@ def test_rank_lookup_gives_the_per_candidate_tiebreak(device):
 
 @pytest.mark.parametrize("device,distinct", [("qx2", 44), ("qx4", 44), ("ladder8", 412)])
 def test_candidates_are_each_tried_once(device, distinct):
-    # The constructions give 72, 72 and 496 code lists, of which these
-    # many differ within their pair; each is kept once, in first order.
+    # The constructions give these many code lists, and no two of one pair
+    # are alike.
     graph = DIFFERENTIAL_DEVICES[device]()
     total = 0
     for control, target in permutations(range(graph.num_physical), 2):
@@ -236,6 +236,22 @@ def test_candidates_are_each_tried_once(device, distinct):
         assert len(set(runs)) == len(runs)
         total += len(runs)
     assert total == distinct
+
+
+@pytest.mark.parametrize("device,built", [("qx2", 44), ("qx4", 44), ("ladder8", 412)])
+def test_candidate_lists_are_built_once(device, built, monkeypatch):
+    # The reverse walk builds no construction without a SWAP, which would
+    # repeat the forward walk's.
+    calls = []
+    conjugated = qxopt.realization._conjugated
+
+    def counting(*args):
+        calls.append(args)
+        return conjugated(*args)
+
+    monkeypatch.setattr(qxopt.realization, "_conjugated", counting)
+    build_table(DIFFERENTIAL_DEVICES[device](), verify=False)
+    assert len(calls) == built
 
 
 FORM_DEVICES = {
@@ -268,3 +284,93 @@ def test_table_carries_its_entries_as_codes_and_blocks(device):
             else:
                 assert marked == codes
     assert len(table._blocks) == blocks
+
+
+def _relabeled(codes, sigma, bits):
+    gates = [decode(c, bits) for c in codes]
+    return [
+        cnot_code(sigma[g.qubits[0]], sigma[g.qubits[1]], bits)
+        if g.kind is GateKind.CNOT
+        else gate1_code(g.kind, sigma[g.qubits[0]])
+        for g in gates
+    ]
+
+
+def _moved_entries(table, sigma):
+    """How many entries, each qubit q relabeled sigma[q], differ from the
+    entry of their image pair."""
+    n = table.graph.num_physical
+    bits = field_bits(n)
+    return sum(
+        _relabeled(table._codes[c][t], sigma, bits) != table._codes[sigma[c]][sigma[t]]
+        for c, t in permutations(range(n), 2)
+    )
+
+
+SYMMETRY_DEVICES = {
+    "qx2": lambda: builtin("qx2"),
+    "qx4": lambda: builtin("qx4"),
+    "ladder8": DIFFERENTIAL_DEVICES["ladder8"],
+    # Its three rotations keep every edge, but each maps two entries onto a
+    # different tie-break.
+    "ring4": lambda: load(_ring(4), name="ring4"),
+    # Its reflection keeps every edge, but moves 12 entries.
+    "line5-both": lambda: load(
+        "qubits 5\n" + "".join(f"{q} {q + 1}\n{q + 1} {q}\n" for q in range(4)), name="line5"
+    ),
+    "star5": lambda: load(STAR5_TEXT, name="star5"),
+    "k4": lambda: load(K4_TEXT, name="k4"),
+}
+
+
+@pytest.mark.parametrize(
+    "device,symmetries",
+    [
+        ("qx2", ((4, 3, 2, 1, 0),)),
+        ("qx4", ()),
+        ("ladder8", ()),
+        ("ring4", ()),
+        ("line5-both", ()),
+    ],
+)
+def test_symmetries_are_pinned(device, symmetries):
+    assert build_table(SYMMETRY_DEVICES[device]())._symmetries == symmetries
+
+
+@pytest.mark.parametrize("device,moved", [("ring4", 2), ("line5-both", 12)])
+def test_graph_automorphisms_that_move_entries_are_no_symmetries(device, moved):
+    table = build_table(SYMMETRY_DEVICES[device]())
+    n = table.graph.num_physical
+    edges = table.graph.edges
+    automorphisms = [
+        sigma
+        for sigma in permutations(range(n))
+        if sigma != tuple(range(n)) and {(sigma[a], sigma[b]) for a, b in edges} == edges
+    ]
+    assert automorphisms
+    assert [_moved_entries(table, sigma) for sigma in automorphisms] == [moved] * len(automorphisms)
+
+
+@pytest.mark.parametrize("device", ["star5", "k4"])
+def test_kept_symmetries_are_the_first_of_each_prefix_and_image(device):
+    # Of the 23 symmetries, one per qubit i and image j > i is kept: the
+    # smallest that fixes qubits 0..i-1 and sends i to j.
+    table = build_table(SYMMETRY_DEVICES[device]())
+    n = table.graph.num_physical
+    every = [
+        sigma
+        for sigma in permutations(range(n))
+        if sigma != tuple(range(n)) and _moved_entries(table, sigma) == 0
+    ]
+    assert len(every) == 23
+    first = {}
+    for sigma in every:
+        i = next(q for q in range(n) if sigma[q] != q)
+        first.setdefault((i, sigma[i]), sigma)
+    kept = table._symmetries
+    assert len(kept) <= n * (n - 1) // 2
+    assert sorted(kept) == sorted(first.values())
+    for sigma in kept:
+        i = next(q for q in range(n) if sigma[q] != q)
+        assert sigma[:i] == tuple(range(i)) and sigma[i] > i
+        assert _moved_entries(table, sigma) == 0

@@ -206,3 +206,19 @@ def test_coupling_graphs_differing_in_name_share_cache_entries():
 def test_distribution_tolerance_is_not_compared():
     probs = {"0": 0.5, "1": 0.5}
     assert ProbabilityDistribution(1, probs, 0.005) == ProbabilityDistribution(1, dict(probs), 0.1)
+
+
+def test_copied_and_pickled_tables_keep_their_symmetries():
+    # A symmetry is derived from the entries, so a rebuilt table has it too:
+    # swapping the line's two qubits maps the table onto itself only when
+    # both CNOT directions have mirrored entries.
+    both = CouplingGraph(2, {(0, 1), (1, 0)}, "both")
+    entries = {(0, 1): ENTRY, (1, 0): RealizationEntry(Circuit(2, (cnot(1, 0),)), 1, 1)}
+    cases = [
+        (RealizationTable(both, entries), ((1, 0),)),
+        (RealizationTable(LINE, {(0, 1): ENTRY}), ()),
+    ]
+    for table, symmetries in cases:
+        assert table._symmetries == symmetries
+        for other in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert other._symmetries == symmetries

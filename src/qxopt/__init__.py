@@ -50,17 +50,40 @@ class Record:
     imports nothing and generates no code, so a command process pays next
     to nothing for its value classes at start-up.
 
-    A subclass lists its fields in `__slots__`, in `__init__` order, and
-    sets each with `object.__setattr__`. A slot named with a leading
-    underscore is not a field: it holds state that `__init__` derives from
-    the fields, and repr, equality, hash, copy and pickle skip it. Equality
-    (same class only) and hash read the tuple of the fields named by the
-    class keyword `compared`, by default all of them; repr is
+    A subclass lists its fields in `__slots__`, in constructor order. A slot
+    named with a leading underscore is not a field: it holds state that the
+    subclass's `__init__` derives from the fields and sets with
+    `object.__setattr__`, and repr, equality, hash, copy and pickle skip it.
+    `Record.__init__` stores the fields, each given by position or by name,
+    exactly once. A subclass that checks its values or has defaults defines
+    an `__init__` that passes them to one `super().__init__(...)`. `Gate`
+    and `Circuit` store their own fields instead: parsing, decoding and the
+    table build make one per statement, code or entry, and the base's
+    variadic call would make each a third to a half slower.
+
+    Equality (same class only) and hash read the tuple of the fields named
+    by the class keyword `compared`, by default all of them; repr is
     `Name(field=value, ...)` over every field. Assigning or deleting a
     field raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if named:
+            # The fields after the positional values, each named once.
+            rest = fields[len(values) :]
+            if named.keys() != set(rest):
+                raise TypeError(
+                    f"{type(self).__qualname__}({', '.join(fields)}) got {len(values)} value(s) "
+                    f"and the field(s) {', '.join(named)}"
+                )
+            values += tuple(named[name] for name in rest)
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__}({', '.join(fields)}) got {len(values)} value(s)")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, compared: tuple[str, ...] | None = None) -> None:
         cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")

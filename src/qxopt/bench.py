@@ -28,10 +28,7 @@ class BenchRow(Record):
     def __init__(
         self, name: str, result: MappingResult | None, verified: bool = False, error: str | None = None
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "verified", verified)
-        object.__setattr__(self, "error", error)
+        super().__init__(name, result, verified, error)
 
 
 def bench_file(path: Path, table: RealizationTable, strict: bool = False) -> BenchRow:

@@ -169,8 +169,7 @@ class CostReport(Record):
             raise ValueError("levels cannot exceed gates")
         if (levels == 0) != (gates == 0):
             raise ValueError("levels is zero exactly when gates is zero")
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "levels", levels)
+        super().__init__(gates, levels)
 
 
 def gate_count(circuit: Circuit) -> int:

@@ -58,10 +58,6 @@ class MerminValue(Record):
     m3: float
     violation: float
 
-    def __init__(self, m3: float, violation: float) -> None:
-        object.__setattr__(self, "m3", m3)
-        object.__setattr__(self, "violation", violation)
-
 
 def parity_expectation(dist: ProbabilityDistribution) -> float:
     """Sum of P_i * E_i with E_i = (-1)^(bit parity of outcome i)."""

@@ -61,13 +61,6 @@ class RewriteRule(Record):
     pattern: tuple[GateKind, GateKind]
     replacement: tuple[GateKind, ...]
 
-    def __init__(
-        self, name: str, pattern: tuple[GateKind, GateKind], replacement: tuple[GateKind, ...]
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "replacement", replacement)
-
 
 RULES: tuple[RewriteRule, ...] = (
     RewriteRule("cancel-hh", (GateKind.H, GateKind.H), ()),
@@ -120,11 +113,6 @@ class RuleFiring(Record):
     rule: str
     position: int
     qubits: tuple[int, ...]
-
-    def __init__(self, rule: str, position: int, qubits: tuple[int, ...]) -> None:
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "qubits", qubits)
 
 
 def rewrite_pending(

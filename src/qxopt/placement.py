@@ -121,20 +121,6 @@ class MappingResult(Record):
     final_cost: CostReport
     reduction_pct: tuple[int, int]
 
-    def __init__(
-        self,
-        placement: tuple[int, ...],
-        mapped: Circuit,
-        initial_cost: CostReport,
-        final_cost: CostReport,
-        reduction_pct: tuple[int, int],
-    ) -> None:
-        object.__setattr__(self, "placement", placement)
-        object.__setattr__(self, "mapped", mapped)
-        object.__setattr__(self, "initial_cost", initial_cost)
-        object.__setattr__(self, "final_cost", final_cost)
-        object.__setattr__(self, "reduction_pct", reduction_pct)
-
 
 def percent_reduction(initial: CostReport, final: CostReport) -> tuple[int, int]:
     """Per-metric reduction, rounded half-up; negative when costs grew."""

@@ -54,11 +54,6 @@ class RealizationEntry(Record):
     total_gates: int
     levels: int
 
-    def __init__(self, sequence: Circuit, total_gates: int, levels: int) -> None:
-        object.__setattr__(self, "sequence", sequence)
-        object.__setattr__(self, "total_gates", total_gates)
-        object.__setattr__(self, "levels", levels)
-
 
 class RealizationTable(Record):
     """The entries of one device, and their search form, derived from them
@@ -76,8 +71,7 @@ class RealizationTable(Record):
     entries: dict[tuple[int, int], RealizationEntry]
 
     def __init__(self, graph: CouplingGraph, entries: dict[tuple[int, int], RealizationEntry]) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(graph, entries)
         n = graph.num_physical
         bits = field_bits(n)
         codes: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]

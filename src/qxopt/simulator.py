@@ -147,21 +147,23 @@ Step = tuple[np.ndarray | None, np.ndarray | None]
 Fold = tuple[np.ndarray | None, np.ndarray | None, int]
 
 
-def _embed(m: np.ndarray, wires: tuple[int, ...], num_qubits: int) -> Step | None:
-    """A unitary 2^k x 2^k matrix m on k `wires`, wire j its bit j, as a
-    read-only (src, phase) pair on 2^n rows when m is monomial, one nonzero
+def _embed(m: np.ndarray, wires: tuple[int, ...], num_qubits: int, bits: int = 1) -> Step | None:
+    """A matrix m on k `wires` of `bits` bits each (1 for a qubit, 2 for a
+    Pauli digit), wire j its j-th `bits`-wide field, as a read-only
+    (src, phase) pair on 2^(bits n) rows when m is monomial, one nonzero
     entry per row: row i of the result is phase[i] * row src[i]. None stands
     for the identity permutation or all-one phases, and for the whole pair
     when m is not monomial."""
     if np.count_nonzero(m) != len(m):
         return None
     col, entry = m.nonzero()[1], m[m != 0]  # row by row
-    idx = np.arange(2**num_qubits)
-    row = sum([(idx >> w & 1) << j for j, w in enumerate(wires)])  # each row's row of m
+    mask = (1 << bits) - 1
+    idx = np.arange(1 << bits * num_qubits)
+    row = sum([(idx >> bits * w & mask) << bits * j for j, w in enumerate(wires)])  # each row's row of m
     src = phase = None
     moved = (col ^ range(len(m))).tolist()  # the bits of its row each row of m flips
     if any(moved):
-        flips = np.array([sum((d >> j & 1) << w for j, w in enumerate(wires)) for d in moved])
+        flips = np.array([sum((d >> bits * j & mask) << bits * w for j, w in enumerate(wires)) for d in moved])
         src = idx ^ flips[row]
     if (entry != 1).any():
         phase = entry[row]
@@ -416,16 +418,7 @@ def _ptm(kind: GateKind) -> np.ndarray:
 def _cnot_gather(control: int, target: int, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """A CNOT's PTM on the 4^n coefficients as a read-only (src, sign) pair:
     entry a of the result is sign[a] * c[src[a]]."""
-    idx = np.arange(4**num_qubits)
-    dc, dt = idx >> 2 * control & 3, idx >> 2 * target & 3
-    ptm = _ptm(GateKind.CNOT)
-    src16, sign16 = ptm.nonzero()[1], ptm[ptm != 0]  # one entry per row
-    local = dc | dt << 2
-    src = idx ^ dc << 2 * control ^ dt << 2 * target
-    src |= (src16[local] & 3) << 2 * control | (src16[local] >> 2) << 2 * target
-    sign = sign16[local]
-    _read_only(src, sign)
-    return src, sign
+    return _embed(_ptm(GateKind.CNOT), (control, target), num_qubits, 2)
 
 
 @functools.lru_cache(maxsize=16)

@@ -53,7 +53,7 @@ class StateVector(Record):
         _num_qubits(amp.shape[0], "amplitude vector length")
         if not np.isfinite(amp).all():
             raise ValueError("amplitude vector has a non-finite entry")
-        object.__setattr__(self, "amplitudes", amp)
+        super().__init__(amp)
 
     @property
     def num_qubits(self) -> int:
@@ -96,7 +96,7 @@ class DensityMatrix(Record):
         _num_qubits(m.shape[0], "dimension")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has a non-finite entry")
-        object.__setattr__(self, "matrix", m)
+        super().__init__(m)
 
     def validate(self) -> None:
         import numpy as np
@@ -127,8 +127,7 @@ class NoiseSpec(Record):
         for name, p in (("p1", p1), ("p2", p2)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} = {p} outside [0, 1]")
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
+        super().__init__(p1, p2)
 
 
 def _check_probability(bits: str, p: float, where: str = "") -> None:
@@ -153,9 +152,7 @@ class ProbabilityDistribution(Record, compared=("num_qubits", "probs")):
         total = sum(probs.values())
         if abs(total - 1.0) > tolerance:
             raise ValueError(f"probabilities sum to {total}, not 1 within {tolerance}")
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "tolerance", tolerance)
+        super().__init__(num_qubits, probs, tolerance)
 
 
 def distribution_from_vector(

@@ -30,9 +30,7 @@ class CouplingGraph(Record, compared=("num_physical", "edges")):
                 raise ValueError(f"self-loop edge ({c}, {t})")
             if not (0 <= c < num_physical and 0 <= t < num_physical):
                 raise ValueError(f"edge ({c}, {t}) outside 0..{num_physical - 1}")
-        object.__setattr__(self, "num_physical", num_physical)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "name", name)
+        super().__init__(num_physical, edges, name)
         # A connected graph on N qubits has at least N - 1 edges; checking
         # that first refuses a huge header without building its adjacency.
         if num_physical > len(edges) + 1 or len(bfs(self, 0)) != num_physical:

@@ -14,6 +14,9 @@ from its gate's matrix: each gate and its conjugates through H gates, and
 the bit rules that tracked a window's images of Z. `miter_equivalent` is
 the check `simulator.equivalent` ran before it removed the inverse pairs
 at the miter's seam: every gate of both circuits in one `frameless_plan`.
+`typed_cnot_gather` is `run_noisy`'s CNOT step on the Pauli coefficients
+as index arithmetic typed by hand, before `simulator._cnot_gather` derived
+it from the CNOT's transfer matrix through `simulator._embed`.
 `eigen_uhlmann_fidelity` is the general formula that
 `nonclassicality.uhlmann_fidelity` now runs only when neither argument
 allows its closed form: two eigendecompositions on every call.
@@ -478,3 +481,20 @@ def typed_window_mask(images: int) -> int | None:
     part. None when no G makes it monomial."""
     both = (images | images >> 4) & 15
     return None if both & both >> 2 else both & 3
+
+
+def typed_cnot_gather(control: int, target: int, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """`simulator._cnot_gather` as typed index arithmetic: a CNOT's PTM on
+    the 4^n coefficients as a read-only (src, sign) pair, entry a of the
+    result sign[a] * c[src[a]], each coefficient's two digits on the CNOT's
+    qubits looked up in the 16x16 PTM."""
+    idx = np.arange(4**num_qubits)
+    dc, dt = idx >> 2 * control & 3, idx >> 2 * target & 3
+    ptm = simulator._ptm(GateKind.CNOT)
+    src16, sign16 = ptm.nonzero()[1], ptm[ptm != 0]  # one entry per row
+    local = dc | dt << 2
+    src = idx ^ dc << 2 * control ^ dt << 2 * target
+    src |= (src16[local] & 3) << 2 * control | (src16[local] >> 2) << 2 * target
+    sign = sign16[local]
+    simulator._read_only(src, sign)
+    return src, sign

@@ -1,12 +1,14 @@
 """The value records of every module: construction by position and by
-keyword, defaults, equality and hash over the compared fields only, exact
-repr text, immutability, and copy/pickle round trips."""
+keyword, defaults, refusal of a missing, extra, unknown or doubled field,
+equality and hash over the compared fields only, exact repr text,
+immutability, and copy/pickle round trips."""
 import copy
 import pickle
 
 import numpy as np
 import pytest
 
+from qxopt import Record
 from qxopt.bench import BenchRow
 from qxopt.circuit import Circuit, CostReport, Gate, GateKind, cnot
 from qxopt.nonclassicality import MerminValue
@@ -126,6 +128,8 @@ RECORDS = {
 CASES = pytest.mark.parametrize("case", list(RECORDS.values()), ids=list(RECORDS))
 # The one field of each class that equality and hash skip.
 UNCOMPARED = {CouplingGraph: "name", ProbabilityDistribution: "tolerance"}
+# The fields before the first default, where a class has defaults.
+REQUIRED = {Circuit: 1, NoiseSpec: 0, CouplingGraph: 2, BenchRow: 2, ProbabilityDistribution: 2}
 
 
 @CASES
@@ -134,6 +138,37 @@ def test_construction_by_position_and_keyword_share_one_repr(case):
     assert repr(cls(*args)) == text
     assert repr(cls(**dict(zip(fields, args)))) == text
     assert str(cls(*args)) == text
+
+
+def test_only_records_with_checks_or_defaults_define_a_constructor():
+    classes = {cls for cls, *_ in RECORDS.values()}
+    assert set(Record.__subclasses__()) == classes
+    assert {cls.__name__ for cls in classes if "__init__" not in vars(cls)} == {
+        "MerminValue",
+        "RewriteRule",
+        "RuleFiring",
+        "MappingResult",
+        "RealizationEntry",
+    }
+
+
+@CASES
+def test_constructors_refuse_a_missing_extra_unknown_or_doubled_field(case):
+    cls, fields, args, _, _, _ = case
+    named = dict(zip(fields, args))
+    calls = [
+        (args + (None,), {}),
+        (args, {"extra": 1}),
+        ((), {**named, "extra": 1}),
+        (args[:1], named),
+        (args, {fields[-1]: args[-1]}),
+    ]
+    required = REQUIRED.get(cls, len(fields))
+    if required:
+        calls += [(args[: required - 1], {}), ((), {name: named[name] for name in fields[1:]})]
+    for values, keywords in calls:
+        with pytest.raises(TypeError):
+            cls(*values, **keywords)
 
 
 @CASES

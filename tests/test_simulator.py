@@ -508,6 +508,20 @@ def test_derived_moves_match_the_typed_rules():
                 assert np.max(np.abs(simulator._H_ON[want] @ m - u)) < 1e-12
 
 
+def test_derived_cnot_gather_matches_the_typed_one():
+    # `run_noisy`'s CNOT step, derived by `_embed` from the CNOT's PTM with
+    # two bits per wire, against the index arithmetic typed by hand: the
+    # same read-only arrays, entry for entry and of the same dtype.
+    for n in range(2, 7):
+        for control, target in itertools.permutations(range(n), 2):
+            got = simulator._cnot_gather(control, target, n)
+            want = dense_oracle.typed_cnot_gather(control, target, n)
+            assert len(got) == len(want) == 2
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (control, target, n)
+                assert not a.flags.writeable
+
+
 def test_run_ideal_refuses_an_initial_state_of_another_width():
     with pytest.raises(ValueError) as info:
         run_ideal(Circuit(2), basis_state(3))

@@ -33,7 +33,10 @@ the block is read gate by gate.
 
 The placement search passes each multi-gate table entry as a block and
 keeps the pending list with its tombstones, so that `circuit.cheapest`
-filters only the candidates it has to. The realization table calls
+filters only the candidates it has to. Its skeleton bound resumes the
+pass from a saved state (`engine_state`: the pending list, the two link
+lists, `top` and the tombstone count), so a prefix that many placements
+share is rewritten once. The realization table calls
 `rewrite`, the filtering wrapper, and decodes only its winners. `Gate`s
 come in by one door, `simplify`, which encodes a circuit once; the wrapper
 `simplify_gates`, for a raw gate list, has no caller here but is bound by
@@ -115,15 +118,31 @@ class RuleFiring(Record):
     qubits: tuple[int, ...]
 
 
+def engine_state(bits: int, of: list | None = None) -> list:
+    """An engine state for `rewrite_pending` on `bits`-wide qubit fields,
+    `[pending, link1, link2, top, dead]`: with no pending gate, or a copy of
+    the state `of`."""
+    if of is not None:
+        pending, link1, link2, top, dead = of
+        return [pending[:], link1[:], link2[:], top.copy(), dead]
+    top = [0] * (1 << bits) if bits <= _LIST_BITS else defaultdict(int)
+    return [[-1], [0], [0], top, 1]
+
+
 def rewrite_pending(
     codes: Iterable[int],
     bits: int,
     blocks: Sequence[tuple] = (),
     trace: list[RuleFiring] | None = None,
+    state: list | None = None,
 ) -> tuple[list[int], int]:
     """Rewrite gate codes with `bits`-wide qubit fields to their fixpoint in
     one pass; with `trace`, append each firing to it. `codes` may hold the
     block markers of `mark_blocks`, with `blocks` the table it returned.
+    With `state` (see `engine_state`), the pass resumes from the state that
+    an earlier pass over a prefix of the codes left, and leaves its own end
+    state there: the pass over the prefix and then `codes` is the pass over
+    both, so a caller that shares a prefix rewrites it once.
 
     Returns the pending list and the number of -1 tombstones in it: the
     result is its other entries, in order. Index 0 is a sentinel tombstone,
@@ -152,14 +171,10 @@ def rewrite_pending(
     shift = 4 + bits
     mask = (1 << bits) - 1
     outcomes = _OUTCOME
-    pending = [-1]
-    link1 = [0]
-    link2 = [0]
-    top: list[int] | defaultdict[int, int] = (
-        [0] * (mask + 1) if bits <= _LIST_BITS else defaultdict(int)
-    )
-    dead = 1
-    tombs = [0] if trace is not None else None
+    if state is None:
+        state = engine_state(bits)
+    pending, link1, link2, top, dead = state
+    tombs = [i for i, c in enumerate(pending) if c < 0] if trace is not None else None
     it = iter(codes)
     for code in it:
         if code & 8:
@@ -223,6 +238,7 @@ def rewrite_pending(
             link2.append(0)
             top[q] = n
             pending.append(code)
+    state[4] = dead
     return pending, dead
 
 

@@ -72,22 +72,46 @@ count, for these reasons:
   same element is shorter. So the rewritten skeleton's count is at most
   the final skeleton's, which is at most the final count.
 
-`_candidates` skips each placement whose bound exceeds the least gate
-count it has passed to `cheapest`, which is `cheapest`'s own best count: a
-skipped placement has more gates than a candidate already seen, so it can
-neither win nor tie, and the winner, its mapped circuit and its levels are
-those of the unpruned search. The skeleton's length before the rewrite,
-the logical H count plus the CNOTs' entry lengths, costs a few lookups per
-placement; a placement whose length is at most the best count cannot be
-pruned and is scored at once. Placements that put every H and CNOT wire on
-the same qubits share one skeleton, so the bound is memoized by those
-qubits: limit8's 6-qubit case has 3 wires with neither, and its 3,762
-placements share 336 skeletons.
+The gates that are not H or CNOT add a term that no placement changes.
+Every rule keeps three things per qubit: the parity of its X count, the
+parity of its Y count, and its phase sum mod 8, with Z=4, S=2, SDG=6, T=1
+and TDG=7 (the weights of `pathsum._PHASE`). A cancelled pair removes two
+X, two Y, or phases summing to 8, and a merge keeps the sum (1+1=2, 7+7=6,
+2+2=4 and 6+6=4 mod 8). Table entries hold only H and CNOT, so each wire's
+1-qubit gates stay on its own qubit, and an invariant that is not 0 keeps
+at least one gate of its kinds there. With c the count, over the wires, of
+an odd X count, an odd Y count and a nonzero phase sum (`_residue`), the
+final count is at least the rewritten skeleton's count plus c.
 
-A skeleton rewrite costs nearly what a full one does, so the bound pays
-only where placements share skeletons: where some wire carries neither H
-nor CNOT and the device has at least two qubits more than the H and CNOT
-wires. Every other circuit is scored in full, placement by placement.
+`_candidates` skips each placement whose bound, that sum, exceeds the
+least gate count it has passed to `cheapest`, which is `cheapest`'s own
+best count: a skipped placement has more gates than a candidate already
+seen, so it can neither win nor tie, and the winner, its mapped circuit
+and its levels are those of the unpruned search. The skeleton's length
+before the rewrite, the logical H count plus the CNOTs' entry lengths,
+costs a few lookups per placement; a placement whose length plus c is at
+most the best count cannot be pruned and is scored at once.
+
+Placements share skeleton prefixes. The skeleton is split before each gate
+that brings in a wire no earlier one touched; each prefix's engine state
+is memoized by the placement of the wires it has seen, and
+`rewrite_pending` resumes from it, so a placement rewrites only the
+segments after its longest prefix already seen. The last segment's count
+is memoized by the placement of every H and CNOT wire, which placements
+that differ only on the other wires share. On limit8 at seed 77, the
+5-qubit case's segments are rewritten 56, 336, 1,679 and 6,615 times for
+its 6,720 placements, and it scores 348 of them; the 6-qubit case, with 3
+wires that carry neither gate, rewrites 56 prefixes and 325 last segments
+for its 3,762 placements and scores 12.
+
+Where the bound runs follows from the shapes alone. A bound costs at
+least a segment's rewrite, so it pays only where placements share
+skeleton work: where some wire carries neither H nor CNOT, or the device
+has at least three qubits more than the circuit, and in either case at
+least two more than the H and CNOT wires. Every other circuit is scored
+in full, placement by placement; on the 5-qubit devices a 3-qubit circuit
+with an H or a CNOT on every wire would spend more on its bounds than
+they save.
 """
 from __future__ import annotations
 
@@ -99,18 +123,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import Record
 from .circuit import Circuit, CostReport, check_placement, check_tolerance, cheapest, code_levels
-from .circuit import KIND_CODE, GateKind, decode_all, encode, field_bits
+from .circuit import GateKind, decode_all, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
-from .pathsum import VERIFY_TOL, equivalent
-from .peephole import rewrite, rewrite_pending
+from .pathsum import _PHASE, VERIFY_TOL, equivalent
+from .peephole import engine_state, rewrite, rewrite_pending
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
 from .realization import RealizationTable
 from .topology import CouplingGraph
 
 DEFAULT_SEARCH_LIMIT = 8
-# The skeleton's gate kinds, and their kind indices in gate codes.
+# The skeleton's gate kinds.
 _SKELETON_GATES = (GateKind.H, GateKind.CNOT)
-_SKELETON_KINDS = tuple(KIND_CODE[kind] for kind in _SKELETON_GATES)
 
 
 class MappingResult(Record):
@@ -217,6 +240,74 @@ def _representatives(
                     yield tuple(placement)
 
 
+def _residue(circuit: Circuit) -> int:
+    """Gates that no rewrite removes from the circuit's wires, whatever the
+    placement: per wire, one for an odd X count, one for an odd Y count and
+    one for a phase sum (`pathsum._PHASE`) that is not 0 mod 8 (see the
+    module docstring). An X or a Y weighs 4, so its count is odd exactly
+    when its sum is not 0 mod 8."""
+    sums: Counter = Counter()
+    for g in circuit.gates:
+        if g.kind in _PHASE:
+            sums[g.qubits, None] += _PHASE[g.kind]
+        elif g.kind is GateKind.X or g.kind is GateKind.Y:
+            sums[g.qubits, g.kind] += 4
+    return sum(1 for total in sums.values() if total % 8)
+
+
+def _skeleton_counter(
+    circuit: Circuit, codes: list[int], table: RealizationTable, bits: int
+) -> Callable[[Sequence[int]], int]:
+    """Function from a placement to the gate count that `rewrite_pending`
+    leaves of the circuit's skeleton mapped under it; `codes` are the
+    circuit's gates, encoded at `field_bits(circuit.num_qubits)`, and at
+    least one is an H or a CNOT. The skeleton is split before each gate that
+    brings in a wire no earlier one touched; each prefix's engine state is
+    memoized by the placement of the wires it has seen, and the count by
+    the placement of every skeleton wire, so a placement rewrites only the
+    segments after its longest prefix already seen."""
+    logical_bits = field_bits(circuit.num_qubits)
+    segments: list[tuple[list[int], tuple[int, ...]]] = []
+    seen: list[int] = []
+    part: list[int] = []
+    for g, code in zip(circuit.gates, codes):
+        if g.kind in _SKELETON_GATES:
+            new = [q for q in g.qubits if q not in seen]
+            if new and part:
+                segments.append((part, tuple(seen)))
+                part = []
+            part.append(code)
+            seen += new
+    segments.append((part, tuple(seen)))
+    steps = [(_mapper(part, logical_bits, table._marked), itemgetter(*wires), {}) for part, wires in segments]
+    *prefixes, (last, last_key, counts) = steps
+    blocks = table._blocks
+
+    def count(placement: Sequence[int]) -> int:
+        key = last_key(placement)
+        value = counts.get(key)
+        if value is not None:
+            return value
+        missed = []
+        for mapped, prefix_key, states in reversed(prefixes):
+            k = prefix_key(placement)
+            state = states.get(k)
+            if state is not None:
+                break
+            missed.append((mapped, states, k))
+        else:
+            state = engine_state(bits)
+        for mapped, states, k in reversed(missed):
+            state = engine_state(bits, state)
+            rewrite_pending(mapped(placement), bits, blocks, None, state)
+            states[k] = state
+        pending, dead = rewrite_pending(last(placement), bits, blocks, None, engine_state(bits, state))
+        value = counts[key] = len(pending) - dead
+        return value
+
+    return count
+
+
 def _candidates(
     circuit: Circuit, codes: list[int], table: RealizationTable, bits: int
 ) -> Iterator[tuple[list[int], int, tuple[int, ...]]]:
@@ -227,40 +318,36 @@ def _candidates(
     `field_bits(circuit.num_qubits)`."""
     entries, rows, blocks = table._codes, table._marked, table._blocks
     n = len(entries)
-    logical_bits = field_bits(circuit.num_qubits)
+    k = circuit.num_qubits
+    logical_bits = field_bits(k)
     mapped = _mapper(codes, logical_bits, rows)
     placements = _placements(circuit, table, bits)
     skeleton_qubits = [g.qubits for g in circuit.gates if g.kind in _SKELETON_GATES]
-    wires = sorted({q for qubits in skeleton_qubits for q in qubits})
-    if not wires or len(wires) == circuit.num_qubits or n - len(wires) < 2:
-        # No skeleton to bound, or no two placements that share one.
+    wires = {q for qubits in skeleton_qubits for q in qubits}
+    if not wires or n - len(wires) < 2 or (len(wires) == k and n - k < 3):
+        # No skeleton to bound, or too few placements that share its work.
         for placement in placements:
             yield (*rewrite_pending(mapped(placement), bits, blocks), placement)
         return
     cnots = Counter(qubits for qubits in skeleton_qubits if len(qubits) == 2)
-    h_count = len(skeleton_qubits) - sum(cnots.values())
+    residue = _residue(circuit)
+    # The skeleton's length before the rewrite, less its CNOTs' entries,
+    # plus the gates that outlive every rewrite.
+    base = len(skeleton_qubits) - sum(cnots.values()) + residue
     # Per logical CNOT pair, [control][target]: its count times the length
     # of each entry.
     lengths = [
         (a, b, [[m * len(entry) for entry in row] for row in entries])
         for (a, b), m in cnots.items()
     ]
-    key = itemgetter(*wires)
-    skeleton = _mapper([c for c in codes if c & 15 in _SKELETON_KINDS], logical_bits, rows)
-    memo: dict = {}
+    skeleton = _skeleton_counter(circuit, codes, table, bits)
     best = math.inf
     for placement in placements:
-        length = h_count
+        length = base
         for a, b, pair_lengths in lengths:
             length += pair_lengths[placement[a]][placement[b]]
-        if length > best:
-            k = key(placement)
-            bound = memo.get(k)
-            if bound is None:
-                pending, dead = rewrite_pending(skeleton(placement), bits, blocks)
-                bound = memo[k] = len(pending) - dead
-            if bound > best:
-                continue
+        if length > best and skeleton(placement) + residue > best:
+            continue
         pending, dead = rewrite_pending(mapped(placement), bits, blocks)
         if len(pending) - dead < best:
             best = len(pending) - dead

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, _gate
 
 GATE_NAMES: dict[str, GateKind] = {kind.value: kind for kind in GateKind}
 
@@ -103,7 +103,9 @@ def parse_report(text: str, strict: bool = False) -> tuple[Circuit, list[str]]:
             qubits = tuple(_parse_ref(a, *registers["qreg"], at) for a in args)
             if len(set(qubits)) != len(qubits):
                 raise QasmError(f"{at}: duplicate qubit in {keyword}: {rest}")
-            gate = parsed[stmt] = Gate(kind, qubits)
+            # The operand count, `_parse_ref`'s digits and the duplicate
+            # test are `Gate`'s checks, so the gate is made without them.
+            gate = parsed[stmt] = _gate(kind, qubits)
             gates.append(gate)
 
     if "qreg" not in registers:

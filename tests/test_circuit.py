@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -11,6 +13,7 @@ from qxopt.circuit import (
     Gate,
     GateKind,
     cnot,
+    cnot_code,
     decode,
     decode_all,
     encode,
@@ -123,6 +126,39 @@ def test_decode_all_decodes_each_distinct_code_once(bits, seed):
     gates = decode_all(codes, bits)
     assert gates == tuple(decode(c, bits) for c in codes)
     assert len({id(g) for g in gates}) == len(set(codes))
+
+
+def _count_gate_checks(monkeypatch):
+    """The argument tuples of every `Gate.__init__` call from now on."""
+    calls = []
+    init = Gate.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Gate, "__init__", counting)
+    return calls
+
+
+def test_decode_checks_only_the_codes_of_no_valid_gate(monkeypatch):
+    bits = 3
+    rng = random.Random(5)
+    codes = encode(random_circuit(8, 60, rng).gates, bits)
+    calls = _count_gate_checks(monkeypatch)
+    # Every code `encode` makes decodes without `Gate`'s checks ...
+    gates = decode_all(codes, bits)
+    assert calls == [] and encode(gates, bits) == codes
+    # ... and copy and pickle still rebuild through them.
+    assert copy.copy(gates[0]) == pickle.loads(pickle.dumps(gates[0])) == gates[0]
+    assert len(calls) == 2
+    # A CNOT on one qubit twice and a negative code are refused by them.
+    with pytest.raises(ValueError, match="duplicate qubit"):
+        decode(cnot_code(2, 2, bits), bits)
+    for code in (-15, -8):
+        with pytest.raises(ValueError, match="negative qubit"):
+            decode(code, bits)
+    assert len(calls) == 5
 
 
 @given(st.integers(0, 200), st.integers(0, 200))

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 import search_oracle
 from qxopt.circuit import BLOCK_CODE, Circuit, Gate, GateKind, cnot, encode, field_bits, gate1
 from qxopt.circuit import gate_count, inverse_of, random_circuit
-from qxopt.peephole import RULES, mark_blocks, rewrite, rewrite_pending, simplify, simplify_gates
+from qxopt.pathsum import _PHASE
+from qxopt.peephole import RULES, engine_state, mark_blocks, rewrite, rewrite_pending, simplify
+from qxopt.peephole import simplify_gates
 from qxopt.simulator import unitary_of
 
 
@@ -24,6 +27,30 @@ def _phase_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
 def test_every_rule_shrinks_the_circuit():
     for rule in RULES:
         assert len(rule.replacement) < len(rule.pattern), rule.name
+
+
+def _invariants(kinds):
+    """A qubit's X count parity, Y count parity and phase sum mod 8, with the
+    phase weights the path sum uses."""
+    return (
+        kinds.count(GateKind.X) % 2,
+        kinds.count(GateKind.Y) % 2,
+        sum(_PHASE.get(kind, 0) for kind in kinds) % 8,
+    )
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+def test_each_rule_keeps_what_the_skeleton_bound_counts(rule):
+    # The placement search's bound counts an odd X count, an odd Y count and
+    # a nonzero phase sum on a wire as gates that no rewrite removes, and
+    # the rest of it is the rewritten H and CNOT gates. It holds while every
+    # rule keeps the three invariants, creates no H or CNOT, and touches an
+    # H or a CNOT only to cancel a pair of them.
+    assert _invariants(rule.pattern) == _invariants(rule.replacement)
+    skeleton = {GateKind.H, GateKind.CNOT}
+    assert not skeleton & set(rule.replacement)
+    if skeleton & set(rule.pattern):
+        assert rule.pattern[0] == rule.pattern[1] and rule.replacement == ()
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
@@ -205,6 +232,17 @@ def _assert_blocks_match_stack_oracle(runs):
     assert live == search_oracle.stack_rewrite([c for run in fixed for c in run], bits, stack_trace)
     assert got_trace == stack_trace
     assert len(pending) - dead == len(live)
+    # Resumed run by run, each from a copy of the state the run before left,
+    # the pass is the same, trace included, and no copy's pass changes the
+    # state it copied.
+    state, resumed_trace = engine_state(bits), []
+    for run in marked:
+        before = copy.deepcopy(state)
+        resumed = engine_state(bits, state)
+        assert rewrite_pending(run, bits, blocks, resumed_trace, resumed) == (resumed[0], resumed[4])
+        assert state == before
+        state = resumed
+    assert (state[0], state[4]) == (pending, dead) and resumed_trace == got_trace
 
 
 @settings(deadline=None, max_examples=200)

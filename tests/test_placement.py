@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -11,11 +12,11 @@ import qxopt.circuit
 import qxopt.peephole
 import qxopt.placement
 import search_oracle
-from qxopt.circuit import Circuit, CostReport, GateKind, cnot, code_levels, encode
+from qxopt.circuit import KIND_CODE, Circuit, CostReport, GateKind, cnot, code_levels, encode
 from qxopt.circuit import field_bits, gate1, random_circuit
 from qxopt.fixtures import CIRCUITS, load_circuit
 from qxopt.peephole import rewrite_pending
-from qxopt.placement import _mapper, _placements, check_search_limit
+from qxopt.placement import _mapper, _placements, _residue, _skeleton_counter, check_search_limit
 from qxopt.placement import cost_of, optimize, percent_reduction
 from qxopt.realization import RealizationEntry, RealizationTable, build_table
 from qxopt.simulator import equivalent
@@ -308,15 +309,17 @@ def test_optimize_matches_full_enumeration_on_sparse_circuits(sparse_tables, cas
 
 
 class _SkeletonCodes(list):
-    """A skeleton's mapped codes, tagged so that the counting rewrite can
-    tell them from a full mapped circuit's."""
+    """A skeleton segment's mapped codes, tagged with the segment's index so
+    that the counting rewrite can tell them from a full mapped circuit's."""
+
+    segment = 0
 
 
 class _SearchCounts:
     """What one search covered and rewrote: the placements `_placements`
     yielded, those whose full mapped codes were built, the lengths of the
-    code lists passed to `rewrite_pending`, full and skeleton apart, and the
-    number of mappers made."""
+    full code lists passed to `rewrite_pending`, the index of the skeleton
+    segment of each other call, and the number of mappers made."""
 
     def __init__(self):
         self.covered = []
@@ -335,24 +338,31 @@ def _count_rewrites(monkeypatch):
     mapper = qxopt.placement._mapper
     placements = qxopt.placement._placements
 
-    def counting_rewrite(codes, bits, blocks=()):
-        (counts.skeleton if isinstance(codes, _SkeletonCodes) else counts.full).append(len(codes))
-        return rewrite_pending(codes, bits, blocks)
+    def counting_rewrite(codes, bits, blocks=(), trace=None, state=None):
+        if isinstance(codes, _SkeletonCodes):
+            counts.skeleton.append(codes.segment)
+        else:
+            # A full mapped circuit is rewritten from the start.
+            assert state is None
+            counts.full.append(len(codes))
+        return rewrite_pending(codes, bits, blocks, trace, state)
 
     def tagging_mapper(codes, bits, entries):
-        # A search makes the full circuit's mapper first and its skeleton's
-        # second. For a circuit of H and CNOT gates alone the two code lists
-        # are equal, so only the order tells them apart.
-        assert counts.mappers < 2, "a search makes at most two mappers"
-        skeleton = counts.mappers == 1
+        # A search makes the full circuit's mapper first and then one per
+        # skeleton segment, in order. For a circuit of H and CNOT gates
+        # alone the code lists may be equal, so only the order tells them
+        # apart.
+        segment = counts.mappers - 1
         counts.mappers += 1
         mapped = mapper(codes, bits, entries)
 
         def tagged(placement):
-            if skeleton:
-                return _SkeletonCodes(mapped(placement))
-            counts.scored.append(tuple(placement))
-            return mapped(placement)
+            if segment < 0:
+                counts.scored.append(tuple(placement))
+                return mapped(placement)
+            out = _SkeletonCodes(mapped(placement))
+            out.segment = segment
+            return out
 
         return tagged
 
@@ -365,6 +375,34 @@ def _count_rewrites(monkeypatch):
     monkeypatch.setattr(qxopt.placement, "_mapper", tagging_mapper)
     monkeypatch.setattr(qxopt.placement, "_placements", recording_placements)
     return counts
+
+
+def _skeleton_wires(circuit):
+    return {q for g in circuit.gates if g.kind in (GateKind.H, GateKind.CNOT) for q in g.qubits}
+
+
+def _bound_runs(circuit, table):
+    """Whether the search computes skeleton bounds: where some wire carries
+    neither H nor CNOT, or the device has three qubits more than the
+    circuit, and in either case at least two more than the H and CNOT
+    wires."""
+    wires = _skeleton_wires(circuit)
+    n, k = table.graph.num_physical, circuit.num_qubits
+    return bool(wires) and n - len(wires) >= 2 and (len(wires) < k or n - k >= 3)
+
+
+def _segment_wires(circuit):
+    """The wires seen by the end of each skeleton segment: the circuit's H
+    and CNOT gates, split before each one that brings in a wire that no
+    earlier one touched."""
+    seen, ends = [], []
+    for g in circuit.gates:
+        if g.kind in (GateKind.H, GateKind.CNOT):
+            new = [q for q in g.qubits if q not in seen]
+            if new and seen:
+                ends.append(tuple(seen))
+            seen += new
+    return ends + [tuple(seen)] if seen else []
 
 
 def test_cnot_free_circuit_scores_one_placement(qx2_table, monkeypatch):
@@ -458,9 +496,18 @@ def _skeleton_heavy(rng, width, num_gates, idle_wires=0):
 
 
 # (width, wires with neither H nor CNOT, gates, seed) of ladder8 circuits.
-# With such a wire, placements share skeletons and the search prunes; with
-# none, it scores every placement.
-_LADDER8_CASES = [(5, 0, 14, 1), (5, 1, 16, 3), (5, 2, 20, 2), (6, 3, 12, 4), (6, 1, 10, 5)]
+# With such a wire, or on five wires (three fewer than the device), the
+# search bounds skeletons and prunes; the first case has an H or a CNOT on
+# every wire. The last has one on each of its six, so it scores every
+# placement.
+_LADDER8_CASES = [
+    (5, 0, 14, 1),
+    (5, 1, 16, 3),
+    (5, 2, 20, 2),
+    (6, 3, 12, 4),
+    (6, 1, 10, 5),
+    (6, 0, 10, 9),
+]
 
 
 @pytest.mark.parametrize("width,idle,num_gates,seed", _LADDER8_CASES)
@@ -478,28 +525,42 @@ def test_pruned_search_matches_unpruned_oracle_on_ladder8(
     assert len(counts.full) == len(counts.scored)
     pruned = counts.pruned()
     if not idle:
-        assert pruned == [] and counts.skeleton == []
+        assert len(_skeleton_wires(circuit)) == width
+    if not _bound_runs(circuit, table):
+        assert (width, idle) == (6, 0)
+        assert counts.mappers == 1 and pruned == [] and counts.skeleton == []
         return
+    assert counts.mappers == 1 + len(_segment_wires(circuit))
     # Pruning fires, and every pruned placement costs more than the winner.
     assert pruned and len(counts.full) < len(counts.covered)
     for placement in pruned[:: max(1, len(pruned) // 50)]:
         assert cost_of(circuit, placement, table).gates > result.final_cost.gates
 
 
-@pytest.mark.parametrize("width,idle,num_gates,seed", [c for c in _LADDER8_CASES if c[1]])
+@pytest.mark.parametrize(
+    "width,idle,num_gates,seed", [c for c in _LADDER8_CASES if c[0] == 5 or c[1]]
+)
 def test_skeleton_rewrites_never_exceed_skeleton_wire_assignments(
     sparse_tables, monkeypatch, width, idle, num_gates, seed
 ):
-    # Placements that agree on the H and CNOT wires share one memoized bound.
+    # Placements that agree on the wires a skeleton prefix has seen share
+    # its rewrite, and those that agree on every H and CNOT wire share the
+    # bound: each segment is rewritten at most once per assignment of the
+    # wires seen by its end.
     circuit = _skeleton_heavy(random.Random(seed), width, num_gates, idle)
     counts = _count_rewrites(monkeypatch)
     optimize(circuit, sparse_tables["ladder8"])
-    wires = sorted(
-        {q for g in circuit.gates if g.kind in (GateKind.H, GateKind.CNOT) for q in g.qubits}
-    )
-    assignments = {tuple(p[w] for w in wires) for p in counts.covered}
-    assert len(wires) < width
-    assert 0 < len(counts.skeleton) <= len(assignments) < len(counts.covered)
+    segments = _segment_wires(circuit)
+    assert sorted(set(counts.skeleton)) == list(range(len(segments)))
+    for segment, wires in enumerate(segments):
+        assignments = {tuple(p[w] for w in wires) for p in counts.covered}
+        assert counts.skeleton.count(segment) <= len(assignments)
+    first = {tuple(p[w] for w in segments[0]) for p in counts.covered}
+    assert counts.skeleton.count(0) <= len(first) < len(counts.covered)
+    if idle:
+        assert len(segments[-1]) < width
+        last = {tuple(p[w] for w in segments[-1]) for p in counts.covered}
+        assert len(last) < len(counts.covered)
 
 
 def _mapper_of(circuit, entries, skeleton=False):
@@ -561,6 +622,73 @@ def test_skeleton_bound_is_tight_when_identical_reversed_cnots_cancel(sparse_tab
     placement = (0, 1, 2, 3)
     assert _count(skeleton(placement)) == _count(full(placement)) == 1
     assert cost_of(circuit, placement, table) == CostReport(1, 1)
+
+
+def _bound(circuit, table):
+    """The search's skeleton bound in its two terms: a function from a
+    placement to the rewritten count of its mapped H and CNOT gates, and
+    the count of gates that no rewrite removes."""
+    residue = _residue(circuit)
+    if not _skeleton_wires(circuit):
+        return (lambda placement: 0), residue
+    codes = encode(circuit.gates, field_bits(circuit.num_qubits))
+    bits = field_bits(table.graph.num_physical)
+    return _skeleton_counter(circuit, codes, table, bits), residue
+
+
+def test_residue_counts_what_no_rewrite_removes_per_wire():
+    # Wire 0: odd X and Y counts, phases 1 + 1 + 2 + 2 = 6; wire 1: even
+    # X count, phases 4 + 4 = 8; wire 2: T TDG sums to 8; wire 3: one S.
+    # Each kind is counted per wire: the X on wire 4 and on wire 5 both count.
+    ones = {
+        0: (GateKind.X, GateKind.Y, GateKind.T, GateKind.T, GateKind.S, GateKind.S),
+        1: (GateKind.X, GateKind.Z, GateKind.X, GateKind.Z),
+        2: (GateKind.T, GateKind.TDG),
+        3: (GateKind.S,),
+        4: (GateKind.X, GateKind.H),
+        5: (GateKind.X, GateKind.SDG, GateKind.SDG, GateKind.Z),
+    }
+    gates = [gate1(kind, wire) for wire, kinds in ones.items() for kind in kinds]
+    circuit = Circuit(6, tuple(gates) + (cnot(0, 1),))
+    assert _residue(circuit) == 3 + 0 + 0 + 1 + 1 + 1
+    # The bound is tight where each invariant leaves one gate: X Y T T S
+    # rewrites to X Y Z (T T merges to S, which merges with S to Z).
+    kinds = (GateKind.X, GateKind.Y, GateKind.T, GateKind.T, GateKind.S)
+    tight = Circuit(2, (gate1(GateKind.H, 1),) + tuple(gate1(k, 0) for k in kinds))
+    table = build_table(load(LADDER8_TEXT, name="ladder8"))
+    count, residue = _bound(tight, table)
+    assert count((0, 1)) + residue == cost_of(tight, (0, 1), table).gates == 4
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(_SPARSE_WIDTH)), st.integers(0, 10_000))
+def test_skeleton_bound_never_exceeds_the_cost_of_a_placement(sparse_tables, arch, seed):
+    # Skeleton-heavy gates mixed with every 1-qubit kind, so the residue
+    # sees odd X and Y counts and every phase. Each term bounds its own part
+    # of the rewritten circuit: the skeleton count its H and CNOT gates, and
+    # each wire's residue the other gates on that wire's qubit.
+    rng = random.Random(seed)
+    table = sparse_tables[arch]
+    width = rng.randint(1, _SPARSE_WIDTH[arch])
+    gates = _skeleton_heavy(rng, width, rng.randint(0, 16), rng.randint(0, width - 1)).gates
+    gates += random_circuit(width, rng.randint(0, 12), rng).gates
+    circuit = Circuit(width, tuple(rng.sample(gates, len(gates))))
+    count, residue = _bound(circuit, table)
+    per_wire = [
+        _residue(Circuit(width, tuple(g for g in circuit.gates if g.qubits == (w,))))
+        for w in range(width)
+    ]
+    assert sum(per_wire) == residue
+    _, score = _block_scorer(circuit, table, field_bits(table.graph.num_physical))
+    skeleton_kinds = (KIND_CODE[GateKind.H], KIND_CODE[GateKind.CNOT])
+    placements = list(permutations(range(table.graph.num_physical), width))
+    for placement in rng.sample(placements, min(40, len(placements))):
+        live = [c for c in score(placement)[0] if c >= 0]
+        others = Counter(c >> 4 for c in live if c & 15 not in skeleton_kinds)
+        assert count(placement) <= len(live) - sum(others.values())
+        assert all(per_wire[w] <= others[q] for w, q in enumerate(placement))
+        assert count(placement) + residue <= cost_of(circuit, placement, table).gates == len(live)
+    assert optimize(circuit, table) == search_oracle.optimize(circuit, table)
 
 
 def _touched_by(table, placement, circuit):
@@ -772,10 +900,10 @@ def test_search_neither_encodes_nor_marks_a_table_entry(sparse_tables, monkeypat
     assert len(marks) == 1
     # Every wire of the mermin circuit carries an H or a CNOT, so qx2 maps
     # it in full; wire 3 here carries neither, so ladder8 maps the skeleton
-    # too.
+    # too, in two segments: CNOT(0, 1), then the H that brings in wire 2.
     idle = Circuit(4, (cnot(0, 1), gate1(GateKind.H, 2), gate1(GateKind.T, 3)))
     mermin = load_circuit("mermin_yyy_unopt")
-    cases = ((mermin, table, 1), (mermin, table, 1), (idle, sparse_tables["ladder8"], 2))
+    cases = ((mermin, table, 1), (mermin, table, 1), (idle, sparse_tables["ladder8"], 3))
     for circuit, searched, mapper_count in cases:
         marks.clear()
         encodes.clear()

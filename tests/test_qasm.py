@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -20,6 +21,22 @@ def test_parse_register_only_is_empty_circuit():
     c = parse("qreg q[1];")
     assert c.num_qubits == 1
     assert c.gates == ()
+
+
+def test_parse_makes_gates_without_rechecking_them(monkeypatch):
+    # The parser's own checks cover `Gate`'s, so no parsed gate runs them;
+    # the gates equal checked ones, and a pickled copy is checked again,
+    # once per distinct gate (the repeated statement shares its `Gate`).
+    from test_circuit import _count_gate_checks
+
+    text = "qreg q[3]; h q[0]; cx q[2],q[1]; t q[2]; cx q[2],q[1];"
+    calls = _count_gate_checks(monkeypatch)
+    gates = parse(text).gates
+    assert calls == []
+    monkeypatch.undo()
+    assert gates == (gate1(GateKind.H, 0), cnot(2, 1), gate1(GateKind.T, 2), cnot(2, 1))
+    calls = _count_gate_checks(monkeypatch)
+    assert pickle.loads(pickle.dumps(gates)) == gates and len(calls) == 3
 
 
 def test_parse_rejects_duplicate_qubit_in_cx():

@@ -10,7 +10,7 @@ import pytest
 
 from qxopt import Record
 from qxopt.bench import BenchRow
-from qxopt.circuit import Circuit, CostReport, Gate, GateKind, cnot
+from qxopt.circuit import Circuit, CostReport, Gate, GateKind, _gate, cnot
 from qxopt.nonclassicality import MerminValue
 from qxopt.peephole import RewriteRule, RuleFiring
 from qxopt.placement import MappingResult
@@ -213,6 +213,17 @@ def test_copy_and_pickle_keep_the_record(case):
     assert repr(copy.copy(record)) == text
     assert repr(copy.deepcopy(record)) == text
     assert repr(pickle.loads(pickle.dumps(record))) == text
+
+
+def test_copy_and_pickle_recheck_a_gate_made_without_checks():
+    # `circuit._gate` skips `Gate`'s checks for callers that made them
+    # already; copy and pickle rebuild through `Gate.__init__`, so a gate
+    # that would fail them cannot be copied.
+    bad = _gate(GateKind.CNOT, (1, 1))
+    for rebuild in (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))):
+        with pytest.raises(ValueError, match="duplicate qubit"):
+            rebuild(bad)
+    assert copy.copy(_gate(H, (0,))) == Gate(H, (0,))
 
 
 def test_defaults():

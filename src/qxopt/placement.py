@@ -87,22 +87,22 @@ final count is at least the rewritten skeleton's count plus c.
 least gate count it has passed to `cheapest`, which is `cheapest`'s own
 best count: a skipped placement has more gates than a candidate already
 seen, so it can neither win nor tie, and the winner, its mapped circuit
-and its levels are those of the unpruned search. The skeleton's length
-before the rewrite, the logical H count plus the CNOTs' entry lengths,
-costs a few lookups per placement; a placement whose length plus c is at
-most the best count cannot be pruned and is scored at once.
+and its levels are those of the unpruned search. No bound exceeds the
+best count before the first score, so the first placement is scored
+without one, and every later one pays for its bound.
 
 Placements share skeleton prefixes. The skeleton is split before each gate
 that brings in a wire no earlier one touched; each prefix's engine state
 is memoized by the placement of the wires it has seen, and
 `rewrite_pending` resumes from it, so a placement rewrites only the
-segments after its longest prefix already seen. The last segment's count
-is memoized by the placement of every H and CNOT wire, which placements
-that differ only on the other wires share. On limit8 at seed 77, the
-5-qubit case's segments are rewritten 56, 336, 1,679 and 6,615 times for
-its 6,720 placements, and it scores 348 of them; the 6-qubit case, with 3
-wires that carry neither gate, rewrites 56 prefixes and 325 last segments
-for its 3,762 placements and scores 12.
+segments after its longest prefix already seen. Where some wire carries
+neither an H nor a CNOT, the last segment's count is memoized by the
+placement of the H and CNOT wires, which placements that differ only on
+the other wires share. On limit8, whatever the seed, the 5-qubit case's
+segments are rewritten 56, 336, 1,680 and 6,719 times for its 6,720
+placements, and the 6-qubit case, with 3 wires that carry neither gate,
+rewrites 56 prefixes and 335 last segments for its 3,762; at seed 77 they
+score 348 and 12.
 
 Where the bound runs follows from the shapes alone. A bound costs at
 least a segment's rewrite, so it pays only where placements share
@@ -263,11 +263,12 @@ def _skeleton_counter(
     circuit's gates, encoded at `field_bits(circuit.num_qubits)`, and at
     least one is an H or a CNOT. The skeleton is split before each gate that
     brings in a wire no earlier one touched; each prefix's engine state is
-    memoized by the placement of the wires it has seen, and the count by
-    the placement of every skeleton wire, so a placement rewrites only the
-    segments after its longest prefix already seen."""
+    memoized by the placement of the wires it has seen, so a placement
+    rewrites only the segments after its longest prefix already seen. Where
+    some wire carries neither an H nor a CNOT, the count is memoized too,
+    by the placement of every skeleton wire."""
     logical_bits = field_bits(circuit.num_qubits)
-    segments: list[tuple[list[int], tuple[int, ...]]] = []
+    segments: list[tuple[list[int], tuple[int, ...]]] = []  # every prefix
     seen: list[int] = []
     part: list[int] = []
     for g, code in zip(circuit.gates, codes):
@@ -278,16 +279,11 @@ def _skeleton_counter(
                 part = []
             part.append(code)
             seen += new
-    segments.append((part, tuple(seen)))
-    steps = [(_mapper(part, logical_bits, table._marked), itemgetter(*wires), {}) for part, wires in segments]
-    *prefixes, (last, last_key, counts) = steps
+    prefixes = [(_mapper(seg, logical_bits, table._marked), itemgetter(*wires), {}) for seg, wires in segments]
+    last = _mapper(part, logical_bits, table._marked)
     blocks = table._blocks
 
     def count(placement: Sequence[int]) -> int:
-        key = last_key(placement)
-        value = counts.get(key)
-        if value is not None:
-            return value
         missed = []
         for mapped, prefix_key, states in reversed(prefixes):
             k = prefix_key(placement)
@@ -302,10 +298,22 @@ def _skeleton_counter(
             rewrite_pending(mapped(placement), bits, blocks, None, state)
             states[k] = state
         pending, dead = rewrite_pending(last(placement), bits, blocks, None, engine_state(bits, state))
-        value = counts[key] = len(pending) - dead
-        return value
+        return len(pending) - dead
 
-    return count
+    if len(seen) == circuit.num_qubits:
+        # The count's key would be the whole placement, which `_placements`
+        # never yields twice.
+        return count
+    last_key = itemgetter(*seen)
+    counts: dict = {}
+
+    def memoized(placement: Sequence[int]) -> int:
+        key = last_key(placement)
+        if key not in counts:
+            counts[key] = count(placement)
+        return counts[key]
+
+    return memoized
 
 
 def _candidates(
@@ -316,37 +324,22 @@ def _candidates(
     `_placements` that the skeleton bound does not prune (see the module
     docstring). `codes` are the circuit's gates, encoded at
     `field_bits(circuit.num_qubits)`."""
-    entries, rows, blocks = table._codes, table._marked, table._blocks
-    n = len(entries)
-    k = circuit.num_qubits
-    logical_bits = field_bits(k)
-    mapped = _mapper(codes, logical_bits, rows)
+    rows, blocks = table._marked, table._blocks
+    n, k = len(rows), circuit.num_qubits
+    mapped = _mapper(codes, field_bits(k), rows)
     placements = _placements(circuit, table, bits)
-    skeleton_qubits = [g.qubits for g in circuit.gates if g.kind in _SKELETON_GATES]
-    wires = {q for qubits in skeleton_qubits for q in qubits}
+    wires = {q for g in circuit.gates if g.kind in _SKELETON_GATES for q in g.qubits}
     if not wires or n - len(wires) < 2 or (len(wires) == k and n - k < 3):
         # No skeleton to bound, or too few placements that share its work.
         for placement in placements:
             yield (*rewrite_pending(mapped(placement), bits, blocks), placement)
         return
-    cnots = Counter(qubits for qubits in skeleton_qubits if len(qubits) == 2)
     residue = _residue(circuit)
-    # The skeleton's length before the rewrite, less its CNOTs' entries,
-    # plus the gates that outlive every rewrite.
-    base = len(skeleton_qubits) - sum(cnots.values()) + residue
-    # Per logical CNOT pair, [control][target]: its count times the length
-    # of each entry.
-    lengths = [
-        (a, b, [[m * len(entry) for entry in row] for row in entries])
-        for (a, b), m in cnots.items()
-    ]
     skeleton = _skeleton_counter(circuit, codes, table, bits)
     best = math.inf
     for placement in placements:
-        length = base
-        for a, b, pair_lengths in lengths:
-            length += pair_lengths[placement[a]][placement[b]]
-        if length > best and skeleton(placement) + residue > best:
+        # No bound until a placement has been scored: none exceeds infinity.
+        if best < math.inf and skeleton(placement) + residue > best:
             continue
         pending, dead = rewrite_pending(mapped(placement), bits, blocks)
         if len(pending) - dead < best:

@@ -32,7 +32,8 @@ wires when that gate is on the same qubits and is its inverse. The gates
 between them are on other wires and commute with both, so each pair is
 g . g^dagger = I moved next to itself, and V is unchanged. A gate that does
 not cancel blocks its wires, and the walk stops once every wire c1's gates
-touch is blocked, since no gate can cancel on any other.
+touch is blocked, since no gate can cancel on any other. The walk reads
+each wire's top off a stack of its c1 gates, built in one pass over c1.
 Column j of V is the plan run on e_j, so V is built and checked one block
 of columns at a time, each block on its own. A block has BLOCK_ENTRIES
 entries (512 KB), so up to 7 qubits it is the whole matrix and at the
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -548,43 +548,35 @@ def _seam(head: list[Pair], tail: Iterator[Pair], num_qubits: int) -> list[Pair]
     """The miter `head` then `tail`, (kind, qubits) pairs in miter order,
     without the inverse pairs that meet at its seam (see the module
     docstring): the kept head, then the kept part of the tail read so far.
-    The rest of `tail` stays unread in the iterator. The head is read from
-    its end only as deep as the tail's entries on its wires reach, and no
-    deeper than a wire's last head entry; a tail entry on a wire that no
-    head entry touches cancels nothing, and the walk stops once every wire
-    the head touches is blocked."""
-    tops: list[deque[int]] = [deque() for _ in range(num_qubits)]  # head indices, top first
-    unscanned = [0] * num_qubits  # head entries on each wire not yet in `tops`
-    for _, qubits in head:
+    The rest of `tail` stays unread in the iterator. One pass over the head
+    stacks each wire's head indices; a tail entry on a wire that no head
+    entry touches cancels nothing, and the walk stops once every wire the
+    head touches is blocked."""
+    tops: list[list[int]] = [[] for _ in range(num_qubits)]  # head indices, top last
+    for i, (_, qubits) in enumerate(head):
         for w in qubits:
-            unscanned[w] += 1
+            tops[w].append(i)
     # The head's wires that no kept tail entry has blocked yet.
-    live = {w for w, count in enumerate(unscanned) if count}
+    live = {w for w, stack in enumerate(tops) if stack}
     gone: set[int] = set()
     kept: list[Pair] = []
-    scan = len(head)  # head[scan:] is sorted into `tops`
     for kind, qubits in tail if live else ():
         if live.issuperset(qubits):
-            q = qubits[0]
-            while not tops[q] and unscanned[q]:
-                scan -= 1
-                for w in head[scan][1]:
-                    tops[w].append(scan)
-                    unscanned[w] -= 1
-            # A head gate on the same qubits is read into each of their
-            # tops, with every gate above it, so tops[w][0] settles each wire.
-            if tops[q] and head[tops[q][0]] == (inverse_of(kind), qubits):
-                top = tops[q][0]
-                if all(tops[w][0] == top for w in qubits):
+            # A head gate on the same qubits is on each of their stacks,
+            # with every gate above it, so tops[w][-1] settles each wire.
+            stack = tops[qubits[0]]
+            if stack and head[stack[-1]] == (inverse_of(kind), qubits):
+                top = stack[-1]
+                if all(tops[w][-1] == top for w in qubits):
                     gone.add(top)
                     for w in qubits:
-                        tops[w].popleft()
+                        tops[w].pop()
                     continue
         live.difference_update(qubits)
         kept.append((kind, qubits))
         if not live:
             break
-    return head[:scan] + [head[i] for i in range(scan, len(head)) if i not in gone] + kept
+    return [pair for i, pair in enumerate(head) if i not in gone] + kept
 
 
 def equivalent(

@@ -42,9 +42,20 @@ def _num_qubits(size: int, what: str) -> int:
     return size.bit_length() - 1
 
 
+def _same_entries(self: Record, other: object) -> bool:
+    """`__eq__` of a record whose one field is an array: the same class,
+    shape and entries. A class that defines `__eq__` has no hash."""
+    import numpy as np
+
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return np.array_equal(self._key(self)[0], other._key(other)[0])
+
+
 class StateVector(Record):
     __slots__ = ("amplitudes",)
     amplitudes: np.ndarray
+    __eq__ = _same_entries
 
     def __init__(self, amplitudes: np.ndarray) -> None:
         import numpy as np
@@ -86,6 +97,7 @@ def positive_semidefinite(m: np.ndarray, shift: float) -> bool:
 class DensityMatrix(Record):
     __slots__ = ("matrix",)
     matrix: np.ndarray
+    __eq__ = _same_entries
 
     def __init__(self, matrix: np.ndarray) -> None:
         import numpy as np

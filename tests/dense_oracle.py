@@ -14,6 +14,9 @@ from its gate's matrix: each gate and its conjugates through H gates, and
 the bit rules that tracked a window's images of Z. `miter_equivalent` is
 the check `simulator.equivalent` ran before it removed the inverse pairs
 at the miter's seam: every gate of both circuits in one `frameless_plan`.
+`lazy_seam` is `simulator._seam` as it was before it stacked each wire's
+head indices in one pass: it read the head from its end only as deep as
+the tail's entries on each wire reached.
 `typed_cnot_gather` is `run_noisy`'s CNOT step on the Pauli coefficients
 as index arithmetic typed by hand, before `simulator._cnot_gather` derived
 it from the CNOT's transfer matrix through `simulator._embed`.
@@ -37,6 +40,7 @@ compare the shipped code against it.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -374,6 +378,43 @@ def miter_equivalent(
         if not float(np.max(np.abs(v))) <= tol:
             return False
     return True
+
+
+def lazy_seam(
+    head: list[simulator.Pair], tail: Iterator[simulator.Pair], num_qubits: int
+) -> list[simulator.Pair]:
+    """`simulator._seam` with a lazy head scan: each wire's stack of head
+    indices is filled from the head's end only while a tail entry on that
+    wire finds it empty and the wire has head entries not yet scanned."""
+    tops: list[deque[int]] = [deque() for _ in range(num_qubits)]  # head indices, top first
+    unscanned = [0] * num_qubits  # head entries on each wire not yet in `tops`
+    for _, qubits in head:
+        for w in qubits:
+            unscanned[w] += 1
+    live = {w for w, count in enumerate(unscanned) if count}
+    gone: set[int] = set()
+    kept: list[simulator.Pair] = []
+    scan = len(head)  # head[scan:] is sorted into `tops`
+    for kind, qubits in tail if live else ():
+        if live.issuperset(qubits):
+            q = qubits[0]
+            while not tops[q] and unscanned[q]:
+                scan -= 1
+                for w in head[scan][1]:
+                    tops[w].append(scan)
+                    unscanned[w] -= 1
+            if tops[q] and head[tops[q][0]] == (inverse_of(kind), qubits):
+                top = tops[q][0]
+                if all(tops[w][0] == top for w in qubits):
+                    gone.add(top)
+                    for w in qubits:
+                        tops[w].popleft()
+                    continue
+        live.difference_update(qubits)
+        kept.append((kind, qubits))
+        if not live:
+            break
+    return head[:scan] + [head[i] for i in range(scan, len(head)) if i not in gone] + kept
 
 
 def frameless_plan(

@@ -1,9 +1,11 @@
 import copy
+import importlib.util
 import pickle
 import random
 import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import qxopt.circuit
 import qxopt.peephole
 import qxopt.placement
+import qxopt.qasm
 import search_oracle
 from qxopt.circuit import KIND_CODE, Circuit, CostReport, GateKind, cnot, code_levels, encode
 from qxopt.circuit import field_bits, gate1, random_circuit
@@ -561,6 +564,32 @@ def test_skeleton_rewrites_never_exceed_skeleton_wire_assignments(
         assert len(segments[-1]) < width
         last = {tuple(p[w] for w in segments[-1]) for p in counts.covered}
         assert len(last) < len(counts.covered)
+
+
+def _limit8_cases(monkeypatch, seed):
+    """The limit8 benchmark workload's (name, circuit) cases at `seed`."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up there
+    spec.loader.exec_module(gen)
+    return [(case.name, qxopt.qasm.parse(case.qasm)) for case in gen.limit8_cases(seed)]
+
+
+@pytest.mark.parametrize("seed,scored", [(77, (348, 12)), (3, (337, 19)), (1, (375, 19))])
+def test_limit8_search_scores_and_rewrites_what_it_did(sparse_tables, monkeypatch, seed, scored):
+    # Every placement after the first pays for a bound, so the skeleton
+    # rewrites depend on the circuit and the device alone: 56, 336, 1,680
+    # and 6,719 per segment for the 5-qubit case (an H or a CNOT on every
+    # wire, so no count memo), and 56 and 335 for the 6-qubit one.
+    table = sparse_tables["ladder8"]
+    cases = _limit8_cases(monkeypatch, seed)
+    assert [name for name, _ in cases] == ["l8_5q_0@ladder8", "l8_6q_1@ladder8"]
+    for (_, circuit), want_scored, want_rewrites in zip(cases, scored, (8_791, 391)):
+        counts = _count_rewrites(monkeypatch)
+        optimize(circuit, table)
+        monkeypatch.undo()
+        assert (len(counts.scored), len(counts.skeleton)) == (want_scored, want_rewrites)
 
 
 def _mapper_of(circuit, entries, skeleton=False):

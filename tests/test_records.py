@@ -103,7 +103,7 @@ RECORDS = {
         ("amplitudes",),
         (np.array([1, 0]),),
         "StateVector(amplitudes=array([1.+0.j, 0.+0.j]))",
-        None,
+        (np.array([0, 1]),),
         False,
     ),
     "DensityMatrix": (
@@ -111,7 +111,7 @@ RECORDS = {
         ("matrix",),
         (np.eye(2) / 2,),
         "DensityMatrix(matrix=array([[0.5+0.j, 0. +0.j],\n       [0. +0.j, 0.5+0.j]]))",
-        None,
+        (np.diag([1.0, 0.0]),),
         False,
     ),
     "NoiseSpec": (NoiseSpec, ("p1", "p2"), (0.002, 0.02), "NoiseSpec(p1=0.002, p2=0.02)", (0.002, 0.03), True),
@@ -247,6 +247,12 @@ def test_coupling_graphs_differing_in_name_share_cache_entries():
     assert first == second and hash(first) == hash(second)
     assert bfs(second, 0) is bfs(first, 0)
     assert repr(second).endswith("name='second')")
+
+
+def test_arrays_of_another_shape_are_unequal():
+    assert StateVector(np.array([1, 0])) != StateVector(np.array([1, 0, 0, 0]))
+    assert DensityMatrix(np.eye(2) / 2) != DensityMatrix(np.eye(4) / 4)
+    assert StateVector(np.array([1, 0])) != DensityMatrix(np.diag([1.0, 0.0]))
 
 
 def test_distribution_tolerance_is_not_compared():

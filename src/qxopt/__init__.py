@@ -51,9 +51,9 @@ class Record:
     to nothing for its value classes at start-up.
 
     A subclass lists its fields in `__slots__`, in constructor order. A slot
-    named with a leading underscore is not a field: it holds state that the
-    subclass's `__init__` derives from the fields and sets with
-    `object.__setattr__`, and repr, equality, hash, copy and pickle skip it.
+    named with a leading underscore is not a field: its reader derives it
+    from the fields on first use and sets it with `object.__setattr__`, and
+    repr, equality, hash, copy and pickle skip it.
     `Record.__init__` stores the fields, each given by position or by name,
     exactly once. A subclass that checks its values or has defaults defines
     an `__init__` that passes them to one `super().__init__(...)`. `Gate`
@@ -111,7 +111,7 @@ class Record:
 
     def __reduce__(self):
         # Copy and pickle rebuild through `__init__`, which re-runs its
-        # checks and derives the private slots again.
+        # checks and leaves the private slots unset.
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 

@@ -10,11 +10,11 @@ far. Beyond the exhaustive limit the search refuses instead of degrading to
 a heuristic. `map_verified` is the only place where a search is followed
 by the mapping check, `pathsum.equivalent`.
 
-The search runs on integer gate codes (see `circuit.encode`). `optimize`
-and `cost_of` each encode the circuit once, with qubit fields sized for its
-wires, and read every count off that list; mapped codes have fields sized
-for the device. The table carries its entries, built once with it, as gate codes and
-as the same codes with each multi-gate entry marked as a block
+The search runs on integer gate codes (see `circuit.encode`), every list
+with qubit fields sized for the device. `optimize` and `cost_of` each
+encode the circuit once and read every count off that list. The first
+search of a table object derives what the search reads of it (`_index`),
+among that each entry's codes with each multi-gate entry marked as a block
 (`peephole.mark_blocks`). Every entry is a `rewrite` result, on which no
 rule fires (`mark_blocks` checks), so `peephole.rewrite_pending` appends it
 whole unless one of its first gates meets a pending gate. Each placement's
@@ -38,7 +38,7 @@ injections, with the same placement and mapped circuit. A circuit with a
 CNOT on every wire has no such class.
 
 Nor does a placement need scoring when a symmetry of the table maps it to
-a smaller one. A symmetry (the table's `_symmetries`) is a permutation σ
+a smaller one. A symmetry (`realization._symmetries`) is a permutation σ
 of the device's qubits under which every entry, relabeled, is the entry of
 its image pair. Then the mapped circuit of σ∘p, which puts wire w on
 σ(p[w]), is σ applied to p's, gate for gate, and the rewrite engine, which
@@ -126,9 +126,9 @@ from .circuit import Circuit, CostReport, check_placement, check_tolerance, chea
 from .circuit import GateKind, decode_all, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
 from .pathsum import _PHASE, VERIFY_TOL, equivalent
-from .peephole import engine_state, rewrite, rewrite_pending
+from .peephole import engine_state, mark_blocks, rewrite, rewrite_pending
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
-from .realization import RealizationTable
+from .realization import RealizationTable, _symmetries
 from .topology import CouplingGraph
 
 DEFAULT_SEARCH_LIMIT = 8
@@ -156,13 +156,32 @@ def percent_reduction(initial: CostReport, final: CostReport) -> tuple[int, int]
     return (pct(initial.gates, final.gates), pct(initial.levels, final.levels))
 
 
+def _index(table: RealizationTable) -> tuple[list, list, list, tuple]:
+    """What the search reads of `table`: `[control][target]` lists of each
+    entry's codes (empty where none is), the same marked as blocks, the block
+    table and the symmetries. Kept in the table's `_index` slot from its
+    first search on; a copy or an unpickled table starts without it."""
+    index = getattr(table, "_index", None)
+    if index is None:
+        n = table.graph.num_physical
+        bits = field_bits(n)
+        codes: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
+        for (control, target), entry in table.entries.items():
+            codes[control][target] = encode(entry.sequence.gates, bits)
+        marked, blocks = mark_blocks([run for row in codes for run in row], bits)
+        rows = [marked[row * n : (row + 1) * n] for row in range(n)]
+        index = (codes, rows, blocks, _symmetries(codes, bits))
+        object.__setattr__(table, "_index", index)
+    return index
+
+
 def _mapper(
     codes: list[int], bits: int, entries: list[list[list[int]]]
 ) -> Callable[[Sequence[int]], list[int]]:
     """Function from a placement to the gate codes `codes`, with `bits`-wide
     qubit fields, mapped under it: each CNOT replaced by its entry from
-    `entries` (`[control][target]`, a table's `_codes` or `_marked`), each
-    1-qubit gate moved to its physical qubit."""
+    `entries` (`[control][target]`, plain or marked as `_index` gives them),
+    each 1-qubit gate moved to its physical qubit."""
     shift = 4 + bits
     mask = (1 << bits) - 1
 
@@ -196,10 +215,11 @@ def _placements(circuit: Circuit, table: RealizationTable, bits: int) -> Iterabl
     symmetries σ maps to a smaller σ∘p. Every class has one member when
     every wire has a CNOT, or when the CNOT wires leave at most one qubit
     free; then, on a table without symmetries, this is every injection."""
-    placements = _representatives(circuit, table._codes, bits)
-    if not table._symmetries:
+    entries, _, _, symmetries = _index(table)
+    placements = _representatives(circuit, entries, bits)
+    if not symmetries:
         return placements
-    images = [sigma.__getitem__ for sigma in table._symmetries]
+    images = [sigma.__getitem__ for sigma in symmetries]
     return (p for p in placements if not any(tuple(map(image, p)) < p for image in images))
 
 
@@ -260,14 +280,13 @@ def _skeleton_counter(
 ) -> Callable[[Sequence[int]], int]:
     """Function from a placement to the gate count that `rewrite_pending`
     leaves of the circuit's skeleton mapped under it; `codes` are the
-    circuit's gates, encoded at `field_bits(circuit.num_qubits)`, and at
-    least one is an H or a CNOT. The skeleton is split before each gate that
-    brings in a wire no earlier one touched; each prefix's engine state is
-    memoized by the placement of the wires it has seen, so a placement
-    rewrites only the segments after its longest prefix already seen. Where
-    some wire carries neither an H nor a CNOT, the count is memoized too,
-    by the placement of every skeleton wire."""
-    logical_bits = field_bits(circuit.num_qubits)
+    circuit's gates, encoded at `bits`, and at least one is an H or a CNOT.
+    The skeleton is split before each gate that brings in a wire no earlier
+    one touched; each prefix's engine state is memoized by the placement of
+    the wires it has seen, so a placement rewrites only the segments after
+    its longest prefix already seen. Where some wire carries neither an H
+    nor a CNOT, the count is memoized too, by the placement of every
+    skeleton wire."""
     segments: list[tuple[list[int], tuple[int, ...]]] = []  # every prefix
     seen: list[int] = []
     part: list[int] = []
@@ -279,9 +298,9 @@ def _skeleton_counter(
                 part = []
             part.append(code)
             seen += new
-    prefixes = [(_mapper(seg, logical_bits, table._marked), itemgetter(*wires), {}) for seg, wires in segments]
-    last = _mapper(part, logical_bits, table._marked)
-    blocks = table._blocks
+    _, rows, blocks, _ = _index(table)
+    prefixes = [(_mapper(seg, bits, rows), itemgetter(*wires), {}) for seg, wires in segments]
+    last = _mapper(part, bits, rows)
 
     def count(placement: Sequence[int]) -> int:
         missed = []
@@ -322,11 +341,10 @@ def _candidates(
     """`rewrite_pending`'s `(pending, dead)` and the placement, with each
     multi-gate entry passed as a block, for each placement from
     `_placements` that the skeleton bound does not prune (see the module
-    docstring). `codes` are the circuit's gates, encoded at
-    `field_bits(circuit.num_qubits)`."""
-    rows, blocks = table._marked, table._blocks
+    docstring). `codes` are the circuit's gates, encoded at `bits`."""
+    _, rows, blocks, _ = _index(table)
     n, k = len(rows), circuit.num_qubits
-    mapped = _mapper(codes, field_bits(k), rows)
+    mapped = _mapper(codes, bits, rows)
     placements = _placements(circuit, table, bits)
     wires = {q for g in circuit.gates if g.kind in _SKELETON_GATES for q in g.qubits}
     if not wires or n - len(wires) < 2 or (len(wires) == k and n - k < 3):
@@ -359,9 +377,7 @@ def check_search_limit(graph: CouplingGraph) -> None:
 def _check_widths(circuit: Circuit, table: RealizationTable) -> int:
     num_physical = table.graph.num_physical
     if circuit.num_qubits > num_physical:
-        raise ValueError(
-            f"circuit has {circuit.num_qubits} qubits, device only {num_physical}"
-        )
+        raise ValueError(f"circuit has {circuit.num_qubits} qubits, device only {num_physical}")
     check_search_limit(table.graph)
     return num_physical
 
@@ -376,10 +392,9 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     """
     num_physical = _check_widths(circuit, table)
     bits = field_bits(num_physical)
-    logical_bits = field_bits(circuit.num_qubits)
-    codes = encode(circuit.gates, logical_bits)
+    codes = encode(circuit.gates, bits)
     (gates, levels, placement), best = cheapest(_candidates(circuit, codes, table, bits), bits)
-    initial = CostReport(len(codes), code_levels(codes, logical_bits))
+    initial = CostReport(len(codes), code_levels(codes, bits))
     final = CostReport(gates, levels)
     return MappingResult(
         placement=placement,
@@ -408,7 +423,6 @@ def cost_of(
     """Cost of relabel -> substitute -> simplify under one fixed placement."""
     check_placement(placement, table.graph.num_physical, circuit.num_qubits)
     bits = field_bits(table.graph.num_physical)
-    logical_bits = field_bits(circuit.num_qubits)
-    mapped = _mapper(encode(circuit.gates, logical_bits), logical_bits, table._codes)
+    mapped = _mapper(encode(circuit.gates, bits), bits, _index(table)[0])
     codes = rewrite(mapped(placement), bits)
     return CostReport(len(codes), code_levels(codes, bits))

@@ -22,16 +22,9 @@ the entries share. Every entry is an H+CNOT circuit, so it is Clifford:
 each entry is proven equal to the plain CNOT as it is built, by comparing
 stabilizer tableaus, exactly and on a device of any size.
 
-The table carries its entries in the form the placement search reads:
-each entry's gate codes, the same codes with each multi-gate entry marked
-as a block (`peephole.mark_blocks`), and the block table. The constructor
-derives them from the entries, once per table, so no search encodes or
-marks an entry. It also derives the table's symmetries: the permutations
-of the qubits that map every entry, relabeled, onto the entry of its image
-pair, found by a backtracking that compares entry lengths first and whole
-entries last (`_symmetries`). The search skips a placement that one of
-them maps to a smaller placement of equal cost. qx2's table has one,
-(0 4)(1 3); qx4's and the 8-qubit ladder's have none.
+The table is a plain record of its graph and entries. The placement
+search derives what it reads of a table on first use (`placement._index`),
+among that the table's symmetries (`_symmetries`).
 """
 from __future__ import annotations
 
@@ -39,9 +32,9 @@ from itertools import islice, permutations
 
 from . import RealizationError, Record
 from .circuit import KIND_CODE, KINDS, Circuit, GateKind, cheapest, cnot, cnot_code
-from .circuit import decode_all, encode, field_bits, gate1_code
+from .circuit import decode_all, field_bits, gate1_code
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.realization.levels_of`
-from .peephole import mark_blocks, rewrite
+from .peephole import rewrite
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.realization.simplify_gates`
 from .qasm import gate_line
 from .stabilizer import equivalent
@@ -56,32 +49,12 @@ class RealizationEntry(Record):
 
 
 class RealizationTable(Record):
-    """The entries of one device, and their search form, derived from them
-    here, so that a table built by `build_table`, by hand, by copy or by
-    pickle searches alike. The search form, `[control][target]` lists with
-    `field_bits(graph.num_physical)`-wide qubit fields, empty where no entry
-    is: `_codes`, each entry's gate codes; `_marked`, the same lists with
-    each multi-gate entry marked as a block (`peephole.mark_blocks`); and
-    `_blocks`, the block table. Beside them, `_symmetries`: permutations
-    of the qubits under which every entry, relabeled, is the entry of its
-    image pair (see `_symmetries`). The search only reads them."""
+    """The entries of one device, by (control, target) pair; the `_index`
+    slot is the placement search's (`placement._index`)."""
 
-    __slots__ = ("graph", "entries", "_codes", "_marked", "_blocks", "_symmetries")
+    __slots__ = ("graph", "entries", "_index")
     graph: CouplingGraph
     entries: dict[tuple[int, int], RealizationEntry]
-
-    def __init__(self, graph: CouplingGraph, entries: dict[tuple[int, int], RealizationEntry]) -> None:
-        super().__init__(graph, entries)
-        n = graph.num_physical
-        bits = field_bits(n)
-        codes: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-        for (control, target), entry in entries.items():
-            codes[control][target] = encode(entry.sequence.gates, bits)
-        marked, blocks = mark_blocks([run for row in codes for run in row], bits)
-        object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_marked", [marked[row * n : (row + 1) * n] for row in range(n)])
-        object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "_symmetries", _symmetries(codes, bits))
 
 
 def _symmetries(codes: list[list[list[int]]], bits: int) -> tuple[tuple[int, ...], ...]:
@@ -245,13 +218,9 @@ def build_table(graph: CouplingGraph, verify: bool = True) -> RealizationTable:
         sequence = Circuit(n, tuple(islice(gates, len(best))))
         for g in sequence.gates:
             if g.kind is GateKind.CNOT and not allows(graph, *g.qubits):
-                raise RealizationError(
-                    f"entry ({control},{target}) uses illegal CNOT{g.qubits}"
-                )
+                raise RealizationError(f"entry ({control},{target}) uses illegal CNOT{g.qubits}")
         if verify and not equivalent(Circuit(n, (cnot(control, target),)), sequence):
-            raise RealizationError(
-                f"entry ({control},{target}) does not implement its CNOT"
-            )
+            raise RealizationError(f"entry ({control},{target}) does not implement its CNOT")
         entries[(control, target)] = RealizationEntry(sequence, total, levels)
     return RealizationTable(graph, entries)
 

@@ -1,10 +1,11 @@
-"""Exact equivalence of Clifford circuits through their stabilizer tableaus.
+"""Exact equivalence of H+CNOT circuits through their stabilizer tableaus.
 
 A Clifford unitary U is fixed up to global phase by how it conjugates the
 Pauli generators: the images U X_q U^dagger and U Z_q U^dagger, each a
 signed Pauli string (Aaronson and Gottesman, quant-ph/0406196). Two circuits
 are equivalent exactly when their tableaus are equal, so the check needs no
-floating point, no tolerance and no width cap.
+floating point, no tolerance and no width cap. It takes the gates a table
+entry is built from, H and CNOT, and refuses any other kind.
 
 The tableau is stored by column as Python ints used as bit sets over the 2n
 generator rows (row q is the image of X_q, row n + q that of Z_q): per qubit
@@ -31,32 +32,18 @@ def _tableau(circuit: Circuit) -> tuple[list[int], list[int], int]:
             sign ^= xa & zb & ~(xb ^ za)
             xs[b] = xb ^ xa
             zs[a] = za ^ zb
-            continue
-        (q,) = g.qubits
-        x, z = xs[q], zs[q]
-        if kind is GateKind.H:
-            sign ^= x & z
-            xs[q], zs[q] = z, x
-        elif kind is GateKind.S:
-            sign ^= x & z
-            zs[q] = z ^ x
-        elif kind is GateKind.SDG:
-            sign ^= x & ~z
-            zs[q] = z ^ x
-        elif kind is GateKind.X:
-            sign ^= z
-        elif kind is GateKind.Y:
-            sign ^= x ^ z
-        elif kind is GateKind.Z:
-            sign ^= x
+        elif kind is GateKind.H:
+            (q,) = g.qubits
+            sign ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
         else:
-            raise ValueError(f"{kind.name} is not a Clifford gate")
+            raise ValueError(f"{kind.name} is neither H nor CNOT")
     return xs, zs, sign
 
 
 def equivalent(c1: Circuit, c2: Circuit) -> bool:
-    """True when the two Clifford circuits have equal unitaries up to global
-    phase. Raises `ValueError` for unequal widths or a non-Clifford gate."""
+    """True when the two H+CNOT circuits have equal unitaries up to global
+    phase. Raises `ValueError` for unequal widths or any other gate kind."""
     if c1.num_qubits != c2.num_qubits:
         raise ValueError(f"circuits differ in width: {c1.num_qubits} and {c2.num_qubits}")
     return _tableau(c1) == _tableau(c2)

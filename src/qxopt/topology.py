@@ -147,3 +147,20 @@ def shortest_paths(graph: CouplingGraph, a: int, b: int) -> list[list[int]]:
         return out
 
     return extend([a])
+
+
+def path_count(graph: CouplingGraph) -> int:
+    """Undirected shortest paths summed over ordered qubit pairs, without
+    listing them: O(n(V+E)), a qubit's count per source being the sum of its
+    predecessors' (`bfs` lists qubits in breadth-first order)."""
+    adjacent = _adjacency(graph)
+    total = 0
+    for source in range(graph.num_physical):
+        dist = bfs(graph, source)
+        paths = {source: 1}
+        for q in dist:
+            for nb in adjacent[q]:
+                if dist[nb] == dist[q] + 1:
+                    paths[nb] = paths.get(nb, 0) + paths[q]
+        total += sum(paths.values()) - 1
+    return total

@@ -608,6 +608,19 @@ def test_table_dump_still_builds_beyond_search_limit(tmp_path, capsys):
     assert "9 qubits" in capsys.readouterr().out
 
 
+def test_table_dump_refuses_a_device_with_too_many_shortest_paths(grid6x6_file, monkeypatch, capsys):
+    def no_table(graph, verify=True):
+        raise AssertionError("realization table built for a device over the dump limit")
+
+    monkeypatch.setattr(qxopt.realization, "build_table", no_table)
+    assert main(["table", "dump", "--arch", f"@{grid6x6_file}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: device has 13024 shortest paths between its qubit pairs; table dump is limited to 5000\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--random", "-1"), ("--qubits", "-1"), ("--qubits", "0"), ("--gates", "-1")],

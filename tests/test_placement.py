@@ -19,13 +19,18 @@ from qxopt.circuit import KIND_CODE, Circuit, CostReport, GateKind, cnot, code_l
 from qxopt.circuit import field_bits, gate1, random_circuit
 from qxopt.fixtures import CIRCUITS, load_circuit
 from qxopt.peephole import rewrite_pending
-from qxopt.placement import _mapper, _placements, _residue, _skeleton_counter, check_search_limit
+from qxopt.placement import _index, _mapper, _placements, _residue, _skeleton_counter, check_search_limit
 from qxopt.placement import cost_of, optimize, percent_reduction
-from qxopt.realization import RealizationEntry, RealizationTable, build_table
+from qxopt.realization import RealizationEntry, RealizationTable, build_table, dump_text, lookup
 from qxopt.simulator import equivalent
 from qxopt.topology import CouplingGraph, allows, builtin, load
 
 TWO_CNOTS = Circuit(3, (cnot(0, 1), cnot(1, 2)))  # CNOT(a,b); CNOT(b,c)
+
+
+def _symmetries(table):
+    """The table's symmetries, as the search derives them."""
+    return _index(table)[3]
 
 
 def test_worked_example_qx2(qx2_table):
@@ -234,7 +239,7 @@ def test_levels_break_gate_count_tie_found_late(tables, arch, placement):
 
 def test_levels_counted_only_for_gate_count_ties(qx4_table, monkeypatch):
     # On qx4, a table without symmetries, the search scores every injection.
-    assert qx4_table._symmetries == ()
+    assert _symmetries(qx4_table) == ()
     counted = []
 
     def counting_code_levels(codes, bits):
@@ -422,7 +427,7 @@ def test_circuit_with_a_cnot_on_every_wire_scores_every_injection(qx4_table, mon
     # A circuit of CNOTs alone is its own skeleton, so nothing is pruned:
     # on qx4, a table without symmetries, scored plus pruned is every
     # injection, each once.
-    assert qx4_table._symmetries == ()
+    assert _symmetries(qx4_table) == ()
     counts = _count_rewrites(monkeypatch)
     optimize(TWO_CNOTS, qx4_table)
     injections = list(permutations(range(5), 3))
@@ -441,7 +446,7 @@ def test_circuit_with_a_cnot_on_every_wire_scores_half_the_injections_on_qx2(
 ):
     # qx2's one symmetry σ swaps qubits 0 and 4, and 1 and 3: of each pair
     # p, σ∘p (never equal on three wires) the search scores the smaller.
-    (sigma,) = qx2_table._symmetries
+    (sigma,) = _symmetries(qx2_table)
     counts = _count_rewrites(monkeypatch)
     result = optimize(TWO_CNOTS, qx2_table)
     monkeypatch.undo()
@@ -456,7 +461,7 @@ def test_placement_that_a_symmetry_fixes_is_scored(sparse_tables):
     # The star's symmetry that swaps leaves 3 and 4 maps (0, 1, 2) to itself;
     # it is not smaller, so the search keeps it, and it wins.
     table = sparse_tables["star5"]
-    assert (0, 1, 2, 4, 3) in table._symmetries
+    assert (0, 1, 2, 4, 3) in _symmetries(table)
     circuit = Circuit(3, (cnot(0, 1), cnot(0, 2)))
     result = optimize(circuit, table)
     assert (result.placement, result.final_cost) == ((0, 1, 2), CostReport(2, 2))
@@ -566,14 +571,37 @@ def test_skeleton_rewrites_never_exceed_skeleton_wire_assignments(
         assert len(last) < len(counts.covered)
 
 
-def _limit8_cases(monkeypatch, seed):
-    """The limit8 benchmark workload's (name, circuit) cases at `seed`."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench_gen(monkeypatch):
+    """The benchmark's case generator, `perfbench/gen.py`."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up there
     spec.loader.exec_module(gen)
+    return gen
+
+
+def _limit8_cases(monkeypatch, seed):
+    """The limit8 benchmark workload's (name, circuit) cases at `seed`."""
+    gen = _perfbench_gen(monkeypatch)
     return [(case.name, qxopt.qasm.parse(case.qasm)) for case in gen.limit8_cases(seed)]
+
+
+def test_cost_of_each_benchmark_winner_is_its_final_cost(monkeypatch):
+    # `cost_of` maps one placement without blocks, bounds or symmetries, a
+    # second path through the table, on every case of the workloads that map.
+    gen = _perfbench_gen(monkeypatch)
+    cases = gen.fixtures_cases(ROOT / "src", 77) + gen.random5_cases(77) + gen.limit8_cases(77)
+    tables = {}
+    for case in cases:
+        if case.device not in tables:
+            tables[case.device] = build_table(load(gen.DEVICES[case.device], name=case.device))
+        circuit = qxopt.qasm.parse(case.qasm)
+        result = optimize(circuit, tables[case.device])
+        assert cost_of(circuit, result.placement, tables[case.device]) == result.final_cost, case.name
+    assert sorted(tables) == ["ladder8", "qx2", "qx4"]
 
 
 @pytest.mark.parametrize("seed,scored", [(77, (348, 12)), (3, (337, 19)), (1, (375, 19))])
@@ -592,13 +620,13 @@ def test_limit8_search_scores_and_rewrites_what_it_did(sparse_tables, monkeypatc
         assert (len(counts.scored), len(counts.skeleton)) == (want_scored, want_rewrites)
 
 
-def _mapper_of(circuit, entries, skeleton=False):
+def _mapper_of(circuit, entries, bits, skeleton=False):
     """The search's mapper over `entries` for the circuit's gates, encoded
-    for its own wires; with `skeleton`, for its H and CNOT gates alone."""
+    at the device's field width `bits`; with `skeleton`, for its H and CNOT
+    gates alone."""
     gates = circuit.gates
     if skeleton:
         gates = [g for g in gates if g.kind in (GateKind.H, GateKind.CNOT)]
-    bits = field_bits(circuit.num_qubits)
     return _mapper(encode(gates, bits), bits, entries)
 
 
@@ -606,8 +634,9 @@ def _block_scorer(circuit, table, bits, skeleton=False):
     """The table's entry codes, and the search's function from a placement to
     `rewrite_pending`'s `(pending, dead)`, each multi-gate entry a block;
     with `skeleton`, for the H and CNOT gates alone."""
-    mapped = _mapper_of(circuit, table._marked, skeleton)
-    return table._codes, lambda placement: rewrite_pending(mapped(placement), bits, table._blocks)
+    codes, rows, blocks, _ = _index(table)
+    mapped = _mapper_of(circuit, rows, bits, skeleton)
+    return codes, lambda placement: rewrite_pending(mapped(placement), bits, blocks)
 
 
 def _count(pending_dead):
@@ -660,9 +689,8 @@ def _bound(circuit, table):
     residue = _residue(circuit)
     if not _skeleton_wires(circuit):
         return (lambda placement: 0), residue
-    codes = encode(circuit.gates, field_bits(circuit.num_qubits))
     bits = field_bits(table.graph.num_physical)
-    return _skeleton_counter(circuit, codes, table, bits), residue
+    return _skeleton_counter(circuit, encode(circuit.gates, bits), table, bits), residue
 
 
 def test_residue_counts_what_no_rewrite_removes_per_wire():
@@ -774,7 +802,7 @@ def test_scored_placements_are_the_smallest_of_each_class(sparse_tables, arch, c
         key = tuple(p[w] if w in linked or p[w] in touched else None for w in range(len(p)))
         smallest[key] = min(smallest.get(key, p), p)
     kept = [
-        p for p in smallest.values() if all(p <= _image(sigma, p) for sigma in table._symmetries)
+        p for p in smallest.values() if all(p <= _image(sigma, p) for sigma in _symmetries(table))
     ]
     scored = _scored(circuit, table)
     assert len(scored) == len(set(scored))
@@ -825,7 +853,7 @@ def test_block_engine_matches_stack_oracle_on_every_placement(sparse_tables, arc
     circuit = random_circuit(rng.randint(1, min(4, _SPARSE_WIDTH[arch])), rng.randint(0, 16), rng)
     bits = field_bits(n)
     entries, score = _block_scorer(circuit, table, bits)
-    plain = _mapper_of(circuit, entries)
+    plain = _mapper_of(circuit, entries, bits)
     for p in permutations(range(n), circuit.num_qubits):
         pending, dead = score(p)
         live = [c for c in pending if c >= 0]
@@ -894,10 +922,11 @@ def test_hand_built_copied_and_unpickled_tables_search_alike(tables, arch):
     results = [optimize(load_circuit(name), table) for name in CIRCUITS]
     for other in _rebuilt(table):
         assert other == table
-        assert other._codes == table._codes
-        assert other._marked == table._marked
-        assert other._blocks == table._blocks
-        assert other._symmetries == table._symmetries
+        codes, rows, blocks, symmetries = _index(other)
+        assert codes == _index(table)[0]
+        assert rows == _index(table)[1]
+        assert blocks == _index(table)[2]
+        assert symmetries == _index(table)[3]
         for name, want in zip(CIRCUITS, results):
             got = optimize(load_circuit(name), other)
             assert got.placement == want.placement
@@ -921,19 +950,41 @@ def _record_calls(monkeypatch, module, name):
     return calls
 
 
+def test_building_printing_comparing_and_copying_a_table_neither_encode_nor_mark(monkeypatch):
+    # Only the search reads entries as codes, so nothing else derives them.
+    marks = _record_calls(monkeypatch, qxopt.peephole, "mark_blocks")
+    encodes = _record_calls(monkeypatch, qxopt.circuit, "encode")
+    table = build_table(load(LADDER8_TEXT, name="ladder8"))
+    others = [copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))]
+    assert all(other == table for other in others)
+    dump_text(table)
+    lookup(table, 0, 7)
+    assert marks == [] and encodes == []
+
+
 def test_search_neither_encodes_nor_marks_a_table_entry(sparse_tables, monkeypatch):
     marks = _record_calls(monkeypatch, qxopt.peephole, "mark_blocks")
     encodes = _record_calls(monkeypatch, qxopt.circuit, "encode")
     mappers = _record_calls(monkeypatch, qxopt.placement, "_mapper")
     table = build_table(builtin("qx2"), verify=False)
-    assert len(marks) == 1
+    ladder8 = copy.copy(sparse_tables["ladder8"])
+    assert marks == []
     # Every wire of the mermin circuit carries an H or a CNOT, so qx2 maps
     # it in full; wire 3 here carries neither, so ladder8 maps the skeleton
     # too, in two segments: CNOT(0, 1), then the H that brings in wire 2.
+    # The first search of each table object, a copy's too, derives its
+    # index: it encodes every entry and marks them all in one call.
     idle = Circuit(4, (cnot(0, 1), gate1(GateKind.H, 2), gate1(GateKind.T, 3)))
     mermin = load_circuit("mermin_yyy_unopt")
-    cases = ((mermin, table, 1), (mermin, table, 1), (idle, sparse_tables["ladder8"], 3))
-    for circuit, searched, mapper_count in cases:
+    copied = copy.copy(table)
+    cases = (
+        (mermin, table, 1, True),
+        (mermin, table, 1, False),
+        (idle, ladder8, 3, True),
+        (idle, ladder8, 3, False),
+        (mermin, copied, 1, True),
+    )
+    for circuit, searched, mapper_count, first in cases:
         marks.clear()
         encodes.clear()
         mappers.clear()
@@ -941,10 +992,21 @@ def test_search_neither_encodes_nor_marks_a_table_entry(sparse_tables, monkeypat
         assert len(mappers) == mapper_count
         # One encoding of the circuit serves the search, the skeleton and
         # the initial cost.
-        assert marks == [] and [tuple(args[0]) for args in encodes] == [circuit.gates]
+        entries = [entry.sequence.gates for entry in searched.entries.values()] if first else []
+        assert len(marks) == first
+        assert [tuple(args[0]) for args in encodes] == [circuit.gates] + entries
+        marks.clear()
         encodes.clear()
         cost_of(circuit, result.placement, searched)
         assert marks == [] and [tuple(args[0]) for args in encodes] == [circuit.gates]
+    # `cost_of` on a fresh table object derives the index as a search does.
+    unpickled = pickle.loads(pickle.dumps(table))
+    encodes.clear()
+    cost_of(mermin, result.placement, unpickled)
+    assert len(marks) == 1
+    assert [tuple(args[0]) for args in encodes] == [mermin.gates] + [
+        entry.sequence.gates for entry in unpickled.entries.values()
+    ]
 
 
 def test_map_verified_refuses_a_bad_tolerance_before_the_search(monkeypatch, qx2_table):

@@ -10,6 +10,7 @@ import realization_oracle
 from qxopt.circuit import BLOCK_CODE, Circuit, GateKind, cnot, cnot_code, code_levels, decode
 from qxopt.circuit import field_bits, gate1, gate1_code, gate_count
 from qxopt.peephole import rewrite
+from qxopt.placement import _index
 from qxopt.realization import RealizationError, _candidates, _gate_ranks, _swap, build_table
 from qxopt.realization import dump_text, lookup
 from qxopt.simulator import equivalent, unitary_of
@@ -263,17 +264,18 @@ FORM_DEVICES = {
 
 @pytest.mark.parametrize("device", sorted(FORM_DEVICES))
 def test_table_carries_its_entries_as_codes_and_blocks(device):
-    # `[control][target]`: the entry's gate codes, and the same codes led by
-    # a block marker when the entry has two or more gates; blocks are
-    # numbered in row order.
+    # The search's index of the table, `[control][target]`: the entry's
+    # gate codes, and the same codes led by a block marker when the entry
+    # has two or more gates; blocks are numbered in row order.
     table = build_table(FORM_DEVICES[device](), verify=False)
     n = table.graph.num_physical
     bits = field_bits(n)
+    entry_codes, entry_rows, entry_blocks, _ = _index(table)
     blocks = 0
     for control in range(n):
         for target in range(n):
-            codes = table._codes[control][target]
-            marked = table._marked[control][target]
+            codes = entry_codes[control][target]
+            marked = entry_rows[control][target]
             if control == target:
                 assert codes == marked == []
                 continue
@@ -283,7 +285,7 @@ def test_table_carries_its_entries_as_codes_and_blocks(device):
                 blocks += 1
             else:
                 assert marked == codes
-    assert len(table._blocks) == blocks
+    assert len(entry_blocks) == blocks
 
 
 def _relabeled(codes, sigma, bits):
@@ -301,8 +303,9 @@ def _moved_entries(table, sigma):
     entry of their image pair."""
     n = table.graph.num_physical
     bits = field_bits(n)
+    codes = _index(table)[0]
     return sum(
-        _relabeled(table._codes[c][t], sigma, bits) != table._codes[sigma[c]][sigma[t]]
+        _relabeled(codes[c][t], sigma, bits) != codes[sigma[c]][sigma[t]]
         for c, t in permutations(range(n), 2)
     )
 
@@ -334,7 +337,7 @@ SYMMETRY_DEVICES = {
     ],
 )
 def test_symmetries_are_pinned(device, symmetries):
-    assert build_table(SYMMETRY_DEVICES[device]())._symmetries == symmetries
+    assert _index(build_table(SYMMETRY_DEVICES[device]()))[3] == symmetries
 
 
 @pytest.mark.parametrize("device,moved", [("ring4", 2), ("line5-both", 12)])
@@ -367,7 +370,7 @@ def test_kept_symmetries_are_the_first_of_each_prefix_and_image(device):
     for sigma in every:
         i = next(q for q in range(n) if sigma[q] != q)
         first.setdefault((i, sigma[i]), sigma)
-    kept = table._symmetries
+    kept = _index(table)[3]
     assert len(kept) <= n * (n - 1) // 2
     assert sorted(kept) == sorted(first.values())
     for sigma in kept:

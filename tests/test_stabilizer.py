@@ -9,18 +9,20 @@ from qxopt.realization import RealizationError, build_table, dump_text
 from qxopt.simulator import equivalent as dense_equivalent
 from qxopt.topology import builtin, load
 
-_CLIFFORD_KINDS = tuple(k for k in GateKind if k not in (GateKind.T, GateKind.TDG))
+# The kinds a realization-table entry is built from, the only ones the
+# tableau takes.
+_TABLE_KINDS = (GateKind.H, GateKind.CNOT)
 
 
 def _random_gate(n: int, rng: random.Random) -> Gate:
-    kinds = _CLIFFORD_KINDS if n >= 2 else _CLIFFORD_KINDS[:-1]
+    kinds = _TABLE_KINDS if n >= 2 else _TABLE_KINDS[:1]
     kind = rng.choice(kinds)
     if kind is GateKind.CNOT:
         return cnot(*rng.sample(range(n), 2))
     return gate1(kind, rng.randrange(n))
 
 
-def _random_clifford(n: int, size: int, rng: random.Random) -> Circuit:
+def _random_h_cnot(n: int, size: int, rng: random.Random) -> Circuit:
     return Circuit(n, tuple(_random_gate(n, rng) for _ in range(size)))
 
 
@@ -28,27 +30,17 @@ def _inverse(c: Circuit) -> Circuit:
     return Circuit(c.num_qubits, tuple(Gate(inverse_of(g.kind), g.qubits) for g in reversed(c.gates)))
 
 
-# Each gate as a different sequence with the same unitary up to phase.
-_H, _S, _SDG, _X, _Y, _Z = (GateKind.H, GateKind.S, GateKind.SDG, GateKind.X, GateKind.Y, GateKind.Z)
-_REWRITES = {
-    _H: (_S, _H, _S, _H, _S),
-    _X: (_H, _Z, _H),
-    _Y: (_Z, _X),
-    _Z: (_S, _S),
-    _S: (_Z, _SDG),
-    _SDG: (_S, _Z),
-}
-
-
 def _rewritten(c: Circuit) -> Circuit:
+    """Each gate as a different sequence with the same unitary: a CNOT
+    reversed between H pairs, an H as three."""
     out: list[Gate] = []
     for g in c.gates:
         if g.kind is GateKind.CNOT:
             a, b = g.qubits
-            hh = [gate1(_H, a), gate1(_H, b)]
+            hh = [gate1(GateKind.H, a), gate1(GateKind.H, b)]
             out += hh + [cnot(b, a)] + hh
         else:
-            out += [gate1(k, g.qubits[0]) for k in _REWRITES[g.kind]]
+            out += [g, g, g]
     return Circuit(c.num_qubits, tuple(out))
 
 
@@ -67,8 +59,8 @@ def _pairs(seed: int) -> list[tuple[Circuit, Circuit]]:
     of which change the unitary."""
     rng = random.Random(seed)
     n = rng.randint(1, 5)
-    c = _random_clifford(n, rng.randint(0, 25), rng)
-    d = _random_clifford(n, rng.randint(1, 10), rng)
+    c = _random_h_cnot(n, rng.randint(0, 25), rng)
+    d = _random_h_cnot(n, rng.randint(1, 10), rng)
     padded = Circuit(n, c.gates + d.gates + _inverse(d).gates)
     perm = rng.sample(range(n), n)
     pairs = [(c, padded), (c, relabel(c, perm, n)), (padded, relabel(padded, perm, n))]
@@ -99,22 +91,33 @@ def test_verdicts_match_dense_simulator(seed):
 
 
 def test_signs_and_phases_distinguish_single_gates():
-    kinds = [k for k in _CLIFFORD_KINDS if k is not GateKind.CNOT]
-    for a in kinds:
-        for b in kinds:
-            ca, cb = Circuit(1, (gate1(a, 0),)), Circuit(1, (gate1(b, 0),))
-            assert stabilizer.equivalent(ca, cb) == (a is b), (a, b)
-    # Global phase is ignored: X Z = -i Y.
-    xz = Circuit(1, (gate1(GateKind.Z, 0), gate1(GateKind.X, 0)))
-    assert stabilizer.equivalent(xz, Circuit(1, (gate1(GateKind.Y, 0),)))
+    h0, h1, empty = Circuit(2, (gate1(GateKind.H, 0),)), Circuit(2, (gate1(GateKind.H, 1),)), Circuit(2)
+    cases = [h0, h1, empty, Circuit(2, (cnot(0, 1),)), Circuit(2, (cnot(1, 0),))]
+    for a in cases:
+        for b in cases:
+            assert stabilizer.equivalent(a, b) == (a is b), (a, b)
+    # (H q0; CX q0,q1) four times is X on q1: the identity's X and Z images,
+    # but not its signs. A breadth-first walk of the 1,152 two-qubit H+CNOT
+    # tableaus meets no such element in fewer gates.
+    x1 = Circuit(2, (gate1(GateKind.H, 0), cnot(0, 1)) * 4)
+    assert stabilizer._tableau(x1)[:2] == stabilizer._tableau(empty)[:2]
+    assert not stabilizer.equivalent(x1, empty)
+    assert not dense_equivalent(x1, empty, tol=1e-9)
+    # Global phase is ignored: X then H X H, twice, is (Z X)^2 = -I on q1.
+    zx = x1.gates + h1.gates + x1.gates + h1.gates
+    minus_identity = Circuit(2, zx * 2)
+    assert stabilizer.equivalent(minus_identity, empty)
+    assert dense_equivalent(minus_identity, empty, tol=1e-9)
 
 
-@pytest.mark.parametrize("kind", [GateKind.T, GateKind.TDG])
+@pytest.mark.parametrize("kind", [k for k in GateKind if k not in _TABLE_KINDS])
 def test_non_clifford_gate_raises(kind):
+    # The tableau takes only the kinds a table entry holds, so it refuses
+    # the other Clifford kinds as it refuses T and TDG.
     c = Circuit(2, (cnot(0, 1), gate1(kind, 1)))
-    with pytest.raises(ValueError, match=f"{kind.name} is not a Clifford gate"):
+    with pytest.raises(ValueError, match=f"^{kind.name} is neither H nor CNOT$"):
         stabilizer.equivalent(c, c)
-    with pytest.raises(ValueError, match="not a Clifford gate"):
+    with pytest.raises(ValueError, match="neither H nor CNOT"):
         stabilizer.equivalent(Circuit(2), c)
 
 

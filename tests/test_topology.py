@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qxopt import topology
-from qxopt.topology import CouplingGraph, allows, bfs, builtin, load, shortest_paths
+from qxopt.topology import CouplingGraph, allows, bfs, builtin, load, path_count, shortest_paths
 
 
 def test_qx2_edges():
@@ -102,6 +102,28 @@ def test_shortest_paths_come_sorted_and_shortest(seed):
             paths = shortest_paths(g, a, b)
             assert paths and paths == sorted(paths)
             assert all(len(p) == bfs(g, a)[b] + 1 for p in paths)
+
+
+@given(st.integers(0, 10_000))
+def test_path_count_is_the_number_of_shortest_paths(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    edges = {(rng.randrange(q), q) for q in range(1, n)}
+    edges |= {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))}
+    g = load(f"qubits {n}\n" + "".join(f"{a} {b}\n" for a, b in sorted(edges)))
+    want = sum(len(shortest_paths(g, a, b)) for a in range(n) for b in range(n) if a != b)
+    assert path_count(g) == want
+
+
+def _grid(k):
+    edges = [(q, q + 1) for q in range(k * k) if q % k != k - 1] + [(q, q + k) for q in range(k * k - k)]
+    return CouplingGraph(k * k, edges)
+
+
+def test_path_counts_are_pinned():
+    ladder8 = load("qubits 8\n0 1\n2 1\n2 3\n4 5\n6 5\n6 7\n0 4\n5 1\n2 6\n7 3\n")
+    assert [path_count(builtin("qx2")), path_count(builtin("qx4")), path_count(ladder8)] == [20, 20, 96]
+    assert [path_count(_grid(k)) for k in range(3, 8)] == [140, 744, 3_248, 13_024, 50_436]
 
 
 def test_loading_a_long_line_runs_one_search():

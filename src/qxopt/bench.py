@@ -1,8 +1,9 @@
 """The directory report: every circuit file of a directory mapped and
-checked by `placement.map_verified`, one `BenchRow` per file, sorted by gate
-reduction, and rendered as CSV or markdown. Every CSV report goes through
-one `csv.writer`, which quotes fields per RFC 4180. Only `qxopt bench` and
-`qxopt optimize --report csv` load this module.
+checked by `placement.map_verified`, one `BenchRow` per file with the
+parser's warnings about it, sorted by gate reduction, and rendered as CSV
+or markdown. Every CSV report goes through one `csv.writer`, which quotes
+fields per RFC 4180. Only `qxopt bench` and `qxopt optimize --report csv`
+load this module.
 """
 from __future__ import annotations
 
@@ -12,32 +13,41 @@ from pathlib import Path
 
 from . import Record
 from .placement import MappingResult, map_verified
-from .qasm import parse
+from .qasm import parse_report
 from .realization import RealizationTable
 
 
 class BenchRow(Record):
-    """One benchmarked file: its mapping, or the error that stopped it."""
+    """One benchmarked file: its mapping, or the error that stopped it, and
+    the parser's warnings about it, each led by the file's path."""
 
-    __slots__ = ("name", "result", "verified", "error")
+    __slots__ = ("name", "result", "verified", "error", "warnings")
     name: str
     result: MappingResult | None
     verified: bool
     error: str | None
+    warnings: tuple[str, ...]
 
     def __init__(
-        self, name: str, result: MappingResult | None, verified: bool = False, error: str | None = None
+        self,
+        name: str,
+        result: MappingResult | None,
+        verified: bool = False,
+        error: str | None = None,
+        warnings: tuple[str, ...] = (),
     ) -> None:
-        super().__init__(name, result, verified, error)
+        super().__init__(name, result, verified, error, warnings)
 
 
 def bench_file(path: Path, table: RealizationTable, strict: bool = False) -> BenchRow:
+    warnings: list[str] = []
     try:
-        circuit = parse(path.read_text(encoding="utf-8"), strict=strict)
+        circuit, warnings = parse_report(path.read_text(encoding="utf-8"), strict=strict)
         result, verified = map_verified(circuit, table)
+        error = None
     except (OSError, ValueError, KeyError) as exc:
-        return BenchRow(path.stem, None, error=str(exc))
-    return BenchRow(path.stem, result, verified)
+        result, verified, error = None, False, str(exc)
+    return BenchRow(path.stem, result, verified, error, tuple(f"{path}: {w}" for w in warnings))
 
 
 def bench_directory(

@@ -320,6 +320,8 @@ def _cmd_bench(args) -> int:
 
     table = _searchable_table(args.arch)
     rows = bench_mod.bench_directory(Path(args.directory), table, strict=args.strict)
+    for warning in (w for r in rows for w in r.warnings):
+        print(f"warning: {warning}", file=sys.stderr)
     render = bench_mod.render_csv if args.format == "csv" else bench_mod.render_markdown
     print(render(rows), end="")
     errors = [r for r in rows if r.error is not None]

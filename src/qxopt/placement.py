@@ -13,11 +13,13 @@ by the mapping check, `pathsum.equivalent`.
 The search runs on integer gate codes (see `circuit.encode`), every list
 with qubit fields sized for the device. `optimize` and `cost_of` each
 encode the circuit once and read every count off that list. The first
-search of a table object derives what the search reads of it (`_index`),
-among that each entry's codes with each multi-gate entry marked as a block
-(`peephole.mark_blocks`). Every entry is a `rewrite` result, on which no
-rule fires (`mark_blocks` checks), so `peephole.rewrite_pending` appends it
-whole unless one of its first gates meets a pending gate. Each placement's
+search of a table object derives what the search reads of it (`_index`):
+each entry's codes, the same with each multi-gate entry marked as a block
+(`peephole.mark_blocks`), the qubits each entry touches, and the table's
+symmetries. No other module reads the search's `[control][target]` code
+lists. Every entry is a `rewrite` result, on which no rule fires
+(`mark_blocks` checks), so `peephole.rewrite_pending` appends it whole
+unless one of its first gates meets a pending gate. Each placement's
 mapped circuit is built straight as codes, and the engine returns its
 pending list with the count of tombstones in it. Scoring is count-first:
 `circuit.cheapest` reads the gate count off that count, and filters the
@@ -38,12 +40,14 @@ injections, with the same placement and mapped circuit. A circuit with a
 CNOT on every wire has no such class.
 
 Nor does a placement need scoring when a symmetry of the table maps it to
-a smaller one. A symmetry (`realization._symmetries`) is a permutation σ
-of the device's qubits under which every entry, relabeled, is the entry of
-its image pair. Then the mapped circuit of σ∘p, which puts wire w on
-σ(p[w]), is σ applied to p's, gate for gate, and the rewrite engine, which
-looks at qubits only to tell them apart, keeps the two relabelings of each
-other, with equal gates and levels. So `_placements` yields no p with
+a smaller one. A symmetry (`_symmetries`) is a permutation σ of the
+device's qubits under which every entry, relabeled, is the entry of its
+image pair. The relabeling is `_mapper`'s, the one function that moves
+gate codes to other qubits, with σ as the placement and each CNOT as its
+own code. Then the mapped circuit of σ∘p, which puts wire w on σ(p[w]), is
+σ applied to p's, gate for gate, and the rewrite engine, which looks at
+qubits only to tell them apart, keeps the two relabelings of each other,
+with equal gates and levels. So `_placements` yields no p with
 σ∘p < p for a kept σ. Any subset of the symmetries keeps the search exact:
 the winner, the smallest placement of the fewest gates and levels, has no
 smaller placement of equal cost, so no σ skips it, just as no class drops
@@ -123,12 +127,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import Record
 from .circuit import Circuit, CostReport, check_placement, check_tolerance, cheapest, code_levels
-from .circuit import GateKind, decode_all, encode, field_bits
+from .circuit import Gate, GateKind, cnot_code, decode_all, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
 from .pathsum import _PHASE, VERIFY_TOL, equivalent
 from .peephole import engine_state, mark_blocks, rewrite, rewrite_pending
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
-from .realization import RealizationTable, _symmetries
+from .realization import RealizationTable
 from .topology import CouplingGraph
 
 DEFAULT_SEARCH_LIMIT = 8
@@ -156,23 +160,66 @@ def percent_reduction(initial: CostReport, final: CostReport) -> tuple[int, int]
     return (pct(initial.gates, final.gates), pct(initial.levels, final.levels))
 
 
-def _index(table: RealizationTable) -> tuple[list, list, list, tuple]:
-    """What the search reads of `table`: `[control][target]` lists of each
-    entry's codes (empty where none is), the same marked as blocks, the block
-    table and the symmetries. Kept in the table's `_index` slot from its
+def _index(table: RealizationTable) -> tuple[list, list, list, tuple, list]:
+    """What the search reads of `table`, each `[control][target]` list
+    indexed by qubit pair: each entry's codes (empty where none is), the same
+    marked as blocks, the block table, the symmetries, and the bit mask of
+    the qubits each entry touches. Kept in the table's `_index` slot from its
     first search on; a copy or an unpickled table starts without it."""
     index = getattr(table, "_index", None)
     if index is None:
         n = table.graph.num_physical
         bits = field_bits(n)
         codes: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
+        touches = [[0] * n for _ in range(n)]
         for (control, target), entry in table.entries.items():
             codes[control][target] = encode(entry.sequence.gates, bits)
+            touches[control][target] = _touched(entry.sequence.gates)
         marked, blocks = mark_blocks([run for row in codes for run in row], bits)
         rows = [marked[row * n : (row + 1) * n] for row in range(n)]
-        index = (codes, rows, blocks, _symmetries(codes, bits))
+        index = (codes, rows, blocks, _symmetries(codes, bits), touches)
         object.__setattr__(table, "_index", index)
     return index
+
+
+def _symmetries(codes: list[list[list[int]]], bits: int) -> tuple[tuple[int, ...], ...]:
+    """Permutations σ ≠ id of the qubits of `codes` (`[control][target]`
+    gate codes, `bits`-wide qubit fields) under which every entry, mapped
+    under σ by `_mapper` with each CNOT left one CNOT, equals
+    `codes[σ[c]][σ[t]]`: for each qubit i and image j > i, the first such σ,
+    images tried in increasing order, that fixes qubits 0..i-1 and sends i
+    to j. So at most n(n-1)/2 are kept.
+
+    A backtracking maps qubits 0, 1, ... in turn and drops a partial map as
+    soon as the entries between two mapped qubits and between their images
+    differ in length; only a complete map has its entries compared."""
+    n = len(codes)
+    lengths = [[len(run) for run in row] for row in codes]
+    single: list[list[list[int]]] = []  # each CNOT(c, t) as its one code, once a map is complete
+
+    def first(sigma: list[int]) -> tuple[int, ...] | None:
+        q = len(sigma) - 1
+        image = sigma[q]
+        for a in range(q):
+            if lengths[a][q] != lengths[sigma[a]][image] or lengths[q][a] != lengths[image][sigma[a]]:
+                return None
+        if q == n - 1:
+            if not single:
+                single.extend([[cnot_code(c, t, bits)] for t in range(n)] for c in range(n))
+            same = all(
+                _mapper(codes[c][t], bits, single)(sigma) == codes[sigma[c]][sigma[t]]
+                for c, t in permutations(range(n), 2)
+            )
+            return tuple(sigma) if same else None
+        for nxt in range(n):
+            if nxt not in sigma:
+                found = first(sigma + [nxt])
+                if found is not None:
+                    return found
+        return None
+
+    kept = (first(list(range(i)) + [j]) for i in range(n) for j in range(i + 1, n))
+    return tuple(sigma for sigma in kept if sigma is not None)
 
 
 def _mapper(
@@ -198,36 +245,30 @@ def _mapper(
     return mapped
 
 
-def _touched(codes: list[int], bits: int) -> int:
-    """Bit mask of the qubits that the gates coded as `codes` act on."""
-    mask = (1 << bits) - 1
-    touched = 0
-    for code in codes:
-        touched |= 1 << (code >> 4 & mask)
-        if code & 8:
-            touched |= 1 << (code >> 4 + bits)
-    return touched
+def _touched(gates: Iterable[Gate]) -> int:
+    """Bit mask of the qubits that `gates` act on."""
+    return sum(1 << q for q in {q for g in gates for q in g.qubits})
 
 
-def _placements(circuit: Circuit, table: RealizationTable, bits: int) -> Iterable[tuple[int, ...]]:
+def _placements(circuit: Circuit, table: RealizationTable) -> Iterable[tuple[int, ...]]:
     """The smallest placement of each class of equal-cost placements (see
     the module docstring), less each placement p that one of the table's
     symmetries σ maps to a smaller σ∘p. Every class has one member when
     every wire has a CNOT, or when the CNOT wires leave at most one qubit
     free; then, on a table without symmetries, this is every injection."""
-    entries, _, _, symmetries = _index(table)
-    placements = _representatives(circuit, entries, bits)
+    _, _, _, symmetries, touches = _index(table)
+    placements = _representatives(circuit, touches)
     if not symmetries:
         return placements
     images = [sigma.__getitem__ for sigma in symmetries]
     return (p for p in placements if not any(tuple(map(image, p)) < p for image in images))
 
 
-def _representatives(
-    circuit: Circuit, entries: list[list[list[int]]], bits: int
-) -> Iterable[tuple[int, ...]]:
-    """The smallest placement of each class of equal-cost placements."""
-    n = len(entries)
+def _representatives(circuit: Circuit, touches: list[list[int]]) -> Iterable[tuple[int, ...]]:
+    """The smallest placement of each class of equal-cost placements;
+    `touches[c][t]` is the bit mask of the qubits that the entry of CNOT(c, t)
+    acts on."""
+    n = len(touches)
     k = circuit.num_qubits
     pairs = {g.qubits for g in circuit.gates if g.kind is GateKind.CNOT}
     linked = sorted({q for pair in pairs for q in pair})
@@ -235,7 +276,6 @@ def _representatives(
         yield from permutations(range(n), k)
         return
     free = [w for w in range(k) if w not in linked]
-    touches = [[_touched(codes, bits) for codes in row] for row in entries]
     placement = [0] * k
     for injection in permutations(range(n), len(linked)):
         occupied = 0
@@ -298,7 +338,7 @@ def _skeleton_counter(
                 part = []
             part.append(code)
             seen += new
-    _, rows, blocks, _ = _index(table)
+    _, rows, blocks, _, _ = _index(table)
     prefixes = [(_mapper(seg, bits, rows), itemgetter(*wires), {}) for seg, wires in segments]
     last = _mapper(part, bits, rows)
 
@@ -342,10 +382,10 @@ def _candidates(
     multi-gate entry passed as a block, for each placement from
     `_placements` that the skeleton bound does not prune (see the module
     docstring). `codes` are the circuit's gates, encoded at `bits`."""
-    _, rows, blocks, _ = _index(table)
+    _, rows, blocks, _, _ = _index(table)
     n, k = len(rows), circuit.num_qubits
     mapped = _mapper(codes, bits, rows)
-    placements = _placements(circuit, table, bits)
+    placements = _placements(circuit, table)
     wires = {q for g in circuit.gates if g.kind in _SKELETON_GATES for q in g.qubits}
     if not wires or n - len(wires) < 2 or (len(wires) == k and n - k < 3):
         # No skeleton to bound, or too few placements that share its work.

@@ -22,9 +22,10 @@ the entries share. Every entry is an H+CNOT circuit, so it is Clifford:
 each entry is proven equal to the plain CNOT as it is built, by comparing
 stabilizer tableaus, exactly and on a device of any size.
 
-The table is a plain record of its graph and entries. The placement
-search derives what it reads of a table on first use (`placement._index`),
-among that the table's symmetries (`_symmetries`).
+The table is a plain record of its graph and entries, and this module only
+builds and proves them. The placement search derives everything it reads
+of a table, the table's symmetries among that, on first use
+(`placement._index`).
 """
 from __future__ import annotations
 
@@ -55,52 +56,6 @@ class RealizationTable(Record):
     __slots__ = ("graph", "entries", "_index")
     graph: CouplingGraph
     entries: dict[tuple[int, int], RealizationEntry]
-
-
-def _symmetries(codes: list[list[list[int]]], bits: int) -> tuple[tuple[int, ...], ...]:
-    """Permutations σ ≠ id of the qubits of `codes` (`[control][target]`
-    gate codes, `bits`-wide qubit fields) under which every entry's codes,
-    each qubit q relabeled σ[q], equal `codes[σ[c]][σ[t]]`: for each qubit
-    i and image j > i, the first such σ, images tried in increasing order,
-    that fixes qubits 0..i-1 and sends i to j. So at most n(n-1)/2 are kept.
-
-    A backtracking maps qubits 0, 1, ... in turn and drops a partial map as
-    soon as the entries between two mapped qubits and between their images
-    differ in length; only a complete map has its entries compared."""
-    n = len(codes)
-    lengths = [[len(run) for run in row] for row in codes]
-    shift = 4 + bits
-    mask = (1 << bits) - 1
-
-    def relabeled(run: list[int], sigma: list[int]) -> list[int]:
-        return [
-            code & 15 | sigma[code >> 4 & mask] << 4 | sigma[code >> shift] << shift
-            if code & 8
-            else code & 15 | sigma[code >> 4] << 4
-            for code in run
-        ]
-
-    def first(sigma: list[int]) -> tuple[int, ...] | None:
-        q = len(sigma) - 1
-        image = sigma[q]
-        for a in range(q):
-            if lengths[a][q] != lengths[sigma[a]][image] or lengths[q][a] != lengths[image][sigma[a]]:
-                return None
-        if q == n - 1:
-            for c in range(n):
-                for t in range(n):
-                    if relabeled(codes[c][t], sigma) != codes[sigma[c]][sigma[t]]:
-                        return None
-            return tuple(sigma)
-        for nxt in range(n):
-            if nxt not in sigma:
-                found = first(sigma + [nxt])
-                if found is not None:
-                    return found
-        return None
-
-    kept = (first(list(range(i)) + [j]) for i in range(n) for j in range(i + 1, n))
-    return tuple(sigma for sigma in kept if sigma is not None)
 
 
 def _local_cnot(graph: CouplingGraph, control: int, target: int, bits: int) -> list[int]:

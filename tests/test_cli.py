@@ -498,6 +498,25 @@ def test_bench_stdout_pinned(arch, fmt, expected, tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_bench_warns_of_each_file_s_dropped_statements(tmp_path, capsys):
+    # As `optimize` does, one line per file and kind on stderr; the report on
+    # stdout is the one for the same files without those statements.
+    d = _write_bench_dir(tmp_path)
+    assert main(["bench", str(d), "--arch", "qx2"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    measured = emit(Circuit(2, (cnot(0, 1), cnot(0, 1)))) + "creg c[2];\nmeasure q[0] -> c[0];\n"
+    (d / "pair.qasm").write_text(measured)
+    (d / "routing_example.qasm").write_text(ROUTING + "barrier q[0],q[1];\nbarrier q[2];\n")
+    assert main(["bench", str(d), "--arch", "qx2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert captured.err == (
+        f"warning: {d / 'pair.qasm'}: dropped 1 measure statement(s)\n"
+        f"warning: {d / 'routing_example.qasm'}: dropped 2 barrier statement(s)\n"
+    )
+
+
 def test_bench_empty_directory_errors(tmp_path, capsys):
     d = tmp_path / "empty"
     d.mkdir()

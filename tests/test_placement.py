@@ -340,7 +340,10 @@ class _SearchCounts:
         return sorted(set(self.covered) - set(self.scored))
 
 
-def _count_rewrites(monkeypatch):
+def _count_rewrites(monkeypatch, table):
+    # The table's index is derived first, so that no mapper `_symmetries`
+    # makes for it is counted.
+    _index(table)
     counts = _SearchCounts()
     rewrite_pending = qxopt.placement.rewrite_pending
     mapper = qxopt.placement._mapper
@@ -374,8 +377,8 @@ def _count_rewrites(monkeypatch):
 
         return tagged
 
-    def recording_placements(circuit, table, bits):
-        for placement in placements(circuit, table, bits):
+    def recording_placements(circuit, table):
+        for placement in placements(circuit, table):
             counts.covered.append(placement)
             yield placement
 
@@ -414,7 +417,7 @@ def _segment_wires(circuit):
 
 
 def test_cnot_free_circuit_scores_one_placement(qx2_table, monkeypatch):
-    counts = _count_rewrites(monkeypatch)
+    counts = _count_rewrites(monkeypatch, qx2_table)
     circuit = Circuit(4, (gate1(GateKind.H, 0), gate1(GateKind.T, 2), gate1(GateKind.T, 2)))
     result = optimize(circuit, qx2_table)
     assert len(counts.full) == 1
@@ -428,7 +431,7 @@ def test_circuit_with_a_cnot_on_every_wire_scores_every_injection(qx4_table, mon
     # on qx4, a table without symmetries, scored plus pruned is every
     # injection, each once.
     assert _symmetries(qx4_table) == ()
-    counts = _count_rewrites(monkeypatch)
+    counts = _count_rewrites(monkeypatch, qx4_table)
     optimize(TWO_CNOTS, qx4_table)
     injections = list(permutations(range(5), 3))
     assert sorted(counts.covered) == injections
@@ -447,7 +450,7 @@ def test_circuit_with_a_cnot_on_every_wire_scores_half_the_injections_on_qx2(
     # qx2's one symmetry σ swaps qubits 0 and 4, and 1 and 3: of each pair
     # p, σ∘p (never equal on three wires) the search scores the smaller.
     (sigma,) = _symmetries(qx2_table)
-    counts = _count_rewrites(monkeypatch)
+    counts = _count_rewrites(monkeypatch, qx2_table)
     result = optimize(TWO_CNOTS, qx2_table)
     monkeypatch.undo()
     kept = [p for p in permutations(range(5), 3) if p < _image(sigma, p)]
@@ -524,7 +527,7 @@ def test_pruned_search_matches_unpruned_oracle_on_ladder8(
 ):
     table = sparse_tables["ladder8"]
     circuit = _skeleton_heavy(random.Random(seed), width, num_gates, idle)
-    counts = _count_rewrites(monkeypatch)
+    counts = _count_rewrites(monkeypatch, table)
     result = optimize(circuit, table)
     monkeypatch.undo()
     # Placement, costs and mapped gates, all as the unpruned search has them.
@@ -556,7 +559,7 @@ def test_skeleton_rewrites_never_exceed_skeleton_wire_assignments(
     # bound: each segment is rewritten at most once per assignment of the
     # wires seen by its end.
     circuit = _skeleton_heavy(random.Random(seed), width, num_gates, idle)
-    counts = _count_rewrites(monkeypatch)
+    counts = _count_rewrites(monkeypatch, sparse_tables["ladder8"])
     optimize(circuit, sparse_tables["ladder8"])
     segments = _segment_wires(circuit)
     assert sorted(set(counts.skeleton)) == list(range(len(segments)))
@@ -614,7 +617,7 @@ def test_limit8_search_scores_and_rewrites_what_it_did(sparse_tables, monkeypatc
     cases = _limit8_cases(monkeypatch, seed)
     assert [name for name, _ in cases] == ["l8_5q_0@ladder8", "l8_6q_1@ladder8"]
     for (_, circuit), want_scored, want_rewrites in zip(cases, scored, (8_791, 391)):
-        counts = _count_rewrites(monkeypatch)
+        counts = _count_rewrites(monkeypatch, table)
         optimize(circuit, table)
         monkeypatch.undo()
         assert (len(counts.scored), len(counts.skeleton)) == (want_scored, want_rewrites)
@@ -634,7 +637,7 @@ def _block_scorer(circuit, table, bits, skeleton=False):
     """The table's entry codes, and the search's function from a placement to
     `rewrite_pending`'s `(pending, dead)`, each multi-gate entry a block;
     with `skeleton`, for the H and CNOT gates alone."""
-    codes, rows, blocks, _ = _index(table)
+    codes, rows, blocks, _, _ = _index(table)
     mapped = _mapper_of(circuit, rows, bits, skeleton)
     return codes, lambda placement: rewrite_pending(mapped(placement), bits, blocks)
 
@@ -760,8 +763,7 @@ def _touched_by(table, placement, circuit):
 
 
 def _scored(circuit, table):
-    bits = field_bits(table.graph.num_physical)
-    return list(_placements(circuit, table, bits))
+    return list(_placements(circuit, table))
 
 
 def test_isolated_wire_never_lands_on_a_qubit_an_entry_touches(sparse_tables):
@@ -922,11 +924,12 @@ def test_hand_built_copied_and_unpickled_tables_search_alike(tables, arch):
     results = [optimize(load_circuit(name), table) for name in CIRCUITS]
     for other in _rebuilt(table):
         assert other == table
-        codes, rows, blocks, symmetries = _index(other)
+        codes, rows, blocks, symmetries, touches = _index(other)
         assert codes == _index(table)[0]
         assert rows == _index(table)[1]
         assert blocks == _index(table)[2]
         assert symmetries == _index(table)[3]
+        assert touches == _index(table)[4]
         for name, want in zip(CIRCUITS, results):
             got = optimize(load_circuit(name), other)
             assert got.placement == want.placement
@@ -989,7 +992,10 @@ def test_search_neither_encodes_nor_marks_a_table_entry(sparse_tables, monkeypat
         encodes.clear()
         mappers.clear()
         result = optimize(circuit, searched)
-        assert len(mappers) == mapper_count
+        # The circuit's mappers read the marked rows; the ones `_symmetries`
+        # makes while it derives the index read single CNOTs.
+        assert len([args for args in mappers if args[2] is _index(searched)[1]]) == mapper_count
+        assert first or len(mappers) == mapper_count
         # One encoding of the circuit serves the search, the skeleton and
         # the initial cost.
         entries = [entry.sequence.gates for entry in searched.entries.values()] if first else []
@@ -1007,6 +1013,22 @@ def test_search_neither_encodes_nor_marks_a_table_entry(sparse_tables, monkeypat
     assert [tuple(args[0]) for args in encodes] == [mermin.gates] + [
         entry.sequence.gates for entry in unpickled.entries.values()
     ]
+
+
+def test_touch_masks_are_derived_once_per_table(monkeypatch):
+    # limit8's 6-qubit case has CNOT-free wires, so its search reads which
+    # qubits each entry touches. The first search of a table derives one
+    # mask per entry with the index; later searches derive none.
+    (_, _), (_, idle) = _limit8_cases(monkeypatch, 77)
+    touched = _record_calls(monkeypatch, qxopt.placement, "_touched")
+    table = build_table(load(LADDER8_TEXT, name="ladder8"))
+    assert touched == []
+    optimize(idle, table)
+    assert [tuple(args[0]) for args in touched] == [e.sequence.gates for e in table.entries.values()]
+    touched.clear()
+    for _ in range(2):
+        optimize(idle, table)
+    assert touched == []
 
 
 def test_map_verified_refuses_a_bad_tolerance_before_the_search(monkeypatch, qx2_table):

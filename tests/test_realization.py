@@ -265,12 +265,13 @@ FORM_DEVICES = {
 @pytest.mark.parametrize("device", sorted(FORM_DEVICES))
 def test_table_carries_its_entries_as_codes_and_blocks(device):
     # The search's index of the table, `[control][target]`: the entry's
-    # gate codes, and the same codes led by a block marker when the entry
-    # has two or more gates; blocks are numbered in row order.
+    # gate codes, the same codes led by a block marker when the entry has
+    # two or more gates, and the bit mask of the qubits the entry acts on;
+    # blocks are numbered in row order.
     table = build_table(FORM_DEVICES[device](), verify=False)
     n = table.graph.num_physical
     bits = field_bits(n)
-    entry_codes, entry_rows, entry_blocks, _ = _index(table)
+    entry_codes, entry_rows, entry_blocks, _, entry_touches = _index(table)
     blocks = 0
     for control in range(n):
         for target in range(n):
@@ -278,8 +279,11 @@ def test_table_carries_its_entries_as_codes_and_blocks(device):
             marked = entry_rows[control][target]
             if control == target:
                 assert codes == marked == []
+                assert entry_touches[control][target] == 0
                 continue
-            assert tuple(decode(c, bits) for c in codes) == table.entries[(control, target)].sequence.gates
+            gates = table.entries[(control, target)].sequence.gates
+            assert tuple(decode(c, bits) for c in codes) == gates
+            assert entry_touches[control][target] == sum({1 << q for g in gates for q in g.qubits})
             if len(codes) >= 2:
                 assert marked == [BLOCK_CODE | blocks << 4] + codes
                 blocks += 1
@@ -354,18 +358,33 @@ def test_graph_automorphisms_that_move_entries_are_no_symmetries(device, moved):
     assert [_moved_entries(table, sigma) for sigma in automorphisms] == [moved] * len(automorphisms)
 
 
-@pytest.mark.parametrize("device", ["star5", "k4"])
-def test_kept_symmetries_are_the_first_of_each_prefix_and_image(device):
-    # Of the 23 symmetries, one per qubit i and image j > i is kept: the
-    # smallest that fixes qubits 0..i-1 and sends i to j.
-    table = build_table(SYMMETRY_DEVICES[device]())
+# Every device above of at most 6 qubits, with its number of symmetries.
+_SMALL_DEVICES = {
+    "qx2": 1,
+    "qx4": 0,
+    "ring4": 0,
+    "line5-both": 0,
+    "star5": 23,
+    "k4": 23,
+    "ring6-chord": 0,
+    "line6": 0,
+    "hex": 0,
+}
+
+
+@pytest.mark.parametrize("device,count", sorted(_SMALL_DEVICES.items()), ids=sorted(_SMALL_DEVICES))
+def test_kept_symmetries_are_the_first_of_each_prefix_and_image(device, count):
+    # Of the symmetries that a brute force over all n! permutations finds,
+    # one per qubit i and image j > i is kept: the smallest that fixes
+    # qubits 0..i-1 and sends i to j.
+    table = build_table({**FORM_DEVICES, **SYMMETRY_DEVICES}[device]())
     n = table.graph.num_physical
     every = [
         sigma
         for sigma in permutations(range(n))
         if sigma != tuple(range(n)) and _moved_entries(table, sigma) == 0
     ]
-    assert len(every) == 23
+    assert len(every) == count
     first = {}
     for sigma in every:
         i = next(q for q in range(n) if sigma[q] != q)

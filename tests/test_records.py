@@ -92,10 +92,11 @@ RECORDS = {
     ),
     "BenchRow": (
         BenchRow,
-        ("name", "result", "verified", "error"),
-        ("ghz", None, True, "oops"),
-        "BenchRow(name='ghz', result=None, verified=True, error='oops')",
-        ("ghz", None, False, "oops"),
+        ("name", "result", "verified", "error", "warnings"),
+        ("ghz", None, True, "oops", ("ghz.qasm: dropped 1 measure statement(s)",)),
+        "BenchRow(name='ghz', result=None, verified=True, error='oops', "
+        "warnings=('ghz.qasm: dropped 1 measure statement(s)',))",
+        ("ghz", None, False, "oops", ()),
         True,
     ),
     "StateVector": (
@@ -234,7 +235,7 @@ def test_defaults():
     assert repr(NoiseSpec(p2=0.5)) == "NoiseSpec(p1=0.001, p2=0.5)"
     assert CouplingGraph(2, {(0, 1)}).name == "custom"
     row = BenchRow("ghz", None)
-    assert (row.verified, row.error) == (False, None)
+    assert (row.verified, row.error, row.warnings) == (False, None, ())
     assert ProbabilityDistribution(1, {"0": 1.0}).tolerance == 0.005
 
 

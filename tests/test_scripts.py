@@ -1,5 +1,7 @@
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import qxopt.cli
@@ -46,3 +48,51 @@ def test_every_benchmark_binding_resolves_to_a_function():
     spans = _load("spans", ROOT / "perfbench")
     for module, name, _layer in spans.BINDINGS:
         assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+
+
+LOC_SAMPLE = "\n".join(
+    [
+        '"""A module docstring',
+        "",
+        'over three lines."""',
+        "import os  # a trailing comment makes a code line",
+        "",
+        "# a comment line",
+        "",
+        "",
+        "def f():",
+        '    """One line."""',
+        "    return os.sep  # code",
+        "",
+        "",
+        "class C:",
+        '    """Two',
+        "",
+        '    blank-line docstring."""',
+        "",
+        '    x = "not a docstring"',
+        "    # indented comment",
+    ]
+)
+
+
+def test_loc_counts_each_kind_of_line(tmp_path):
+    script = _load("loc")
+    counts = script.count(LOC_SAMPLE)
+    assert counts == {"code": 5, "docstring": 7, "comment": 2, "blank": 6}
+    assert sum(counts.values()) == len(LOC_SAMPLE.splitlines())
+    path = tmp_path / "sample.py"
+    path.write_text(LOC_SAMPLE)
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "loc.py"), str(path)], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out[1].split() == ["sample.py", "5", "7", "2", "6", "20"]
+    assert out[2].split() == ["total", "5", "7", "2", "6", "20"]
+
+
+def test_every_mutant_text_is_found_once_in_its_module():
+    script = _load("mutants")
+    for mutant in script.MUTANTS:
+        text = (ROOT / "src" / "qxopt" / f"{mutant.module}.py").read_text(encoding="utf-8")
+        assert text.count(mutant.text) == 1, mutant.name
+        assert mutant.tests and all(test.startswith("tests/test_") for test in mutant.tests)

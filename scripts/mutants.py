@@ -116,6 +116,120 @@ MUTANTS = (
         "return tuple(sigma)",
         ("tests/test_realization.py::test_symmetries_are_pinned[ring4-symmetries3]",),
     ),
+    Mutant(
+        "simulator: T and TDG let into the two-wire window",
+        "simulator",
+        "if on & ~window[1] or kind is GateKind.T or kind is GateKind.TDG:",
+        "if on & ~window[1]:",
+        ("tests/test_simulator.py::test_window_folds_only_a_monomial_product",),
+    ),
+    Mutant(
+        "simulator: a given-up window skips its control's H step",
+        "simulator",
+        "        yield wires[0]\n",
+        "",
+        ("tests/test_simulator.py::test_equivalent_verdicts_match_dense_oracle",),
+    ),
+    Mutant(
+        "simulator: a given-up window drops the gates it held",
+        "simulator",
+        "held[1:] +",
+        "[] +",
+        ("tests/test_simulator.py::test_equivalent_verdicts_match_dense_oracle",),
+    ),
+    Mutant(
+        "simulator: a folded window's G put on swapped wires",
+        "simulator",
+        "frame |= (step[2] & 1) << wires[0] | (step[2] >> 1) << wires[1]",
+        "frame |= (step[2] & 1) << wires[1] | (step[2] >> 1) << wires[0]",
+        ("tests/test_simulator.py::test_window_folds_a_reversed_cnot_whose_h_gates_moved",),
+    ),
+    Mutant(
+        "simulator: `_seam` cancels equal kinds instead of inverse kinds",
+        "simulator",
+        "head[stack[-1]] == (inverse_of(kind), qubits)",
+        "head[stack[-1]] == (kind, qubits)",
+        ("tests/test_simulator.py::test_seam_leaves_the_miter_product_unchanged",),
+    ),
+    Mutant(
+        "simulator: `equivalent` ignores the placement",
+        "simulator",
+        "tuple([wire[q] for q in g.qubits])",
+        "tuple([q for q in g.qubits])",
+        ("tests/test_simulator.py::test_equivalent_verdicts_match_dense_oracle",),
+    ),
+    Mutant(
+        "simulator: the dense check's default tolerance put back to 1e-9",
+        "simulator",
+        "    tol: float = VERIFY_TOL,\n) -> bool:",
+        "    tol: float = 1e-9,\n) -> bool:",
+        (
+            "tests/test_simulator.py::"
+            "test_every_mapping_check_defaults_to_the_one_verification_tolerance",
+        ),
+    ),
+    Mutant(
+        "placement: an X or a Y weighs 2 in `_residue`",
+        "placement",
+        "sums[g.qubits, g.kind] += 4",
+        "sums[g.qubits, g.kind] += 2",
+        ("tests/test_placement.py::test_residue_counts_what_no_rewrite_removes_per_wire",),
+    ),
+    Mutant(
+        "placement: the skeleton never split into segments",
+        "placement",
+        "if new and part:",
+        "if False:",
+        ("tests/test_placement.py::test_pruned_search_matches_unpruned_oracle_on_ladder8",),
+    ),
+    Mutant(
+        "placement: the 3-qubit rule for a circuit with a CNOT on every wire set at 2",
+        "placement",
+        "n - k < 3)",
+        "n - k < 2)",
+        (
+            "tests/test_placement.py::"
+            "test_circuit_with_a_cnot_on_every_wire_scores_every_injection",
+        ),
+    ),
+    Mutant(
+        "placement: the skip prunes a placement whose bound ties the best (`>` made `>=`)",
+        "placement",
+        "skeleton(placement) + residue > best",
+        "skeleton(placement) + residue >= best",
+        ("tests/test_placement.py::test_optimize_matches_eager_oracle_on_gate_count_ties",),
+    ),
+    Mutant(
+        "peephole: `engine_state` copies a state shallowly",
+        "peephole",
+        "return [pending[:], link1[:], link2[:], top.copy(), dead]",
+        "return [pending, link1, link2, top, dead]",
+        ("tests/test_peephole.py::test_blocks_match_stack_oracle",),
+    ),
+    Mutant(
+        "circuit: `decode` skips the equal-fields test of a CNOT",
+        "circuit",
+        "valid = code >= 0 and qubits[0] != qubits[1]",
+        "valid = code >= 0",
+        ("tests/test_circuit.py::test_decode_checks_only_the_codes_of_no_valid_gate",),
+    ),
+    Mutant(
+        "circuit: T's and TDG's phase weights swapped",
+        "circuit",
+        "GateKind.T: 1, GateKind.TDG: 7",
+        "GateKind.T: 7, GateKind.TDG: 1",
+        ("tests/test_pathsum.py::test_phases_are_exact_and_global_phase_is_ignored",),
+    ),
+    Mutant(
+        "cli: `bench` exits 0 with a row that is not verified",
+        "cli",
+        "    if unverified:\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::"
+            "test_bench_exits_two_after_its_report_when_a_row_is_not_verified",
+        ),
+    ),
 )
 
 

@@ -41,8 +41,14 @@ __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
 
 
-class RealizationError(Exception):
-    """A realization-table entry is illegal on its device or fails its proof."""
+class VerificationError(Exception):
+    """A result failed the check it must pass before it leaves the tool: a
+    realization-table entry is illegal on its device or fails its proof, or
+    a mapped, simplified or benchmarked circuit is not equivalent to its
+    input. `qxopt` prints it as one `error:` line and exits 2."""
+
+
+RealizationError = VerificationError
 
 
 class Record:

@@ -64,6 +64,11 @@ def inverse_of(kind: GateKind) -> GateKind:
     return _INVERSE[kind]
 
 
+# Diagonal gates as the phase, in units of pi/4, that each adds to a basis
+# state with its wire set.
+PHASE = {GateKind.Z: 4, GateKind.S: 2, GateKind.SDG: 6, GateKind.T: 1, GateKind.TDG: 7}
+
+
 class Gate(Record):
     """One gate application. For CNOT, qubits = (control, target)."""
 
@@ -276,6 +281,11 @@ def check_placement(perm: Sequence[int] | None, width: int, num_qubits: int) -> 
         raise ValueError(f"placement is not injective: {tuple(perm)}")
     if any(not 0 <= p < width for p in perm):
         raise ValueError(f"placement {tuple(perm)} outside 0..{width - 1}")
+
+
+# The one tolerance of every mapping check, the default wherever a check
+# takes one. Only the dense check reads it.
+VERIFY_TOL = 1e-8
 
 
 def check_tolerance(tol: float) -> None:

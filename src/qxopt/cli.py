@@ -4,13 +4,17 @@ Subcommands: optimize, simplify, verify, bench, mermin, fidelity, table dump.
 Exit codes: 0 success, 1 usage error, 2 verification failure.
 
 `optimize` and `simplify` check their output against the input before
-writing it, and exit 2 without writing anything on a mismatch. `simplify`
-still writes a circuit that neither checker can decide (the path sum gave
-up and it is past the dense cap), and says on stderr that it is unverified.
-A command that builds a realization table exits 2 if an entry fails its
-proof. `RealizationError` is defined in the package root, which every
-process loads already, so `main` catches it by name without loading the
-mapping modules into commands that never build a table.
+writing it, and write nothing on a mismatch. `simplify` still writes a
+circuit that neither checker can decide (the path sum gave up and it is past
+the dense cap), and says on stderr that it is unverified. `bench` prints its
+whole report, then fails if a row's mapping is not equivalent to its file.
+A command that builds a realization table fails if an entry fails its proof.
+Every such failed check raises `VerificationError` (`RealizationError` is
+the same class), and `main` alone prints it as one `error:` line and exits
+2. The class is defined in the package root, which every process loads
+already, so `main` catches it by name without loading the mapping modules
+into commands that never build a table. Only `verify`, whose verdict is its
+output, chooses exit 2 itself.
 
 `verify` refuses, as a usage error, an argument that its mode would drop:
 circuit files, `--placement` and `--strict` under `--random`, and `--arch`,
@@ -35,11 +39,10 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-from . import RealizationError
+from . import VerificationError
 
 if TYPE_CHECKING:
     from .circuit import Circuit
-    from .realization import RealizationTable
     from .topology import CouplingGraph
 
 _T = TypeVar("_T")
@@ -106,15 +109,14 @@ def _at_least(kind: type, minimum: int):
     return parse
 
 
-def _searchable_table(arch: str) -> RealizationTable:
-    """Realization table for an architecture within the search limit, which is
-    checked before the table is built."""
+def _searchable_graph(arch: str) -> CouplingGraph:
+    """An architecture within the search limit, checked before its
+    realization table is built."""
     from .placement import check_search_limit
-    from .realization import build_table
 
     graph = _resolve_arch(arch)
     check_search_limit(graph)
-    return build_table(graph)
+    return graph
 
 
 def _placement_arg(text: str) -> list[int]:
@@ -144,8 +146,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check unitary equivalence")
     p.add_argument("circuits", nargs="*", help="two circuit files to compare")
     p.add_argument("--placement", help="comma-separated physical target per logical qubit")
-    # Default None stands for pathsum.VERIFY_TOL, which every process would
-    # otherwise import `pathsum` to read while building the parser.
+    # Default None stands for circuit.VERIFY_TOL, which every process would
+    # otherwise import `circuit` to read while building the parser.
     p.add_argument(
         "--tol",
         type=_at_least(float, 0),
@@ -190,17 +192,16 @@ def _cmd_optimize(args) -> int:
 
     from .placement import map_verified
     from .qasm import emit
+    from .realization import build_table
 
-    table = _searchable_table(args.arch)
+    table = build_table(_searchable_graph(args.arch))
     circuit = _read_circuit(args.infile, args.strict)
     result, verified = map_verified(circuit, table)
     if not verified:
-        print(
-            f"error: {args.infile}: mapped circuit is not equivalent to the input "
-            f"under placement {list(result.placement)}; nothing written",
-            file=sys.stderr,
+        raise VerificationError(
+            f"{args.infile}: mapped circuit is not equivalent to the input "
+            f"under placement {list(result.placement)}; nothing written"
         )
-        return 2
     if args.outfile:
         Path(args.outfile).write_text(emit(result.mapped), encoding="utf-8")
     if args.report == "json":
@@ -238,12 +239,9 @@ def _cmd_simplify(args) -> int:
         # The path sum gave up and the circuit is past the dense cap.
         verified, undecided = None, exc
     if verified is False:
-        print(
-            f"error: {args.infile}: simplified circuit is not equivalent to the input; "
-            "nothing written",
-            file=sys.stderr,
+        raise VerificationError(
+            f"{args.infile}: simplified circuit is not equivalent to the input; nothing written"
         )
-        return 2
     for firing in trace or ():
         print(f"{firing.rule} at {firing.position} on qubits {firing.qubits}")
     text = emit(simplified)
@@ -263,6 +261,7 @@ def _verify_random(args, tol: float) -> int:
     from .circuit import random_circuit
     from .placement import map_verified
     from .qasm import emit
+    from .realization import build_table
 
     if args.circuits:
         raise UsageError(f"--random takes no circuit files, got {' '.join(args.circuits)}")
@@ -275,9 +274,10 @@ def _verify_random(args, tol: float) -> int:
     qubits = 4 if args.qubits is None else args.qubits
     gates = 20 if args.gates is None else args.gates
     seed = 0 if args.seed is None else args.seed
-    table = _searchable_table(args.arch)
-    if qubits > table.graph.num_physical:
-        raise UsageError(f"--qubits exceeds the {table.graph.num_physical} qubits of {args.arch}")
+    graph = _searchable_graph(args.arch)
+    if qubits > graph.num_physical:
+        raise UsageError(f"--qubits exceeds the {graph.num_physical} qubits of {args.arch}")
+    table = build_table(graph)
     rng = random.Random(seed)
     failures = 0
     for i in range(args.random):
@@ -295,7 +295,8 @@ def _verify_random(args, tol: float) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .pathsum import VERIFY_TOL, equivalent
+    from .circuit import VERIFY_TOL
+    from .pathsum import equivalent
 
     tol = VERIFY_TOL if args.tol is None else args.tol
     if args.random is not None:
@@ -317,13 +318,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     from . import bench as bench_mod
+    from .realization import build_table
 
-    table = _searchable_table(args.arch)
+    table = build_table(_searchable_graph(args.arch))
     rows = bench_mod.bench_directory(Path(args.directory), table, strict=args.strict)
     for warning in (w for r in rows for w in r.warnings):
         print(f"warning: {warning}", file=sys.stderr)
     render = bench_mod.render_csv if args.format == "csv" else bench_mod.render_markdown
     print(render(rows), end="")
+    # An error row has no mapping to check.
+    unverified = [r.name for r in rows if r.result is not None and not r.verified]
+    if unverified:
+        raise VerificationError(f"{len(unverified)} file(s) not verified: {', '.join(unverified)}")
     errors = [r for r in rows if r.error is not None]
     if errors and not args.keep_going:
         print(f"{len(errors)} file(s) failed", file=sys.stderr)
@@ -399,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except RealizationError as exc:
+    except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError) as exc:

@@ -26,21 +26,17 @@ variables, so time and memory follow the gate count, not the width.
 
 `equivalent` (exported as `qxopt.equivalent`) is the one mapping check, run
 by `placement.map_verified`, `qxopt verify` and `qxopt simplify`: the path
-sum first, the dense simulator only for a pair it cannot prove. `VERIFY_TOL`,
-the default of `equivalent`, `map_verified` and `qxopt verify --tol`, is
-used only by that fallback. The module imports only `circuit`, so a command
-that only checks loads no search module.
+sum first, the dense simulator only for a pair it cannot prove. Its default
+tolerance, `circuit.VERIFY_TOL`, is read only by that fallback, whose own
+default it also is. The module imports only `circuit`, so a command that only
+checks loads no search module.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, GateKind, check_placement, check_tolerance, inverse_of
-
-VERIFY_TOL = 1e-8
-
-# Diagonal gates as the phase they add to a basis state with the wire set.
-_PHASE = {GateKind.Z: 4, GateKind.S: 2, GateKind.SDG: 6, GateKind.T: 1, GateKind.TDG: 7}
+from .circuit import PHASE, VERIFY_TOL, Circuit, GateKind, check_placement, check_tolerance
+from .circuit import inverse_of
 
 
 def _variables(mask: int) -> Iterable[int]:
@@ -160,7 +156,7 @@ class _PathSum:
                 self._add_lifted(4, poly)
             self._toggle(q, 0)
         else:
-            self._add_lifted(_PHASE[kind], poly)
+            self._add_lifted(PHASE[kind], poly)
 
     def prepend(self, kind: GateKind, qubits: tuple[int, ...]) -> None:
         """Apply a gate before the sum (at the input end): substitute its
@@ -180,7 +176,7 @@ class _PathSum:
             if kind is GateKind.Y:  # Y |x> = i (-1)^x |x + 1>
                 self._add(1 << x, 4)
         else:
-            self._add(1 << x, _PHASE[kind])
+            self._add(1 << x, PHASE[kind])
 
     def reduce(self) -> None:
         while self.queue:

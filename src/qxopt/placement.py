@@ -79,7 +79,7 @@ count, for these reasons:
 The gates that are not H or CNOT add a term that no placement changes.
 Every rule keeps three things per qubit: the parity of its X count, the
 parity of its Y count, and its phase sum mod 8, with Z=4, S=2, SDG=6, T=1
-and TDG=7 (the weights of `pathsum._PHASE`). A cancelled pair removes two
+and TDG=7 (the weights of `circuit.PHASE`). A cancelled pair removes two
 X, two Y, or phases summing to 8, and a merge keeps the sum (1+1=2, 7+7=6,
 2+2=4 and 6+6=4 mod 8). Table entries hold only H and CNOT, so each wire's
 1-qubit gates stay on its own qubit, and an invariant that is not 0 keeps
@@ -127,9 +127,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import Record
 from .circuit import Circuit, CostReport, check_placement, check_tolerance, cheapest, code_levels
-from .circuit import Gate, GateKind, cnot_code, decode_all, encode, field_bits
+from .circuit import PHASE, VERIFY_TOL, Gate, GateKind, cnot_code, decode_all, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
-from .pathsum import _PHASE, VERIFY_TOL, equivalent
+from .pathsum import equivalent
 from .peephole import engine_state, mark_blocks, rewrite, rewrite_pending
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
 from .realization import RealizationTable
@@ -303,13 +303,13 @@ def _representatives(circuit: Circuit, touches: list[list[int]]) -> Iterable[tup
 def _residue(circuit: Circuit) -> int:
     """Gates that no rewrite removes from the circuit's wires, whatever the
     placement: per wire, one for an odd X count, one for an odd Y count and
-    one for a phase sum (`pathsum._PHASE`) that is not 0 mod 8 (see the
+    one for a phase sum (`circuit.PHASE`) that is not 0 mod 8 (see the
     module docstring). An X or a Y weighs 4, so its count is odd exactly
     when its sum is not 0 mod 8."""
     sums: Counter = Counter()
     for g in circuit.gates:
-        if g.kind in _PHASE:
-            sums[g.qubits, None] += _PHASE[g.kind]
+        if g.kind in PHASE:
+            sums[g.qubits, None] += PHASE[g.kind]
         elif g.kind is GateKind.X or g.kind is GateKind.Y:
             sums[g.qubits, g.kind] += 4
     return sum(1 for total in sums.values() if total % 8)

@@ -63,7 +63,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, check_placement, check_tolerance, inverse_of
+from .circuit import VERIFY_TOL, Circuit, Gate, GateKind, check_placement, check_tolerance
+from .circuit import inverse_of
 from .states import (
     DensityMatrix,
     NoiseSpec,
@@ -583,7 +584,7 @@ def equivalent(
     c1: Circuit,
     c2: Circuit,
     perm: list[int] | tuple[int, ...] | None = None,
-    tol: float = 1e-9,
+    tol: float = VERIFY_TOL,
 ) -> bool:
     """True when c2's unitary equals c1's up to qubit relabeling by `perm`
     and a global phase.
@@ -596,8 +597,9 @@ def equivalent(
     placement's permutation, so the miter's one plan (see the module
     docstring) gives V = U2^dagger U1'. The phase phi is V[0, 0] scaled to
     magnitude 1; a magnitude below 1e-12 is a difference. The circuits
-    agree when no entry of V - phi I exceeds `tol`. V is unitary, so `tol`
-    means the same at every width.
+    agree when no entry of V - phi I exceeds `tol`, by default
+    `circuit.VERIFY_TOL`, the tolerance of every mapping check. V is
+    unitary, so `tol` means the same at every width.
 
     Before the plan is made, `_seam` removes the inverse pairs where c1's
     gates meet c2's inverted ones, which leaves V as it was: a mapped

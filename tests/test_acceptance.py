@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from qxopt.circuit import Circuit, GateKind, cnot, gate_count, level_count, random_circuit
+from qxopt.circuit import VERIFY_TOL, Circuit, GateKind, cnot, gate_count, level_count
+from qxopt.circuit import random_circuit
 from qxopt.fixtures import load_circuit, load_distribution, load_raw_density_matrix
 from qxopt.nonclassicality import lhv_bound, mermin3, sanitize, uhlmann_fidelity
 from qxopt.peephole import simplify
@@ -114,7 +115,7 @@ def test_criterion_6_random_property_suite(qx4_table):
         width = rng.randint(3, 5)
         circuit = random_circuit(width, rng.randint(1, 25), rng)
         result = optimize(circuit, qx4_table)
-        if not equivalent(circuit, result.mapped, list(result.placement), tol=1e-8):
+        if not equivalent(circuit, result.mapped, list(result.placement), tol=VERIFY_TOL):
             failures.append((case, "equivalence"))
         for g in result.mapped.gates:
             if g.kind is GateKind.CNOT and not allows(qx4_table.graph, *g.qubits):

@@ -141,6 +141,10 @@ def test_optimize_refuses_to_emit_unverified_result(routing_file, tmp_path, monk
     assert main(["optimize", "--arch", "qx2", "--in", str(routing_file), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "not equivalent" in captured.err
+    assert captured.err == (
+        f"error: {routing_file}: mapped circuit is not equivalent to the input "
+        "under placement [0, 1, 2]; nothing written\n"
+    )
     assert captured.out == ""
     assert not out.exists()
 
@@ -185,6 +189,10 @@ def test_simplify_refuses_to_emit_unverified_result(flags, routing_file, tmp_pat
     assert main(["simplify", "--in", str(routing_file), "--out", str(out), *flags]) == 2
     captured = capsys.readouterr()
     assert "not equivalent" in captured.err
+    assert captured.err == (
+        f"error: {routing_file}: simplified circuit is not equivalent to the input; "
+        "nothing written\n"
+    )
     assert captured.out == ""
     assert not out.exists()
 
@@ -517,6 +525,31 @@ def test_bench_warns_of_each_file_s_dropped_statements(tmp_path, capsys):
     )
 
 
+def test_bench_exits_two_after_its_report_when_a_row_is_not_verified(tmp_path, monkeypatch, capsys):
+    # The whole report is printed first. An error row has no mapping, so it
+    # is not counted, and the failed check outranks the row errors' exit 1.
+    text = data_text("mermin_yyy_opt.qasm")
+    refused, real = parse(text), qxopt.placement.equivalent
+    monkeypatch.setattr(
+        qxopt.placement, "equivalent", lambda c1, *args, **kw: c1 != refused and real(c1, *args, **kw)
+    )
+    d = _write_bench_dir(tmp_path)
+    (d / "mermin_yyy_opt.qasm").write_text(text)
+    (d / "broken.qasm").write_text("qreg q[2]; rx q[0];")
+    for flags in ([], ["--keep-going"]):
+        assert main(["bench", str(FIXTURE_DIR), "--arch", "qx4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == FIXTURES_CSV_QX4.replace("17,true", "17,false")
+        assert captured.err == (
+            f"warning: {FIXTURE_DIR / 'ghz.qasm'}: dropped 3 measure statement(s)\n"
+            "error: 1 file(s) not verified: mermin_yyy_opt\n"
+        )
+        assert main(["bench", str(d), "--arch", "qx4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "\nbroken,error," in captured.out
+        assert captured.err == "error: 1 file(s) not verified: mermin_yyy_opt\n"
+
+
 def test_bench_empty_directory_errors(tmp_path, capsys):
     d = tmp_path / "empty"
     d.mkdir()
@@ -717,7 +750,11 @@ def test_verify_random_refuses_too_many_qubits_before_generating(monkeypatch, ca
     def no_circuit(*args):
         raise AssertionError("random circuit generated for a width the device cannot hold")
 
+    def no_table(graph):
+        raise AssertionError("realization table built for a width the device cannot hold")
+
     monkeypatch.setattr(qxopt.circuit, "random_circuit", no_circuit)
+    monkeypatch.setattr(qxopt.realization, "build_table", no_table)
     huge = "1" + "0" * 400
     for argv in (
         ["verify", "--random", "1", "--arch", "qx2", "--qubits", huge],

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import search_oracle
 from qxopt.circuit import BLOCK_CODE, Circuit, Gate, GateKind, cnot, encode, field_bits, gate1
-from qxopt.circuit import gate_count, inverse_of, random_circuit
-from qxopt.pathsum import _PHASE
+from qxopt.circuit import PHASE, gate_count, inverse_of, random_circuit
 from qxopt.peephole import RULES, engine_state, mark_blocks, rewrite, rewrite_pending, simplify
 from qxopt.peephole import simplify_gates
 from qxopt.simulator import unitary_of
@@ -35,7 +34,7 @@ def _invariants(kinds):
     return (
         kinds.count(GateKind.X) % 2,
         kinds.count(GateKind.Y) % 2,
-        sum(_PHASE.get(kind, 0) for kind in kinds) % 8,
+        sum(PHASE.get(kind, 0) for kind in kinds) % 8,
     )
 
 

@@ -16,7 +16,7 @@ import qxopt.placement
 import qxopt.qasm
 import search_oracle
 from qxopt.circuit import KIND_CODE, Circuit, CostReport, GateKind, cnot, code_levels, encode
-from qxopt.circuit import field_bits, gate1, random_circuit
+from qxopt.circuit import VERIFY_TOL, field_bits, gate1, random_circuit
 from qxopt.fixtures import CIRCUITS, load_circuit
 from qxopt.peephole import rewrite_pending
 from qxopt.placement import _index, _mapper, _placements, _residue, _skeleton_counter, check_search_limit
@@ -77,7 +77,7 @@ def test_mapped_circuit_is_legal_and_equivalent(qx2_table):
     for _ in range(10):
         circuit = random_circuit(rng.randint(2, 5), rng.randint(1, 20), rng)
         result = optimize(circuit, qx2_table)
-        assert equivalent(circuit, result.mapped, list(result.placement), tol=1e-8)
+        assert equivalent(circuit, result.mapped, list(result.placement), tol=VERIFY_TOL)
         for g in result.mapped.gates:
             if g.kind is GateKind.CNOT:
                 assert allows(qx2_table.graph, *g.qubits)

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import itertools
 import math
 import random
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from qxopt import build_table, circuit as circuit_module, placement, qasm, simulator
-from qxopt.circuit import Circuit, Gate, GateKind, cnot, gate1, inverse_of, random_circuit, relabel
+from qxopt import build_table, circuit as circuit_module, pathsum, placement, qasm, simulator
+from qxopt.circuit import VERIFY_TOL, Circuit, Gate, GateKind, cnot, gate1, inverse_of
+from qxopt.circuit import random_circuit, relabel
 from qxopt.peephole import simplify
 from qxopt.simulator import (
     equivalent,
@@ -723,7 +725,7 @@ def test_dense_check_costs_the_same_whichever_tied_placement_won(monkeypatch):
         c = qasm.parse(header + body.replace("; ", ";\n") + "\n")
         res = placement.optimize(c, ladder8)
         passes.clear()
-        assert equivalent(c, res.mapped, list(res.placement), tol=1e-8)
+        assert equivalent(c, res.mapped, list(res.placement), tol=VERIFY_TOL)
         # The miter is the identity: one gather for each of the two blocks.
         assert passes == ["gather", "gather"]
 
@@ -1063,6 +1065,13 @@ def test_equivalent_refuses_a_bad_tolerance_before_any_work(monkeypatch):
     for tol in (math.nan, math.inf, -math.inf, -1e-9):
         with pytest.raises(ValueError, match="tolerance"):
             equivalent(c, c, tol=tol)
+
+
+def test_every_mapping_check_defaults_to_the_one_verification_tolerance():
+    # The dense check is the path sum's fallback: a caller that leaves out
+    # `tol` gets the same bound whichever of them it calls.
+    for check in (equivalent, pathsum.equivalent, placement.map_verified):
+        assert inspect.signature(check).parameters["tol"].default == VERIFY_TOL, check
 
 
 # The seam cancellation: inverse pairs where c1's gates meet c2's inverted

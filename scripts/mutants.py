@@ -230,6 +230,127 @@ MUTANTS = (
             "test_bench_exits_two_after_its_report_when_a_row_is_not_verified",
         ),
     ),
+    Mutant(
+        "simulator: the diagonal slice of a block loses its stop",
+        "simulator",
+        "v.flat[j * width : (j + width) * width : width + 1]",
+        "v.flat[j * width :: width + 1]",
+        ("tests/test_simulator.py::test_equivalent_accepts_a_pure_global_phase_in_every_block[8]",),
+    ),
+    Mutant(
+        "simulator: c2 reversed without `inverse_of`",
+        "simulator",
+        "tail = ((inverse_of(g.kind), g.qubits) for g in reversed(c2.gates))",
+        "tail = ((g.kind, g.qubits) for g in reversed(c2.gates))",
+        ("tests/test_simulator.py::test_equivalent_accepts_a_pure_global_phase_in_every_block[1]",),
+    ),
+    Mutant(
+        "simulator: the phase phi not scaled to magnitude 1",
+        "simulator",
+        "phase = v[0, 0] / mag",
+        "phase = v[0, 0]",
+        ("tests/test_simulator.py::test_equivalent_scales_the_phase_to_magnitude_one",),
+    ),
+    Mutant(
+        "simulator: only the first block of V checked",
+        "simulator",
+        "for j in range(0, dim, width):",
+        "for j in range(0, width, width):",
+        ("tests/test_simulator.py::test_equivalent_accepts_a_pure_global_phase_in_every_block[10]",),
+    ),
+    Mutant(
+        "simulator: `_seam` cancels a gate that is not on top of every wire",
+        "simulator",
+        "if all(tops[w][-1] == top for w in qubits):",
+        "if True:",
+        ("tests/test_simulator.py::test_seam_leaves_the_miter_product_unchanged",),
+    ),
+    Mutant(
+        "simulator: `_seam` never blocks a wire",
+        "simulator",
+        "        live.difference_update(qubits)\n",
+        "        pass\n",
+        ("tests/test_simulator.py::test_dense_check_costs_the_same_whichever_tied_placement_won",),
+    ),
+    Mutant(
+        "simulator: `run_noisy` multiplies lam after a CNOT instead of resetting it",
+        "simulator",
+        "                lams[q] = lam2\n",
+        "                lams[q] *= lam2\n",
+        ("tests/test_simulator.py::test_run_noisy_passes_over_no_product_that_is_the_identity",),
+    ),
+    Mutant(
+        "simulator: `run_noisy`'s identity skip ignores pending noise",
+        "simulator",
+        "lams[q] != 1.0 or ",
+        "",
+        ("tests/test_simulator.py::test_run_noisy_passes_over_no_product_that_is_the_identity",),
+    ),
+    Mutant(
+        "simulator: the pending map's [0, 0] left at lam",
+        "simulator",
+        "    m[0, 0] = 1.0\n    return m\n",
+        "    return m\n",
+        ("tests/test_simulator.py::test_run_noisy_full_depolarize_after_x",),
+    ),
+    Mutant(
+        "simulator: `_ptm` conjugates by U^T instead of U^dagger",
+        "simulator",
+        "u @ p @ u.conj().T",
+        "u @ p @ u.T",
+        ("tests/test_simulator.py::test_run_noisy_zero_noise_is_pure_ideal",),
+    ),
+    Mutant(
+        "simulator: a qubit's pending product taken in the wrong order",
+        "simulator",
+        "_ptm(g.kind) @ ops[q]",
+        "ops[q] @ _ptm(g.kind)",
+        ("tests/test_simulator.py::test_run_noisy_zero_noise_is_pure_ideal",),
+    ),
+    Mutant(
+        "simulator: the frame conjugates not `_rounded`",
+        "simulator",
+        "kind: [_rounded(h @ m @ h) for h in",
+        "kind: [h @ m @ h for h in",
+        ("tests/test_simulator.py::test_equivalent_reversed_cnot_realization",),
+    ),
+    Mutant(
+        "pathsum: the dense cap applied before the path sum",
+        "pathsum",
+        "    if proves_equal(c1, c2, perm):\n        return True\n"
+        "    check_width(c2.num_qubits, MAX_STATE_QUBITS)\n",
+        "    check_width(c2.num_qubits, MAX_STATE_QUBITS)\n"
+        "    if proves_equal(c1, c2, perm):\n        return True\n",
+        ("tests/test_cli.py::test_verify_tol_zero_accepts_exactly_equal_circuits",),
+    ),
+    Mutant(
+        "pathsum: the dense cap left to the simulator, after numpy loads",
+        "pathsum",
+        "    check_width(c2.num_qubits, MAX_STATE_QUBITS)\n",
+        "",
+        ("tests/test_cli.py::test_pair_no_checker_decides_is_refused_before_numpy_loads",),
+    ),
+    Mutant(
+        "cli: `simplify` reads every ValueError of its check as undecided",
+        "cli",
+        "except DenseCapError as exc:",
+        "except ValueError as exc:",
+        ("tests/test_cli.py::test_simplify_fails_on_any_other_error_of_its_check",),
+    ),
+    Mutant(
+        "cli: `optimize` checks that the circuit fits after the table build",
+        "cli",
+        "    check_widths(circuit, graph)\n    table = build_table(graph)\n",
+        "    table = build_table(graph)\n    check_widths(circuit, graph)\n",
+        ("tests/test_cli.py::test_refused_input_builds_no_table[optimize-too-wide]",),
+    ),
+    Mutant(
+        "bench: the table built before the directory is found to hold circuits",
+        "bench",
+        "    files = sorted(directory.glob(\"*.qasm\"))\n",
+        "    realization.build_table(graph)\n    files = sorted(directory.glob(\"*.qasm\"))\n",
+        ("tests/test_cli.py::test_refused_input_builds_no_table[bench-empty-directory]",),
+    ),
 )
 
 

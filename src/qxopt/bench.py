@@ -11,10 +11,10 @@ import csv
 import io
 from pathlib import Path
 
-from . import Record
+from . import Record, realization
 from .placement import MappingResult, map_verified
 from .qasm import parse_report
-from .realization import RealizationTable
+from .topology import CouplingGraph
 
 
 class BenchRow(Record):
@@ -28,18 +28,8 @@ class BenchRow(Record):
     error: str | None
     warnings: tuple[str, ...]
 
-    def __init__(
-        self,
-        name: str,
-        result: MappingResult | None,
-        verified: bool = False,
-        error: str | None = None,
-        warnings: tuple[str, ...] = (),
-    ) -> None:
-        super().__init__(name, result, verified, error, warnings)
 
-
-def bench_file(path: Path, table: RealizationTable, strict: bool = False) -> BenchRow:
+def bench_file(path: Path, table: realization.RealizationTable, strict: bool = False) -> BenchRow:
     warnings: list[str] = []
     try:
         circuit, warnings = parse_report(path.read_text(encoding="utf-8"), strict=strict)
@@ -50,12 +40,13 @@ def bench_file(path: Path, table: RealizationTable, strict: bool = False) -> Ben
     return BenchRow(path.stem, result, verified, error, tuple(f"{path}: {w}" for w in warnings))
 
 
-def bench_directory(
-    directory: Path, table: RealizationTable, strict: bool = False
-) -> list[BenchRow]:
+def bench_directory(directory: Path, graph: CouplingGraph, strict: bool = False) -> list[BenchRow]:
+    """One row per `.qasm` file of `directory`, mapped onto `graph`, whose
+    realization table is built only once a file is found."""
     files = sorted(directory.glob("*.qasm"))
     if not files:
         raise ValueError(f"no .qasm files in {directory}")
+    table = realization.build_table(graph)
     rows = [bench_file(path, table, strict=strict) for path in files]
     # Most-improved first, then stable by name.
     rows.sort(

@@ -294,6 +294,22 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be at least 0 and finite, got {tol!r}")
 
 
+# The widest state vector or unitary the dense simulator builds, and so the
+# widest pair that the mapping check decides when the path sum gives up.
+MAX_STATE_QUBITS = 10
+
+
+class DenseCapError(ValueError):
+    """A circuit is wider than a dense-simulation cap. Raised by the mapping
+    check, it means that no checker decides the pair."""
+
+
+def check_width(num_qubits: int, cap: int) -> None:
+    """Refuse a width past a dense-simulation cap."""
+    if num_qubits > cap:
+        raise DenseCapError(f"{num_qubits} qubits exceeds the dense-simulation cap of {cap}")
+
+
 def relabel(circuit: Circuit, perm: Sequence[int], num_qubits: int | None = None) -> Circuit:
     """Rewrite every qubit index i to perm[i], keeping gate order.
 

@@ -5,9 +5,12 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.
 
 `optimize` and `simplify` check their output against the input before
 writing it, and write nothing on a mismatch. `simplify` still writes a
-circuit that neither checker can decide (the path sum gave up and it is past
-the dense cap), and says on stderr that it is unverified. `bench` prints its
-whole report, then fails if a row's mapping is not equivalent to its file.
+circuit that neither checker can decide, the one case the check refuses
+with `circuit.DenseCapError` (the path sum gave up and the circuit is past
+the dense cap), and says on stderr that it is unverified; any other error of
+the check reaches `main`, which exits 1 with nothing written. `bench` prints
+its whole report, then fails if a row's mapping is not equivalent to its
+file.
 A command that builds a realization table fails if an entry fails its proof.
 Every such failed check raises `VerificationError` (`RealizationError` is
 the same class), and `main` alone prints it as one `error:` line and exits
@@ -15,6 +18,11 @@ the same class), and `main` alone prints it as one `error:` line and exits
 already, so `main` catches it by name without loading the mapping modules
 into commands that never build a table. Only `verify`, whose verdict is its
 output, chooses exit 2 itself.
+
+Every refusal of the input comes before the realization table is built:
+`optimize` resolves the device, checks the search limit, reads the circuit
+and checks that it fits; `bench` first finds the directory's circuits, and
+`verify --random` checks `--qubits`.
 
 `verify` refuses, as a usage error, an argument that its mode would drop:
 circuit files, `--placement` and `--strict` under `--random`, and `--arch`,
@@ -26,8 +34,9 @@ and a two-file `verify` load the parser and the check, `pathsum`, but not the
 search; `simplify` adds `peephole`. `optimize`, `verify --random`, `bench`
 and `table dump` load the search modules. Only `bench` and `optimize --report
 csv` load the report module, `bench`, and `csv`. A mapping command loads
-numpy only when the path sum cannot prove a pair and `pathsum.equivalent`
-falls back to the dense simulator. No command loads the standard library's
+numpy only when the path sum cannot prove a pair within the dense cap and
+`pathsum.equivalent` falls back to the dense simulator; a pair past the cap
+is refused before numpy loads. No command loads the standard library's
 data-class module or the `inspect` it imports: the value classes are
 `__slots__` classes on `qxopt.Record`, which the package root defines.
 """
@@ -190,12 +199,14 @@ def _build_parser() -> _Parser:
 def _cmd_optimize(args) -> int:
     import json
 
-    from .placement import map_verified
+    from .placement import check_widths, map_verified
     from .qasm import emit
     from .realization import build_table
 
-    table = build_table(_searchable_graph(args.arch))
+    graph = _searchable_graph(args.arch)
     circuit = _read_circuit(args.infile, args.strict)
+    check_widths(circuit, graph)
+    table = build_table(graph)
     result, verified = map_verified(circuit, table)
     if not verified:
         raise VerificationError(
@@ -226,6 +237,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
+    from .circuit import DenseCapError
     from .pathsum import equivalent
     from .peephole import RuleFiring, simplify
     from .qasm import emit
@@ -235,8 +247,7 @@ def _cmd_simplify(args) -> int:
     simplified = simplify(circuit, trace)
     try:
         verified = equivalent(circuit, simplified)
-    except ValueError as exc:
-        # The path sum gave up and the circuit is past the dense cap.
+    except DenseCapError as exc:  # the path sum gave up, past the dense cap
         verified, undecided = None, exc
     if verified is False:
         raise VerificationError(
@@ -318,10 +329,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     from . import bench as bench_mod
-    from .realization import build_table
 
-    table = build_table(_searchable_graph(args.arch))
-    rows = bench_mod.bench_directory(Path(args.directory), table, strict=args.strict)
+    graph = _searchable_graph(args.arch)
+    rows = bench_mod.bench_directory(Path(args.directory), graph, strict=args.strict)
     for warning in (w for r in rows for w in r.warnings):
         print(f"warning: {warning}", file=sys.stderr)
     render = bench_mod.render_csv if args.format == "csv" else bench_mod.render_markdown

@@ -28,15 +28,18 @@ variables, so time and memory follow the gate count, not the width.
 by `placement.map_verified`, `qxopt verify` and `qxopt simplify`: the path
 sum first, the dense simulator only for a pair it cannot prove. Its default
 tolerance, `circuit.VERIFY_TOL`, is read only by that fallback, whose own
-default it also is. The module imports only `circuit`, so a command that only
-checks loads no search module.
+default it also is. Past the fallback's cap, `circuit.MAX_STATE_QUBITS`,
+such a pair is undecided: the check refuses it with `circuit.DenseCapError`,
+the one refusal that means so, before it imports the simulator and numpy.
+The module imports only `circuit`, so a command that only checks loads no
+search module.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
 from .circuit import PHASE, VERIFY_TOL, Circuit, GateKind, check_placement, check_tolerance
-from .circuit import inverse_of
+from .circuit import MAX_STATE_QUBITS, check_width, inverse_of
 
 
 def _variables(mask: int) -> Iterable[int]:
@@ -258,16 +261,19 @@ def equivalent(
     c1: Circuit, c2: Circuit, perm: Sequence[int] | None = None, tol: float = VERIFY_TOL
 ) -> bool:
     """True when c2 equals c1 relabeled by `perm`, up to global phase:
-    proven exactly by the path sum, or else decided by the dense simulator,
-    with its width cap. Both check the miter c1 . c2^dagger; the dense one
-    builds it as V = U2^dagger U1' and accepts when no entry of V - phi I
-    exceeds `tol`, a bound that means the same at every width. A `tol` that
-    is NaN, infinite or negative, and a placement that does not fit (by
-    `check_placement`), are refused before either check runs. Only the
-    dense fallback imports numpy."""
+    proven exactly by the path sum, or else decided by the dense simulator.
+    Both check the miter c1 . c2^dagger; the dense one builds it as
+    V = U2^dagger U1' and accepts when no entry of V - phi I exceeds `tol`,
+    a bound that means the same at every width. A `tol` that is NaN,
+    infinite or negative, and a placement that does not fit (by
+    `check_placement`), are refused before either check runs. A pair that
+    the path sum does not prove and that is wider than
+    `circuit.MAX_STATE_QUBITS` is undecided: `circuit.DenseCapError`, raised
+    before numpy loads. Only the dense fallback imports numpy."""
     check_tolerance(tol)
     if proves_equal(c1, c2, perm):
         return True
+    check_width(c2.num_qubits, MAX_STATE_QUBITS)
     from . import simulator
 
     return simulator.equivalent(c1, c2, perm, tol=tol)

@@ -414,11 +414,13 @@ def check_search_limit(graph: CouplingGraph) -> None:
         )
 
 
-def _check_widths(circuit: Circuit, table: RealizationTable) -> int:
-    num_physical = table.graph.num_physical
+def check_widths(circuit: Circuit, graph: CouplingGraph) -> int:
+    """The device's width, once the circuit fits on it and it is within the
+    search limit: checked before its realization table is built."""
+    num_physical = graph.num_physical
     if circuit.num_qubits > num_physical:
         raise ValueError(f"circuit has {circuit.num_qubits} qubits, device only {num_physical}")
-    check_search_limit(table.graph)
+    check_search_limit(graph)
     return num_physical
 
 
@@ -430,7 +432,7 @@ def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     The initial cost is measured on the circuit as written, even if it is
     not executable on the device as-is.
     """
-    num_physical = _check_widths(circuit, table)
+    num_physical = check_widths(circuit, table.graph)
     bits = field_bits(num_physical)
     codes = encode(circuit.gates, bits)
     (gates, levels, placement), best = cheapest(_candidates(circuit, codes, table, bits), bits)

@@ -1,6 +1,8 @@
 """Dense statevector / unitary / density-matrix engine.
 
-Caps: 10 qubits for unitaries and state vectors, 6 for density matrices.
+Caps: 10 qubits for unitaries and state vectors (`circuit.MAX_STATE_QUBITS`,
+which the mapping check also reads), 6 for density matrices. A wider circuit
+is refused by `circuit.check_width`, with `circuit.DenseCapError`.
 States, unitaries and density matrices are dense arrays, but a gate is never
 a 2^n x 2^n matrix. Vectors and unitaries go through one kernel in two
 parts: a plan (`_plan`) made once per circuit, and a runner
@@ -64,7 +66,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .circuit import VERIFY_TOL, Circuit, Gate, GateKind, check_placement, check_tolerance
-from .circuit import inverse_of
+from .circuit import MAX_STATE_QUBITS, check_width, inverse_of
 from .states import (
     DensityMatrix,
     NoiseSpec,
@@ -74,7 +76,6 @@ from .states import (
     distribution_from_vector,
 )
 
-MAX_STATE_QUBITS = 10
 MAX_DENSITY_QUBITS = 6
 # Entries per column block of `equivalent`: 512 KB of complex128.
 BLOCK_ENTRIES = 2**15
@@ -358,11 +359,6 @@ def _pairs(gates: Iterable[Gate]) -> Iterator[Pair]:
     return ((g.kind, g.qubits) for g in gates)
 
 
-def _check_width(num_qubits: int, cap: int) -> None:
-    if num_qubits > cap:
-        raise ValueError(f"{num_qubits} qubits exceeds the dense-simulation cap of {cap}")
-
-
 def _block_width(num_qubits: int) -> int:
     """Columns per block of `equivalent`: BLOCK_ENTRIES entries, the whole
     matrix up to 7 qubits."""
@@ -373,13 +369,13 @@ def _block_width(num_qubits: int) -> int:
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Product of the circuit's gate unitaries, in circuit order."""
     n = circuit.num_qubits
-    _check_width(n, MAX_STATE_QUBITS)
+    check_width(n, MAX_STATE_QUBITS)
     return _run(_plan(_pairs(circuit.gates), n, columns=True), range(2**n), n)
 
 
 def run_ideal(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit to `initial` (default |0...0>) without noise."""
-    _check_width(circuit.num_qubits, MAX_STATE_QUBITS)
+    check_width(circuit.num_qubits, MAX_STATE_QUBITS)
     if initial is None:
         initial = basis_state(circuit.num_qubits)
     if initial.num_qubits != circuit.num_qubits:
@@ -513,7 +509,7 @@ def run_noisy(circuit: Circuit, noise: NoiseSpec) -> DensityMatrix:
     then its gather does; at the end each map folds into its qubit's rho
     factor."""
     n = circuit.num_qubits
-    _check_width(n, MAX_DENSITY_QUBITS)
+    check_width(n, MAX_DENSITY_QUBITS)
     lam1, lam2 = 1.0 - 4.0 * noise.p1 / 3.0, 1.0 - 4.0 * noise.p2 / 3.0
     coeffs = _zero_state(n)
     ops, lams = [_NO_MAP] * n, [1.0] * n  # each qubit's pending PTM and lam
@@ -614,7 +610,7 @@ def equivalent(
     check_tolerance(tol)
     n = c2.num_qubits
     check_placement(perm, n, c1.num_qubits)
-    _check_width(n, MAX_STATE_QUBITS)
+    check_width(n, MAX_STATE_QUBITS)
     wire = range(n) if perm is None else perm
     tail = ((inverse_of(g.kind), g.qubits) for g in reversed(c2.gates))
     miter = _seam([(g.kind, tuple([wire[q] for q in g.qubits])) for g in c1.gates], tail, n)

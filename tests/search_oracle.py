@@ -22,7 +22,7 @@ from typing import Sequence
 
 from qxopt.circuit import KIND_CODE, Circuit, Gate, GateKind, cost_report, decode, levels_of
 from qxopt.peephole import RULES, RuleFiring
-from qxopt.placement import MappingResult, _check_widths, percent_reduction
+from qxopt.placement import MappingResult, check_widths, percent_reduction
 from qxopt.realization import RealizationTable
 
 _RULE_BY_PAIR = {rule.pattern: rule for rule in RULES}
@@ -183,7 +183,7 @@ def simplify_to_fixpoint(gates: list[Gate], trace: list[RuleFiring]) -> list[Gat
 
 def optimize(circuit: Circuit, table: RealizationTable) -> MappingResult:
     """Exhaustive placement on `Gate`s that counts levels for every placement."""
-    num_physical = _check_widths(circuit, table)
+    num_physical = check_widths(circuit, table.graph)
     best_key: tuple | None = None
     best_gates: list[Gate] | None = None
     for placement in permutations(range(num_physical), circuit.num_qubits):

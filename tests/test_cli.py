@@ -209,6 +209,21 @@ def test_simplify_marks_output_no_checker_decides_as_unverified(tmp_path, monkey
     assert parse(out.read_text()).gates == (gate1(GateKind.T, 0),)
 
 
+def test_simplify_fails_on_any_other_error_of_its_check(routing_file, tmp_path, monkeypatch, capsys):
+    # Only the dense cap's refusal leaves the output unverified; any other
+    # error of the check fails the command, and nothing is written.
+    def faulty(*args):
+        raise ValueError("fault in the path sum")
+
+    monkeypatch.setattr(qxopt.pathsum, "proves_equal", faulty)
+    out = tmp_path / "out.qasm"
+    assert main(["simplify", "--in", str(routing_file), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: fault in the path sum\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_verify_reflexive_through_pipeline(routing_file, tmp_path, capsys):
     mapped = tmp_path / "mapped.qasm"
     assert main(["optimize", "--arch", "qx2", "--in", str(routing_file), "--out", str(mapped)]) == 0
@@ -605,7 +620,7 @@ def test_bench_markdown_escapes_pipe_in_error_cell(tmp_path, capsys):
 
 def test_bench_rows_reparse_and_reverify(tmp_path, qx2_table):
     d = _write_bench_dir(tmp_path)
-    rows = bench_directory(d, qx2_table)
+    rows = bench_directory(d, qx2_table.graph)
     assert all(r.verified for r in rows)
     csv = render_csv(rows)
     md = render_markdown(rows)
@@ -651,6 +666,30 @@ def test_search_limit_refused_before_table_is_built(
     argv = [a.format(qasm=routing_file, dir=routing_file.parent) for a in argv]
     assert main(argv + ["--arch", f"@{grid6x6_file}"]) == 1
     assert "exhaustive search is limited to 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["optimize", "--arch", "qx2", "--in", "{wide}"], "circuit has 6 qubits, device only 5"),
+        (["optimize", "--arch", "qx2", "--in", "{dir}/missing.qasm"], "No such file or directory"),
+        (["bench", "{empty}", "--arch", "qx2"], "no .qasm files in {empty}"),
+    ],
+    ids=["optimize-too-wide", "optimize-missing-file", "bench-empty-directory"],
+)
+def test_refused_input_builds_no_table(argv, message, tmp_path, monkeypatch, capsys):
+    def no_table(graph):
+        raise AssertionError("realization table built for input that is then refused")
+
+    monkeypatch.setattr(qxopt.realization, "build_table", no_table)
+    wide = tmp_path / "wide.qasm"
+    wide.write_text("qreg q[6];\nh q[5];\n")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    files = dict(wide=wide, dir=tmp_path, empty=empty)
+    assert main([a.format(**files) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(**files) in err
 
 
 def test_table_dump_still_builds_beyond_search_limit(tmp_path, capsys):
@@ -895,6 +934,15 @@ def test_mapping_commands_leave_numpy_unimported(argv, tmp_path, capsys):
     files = dict(qasm=qasm, mapped=mapped, dir=tmp_path, ladder8=ladder8, five=five, fixtures=FIXTURE_DIR)
     argv = [a.format(placement=placement, **files) for a in argv]
     _run_lean(argv, 0)
+
+
+def test_pair_no_checker_decides_is_refused_before_numpy_loads(tmp_path):
+    # The path sum does not prove this pair, and eleven qubits is past the
+    # dense cap, so the check refuses it without loading the simulator.
+    for kind in ("t", "tdg"):
+        (tmp_path / f"{kind}.qasm").write_text(f"qreg q[11];\nh q[10];\n{kind} q[10];\n")
+    proc = _run_lean(["verify", str(tmp_path / "t.qasm"), str(tmp_path / "tdg.qasm")], 1)
+    assert proc.stderr == "error: 11 qubits exceeds the dense-simulation cap of 10\n"
 
 
 _MAPPING_STACK = tuple(

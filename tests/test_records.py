@@ -130,7 +130,7 @@ CASES = pytest.mark.parametrize("case", list(RECORDS.values()), ids=list(RECORDS
 # The one field of each class that equality and hash skip.
 UNCOMPARED = {CouplingGraph: "name", ProbabilityDistribution: "tolerance"}
 # The fields before the first default, where a class has defaults.
-REQUIRED = {Circuit: 1, NoiseSpec: 0, CouplingGraph: 2, BenchRow: 2, ProbabilityDistribution: 2}
+REQUIRED = {Circuit: 1, NoiseSpec: 0, CouplingGraph: 2, ProbabilityDistribution: 2}
 
 
 @CASES
@@ -145,6 +145,7 @@ def test_only_records_with_checks_or_defaults_define_a_constructor():
     classes = {cls for cls, *_ in RECORDS.values()}
     assert set(Record.__subclasses__()) == classes
     assert {cls.__name__ for cls in classes if "__init__" not in vars(cls)} == {
+        "BenchRow",
         "MerminValue",
         "RewriteRule",
         "RuleFiring",
@@ -234,8 +235,6 @@ def test_defaults():
     assert NoiseSpec() == NoiseSpec(0.001, 0.01)
     assert repr(NoiseSpec(p2=0.5)) == "NoiseSpec(p1=0.001, p2=0.5)"
     assert CouplingGraph(2, {(0, 1)}).name == "custom"
-    row = BenchRow("ghz", None)
-    assert (row.verified, row.error, row.warnings) == (False, None, ())
     assert ProbabilityDistribution(1, {"0": 1.0}).tolerance == 0.005
 
 

@@ -178,7 +178,7 @@ MUTANTS = (
     Mutant(
         "placement: the skeleton never split into segments",
         "placement",
-        "if new and part:",
+        "if new and any(c & 8 for c in part):",
         "if False:",
         ("tests/test_placement.py::test_pruned_search_matches_unpruned_oracle_on_ladder8",),
     ),
@@ -195,9 +195,30 @@ MUTANTS = (
     Mutant(
         "placement: the skip prunes a placement whose bound ties the best (`>` made `>=`)",
         "placement",
-        "skeleton(placement) + residue > best",
-        "skeleton(placement) + residue >= best",
+        "skeleton(placement, best - residue) + residue > best",
+        "skeleton(placement, best - residue) + residue >= best",
         ("tests/test_placement.py::test_optimize_matches_eager_oracle_on_gate_count_ties",),
+    ),
+    Mutant(
+        "peephole: `shared_depth` stops at each qubit's top",
+        "peephole",
+        "i -= link1[i] if code >> 4 & mask == q else link2[i]",
+        "i = 0",
+        ("tests/test_placement.py::test_tail_bound_never_exceeds_the_fresh_skeleton_count[hand-built]",),
+    ),
+    Mutant(
+        "placement: the tail bound takes one gate, not two, off per shared gate (`2 * L` made `L`)",
+        "placement",
+        "size - 2 * shared",
+        "size - shared",
+        ("tests/test_placement.py::test_tail_bound_never_exceeds_the_fresh_skeleton_count[hand-built]",),
+    ),
+    Mutant(
+        "placement: the tail bound stands in for the count when it ties the limit (`>` made `>=`)",
+        "placement",
+        "if not shared or bound > limit:",
+        "if not shared or bound >= limit:",
+        ("tests/test_placement.py::test_tail_bound_scores_what_the_resumed_rewrite_scores[hand-built]",),
     ),
     Mutant(
         "peephole: `engine_state` copies a state shallowly",

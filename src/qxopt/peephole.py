@@ -36,7 +36,9 @@ keeps the pending list with its tombstones, so that `circuit.cheapest`
 filters only the candidates it has to. Its skeleton bound resumes the
 pass from a saved state (`engine_state`: the pending list, the two link
 lists, `top` and the tombstone count), so a prefix that many placements
-share is rewritten once. The realization table calls
+share is rewritten once, and reads how deep a rewritten tail matches the
+gates on each qubit below its top (`shared_depth`), so a tail that many
+placements share is rewritten once too. The realization table calls
 `rewrite`, the filtering wrapper, and decodes only its winners. `Gate`s
 come in by one door, `simplify`, which encodes a circuit once; the wrapper
 `simplify_gates`, for a raw gate list, has no caller here but is bound by
@@ -240,6 +242,26 @@ def rewrite_pending(
             pending.append(code)
     state[4] = dead
     return pending, dead
+
+
+def shared_depth(state: list, runs: Iterable[tuple[int, list[int]]], bits: int) -> int:
+    """The sum, over `runs` of (qubit q, gate codes on q in order), of how
+    many of q's codes, from its first, equal the pending gates on q in
+    `state` (see `engine_state`), read from `top[q]` down through the links.
+    Pushing a reduced run of H and CNOT gates after the state fires at most
+    that many times on q (see `placement`)."""
+    pending, link1, link2, top, _ = state
+    mask = (1 << bits) - 1
+    total = 0
+    for q, codes in runs:
+        i = top[q]
+        for code in codes:
+            if pending[i] != code:
+                break
+            total += 1
+            # q is a 1-qubit gate's qubit or a CNOT's control: its first link.
+            i -= link1[i] if code >> 4 & mask == q else link2[i]
+    return total
 
 
 def _record(

@@ -96,17 +96,50 @@ best count before the first score, so the first placement is scored
 without one, and every later one pays for its bound.
 
 Placements share skeleton prefixes. The skeleton is split before each gate
-that brings in a wire no earlier one touched; each prefix's engine state
-is memoized by the placement of the wires it has seen, and
-`rewrite_pending` resumes from it, so a placement rewrites only the
-segments after its longest prefix already seen. Where some wire carries
-neither an H nor a CNOT, the last segment's count is memoized by the
-placement of the H and CNOT wires, which placements that differ only on
-the other wires share. On limit8, whatever the seed, the 5-qubit case's
-segments are rewritten 56, 336, 1,680 and 6,719 times for its 6,720
-placements, and the 6-qubit case, with 3 wires that carry neither gate,
-rewrites 56 prefixes and 335 last segments for its 3,762; at seed 77 they
-score 348 and 12.
+that brings in a wire no earlier one touched, once the segment so far holds
+a CNOT (a segment of H gates alone saves little rewriting, and its memo
+would be keyed by one more wire than the prefix before it); each prefix's engine state is memoized by the placement of
+the wires it has seen, and `rewrite_pending` resumes from it, so a
+placement rewrites only the segments after its longest prefix already
+seen. Where some wire carries neither an H nor a CNOT, the last segment's
+count is memoized by the placement of the H and CNOT wires, which
+placements that differ only on the other wires share.
+
+Otherwise, where the last segment leaves out some wire, placements share
+its rewrite alone, v, by the placement of its own wires, and the count is
+read off v and the prefix's state u. Pushed after u, v fires only in pairs
+of one gate of v and one of u:
+- No two gates of v fire together. Take the first such pair: v is
+  reduced, so some gate h of v between the two on a shared qubit q must
+  be gone by then. h cannot have fired with a gate of u, since the
+  earlier of the pair still sat on q above every gate of u, nor with a
+  gate of v, before the first such pair.
+- So on each qubit q, the i-th gate of v on q fires only once the gates
+  before it on q have, each with a gate of u (a pending one of v would be
+  q's top), and then it meets the i-th gate of u on q counted from the
+  top, which must have its code. With L_q the number of v's first gates
+  on q that equal u's gates on q from the top down
+  (`peephole.shared_depth`, which walks the engine's links), at most L_q
+  firings touch q.
+- Each firing removes two gates and touches a qubit, so |u| + |v| less
+  twice the sum of the L_q is at most the count of u followed by v, and
+  is that count when every L_q is 0.
+- u followed by the raw segment and u followed by v are words for one
+  group element, and the engine leaves each reduced, so both counts are
+  equal, by the reduced-word argument above.
+So the last segment is rewritten from u only when some L_q is not 0 and
+that lower bound does not exceed the limit, the best count less the
+residue; every pruning decision is that of the count itself. A segment
+over every wire is not cached: its key would be the whole placement,
+which never repeats.
+
+On limit8, whatever the seed, the 5-qubit case rewrites its two prefix
+segments 56 and 336 times and its last segment alone 336 times for its
+6,720 placements, and the 6-qubit case, with 3 wires that carry neither
+gate, rewrites 56 prefixes and 335 last segments for its 3,762. At seed 77
+the 5-qubit case's bound counts 2,871 placements exactly off a tail that
+meets nothing, prunes 3,605 by the lower bound, and rewrites the last
+segment from the prefix's state for 243; the cases score 348 and 12.
 
 Where the bound runs follows from the shapes alone. A bound costs at
 least a segment's rewrite, so it pays only where placements share
@@ -130,7 +163,7 @@ from .circuit import Circuit, CostReport, check_placement, check_tolerance, chea
 from .circuit import PHASE, VERIFY_TOL, Gate, GateKind, cnot_code, decode_all, encode, field_bits
 from .circuit import levels_of  # noqa: F401  perfbench traces `qxopt.placement.levels_of`
 from .pathsum import equivalent
-from .peephole import engine_state, mark_blocks, rewrite, rewrite_pending
+from .peephole import engine_state, mark_blocks, rewrite, rewrite_pending, shared_depth
 from .peephole import simplify_gates  # noqa: F401  perfbench traces `qxopt.placement.simplify_gates`
 from .realization import RealizationTable
 from .topology import CouplingGraph
@@ -317,32 +350,43 @@ def _residue(circuit: Circuit) -> int:
 
 def _skeleton_counter(
     circuit: Circuit, codes: list[int], table: RealizationTable, bits: int
-) -> Callable[[Sequence[int]], int]:
-    """Function from a placement to the gate count that `rewrite_pending`
-    leaves of the circuit's skeleton mapped under it; `codes` are the
-    circuit's gates, encoded at `bits`, and at least one is an H or a CNOT.
+) -> Callable[[Sequence[int], float], int]:
+    """Function from a placement and a limit to a lower bound on the gate
+    count that `rewrite_pending` leaves of the circuit's skeleton mapped
+    under the placement, which is that count whenever it is at most the
+    limit; `codes` are the circuit's gates, encoded at `bits`, and at least
+    one is an H or a CNOT.
+
     The skeleton is split before each gate that brings in a wire no earlier
-    one touched; each prefix's engine state is memoized by the placement of
-    the wires it has seen, so a placement rewrites only the segments after
-    its longest prefix already seen. Where some wire carries neither an H
-    nor a CNOT, the count is memoized too, by the placement of every
-    skeleton wire."""
+    one touched, once the segment so far holds a CNOT; each prefix's engine
+    state is memoized by the placement of the wires it has seen, so a
+    placement rewrites only the segments after its longest prefix already
+    seen. Where some wire carries neither an H nor a CNOT, the count is
+    memoized too, by the placement of every skeleton wire. Otherwise, where
+    the last segment leaves out a wire, it is rewritten alone once per
+    placement of its own wires, and its gates are listed per qubit; the
+    count is then read off that tail and the prefix's state, and the last
+    segment is rewritten from that state only when some of the tail's gates
+    may fire there and the bound they leave is at most the limit (see the
+    module docstring)."""
     segments: list[tuple[list[int], tuple[int, ...]]] = []  # every prefix
     seen: list[int] = []
     part: list[int] = []
+    part_wires: set[int] = set()
     for g, code in zip(circuit.gates, codes):
         if g.kind in _SKELETON_GATES:
             new = [q for q in g.qubits if q not in seen]
-            if new and part:
+            if new and any(c & 8 for c in part):
                 segments.append((part, tuple(seen)))
-                part = []
+                part, part_wires = [], set()
             part.append(code)
+            part_wires.update(g.qubits)
             seen += new
     _, rows, blocks, _, _ = _index(table)
     prefixes = [(_mapper(seg, bits, rows), itemgetter(*wires), {}) for seg, wires in segments]
     last = _mapper(part, bits, rows)
 
-    def count(placement: Sequence[int]) -> int:
+    def prefix_state(placement: Sequence[int]) -> list:
         missed = []
         for mapped, prefix_key, states in reversed(prefixes):
             k = prefix_key(placement)
@@ -356,23 +400,59 @@ def _skeleton_counter(
             state = engine_state(bits, state)
             rewrite_pending(mapped(placement), bits, blocks, None, state)
             states[k] = state
+        return state
+
+    def resumed(placement: Sequence[int], state: list) -> int:
         pending, dead = rewrite_pending(last(placement), bits, blocks, None, engine_state(bits, state))
         return len(pending) - dead
 
-    if len(seen) == circuit.num_qubits:
-        # The count's key would be the whole placement, which `_placements`
-        # never yields twice.
+    def count(placement: Sequence[int], limit: float = math.inf) -> int:
+        return resumed(placement, prefix_state(placement))
+
+    if len(seen) < circuit.num_qubits:
+        last_key = itemgetter(*seen)
+        counts: dict = {}
+
+        def memoized(placement: Sequence[int], limit: float = math.inf) -> int:
+            key = last_key(placement)
+            if key not in counts:
+                counts[key] = count(placement)
+            return counts[key]
+
+        return memoized
+    if len(part_wires) == circuit.num_qubits:
+        # Either key would be the whole placement, which `_placements` never
+        # yields twice.
         return count
-    last_key = itemgetter(*seen)
-    counts: dict = {}
+    tail_key = itemgetter(*sorted(part_wires))
+    tails: dict = {}
+    mask = (1 << bits) - 1
 
-    def memoized(placement: Sequence[int]) -> int:
-        key = last_key(placement)
-        if key not in counts:
-            counts[key] = count(placement)
-        return counts[key]
+    def tail(placement: Sequence[int]) -> tuple[int, list[tuple[int, list[int]]]]:
+        """The last segment's rewritten count alone, and its gate codes per
+        physical qubit."""
+        key = tail_key(placement)
+        found = tails.get(key)
+        if found is None:
+            runs: dict[int, list[int]] = {}
+            live = [c for c in rewrite_pending(last(placement), bits, blocks)[0] if c >= 0]
+            for code in live:
+                runs.setdefault(code >> 4 & mask, []).append(code)
+                if code & 8:
+                    runs.setdefault(code >> 4 + bits, []).append(code)
+            found = tails[key] = (len(live), list(runs.items()))
+        return found
 
-    return memoized
+    def bounded(placement: Sequence[int], limit: float = math.inf) -> int:
+        state = prefix_state(placement)
+        size, runs = tail(placement)
+        shared = shared_depth(state, runs, bits)
+        bound = len(state[0]) - state[4] + size - 2 * shared
+        if not shared or bound > limit:
+            return bound
+        return resumed(placement, state)
+
+    return bounded
 
 
 def _candidates(
@@ -397,7 +477,7 @@ def _candidates(
     best = math.inf
     for placement in placements:
         # No bound until a placement has been scored: none exceeds infinity.
-        if best < math.inf and skeleton(placement) + residue > best:
+        if best < math.inf and skeleton(placement, best - residue) + residue > best:
             continue
         pending, dead = rewrite_pending(mapped(placement), bits, blocks)
         if len(pending) - dead < best:

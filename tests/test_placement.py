@@ -1,5 +1,7 @@
 import copy
+import functools
 import importlib.util
+import math
 import pickle
 import random
 import sys
@@ -16,9 +18,9 @@ import qxopt.placement
 import qxopt.qasm
 import search_oracle
 from qxopt.circuit import KIND_CODE, Circuit, CostReport, GateKind, cnot, code_levels, encode
-from qxopt.circuit import VERIFY_TOL, field_bits, gate1, random_circuit
+from qxopt.circuit import VERIFY_TOL, decode, field_bits, gate1, random_circuit
 from qxopt.fixtures import CIRCUITS, load_circuit
-from qxopt.peephole import rewrite_pending
+from qxopt.peephole import rewrite, rewrite_pending
 from qxopt.placement import _index, _mapper, _placements, _residue, _skeleton_counter, check_search_limit
 from qxopt.placement import cost_of, optimize, percent_reduction
 from qxopt.realization import RealizationEntry, RealizationTable, build_table, dump_text, lookup
@@ -327,13 +329,16 @@ class _SearchCounts:
     """What one search covered and rewrote: the placements `_placements`
     yielded, those whose full mapped codes were built, the lengths of the
     full code lists passed to `rewrite_pending`, the index of the skeleton
-    segment of each other call, and the number of mappers made."""
+    segment of each other call, the number of those calls that rewrote a
+    segment alone rather than resuming from a prefix's state, and the
+    number of mappers made."""
 
     def __init__(self):
         self.covered = []
         self.scored = []
         self.full = []
         self.skeleton = []
+        self.alone = 0
         self.mappers = 0
 
     def pruned(self):
@@ -352,6 +357,7 @@ def _count_rewrites(monkeypatch, table):
     def counting_rewrite(codes, bits, blocks=(), trace=None, state=None):
         if isinstance(codes, _SkeletonCodes):
             counts.skeleton.append(codes.segment)
+            counts.alone += state is None
         else:
             # A full mapped circuit is rewritten from the start.
             assert state is None
@@ -402,18 +408,29 @@ def _bound_runs(circuit, table):
     return bool(wires) and n - len(wires) >= 2 and (len(wires) < k or n - k >= 3)
 
 
-def _segment_wires(circuit):
-    """The wires seen by the end of each skeleton segment: the circuit's H
-    and CNOT gates, split before each one that brings in a wire that no
-    earlier one touched."""
-    seen, ends = [], []
+def _segments(circuit):
+    """The skeleton's segments, each a list of gates: the circuit's H and
+    CNOT gates, split before each one that brings in a wire that no earlier
+    one touched, once the segment so far holds a CNOT."""
+    segments, seen = [], set()
     for g in circuit.gates:
         if g.kind in (GateKind.H, GateKind.CNOT):
-            new = [q for q in g.qubits if q not in seen]
-            if new and seen:
-                ends.append(tuple(seen))
-            seen += new
-    return ends + [tuple(seen)] if seen else []
+            new = not seen.issuperset(g.qubits)
+            if not segments or new and any(h.kind is GateKind.CNOT for h in segments[-1]):
+                segments.append([])
+            segments[-1].append(g)
+            seen.update(g.qubits)
+    return segments
+
+
+def _segment_wires(circuit):
+    """The wires seen by the end of each skeleton segment, in the order the
+    skeleton brings them in."""
+    seen, ends = [], []
+    for gates in _segments(circuit):
+        seen = list(dict.fromkeys(seen + [q for g in gates for q in g.qubits]))
+        ends.append(tuple(seen))
+    return ends
 
 
 def test_cnot_free_circuit_scores_one_placement(qx2_table, monkeypatch):
@@ -609,18 +626,192 @@ def test_cost_of_each_benchmark_winner_is_its_final_cost(monkeypatch):
 
 @pytest.mark.parametrize("seed,scored", [(77, (348, 12)), (3, (337, 19)), (1, (375, 19))])
 def test_limit8_search_scores_and_rewrites_what_it_did(sparse_tables, monkeypatch, seed, scored):
-    # Every placement after the first pays for a bound, so the skeleton
-    # rewrites depend on the circuit and the device alone: 56, 336, 1,680
-    # and 6,719 per segment for the 5-qubit case (an H or a CNOT on every
-    # wire, so no count memo), and 56 and 335 for the 6-qubit one.
+    # Every placement after the first pays for a bound. The 5-qubit case
+    # has an H or a CNOT on every wire, so no count memo: it rewrites its
+    # two prefix segments once per placement of the wires each has seen
+    # (56 and 336), and its last segment alone once per placement of that
+    # segment's own 3 wires (336). The bound decides every other placement
+    # off that tail and the prefix's state, but for `fallbacks` of them some
+    # tail gate may fire and the bound left is at most the limit, so the
+    # last segment is rewritten from the prefix's state. The 6-qubit case,
+    # with 3 wires that carry neither gate, memoizes its counts: 56 prefix
+    # rewrites, and 335 last segments rewritten from a prefix's state, one
+    # per placement of its H and CNOT wires but the first placement's.
+    fallbacks = {77: 243, 3: 240, 1: 260}[seed]
     table = sparse_tables["ladder8"]
     cases = _limit8_cases(monkeypatch, seed)
     assert [name for name, _ in cases] == ["l8_5q_0@ladder8", "l8_6q_1@ladder8"]
-    for (_, circuit), want_scored, want_rewrites in zip(cases, scored, (8_791, 391)):
+    want = [
+        {
+            "scored": scored[0],
+            "prefix rewrites": 56 + 336,
+            "tails rewritten": 336,
+            "decided without a rewrite": 6_719 - fallbacks,
+            "fallback rewrites": fallbacks,
+        },
+        {
+            "scored": scored[1],
+            "prefix rewrites": 56,
+            "tails rewritten": 0,
+            "decided without a rewrite": 3_761 - 335,
+            "fallback rewrites": 335,
+        },
+    ]
+    for (_, circuit), expected in zip(cases, want):
         counts = _count_rewrites(monkeypatch, table)
         optimize(circuit, table)
         monkeypatch.undo()
-        assert (len(counts.scored), len(counts.skeleton)) == (want_scored, want_rewrites)
+        last = len(_segments(circuit)) - 1
+        resumed = counts.skeleton.count(last) - counts.alone
+        got = {
+            "scored": len(counts.scored),
+            "prefix rewrites": sum(1 for segment in counts.skeleton if segment < last),
+            "tails rewritten": counts.alone,
+            # Every placement but the first is bounded.
+            "decided without a rewrite": len(counts.covered) - 1 - resumed,
+            "fallback rewrites": resumed,
+        }
+        assert got == expected
+
+
+# Its last segment, CNOT(2, 1) H1 H1 CNOT(0, 4) H0 CNOT(0, 4), leaves out
+# wire 3. Its H1 H1 cancel within it, and under placements that put the
+# wires on the ladder's edges 0 -> 4, 2 -> 3 and 2 -> 1 the rest of it
+# cancels against the prefix's last three gates, three deep on qubit 0.
+_TAIL_MEETS_PREFIX = Circuit(
+    5,
+    (
+        cnot(2, 3),
+        cnot(0, 4),
+        gate1(GateKind.H, 0),
+        cnot(0, 4),
+        cnot(2, 1),
+        gate1(GateKind.H, 1),
+        gate1(GateKind.H, 1),
+        cnot(0, 4),
+        gate1(GateKind.H, 0),
+        cnot(0, 4),
+    ),
+)
+_TAIL_CASES = (
+    [pytest.param("ladder8", case, id="ladder8-%d-%d-%d-%d" % case) for case in _LADDER8_CASES]
+    + [
+        pytest.param("limit8", (seed, k), id=f"limit8-{seed}-{width}q")
+        for seed in (77, 3, 1)
+        for k, width in enumerate((5, 6))
+    ]
+    + [pytest.param("hand-built", None, id="hand-built")]
+)
+
+
+def _tail_circuit(monkeypatch, kind, spec):
+    if kind == "ladder8":
+        width, idle, num_gates, seed = spec
+        return _skeleton_heavy(random.Random(seed), width, num_gates, idle)
+    if kind == "limit8":
+        seed, k = spec
+        return _limit8_cases(monkeypatch, seed)[k][1]
+    return _TAIL_MEETS_PREFIX
+
+
+def _tail_cached(circuit):
+    """Whether the search rewrites the last skeleton segment alone: every
+    wire carries an H or a CNOT, and the last segment leaves one out."""
+    tail_wires = {q for g in _segments(circuit)[-1] for q in g.qubits}
+    return len(_skeleton_wires(circuit)) == circuit.num_qubits > len(tail_wires)
+
+
+def _tail_terms(circuit, table, bits):
+    """Function from a placement to the tail bound's terms, from plain
+    rewrites without blocks: the gate counts of the rewritten skeleton
+    prefix u and of the last segment rewritten alone v, and the sum over
+    qubits q of L_q, the number of v's gates on q, from its first, that
+    equal u's gates on q, from its last."""
+    entries = _index(table)[0]
+    *prefix, tail = _segments(circuit)
+    heads = _mapper(encode([g for segment in prefix for g in segment], bits), bits, entries)
+    tails = _mapper(encode(tail, bits), bits, entries)
+
+    @functools.lru_cache(maxsize=None)
+    def per_qubit(mapped):
+        """The rewritten count of the mapped codes, and their gates per qubit."""
+        codes = rewrite(list(mapped), bits)
+        on = {}
+        for c in codes:
+            for q in decode(c, bits).qubits:
+                on.setdefault(q, []).append(c)
+        return len(codes), on
+
+    def terms(placement):
+        u, u_on = per_qubit(tuple(heads(placement)))
+        v, v_on = per_qubit(tuple(tails(placement)))
+        shared = 0
+        for q, up in v_on.items():
+            pairs = list(zip(reversed(u_on.get(q, [])), up))
+            shared += next((i for i, (a, b) in enumerate(pairs) if a != b), len(pairs))
+        return u, v, shared
+
+    return terms
+
+
+@pytest.mark.parametrize("kind,spec", _TAIL_CASES)
+def test_tail_bound_never_exceeds_the_fresh_skeleton_count(sparse_tables, monkeypatch, kind, spec):
+    # Under a limit below every count, the counter returns its bound. On
+    # every placement it is at most the count that a fresh rewrite of the
+    # whole mapped skeleton leaves. Where the last segment is rewritten
+    # alone, it is |u| + |v| - 2 * sum(L_q), which is that count when every
+    # L_q is 0; elsewhere the counter always returns the count.
+    table = sparse_tables["ladder8"]
+    circuit = _tail_circuit(monkeypatch, kind, spec)
+    bits = field_bits(table.graph.num_physical)
+    count = _skeleton_counter(circuit, encode(circuit.gates, bits), table, bits)
+    _, fresh = _block_scorer(circuit, table, bits, skeleton=True)
+    terms = _tail_terms(circuit, table, bits)
+    cached = _tail_cached(circuit)
+    met = 0
+    for placement in _placements(circuit, table):
+        bound, exact = count(placement, -math.inf), _count(fresh(placement))
+        assert bound <= exact
+        assert count(placement, math.inf) == exact
+        if cached:
+            u, v, shared = terms(placement)
+            assert bound == u + v - 2 * shared
+            met += shared > 0
+        if not cached or not shared:
+            assert bound == exact
+    if kind != "ladder8":
+        assert cached == (kind == "hand-built" or spec[1] == 0)
+    assert met or not cached
+    if kind == "hand-built":
+        identity = (0, 1, 2, 3, 4)
+        assert terms(identity) == (4, 4, 5)
+        assert (count(identity, -math.inf), _count(fresh(identity))) == (4 + 4 - 2 * 5, 2)
+
+
+@pytest.mark.parametrize("kind,spec", _TAIL_CASES)
+def test_tail_bound_scores_what_the_resumed_rewrite_scores(sparse_tables, monkeypatch, kind, spec):
+    # The same search with every bound resumed from the prefix's state, the
+    # fallback, scores the same placements in the same order.
+    table = sparse_tables["ladder8"]
+    circuit = _tail_circuit(monkeypatch, kind, spec)
+    counts = _count_rewrites(monkeypatch, table)
+    result = optimize(circuit, table)
+    monkeypatch.undo()
+    counter = qxopt.placement._skeleton_counter
+
+    def resuming(*args):
+        count = counter(*args)
+        return lambda placement, limit: count(placement, math.inf)
+
+    monkeypatch.setattr(qxopt.placement, "_skeleton_counter", resuming)
+    resumed = _count_rewrites(monkeypatch, table)
+    assert optimize(circuit, table) == result
+    monkeypatch.undo()
+    assert counts.scored == resumed.scored
+    last = len(_segments(circuit)) - 1
+    if _tail_cached(circuit) and counts.skeleton:
+        # The tails spare most of the rewrites resumed from a prefix's state.
+        assert counts.skeleton.count(last) - counts.alone < resumed.skeleton.count(last)
 
 
 def _mapper_of(circuit, entries, bits, skeleton=False):

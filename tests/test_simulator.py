@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
 from qxopt import build_table, circuit as circuit_module, pathsum, placement, qasm, simulator
@@ -847,6 +847,9 @@ def test_run_noisy_matches_superoperator_oracle(seed):
 
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 10_000))
+# About 2 % of the seeds give up a two-wire window that holds gates; seed 8
+# is one, so every run checks that path.
+@example(8)
 def test_equivalent_verdicts_match_dense_oracle(seed):
     rng = random.Random(seed)
     n1 = rng.randint(1, 4)

@@ -3,8 +3,9 @@
 
 Each mutant names a module of `src/qxopt`, an exact text found once in it,
 the text that replaces it, and the tests that must fail once it is
-replaced. For each mutant the script copies `src/`, `tests/` and
-`pyproject.toml` to a temporary directory, applies the replacement there
+replaced. For each mutant the script copies `src/`, `tests/`,
+`perfbench/` (whose case generator some tests read) and `pyproject.toml`
+to a temporary directory, applies the replacement there
 and runs `pytest -x` on the mutant's tests, which must fail. First it runs
 every named test on an unmutated copy, where all must pass. It exits 1 if
 a named test fails unmutated, if a mutant's text is not found exactly once,
@@ -180,7 +181,35 @@ MUTANTS = (
         "placement",
         "if new and any(c & 8 for c in part):",
         "if False:",
-        ("tests/test_placement.py::test_pruned_search_matches_unpruned_oracle_on_ladder8",),
+        ("tests/test_placement.py::test_limit8_search_scores_and_rewrites_what_it_did[77-scored0]",),
+    ),
+    Mutant(
+        "placement: the skeleton prefix keyed by one wire fewer",
+        "placement",
+        "itemgetter(*seen[:wires])",
+        "itemgetter(*seen[1:wires])",
+        ("tests/test_placement.py::test_tail_bound_never_exceeds_the_fresh_skeleton_count[hand-built]",),
+    ),
+    Mutant(
+        "placement: the fallback resumes in the memoized prefix state itself",
+        "placement",
+        "bits, blocks, None, engine_state(bits, state))",
+        "bits, blocks, None, state)",
+        ("tests/test_placement.py::test_tail_bound_scores_what_the_resumed_rewrite_scores[hand-built]",),
+    ),
+    Mutant(
+        "placement: an empty skeleton prefix keyed by the whole placement",
+        "placement",
+        "if wires else lambda placement: ()",
+        "if wires else tuple",
+        ("tests/test_placement.py::test_skeleton_without_a_split_rewrites_its_empty_prefix_once",),
+    ),
+    Mutant(
+        "placement: the prefix is never the whole skeleton",
+        "placement",
+        "        prefix, wires, part = prefix + part, len(seen), []\n",
+        "        pass\n",
+        ("tests/test_placement.py::test_limit8_search_scores_and_rewrites_what_it_did[77-scored0]",),
     ),
     Mutant(
         "placement: the 3-qubit rule for a circuit with a CNOT on every wire set at 2",
@@ -219,6 +248,20 @@ MUTANTS = (
         "if not shared or bound > limit:",
         "if not shared or bound >= limit:",
         ("tests/test_placement.py::test_tail_bound_scores_what_the_resumed_rewrite_scores[hand-built]",),
+    ),
+    Mutant(
+        "qasm: an index or a size may be any Unicode digits (`[0-9]` made `\\d`)",
+        "qasm",
+        "\\[([0-9]+)\\]",
+        "\\[(\\d+)\\]",
+        ("tests/test_qasm.py::test_parse_pins_each_refusal[arabic-indic-index]",),
+    ),
+    Mutant(
+        "states: a `dm N` header whose N is no power of two read without refusal",
+        "states",
+        '    _num_qubits(dim, f"line {numbers[0]}: dimension")\n',
+        "",
+        ("tests/test_states.py::test_parse_density_matrix_names_the_bad_entry_or_header",),
     ),
     Mutant(
         "peephole: `engine_state` copies a state shallowly",
@@ -376,7 +419,7 @@ MUTANTS = (
 
 
 def _copy(directory: Path) -> None:
-    for sub in ("src", "tests"):
+    for sub in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / sub, directory / sub, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "pyproject.toml", directory)
 

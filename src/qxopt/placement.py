@@ -95,15 +95,17 @@ and its levels are those of the unpruned search. No bound exceeds the
 best count before the first score, so the first placement is scored
 without one, and every later one pays for its bound.
 
-Placements share skeleton prefixes. The skeleton is split before each gate
-that brings in a wire no earlier one touched, once the segment so far holds
-a CNOT (a segment of H gates alone saves little rewriting, and its memo
-would be keyed by one more wire than the prefix before it); each prefix's engine state is memoized by the placement of
-the wires it has seen, and `rewrite_pending` resumes from it, so a
-placement rewrites only the segments after its longest prefix already
-seen. Where some wire carries neither an H nor a CNOT, the last segment's
-count is memoized by the placement of the H and CNOT wires, which
-placements that differ only on the other wires share.
+Placements share the skeleton's prefix. The skeleton is split before each
+gate that brings in a wire no earlier one touched, once the segment so far
+holds a CNOT (a segment of H gates alone saves little rewriting, and would
+add a wire to the prefix's key), and the prefix is every gate before the
+last split. Where some wire carries neither an H nor a CNOT, the prefix is
+the whole skeleton and the last segment is empty. The prefix's engine state
+is memoized by the placement of the wires it has seen, and `rewrite_pending`
+resumes from it, so the prefix is rewritten once per placement of those
+wires; where it is the whole skeleton, placements that differ only on the
+other wires share the count too, read off that state. A skeleton without a
+split has an empty prefix, memoized once.
 
 Otherwise, where the last segment leaves out some wire, placements share
 its rewrite alone, v, by the placement of its own wires, and the count is
@@ -133,10 +135,11 @@ residue; every pruning decision is that of the count itself. A segment
 over every wire is not cached: its key would be the whole placement,
 which never repeats.
 
-On limit8, whatever the seed, the 5-qubit case rewrites its two prefix
-segments 56 and 336 times and its last segment alone 336 times for its
-6,720 placements, and the 6-qubit case, with 3 wires that carry neither
-gate, rewrites 56 prefixes and 335 last segments for its 3,762. At seed 77
+On limit8, whatever the seed, the 5-qubit case rewrites its prefix 336
+times, once per placement of its 3 wires, and its last segment alone 336
+times for its 6,720 placements, and the 6-qubit case, with 3 wires that
+carry neither gate, rewrites its whole skeleton 335 times for its 3,762,
+once per placement of its H and CNOT wires but the first's. At seed 77
 the 5-qubit case's bound counts 2,871 placements exactly off a tail that
 meets nothing, prunes 3,605 by the lower bound, and rewrites the last
 segment from the prefix's state for 243; the cases score 348 and 12.
@@ -358,18 +361,20 @@ def _skeleton_counter(
     one is an H or a CNOT.
 
     The skeleton is split before each gate that brings in a wire no earlier
-    one touched, once the segment so far holds a CNOT; each prefix's engine
-    state is memoized by the placement of the wires it has seen, so a
-    placement rewrites only the segments after its longest prefix already
-    seen. Where some wire carries neither an H nor a CNOT, the count is
-    memoized too, by the placement of every skeleton wire. Otherwise, where
-    the last segment leaves out a wire, it is rewritten alone once per
+    one touched, once the segment so far holds a CNOT, and its prefix is
+    every gate before the last split: none without a split, and all of them
+    where some wire carries neither an H nor a CNOT. The prefix's engine
+    state is memoized by the placement of the wires it has seen, so where
+    the prefix is the whole skeleton, the count is read off that state.
+    Where the last segment covers every wire, it is rewritten from that
+    state for each placement. Otherwise it is rewritten alone once per
     placement of its own wires, and its gates are listed per qubit; the
     count is then read off that tail and the prefix's state, and the last
     segment is rewritten from that state only when some of the tail's gates
     may fire there and the bound they leave is at most the limit (see the
     module docstring)."""
-    segments: list[tuple[list[int], tuple[int, ...]]] = []  # every prefix
+    prefix: list[int] = []  # the skeleton's codes before its last split
+    wires = 0  # how many wires the prefix has seen
     seen: list[int] = []
     part: list[int] = []
     part_wires: set[int] = set()
@@ -377,53 +382,43 @@ def _skeleton_counter(
         if g.kind in _SKELETON_GATES:
             new = [q for q in g.qubits if q not in seen]
             if new and any(c & 8 for c in part):
-                segments.append((part, tuple(seen)))
+                prefix, wires = prefix + part, len(seen)
                 part, part_wires = [], set()
             part.append(code)
             part_wires.update(g.qubits)
             seen += new
+    if len(seen) < circuit.num_qubits:
+        # Placements that differ only on the other wires share the count.
+        prefix, wires, part = prefix + part, len(seen), []
     _, rows, blocks, _, _ = _index(table)
-    prefixes = [(_mapper(seg, bits, rows), itemgetter(*wires), {}) for seg, wires in segments]
-    last = _mapper(part, bits, rows)
+    head, last = _mapper(prefix, bits, rows), _mapper(part, bits, rows)
+    # Without a split the prefix is empty, and so is its key.
+    prefix_key = itemgetter(*seen[:wires]) if wires else lambda placement: ()
+    states: dict = {}
 
     def prefix_state(placement: Sequence[int]) -> list:
-        missed = []
-        for mapped, prefix_key, states in reversed(prefixes):
-            k = prefix_key(placement)
-            state = states.get(k)
-            if state is not None:
-                break
-            missed.append((mapped, states, k))
-        else:
-            state = engine_state(bits)
-        for mapped, states, k in reversed(missed):
-            state = engine_state(bits, state)
-            rewrite_pending(mapped(placement), bits, blocks, None, state)
-            states[k] = state
+        key = prefix_key(placement)
+        state = states.get(key)
+        if state is None:
+            state = states[key] = engine_state(bits)
+            rewrite_pending(head(placement), bits, blocks, None, state)
         return state
 
     def resumed(placement: Sequence[int], state: list) -> int:
         pending, dead = rewrite_pending(last(placement), bits, blocks, None, engine_state(bits, state))
         return len(pending) - dead
 
-    def count(placement: Sequence[int], limit: float = math.inf) -> int:
-        return resumed(placement, prefix_state(placement))
+    if not part:
 
-    if len(seen) < circuit.num_qubits:
-        last_key = itemgetter(*seen)
-        counts: dict = {}
+        def whole(placement: Sequence[int], limit: float = math.inf) -> int:
+            state = prefix_state(placement)
+            return len(state[0]) - state[4]
 
-        def memoized(placement: Sequence[int], limit: float = math.inf) -> int:
-            key = last_key(placement)
-            if key not in counts:
-                counts[key] = count(placement)
-            return counts[key]
-
-        return memoized
+        return whole
     if len(part_wires) == circuit.num_qubits:
-        # Either key would be the whole placement, which `_placements` never
+        # Its key would be the whole placement, which `_placements` never
         # yields twice.
-        return count
+        return lambda placement, limit=math.inf: resumed(placement, prefix_state(placement))
     tail_key = itemgetter(*sorted(part_wires))
     tails: dict = {}
     mask = (1 << bits) - 1

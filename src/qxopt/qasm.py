@@ -26,7 +26,17 @@ class QasmError(ValueError):
     or, for a file that declares no `qreg`, carries no position."""
 
 
-_REF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
+# An index or a size is one or more ASCII digits (`\d` takes any Unicode digit).
+_REF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\]$")
+
+
+def _integer(digits: str, at: str) -> int:
+    """The value of a field of `_REF` digits; refuses one longer than `int`
+    converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise QasmError(f"{at}: integer of {len(digits)} digits is too long") from None
 
 
 def _statements(text: str):
@@ -46,7 +56,7 @@ def _parse_ref(token: str, reg_name: str, reg_size: int, at: str) -> int:
     m = _REF.match(token)
     if not m:
         raise QasmError(f"{at}: malformed qubit reference {token!r}")
-    name, idx = m.group(1), int(m.group(2))
+    name, idx = m.group(1), _integer(m.group(2), at)
     if name != reg_name:
         raise QasmError(f"{at}: unknown register {name!r} (declared: {reg_name!r})")
     if idx >= reg_size:
@@ -80,7 +90,7 @@ def parse_report(text: str, strict: bool = False) -> tuple[Circuit, list[str]]:
             m = _REF.match(rest)
             if not m:
                 raise QasmError(f"{at}: malformed register declaration {stmt!r}")
-            name, size = m.group(1), int(m.group(2))
+            name, size = m.group(1), _integer(m.group(2), at)
             if size < 1:
                 raise QasmError(f"{at}: register {name!r} must have positive size")
             if keyword in registers:

@@ -213,7 +213,8 @@ def parse_distribution(text: str) -> ProbabilityDistribution:
 
 
 def parse_density_matrix(text: str) -> np.ndarray:
-    """Read the raw complex matrix; no sanitization is applied here."""
+    """Read the raw complex matrix of a `dm N` file, N a power of two of at
+    least 2; no sanitization is applied here."""
     import numpy as np
 
     stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
@@ -240,4 +241,7 @@ def parse_density_matrix(text: str) -> np.ndarray:
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"line {lineno}: entry {k}: {ln!r} is not finite")
         out[k // dim, k % dim] = complex(re, im)
+    # Checked after the entries, so that a malformed entry is refused at its
+    # own line whatever the header says.
+    _num_qubits(dim, f"line {numbers[0]}: dimension")
     return out

@@ -6,6 +6,7 @@ other device is described by a small text format ("qubits N" then one
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Iterable
 
@@ -60,11 +61,18 @@ def allows(graph: CouplingGraph, control: int, target: int) -> bool:
     return (control, target) in graph.edges
 
 
+# ASCII digits, after an optional minus sign: a negative qubit is refused
+# by the range check that names its edge.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
+    if _INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than `int` converts
+            pass
+    raise ValueError(f"line {lineno}: expected an integer, got {token!r}")
 
 
 def load(text: str, name: str = "custom") -> CouplingGraph:

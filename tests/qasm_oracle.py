@@ -4,15 +4,17 @@ It builds a `SourceSpan` for every statement and returns a `ParseReport`,
 with one branch per keyword, and reads every statement in full. The
 differential test in `test_qasm.py` requires `qxopt.qasm.parse_report` to
 return the same circuit and warnings on every input, or to refuse it with
-the same message. `gate_line` is the gate formatter `qxopt.qasm` replaced
-with per-kind templates.
+the same message. It reads a qubit reference or a register declaration
+with the reader's own `_REF` and `_integer`, so both take the same integer
+fields. `gate_line` is the gate formatter `qxopt.qasm` replaced with
+per-kind templates.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from qxopt.circuit import Circuit, Gate, GateKind
+from qxopt.qasm import _REF, _integer
 
 GATE_NAMES: dict[str, GateKind] = {kind.value: kind for kind in GateKind}
 
@@ -40,9 +42,6 @@ class ParseReport:
     warnings: list[str]
 
 
-_REF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
-
-
 def _statements(text: str):
     """Yield (statement, span) pairs, splitting on ';' and skipping // comments."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -59,7 +58,7 @@ def _parse_ref(token: str, reg_name: str, reg_size: int, span: SourceSpan) -> in
     m = _REF.match(token)
     if not m:
         raise QasmError(f"malformed qubit reference {token!r}", span)
-    name, idx = m.group(1), int(m.group(2))
+    name, idx = m.group(1), _integer(m.group(2), str(span))
     if name != reg_name:
         raise QasmError(f"unknown register {name!r} (declared: {reg_name!r})", span)
     if idx >= reg_size:
@@ -88,7 +87,7 @@ def parse_report(text: str, strict: bool = False) -> ParseReport:
             m = _REF.match(rest)
             if not m:
                 raise QasmError(f"malformed register declaration {stmt!r}", span)
-            name, size = m.group(1), int(m.group(2))
+            name, size = m.group(1), _integer(m.group(2), str(span))
             if size < 1:
                 raise QasmError(f"register {name!r} must have positive size", span)
             if keyword == "qreg":

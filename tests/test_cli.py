@@ -403,6 +403,7 @@ def test_fidelity_command(tmp_path, capsys):
         ("fidelity", "--a", "dm 2\ninf 0\n0 0\n0 0\n1 0\n", "line 2: entry 0: 'inf 0' is not finite"),
         ("fidelity", "--b", "dm 2\n1 0\n0 0\n0 0\n0 nan\n", "line 5: entry 3: '0 nan' is not finite"),
         ("fidelity", "--b", "# tomo\ndm 1\n\nnan 0\n", "line 4: entry 0: 'nan 0' is not finite"),
+        ("fidelity", "--a", "dm 3\n" + "1 0\n" * 9, "line 1: dimension 3 is not a power of two"),
     ],
 )
 def test_analysis_commands_report_bad_value_position(

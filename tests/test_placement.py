@@ -319,8 +319,9 @@ def test_optimize_matches_full_enumeration_on_sparse_circuits(sparse_tables, cas
 
 
 class _SkeletonCodes(list):
-    """A skeleton segment's mapped codes, tagged with the segment's index so
-    that the counting rewrite can tell them from a full mapped circuit's."""
+    """The mapped codes of the skeleton's prefix (segment 0) or of its last
+    segment (1), tagged so that the counting rewrite can tell them from a
+    full mapped circuit's."""
 
     segment = 0
 
@@ -328,10 +329,10 @@ class _SkeletonCodes(list):
 class _SearchCounts:
     """What one search covered and rewrote: the placements `_placements`
     yielded, those whose full mapped codes were built, the lengths of the
-    full code lists passed to `rewrite_pending`, the index of the skeleton
-    segment of each other call, the number of those calls that rewrote a
-    segment alone rather than resuming from a prefix's state, and the
-    number of mappers made."""
+    full code lists passed to `rewrite_pending`, the skeleton segment of
+    each other call (0 for the prefix, 1 for the last segment), the number
+    of those calls that rewrote the last segment alone rather than resuming
+    from the prefix's state, and the number of mappers made."""
 
     def __init__(self):
         self.covered = []
@@ -365,10 +366,10 @@ def _count_rewrites(monkeypatch, table):
         return rewrite_pending(codes, bits, blocks, trace, state)
 
     def tagging_mapper(codes, bits, entries):
-        # A search makes the full circuit's mapper first and then one per
-        # skeleton segment, in order. For a circuit of H and CNOT gates
-        # alone the code lists may be equal, so only the order tells them
-        # apart.
+        # A search makes the full circuit's mapper first, then the skeleton
+        # prefix's and then its last segment's. For a circuit of H and CNOT
+        # gates alone the code lists may be equal, so only the order tells
+        # them apart.
         segment = counts.mappers - 1
         counts.mappers += 1
         mapped = mapper(codes, bits, entries)
@@ -408,29 +409,24 @@ def _bound_runs(circuit, table):
     return bool(wires) and n - len(wires) >= 2 and (len(wires) < k or n - k >= 3)
 
 
-def _segments(circuit):
-    """The skeleton's segments, each a list of gates: the circuit's H and
-    CNOT gates, split before each one that brings in a wire that no earlier
-    one touched, once the segment so far holds a CNOT."""
-    segments, seen = [], set()
+def _split(circuit):
+    """The skeleton's prefix and last segment, each a list of gates, and the
+    wires the prefix has seen, in the order it brings them in. The circuit's
+    H and CNOT gates are split before each one that brings in a wire that no
+    earlier one touched, once the segment so far holds a CNOT; the prefix is
+    every gate before the last split, or all of them where some wire carries
+    neither an H nor a CNOT."""
+    prefix, last, seen, wires = [], [], [], []
     for g in circuit.gates:
         if g.kind in (GateKind.H, GateKind.CNOT):
-            new = not seen.issuperset(g.qubits)
-            if not segments or new and any(h.kind is GateKind.CNOT for h in segments[-1]):
-                segments.append([])
-            segments[-1].append(g)
-            seen.update(g.qubits)
-    return segments
-
-
-def _segment_wires(circuit):
-    """The wires seen by the end of each skeleton segment, in the order the
-    skeleton brings them in."""
-    seen, ends = [], []
-    for gates in _segments(circuit):
-        seen = list(dict.fromkeys(seen + [q for g in gates for q in g.qubits]))
-        ends.append(tuple(seen))
-    return ends
+            new = [q for q in g.qubits if q not in seen]
+            if new and any(h.kind is GateKind.CNOT for h in last):
+                prefix, last, wires = prefix + last, [], list(seen)
+            last.append(g)
+            seen += new
+    if len(seen) < circuit.num_qubits:
+        prefix, last, wires = prefix + last, [], seen
+    return prefix, last, tuple(wires)
 
 
 def test_cnot_free_circuit_scores_one_placement(qx2_table, monkeypatch):
@@ -558,7 +554,8 @@ def test_pruned_search_matches_unpruned_oracle_on_ladder8(
         assert (width, idle) == (6, 0)
         assert counts.mappers == 1 and pruned == [] and counts.skeleton == []
         return
-    assert counts.mappers == 1 + len(_segment_wires(circuit))
+    # The full circuit's, the skeleton prefix's and its last segment's.
+    assert counts.mappers == 3
     # Pruning fires, and every pruned placement costs more than the winner.
     assert pruned and len(counts.full) < len(counts.covered)
     for placement in pruned[:: max(1, len(pruned) // 50)]:
@@ -571,24 +568,41 @@ def test_pruned_search_matches_unpruned_oracle_on_ladder8(
 def test_skeleton_rewrites_never_exceed_skeleton_wire_assignments(
     sparse_tables, monkeypatch, width, idle, num_gates, seed
 ):
-    # Placements that agree on the wires a skeleton prefix has seen share
-    # its rewrite, and those that agree on every H and CNOT wire share the
-    # bound: each segment is rewritten at most once per assignment of the
-    # wires seen by its end.
+    # Placements that agree on the wires the skeleton prefix has seen share
+    # its rewrite, or, where some wire carries neither H nor CNOT, on every
+    # H and CNOT wire; placements that agree on the last segment's own
+    # wires share its rewrite alone.
     circuit = _skeleton_heavy(random.Random(seed), width, num_gates, idle)
     counts = _count_rewrites(monkeypatch, sparse_tables["ladder8"])
     optimize(circuit, sparse_tables["ladder8"])
-    segments = _segment_wires(circuit)
-    assert sorted(set(counts.skeleton)) == list(range(len(segments)))
-    for segment, wires in enumerate(segments):
-        assignments = {tuple(p[w] for w in wires) for p in counts.covered}
-        assert counts.skeleton.count(segment) <= len(assignments)
-    first = {tuple(p[w] for w in segments[0]) for p in counts.covered}
-    assert counts.skeleton.count(0) <= len(first) < len(counts.covered)
+    _, last, wires = _split(circuit)
+
+    def assignments(of):
+        return {tuple(p[w] for w in of) for p in counts.covered}
+
     if idle:
-        assert len(segments[-1]) < width
-        last = {tuple(p[w] for w in segments[-1]) for p in counts.covered}
-        assert len(last) < len(counts.covered)
+        assert last == [] and set(wires) == _skeleton_wires(circuit)
+    assert 0 < counts.skeleton.count(0) <= len(assignments(wires)) < len(counts.covered)
+    tail_wires = sorted({q for g in last for q in g.qubits})
+    assert counts.alone <= len(assignments(tail_wires))
+
+
+def test_skeleton_without_a_split_rewrites_its_empty_prefix_once(sparse_tables, monkeypatch):
+    # An H on every wire comes before the first CNOT, so the skeleton is one
+    # segment over every wire: its prefix is empty, keyed by a constant and
+    # rewritten once, and each bounded placement rewrites the whole skeleton
+    # from that state, with no tail.
+    table = sparse_tables["ladder8"]
+    hs = tuple(gate1(GateKind.H, w) for w in range(4))
+    circuit = Circuit(4, hs + (cnot(0, 1), gate1(GateKind.T, 0), cnot(2, 3), cnot(1, 2), gate1(GateKind.H, 1)))
+    assert _split(circuit) == ([], [g for g in circuit.gates if g.kind is not GateKind.T], ())
+    counts = _count_rewrites(monkeypatch, table)
+    result = optimize(circuit, table)
+    monkeypatch.undo()
+    assert result == search_oracle.optimize(circuit, table)
+    assert counts.pruned()
+    assert counts.skeleton.count(0) == 1 and counts.alone == 0
+    assert counts.skeleton.count(1) == len(counts.covered) - 1
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -627,16 +641,16 @@ def test_cost_of_each_benchmark_winner_is_its_final_cost(monkeypatch):
 @pytest.mark.parametrize("seed,scored", [(77, (348, 12)), (3, (337, 19)), (1, (375, 19))])
 def test_limit8_search_scores_and_rewrites_what_it_did(sparse_tables, monkeypatch, seed, scored):
     # Every placement after the first pays for a bound. The 5-qubit case
-    # has an H or a CNOT on every wire, so no count memo: it rewrites its
-    # two prefix segments once per placement of the wires each has seen
-    # (56 and 336), and its last segment alone once per placement of that
-    # segment's own 3 wires (336). The bound decides every other placement
-    # off that tail and the prefix's state, but for `fallbacks` of them some
-    # tail gate may fire and the bound left is at most the limit, so the
-    # last segment is rewritten from the prefix's state. The 6-qubit case,
-    # with 3 wires that carry neither gate, memoizes its counts: 56 prefix
-    # rewrites, and 335 last segments rewritten from a prefix's state, one
-    # per placement of its H and CNOT wires but the first placement's.
+    # has an H or a CNOT on every wire: it rewrites its prefix once per
+    # placement of the 3 wires it has seen (336), and its last segment
+    # alone once per placement of that segment's own 3 wires (336). The
+    # bound decides every placement off that tail and the prefix's state,
+    # but for `fallbacks` of them some tail gate may fire and the bound left
+    # is at most the limit, so the last segment is rewritten from the
+    # prefix's state. The 6-qubit case, with 3 wires that carry neither
+    # gate, has its whole skeleton as its prefix and reads each count off
+    # the prefix's state: 335 rewrites, one per placement of its H and CNOT
+    # wires but the first placement's, and no tail or fallback.
     fallbacks = {77: 243, 3: 240, 1: 260}[seed]
     table = sparse_tables["ladder8"]
     cases = _limit8_cases(monkeypatch, seed)
@@ -644,31 +658,30 @@ def test_limit8_search_scores_and_rewrites_what_it_did(sparse_tables, monkeypatc
     want = [
         {
             "scored": scored[0],
-            "prefix rewrites": 56 + 336,
+            "prefix rewrites": 336,
             "tails rewritten": 336,
-            "decided without a rewrite": 6_719 - fallbacks,
+            "bounded without a fallback": 6_719 - fallbacks,
             "fallback rewrites": fallbacks,
         },
         {
             "scored": scored[1],
-            "prefix rewrites": 56,
+            "prefix rewrites": 335,
             "tails rewritten": 0,
-            "decided without a rewrite": 3_761 - 335,
-            "fallback rewrites": 335,
+            "bounded without a fallback": 3_761,
+            "fallback rewrites": 0,
         },
     ]
     for (_, circuit), expected in zip(cases, want):
         counts = _count_rewrites(monkeypatch, table)
         optimize(circuit, table)
         monkeypatch.undo()
-        last = len(_segments(circuit)) - 1
-        resumed = counts.skeleton.count(last) - counts.alone
+        resumed = counts.skeleton.count(1) - counts.alone
         got = {
             "scored": len(counts.scored),
-            "prefix rewrites": sum(1 for segment in counts.skeleton if segment < last),
+            "prefix rewrites": counts.skeleton.count(0),
             "tails rewritten": counts.alone,
             # Every placement but the first is bounded.
-            "decided without a rewrite": len(counts.covered) - 1 - resumed,
+            "bounded without a fallback": len(counts.covered) - 1 - resumed,
             "fallback rewrites": resumed,
         }
         assert got == expected
@@ -717,7 +730,7 @@ def _tail_circuit(monkeypatch, kind, spec):
 def _tail_cached(circuit):
     """Whether the search rewrites the last skeleton segment alone: every
     wire carries an H or a CNOT, and the last segment leaves one out."""
-    tail_wires = {q for g in _segments(circuit)[-1] for q in g.qubits}
+    tail_wires = {q for g in _split(circuit)[1] for q in g.qubits}
     return len(_skeleton_wires(circuit)) == circuit.num_qubits > len(tail_wires)
 
 
@@ -728,8 +741,8 @@ def _tail_terms(circuit, table, bits):
     qubits q of L_q, the number of v's gates on q, from its first, that
     equal u's gates on q, from its last."""
     entries = _index(table)[0]
-    *prefix, tail = _segments(circuit)
-    heads = _mapper(encode([g for segment in prefix for g in segment], bits), bits, entries)
+    prefix, tail, _ = _split(circuit)
+    heads = _mapper(encode(prefix, bits), bits, entries)
     tails = _mapper(encode(tail, bits), bits, entries)
 
     @functools.lru_cache(maxsize=None)
@@ -808,10 +821,9 @@ def test_tail_bound_scores_what_the_resumed_rewrite_scores(sparse_tables, monkey
     assert optimize(circuit, table) == result
     monkeypatch.undo()
     assert counts.scored == resumed.scored
-    last = len(_segments(circuit)) - 1
     if _tail_cached(circuit) and counts.skeleton:
-        # The tails spare most of the rewrites resumed from a prefix's state.
-        assert counts.skeleton.count(last) - counts.alone < resumed.skeleton.count(last)
+        # The tails spare most of the rewrites resumed from the prefix's state.
+        assert counts.skeleton.count(1) - counts.alone < resumed.skeleton.count(1)
 
 
 def _mapper_of(circuit, entries, bits, skeleton=False):

@@ -212,12 +212,20 @@ def test_parse_emit_roundtrip_random(seed):
         ("qreg q[2]; cx q[0];", False, "line 1, column 12: cx takes 2 operand(s), got 1"),
         ("qreg q[2]; h q[0],q[1];", False, "line 1, column 12: h takes 1 operand(s), got 2"),
         ("qreg q[1]; h q;", False, "line 1, column 12: malformed qubit reference 'q'"),
+        # An index or a size is ASCII digits, as many as `int` converts.
+        (HEADER + "qreg q[2];\nh q[%s];" % ("1" * 5000), False, "line 4, column 1: integer of 5000 digits is too long"),
+        ("qreg q[%s];" % ("9" * 5000), False, "line 1, column 1: integer of 5000 digits is too long"),
+        ("qreg q[2]; cx q[1],q[%s];" % ("0" * 4400), False, "line 1, column 12: integer of 4400 digits is too long"),
+        ("qreg q[\u0665]; h q[3];", False, "line 1, column 1: malformed register declaration 'qreg q[\u0665]'"),
+        ("qreg q[5]; h q[\u0663];", False, "line 1, column 12: malformed qubit reference 'q[\u0663]'"),
+        ("qreg q[5]; h q[\uff13];", False, "line 1, column 12: malformed qubit reference 'q[\uff13]'"),
         ("OPENQASM 2.0;\n// nothing\n", False, "no quantum register declared"),
         ("", False, "no quantum register declared"),
     ],
     ids=[
         "unknown-register", "malformed-register", "zero-size", "second-creg", "strict-barrier",
         "gate-before-qreg", "gate-before-and-after-qreg", "too-few-operands", "too-many-operands", "malformed-reference",
+        "long-index", "long-size", "long-zeros", "arabic-indic-size", "arabic-indic-index", "fullwidth-index",
         "no-qreg", "empty",
     ],
 )

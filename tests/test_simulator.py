@@ -1163,6 +1163,9 @@ def _full_miter(c1, c2, perm):
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 8), st.integers(0, 10_000))
+# About one draw in eleven tells a seam that cancels a gate not on top of
+# every wire from the right one; (4, 0) is one, so every run checks it.
+@example(4, 0)
 def test_seam_leaves_the_miter_product_unchanged(n, seed):
     # Exact inverse pairs only: the products agree to rounding, with no
     # phase freedom, whatever the verdict.

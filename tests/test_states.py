@@ -161,6 +161,10 @@ def test_parse_distribution_names_the_line_of_a_bad_value():
         ("", r"^missing 'dm N' header$"),
         ("1 0\n0 1\n", r"^missing 'dm N' header$"),
         ("dm 2\n1 0\n", r"^expected 4 entries, found 1$"),
+        # A dimension that is no qubit space is refused at its header's line,
+        # once the entries have read.
+        ("dm 3\n" + "1 0\n" * 9, r"^line 1: dimension 3 is not a power of two$"),
+        ("# one amplitude\ndm 1\n1 0\n", r"^line 2: dimension 1 is not a power of two$"),
     ],
 )
 def test_parse_density_matrix_names_the_bad_entry_or_header(text, message):
@@ -202,11 +206,10 @@ def test_parse_distribution_pins_each_refusal(text, message):
         ),
         (lambda: distribution_from_vector(np.array([1.0])), "probability vector length 1 is not a power of two"),
         (lambda: DensityMatrix(np.zeros((2, 3))), "density matrix must be square, got shape (2, 3)"),
-        (
-            lambda: DensityMatrix(parse_density_matrix("dm 3\n" + "1 0\n" * 9)),
-            "dimension 3 is not a power of two",
-        ),
-        (lambda: DensityMatrix(parse_density_matrix("dm 1\n1 0\n")), "dimension 1 is not a power of two"),
+        # The reader refuses these dimensions at their header's line; a
+        # matrix built in code meets the container's own check.
+        (lambda: DensityMatrix(np.eye(3) / 3), "dimension 3 is not a power of two"),
+        (lambda: DensityMatrix(np.ones((1, 1))), "dimension 1 is not a power of two"),
         (lambda: ProbabilityDistribution(2, {"0": 1.0}), "bad outcome label '0' for 2 qubits"),
         (
             lambda: ProbabilityDistribution(1, {"0": 0.5, "2": 0.5}),

@@ -66,8 +66,13 @@ def test_load_rejects_duplicate_edge():
     [
         ("qubits x\n0 1\n", "line 1: expected an integer, got 'x'"),
         ("# device\nqubits 2\n0 1.5\n", "line 3: expected an integer, got '1.5'"),
+        # ASCII digits only, after an optional minus sign.
+        ("qubits 1_0\n" + "".join(f"{q} {q + 1}\n" for q in range(9)), "line 1: expected an integer, got '1_0'"),
+        ("qubits +2\n0 1\n", "line 1: expected an integer, got '+2'"),
+        ("qubits \u0662\n0 1\n", "line 1: expected an integer, got '\u0662'"),
+        ("qubits 2\n0 \u0661\n", "line 2: expected an integer, got '\u0661'"),
     ],
-    ids=["header", "edge"],
+    ids=["header", "edge", "underscore", "plus-sign", "arabic-indic-header", "arabic-indic-edge"],
 )
 def test_load_reports_line_of_non_integer(text, message):
     with pytest.raises(ValueError) as info:
